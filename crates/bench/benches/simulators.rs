@@ -7,8 +7,8 @@
 //!
 //! Two engine sections are timed: the paper-default configuration, and
 //! `queue_slots = 128` (the paper's "OOOVA-128") — the configuration
-//! where the old per-dead-cycle queue rescan in `next_event` was most
-//! expensive and the event heap pays off.
+//! where a per-dead-cycle queue rescan would be most expensive, so it
+//! shows the cached per-stage wakes keep the dead path flat.
 //!
 //! The container carries no external crates, so this is a plain
 //! `harness = false` bench built on `std::time::Instant`:

@@ -1,5 +1,7 @@
-//! Ablation studies of the design choices DESIGN.md calls out: what
-//! each mechanism of the two machines contributes.
+//! Ablation studies of the modelled mechanisms — reference-machine
+//! chaining, register-file banking and the scalar cache; OOOVA queue,
+//! ROB and cache sizing; compiler list scheduling — showing what each
+//! contributes to the cycle counts.
 //!
 //! ```text
 //! cargo run -p oov-bench --release --bin ablation

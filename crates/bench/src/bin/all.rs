@@ -1,5 +1,4 @@
-//! Runs every experiment and rewrites `EXPERIMENTS.md`.
-use std::fmt::Write as _;
+//! Runs every experiment and prints each exhibit to stdout.
 use std::time::Instant;
 
 use oov_bench::{experiments as ex, Suite};
@@ -30,27 +29,10 @@ fn main() {
             "Stage occupancy — per-stage progress",
             ex::stage_occupancy(&suite),
         ),
-        (
-            "Frontend-batch sweep — engine knob",
-            ex::frontend_batch_sweep(&suite),
-        ),
     ];
-    let mut measured = String::new();
     for (name, body) in &sections {
         eprintln!("done: {name} ({:.1}s)", t0.elapsed().as_secs_f64());
-        let _ = writeln!(measured, "### {name}\n\n```text\n{body}\n```\n");
         println!("==== {name} ====\n{body}\n");
-    }
-    // Splice into EXPERIMENTS.md between the markers.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
-    if let Ok(doc) = std::fs::read_to_string(path) {
-        const BEGIN: &str = "<!-- measured:begin -->";
-        const END: &str = "<!-- measured:end -->";
-        if let (Some(b), Some(e)) = (doc.find(BEGIN), doc.find(END)) {
-            let new = format!("{}{}\n\n{}\n{}", &doc[..b], BEGIN, measured, &doc[e..]);
-            std::fs::write(path, new).expect("failed to update EXPERIMENTS.md");
-            eprintln!("EXPERIMENTS.md updated");
-        }
     }
     eprintln!("total: {:.1}s", t0.elapsed().as_secs_f64());
 }

@@ -18,7 +18,7 @@
 //!    as a ratio to the baseline, *normalised by the median ratio
 //!    across kernels* — a uniformly slower machine moves every
 //!    kernel's ratio equally and cancels out, while one kernel
-//!    regressing (a pathological interaction with the event heap, a
+//!    regressing (a stage whose cached wake keeps firing early, a
 //!    disambiguation blow-up) sticks out of the median.
 //! 2. **Engine speedup.** The naive/event speedup measured *within*
 //!    each artifact (same machine, same run). A fresh speedup below

@@ -2,7 +2,7 @@
 //!
 //! Every function takes the compiled [`Suite`] and returns the rendered
 //! exhibit as text (tables and ASCII charts). The binaries print them;
-//! the `all` binary also assembles `EXPERIMENTS.md`.
+//! the `all` binary prints every exhibit in turn.
 
 use oov_core::SimArena;
 use oov_isa::{CommitMode, LatencyModel, LoadElimMode, OooConfig, RefConfig};
@@ -464,70 +464,6 @@ pub fn stage_occupancy(suite: &Suite) -> String {
     )
 }
 
-/// The `frontend_batch` engine-knob sweep: the fused fetch+dispatch
-/// burst length must have **no timing effect** (bit-identical
-/// [`SimStats`] at every setting — asserted here, not just eyeballed),
-/// and at paper scale its wall-clock effect is small because bursts
-/// only fire when the whole back end is provably asleep. This
-/// experiment documents both: per-kernel wall time per setting, with
-/// the stats-equality check built in. See the write-up in the
-/// `oov_core` stages module docs.
-///
-/// # Panics
-///
-/// Panics if any batch setting changes `SimStats` — that would be an
-/// engine-soundness bug, not a tuning effect.
-#[must_use]
-pub fn frontend_batch_sweep(suite: &Suite) -> String {
-    const BATCHES: [u32; 4] = [1, 8, 64, 256];
-    const REPS: u32 = 3;
-    let mut header = vec!["program".to_string()];
-    for b in BATCHES {
-        header.push(format!("batch {b} (ms)"));
-    }
-    header.push("spread".into());
-    let mut t = Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
-    // Timed sequentially on purpose (same discipline as the engine
-    // bench): timing every kernel under mutual CPU contention distorts
-    // per-setting wall times beyond use. Best-of-3 per setting.
-    for (p, prog) in suite.iter() {
-        let mut cells = vec![p.name().to_string()];
-        let mut times = Vec::new();
-        let mut stats: Option<SimStats> = None;
-        let mut arena = SimArena::new();
-        for b in BATCHES {
-            let cfg = base_cfg().with_frontend_batch(b);
-            let mut best = f64::INFINITY;
-            for _ in 0..REPS {
-                let t0 = std::time::Instant::now();
-                let s = std::hint::black_box(ooo_run_in(prog, cfg, &mut arena));
-                best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-                match &stats {
-                    None => stats = Some(s),
-                    Some(prev) => assert_eq!(
-                        *prev, s,
-                        "{p}: frontend_batch={b} changed SimStats — engine knob leaked into timing"
-                    ),
-                }
-            }
-            times.push(best);
-            cells.push(format!("{best:.2}"));
-        }
-        let (min, max) = times.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &t| {
-            (lo.min(t), hi.max(t))
-        });
-        cells.push(format!("{:.2}x", max / min.max(1e-9)));
-        t.row_owned(cells);
-    }
-    format!(
-        "Frontend-batch sweep: best-of-{REPS} wall ms per burst setting (SimStats \
-         asserted bit-identical at every setting)\n{t}\
-         \nThe burst knob is an engine throughput knob, not a timing knob: it\n\
-         only fires when the back end is provably asleep, which at paper\n\
-         scale is a minority of progress cycles — hence the small spread.\n"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,13 +517,5 @@ mod tests {
             assert!(s.contains(p.name()), "missing {p}");
         }
         assert!(s.contains("progress%"));
-    }
-
-    #[test]
-    fn frontend_batch_sweep_asserts_knob_is_timing_free() {
-        // The assertion inside the sweep is the real test: any batch
-        // setting changing SimStats panics.
-        let s = frontend_batch_sweep(&smoke_suite());
-        assert!(s.contains("batch 256"));
     }
 }

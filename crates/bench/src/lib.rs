@@ -4,7 +4,7 @@
 //!
 //! Each `figure*` / `table*` function in [`experiments`] renders one
 //! exhibit from live simulation; the `all` binary runs the full set and
-//! rewrites `EXPERIMENTS.md`. Run with `--release`:
+//! prints it to stdout. Run with `--release`:
 //!
 //! ```text
 //! cargo run -p oov-bench --release --bin all

@@ -34,6 +34,7 @@ impl SlotQueue {
     }
 
     /// `true` if no live entries remain.
+    #[cfg(any(debug_assertions, test))]
     pub(crate) fn is_empty(&self) -> bool {
         self.live == 0
     }
@@ -61,7 +62,9 @@ impl SlotQueue {
         }
     }
 
-    /// Iterates live sequence numbers in insertion order.
+    /// Iterates live sequence numbers in insertion order (for the
+    /// debug-build wake rescans and the tests).
+    #[cfg(any(debug_assertions, test))]
     pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.slots[self.head..]
             .iter()

@@ -21,35 +21,26 @@
 //!
 //! [`Stepper::EventDriven`] (the default) is the stage-graph engine.
 //! It is **bit-for-bit identical** in every [`SimStats`] counter, via
-//! four mechanisms:
+//! three mechanisms:
 //!
 //! 1. **Active-stage masking.** A progress cycle runs only the stages
 //!    whose activity bit or wake time fires (see
 //!    [`crate::stages::Scheduler`]); the expensive issue scans sleep
 //!    whenever a failed scan proves nothing can issue before a known
 //!    time or a cross-stage edge.
-//! 2. **Cycle skipping.** A cycle in which no stage mutates state is
-//!    *dead*: because every stage is a deterministic function of
-//!    (state, `now`) and every `now` comparison is against an
-//!    enumerable set of future times, the machine provably re-enters
-//!    the same dead cycle until the earliest such time. The skip
-//!    target comes first from a **monotone min-heap of event times**
-//!    fed by [`OooSim::note_event`] (staged in a plain `Vec` during
-//!    progress cycles; heapified only when a dead cycle needs a
-//!    target); a premature wake hands the span to the exact state
-//!    rescan — [`OooSim::next_event_scan`], the composition of the
-//!    per-stage wake scans — which also purges disproved heap
-//!    candidates. (Measured on the ten-kernel suite this hybrid
-//!    matters: pure heap wake-ups walk ~2.5× more dead cycles than the
-//!    scan, and the pure rescan never actually grows with
-//!    `queue_slots` because the 64-entry ROB bounds queue occupancy.)
-//!    Debug builds assert the heap never wakes *later* than the scan.
-//!    Per-cycle stall counters (rename/queue/ROB) are replayed
-//!    arithmetically for the skipped span.
-//! 3. **Fused front-end bursts.** When the whole back end is provably
-//!    asleep, fetch and dispatch run in a tight loop (up to
-//!    `OooConfig::frontend_batch` cycles) touching no back-end state.
-//! 4. **Indexed wakeup.** Each queue entry counts its
+//! 2. **Cycle skipping on cached per-stage wakes.** A cycle in which
+//!    no stage mutates state is *dead*: because every stage is a
+//!    deterministic function of (state, `now`) and every `now`
+//!    comparison is against an enumerable set of future times, the
+//!    machine provably re-enters the same dead cycle until the
+//!    earliest such time. Masking already keeps that time per stage:
+//!    a sleeping issue stage's cached wake is never later than a
+//!    fresh scan of its queue, and the remaining candidates (the ROB
+//!    head, the front end) are O(1) to read. So the skip target is a
+//!    minimum over a handful of cached values — no event heap, no
+//!    queue rescan. Per-cycle stall counters (rename/queue/ROB) are
+//!    replayed arithmetically for the skipped span.
+//! 3. **Indexed wakeup.** Each queue entry counts its
 //!    not-yet-produced sources ([`RobEntry::waiting_srcs`]); a
 //!    per-`(RegClass, PhysReg)` waiter index decrements the count when
 //!    the producer's [`OooSim::set_avail`] fires, and the decrement to
@@ -62,8 +53,7 @@
 //! program order is preserved for the positional disambiguation scans
 //! while removal stays O(1) amortised.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use oov_isa::{CommitMode, Instruction, LoadElimMode, OooConfig, RegClass, Trace};
 use oov_mem::{AddressBus, ScalarCache, TrafficCounter};
@@ -88,9 +78,9 @@ pub enum Stepper {
     /// validate the index rather than sharing its bugs.
     Naive,
     /// The stage-graph engine: active-stage masking on progress
-    /// cycles, dead-cycle skipping via the event heap, fused front-end
-    /// bursts and the indexed wakeup path. Produces bit-identical
-    /// [`SimStats`] to [`Stepper::Naive`].
+    /// cycles, dead-cycle skipping on the cached per-stage wakes and
+    /// the indexed wakeup path. Produces bit-identical [`SimStats`] to
+    /// [`Stepper::Naive`].
     #[default]
     EventDriven,
 }
@@ -231,23 +221,6 @@ pub struct OooSim<'t> {
     /// Wakeup index: per `(class, phys)`, sequence numbers of queue
     /// entries waiting for that register to be produced.
     pub(crate) waiters: [Vec<Vec<u64>>; 4],
-    /// Monotone min-heap of future event times (event-driven stepper
-    /// only). Every write of a future time also records it; dead
-    /// cycles pop their skip target instead of rescanning the queues.
-    pub(crate) events: BinaryHeap<Reverse<u64>>,
-    /// Staging buffer for event times noted during progress cycles.
-    /// Heap maintenance is deferred to the next dead cycle, so the
-    /// common case (a progress cycle) pays one `Vec::push` per noted
-    /// time instead of a heap sift.
-    pub(crate) pending_events: Vec<u64>,
-    /// `true` while the latest heap wake-up has not been vindicated by
-    /// a progress cycle — the signal that the exact state scan should
-    /// choose the next skip target (see [`OooSim::pop_next_event`]).
-    pub(crate) last_wake_stale: bool,
-    /// The `(head seq, complete time)` most recently noted by commit,
-    /// so an incomplete head is pushed to the event heap once instead
-    /// of every cycle it blocks.
-    pub(crate) noted_head: (u64, u64),
     /// Wake accumulator for the currently-running issue stage: the
     /// scan notes each rejected entry's exact ready time as it walks,
     /// so a failed fire yields the stage's `next_wake` without a
@@ -334,9 +307,9 @@ pub fn arena_constructions() -> u64 {
 }
 
 /// The allocation footprint of one [`OooSim`]: ROB storage, the four
-/// issue `SlotQueue`s, the wakeup index, the memory-pipe FIFO, the
-/// event heap, BTB/tag/rename/timing tables, occupancy intervals —
-/// everything a run heap-allocates except the per-entry source lists.
+/// issue `SlotQueue`s, the wakeup index, the memory-pipe FIFO,
+/// BTB/tag/rename/timing tables, occupancy intervals — everything a
+/// run heap-allocates except the per-entry source lists.
 #[derive(Debug)]
 struct Storage {
     rename: RenameUnit,
@@ -344,8 +317,6 @@ struct Storage {
     timing: RegTiming,
     tags: TagUnit,
     waiters: [Vec<Vec<u64>>; 4],
-    events: BinaryHeap<Reverse<u64>>,
-    pending_events: Vec<u64>,
     q_a: SlotQueue,
     q_s: SlotQueue,
     q_v: SlotQueue,
@@ -393,8 +364,6 @@ impl Storage {
                 vec![Vec::new(); n[2]],
                 vec![Vec::new(); n[3]],
             ],
-            events: BinaryHeap::with_capacity(64),
-            pending_events: Vec::with_capacity(64),
             q_a: SlotQueue::new(),
             q_s: SlotQueue::new(),
             q_v: SlotQueue::new(),
@@ -432,8 +401,6 @@ impl Storage {
             }
             ws.resize_with(len, Vec::new);
         }
-        self.events.clear();
-        self.pending_events.clear();
         self.rob.reset(cfg.rob_entries);
         self.q_a.clear();
         self.q_s.clear();
@@ -476,11 +443,11 @@ impl Storage {
 /// }
 /// ```
 ///
-/// The arena is engine-agnostic (naive, event-driven and the
-/// stage-masking ablation all run through the same storage), and the
-/// parity grid asserts bit-identical [`SimStats`] against fresh
-/// construction. [`arena_constructions`] counts the fresh builds so
-/// tests can assert a warm replay allocated nothing.
+/// The arena is engine-agnostic (the naive oracle and the stage-graph
+/// engine run through the same storage), and the parity grid asserts
+/// bit-identical [`SimStats`] against fresh construction.
+/// [`arena_constructions`] counts the fresh builds so tests can assert
+/// a warm replay allocated nothing.
 #[derive(Debug, Default)]
 pub struct SimArena {
     storage: Option<Storage>,
@@ -537,8 +504,6 @@ impl<'t> OooSim<'t> {
             timing,
             tags,
             waiters,
-            events,
-            pending_events,
             q_a,
             q_s,
             q_v,
@@ -565,10 +530,6 @@ impl<'t> OooSim<'t> {
             progress_word: 0,
             sched: Scheduler::new(),
             waiters,
-            events,
-            pending_events,
-            last_wake_stale: false,
-            noted_head: (u64::MAX, u64::MAX),
             scan_wake: u64::MAX,
             stage_cycle_counts: [0; 9],
             q_a,
@@ -610,8 +571,6 @@ impl<'t> OooSim<'t> {
             timing: self.timing,
             tags: self.tags,
             waiters: self.waiters,
-            events: self.events,
-            pending_events: self.pending_events,
             q_a: self.q_a,
             q_s: self.q_s,
             q_v: self.q_v,
@@ -813,7 +772,7 @@ impl<'t> OooSim<'t> {
         // already-set cancel flag aborts on the very first step.
         let mut budget_steps: u64 = 0;
         let mut budget_tick: u32 = crate::budget::BUDGET_CHECK_INTERVAL;
-        let masked = self.stepper == Stepper::EventDriven && self.cfg.stage_masking;
+        let masked = self.stepper == Stepper::EventDriven;
         while self.committed < total {
             if self.budget.is_some() {
                 if let Some(reason) = self.budget_exceeded(budget_steps, &mut budget_tick) {
@@ -822,56 +781,20 @@ impl<'t> OooSim<'t> {
                 budget_steps += 1;
             }
             self.progressed = false;
-            let mut stalls_before = (
+            let stalls_before = (
                 self.stats.rename_stall_cycles,
                 self.stats.queue_stall_cycles,
                 self.stats.rob_stall_cycles,
             );
-            let mut advanced = false;
-            if masked && self.frontend_only_possible() {
-                // Fused front-end burst: the back end is provably
-                // asleep until at least the next wake, so fetch and
-                // dispatch loop without touching it. The burst ends on
-                // a dead cycle (falling through to the skip path
-                // below), on any condition that could wake the back
-                // end, or after `frontend_batch` cycles.
-                let mut left = self.cfg.frontend_batch;
-                while left > 0 {
-                    if !self.fetch_buf.is_empty() {
-                        self.dispatch();
-                    }
-                    self.fetch();
-                    self.close_cycle();
-                    if !self.progressed {
-                        break;
-                    }
-                    self.last_wake_stale = false;
-                    self.now += 1;
-                    advanced = true;
-                    left -= 1;
-                    if left == 0 || !self.frontend_only_possible() {
-                        break;
-                    }
-                    self.progressed = false;
-                    stalls_before = (
-                        self.stats.rename_stall_cycles,
-                        self.stats.queue_stall_cycles,
-                        self.stats.rob_stall_cycles,
-                    );
-                }
-            } else if masked {
+            if masked {
                 self.walk_active();
-                self.close_cycle();
             } else {
                 self.walk_all();
-                self.close_cycle();
             }
-            if self.stepper == Stepper::Naive || self.progressed {
-                if !advanced {
-                    self.last_wake_stale = false;
-                    self.now += 1;
-                }
-            } else if let Some(t) = self.pop_next_event() {
+            self.close_cycle();
+            if !masked || self.progressed {
+                self.now += 1;
+            } else if let Some(t) = self.next_event_cached() {
                 // Dead cycle: no stage mutated state, so cycles
                 // `now+1..t` replay it exactly (every `now` comparison
                 // in every stage flips no earlier than `t`). Stall
@@ -958,8 +881,8 @@ impl<'t> OooSim<'t> {
 
     // ----- cycle drivers ----------------------------------------------
 
-    /// The full stage walk (downstream first): the naive oracle's — and
-    /// the unmasked event engine's — every-cycle behaviour.
+    /// The full stage walk (downstream first): the naive oracle's
+    /// every-cycle behaviour.
     fn walk_all(&mut self) {
         self.apply_btb_updates();
         self.resolve_pending_copies();
@@ -1030,18 +953,6 @@ impl<'t> OooSim<'t> {
         if t > self.now && t < self.scan_wake {
             self.scan_wake = t;
         }
-    }
-
-    /// `true` when every back-end stage is provably inert at `now`:
-    /// the issue stages are asleep with no fired wake, no copies or
-    /// BTB updates are pending, the memory pipe is empty and commit
-    /// cannot retire the head. Only then may the front-end burst run.
-    fn frontend_only_possible(&self) -> bool {
-        self.sched.issue_stages_asleep(self.now)
-            && self.pending_copies.is_empty()
-            && self.sched.btb_wake > self.now
-            && !self.mem_pipe_active()
-            && self.commit_ready_time() > self.now
     }
 
     /// Marks `stage` as having mutated machine state this cycle.
@@ -1136,123 +1047,13 @@ impl<'t> OooSim<'t> {
         true
     }
 
-    /// Records a future event time for the *unmasked* event engine
-    /// (the naive oracle and the stage-graph scheduler must not pay
-    /// for the pushes: under masking, the cached per-stage wakes
-    /// already answer the dead-cycle question exactly, so the heap is
-    /// bypassed entirely — see [`OooSim::pop_next_event`]).
-    ///
-    /// Times at or before `now` are dropped: the dead-cycle argument
-    /// only ever needs times at which a `now` comparison can *flip*,
-    /// and a comparison against a past time never flips again. The
-    /// time lands in a staging `Vec`; the min-heap is only maintained
-    /// when a dead cycle actually needs a skip target, so progress
-    /// cycles — the overwhelming majority on scalar-heavy kernels —
-    /// pay a plain push, not a heap sift.
-    pub(crate) fn note_event(&mut self, t: u64) {
-        if self.stepper != Stepper::EventDriven || self.cfg.stage_masking || t <= self.now {
-            return;
-        }
-        self.pending_events.push(t);
-    }
-
-    /// Computes the dead-cycle skip target.
-    ///
-    /// First chance goes to the min-heap: merge the staged notes,
-    /// discard entries that have already passed, and wake at the
-    /// earliest surviving candidate — O(log n), no state rescan. A
-    /// candidate can be *early* (its guarded action is still blocked
-    /// on something else): the woken cycle walks the stages, proves
-    /// dead again, and lands back here with `last_wake_stale` set. In
-    /// that case the exact (but O(queue-entries)) state scan takes
-    /// over for this span, and every heap candidate the scan proves
-    /// non-eventful is purged — so one span costs at most one stale
-    /// walk, and spans the heap predicts exactly (the common case)
-    /// cost no scan at all. Debug builds cross-check every answer
-    /// against the scan: waking early is harmless, waking *late* would
-    /// mean a push site is missing and the engines would diverge.
-    fn pop_next_event(&mut self) -> Option<u64> {
-        // Stage-graph mode: the cached per-stage wakes plus the O(1)
-        // head/front-end rescan *are* the idle path — exact, heapless.
-        // The heap below serves the unmasked ablation engine
-        // (`stage_masking = false`), where the full state rescan is
-        // O(queue occupancy) and worth amortising.
-        if self.cfg.stage_masking {
-            return self.next_event_cached();
-        }
-        let now = self.now;
-        self.events.extend(
-            self.pending_events
-                .drain(..)
-                .filter(|&t| t > now)
-                .map(Reverse),
-        );
-        while let Some(&Reverse(t)) = self.events.peek() {
-            if t > now {
-                break;
-            }
-            self.events.pop();
-        }
-        let heap_t = self.events.peek().map(|&Reverse(t)| t);
-        #[cfg(debug_assertions)]
-        match (heap_t, self.next_event_scan()) {
-            (Some(h), Some(s)) => debug_assert!(
-                h <= s,
-                "event heap missed an event at cycle {now}: heap wakes at {h}, scan at {s}",
-            ),
-            (None, Some(s)) => {
-                panic!("event heap empty at cycle {now} but the state scan finds an event at {s}")
-            }
-            _ => {}
-        }
-        let target = if self.last_wake_stale || heap_t.is_none() {
-            // The previous heap wake-up was premature (or the heap is
-            // empty): ask the state scan for the exact next event and
-            // drop every heap candidate it disproves. (Masked runs
-            // never reach this point — they returned the cached scan
-            // above.)
-            let s = self.next_event_scan();
-            if let Some(s) = s {
-                while let Some(&Reverse(t)) = self.events.peek() {
-                    if t >= s {
-                        break;
-                    }
-                    self.events.pop();
-                }
-            }
-            s
-        } else {
-            heap_t
-        };
-        if let Some(t) = target {
-            while self.events.peek() == Some(&Reverse(t)) {
-                self.events.pop();
-            }
-        }
-        self.last_wake_stale = true;
-        target
-    }
-
     /// Marks a register produced and wakes every queue entry waiting on
     /// it (decrementing its outstanding-source count). All production
     /// sites go through here so the wakeup index stays exact.
     ///
-    /// The noted times cover every comparison a consumer derives from
-    /// them: non-chained consumption reads `last` (all classes),
-    /// chained consumption reads `first + 1` (non-scalar classes
-    /// only), and indexed gathers wait for `last + 1` (index vectors
-    /// are always V class).
-    ///
     /// Scheduler edge: an entry whose outstanding-source count hits
     /// zero re-arms its queue's issue stage.
     pub(crate) fn set_avail(&mut self, class: RegClass, phys: PhysReg, first: u64, last: u64) {
-        self.note_event(last);
-        if !class.is_scalar() {
-            self.note_event(first + 1);
-            if class == RegClass::V {
-                self.note_event(last + 1);
-            }
-        }
         self.timing.set_avail(class, phys, first, last);
         let mut woken = std::mem::take(&mut self.waiters[class_ix(class)][phys as usize]);
         // Squashed entries resolve to `None`; sequence numbers are
@@ -1425,16 +1226,17 @@ impl<'t> OooSim<'t> {
     /// Earliest future cycle at which any stage's behaviour can change,
     /// given that the cycle just simulated was dead (mutated nothing),
     /// computed by a full rescan of the machine state — the composition
-    /// of the per-stage wake scans plus the front end.
+    /// of the per-stage wake scans plus the front end. Debug builds
+    /// only: it is the reference the cached skip target is checked
+    /// against.
     ///
     /// Every `now` comparison in the stage code reads one of the times
     /// enumerated here; everything else the stages consult is machine
-    /// state, which by assumption only changes in progress cycles. A
-    /// candidate may wake the machine early (the guarded action is still
-    /// blocked on another condition) — that costs one extra dead-cycle
-    /// scan, never correctness. Returns `None` when no future event
-    /// exists (a provable deadlock).
-    pub(crate) fn next_event_scan(&self) -> Option<u64> {
+    /// state, which by assumption only changes in progress cycles.
+    /// Returns `None` when no future event exists (a provable
+    /// deadlock).
+    #[cfg(debug_assertions)]
+    fn next_event_scan(&self) -> Option<u64> {
         let now = self.now;
         let mut best = u64::MAX;
         let mut add = |t: u64| {
@@ -1451,21 +1253,23 @@ impl<'t> OooSim<'t> {
         (best != u64::MAX).then_some(best)
     }
 
-    /// [`OooSim::next_event_scan`] with the queue rescans replaced by
-    /// the scheduler's cached per-stage wakes.
+    /// The dead-cycle skip target: the earliest future time any stage
+    /// can change behaviour, read from the scheduler's cached
+    /// per-stage wakes plus the O(1) ROB-head and front-end times.
     ///
-    /// Reaching a dead cycle under stage masking means every masked
-    /// stage either fired this cycle and failed (recomputing its wake
-    /// just now) or slept through it (its cached wake still valid — an
-    /// edge would have armed it, making the cycle a progress cycle).
-    /// Either way the cached wake is never *later* than a fresh scan —
-    /// it may be earlier when a port/bus/FU reservation has since
-    /// moved out (a spurious early wake, which costs one stale walk
-    /// and is handled by the exact-scan fallback like any premature
-    /// heap pop). Only the O(1) head/front-end times need recomputing,
-    /// so the dead path stops paying O(queue occupancy) per span.
+    /// Reaching a dead cycle means every masked stage either fired
+    /// this cycle and failed (recomputing its wake just now) or slept
+    /// through it (its cached wake still valid — an edge would have
+    /// armed it, making the cycle a progress cycle). Either way the
+    /// cached wake is never *later* than a fresh scan of its queue, so
+    /// no event can be skipped. It may be earlier, when a
+    /// port/bus/FU reservation has since moved out: the woken cycle
+    /// then fires that stage, fails, and re-derives its wake, costing
+    /// one extra walk and no correctness. Returns `None` when no
+    /// future event exists (a provable deadlock).
     ///
-    /// Debug builds assert this never wakes later than the full scan.
+    /// Debug builds assert this never wakes later than the full
+    /// per-stage rescan.
     fn next_event_cached(&self) -> Option<u64> {
         let now = self.now;
         let mut best = u64::MAX;

@@ -3,10 +3,9 @@
 //! (paper §5).
 //!
 //! The stage's predicate is simply a non-empty ROB — checking a
-//! not-yet-ready head is O(1). [`crate::OooSim::commit_ready_time`]
-//! is the time-based half of that readiness, used both by the
-//! front-end burst (to prove commit stays blocked) and by the exact
-//! next-event scan.
+//! not-yet-ready head is O(1), and so is finding the time at which it
+//! can next become ready (the head's entry in the dead-cycle skip
+//! target).
 
 use oov_isa::CommitMode;
 
@@ -39,33 +38,6 @@ impl OooSim<'_> {
         }
     }
 
-    /// Earliest cycle at which the ROB head could become committable
-    /// by the passage of time alone, given current state. `u64::MAX`
-    /// means only another stage's progress (an issue, a production)
-    /// can unblock it. Mirrors [`OooSim::ready_to_commit`] exactly:
-    /// the head is ready iff this is `<= now`.
-    pub(crate) fn commit_ready_time(&self) -> u64 {
-        let Some(h) = self.rob.head() else {
-            return u64::MAX;
-        };
-        if !h.issued() {
-            return u64::MAX;
-        }
-        if h.eliminated {
-            return match h.dst {
-                Some(d) if self.timing.is_produced(d.class, d.new) => {
-                    self.timing.last(d.class, d.new)
-                }
-                Some(_) => u64::MAX,
-                None => self.now,
-            };
-        }
-        match self.cfg.commit {
-            CommitMode::Early if h.op.is_vector() || h.is_store() => self.now,
-            _ => h.complete_time,
-        }
-    }
-
     /// Future times at which the ROB head's commit-gating conditions
     /// can flip: its completion, or — for an eliminated head — its
     /// provider's full availability. Only the head gates progress.
@@ -93,22 +65,6 @@ impl OooSim<'_> {
                 }
             }
             if !self.ready_to_commit(head) {
-                // The head is the only entry whose completion gates
-                // commit; note it here (covers entries that issued
-                // before reaching the head) — once per (head, time),
-                // not once per blocked cycle. The heap entry survives
-                // until its time comes (purges only drop times the
-                // exact scan — which always re-adds the head — has
-                // disproved), at which point the head commits and the
-                // next head re-notes.
-                let pending = (head.issued() && !head.eliminated).then_some(head.complete_time);
-                if let Some(t) = pending {
-                    let key = (head.seq, t);
-                    if self.noted_head != key {
-                        self.noted_head = key;
-                        self.note_event(t);
-                    }
-                }
                 return;
             }
             let e = self.rob.pop().expect("head vanished");

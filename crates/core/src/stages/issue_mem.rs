@@ -9,9 +9,9 @@
 //! This is the most expensive scan of the pipeline (the
 //! disambiguation check is quadratic in queue occupancy), which is why
 //! it is a masked stage: it sleeps whenever a failed scan proves
-//! nothing can issue, waking on its time scan
-//! ([`OooSim::issue_mem_wake_scan`]) or the state edges the module
-//! docs of [`crate::stages`] enumerate.
+//! nothing can issue, waking at the earliest ready time the failed
+//! scan saw or on one of the state edges the module docs of
+//! [`crate::stages`] enumerate.
 
 use oov_isa::{CommitMode, MemKind, Opcode, RegClass};
 
@@ -28,7 +28,9 @@ impl OooSim<'_> {
     /// Disambiguation and the late-commit head-of-ROB rule are state
     /// conditions, re-armed by edges, as are entries whose registered
     /// data/index sources are still unproduced or that have not yet
-    /// reached `WaitDisamb` — those resolve to "edge-only".
+    /// reached `WaitDisamb` — those resolve to "edge-only". Debug
+    /// builds only, as part of the cross-check of the cached wakes.
+    #[cfg(debug_assertions)]
     pub(crate) fn issue_mem_wake_scan(&self, add: &mut impl FnMut(u64)) {
         if self.q_m.is_empty() {
             return;
@@ -224,7 +226,6 @@ impl OooSim<'_> {
         }
         let grant = self.bus.reserve(self.now, u64::from(vl));
         debug_assert_eq!(grant.start, self.now);
-        self.note_event(self.bus.free_at());
         self.occ
             .busy(oov_stats::VectorUnit::Mem, grant.start, grant.last);
         if is_load {
@@ -245,18 +246,10 @@ impl OooSim<'_> {
             if let Some((c, p)) = data_src {
                 if c == RegClass::V {
                     self.timing.read_port_free[p as usize] = grant.last + 1;
-                    self.note_event(grant.last + 1);
                 }
             }
             grant.last
         };
-        // Only the ROB head's completion gates commit; pushing every
-        // entry's completion would wake dead spans for nothing. A
-        // non-head entry's completion is re-noted by `commit` when the
-        // entry reaches the head (a progress cycle) still incomplete.
-        if self.rob.head_seq() == Some(seq) {
-            self.note_event(complete);
-        }
         self.max_complete = self.max_complete.max(complete);
         let entry = self.rob.get_mut(seq).expect("entry vanished");
         entry.state = EntryState::Issued;

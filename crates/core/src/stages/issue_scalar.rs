@@ -17,7 +17,9 @@ impl OooSim<'_> {
     /// definition of per-entry readiness, shared with the fused
     /// in-scan accumulation and the wakeup-edge merge). Entries with
     /// an unproduced source resolve to "edge-only" and contribute
-    /// nothing: their producers' `set_avail` re-arms the stage.
+    /// nothing: their producers' `set_avail` re-arms the stage. Debug
+    /// builds only, as part of the cross-check of the cached wakes.
+    #[cfg(debug_assertions)]
     pub(crate) fn issue_scalar_wake_scan(&self, a_queue: bool, add: &mut impl FnMut(u64)) {
         let q = if a_queue { &self.q_a } else { &self.q_s };
         if q.is_empty() {
@@ -82,9 +84,6 @@ impl OooSim<'_> {
             let dst = e.dst;
             let (is_control, pc, branch, mispredicted) =
                 (e.op.is_control(), e.pc, e.branch, e.mispredicted);
-            if self.rob.head_seq() == Some(seq) {
-                self.note_event(complete);
-            }
             if let Some(d) = dst {
                 self.set_avail(d.class, d.new, complete, complete);
             }
@@ -100,7 +99,6 @@ impl OooSim<'_> {
                 }
                 if mispredicted {
                     let resume = complete + u64::from(self.cfg.lat.mispredict_penalty);
-                    self.note_event(resume);
                     self.fetch_resume_at = Some(resume);
                 }
             }

@@ -19,7 +19,9 @@ impl OooSim<'_> {
     /// store stream, an FU taken by another issue) can only delay the
     /// entry further — a spurious early wake, never a missed one.
     /// Entries with an unproduced source resolve to "edge-only":
-    /// their producers' `set_avail` re-arms the stage.
+    /// their producers' `set_avail` re-arms the stage. Debug builds
+    /// only, as part of the cross-check of the cached wakes.
+    #[cfg(debug_assertions)]
     pub(crate) fn issue_vector_wake_scan(&self, add: &mut impl FnMut(u64)) {
         if self.q_v.is_empty() {
             return;
@@ -97,7 +99,6 @@ impl OooSim<'_> {
             let dst = e.dst;
             let now = self.now;
             let busy_until = now + vl.max(1);
-            self.note_event(busy_until);
             if use_fu2 {
                 self.fu2_free = busy_until;
                 self.occ
@@ -125,9 +126,6 @@ impl OooSim<'_> {
             } else {
                 now + leff + vl - 1
             };
-            if self.rob.head_seq() == Some(seq) {
-                self.note_event(complete);
-            }
             self.max_complete = self.max_complete.max(complete);
             let entry = self.rob.get_mut(seq).expect("entry vanished");
             entry.state = EntryState::Issued;

@@ -228,7 +228,6 @@ impl OooSim<'_> {
         }
         let now = self.now;
         let trace_idx = e.trace_idx;
-        self.note_event(now + 1);
         let entry = self.rob.get_mut(seq).expect("entry vanished");
         entry.eliminated = true;
         entry.state = EntryState::Issued;
@@ -274,7 +273,6 @@ impl OooSim<'_> {
                 .push((d.class, d.new, d.class, provider, now));
         }
         self.tags.table_mut(d.class).set(d.new, probe);
-        self.note_event(now + 1);
         let entry = self.rob.get_mut(seq).expect("entry vanished");
         entry.eliminated = true;
         entry.state = EntryState::Issued;
@@ -318,7 +316,6 @@ impl OooSim<'_> {
             };
             if let Some(provider) = probe_hit {
                 self.progress(StageId::MemPipe);
-                self.note_event(self.now + 1);
                 let (new, old) = self.rename.table_mut(RegClass::V).alias(arch, provider);
                 let entry = self.rob.get_mut(seq).expect("entry vanished");
                 entry.srcs.extend(resolved);

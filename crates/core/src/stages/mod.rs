@@ -46,8 +46,8 @@
 //!    time. The per-cycle active set is the bitwise OR of the activity
 //!    word and the fired wake times. A masked stage that runs and
 //!    progresses stays active; one that runs and fails goes to sleep,
-//!    computing its `next_wake` from a per-stage scan of the times its
-//!    readiness conditions compare against. Cross-stage *edges* re-arm
+//!    taking as its `next_wake` the earliest ready time the failed
+//!    scan saw among the entries it rejected. Cross-stage *edges* re-arm
 //!    sleeping stages when state (not time) unblocks them: a dispatch
 //!    or wakeup-index decrement that leaves an entry with no
 //!    outstanding sources wakes its queue's stage (queue-M entries
@@ -55,45 +55,26 @@
 //!    issue checks), a Dependence-stage exit that adds or removes a
 //!    disambiguation participant wakes memory issue, and a late-commit
 //!    pop wakes memory issue.
-//! 3. **Front-end burst.** When the whole back end is asleep (no
-//!    activity bits, no fired wakes, commit provably blocked), fetch
-//!    and dispatch run in a fused loop — up to
-//!    `OooConfig::frontend_batch` cycles — touching no back-end state
-//!    at all.
-//! 4. **Idle path.** A cycle in which no stage progresses is *dead*;
-//!    the engine jumps `now` to the next event time from the staged
-//!    min-heap (exact-scan fallback), replaying per-cycle stall
-//!    counters arithmetically. Dead-cycle skipping and active-stage
-//!    masking are two modes of one mechanism: the per-stage wake scans
-//!    *are* the decomposed exact scan ([`crate::OooSim::next_event_scan`]
-//!    is their composition), so the same code decides both "which
-//!    stages can run this cycle" and "when is the next cycle worth
-//!    running at all".
+//! 3. **Idle path.** A cycle in which no stage progresses is *dead*;
+//!    the engine jumps `now` to the earliest of the masked stages'
+//!    cached wakes and the O(1) ROB-head and front-end times,
+//!    replaying per-cycle stall counters arithmetically. Dead-cycle
+//!    skipping and active-stage masking are two modes of one
+//!    mechanism: the wake a failed issue scan caches is exactly that
+//!    stage's share of the next-event time, so the same state decides
+//!    both "which stages can run this cycle" and "when is the next
+//!    cycle worth running at all". No event heap is needed: only a
+//!    state change can make a sleeping stage's cached wake late, every
+//!    such change arms the stage through an edge, and the mutation
+//!    behind the edge makes the cycle a progress cycle, not a dead
+//!    one. Debug builds cross-check every skip target against a full
+//!    rescan of the queues.
 //!
 //! Soundness invariant: a stage left out of a cycle must be provably
 //! unable to mutate machine state *or* stall counters that cycle. The
 //! parity grid (10 kernels × commit × load-elim × pressure × swept
 //! trap points) asserts the result: bit-identical [`oov_stats::SimStats`]
 //! against the naive oracle.
-//!
-//! # The `frontend_batch` knob, measured
-//!
-//! `OooConfig::frontend_batch` caps how many consecutive
-//! front-end-only cycles one fused burst may run before re-checking
-//! the back-end active set. The `frontend_batch` sweep experiment
-//! (`cargo run -p oov-bench --release --bin frontend_batch`) documents
-//! its paper-scale behaviour: `SimStats` are asserted bit-identical at
-//! every setting (1, 8, 64, 256 — the knob is engine-only by
-//! construction, and the sweep turns that claim into a hard check),
-//! and wall-clock moves only marginally between settings. The reason
-//! is structural: a burst can only fire when the *whole* back end is
-//! provably asleep, and at paper scale the ten kernels keep at least
-//! one issue queue or the memory pipe active through most progress
-//! cycles — the burst-eligible window is the short dispatch ramp after
-//! a squash or between outer loops. The default of 64 is therefore a
-//! safe ceiling, not a tuned value: raising it buys nothing the sweep
-//! can measure, and lowering it to 1 (disabling fusion) costs only the
-//! re-check overhead on those short ramps.
 //!
 //! # Lifecycle tracing and stall attribution
 //!
@@ -245,12 +226,6 @@ impl Scheduler {
             self.active &= !(1 << i);
             self.wake[i] = wake;
         }
-    }
-
-    /// `true` while every masked stage is asleep with no fired wake —
-    /// the back-end-quiescence half of the front-end-burst condition.
-    pub(crate) fn issue_stages_asleep(&self, now: u64) -> bool {
-        self.active == 0 && self.wake.iter().all(|&w| w > now)
     }
 
     /// Conservative reset after a precise-trap squash: the queues were

@@ -2,8 +2,9 @@
 //!
 //! Every config block serialises to and from [`oov_proto::Json`] (the
 //! `oov-serve` wire protocol carries configurations by value) and
-//! carries a stable 64-bit [fingerprint](MachineConfig::fingerprint)
-//! used for shard routing and result-cache keys.
+//! carries a stable 64-bit [fingerprint](MachineConfig::fingerprint).
+//! The encoding feeds the `oov-serve` request fingerprint, which keys
+//! its result cache and shard routing.
 
 use oov_proto::{fingerprint_bytes, Json};
 
@@ -201,15 +202,6 @@ pub struct OooConfig {
     pub load_elim: LoadElimMode,
     /// Scalar data cache (`None` disables it — an ablation knob).
     pub scalar_cache: Option<ScalarCacheCfg>,
-    /// Engine knob (no timing effect): maximum number of consecutive
-    /// front-end-only cycles the stage-graph scheduler runs in one
-    /// fused fetch+dispatch burst before re-checking the back-end
-    /// active set. `1` disables batching.
-    pub frontend_batch: u32,
-    /// Engine knob (no timing effect): `false` makes the event-driven
-    /// stepper walk every stage on every progress cycle instead of
-    /// only the active set — an ablation/debugging fallback.
-    pub stage_masking: bool,
 }
 
 impl Default for OooConfig {
@@ -228,8 +220,6 @@ impl Default for OooConfig {
             commit: CommitMode::Early,
             load_elim: LoadElimMode::Off,
             scalar_cache: Some(ScalarCacheCfg::default()),
-            frontend_batch: 64,
-            stage_masking: true,
         }
     }
 }
@@ -279,27 +269,6 @@ impl OooConfig {
         if mode != LoadElimMode::Off {
             self.commit = CommitMode::Late;
         }
-        self
-    }
-
-    /// Sets the fused front-end burst length (builder style). Engine
-    /// knob only — results are bit-identical for every value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero (`1` disables batching).
-    #[must_use]
-    pub fn with_frontend_batch(mut self, n: u32) -> Self {
-        assert!(n >= 1, "front-end burst length must be at least 1");
-        self.frontend_batch = n;
-        self
-    }
-
-    /// Enables or disables active-set stage masking (builder style).
-    /// Engine knob only — results are bit-identical either way.
-    #[must_use]
-    pub fn with_stage_masking(mut self, on: bool) -> Self {
-        self.stage_masking = on;
         self
     }
 }
@@ -455,15 +424,6 @@ impl OooConfig {
             load_elim: LoadElimMode::from_name(elim_name)
                 .ok_or_else(|| format!("ooo config: unknown load-elim mode `{elim_name}`"))?,
             scalar_cache: cache_from_json(v.get("scalar_cache"))?,
-            // Engine knobs are deliberately absent from the wire
-            // encoding: they cannot influence any simulation outcome
-            // (the parity grid proves it), so including them would
-            // split the serve result cache — whose fingerprint
-            // contract is "equal iff every outcome-relevant field is
-            // equal" — over bit-identical results. Wire-decoded
-            // configurations always run the default engine.
-            frontend_batch: OooConfig::default().frontend_batch,
-            stage_masking: OooConfig::default().stage_masking,
         };
         if cfg.phys_v_regs < 9 || cfg.phys_a_regs < 9 || cfg.phys_s_regs < 9 {
             return Err(format!(
@@ -543,9 +503,9 @@ impl MachineConfig {
     /// raw bytes of the canonical JSON encoding, so it is identical
     /// across processes, platforms and toolchains (`str`'s `Hash` impl
     /// appends an unspecified suffix; `DefaultHasher` is seeded per
-    /// process — neither is stable). `oov-serve` routes requests to
-    /// worker shards by this value and keys its result cache on a hash
-    /// derived from it.
+    /// process — neither is stable). `oov-serve` stores it beside each
+    /// cached result and journal record; routing and cache lookup use
+    /// the full-request fingerprint, which hashes this same encoding.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         fingerprint_bytes(self.to_json().to_string().as_bytes())
@@ -593,30 +553,24 @@ mod tests {
     }
 
     #[test]
-    fn engine_knobs_default_and_compose() {
-        let c = OooConfig::default();
-        assert_eq!(c.frontend_batch, 64);
-        assert!(c.stage_masking);
-        let c = c.with_frontend_batch(1).with_stage_masking(false);
-        assert_eq!(c.frontend_batch, 1);
-        assert!(!c.stage_masking);
-    }
-
-    #[test]
-    fn engine_knobs_do_not_reach_the_wire_or_the_fingerprint() {
-        // The knobs cannot change results, so two configurations
-        // differing only in them must cache and route as one.
-        let a = MachineConfig::Ooo(OooConfig::default());
-        let b = MachineConfig::Ooo(
-            OooConfig::default()
-                .with_frontend_batch(1)
-                .with_stage_masking(false),
+    fn default_ooo_wire_encoding_and_fingerprint_are_pinned() {
+        // Literals recorded from the encoder itself: a change here
+        // re-keys every serve result cache and journal written before it.
+        let cfg = MachineConfig::Ooo(OooConfig::default());
+        assert_eq!(
+            cfg.to_json().to_string(),
+            concat!(
+                r#"{"machine": "ooo", "cfg": {"lat": {"read_xbar": 1, "write_xbar": 2, "#,
+                r#""vstartup": 0, "scalar_simple": 2, "vector_simple": 4, "mul": 9, "#,
+                r#""div_sqrt": 34, "memory": 50, "branch": 1, "mispredict_penalty": 4}, "#,
+                r#""phys_v_regs": 16, "phys_a_regs": 64, "phys_s_regs": 64, "#,
+                r#""phys_mask_regs": 8, "queue_slots": 16, "rob_entries": 64, "#,
+                r#""commit_width": 4, "btb_entries": 64, "ras_depth": 8, "#,
+                r#""commit": "early", "load_elim": "off", "#,
+                r#""scalar_cache": {"size_bytes": 16384, "line_bytes": 32, "hit_latency": 2}}}"#,
+            )
         );
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.to_json().to_string(), b.to_json().to_string());
-        // Decoding normalises to the default engine.
-        let decoded = MachineConfig::from_json(&b.to_json()).unwrap();
-        assert_eq!(decoded, a);
+        assert_eq!(cfg.fingerprint(), 13_957_685_086_001_590_209);
     }
 
     #[test]

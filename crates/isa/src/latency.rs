@@ -2,8 +2,9 @@
 //!
 //! The scanned Table 1 is partially illegible; the values below are
 //! reconstructed from the legible entries ("write x-bar … 2", "34/9",
-//! "(*) 0 in OOOVA, 1 in REF") and the C3400-family literature, and are
-//! documented in `DESIGN.md` §1. All units are fully pipelined.
+//! "(*) 0 in OOOVA, 1 in REF") and the C3400-family literature; the
+//! field docs of [`LatencyModel`] give each value's meaning. All units
+//! are fully pipelined.
 
 use crate::{LatClass, Opcode};
 

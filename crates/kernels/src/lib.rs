@@ -9,8 +9,8 @@
 //! per-program behaviours the text highlights (swm256's 128-long
 //! vectors, bdna's enormous basic blocks, trfd/dyfesm's short vectors,
 //! scalar pressure and cross-iteration memory recurrences, tomcatv's
-//! scalar fraction). See `DESIGN.md` section 5 for the substitution
-//! rationale.
+//! scalar fraction). The substitution trades instruction-level
+//! fidelity for the properties the paper's results depend on.
 //!
 //! # Example
 //!

@@ -9,10 +9,12 @@
 //! `loadgen --cache-file` proves a restarted daemon answers a
 //! repeated workload entirely from cache.
 //!
-//! Each entry carries the full-request fingerprint (the cache key),
-//! the machine-config fingerprint (the shard-routing key — kept
-//! separately so a dump taken with N shards loads correctly into a
-//! server with M), and the result. Fingerprints are 64-bit FNV values
+//! Each entry carries the full-request fingerprint (the cache key and,
+//! modulo the shard count, the shard it routes to — so a dump taken
+//! with N shards loads correctly into a server with M), the
+//! machine-config fingerprint, and the result. Nothing reads the
+//! machine-config fingerprint back: it is kept only as part of the
+//! entry and journal record format. Fingerprints are 64-bit FNV values
 //! that use the whole range, while the wire's JSON numbers are
 //! f64-backed (exact only to 2^53) — so fingerprints travel as hex
 //! strings.
@@ -29,7 +31,8 @@ use crate::proto::SimResult;
 pub struct CacheLine {
     /// Full-request fingerprint — the result-cache key.
     pub key: u64,
-    /// Machine-config fingerprint — the shard-routing key.
+    /// Machine-config fingerprint. Not used for routing or lookup;
+    /// kept only as part of the entry and journal record format.
     pub machine_fp: u64,
     /// The cached result.
     pub result: SimResult,

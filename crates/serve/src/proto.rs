@@ -648,6 +648,14 @@ mod tests {
     use oov_isa::{LoadElimMode, OooConfig, RefConfig};
 
     #[test]
+    fn default_paper_request_fingerprint_is_pinned() {
+        // A literal recorded from the encoder: a change here re-keys
+        // every result cache and journal written before it.
+        let req = SimRequest::ooo_default(Program::Trfd, Scale::Paper);
+        assert_eq!(req.fingerprint(), 13_249_383_966_225_158_790);
+    }
+
+    #[test]
     fn sim_request_fingerprint_distinguishes_every_field() {
         let base = SimRequest::ooo_default(Program::Trfd, Scale::Smoke);
         let variants = [

@@ -104,6 +104,9 @@ fn kind_index(req: &Request) -> usize {
 /// One simulation point in flight to a shard.
 struct Job {
     req: SimRequest,
+    /// `req.fingerprint()`, computed once at dispatch for routing and
+    /// reused as the result-cache key.
+    fp: u64,
     tag: usize,
     /// Absolute deadline derived from the request's `deadline_ms` at
     /// arrival; a job past it is answered without simulating.
@@ -1028,7 +1031,7 @@ fn run_job(
         // fast instead of simulating into a closing server.
         return JobReply::Failed("server is shutting down".into());
     }
-    let fp = job.req.fingerprint();
+    let fp = job.fp;
     if let Some(hit) = cache.get(fp) {
         engine.result_hits.inc();
         return JobReply::Done(Box::new(SimResult {
@@ -1074,7 +1077,8 @@ fn run_job(
                 cached: false,
                 shard,
             };
-            if cache.insert(fp, req.machine.fingerprint(), r.clone()) {
+            let machine_fp = req.machine.fingerprint();
+            if cache.insert(fp, machine_fp, r.clone()) {
                 engine.result_evictions.inc();
             }
             // Write-ahead append: one non-blocking send to the journal
@@ -1082,7 +1086,7 @@ fn run_job(
             if let Some(tx) = engine.journal_tx.get() {
                 let _ = tx.send(CacheLine {
                     key: fp,
-                    machine_fp: req.machine.fingerprint(),
+                    machine_fp,
                     result: r.clone(),
                 });
             }
@@ -1139,7 +1143,8 @@ fn dispatch(
     let (tx, rx) = mpsc::channel();
     let mut shed = Vec::new();
     for (tag, req) in points.iter().enumerate() {
-        let shard = (req.fingerprint() % shards.len() as u64) as usize;
+        let fp = req.fingerprint();
+        let shard = (fp % shards.len() as u64) as usize;
         let depth = engine.queue_depth[shard].get();
         if depth >= engine.max_queue_depth {
             engine.sheds[shard].inc();
@@ -1155,6 +1160,7 @@ fn dispatch(
         engine.queue_depth[shard].inc();
         let sent = shards[shard].send(Job {
             req: *req,
+            fp,
             tag,
             deadline,
             reply: tx.clone(),

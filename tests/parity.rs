@@ -32,21 +32,6 @@ fn config_grid() -> Vec<(&'static str, OooConfig)> {
             "late+slevlesse",
             OooConfig::default().with_load_elim(LoadElimMode::SleVleSse),
         ),
-        // Engine-knob ablations: the heap-based dead-cycle engine
-        // (masking off) and a disabled front-end burst must stay
-        // bit-identical too — without these columns the unmasked
-        // `note_event`/heap hybrid would be dead code in every test.
-        (
-            "early+nomask",
-            OooConfig::default().with_stage_masking(false),
-        ),
-        (
-            "late+slevle+nomask",
-            OooConfig::default()
-                .with_load_elim(LoadElimMode::SleVle)
-                .with_stage_masking(false),
-        ),
-        ("early+batch1", OooConfig::default().with_frontend_batch(1)),
     ]
 }
 
@@ -95,12 +80,6 @@ fn engine_parity_under_queue_and_register_pressure() {
         ("q128", OooConfig::default().with_queue_slots(128)),
         ("lat100", OooConfig::default().with_memory_latency(100)),
         ("lat1", OooConfig::default().with_memory_latency(1)),
-        (
-            "q128+nomask",
-            OooConfig::default()
-                .with_queue_slots(128)
-                .with_stage_masking(false),
-        ),
     ];
     std::thread::scope(|s| {
         for p in [
