@@ -21,13 +21,14 @@
 //! * `--addr <host:port>`   target server, default `127.0.0.1:7540`
 //! * `--spawn`              start an in-process server on an ephemeral
 //!   port instead (and shut it down at the end)
-//! * `--shards <n>`         shards for `--spawn`, default 4
+//! * `--shards <n>`         cache stripes (and pool workers) for
+//!   `--spawn`, default 4
 //! * `--clients <k>`        concurrent client connections, default 4
 //! * `--requests <m>`       requests per client, default 50
 //! * `--scale <smoke|paper>`  default `smoke`
 //! * `--verify`             recompute every unique point in-process
 //!   and assert the served `SimStats` are bit-identical
-//! * `--cache-entries <n>`  per-shard result-cache LRU cap for
+//! * `--cache-entries <n>`  per-cache-stripe LRU cap for
 //!   `--spawn`ed servers (default: unbounded). Incompatible with
 //!   `--cache-file`: the restart check asserts a zero-miss warm run,
 //!   which a capped (evicting) cache cannot guarantee.
@@ -38,7 +39,7 @@
 //!   zero times and compiles no suite. Proves the dump/load round
 //!   trip end to end.
 //! * `--chaos`              chaos run (implies `--spawn`): the server
-//!   injects deterministic worker panics, shard kills, delays and
+//!   injects deterministic worker panics, worker kills, delays and
 //!   connection drops; alongside the normal clients, mischief threads
 //!   drive malformed frames, slowloris partial lines and mid-sweep
 //!   disconnects, and shutdown is requested from several connections
@@ -85,7 +86,7 @@ fn splitmix(state: &mut u64) -> u64 {
 
 /// The unique request pool: every program × a spread of machine
 /// configurations (including the reference machine), so the run
-/// exercises shard routing, both machines and the result cache.
+/// exercises every cache stripe, both machines and the result cache.
 fn request_pool(scale: Scale) -> Vec<SimRequest> {
     let machines = [
         MachineConfig::Ooo(OooConfig::default()),
@@ -221,8 +222,8 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.chaos && args.cache_file.is_some() {
         return Err(
-            "--chaos cannot be combined with --cache-file: injected shard kills \
-             lose cache lines, which the zero-miss warm run cannot survive"
+            "--chaos cannot be combined with --cache-file: the zero-miss warm \
+             run assumes a fault-free first run"
                 .into(),
         );
     }
@@ -374,7 +375,7 @@ fn drive(
     );
     let policy = RetryPolicy {
         // Chaos needs headroom: a request can be eaten by a dropped
-        // connection, then shed, then land on a respawning shard.
+        // connection, then shed, then land on a respawning worker.
         max_retries: if args.chaos { 8 } else { 4 },
         ..RetryPolicy::default()
     };
@@ -476,7 +477,7 @@ fn run() -> Result<(), String> {
     let pool = request_pool(args.scale);
     // Expected outcomes for --verify: compile the suite once locally
     // and run every unique point through the same helper the server
-    // shards use.
+    // workers use.
     let expected: Vec<Option<oov_stats::SimStats>> = if args.verify {
         println!("verify: computing {} in-process baselines...", pool.len());
         let suite = oov_bench::Suite::compile(args.scale);

@@ -8,13 +8,14 @@
 //!
 //! * `--addr <host:port>`  bind address, default `127.0.0.1:7540`
 //!   (port 0 picks an ephemeral port and prints it)
-//! * `--shards <n>`        worker shards, default `min(cores, 8)`
+//! * `--shards <n>`        cache stripes, and pool workers, default
+//!   `min(cores, 8)`
 //! * `--cache-load <path>` seed the result caches from a dump written
 //!   by `--cache-dump`, so a restarted daemon starts warm (a dump
 //!   from any shard count loads into any other)
-//! * `--cache-dump <path>` write every shard's result cache to
+//! * `--cache-dump <path>` write every cache stripe to
 //!   `<path>` at graceful shutdown (atomic: temp file + rename)
-//! * `--cache-entries <n>` bound each shard's result cache to `n`
+//! * `--cache-entries <n>` bound each cache stripe to `n`
 //!   entries with LRU eviction (default: unbounded), so persistence
 //!   dumps and long-running daemons cannot grow without limit
 //! * `--journal <path>`    write-ahead journal: every cache insert is
@@ -28,15 +29,15 @@
 //! * `--max-sim-cycles <n>` hard simulated-cycle cap per job: a run
 //!   that crosses it aborts with a structured error instead of
 //!   simulating a pathological config forever (default: uncapped)
-//! * `--max-queue-depth <n>` per-shard admission cap: a request
-//!   routed to a shard whose queue is at least `n` deep is rejected
+//! * `--max-queue-depth <n>` per-cache-stripe admission cap: a miss
+//!   whose cache stripe already has `n` jobs queued is rejected
 //!   with a retriable `overloaded` response instead of queueing
 //!   without limit (default: unbounded)
 //! * `--drain-ms <ms>`     graceful-drain budget at shutdown: in-flight
 //!   sweeps may keep streaming this long before remaining rows are
 //!   aborted (default 2000)
 //! * `--chaos`             deterministic fault injection: worker
-//!   panics (soft and shard-killing), service delays and connection
+//!   panics (soft and worker-killing), service delays and connection
 //!   drops, for exercising the recovery paths (never use in
 //!   production)
 //! * `--chaos-seed <n>`    seed for the `--chaos` fault plan,

@@ -5,7 +5,7 @@
 //! dwarfing a cached simulation), so the server holds one lazily
 //! compiled [`Suite`] per [`Scale`] for the life of the process.
 //! `OnceLock` gives exactly-once semantics under concurrency: when
-//! several shards race on a cold scale, one compiles while the rest
+//! several workers race on a cold scale, one compiles while the rest
 //! block, and the compile counter can never exceed one per scale —
 //! which `loadgen` proves over the wire via [`SuiteCache::requests`]
 //! vs [`SuiteCache::compiles`].

@@ -10,10 +10,10 @@
 //! Faults come in two layers:
 //!
 //! * **worker faults** ([`ChaosConfig::job_fault`]) keyed by
-//!   `(shard, k)` where `k` counts jobs a shard incarnation has
+//!   `(worker, k)` where `k` counts jobs a pool-worker incarnation has
 //!   dequeued: an injected panic caught by the job-level
 //!   `catch_unwind` (answered as a structured error), a *hard* panic
-//!   raised outside the catch region (kills the shard thread, so the
+//!   raised outside the catch region (kills the worker thread, so the
 //!   supervisor's respawn path runs), or a service delay;
 //! * **connection faults** ([`ChaosConfig::drop_connection`]) keyed by
 //!   `(connection id, request index)`: the server abruptly closes the
@@ -37,9 +37,9 @@ pub enum JobFault {
     /// No fault: the job executes normally.
     None,
     /// Panic inside the job `catch_unwind` region: the client sees a
-    /// structured error, the shard keeps serving.
+    /// structured error, the worker keeps serving.
     Panic,
-    /// Panic outside the catch region: the shard thread dies and the
+    /// Panic outside the catch region: the worker thread dies and the
     /// supervisor respawns it (`shard.<n>.respawns`).
     HardPanic,
     /// Sleep this long before servicing the job (tail-latency and
@@ -57,7 +57,7 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Rate of caught (soft) worker panics.
     pub panic_permille: u16,
-    /// Rate of shard-killing (hard) panics.
+    /// Rate of worker-killing (hard) panics.
     pub hard_panic_permille: u16,
     /// Rate of delayed jobs.
     pub delay_permille: u16,
@@ -70,7 +70,7 @@ pub struct ChaosConfig {
 impl ChaosConfig {
     /// The preset behind `serve --chaos` / `loadgen --chaos`: enough
     /// injected failure to exercise every recovery path in a short
-    /// run without drowning it (≈3% soft panics, ≈0.3% shard kills,
+    /// run without drowning it (≈3% soft panics, ≈0.3% worker kills,
     /// ≈3% delayed jobs, ≈1% dropped connections).
     #[must_use]
     pub fn light(seed: u64) -> Self {
@@ -85,12 +85,12 @@ impl ChaosConfig {
     }
 
     /// The fault injected into the `k`-th job dequeued by this
-    /// incarnation of `shard`. Pure: the same `(seed, shard, k)`
-    /// always decides the same fault, which the chaos tests rely on
-    /// to predict outcomes.
+    /// incarnation of pool worker `worker`. Pure: the same `(seed,
+    /// worker, k)` always decides the same fault, which the chaos
+    /// tests rely on to predict outcomes.
     #[must_use]
-    pub fn job_fault(&self, shard: usize, k: u64) -> JobFault {
-        let roll = splitmix(self.seed ^ ((shard as u64) << 48) ^ k) % 1000;
+    pub fn job_fault(&self, worker: usize, k: u64) -> JobFault {
+        let roll = splitmix(self.seed ^ ((worker as u64) << 48) ^ k) % 1000;
         let hard = u64::from(self.hard_panic_permille);
         let soft = hard + u64::from(self.panic_permille);
         let delay = soft + u64::from(self.delay_permille);

@@ -182,9 +182,15 @@ impl Client {
         Ok(())
     }
 
+    /// Writes the request line with a single `write` — body and
+    /// newline together, so a request is one TCP segment under
+    /// `TCP_NODELAY`.
     fn send(&mut self, req: &Request) -> Result<(), String> {
-        writeln!(self.writer, "{}", req.encode()).map_err(|e| format!("send: {e}"))?;
-        self.writer.flush().map_err(|e| format!("send: {e}"))
+        let mut line = req.encode();
+        line.push('\n');
+        self.writer
+            .write_all(line.as_bytes())
+            .map_err(|e| format!("send: {e}"))
     }
 
     fn recv(&mut self) -> Result<Response, String> {

@@ -1,4 +1,4 @@
-//! Write-ahead journal for the shard result caches.
+//! Write-ahead journal for the result cache.
 //!
 //! Shutdown-only persistence ([`crate::persist`]) loses every result
 //! since startup to a crash, OOM-kill or power loss — and each result
@@ -23,7 +23,7 @@
 //! # Snapshot + compaction
 //!
 //! The writer thread keeps the full persistent state in memory (it
-//! sees every insert, so this costs no coordination with the shards).
+//! sees every insert, so this costs no coordination with the workers).
 //! When the journal grows past [`JournalConfig::max_bytes`], it
 //! writes a full snapshot — `persist::save`'s temp + fsync + rename +
 //! parent-dir-fsync discipline — to `<journal>.snapshot` and
@@ -165,7 +165,7 @@ pub(crate) struct JournalCounters {
 }
 
 /// The batching journal writer: owns the file, the full persistent
-/// state (for snapshots), and the compaction policy. Shards talk to it
+/// state (for snapshots), and the compaction policy. Workers talk to it
 /// through a clonable [`mpsc::Sender`] — an append is one non-blocking
 /// send, never an fsync on the request path.
 pub(crate) struct JournalWriter {
@@ -211,7 +211,7 @@ impl JournalWriter {
         })
     }
 
-    /// A sender shards append through.
+    /// A sender workers append through.
     pub(crate) fn sender(&self) -> mpsc::Sender<CacheLine> {
         self.tx.as_ref().expect("writer running").clone()
     }

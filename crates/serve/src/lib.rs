@@ -1,4 +1,5 @@
-//! `oov-serve`: a long-lived, sharded simulation server.
+//! `oov-serve`: a long-lived simulation server with a shared result
+//! cache and a worker pool.
 //!
 //! The paper's evaluation — and every parameter study a reproduction
 //! like this invites — is a large grid of (program × machine
@@ -15,28 +16,41 @@
 //! ```text
 //!  client ──TCP──▶ acceptor ──▶ connection thread (1 per client)
 //!                                   │ parse line → Request
-//!                                   │ route by request fingerprint
+//!                                   │ fingerprint, lock stripe fp % N
 //!                                   ▼
-//!                    ┌─────────┬─────────┬─────────┐
-//!                    │ shard 0 │ shard 1 │  ... N  │   worker threads
-//!                    │ result  │ result  │ result  │   (mpsc queues)
-//!                    │ cache   │ cache   │ cache   │
-//!                    └────┬────┴────┬────┴────┬────┘
+//!            ┌──────────┬──────────┬──────────┐
+//!            │ stripe 0 │ stripe 1 │  ... N   │  shared result cache:
+//!            │ LRU      │ LRU      │ LRU      │  hit → answered here,
+//!            │ pending  │ pending  │ pending  │  pending → wait on it
+//!            └──────────┴──────────┴──────────┘
+//!                                   │ miss only
+//!                                   ▼
+//!                          one job queue (mpsc)
+//!                    ┌──────────┬──────────┬──────────┐
+//!                    │ worker 0 │ worker 1 │  ... N   │  supervised pool
+//!                    └────┬─────┴────┬─────┴────┬─────┘
 //!                         └── suite cache (one compile per scale) ──┘
 //! ```
 //!
-//! * **Sharding.** Each request is routed to one of N worker shards by
-//!   its full request fingerprint ([`SimRequest::fingerprint`]), so
-//!   identical requests always land on the same shard and its result
-//!   cache needs no cross-shard coordination (each shard owns a plain
-//!   `HashMap`). Routing by the machine config alone would starve
-//!   shards whenever the config pool is smaller than the shard count
-//!   times a few; hashing the whole request keeps the shards balanced
-//!   (the `stats` snapshot reports a `shard_balance` figure so skew is
-//!   visible from any client).
+//! * **Hits first.** The result cache is shared, split into N
+//!   lock-striped O(1) LRUs (`--shards`), and the connection thread
+//!   looks a point up *before* dispatch: a cached point is answered on
+//!   the spot and never queues behind a multi-millisecond simulation —
+//!   the out-of-order lesson of the paper applied to the daemon.
+//!   Identical requests always meet the same stripe (the stripe is the
+//!   full request fingerprint ([`SimRequest::fingerprint`]) modulo N),
+//!   so a stripe lock is the only coordination a lookup needs.
+//! * **One queue, a pool of workers.** Misses go on one queue that N
+//!   supervised workers pull from, so an idle worker takes the next
+//!   miss whatever its stripe. A point already being simulated is not
+//!   simulated twice: later requests wait on the first (single
+//!   flight) and are answered as hits when it lands. Metric names keep
+//!   the `shard.<n>` prefix: stripe `n` reports requests, service
+//!   time, queue depth and sheds; worker `n` reports panics, respawns
+//!   and liveness.
 //! * **Observability.** Every hot surface reports into an
 //!   [`oov_obs::Registry`]: per-request-type latency histograms,
-//!   per-shard service-time histograms, queue-depth and in-flight
+//!   per-stripe service-time histograms, queue-depth and in-flight
 //!   gauges, and the result-cache hit/miss/eviction counters. The
 //!   `metrics` request returns the whole snapshot as JSON; `client
 //!   metrics` renders it as a table.
@@ -44,20 +58,21 @@
 //!   per scale for the life of the process, behind a lazily-populated
 //!   [`cache::SuiteCache`]; the compile counters are exported over the
 //!   wire so load tests can *prove* memoisation happened.
-//! * **Batching.** A `sweep` request fans its points out across the
-//!   shards and streams rows back **in request order** (a small
+//! * **Batching.** A `sweep` request fans its misses out across the
+//!   pool and streams rows back **in request order** (a small
 //!   reorder buffer in the connection thread), so a client renders
 //!   tables incrementally while later points still simulate.
-//! * **Identical results.** Shards execute
+//! * **Identical results.** Workers execute
 //!   [`oov_bench::machine_run`] — the same helper the experiment
 //!   harness uses — so a served result is bit-identical to a direct
 //!   in-process simulation (the integration tests and `loadgen
 //!   --verify` assert this).
 //! * **Fault tolerance.** Every job runs inside `catch_unwind` (a
-//!   panicking request answers a structured error; the shard keeps
-//!   serving), a per-shard supervisor respawns dead worker threads,
+//!   panicking request answers a structured error; the worker keeps
+//!   serving), a per-worker supervisor respawns dead worker threads
+//!   (the cache is not theirs, so nothing cached dies with them),
 //!   admission control sheds load with a retriable
-//!   `Response::Overloaded` once a shard queue passes its cap,
+//!   `Response::Overloaded` once a stripe's queued misses pass the cap,
 //!   requests may carry a server-enforced `deadline_ms`, and shutdown
 //!   drains in-flight sweeps up to a `--drain-ms` budget. The
 //!   [`chaos`] module injects all of these failures deterministically

@@ -1,17 +1,17 @@
-//! Cross-restart persistence of the shard result caches.
+//! Cross-restart persistence of the result cache.
 //!
 //! A long-lived daemon accumulates thousands of simulated points in
-//! its per-shard result caches; restarting it (a deploy, a crash, a
-//! host move) used to throw all of that work away. `serve
-//! --cache-dump <path>` writes every shard's cache as one
+//! its result cache; restarting it (a deploy, a crash, a host move)
+//! used to throw all of that work away. `serve --cache-dump <path>`
+//! writes every cache stripe as one
 //! [`oov_proto::Json`] document at shutdown, and `--cache-load
 //! <path>` seeds a fresh server from such a dump so it starts warm —
 //! `loadgen --cache-file` proves a restarted daemon answers a
 //! repeated workload entirely from cache.
 //!
 //! Each entry carries the full-request fingerprint (the cache key and,
-//! modulo the shard count, the shard it routes to — so a dump taken
-//! with N shards loads correctly into a server with M), the
+//! modulo the shard count, its cache stripe — so a dump taken with N
+//! shards loads correctly into a server with M), the
 //! machine-config fingerprint, and the result. Nothing reads the
 //! machine-config fingerprint back: it is kept only as part of the
 //! entry and journal record format. Fingerprints are 64-bit FNV values

@@ -291,7 +291,7 @@ pub struct SimResult {
     pub faults_taken: u64,
     /// Whether the server answered from its result cache.
     pub cached: bool,
-    /// Which shard executed (or cached) the request.
+    /// The result-cache stripe the request's fingerprint maps to.
     pub shard: usize,
 }
 
@@ -333,11 +333,12 @@ impl SimResult {
 pub struct StatsSnapshot {
     /// Simulation requests handled (cache hits included).
     pub requests: u64,
-    /// Requests answered from a shard's result cache.
+    /// Requests answered from the result cache: ready entries, and
+    /// requests that waited on an identical in-flight simulation.
     pub result_hits: u64,
     /// Requests that had to simulate.
     pub result_misses: u64,
-    /// Result-cache entries evicted by the per-shard LRU cap
+    /// Result-cache entries evicted by the per-stripe LRU cap
     /// (`--cache-entries`; 0 when the caches are unbounded).
     pub result_evictions: u64,
     /// Suite lookups (every simulation performs one).
@@ -346,18 +347,18 @@ pub struct StatsSnapshot {
     pub suite_compiles_smoke: u64,
     /// Paper-scale suite compilations (memoisation holds this at ≤ 1).
     pub suite_compiles_paper: u64,
-    /// Requests executed per shard, indexed by shard.
+    /// Requests handled per cache stripe, indexed by stripe.
     pub per_shard_requests: Vec<u64>,
-    /// Shard balance: the least-loaded shard's request count over the
-    /// mean (1.0 = perfectly even, 0.0 = a shard is starved; 0.0 also
-    /// before any request arrives).
+    /// Stripe balance: the least-loaded stripe's request count over
+    /// the mean (1.0 = perfectly even, 0.0 = a stripe is unused; 0.0
+    /// also before any request arrives).
     pub shard_balance: f64,
     /// Worker panics survived: jobs whose execution unwound and was
-    /// answered as an error (plus shard threads that died outright).
+    /// answered as an error (plus worker threads that died outright).
     pub panics: u64,
-    /// Shard threads respawned by the supervisor after dying.
+    /// Worker threads respawned by the supervisor after dying.
     pub respawns: u64,
-    /// Jobs rejected by per-shard admission control
+    /// Misses rejected by per-stripe admission control
     /// ([`Response::Overloaded`]).
     pub sheds: u64,
     /// Jobs answered `deadline exceeded` instead of being simulated.
@@ -375,8 +376,8 @@ pub struct StatsSnapshot {
     pub journal_rotations: u64,
     /// Records replayed from the journal tail at startup.
     pub journal_recovered: u64,
-    /// Per-shard liveness, indexed by shard: `false` while a shard
-    /// thread is dead and awaiting respawn.
+    /// Pool-worker liveness, indexed by worker: `false` while a
+    /// worker thread is dead and awaiting respawn.
     pub shards_alive: Vec<bool>,
 }
 
@@ -479,15 +480,15 @@ pub enum Response {
         /// Human-readable cause.
         message: String,
     },
-    /// The target shard's queue is over its admission cap; the request
+    /// The miss's cache stripe has too many jobs queued; the request
     /// was **not** executed. Retriable: back off at least
     /// `retry_after_ms` and resend.
     Overloaded {
         /// Suggested minimum backoff before retrying, derived from the
-        /// rejecting shard's queue depth.
+        /// rejecting stripe's queue depth.
         retry_after_ms: u64,
     },
-    /// The request's `deadline_ms` expired before a shard picked the
+    /// The request's `deadline_ms` expired before a worker picked the
     /// job up; it was answered without being simulated.
     DeadlineExceeded,
     /// One failed row of a [`Request::Sweep`] (panicked job, expired

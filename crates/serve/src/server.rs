@@ -1,33 +1,54 @@
-//! The daemon: acceptor, connection threads, supervised worker shards.
+//! The daemon: acceptor, connection threads, one shared result cache,
+//! a supervised worker pool.
 //!
 //! Threading model (see the crate docs for the picture):
 //!
 //! * one **acceptor** thread owning the listening socket;
-//! * one **connection** thread per client, which parses requests and
-//!   routes each simulation point to a shard by the full request
-//!   fingerprint — so identical requests always meet the same shard's
-//!   result cache, while distinct points spread evenly even when the
-//!   sweep varies only the program (routing by machine config alone
-//!   starved shards whenever the config pool was small);
-//! * N **worker shards**, each a thread owning a private
-//!   result-cache `HashMap` (no locks on the hot path; the only shared
-//!   state is the suite cache and a few atomic counters) and fed
-//!   through an `mpsc` queue — plus one **supervisor** thread per
-//!   shard that respawns the worker if it ever dies.
+//! * one **connection** thread per client, which parses requests,
+//!   fingerprints each simulation point once and looks it up in the
+//!   shared result cache **before** any dispatch. A cached point is
+//!   answered on the spot, so a hit never waits behind a simulation —
+//!   the out-of-order lesson of the paper applied to the daemon. Only
+//!   misses go on to the workers;
+//! * the result cache is split into N **cache stripes** (stripe
+//!   `fp % N`), each a mutex over an O(1) LRU, the set of fingerprints
+//!   currently being simulated, and the `shard.<n>.{requests,
+//!   service_ns, queue_depth, sheds}` metrics. A lock is held for one
+//!   lookup or one insert, never across a simulation;
+//! * N **pool workers** pulling misses from one `mpsc` queue (the
+//!   receiver sits behind a mutex taken per `recv`, so an idle worker
+//!   picks up the next miss whatever its stripe) — plus one
+//!   **supervisor** thread per worker that respawns it if it ever
+//!   dies.
+//!
+//! # Single flight
+//!
+//! A miss marks its fingerprint pending in its stripe before it is
+//! queued. A request for a point that is already pending does not
+//! queue a second simulation: it waits on the first (the *leader*) and
+//! is answered `cached: true`, as a hit, when the leader's result
+//! lands. The pending entry never outlives its job: if the leader ends
+//! without a result — deadline, cancel, panic, or a worker killed
+//! mid-job — dropping the job clears the entry and hands the
+//! waiters back to the queue, where one of them becomes the new leader.
+//! No waiter inherits the leader's error. A waiter's own `deadline_ms`
+//! is checked only if it is handed back this way: while it waits, the
+//! leader's simulation is already under way.
 //!
 //! # Failure handling
 //!
 //! Every job executes inside `catch_unwind`: a request that panics the
 //! simulator is answered as a structured [`Response::Error`] and the
-//! shard keeps serving (`shard.<n>.panics`). If a shard thread dies
-//! anyway, its supervisor respawns it — re-seeded from the persistence
-//! seed — bumping `shard.<n>.respawns` and flipping the
-//! `shard.<n>.alive` gauge while the shard is down; the job queue
-//! itself survives the crash (the receiver is owned by the
-//! supervisor), so only the job executing at the moment of death is
-//! lost. Admission control bounds each shard's queue: past
-//! `max_queue_depth` a point is rejected with a retriable
-//! [`Response::Overloaded`] instead of queueing without limit.
+//! worker keeps serving (`shard.<n>.panics`, per worker index). If a
+//! worker thread dies anyway, its supervisor respawns it, bumping
+//! `shard.<n>.respawns` and flipping the `shard.<n>.alive` gauge while
+//! the worker is down. The queue survives the crash (the receiver is
+//! shared by the pool), so only the job executing at the moment of
+//! death is lost, and the cache lives in the stripes, so no cached
+//! result is lost with it. Admission control bounds each stripe's
+//! share of the queue: past `max_queue_depth` a miss is rejected with
+//! a retriable [`Response::Overloaded`] instead of queueing without
+//! limit.
 //! Requests may carry a `deadline_ms`; a job still queued when it
 //! expires is answered [`Response::DeadlineExceeded`] without being
 //! simulated. Oversized sweeps are rejected at decode time
@@ -46,9 +67,10 @@
 //! budget-exhausted fallback. Connection reads use a short timeout so
 //! every idle thread observes the shutdown flag promptly.
 //!
-//! Replies travel back over a per-request `mpsc` channel; a sweep's
-//! connection thread holds a reorder buffer so rows stream to the
-//! client in request order no matter how the shards interleave.
+//! Replies travel back over a per-request `mpsc` channel (a hit is
+//! sent on it by the connection thread itself); a sweep's connection
+//! thread holds a reorder buffer so rows stream to the client in
+//! request order no matter how the workers interleave.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
@@ -101,17 +123,45 @@ fn kind_index(req: &Request) -> usize {
     }
 }
 
-/// One simulation point in flight to a shard.
-struct Job {
-    req: SimRequest,
-    /// `req.fingerprint()`, computed once at dispatch for routing and
-    /// reused as the result-cache key.
-    fp: u64,
+/// Where one point's answer goes: its index in the dispatched batch,
+/// the batch's reply channel, and the batch's deadline.
+struct ReplyTo {
     tag: usize,
     /// Absolute deadline derived from the request's `deadline_ms` at
     /// arrival; a job past it is answered without simulating.
     deadline: Option<Instant>,
-    reply: mpsc::Sender<(usize, JobReply)>,
+    tx: mpsc::Sender<(usize, JobReply)>,
+}
+
+/// One cache miss in flight to the worker pool: the *leader* for its
+/// fingerprint, which its stripe holds pending from dispatch until the
+/// job settles.
+///
+/// Dropping an unsettled job — an error reply, a job still queued when
+/// the queue is torn down, or a worker killed mid-job by a panic
+/// outside `catch_unwind` — clears the pending entry and hands its
+/// waiters back to the queue ([`Engine::abandon`]).
+struct Job {
+    req: SimRequest,
+    /// `req.fingerprint()`, computed once at dispatch; the cache key.
+    fp: u64,
+    /// `fp % stripes`: whose LRU, pending set and metrics this job
+    /// uses.
+    stripe: usize,
+    to: ReplyTo,
+    /// Set once the result is in the stripe and the waiters answered.
+    settled: bool,
+    engine: Arc<Engine>,
+    /// The pool's queue, for handing waiters back.
+    queue: mpsc::Sender<Job>,
+}
+
+impl Drop for Job {
+    fn drop(&mut self) {
+        if !self.settled {
+            self.engine.abandon(self);
+        }
+    }
 }
 
 /// Receiving end of a dispatched batch's reply channel.
@@ -121,39 +171,45 @@ type ReplyRx = mpsc::Receiver<(usize, JobReply)>;
 /// control variants stay pointer-sized on the reply channel.
 enum JobReply {
     Done(Box<SimResult>),
-    /// The job's execution panicked (real or injected); the shard
-    /// survives and keeps serving.
+    /// The job's execution panicked (real or injected) or was
+    /// aborted; the worker survives and keeps serving.
     Failed(String),
     /// The job's deadline expired before execution.
     Deadline,
 }
 
-/// Shared server state: caches, the metrics registry (with pre-fetched
-/// handles for every hot counter and histogram), fault-tolerance
-/// config, and the shutdown/drain state.
+/// Shared server state: the striped result cache, the suite cache,
+/// the metrics registry (with pre-fetched handles for every hot
+/// counter and histogram), fault-tolerance config, and the
+/// shutdown/drain state.
 struct Engine {
+    /// The result cache, one stripe per `--shards`, indexed by
+    /// `fp % stripes.len()`.
+    stripes: Vec<Mutex<Stripe>>,
     suites: SuiteCache,
     metrics: oov_obs::Registry,
     result_hits: Arc<oov_obs::Counter>,
     result_misses: Arc<oov_obs::Counter>,
     result_evictions: Arc<oov_obs::Counter>,
-    /// `shard.<n>.requests` — jobs executed (or answered from cache).
+    /// `shard.<n>.requests` — points of stripe `n` answered from the
+    /// cache or picked up by a worker.
     per_shard: Vec<Arc<oov_obs::Counter>>,
-    /// `shard.<n>.queue_depth` — jobs dispatched but not yet picked
-    /// up; doubles as the admission-control level.
+    /// `shard.<n>.queue_depth` — stripe `n`'s jobs queued but not yet
+    /// picked up; doubles as the admission-control level.
     queue_depth: Vec<Arc<oov_obs::Gauge>>,
-    /// `shard.<n>.service_ns` — per-job service time (cache hits and
-    /// simulated misses alike), in nanoseconds.
+    /// `shard.<n>.service_ns` — stripe `n`'s service time in
+    /// nanoseconds: the lookup for a hit, the simulation for a miss.
     service_time: Vec<Arc<oov_obs::Histogram>>,
-    /// `shard.<n>.panics` — caught job panics plus shard-thread
-    /// deaths.
+    /// `shard.<n>.panics` — caught job panics plus thread deaths of
+    /// pool worker `n`.
     panics: Vec<Arc<oov_obs::Counter>>,
-    /// `shard.<n>.respawns` — times the supervisor restarted a dead
-    /// shard thread.
+    /// `shard.<n>.respawns` — times the supervisor restarted dead pool
+    /// worker `n`.
     respawns: Vec<Arc<oov_obs::Counter>>,
-    /// `shard.<n>.sheds` — jobs rejected by admission control.
+    /// `shard.<n>.sheds` — stripe `n`'s misses rejected by admission
+    /// control.
     sheds: Vec<Arc<oov_obs::Counter>>,
-    /// `shard.<n>.alive` — 1 while the shard thread is running, 0
+    /// `shard.<n>.alive` — 1 while pool worker `n` is running, 0
     /// between a death and its respawn.
     alive: Vec<Arc<oov_obs::Gauge>>,
     /// `server.deadline_drops` — jobs answered `deadline exceeded`.
@@ -181,7 +237,7 @@ struct Engine {
     inflight: Arc<oov_obs::Gauge>,
     /// Monotonic connection ids, feeding the chaos drop plan.
     conn_seq: AtomicU64,
-    /// Per-shard admission cap, compared against the queue-depth
+    /// Per-stripe admission cap, compared against the queue-depth
     /// gauges (`i64::MAX` = unbounded).
     max_queue_depth: i64,
     /// Drain budget granted to in-flight work at shutdown.
@@ -208,6 +264,9 @@ impl Engine {
     fn new(n_shards: usize, cfg: &ServeConfig) -> Self {
         let metrics = oov_obs::Registry::new();
         Engine {
+            stripes: (0..n_shards)
+                .map(|_| Mutex::new(Stripe::new(cfg.persist.max_entries)))
+                .collect(),
             suites: SuiteCache::new(),
             result_hits: metrics.counter("cache.result_hits"),
             result_misses: metrics.counter("cache.result_misses"),
@@ -321,6 +380,86 @@ impl Engine {
         matches!(self.drain_remaining(), Some(d) if d.is_zero())
     }
 
+    /// Locks stripe `n`. No stripe update can panic halfway (they are
+    /// index moves and map inserts), so a poisoned lock still guards
+    /// valid data and is taken over — and the job drop guard, which
+    /// locks stripes while a worker unwinds, must not panic.
+    fn stripe(&self, n: usize) -> std::sync::MutexGuard<'_, Stripe> {
+        self.stripes[n].lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Answers `to` with a cached `result` (already `cached: true`),
+    /// counting a hit and the time since `since` as stripe service.
+    fn answer_hit(&self, stripe: usize, to: &ReplyTo, result: SimResult, since: Instant) {
+        self.result_hits.inc();
+        self.per_shard[stripe].inc();
+        self.service_time[stripe].record(elapsed_ns(since));
+        // A dropped reply receiver just means the client went away.
+        let _ = to.tx.send((to.tag, JobReply::Done(Box::new(result))));
+    }
+
+    /// Lands a leader's `result`: inserts it into the job's stripe,
+    /// clears the pending entry and answers every waiter as a hit.
+    fn settle(&self, job: &mut Job, machine_fp: u64, result: &SimResult) {
+        let since = Instant::now();
+        let mut stripe = self.stripe(job.stripe);
+        let waiters = stripe.pending.remove(&job.fp).unwrap_or_default();
+        let evicted = stripe.lru.insert(job.fp, machine_fp, result.clone());
+        drop(stripe);
+        job.settled = true;
+        if evicted {
+            self.result_evictions.inc();
+        }
+        for to in &waiters {
+            let hit = SimResult {
+                cached: true,
+                ..result.clone()
+            };
+            self.answer_hit(job.stripe, to, hit, since);
+        }
+    }
+
+    /// The drop guard of an unsettled `job`: clears its pending entry,
+    /// or — if requests are waiting on it — promotes the first waiter
+    /// to a fresh job on the queue, the rest still waiting on that one.
+    fn abandon(&self, job: &Job) {
+        let next = {
+            let mut stripe = self.stripe(job.stripe);
+            match stripe.pending.remove(&job.fp) {
+                Some(mut waiters) if !waiters.is_empty() => {
+                    let leader = waiters.remove(0);
+                    stripe.pending.insert(job.fp, waiters);
+                    Some(leader)
+                }
+                _ => None,
+            }
+        };
+        let Some(to) = next else { return };
+        self.queue_depth[job.stripe].inc();
+        let fresh = Job {
+            req: job.req,
+            fp: job.fp,
+            stripe: job.stripe,
+            to,
+            settled: false,
+            engine: Arc::clone(&job.engine),
+            queue: job.queue.clone(),
+        };
+        if let Err(mpsc::SendError(fresh)) = job.queue.send(fresh) {
+            // The pool is gone: dropping `fresh` abandons it in turn,
+            // so every waiter's reply channel closes ("job lost").
+            self.queue_depth[job.stripe].dec();
+            drop(fresh);
+        }
+    }
+
+    /// Every cached result, across the stripes.
+    fn cache_lines(&self) -> Vec<CacheLine> {
+        (0..self.stripes.len())
+            .flat_map(|n| self.stripe(n).lru.lines())
+            .collect()
+    }
+
     fn snapshot(&self) -> StatsSnapshot {
         let per_shard_requests: Vec<u64> = self.per_shard.iter().map(|c| c.get()).collect();
         let requests: u64 = per_shard_requests.iter().sum();
@@ -362,14 +501,15 @@ fn elapsed_ns(start: Instant) -> u64 {
 }
 
 /// Result-cache configuration for [`Server::start_with`]: persistence
-/// plus the per-shard size bound.
+/// plus the per-stripe size bound.
 #[derive(Debug, Default, Clone)]
 pub struct PersistOptions {
-    /// Seed the shard result caches from this dump at startup.
+    /// Seed the result cache from this dump at startup.
     pub load: Option<PathBuf>,
-    /// Write every shard's result cache to this path at shutdown.
+    /// Write every cache stripe to this path at shutdown.
     pub dump: Option<PathBuf>,
-    /// Maximum result-cache entries **per shard** (`--cache-entries`).
+    /// Maximum result-cache entries **per cache stripe**
+    /// (`--cache-entries`).
     /// `None` (the default) keeps the caches unbounded; with a cap,
     /// the least-recently-used entry is evicted on overflow, so
     /// persistence dumps and long loadgen runs cannot grow without
@@ -392,10 +532,10 @@ pub struct PersistOptions {
 pub struct ServeConfig {
     /// Result-cache persistence and size bound.
     pub persist: PersistOptions,
-    /// Per-shard admission cap: a point routed to a shard whose queue
-    /// is at least this deep is rejected with
+    /// Per-stripe admission cap: a miss whose cache stripe already
+    /// has at least this many jobs queued is rejected with
     /// [`Response::Overloaded`] instead of queueing. `None` keeps the
-    /// queues unbounded (the admission check still runs but never
+    /// queue unbounded (the admission check still runs but never
     /// trips).
     pub max_queue_depth: Option<usize>,
     /// Graceful-drain budget at shutdown, in milliseconds: in-flight
@@ -427,17 +567,34 @@ impl Default for ServeConfig {
 /// Sentinel slot index for "no neighbour".
 const NO_SLOT: usize = usize::MAX;
 
-/// A shard's private result cache with an optional LRU cap.
+/// One stripe of the result cache: the ready results for fingerprints
+/// `≡ n (mod stripes)` and the ones being simulated right now.
+struct Stripe {
+    lru: Lru,
+    /// Fingerprints with a leader job in flight, each with the
+    /// requests waiting on it (single flight).
+    pending: HashMap<u64, Vec<ReplyTo>>,
+}
+
+impl Stripe {
+    fn new(cap: Option<usize>) -> Self {
+        Stripe {
+            lru: Lru::new(cap),
+            pending: HashMap::new(),
+        }
+    }
+}
+
+/// A stripe's ready results, with an optional LRU cap.
 ///
 /// Recency is an intrusive doubly-linked list threaded through a slot
 /// vector (`prev`/`next` indices), with a `HashMap` from request
 /// fingerprint to slot: lookup, touch-to-front, insert and
-/// evict-the-tail are all O(1) — the previous implementation's O(n)
-/// minimum scan per insert is gone, so large `--cache-entries` caps no
-/// longer tax every miss.
-struct ShardCache {
+/// evict-the-tail are all O(1), so large `--cache-entries` caps do not
+/// tax every miss.
+struct Lru {
     map: HashMap<u64, usize>,
-    slots: Vec<ShardCacheEntry>,
+    slots: Vec<LruEntry>,
     /// Recycled slot indices from evictions.
     free: Vec<usize>,
     /// Most-recently-used slot (`NO_SLOT` when empty).
@@ -449,7 +606,7 @@ struct ShardCache {
     cap: usize,
 }
 
-struct ShardCacheEntry {
+struct LruEntry {
     key: u64,
     machine_fp: u64,
     result: SimResult,
@@ -457,9 +614,9 @@ struct ShardCacheEntry {
     next: usize,
 }
 
-impl ShardCache {
+impl Lru {
     fn new(cap: Option<usize>) -> Self {
-        ShardCache {
+        Lru {
             map: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
@@ -528,7 +685,7 @@ impl ShardCache {
         } else {
             false
         };
-        let entry = ShardCacheEntry {
+        let entry = LruEntry {
             key,
             machine_fp,
             result,
@@ -550,7 +707,8 @@ impl ShardCache {
         evicted
     }
 
-    fn into_lines(self) -> Vec<CacheLine> {
+    /// The live entries, most recently used first.
+    fn lines(&self) -> Vec<CacheLine> {
         // Walk the recency list so only live slots are emitted (the
         // free list may hold stale evicted entries).
         let mut lines = Vec::with_capacity(self.map.len());
@@ -573,8 +731,9 @@ pub struct Server;
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// acceptor plus `n_shards` supervised worker shards, with no
-    /// cache persistence and default fault-tolerance settings.
+    /// acceptor, `n_shards` cache stripes and a pool of `n_shards`
+    /// supervised workers, with no cache persistence and default
+    /// fault-tolerance settings.
     ///
     /// # Errors
     ///
@@ -587,10 +746,10 @@ impl Server {
         Self::start_cfg(addr, n_shards, ServeConfig::default())
     }
 
-    /// As [`Server::start`], optionally seeding the shard result
-    /// caches from a dump and/or dumping them at shutdown. Entries
-    /// are re-routed by request fingerprint at load, so a dump taken
-    /// with one shard count loads correctly into any other.
+    /// As [`Server::start`], optionally seeding the result cache from
+    /// a dump and/or dumping it at shutdown. Entries are placed in
+    /// stripes by request fingerprint at load, so a dump taken with
+    /// one shard count loads correctly into any other.
     ///
     /// # Errors
     ///
@@ -632,7 +791,7 @@ impl Server {
     pub fn start_cfg(addr: &str, n_shards: usize, cfg: ServeConfig) -> io::Result<ServerHandle> {
         assert!(n_shards > 0, "need at least one shard");
         if cfg.chaos.is_some() {
-            install_quiet_shard_panic_hook();
+            install_quiet_worker_panic_hook();
         }
         // Recover persistent state in layers, each overriding the one
         // below: the `--cache-load` seed, then the journal's snapshot
@@ -679,19 +838,29 @@ impl Server {
                 state.insert(entry.key, entry);
             }
         }
-        let mut seeds: Vec<Vec<CacheLine>> = (0..n_shards).map(|_| Vec::new()).collect();
-        for mut entry in state.values().cloned() {
-            // Same routing as `dispatch`: the full request
-            // fingerprint, so live lookups find the seeds.
-            let shard = (entry.key % n_shards as u64) as usize;
-            entry.result.shard = shard;
-            seeds[shard].push(entry);
-        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let engine = Arc::new(Engine::new(n_shards, &cfg));
         engine.cache_load_skipped.add(load_skipped);
         engine.journal_recovered.add(journal_recovered);
+        for entry in state.values() {
+            // The stripe `dispatch` looks the key up in, so the shard
+            // count may change across restarts.
+            let n = (entry.key % n_shards as u64) as usize;
+            let result = SimResult {
+                shard: n,
+                ..entry.result.clone()
+            };
+            // Seeding through the same entry point applies the cap to
+            // an oversized recovery state too.
+            let evicted = engine
+                .stripe(n)
+                .lru
+                .insert(entry.key, entry.machine_fp, result);
+            if evicted {
+                engine.result_evictions.inc();
+            }
+        }
         let journal_writer = match &cfg.persist.journal {
             Some(jpath) => {
                 let jcfg = JournalConfig {
@@ -722,23 +891,20 @@ impl Server {
             None => None,
         };
 
-        let mut senders = Vec::with_capacity(n_shards);
+        // One queue for the whole pool. The receiver is shared by the
+        // workers and their supervisors, so queued jobs survive a
+        // worker crash and the respawned incarnation resumes the same
+        // queue.
+        let (queue, rx) = mpsc::channel::<Job>();
+        let rx = Arc::new(Mutex::new(rx));
         let mut supervisors = Vec::with_capacity(n_shards);
-        let max_entries = cfg.persist.max_entries;
-        for (shard, seed) in seeds.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<Job>();
-            senders.push(tx);
-            // The supervisor owns the receiver (behind a mutex the
-            // worker holds while alive), so queued jobs survive a
-            // worker crash and the respawned incarnation resumes the
-            // same queue.
-            let rx = Arc::new(Mutex::new(rx));
-            let seed = Arc::new(seed);
+        for w in 0..n_shards {
+            let rx = Arc::clone(&rx);
             let engine = Arc::clone(&engine);
             supervisors.push(
                 std::thread::Builder::new()
-                    .name(format!("oov-sup-{shard}"))
-                    .spawn(move || supervise(shard, &seed, max_entries, &rx, &engine))?,
+                    .name(format!("oov-sup-{w}"))
+                    .spawn(move || supervise(w, &rx, &engine))?,
             );
         }
 
@@ -751,16 +917,16 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    let shards = senders.clone();
+                    let queue = queue.clone();
                     let engine = Arc::clone(&acceptor_engine);
                     let _ = std::thread::Builder::new()
                         .name("oov-conn".to_string())
                         .spawn(move || {
-                            let _ = handle_connection(stream, &shards, &engine, local_addr);
+                            let _ = handle_connection(stream, &queue, &engine, local_addr);
                         });
                 }
-                // Dropping `senders` lets the shard workers drain and
-                // exit once the connection threads are gone too.
+                // Dropping `queue` lets the workers drain and exit once
+                // the connection threads (and their jobs) are gone too.
             })?;
 
         Ok(ServerHandle {
@@ -778,7 +944,7 @@ impl Server {
 pub struct ServerHandle {
     local_addr: SocketAddr,
     acceptor: JoinHandle<()>,
-    workers: Vec<JoinHandle<Vec<CacheLine>>>,
+    workers: Vec<JoinHandle<()>>,
     engine: Arc<Engine>,
     dump: Option<PathBuf>,
     journal: Option<JournalWriter>,
@@ -809,73 +975,68 @@ impl ServerHandle {
     /// Joins every server thread; returns once the server has shut
     /// down (via [`ServerHandle::stop`] or a client's `shutdown`
     /// request). If the server was started with a dump path, every
-    /// shard's result cache is written there before returning; a
-    /// shard whose supervisor died is warned about by id and counted
-    /// in the dump summary as lost.
+    /// cache stripe is written there before returning.
     pub fn join(self) {
-        let _ = self.acceptor.join();
+        let ServerHandle {
+            acceptor,
+            workers,
+            engine,
+            dump,
+            journal,
+            ..
+        } = self;
+        let _ = acceptor.join();
         // Connection threads exit within `READ_POLL` of the flag; the
-        // workers exit once the last job sender (acceptor + connection
-        // threads) is gone. Drop our engine reference first so no
-        // sender can outlive the join below.
-        drop(self.engine);
-        let mut entries: Vec<CacheLine> = Vec::new();
-        let mut shards_lost = 0usize;
-        for (shard, w) in self.workers.into_iter().enumerate() {
-            match w.join() {
-                Ok(shard_entries) => entries.extend(shard_entries),
-                Err(_) => {
-                    shards_lost += 1;
-                    eprintln!(
-                        "oov-serve: shard {shard} supervisor died; \
-                         its result cache is lost"
-                    );
-                }
+        // workers exit once the last queue sender (acceptor,
+        // connection threads and their jobs) is gone.
+        for (w, handle) in workers.into_iter().enumerate() {
+            if handle.join().is_err() {
+                eprintln!("oov-serve: worker {w} supervisor died");
             }
         }
         let mut dumped = false;
-        if let Some(path) = &self.dump {
-            // Deterministic file order regardless of shard count.
+        if let Some(path) = &dump {
+            let mut entries = engine.cache_lines();
+            // Deterministic file order regardless of stripe count.
             entries.sort_by_key(|e| e.key);
             if let Err(e) = persist::save(path, &entries) {
                 eprintln!("oov-serve: cache dump failed: {e}");
             } else {
                 dumped = true;
                 eprintln!(
-                    "oov-serve: dumped {} cached results to {} ({shards_lost} shards lost)",
+                    "oov-serve: dumped {} cached results to {}",
                     entries.len(),
                     path.display()
                 );
             }
-        } else if shards_lost > 0 {
-            eprintln!("oov-serve: {shards_lost} shard caches lost at shutdown");
         }
-        if let Some(writer) = self.journal {
-            // Every sender is gone by now (the engine reference above
-            // was the last), so the writer drains and exits. After a
-            // successful dump the journal's contents are redundant —
-            // truncate so the next start replays only the dump. With
-            // no dump (or a failed one) the journal stays: it IS the
-            // durable state.
+        // The engine holds a journal sender; the writer drains and
+        // exits once that and every other clone are gone.
+        drop(engine);
+        if let Some(writer) = journal {
+            // After a successful dump the journal's contents are
+            // redundant — truncate so the next start replays only the
+            // dump. With no dump (or a failed one) the journal stays:
+            // it IS the durable state.
             writer.finish(dumped);
         }
     }
 }
 
-/// Under chaos, injected panics on shard threads are routine; chain a
+/// Under chaos, injected panics on pool workers are routine; chain a
 /// panic hook that keeps them off stderr (they are still counted and
 /// answered as structured errors). Process-global and installed once:
-/// after any chaos server has run in this process, shard-thread panic
+/// after any chaos server has run in this process, worker-thread panic
 /// *printing* stays off, but every panic is still caught, counted in
 /// `shard.<n>.panics`, and reported to the client.
-fn install_quiet_shard_panic_hook() {
+fn install_quiet_worker_panic_hook() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             let quiet = std::thread::current()
                 .name()
-                .is_some_and(|n| n.starts_with("oov-shard-"));
+                .is_some_and(|n| n.starts_with("oov-worker-"));
             if !quiet {
                 prev(info);
             }
@@ -892,100 +1053,72 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Shard supervisor: spawns the worker thread and respawns it —
-/// re-seeded from the persistence seed — whenever it dies. Returns the
-/// final incarnation's cache lines once the job channel closes (clean
-/// shutdown). The job queue lives in `rx`, owned here, so a crash
-/// loses only the job that was executing.
-fn supervise(
-    shard: usize,
-    seed: &Arc<Vec<CacheLine>>,
-    max_entries: Option<usize>,
-    rx: &Arc<Mutex<mpsc::Receiver<Job>>>,
-    engine: &Arc<Engine>,
-) -> Vec<CacheLine> {
+/// Supervisor of pool worker `w`: spawns it and respawns it whenever
+/// it dies; returns once the worker exits cleanly (the queue closed).
+/// The queue and the cache outlive the thread, so a crash loses only
+/// the job that was executing.
+fn supervise(w: usize, queue: &Arc<Mutex<mpsc::Receiver<Job>>>, engine: &Arc<Engine>) {
     loop {
-        let worker_seed = Arc::clone(seed);
-        let worker_rx = Arc::clone(rx);
+        let worker_queue = Arc::clone(queue);
         let worker_engine = Arc::clone(engine);
         let spawned = std::thread::Builder::new()
-            .name(format!("oov-shard-{shard}"))
-            .spawn(move || worker(shard, &worker_seed, max_entries, &worker_rx, &worker_engine));
+            .name(format!("oov-worker-{w}"))
+            .spawn(move || worker(w, &worker_queue, &worker_engine));
         let handle = match spawned {
             Ok(h) => h,
             Err(e) => {
-                eprintln!("oov-serve: shard {shard}: worker spawn failed: {e}");
-                engine.alive[shard].set(0);
-                return Vec::new();
+                eprintln!("oov-serve: worker {w}: spawn failed: {e}");
+                engine.alive[w].set(0);
+                return;
             }
         };
-        engine.alive[shard].set(1);
-        match handle.join() {
-            Ok(lines) => return lines,
-            Err(_) => {
-                // The worker died outside the job-level catch_unwind.
-                engine.alive[shard].set(0);
-                engine.panics[shard].inc();
-                if engine.is_shutting_down() {
-                    eprintln!("oov-serve: shard {shard} died during shutdown; its cache is lost");
-                    return Vec::new();
-                }
-                engine.respawns[shard].inc();
-                eprintln!(
-                    "oov-serve: shard {shard} died; respawning \
-                     (accumulated cache lost, re-seeding {} persisted lines)",
-                    seed.len()
-                );
-            }
+        engine.alive[w].set(1);
+        if handle.join().is_ok() {
+            return;
         }
+        // The worker died outside the job-level catch_unwind.
+        engine.alive[w].set(0);
+        engine.panics[w].inc();
+        if engine.is_shutting_down() {
+            eprintln!("oov-serve: worker {w} died during shutdown");
+            return;
+        }
+        engine.respawns[w].inc();
+        eprintln!("oov-serve: worker {w} died; respawning");
     }
 }
 
-/// Shard main loop: execute (or answer from cache) one request at a
-/// time. The cache is private to the shard — the fingerprint router
-/// guarantees no other shard ever sees the same request — and is
-/// returned when the job channel closes, so shutdown can persist it
-/// without any locking on the hot path. With a `max_entries` cap, the
-/// cache evicts its least-recently-used entry on overflow. Each job's
-/// service time (hit or simulated miss) lands in the shard's
-/// `service_ns` histogram.
+/// Pool worker main loop: take the next miss off the shared queue and
+/// simulate it. The queue lock is held only while receiving, so idle
+/// workers wait their turn at the queue and never behind a simulation.
+/// Each job's service time lands in its stripe's `service_ns`
+/// histogram.
 ///
 /// Job execution runs inside `catch_unwind`: a panicking request is
 /// answered [`JobReply::Failed`] and the loop continues. Chaos faults
-/// are injected here ([`ChaosConfig::job_fault`]): soft panics inside
-/// the catch region, hard panics outside it (killing this thread so
-/// the supervisor respawns it), and service delays before the job.
-fn worker(
-    shard: usize,
-    seed: &[CacheLine],
-    max_entries: Option<usize>,
-    rx: &Mutex<mpsc::Receiver<Job>>,
-    engine: &Engine,
-) -> Vec<CacheLine> {
-    // A previous incarnation may have died holding the lock; the
-    // queue itself is still intact, so clear the poison and resume.
-    let rx = rx.lock().unwrap_or_else(|p| p.into_inner());
-    let mut cache = ShardCache::new(max_entries);
-    // One simulation arena per shard: every cache miss this worker
-    // executes reuses the same allocation footprint, so a miss pays
-    // simulation only — no per-request simulator construction.
+/// are injected here ([`ChaosConfig::job_fault`], keyed by the worker
+/// index): soft panics inside the catch region, hard panics outside it
+/// (killing this thread so the supervisor respawns it), and service
+/// delays before the job.
+fn worker(w: usize, queue: &Mutex<mpsc::Receiver<Job>>, engine: &Engine) {
+    // One simulation arena per worker: every miss this worker executes
+    // reuses the same allocation footprint, so a miss pays simulation
+    // only — no per-request simulator construction.
     let mut arena = SimArena::new();
-    for e in seed.iter().cloned() {
-        // Seeding through the same entry point applies the cap to an
-        // oversized dump too (later lines win, matching file order).
-        if cache.insert(e.key, e.machine_fp, e.result) {
-            engine.result_evictions.inc();
-        }
-    }
     // Jobs dequeued by *this incarnation* — the chaos plan's sequence
     // number, restarting (deterministically) after a respawn.
     let mut jobs_seen: u64 = 0;
-    while let Ok(job) = rx.recv() {
-        engine.queue_depth[shard].dec();
-        engine.per_shard[shard].inc();
+    loop {
+        // A worker never panics while holding the lock, but clear a
+        // poison anyway: the queue itself is intact.
+        let next = queue.lock().unwrap_or_else(|p| p.into_inner()).recv();
+        let Ok(mut job) = next else { return };
+        let stripe = job.stripe;
+        engine.queue_depth[stripe].dec();
+        engine.per_shard[stripe].inc();
         let fault = match &engine.chaos {
             Some(plan) => {
-                let f = plan.job_fault(shard, jobs_seen);
+                let f = plan.job_fault(w, jobs_seen);
                 jobs_seen += 1;
                 f
             }
@@ -994,33 +1127,32 @@ fn worker(
         if fault == JobFault::HardPanic {
             // Outside the catch region on purpose: this kills the
             // worker thread so the supervisor's respawn path runs.
-            // The job's reply sender drops unanswered; the connection
-            // thread reports the job as lost.
-            panic!("chaos: hard panic on shard {shard}");
+            // Unwinding drops the job unsettled: its reply sender
+            // closes unanswered (the connection thread reports the job
+            // as lost) and its waiters go back to the queue.
+            panic!("chaos: hard panic on worker {w}");
         }
         if let JobFault::Delay(d) = fault {
             std::thread::sleep(d);
         }
         let started = Instant::now();
-        let reply = run_job(shard, &job, fault, &mut cache, &mut arena, engine);
-        engine.service_time[shard].record(elapsed_ns(started));
+        let reply = run_job(w, &mut job, fault, &mut arena, engine);
+        engine.service_time[stripe].record(elapsed_ns(started));
         // A dropped reply receiver just means the client went away.
-        let _ = job.reply.send((job.tag, reply));
+        let _ = job.to.tx.send((job.to.tag, reply));
     }
-    cache.into_lines()
 }
 
-/// Answers one job: deadline and drain checks, cache lookup, then
-/// simulation inside `catch_unwind`.
+/// Answers one miss: deadline and drain checks, then simulation inside
+/// `catch_unwind`; a result settles the job into its stripe.
 fn run_job(
-    shard: usize,
-    job: &Job,
+    w: usize,
+    job: &mut Job,
     fault: JobFault,
-    cache: &mut ShardCache,
     arena: &mut SimArena,
     engine: &Engine,
 ) -> JobReply {
-    if let Some(deadline) = job.deadline {
+    if let Some(deadline) = job.to.deadline {
         if Instant::now() > deadline {
             engine.deadline_drops.inc();
             return JobReply::Deadline;
@@ -1030,14 +1162,6 @@ fn run_job(
         // The drain budget ran out with this job still queued: answer
         // fast instead of simulating into a closing server.
         return JobReply::Failed("server is shutting down".into());
-    }
-    let fp = job.fp;
-    if let Some(hit) = cache.get(fp) {
-        engine.result_hits.inc();
-        return JobReply::Done(Box::new(SimResult {
-            cached: true,
-            ..hit.clone()
-        }));
     }
     engine.result_misses.inc();
     let req = job.req;
@@ -1051,7 +1175,7 @@ fn run_job(
     if let Some(cap) = engine.max_sim_cycles {
         budget = budget.with_max_cycles(cap);
     }
-    if let Some(deadline) = job.deadline {
+    if let Some(deadline) = job.to.deadline {
         budget = budget.with_deadline(deadline);
     }
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -1075,17 +1199,15 @@ fn run_job(
                 ideal_cycles: out.ideal_cycles,
                 faults_taken: out.faults_taken,
                 cached: false,
-                shard,
+                shard: job.stripe,
             };
             let machine_fp = req.machine.fingerprint();
-            if cache.insert(fp, machine_fp, r.clone()) {
-                engine.result_evictions.inc();
-            }
+            engine.settle(job, machine_fp, &r);
             // Write-ahead append: one non-blocking send to the journal
             // writer; durability happens off the job path.
             if let Some(tx) = engine.journal_tx.get() {
                 let _ = tx.send(CacheLine {
-                    key: fp,
+                    key: job.fp,
                     machine_fp,
                     result: r.clone(),
                 });
@@ -1108,12 +1230,12 @@ fn run_job(
             }
         }
         Err(payload) => {
-            engine.panics[shard].inc();
+            engine.panics[w].inc();
             // The arena may hold a half-built simulator; rebuild it
             // rather than reuse possibly-inconsistent storage.
             *arena = SimArena::new();
             JobReply::Failed(format!(
-                "job panicked on shard {shard}: {}",
+                "job panicked on worker {w}: {}",
                 panic_message(payload.as_ref())
             ))
         }
@@ -1122,32 +1244,56 @@ fn run_job(
 
 /// Why a point was rejected at dispatch.
 enum Shed {
-    /// Admission control: the target shard's queue is over the cap.
+    /// Admission control: the stripe's queued misses are over the cap.
     Overloaded { retry_after_ms: u64 },
-    /// The shard's job channel is gone (only during shutdown).
+    /// The pool's queue is gone (only during shutdown).
     Closed,
 }
 
-/// Routes every point to its shard and returns the shared reply
+/// Answers or dispatches every point and returns the shared reply
 /// receiver plus the points that were **not** dispatched: shed by
-/// admission control (queue over `max_queue_depth`) or refused because
-/// the shard channel closed under shutdown. Routing hashes the full
-/// request fingerprint, so identical requests meet the same shard's
-/// cache while distinct points spread evenly.
+/// admission control (stripe queue over `max_queue_depth`) or refused
+/// because the queue closed under shutdown.
+///
+/// Each point is fingerprinted once and its stripe locked once. A
+/// cached result is answered here, on the connection thread; a point
+/// another request is already simulating waits on that leader; only a
+/// point neither ready nor pending is marked pending and queued.
 fn dispatch(
-    shards: &[mpsc::Sender<Job>],
-    engine: &Engine,
+    queue: &mpsc::Sender<Job>,
+    engine: &Arc<Engine>,
     points: &[SimRequest],
     deadline: Option<Instant>,
 ) -> (ReplyRx, Vec<(usize, Shed)>) {
     let (tx, rx) = mpsc::channel();
     let mut shed = Vec::new();
     for (tag, req) in points.iter().enumerate() {
+        let looked_up = Instant::now();
         let fp = req.fingerprint();
-        let shard = (fp % shards.len() as u64) as usize;
-        let depth = engine.queue_depth[shard].get();
+        let n = (fp % engine.stripes.len() as u64) as usize;
+        let to = ReplyTo {
+            tag,
+            deadline,
+            tx: tx.clone(),
+        };
+        let mut stripe = engine.stripe(n);
+        if let Some(hit) = stripe.lru.get(fp) {
+            let hit = SimResult {
+                cached: true,
+                ..hit.clone()
+            };
+            drop(stripe);
+            engine.answer_hit(n, &to, hit, looked_up);
+            continue;
+        }
+        if let Some(waiters) = stripe.pending.get_mut(&fp) {
+            waiters.push(to);
+            continue;
+        }
+        let depth = engine.queue_depth[n].get();
         if depth >= engine.max_queue_depth {
-            engine.sheds[shard].inc();
+            drop(stripe);
+            engine.sheds[n].inc();
             // Suggest a backoff proportional to the backlog: deeper
             // queue, longer wait (bounded so clients retry within a
             // human-scale window).
@@ -1155,27 +1301,36 @@ fn dispatch(
             shed.push((tag, Shed::Overloaded { retry_after_ms }));
             continue;
         }
+        stripe.pending.insert(fp, Vec::new());
+        drop(stripe);
         // Raise the depth before the send so the worker's matching
         // `dec` can never observe the gauge below zero.
-        engine.queue_depth[shard].inc();
-        let sent = shards[shard].send(Job {
+        engine.queue_depth[n].inc();
+        let job = Job {
             req: *req,
             fp,
-            tag,
-            deadline,
-            reply: tx.clone(),
-        });
-        if sent.is_err() {
-            engine.queue_depth[shard].dec();
+            stripe: n,
+            to,
+            settled: false,
+            engine: Arc::clone(engine),
+            queue: queue.clone(),
+        };
+        if let Err(mpsc::SendError(job)) = queue.send(job) {
+            engine.queue_depth[n].dec();
             shed.push((tag, Shed::Closed));
+            // Dropping the unsent job clears its pending entry.
+            drop(job);
         }
     }
     (rx, shed)
 }
 
+/// Writes one response line with a single `write` — body and newline
+/// together, so a message is one TCP segment under `TCP_NODELAY`.
 fn write_response(writer: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    writeln!(writer, "{}", resp.encode())?;
-    writer.flush()
+    let mut line = resp.encode();
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }
 
 /// Per-connection loop: parse a line, answer it, repeat until EOF,
@@ -1183,8 +1338,8 @@ fn write_response(writer: &mut TcpStream, resp: &Response) -> io::Result<()> {
 /// shutdown.
 fn handle_connection(
     stream: TcpStream,
-    shards: &[mpsc::Sender<Job>],
-    engine: &Engine,
+    queue: &mpsc::Sender<Job>,
+    engine: &Arc<Engine>,
     listen_addr: SocketAddr,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(READ_POLL))?;
@@ -1268,7 +1423,7 @@ fn handle_connection(
         let latency = &engine.request_latency[kind_index(&req)];
         let started = Instant::now();
         engine.inflight.inc();
-        let answered = answer(req, &mut writer, shards, engine, listen_addr);
+        let answered = answer(req, &mut writer, queue, engine, listen_addr);
         engine.inflight.dec();
         latency.record(elapsed_ns(started));
         if !answered? {
@@ -1303,8 +1458,8 @@ fn sim_response(reply: JobReply) -> Response {
 fn answer(
     req: Request,
     writer: &mut TcpStream,
-    shards: &[mpsc::Sender<Job>],
-    engine: &Engine,
+    queue: &mpsc::Sender<Job>,
+    engine: &Arc<Engine>,
     listen_addr: SocketAddr,
 ) -> io::Result<bool> {
     match req {
@@ -1329,7 +1484,7 @@ fn answer(
         }
         Request::Sim { req, deadline_ms } => {
             let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-            let (rx, shed) = dispatch(shards, engine, std::slice::from_ref(&req), deadline);
+            let (rx, shed) = dispatch(queue, engine, std::slice::from_ref(&req), deadline);
             let resp = if let Some((_, cause)) = shed.first() {
                 shed_response(cause)
             } else {
@@ -1337,7 +1492,7 @@ fn answer(
                     Ok((_, reply)) => sim_response(reply),
                     // The worker died mid-job (its reply sender
                     // dropped unanswered). Retriable: the respawned
-                    // shard will simulate it fresh.
+                    // worker will simulate it fresh.
                     Err(_) => Response::Error {
                         message: "job lost (worker died); retry".into(),
                     },
@@ -1351,7 +1506,7 @@ fn answer(
         } => {
             let n = points.len();
             let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-            let (rx, shed) = dispatch(shards, engine, &points, deadline);
+            let (rx, shed) = dispatch(queue, engine, &points, deadline);
             // Reorder buffer: rows stream to the client in request
             // order. Shed points are pre-filled as error rows.
             let mut buf: Vec<Option<Result<SimResult, String>>> = vec![None; n];
@@ -1458,7 +1613,7 @@ mod tests {
         }
     }
 
-    fn keys_mru_to_lru(c: &ShardCache) -> Vec<u64> {
+    fn keys_mru_to_lru(c: &Lru) -> Vec<u64> {
         let mut out = Vec::new();
         let mut slot = c.head;
         while slot != NO_SLOT {
@@ -1470,7 +1625,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_in_order() {
-        let mut c = ShardCache::new(Some(2));
+        let mut c = Lru::new(Some(2));
         assert!(!c.insert(1, 10, result(1)));
         assert!(!c.insert(2, 20, result(2)));
         // Touch 1 so 2 becomes the LRU victim.
@@ -1486,13 +1641,13 @@ mod tests {
 
     #[test]
     fn lru_overwrite_touches_without_evicting() {
-        let mut c = ShardCache::new(Some(2));
+        let mut c = Lru::new(Some(2));
         c.insert(1, 10, result(1));
         c.insert(2, 20, result(2));
         assert!(!c.insert(1, 11, result(100)), "overwrite never evicts");
         assert_eq!(c.get(1).unwrap().stats.cycles, 100);
         assert_eq!(keys_mru_to_lru(&c), vec![1, 2]);
-        let mut lines = c.into_lines();
+        let mut lines = c.lines();
         lines.sort_by_key(|l| l.key);
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0].machine_fp, 11);
@@ -1500,13 +1655,13 @@ mod tests {
 
     #[test]
     fn lru_unbounded_and_single_entry_caps() {
-        let mut c = ShardCache::new(None);
+        let mut c = Lru::new(None);
         for k in 0..64 {
             assert!(!c.insert(k, k, result(k)));
         }
-        assert_eq!(c.into_lines().len(), 64);
+        assert_eq!(c.lines().len(), 64);
         // A zero cap behaves as "cache one entry".
-        let mut one = ShardCache::new(Some(0));
+        let mut one = Lru::new(Some(0));
         assert!(!one.insert(1, 1, result(1)));
         assert!(one.insert(2, 2, result(2)));
         assert!(one.get(1).is_none());

@@ -1,13 +1,17 @@
 //! Failure-path and chaos integration tests: injected panics answered
-//! as structured errors while the shard keeps serving, shard-killing
-//! panics survived by supervisor respawn, deadlines enforced
-//! server-side, overload shed with retriable responses, slowloris
-//! clients contained, and a full chaos storm (panics, kills, delays,
-//! dropped connections, mischief clients) served correctly under
-//! retry.
+//! as structured errors while the worker keeps serving, worker-killing
+//! panics survived by supervisor respawn, hits answered while the only
+//! worker is stuck on a miss, concurrent misses of one point simulated
+//! once (and recovered when their leader is killed), deadlines
+//! enforced server-side, overload shed with retriable responses,
+//! slowloris clients contained, and a full chaos storm (panics, kills,
+//! delays, dropped connections, mischief clients) served correctly
+//! under retry.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use oov_isa::{MachineConfig, OooConfig};
@@ -131,8 +135,8 @@ fn hard_panic_kills_the_shard_and_the_supervisor_respawns_it() {
     assert!(err.contains("lost"), "unexpected error: {err}");
     // The respawned incarnation (its plan restarts at k=0, fault-free
     // for two jobs) serves a retry of the very job that died with the
-    // old one, then a repeat of job 1 — re-simulated, since the
-    // accumulated cache died with the thread.
+    // old one, then a repeat of job 1 — a hit answered from the shared
+    // cache, which does not die with a worker thread.
     client.sim(&points[2]).expect("retry lands on the respawn");
     client.sim(&points[1]).expect("job after the respawn");
 
@@ -141,6 +145,229 @@ fn hard_panic_kills_the_shard_and_the_supervisor_respawns_it() {
     assert!(stats.panics >= 1, "the death was counted");
     assert_eq!(stats.shards_alive, vec![true], "the shard is back");
     client.shutdown().expect("shutdown");
+    server.join();
+}
+
+/// Polls `probe` until it holds: a watermark wait on server
+/// counters, bounded so a regression fails instead of hanging.
+fn wait_for(what: &str, mut probe: impl FnMut() -> bool) {
+    let t0 = Instant::now();
+    while !probe() {
+        assert!(
+            t0.elapsed() < Duration::from_secs(20),
+            "timed out waiting for {what}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A gauge from a `metrics` snapshot.
+fn gauge(client: &mut Client, name: &str) -> f64 {
+    let snap = client.metrics().expect("metrics");
+    match snap.get("gauges") {
+        Some(oov_proto::Json::Obj(kv)) => kv
+            .iter()
+            .find(|(n, _)| n == name)
+            .and_then(|(_, v)| v.as_f64())
+            .unwrap_or_else(|| panic!("missing gauge {name}")),
+        other => panic!("bad gauges section: {other:?}"),
+    }
+}
+
+/// Single-stripe chaos plan whose first jobs follow `pattern`, with
+/// no fault kind enabled that the pattern does not use.
+fn plan(pattern: &[JobFault]) -> ChaosConfig {
+    let needs = |f: fn(&JobFault) -> bool| if pattern.iter().any(f) { 300 } else { 0 };
+    let delay_ms = pattern.iter().find_map(|f| match f {
+        JobFault::Delay(d) => Some(d.as_millis() as u64),
+        _ => None,
+    });
+    seed_with_plan(
+        ChaosConfig {
+            seed: 0,
+            panic_permille: needs(|f| *f == JobFault::Panic),
+            hard_panic_permille: needs(|f| *f == JobFault::HardPanic),
+            delay_permille: needs(|f| matches!(f, JobFault::Delay(_))),
+            delay_ms: delay_ms.unwrap_or(0),
+            drop_permille: 0,
+        },
+        pattern,
+    )
+}
+
+fn start_chaos(cfg: ChaosConfig) -> oov_serve::ServerHandle {
+    Server::start_cfg(
+        "127.0.0.1:0",
+        1,
+        ServeConfig {
+            chaos: Some(cfg),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server start")
+}
+
+fn in_process(req: &SimRequest) -> oov_stats::SimStats {
+    let suite = oov_bench::Suite::compile(req.scale);
+    oov_bench::machine_run(
+        suite.get(req.program),
+        &req.machine,
+        req.stepper,
+        req.fault_at,
+    )
+    .stats
+}
+
+#[test]
+fn a_hit_never_waits_behind_a_miss() {
+    // One stripe, one worker. Job 0 (prefilling P) runs normally; job
+    // 1 (the miss Q) holds the only worker for seconds.
+    let delay = Duration::from_secs(3);
+    let cfg = plan(&[JobFault::None, JobFault::Delay(delay)]);
+    let server = start_chaos(cfg);
+    let addr = server.addr();
+    let points = distinct_points(2);
+    let (p, q) = (points[0], points[1]);
+    let mut b = Client::connect(addr).expect("connect");
+    let prefill = b.sim(&p).expect("prefill P");
+    assert!(!prefill.cached);
+
+    let q_answered = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            let mut a = Client::connect(addr).expect("connect");
+            let r = a.sim(&q);
+            q_answered.store(true, Ordering::SeqCst);
+            r
+        });
+        // Watermark: the worker has dequeued Q (P's request plus Q's)
+        // and now sleeps on it.
+        wait_for("the worker to take Q", || {
+            b.stats().expect("stats").requests >= 2
+        });
+        let t0 = Instant::now();
+        let hit = b.sim(&p).expect("hit on P");
+        let waited = t0.elapsed();
+        assert!(
+            !q_answered.load(Ordering::SeqCst),
+            "the hit on P came back only after the miss Q ({waited:?})"
+        );
+        assert!(hit.cached, "P must be answered from the cache");
+        assert_eq!(hit.stats, prefill.stats);
+        assert!(waited < delay, "the hit waited {waited:?}");
+        let q_result = a.join().expect("connection A").expect("Q simulates");
+        assert!(!q_result.cached);
+        assert_eq!(q_result.stats, in_process(&q));
+    });
+
+    let stats = b.stats().expect("stats");
+    assert_eq!((stats.result_hits, stats.result_misses), (1, 2));
+    b.shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn concurrent_misses_of_one_point_simulate_once() {
+    // Every client sends the same never-seen point at once; the leader
+    // job sleeps long enough that the rest arrive while it is pending.
+    const K: usize = 4;
+    let cfg = plan(&[JobFault::Delay(Duration::from_millis(1500))]);
+    let server = start_chaos(cfg);
+    let addr = server.addr();
+    let x = distinct_points(1)[0];
+    let start = Barrier::new(K);
+    let results: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..K)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut c = Client::connect(addr).expect("connect");
+                    start.wait();
+                    c.sim(&x).expect("sim")
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    let leaders = results.iter().filter(|r| !r.cached).count();
+    assert_eq!(leaders, 1, "exactly one request simulates: {results:?}");
+    let want = in_process(&x);
+    for r in &results {
+        assert_eq!(r.stats, want, "a collapsed miss diverged");
+        assert_eq!(r.ideal_cycles, results[0].ideal_cycles);
+        assert_eq!(r.faults_taken, results[0].faults_taken);
+    }
+    let mut client = Client::connect(addr).expect("connect");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.result_misses, 1, "one simulation: {stats:?}");
+    assert_eq!(stats.result_hits, K as u64 - 1, "the rest are hits");
+    assert_eq!(stats.requests, stats.result_hits + stats.result_misses);
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn a_killed_leader_hands_its_waiters_back_and_strands_nothing() {
+    // Job 0 (Z) holds the only worker while the leader for Y and two
+    // waiters queue up behind it; job 1 (Y's leader) then kills the
+    // worker outside catch_unwind. The respawned incarnation's plan
+    // restarts at k=0, so the promoted waiter sleeps once more and
+    // then simulates normally.
+    let cfg = plan(&[JobFault::Delay(Duration::from_secs(1)), JobFault::HardPanic]);
+    let server = start_chaos(cfg);
+    let addr = server.addr();
+    let points = distinct_points(2);
+    let (z, y) = (points[0], points[1]);
+    let mut probe = Client::connect(addr).expect("connect");
+    std::thread::scope(|s| {
+        let sim =
+            |req: SimRequest| s.spawn(move || Client::connect(addr).expect("connect").sim(&req));
+        let a = sim(z);
+        wait_for("the worker to take Z", || {
+            probe.stats().expect("stats").requests >= 1
+        });
+        let b = sim(y);
+        wait_for("Y's leader to queue", || {
+            gauge(&mut probe, "shard.0.queue_depth") >= 1.0
+        });
+        let waiters = [sim(y), sim(y)];
+        // A, B, both waiters, and the probe's own `metrics` request.
+        wait_for("the waiters to arrive", || {
+            gauge(&mut probe, "server.inflight_requests") >= 5.0
+        });
+
+        a.join().expect("connection A").expect("Z simulates");
+        let lost = b
+            .join()
+            .expect("connection B")
+            .expect_err("the leader dies");
+        assert!(lost.contains("lost"), "unexpected error: {lost}");
+        let want = in_process(&y);
+        let answers: Vec<_> = waiters
+            .into_iter()
+            .map(|w| {
+                w.join()
+                    .expect("waiter")
+                    .expect("a waiter never inherits the error")
+            })
+            .collect();
+        assert!(answers.iter().all(|r| r.stats == want));
+        assert_eq!(
+            answers.iter().filter(|r| !r.cached).count(),
+            1,
+            "one waiter became the new leader, the other waited on it"
+        );
+    });
+    // No pending entry is stranded: the point is simply cached now.
+    let again = probe.sim(&y).expect("Y after the kill");
+    assert!(again.cached);
+    let stats = probe.stats().expect("stats");
+    assert_eq!(stats.respawns, 1, "exactly one respawn");
+    assert_eq!(stats.result_misses, 2, "Z, and Y once: {stats:?}");
+    assert_eq!(stats.result_hits, 2, "the second waiter and the repeat");
+    probe.shutdown().expect("shutdown");
     server.join();
 }
 
