@@ -508,7 +508,7 @@ impl MachineConfig {
     /// the full-request fingerprint, which hashes this same encoding.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        fingerprint_bytes(self.to_json().to_string().as_bytes())
+        fingerprint_bytes(self.to_json().encode().as_bytes())
     }
 }
 

@@ -1,16 +1,33 @@
-//! A minimal JSON value model: writer plus recursive-descent parser.
+//! A minimal JSON value model: one compact writer plus a
+//! recursive-descent parser.
 //!
-//! The writer started life as the hand-rolled string emitter inside the
-//! engine bench (`crates/bench/benches/simulators.rs`); it is promoted
-//! here so the bench artifacts, the bench-trend checker and the
-//! `oov-serve` wire protocol all share one implementation. The parser
-//! is the minimal counterpart: full JSON minus exotica (no `\u` escapes
-//! beyond the Basic Multilingual Plane's direct code points), with a
-//! depth limit so untrusted wire input cannot overflow the stack.
+//! This is the codec of the bench artifacts, the bench-trend checker
+//! and the `oov-serve` wire protocol. A served `sim` request passes
+//! through it five times: the client encodes the request, the server
+//! decodes it and re-encodes it for the cache fingerprint, the server
+//! encodes the response and the client decodes it. A cache hit does
+//! little else, so the codec is most of a hit's cost, and both halves
+//! are written to touch each byte once:
 //!
-//! Objects preserve insertion order (they are association vectors, not
-//! maps), so an encode is deterministic — which the request
-//! fingerprints rely on.
+//! * The writer appends straight into one `String`
+//!   ([`Json::encode`]). It allocates no temporary per key, string or
+//!   number: integers go through a digit loop, and a string's runs of
+//!   bytes that need no escape are copied whole. [`Display`](fmt::Display)
+//!   and [`Json::pretty`] share the same writer.
+//! * The parser slices strings without escapes from the input (one
+//!   exact-size allocation each) and accumulates short integer
+//!   literals without going through `str::parse::<f64>`.
+//!
+//! The output is byte-identical by contract: request fingerprints hash
+//! the encoding and the journal stores it, so a changed byte would
+//! orphan every cached result. Golden literals in the `oov-isa` and
+//! `oov-serve` tests pin it.
+//!
+//! The parser accepts full JSON minus exotica (no `\u` escapes beyond
+//! the Basic Multilingual Plane's direct code points), with a depth
+//! limit so untrusted wire input cannot overflow the stack. Objects
+//! preserve insertion order (they are association vectors, not maps),
+//! so an encode is deterministic.
 
 use std::fmt;
 
@@ -119,9 +136,11 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] with a byte offset on malformed input.
+    /// Returns a [`ParseError`] with a byte offset on malformed input,
+    /// including a number literal too large for an `f64`.
     pub fn parse(input: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -134,6 +153,17 @@ impl Json {
         Ok(v)
     }
 
+    /// Compact single-line encoding: the wire format, one value per
+    /// line. Keys and array items are separated by `", "` and keys
+    /// from values by `": "`. [`Display`](fmt::Display) and
+    /// [`Json::pretty`] go through the same writer.
+    #[must_use]
+    pub fn encode(&self) -> String {
+        let mut out = String::with_capacity(128);
+        self.write_compact(&mut out);
+        out
+    }
+
     /// Pretty-prints with two-space indentation and a trailing newline —
     /// the format of the committed `BENCH_*.json` artifacts.
     #[must_use]
@@ -142,6 +172,37 @@ impl Json {
         self.write_pretty(&mut out, 0);
         out.push('\n');
         out
+    }
+
+    fn write_compact(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => write_num(out, *n),
+            Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    item.write_compact(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    write_escaped(out, k);
+                    out.push_str(": ");
+                    v.write_compact(out);
+                }
+                out.push('}');
+            }
+        }
     }
 
     fn write_pretty(&self, out: &mut String, depth: usize) {
@@ -174,10 +235,7 @@ impl Json {
                 indent(out, depth);
                 out.push('}');
             }
-            other => {
-                use fmt::Write as _;
-                let _ = write!(out, "{other}");
-            }
+            other => other.write_compact(out),
         }
     }
 }
@@ -188,72 +246,76 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
+/// Writes `s` as a quoted JSON string. Runs of bytes that need no
+/// escape are copied whole; every escaped byte is ASCII, so the run
+/// boundaries are always char boundaries.
 fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
-fn write_num(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
+/// Integers below 2^53 in magnitude print as integers (no `.0`, no
+/// exponent) through a digit loop; other finite numbers use the
+/// shortest round-trip `{}` form; JSON has no Inf/NaN, so those print
+/// as the conventional stand-in `null`.
+fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
-        // JSON has no Inf/NaN; null is the conventional stand-in.
-        return f.write_str("null");
-    }
-    if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-        write!(f, "{}", n as i64)
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
+        write_int(out, n as i64);
     } else {
-        write!(f, "{n}")
+        use fmt::Write as _;
+        let _ = write!(out, "{n}");
     }
 }
 
-/// Compact single-line encoding (the wire format: one value per line).
+/// Writes `n` in decimal, exactly as `n.to_string()` would.
+fn write_int(out: &mut String, n: i64) {
+    if n < 0 {
+        out.push('-');
+    }
+    let mut v = n.unsigned_abs();
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[at..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Compact single-line encoding, the same bytes as [`Json::encode`].
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => write_num(f, *n),
-            Json::Str(s) => {
-                let mut buf = String::new();
-                write_escaped(&mut buf, s);
-                f.write_str(&buf)
-            }
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    let mut buf = String::new();
-                    write_escaped(&mut buf, k);
-                    write!(f, "{buf}: {v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        f.write_str(&self.encode())
     }
 }
 
@@ -323,6 +385,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -431,28 +494,36 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a string. The plain runs between escapes are sliced from
+    /// the input: they start and end at ASCII bytes (a quote, an escape
+    /// sequence, a control byte) or at the input's ends, so every run is
+    /// valid UTF-8 by construction. A string with no escape becomes one
+    /// exact-size copy of its only run.
     fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             let start = self.pos;
-            // Fast path: a run of plain bytes.
             while let Some(c) = self.peek() {
                 if c == b'"' || c == b'\\' || c < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
+            let run = &self.text[start..self.pos];
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
+                    // Every escape pushes a char, so an empty `out`
+                    // means `run` is the whole string.
+                    if out.is_empty() {
+                        return Ok(run.to_owned());
+                    }
+                    out.push_str(run);
                     return Ok(out);
                 }
                 Some(b'\\') => {
+                    out.push_str(run);
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
@@ -488,13 +559,27 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a number. An integer literal of at most 15 digits (below
+    /// 10^15 < 2^53) is accumulated as a `u64` and converted once: the
+    /// conversion is exact, so it equals what `str::parse::<f64>`
+    /// returns, negative zero included. Every other literal goes to
+    /// `str::parse::<f64>`.
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        let digits_start = self.pos;
+        let mut int: u64 = 0;
+        while let Some(c) = self.peek().filter(u8::is_ascii_digit) {
+            int = int.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
             self.pos += 1;
+        }
+        let digits = self.pos - digits_start;
+        if (1..=15).contains(&digits) && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            let n = int as f64;
+            return Ok(Json::Num(if negative { -n } else { n }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -511,10 +596,14 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        match self.text[start..self.pos].parse::<f64>() {
+            // A literal past f64's range parses as infinity, which the
+            // writer can only print as `null`; reject it so everything
+            // the parser accepts re-encodes to the same value.
+            Ok(n) if n.is_infinite() => Err(self.err("number out of range")),
+            Ok(n) => Ok(Json::Num(n)),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -580,6 +669,8 @@ mod tests {
             "01x",
             "[1] trailing",
             "{\"a\": \"\\q\"}",
+            "1e999",
+            "-1e400",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed {bad:?}");
         }
@@ -602,5 +693,110 @@ mod tests {
     fn integers_print_without_exponent() {
         assert_eq!(Json::Num(1e15).to_string(), "1000000000000000");
         assert_eq!(Json::Num(0.5).to_string(), "0.5");
+    }
+
+    /// SplitMix64, the workspace's dependency-free PRNG.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    const TWO_53: u64 = 1 << 53;
+
+    /// A random integer below 2^53, log-uniform in magnitude so short
+    /// and long literals are both common.
+    fn small_int(state: &mut u64) -> u64 {
+        (splitmix(state) % TWO_53) >> (splitmix(state) % 53)
+    }
+
+    #[test]
+    fn integer_fast_path_matches_str_parse() {
+        let mut literals: Vec<String> = [
+            "0",
+            "-0",
+            "007",
+            "-007",
+            "123456789012345",
+            "-999999999999999",
+            "1234567890123456",
+            "-9999999999999999",
+            "12345678901234567",
+            "99999999999999999999",
+            "1.0",
+            "1e3",
+            "-3.5e2",
+            "0.1",
+            "-0.0",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        for n in [TWO_53 - 1, TWO_53, TWO_53 + 1] {
+            literals.push(n.to_string());
+            literals.push(format!("-{n}"));
+        }
+        for text in &literals {
+            let expected = text.parse::<f64>().unwrap();
+            match Json::parse(text).unwrap() {
+                Json::Num(n) => assert_eq!(n.to_bits(), expected.to_bits(), "{text}"),
+                other => panic!("{text} parsed as {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn digit_loop_matches_integer_formatting() {
+        let mut state = 0x0123_4567_89ab_cdef;
+        let max = (TWO_53 - 1) as i64;
+        let mut samples: Vec<i64> = vec![0, 1, -1, 9, 10, -10, max, -max];
+        for _ in 0..10_000 {
+            let n = small_int(&mut state) as i64;
+            samples.push(if splitmix(&mut state) & 1 == 1 { -n } else { n });
+        }
+        for n in samples {
+            assert_eq!(Json::Num(n as f64).encode(), n.to_string());
+        }
+        assert_eq!(Json::Num(-0.0).encode(), "0");
+    }
+
+    #[test]
+    fn numbers_round_trip_exactly_through_write_and_parse() {
+        for seed in [1u64, 2, 3, 42, 0x9e37_79b9_7f4a_7c15, 0xdead_beef_cafe_f00d] {
+            let mut state = seed;
+            for _ in 0..2_000 {
+                let int = small_int(&mut state) as f64;
+                let mut float = f64::from_bits(splitmix(&mut state));
+                if !float.is_finite() {
+                    float = 0.5;
+                }
+                let scaled = (splitmix(&mut state) % 1_000_000) as f64 / 1e3;
+                for n in [int, -int, float, scaled, -scaled] {
+                    let text = Json::Num(n).encode();
+                    match Json::parse(&text).unwrap() {
+                        Json::Num(back) => assert_eq!(back, n, "{text}"),
+                        other => panic!("{text} parsed as {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strings_parse_with_and_without_escapes() {
+        for (text, expected) in [
+            (r#""""#, ""),
+            (r#""plain""#, "plain"),
+            ("\"caf\u{e9} \u{2192} ok\"", "caf\u{e9} \u{2192} ok"),
+            (r#""\"lead""#, "\"lead"),
+            (r#""trail\n""#, "trail\n"),
+            (r#""a\\b\/c\td""#, "a\\b/c\td"),
+        ] {
+            let value = Json::Str(expected.into());
+            assert_eq!(Json::parse(text).unwrap(), value, "{text}");
+            assert_eq!(Json::parse(&value.encode()).unwrap(), value);
+        }
     }
 }

@@ -4,9 +4,14 @@
 //! the minimal machinery the rest of the system needs to speak
 //! newline-delimited JSON and to fingerprint requests:
 //!
-//! * [`Json`] — a JSON value model with a writer (compact and pretty)
-//!   and a recursive-descent parser, grown out of the hand-rolled
-//!   emitter the engine bench used for `BENCH_oov.json`;
+//! * [`Json`] — a JSON value model with one writer (compact
+//!   [`Json::encode`], which `Display` and [`Json::pretty`] share) and
+//!   a recursive-descent parser. A served request crosses the codec
+//!   five times (client encode and decode; server decode, fingerprint
+//!   re-encode and response encode), so the writer appends into one `String`
+//!   with no per-node allocation and the parser slices plain strings
+//!   from its input. The output is byte-identical by contract, because
+//!   fingerprints and the journal are built from it;
 //! * [`Fnv1a`] — the 64-bit FNV-1a hash, used for stable config and
 //!   request fingerprints (stable across processes and platforms,
 //!   unlike `std::collections::hash_map::DefaultHasher`);
@@ -23,7 +28,7 @@
 //! let v = Json::parse(r#"{"name": "swm256", "cycles": 12750}"#).unwrap();
 //! assert_eq!(v.get("name").and_then(Json::as_str), Some("swm256"));
 //! assert_eq!(v.get("cycles").and_then(Json::as_u64), Some(12750));
-//! assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+//! assert_eq!(Json::parse(&v.encode()).unwrap(), v);
 //! ```
 
 #![forbid(unsafe_code)]

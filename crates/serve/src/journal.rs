@@ -102,7 +102,7 @@ pub struct Recovery {
 /// Encodes one cache entry as a journal-record payload (compact JSON).
 #[must_use]
 pub fn encode_record(entry: &CacheLine) -> Vec<u8> {
-    persist::encode_entry(entry).to_string().into_bytes()
+    persist::encode_entry(entry).encode().into_bytes()
 }
 
 fn decode_record(payload: &[u8]) -> Result<CacheLine, String> {

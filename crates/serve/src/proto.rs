@@ -152,7 +152,7 @@ impl SimRequest {
     /// stability as [`MachineConfig::fingerprint`].
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        oov_proto::fingerprint_bytes(self.to_json().to_string().as_bytes())
+        oov_proto::fingerprint_bytes(self.to_json().encode().as_bytes())
     }
 }
 
@@ -195,10 +195,10 @@ impl Request {
     #[must_use]
     pub fn encode(&self) -> String {
         match self {
-            Request::Ping => Json::obj(vec![("type", "ping".into())]).to_string(),
-            Request::Stats => Json::obj(vec![("type", "stats".into())]).to_string(),
-            Request::Metrics => Json::obj(vec![("type", "metrics".into())]).to_string(),
-            Request::Shutdown => Json::obj(vec![("type", "shutdown".into())]).to_string(),
+            Request::Ping => Json::obj(vec![("type", "ping".into())]).encode(),
+            Request::Stats => Json::obj(vec![("type", "stats".into())]).encode(),
+            Request::Metrics => Json::obj(vec![("type", "metrics".into())]).encode(),
+            Request::Shutdown => Json::obj(vec![("type", "shutdown".into())]).encode(),
             Request::Sim { req, deadline_ms } => {
                 let mut pairs = vec![("type".to_string(), Json::Str("sim".into()))];
                 if let Json::Obj(body) = req.to_json() {
@@ -207,7 +207,7 @@ impl Request {
                 if let Some(ms) = deadline_ms {
                     pairs.push(("deadline_ms".to_string(), (*ms).into()));
                 }
-                Json::Obj(pairs).to_string()
+                Json::Obj(pairs).encode()
             }
             Request::Sweep {
                 points,
@@ -223,7 +223,7 @@ impl Request {
                 if let Some(ms) = deadline_ms {
                     pairs.push(("deadline_ms".to_string(), (*ms).into()));
                 }
-                Json::Obj(pairs).to_string()
+                Json::Obj(pairs).encode()
             }
         }
     }
@@ -381,6 +381,18 @@ pub struct StatsSnapshot {
     pub shards_alive: Vec<bool>,
 }
 
+/// `shard_balance` crosses the wire rounded to three decimals. The
+/// decoder rounds too, so a decoded snapshot re-encodes to itself.
+/// Past 10^12 the rounding is skipped: there `x * 1e3 / 1e3` is no
+/// longer exact, and a balance that large is not a real one anyway.
+fn wire_balance(b: f64) -> f64 {
+    if b.abs() < 1e12 {
+        (b * 1e3).round() / 1e3
+    } else {
+        b
+    }
+}
+
 impl StatsSnapshot {
     /// Encodes the snapshot body (without the `"type"` tag).
     #[must_use]
@@ -397,10 +409,7 @@ impl StatsSnapshot {
                 "per_shard_requests",
                 Json::Arr(self.per_shard_requests.iter().map(|&n| n.into()).collect()),
             ),
-            (
-                "shard_balance",
-                Json::Num((self.shard_balance * 1e3).round() / 1e3),
-            ),
+            ("shard_balance", Json::Num(wire_balance(self.shard_balance))),
             ("panics", self.panics.into()),
             ("respawns", self.respawns.into()),
             ("sheds", self.sheds.into()),
@@ -444,6 +453,7 @@ impl StatsSnapshot {
             shard_balance: v
                 .get("shard_balance")
                 .and_then(Json::as_f64)
+                .map(wire_balance)
                 .ok_or_else(|| {
                     "stats snapshot: bad or missing field `shard_balance`".to_string()
                 })?,
@@ -534,7 +544,7 @@ impl Response {
         let tagged = |tag: &str, body: Vec<(String, Json)>| {
             let mut pairs = vec![("type".to_string(), Json::Str(tag.into()))];
             pairs.extend(body);
-            Json::Obj(pairs).to_string()
+            Json::Obj(pairs).encode()
         };
         match self {
             Response::Pong => tagged("pong", vec![]),

@@ -52,10 +52,11 @@
 //! Requests may carry a `deadline_ms`; a job still queued when it
 //! expires is answered [`Response::DeadlineExceeded`] without being
 //! simulated. Oversized sweeps are rejected at decode time
-//! ([`crate::proto::MAX_SWEEP_POINTS`]), and a connection that feeds
-//! partial lines is cut once the line outgrows [`MAX_LINE_BYTES`] or
-//! stalls past [`PARTIAL_LINE_TIMEOUT`] — a slowloris peer costs one
-//! parked thread, never memory.
+//! ([`crate::proto::MAX_SWEEP_POINTS`]), and a connection is cut once
+//! its request line outgrows [`MAX_LINE_BYTES`] (every read is capped,
+//! so this holds whether or not the peer pauses) or a partial line
+//! stalls past [`PARTIAL_LINE_TIMEOUT`] — a flooding or slowloris peer
+//! costs one parked thread, never memory.
 //!
 //! # Shutdown
 //!
@@ -73,7 +74,7 @@
 //! request order no matter how the workers interleave.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -1350,30 +1351,25 @@ fn handle_connection(
     let mut requests_read: u64 = 0;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        // Poll for a full line; `read_line` keeps partial data in
+        // Poll for a full line. Every read is capped at what is left of
+        // `MAX_LINE_BYTES + 1`, so the buffer stays bounded whether the
+        // peer pauses or not, and `read_until` keeps partial data in
         // `line` across timeouts, so retrying without clearing is
-        // lossless. A partial line that outgrows `MAX_LINE_BYTES` or
-        // stalls past `PARTIAL_LINE_TIMEOUT` closes the connection —
-        // a slowloris peer cannot hold memory or block shutdown.
+        // lossless. A line that outgrows `MAX_LINE_BYTES`, or a partial
+        // line that stalls past `PARTIAL_LINE_TIMEOUT`, closes the
+        // connection: a flooding or slowloris peer cannot hold memory
+        // or block shutdown.
         let mut partial_since: Option<Instant> = None;
         loop {
-            match reader.read_line(&mut line) {
+            let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+            match reader.by_ref().take(room).read_until(b'\n', &mut line) {
                 Ok(0) => return Ok(()), // EOF
                 Ok(_) => break,
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     if engine.is_shutting_down() {
-                        return Ok(());
-                    }
-                    if line.len() > MAX_LINE_BYTES {
-                        let _ = write_response(
-                            &mut writer,
-                            &Response::Error {
-                                message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                            },
-                        );
                         return Ok(());
                     }
                     if line.is_empty() {
@@ -1394,7 +1390,19 @@ fn handle_connection(
                 Err(e) => return Err(e),
             }
         }
-        let text = line.trim();
+        // The cap was reached before a newline.
+        if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") {
+            let _ = write_response(
+                &mut writer,
+                &Response::Error {
+                    message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                },
+            );
+            return Ok(());
+        }
+        let text = std::str::from_utf8(&line)
+            .map_err(|e| io::Error::new(ErrorKind::InvalidData, e))?
+            .trim();
         if text.is_empty() {
             continue;
         }

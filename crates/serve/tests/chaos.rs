@@ -517,6 +517,26 @@ fn slowloris_client_neither_wedges_nor_blocks_shutdown() {
         other => panic!("expected an error response, got {other:?}"),
     }
 
+    // The same line with its newline, in one write, is cut too: the
+    // cap holds on every read, not only once the peer pauses. The
+    // server may close before the tail is sent, so the write's own
+    // result is not the point; the reply is.
+    let mut flooder = TcpStream::connect(addr).expect("flooder connect");
+    flooder.set_read_timeout(Some(Duration::from_secs(10))).ok();
+    let mut oversized = vec![b'x'; (1 << 20) + 4096];
+    oversized.push(b'\n');
+    let _ = flooder.write_all(&oversized);
+    let mut line = String::new();
+    BufReader::new(flooder.try_clone().expect("clone"))
+        .read_line(&mut line)
+        .expect("flooder read");
+    match Response::decode(line.trim()).expect("decodes") {
+        Response::Error { message } => {
+            assert!(message.contains("exceeds"), "unexpected error: {message}")
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+
     // Shutdown completes promptly despite the still-open partial line:
     // connection threads poll the shutdown flag, so the slowloris
     // socket cannot pin the server past the drain budget.

@@ -48,6 +48,126 @@ fn sample_requests() -> Vec<SimRequest> {
     ]
 }
 
+/// The four messages whose exact wire bytes are pinned below: large
+/// counters, a sweep with a deadline, a fractional float and every
+/// escape class the writer emits.
+fn pinned_messages() -> (Response, Request, Response, Response) {
+    let mut stats = SimStats {
+        cycles: 9_007_199_254_740_991,
+        committed: 4_294_967_296,
+        addr_bus_busy_cycles: 1_099_511_627_776,
+        mem_requests: 123_456_789_012,
+        load_requests: 98_765_432_109,
+        store_requests: 24_691_356_903,
+        spill_requests: 10_000_000_000,
+        eliminated_scalar_loads: 65_535,
+        eliminated_vector_loads: 4_095,
+        eliminated_vector_words: 262_080,
+        eliminated_stores: 1,
+        eliminated_store_words: 128,
+        branches: 999_999_999_999_999,
+        mispredicts: 100_000_000_000_000,
+        rename_stall_cycles: 31_337,
+        queue_stall_cycles: 271_828,
+        rob_stall_cycles: 314_159,
+        progress_cycles: 2_251_799_813_685_248,
+        ..SimStats::new()
+    };
+    stats.breakdown.record(
+        oov_stats::UnitState::new(true, false, false),
+        7_000_000_000_001,
+    );
+    stats
+        .breakdown
+        .record(oov_stats::UnitState::new(false, true, true), 42);
+    stats
+        .breakdown
+        .record(oov_stats::UnitState::new(true, true, true), 1 << 50);
+    stats.stages.fetch = 1_000_000_007;
+    stats.stages.dispatch = 3;
+    stats.stages.issue_v = 555_555_555_555;
+    stats.stages.mem_pipe = 8_589_934_592;
+    stats.stages.commit = 2_251_799_813_685_247;
+    let result = Response::Result(SimResult {
+        stats,
+        ideal_cycles: 4_503_599_627_370_496,
+        faults_taken: 17,
+        cached: false,
+        shard: 1,
+    });
+    let sweep = Request::Sweep {
+        points: sample_requests(),
+        deadline_ms: Some(86_400_000),
+    };
+    let snapshot = Response::Stats(StatsSnapshot {
+        requests: 1_000_003,
+        result_hits: 750_001,
+        result_misses: 250_002,
+        result_evictions: 12,
+        suite_requests: 250_002,
+        suite_compiles_smoke: 1,
+        suite_compiles_paper: 1,
+        per_shard_requests: vec![333_334, 333_335, 333_334],
+        shard_balance: 0.714_285_714,
+        panics: 0,
+        respawns: 0,
+        sheds: 9,
+        deadline_drops: 4,
+        cancelled_jobs: 2,
+        cache_load_skipped: 0,
+        journal_records: 250_002,
+        journal_rotations: 3,
+        journal_recovered: 0,
+        shards_alive: vec![true, true, false],
+    });
+    let error = Response::Error {
+        message: "bad \"quoted\" C:\\path\nline two\u{1}\u{1b}\ttab\r é→".into(),
+    };
+    (result, sweep, snapshot, error)
+}
+
+/// Exact wire bytes, recorded before the JSON writer was rewritten:
+/// fingerprints hash these encodings and the journal stores them, so
+/// the writer must keep reproducing them byte for byte. The sweep pin
+/// covers every point of `sample_requests`.
+#[test]
+fn wire_bytes_are_pinned() {
+    let (result, sweep, snapshot, error) = pinned_messages();
+    let pins: [(String, &str); 4] = [
+        (
+            result.encode(),
+            concat!(
+                r#"{"type": "result", "cached": false, "shard": 1, "ideal_cycles": 4503599627370496, "faults_taken": 17"#,
+                r#", "stats": {"cycles": 9007199254740991, "committed": 4294967296, "addr_bus_busy_cycles": 1099511627776, "mem_requests": 123456789012, "load_requests": 98765432109, "store_requests": 24691356903, "spill_requests": 10000000000, "eliminated_scalar_loads": 65535, "eliminated_vector_loads": 4095, "eliminated_vector_words": 262080, "eliminated_stores": 1, "eliminated_store_words": 128, "branches": 999999999999999, "mispredicts": 100000000000000, "rename_stall_cycles": 31337, "queue_stall_cycles": 271828, "rob_stall_cycles": 314159, "progress_cycles": 2251799813685248, "breakdown": [0, 0, 0, 42, 7000000000001, 0, 0, 1125899906842624], "stages": {"fetch": 1000000007, "dispatch": 3, "issue_a": 0, "issue_s": 0, "issue_v": 555555555555, "issue_mem": 0, "mem_pipe": 8589934592, "writeback": 0, "commit": 2251799813685247}}}"#,
+            ),
+        ),
+        (
+            sweep.encode(),
+            concat!(
+                r#"{"type": "sweep", "points": [{"program": "trfd", "scale": "smoke", "machine": {"machine": "ooo", "cfg": {"lat": {"read_xbar": 1, "write_xbar": 2, "vstartup": 0, "scalar_simple": 2, "vector_simple": 4, "mul": 9, "div_sqrt": 34, "memory": 50, "branch": 1, "mispredict_penalty": 4}, "phys_v_regs": 16, "phys_a_regs": 64, "phys_s_regs": 64, "phys_mask_regs": 8, "queue_slots": 16, "rob_entries": 64, "commit_width": 4, "btb_entries": 64, "ras_depth": 8, "commit": "early", "load_elim": "off", "scalar_cache": {"size_bytes": 16384, "line_bytes": 32, "hit_latency": 2}}}, "stepper": "event", "fault_at": null"#,
+                r#"}, {"program": "swm256", "scale": "paper", "machine": {"machine": "ooo", "cfg": {"lat": {"read_xbar": 1, "write_xbar": 2, "vstartup": 0, "scalar_simple": 2, "vector_simple": 4, "mul": 9, "div_sqrt": 34, "memory": 100, "branch": 1, "mispredict_penalty": 4}, "phys_v_regs": 32, "phys_a_regs": 64, "phys_s_regs": 64, "phys_mask_regs": 8, "queue_slots": 128, "rob_entries": 64, "commit_width": 4, "btb_entries": 64, "ras_depth": 8, "commit": "early", "load_elim": "off", "scalar_cache": {"size_bytes": 16384, "line_bytes": 32, "hit_latency": 2}}}, "stepper": "naive", "fault_at": null"#,
+                r#"}, {"program": "bdna", "scale": "smoke", "machine": {"machine": "ooo", "cfg": {"lat": {"read_xbar": 1, "write_xbar": 2, "vstartup": 0, "scalar_simple": 2, "vector_simple": 4, "mul": 9, "div_sqrt": 34, "memory": 50, "branch": 1, "mispredict_penalty": 4}, "phys_v_regs": 16, "phys_a_regs": 64, "phys_s_regs": 64, "phys_mask_regs": 8, "queue_slots": 16, "rob_entries": 64, "commit_width": 4, "btb_entries": 64, "ras_depth": 8, "commit": "late", "load_elim": "sle+vle+sse", "scalar_cache": {"size_bytes": 16384, "line_bytes": 32, "hit_latency": 2}}}, "stepper": "event", "fault_at": null"#,
+                r#"}, {"program": "flo52", "scale": "smoke", "machine": {"machine": "ooo", "cfg": {"lat": {"read_xbar": 1, "write_xbar": 2, "vstartup": 0, "scalar_simple": 2, "vector_simple": 4, "mul": 9, "div_sqrt": 34, "memory": 50, "branch": 1, "mispredict_penalty": 4}, "phys_v_regs": 16, "phys_a_regs": 64, "phys_s_regs": 64, "phys_mask_regs": 8, "queue_slots": 16, "rob_entries": 64, "commit_width": 4, "btb_entries": 64, "ras_depth": 8, "commit": "late", "load_elim": "off", "scalar_cache": {"size_bytes": 16384, "line_bytes": 32, "hit_latency": 2}}}, "stepper": "event", "fault_at": 17"#,
+                r#"}, {"program": "tomcatv", "scale": "smoke", "machine": {"machine": "ref", "cfg": {"lat": {"read_xbar": 1, "write_xbar": 2, "vstartup": 1, "scalar_simple": 2, "vector_simple": 4, "mul": 9, "div_sqrt": 34, "memory": 50, "branch": 1, "mispredict_penalty": 4}, "banked_ports": true, "chain_fu": true, "chain_loads": false, "scalar_cache": null}}, "stepper": "event", "fault_at": null}], "deadline_ms": 86400000}"#,
+            ),
+        ),
+        (
+            snapshot.encode(),
+            concat!(
+                r#"{"type": "stats", "requests": 1000003, "result_hits": 750001, "result_misses": 250002, "result_evictions": 12, "suite_requests": 250002, "suite_compiles_smoke": 1, "suite_compiles_paper": 1"#,
+                r#", "per_shard_requests": [333334, 333335, 333334], "shard_balance": 0.714, "panics": 0, "respawns": 0, "sheds": 9, "deadline_drops": 4, "cancelled_jobs": 2, "cache_load_skipped": 0, "journal_records": 250002, "journal_rotations": 3, "journal_recovered": 0, "shards_alive": [true, true, false]}"#,
+            ),
+        ),
+        (
+            error.encode(),
+            r#"{"type": "error", "message": "bad \"quoted\" C:\\path\nline two\u0001\u001b\ttab\r é→"}"#,
+        ),
+    ];
+    for (encoded, pinned) in pins {
+        assert_eq!(encoded, pinned);
+    }
+}
+
 #[test]
 fn every_request_variant_round_trips() {
     let mut variants = vec![
