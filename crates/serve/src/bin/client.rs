@@ -210,7 +210,7 @@ fn run() -> Result<(), String> {
                 s.cancelled_jobs
             );
             println!(
-                "persistence:          {} load entries skipped, {} journal records \
+                "persistence:          {} entries skipped at recovery, {} journal records \
                  ({} rotations, {} recovered at startup)",
                 s.cache_load_skipped, s.journal_records, s.journal_rotations, s.journal_recovered
             );

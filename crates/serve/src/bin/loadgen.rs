@@ -29,15 +29,7 @@
 //! * `--verify`             recompute every unique point in-process
 //!   and assert the served `SimStats` are bit-identical
 //! * `--cache-entries <n>`  per-cache-stripe LRU cap for
-//!   `--spawn`ed servers (default: unbounded). Incompatible with
-//!   `--cache-file`: the restart check asserts a zero-miss warm run,
-//!   which a capped (evicting) cache cannot guarantee.
-//! * `--cache-file <path>`  restart test (implies `--spawn`): run the
-//!   whole workload against a server dumping its caches to `<path>`,
-//!   shut it down, start a *fresh* server loading `<path>`, and run
-//!   the identical workload again — asserting the warm server misses
-//!   zero times and compiles no suite. Proves the dump/load round
-//!   trip end to end.
+//!   `--spawn`ed servers (default: unbounded)
 //! * `--chaos`              chaos run (implies `--spawn`): the server
 //!   injects deterministic worker panics, worker kills, delays and
 //!   connection drops; alongside the normal clients, mischief threads
@@ -57,8 +49,8 @@
 //! * `--assert-warm`        after the phase, assert the server missed
 //!   zero times and compiled no suite — for driving an *external*,
 //!   already-warm server (e.g. the CI kill-recovery step restarts a
-//!   SIGKILLed `serve --journal` daemon and proves every record
-//!   recovered)
+//!   `serve --journal` daemon, after a SIGKILL and after a graceful
+//!   stop, and proves every record recovered)
 //! * `--out <path>`         artifact path, default `BENCH_serve.json`
 //!   at the repository root
 
@@ -134,7 +126,6 @@ struct Args {
     requests: usize,
     scale: Scale,
     verify: bool,
-    cache_file: Option<String>,
     cache_entries: Option<usize>,
     chaos: bool,
     chaos_seed: u64,
@@ -152,7 +143,6 @@ fn parse_args() -> Result<Args, String> {
         requests: 50,
         scale: Scale::Smoke,
         verify: false,
-        cache_file: None,
         cache_entries: None,
         chaos: false,
         chaos_seed: 1,
@@ -188,10 +178,6 @@ fn parse_args() -> Result<Args, String> {
                 args.scale = Scale::from_name(&v).ok_or_else(|| format!("unknown scale {v}"))?;
             }
             "--verify" => args.verify = true,
-            "--cache-file" => {
-                args.cache_file = Some(value(&mut i)?);
-                args.spawn = true;
-            }
             "--cache-entries" => args.cache_entries = Some(number(&mut i)?),
             "--chaos" => {
                 args.chaos = true;
@@ -212,25 +198,10 @@ fn parse_args() -> Result<Args, String> {
         }
         i += 1;
     }
-    if args.cache_entries.is_some() && args.cache_file.is_some() {
-        return Err(
-            "--cache-entries cannot be combined with --cache-file: the restart \
-             check asserts a zero-miss warm run, which an evicting cache cannot \
-             guarantee"
-                .into(),
-        );
-    }
-    if args.chaos && args.cache_file.is_some() {
-        return Err(
-            "--chaos cannot be combined with --cache-file: the zero-miss warm \
-             run assumes a fault-free first run"
-                .into(),
-        );
-    }
-    if args.journal_file.is_some() && (args.chaos || args.cache_file.is_some()) {
+    if args.journal_file.is_some() && args.chaos {
         return Err(
             "--journal-file is a clean A/B throughput comparison; it cannot be \
-             combined with --chaos or --cache-file"
+             combined with --chaos"
                 .into(),
         );
     }
@@ -498,20 +469,16 @@ fn run() -> Result<(), String> {
         vec![None; pool.len()]
     };
 
-    let serve_cfg = |load: bool, dump: bool| ServeConfig {
-        persist: oov_serve::PersistOptions {
-            load: (load && args.cache_file.is_some())
-                .then(|| args.cache_file.clone().unwrap().into()),
-            dump: (dump && args.cache_file.is_some())
-                .then(|| args.cache_file.clone().unwrap().into()),
-            max_entries: args.cache_entries,
-            ..oov_serve::PersistOptions::default()
-        },
-        chaos: args.chaos.then(|| ChaosConfig::light(args.chaos_seed)),
-        ..ServeConfig::default()
-    };
     let server = if args.spawn {
-        let handle = Server::start_cfg("127.0.0.1:0", args.shards, serve_cfg(false, true))
+        let cfg = ServeConfig {
+            persist: oov_serve::PersistOptions {
+                max_entries: args.cache_entries,
+                ..oov_serve::PersistOptions::default()
+            },
+            chaos: args.chaos.then(|| ChaosConfig::light(args.chaos_seed)),
+            ..ServeConfig::default()
+        };
+        let handle = Server::start_cfg("127.0.0.1:0", args.shards, cfg)
             .map_err(|e| format!("spawn server: {e}"))?;
         println!(
             "spawned in-process server on {}{}",
@@ -589,35 +556,6 @@ fn run() -> Result<(), String> {
         }
         handle.join();
     }
-
-    // Restart check: a fresh server seeded from the dump must answer
-    // the identical workload without a single simulation or suite
-    // compile.
-    let restart = if args.cache_file.is_some() {
-        let handle = Server::start_cfg("127.0.0.1:0", args.shards, serve_cfg(true, false))
-            .map_err(|e| format!("respawn server: {e}"))?;
-        let warm_addr = handle.addr().to_string();
-        println!("restarted server on {warm_addr} with the dumped cache...");
-        let warm = drive(&warm_addr, &args, &pool, &expected)?;
-        Client::connect(warm_addr.as_str())?.shutdown()?;
-        handle.join();
-        if warm.stats.result_misses > 0 {
-            return Err(format!(
-                "restart check failed: warm server missed {} times (expected 0)",
-                warm.stats.result_misses
-            ));
-        }
-        if warm.stats.suite_compiles_smoke + warm.stats.suite_compiles_paper > 0 {
-            return Err("restart check failed: warm server compiled a suite".into());
-        }
-        println!(
-            "restart check: {} requests, {} hits, 0 misses, 0 suite compiles, verified {}",
-            warm.stats.requests, warm.stats.result_hits, warm.verified
-        );
-        Some(warm)
-    } else {
-        None
-    };
 
     // Journal-overhead check: the identical (deterministic) workload
     // against a fresh server with the write-ahead journal on. The
@@ -777,24 +715,6 @@ fn run() -> Result<(), String> {
         ("journal", journal_section),
         ("chaos", args.chaos.into()),
         ("verified", verified.into()),
-        (
-            "restart",
-            restart.map_or(Json::Null, |warm| {
-                Json::obj(vec![
-                    ("requests", warm.stats.requests.into()),
-                    ("result_hits", warm.stats.result_hits.into()),
-                    ("result_misses", warm.stats.result_misses.into()),
-                    (
-                        "suite_compiles",
-                        (warm.stats.suite_compiles_smoke + warm.stats.suite_compiles_paper).into(),
-                    ),
-                    ("wall_ms", us(warm.wall_ms)),
-                    ("latency_us", latency_us(&warm.latency)),
-                    ("client_hits", warm.client_hits.into()),
-                    ("verified", warm.verified.into()),
-                ])
-            }),
-        ),
     ]);
     std::fs::write(&args.out, doc.pretty()).map_err(|e| format!("{}: {e}", args.out))?;
     println!("wrote {}", args.out);

@@ -4,25 +4,26 @@
 //! cargo run -p oov-serve --release --bin serve -- --addr 127.0.0.1:7540 --shards 4
 //! ```
 //!
+//! Persistence is the write-ahead journal alone (`--journal`): every
+//! result is appended as it lands, a graceful shutdown compacts the
+//! journal into `<journal>.snapshot`, and a restart from the same
+//! `--journal` path — after a clean stop or a SIGKILL — starts warm.
+//!
 //! Flags (all optional):
 //!
 //! * `--addr <host:port>`  bind address, default `127.0.0.1:7540`
 //!   (port 0 picks an ephemeral port and prints it)
 //! * `--shards <n>`        cache stripes, and pool workers, default
 //!   `min(cores, 8)`
-//! * `--cache-load <path>` seed the result caches from a dump written
-//!   by `--cache-dump`, so a restarted daemon starts warm (a dump
-//!   from any shard count loads into any other)
-//! * `--cache-dump <path>` write every cache stripe to
-//!   `<path>` at graceful shutdown (atomic: temp file + rename)
 //! * `--cache-entries <n>` bound each cache stripe to `n`
-//!   entries with LRU eviction (default: unbounded), so persistence
-//!   dumps and long-running daemons cannot grow without limit
+//!   entries with LRU eviction (default: unbounded), so a
+//!   long-running daemon cannot grow without limit
 //! * `--journal <path>`    write-ahead journal: every cache insert is
 //!   appended (checksummed, batched, fsynced) so a crash — SIGKILL,
 //!   OOM, power loss — loses at most the final in-flight batch;
-//!   startup replays `<path>.snapshot` plus the journal tail on top
-//!   of any `--cache-load` seed, truncating a torn tail
+//!   startup replays `<path>.snapshot` plus the journal tail
+//!   (truncating a torn tail), and graceful shutdown compacts into
+//!   the snapshot, leaving the journal empty
 //! * `--journal-max-bytes <n>` journal rotation threshold (default
 //!   8 MiB): past it the writer snapshots the full state to
 //!   `<journal>.snapshot` and truncates the journal
@@ -69,8 +70,6 @@ fn main() {
     while i < argv.len() {
         match argv[i].as_str() {
             "--addr" => addr = value(&mut i, &argv),
-            "--cache-load" => cfg.persist.load = Some(value(&mut i, &argv).into()),
-            "--cache-dump" => cfg.persist.dump = Some(value(&mut i, &argv).into()),
             "--cache-entries" => {
                 cfg.persist.max_entries = value(&mut i, &argv)
                     .parse()

@@ -6,61 +6,51 @@
 //! compiled [`Suite`] per [`Scale`] for the life of the process.
 //! `OnceLock` gives exactly-once semantics under concurrency: when
 //! several workers race on a cold scale, one compiles while the rest
-//! block, and the compile counter can never exceed one per scale —
-//! which `loadgen` proves over the wire via [`SuiteCache::requests`]
-//! vs [`SuiteCache::compiles`].
+//! block, and the compile counter can never exceed one per scale.
+//! The counters live in the server's registry (`cache.suite_requests`
+//! counts lookups, hits included; `cache.suite_compiles_{smoke,paper}`
+//! stay at most 1), so `metrics` and `stats` both report them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use oov_bench::Suite;
 use oov_kernels::Scale;
+use oov_obs::{Counter, Registry};
 
 /// Lazily-populated, per-scale suite cache.
-#[derive(Default)]
 pub struct SuiteCache {
     smoke: OnceLock<Arc<Suite>>,
     paper: OnceLock<Arc<Suite>>,
-    requests: AtomicU64,
-    compiles_smoke: AtomicU64,
-    compiles_paper: AtomicU64,
+    requests: Arc<Counter>,
+    compiles_smoke: Arc<Counter>,
+    compiles_paper: Arc<Counter>,
 }
 
 impl SuiteCache {
-    /// A cache with both scales cold.
+    /// A cache with both scales cold, counting into `metrics`.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(metrics: &Registry) -> Self {
+        SuiteCache {
+            smoke: OnceLock::new(),
+            paper: OnceLock::new(),
+            requests: metrics.counter("cache.suite_requests"),
+            compiles_smoke: metrics.counter("cache.suite_compiles_smoke"),
+            compiles_paper: metrics.counter("cache.suite_compiles_paper"),
+        }
     }
 
     /// The compiled suite for `scale`, compiling it on first use.
     #[must_use]
     pub fn get(&self, scale: Scale) -> Arc<Suite> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.requests.inc();
         let (slot, compiles) = match scale {
             Scale::Smoke => (&self.smoke, &self.compiles_smoke),
             Scale::Paper => (&self.paper, &self.compiles_paper),
         };
         Arc::clone(slot.get_or_init(|| {
-            compiles.fetch_add(1, Ordering::Relaxed);
+            compiles.inc();
             Arc::new(Suite::compile(scale))
         }))
-    }
-
-    /// Total lookups (cache hits included).
-    #[must_use]
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// `(smoke, paper)` compile counts — each at most 1 by
-    /// construction.
-    #[must_use]
-    pub fn compiles(&self) -> (u64, u64) {
-        (
-            self.compiles_smoke.load(Ordering::Relaxed),
-            self.compiles_paper.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -70,7 +60,8 @@ mod tests {
 
     #[test]
     fn compiles_once_per_scale_under_concurrency() {
-        let cache = SuiteCache::new();
+        let metrics = Registry::new();
+        let cache = SuiteCache::new(&metrics);
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
@@ -79,14 +70,15 @@ mod tests {
                 });
             }
         });
-        assert_eq!(cache.requests(), 8);
-        assert_eq!(cache.compiles(), (1, 0));
-        // The two scales get distinct suites.
+        assert_eq!(metrics.counter("cache.suite_requests").get(), 8);
+        assert_eq!(metrics.counter("cache.suite_compiles_smoke").get(), 1);
+        assert_eq!(metrics.counter("cache.suite_compiles_paper").get(), 0);
         let smoke = cache.get(Scale::Smoke);
         let a = smoke.iter().next().unwrap().1.trace.len();
         drop(smoke);
-        // (Compiling paper here would be slow; the per-scale slots are
-        // exercised structurally by the counters instead.)
+        assert_eq!(metrics.counter("cache.suite_requests").get(), 9);
+        // (Compiling paper here would be slow; its slot is exercised
+        // structurally by the counter instead.)
         assert!(a > 0);
     }
 }

@@ -1,10 +1,8 @@
-//! Write-ahead journal for the result cache.
+//! Write-ahead journal for the result cache — the daemon's only
+//! persistence.
 //!
-//! Shutdown-only persistence ([`crate::persist`]) loses every result
-//! since startup to a crash, OOM-kill or power loss — and each result
-//! is exactly the expensive thing this daemon exists to avoid
-//! recomputing. The journal closes that window: every cache insert is
-//! appended, through a batching writer thread, as one framed record
+//! Every cache insert is appended, through a batching writer thread,
+//! as one framed record
 //!
 //! ```text
 //! +-------------+---------------+==============================+
@@ -18,22 +16,22 @@
 //! failing — everything before the tear is durable, and a crash
 //! mid-append costs at most the final batch. A record whose frame is
 //! intact but whose JSON no longer decodes (say, a schema change) is
-//! skipped with a counted warning, like a malformed dump entry.
+//! skipped with a counted warning.
 //!
 //! # Snapshot + compaction
 //!
 //! The writer thread keeps the full persistent state in memory (it
 //! sees every insert, so this costs no coordination with the workers).
 //! When the journal grows past [`JournalConfig::max_bytes`], it
-//! writes a full snapshot — `persist::save`'s temp + fsync + rename +
-//! parent-dir-fsync discipline — to `<journal>.snapshot` and
-//! truncates the journal. Startup therefore loads **snapshot +
-//! journal tail** (plus any `--cache-load` seed underneath), each
-//! layer overriding the one below, so `--cache-load` keeps working
-//! unchanged while the journal bounds both recovery time and disk.
+//! compacts: a full snapshot ([`persist::save`]) goes to
+//! `<journal>.snapshot`, then the journal is truncated. Graceful
+//! shutdown runs the same compaction once the last sender is gone,
+//! unless the journal is already empty. Startup loads **snapshot +
+//! journal tail**, the tail overriding the snapshot.
 //!
-//! A clean shutdown (which writes the `--cache-dump` file) truncates
-//! the journal too; the dump is authoritative at that point.
+//! `journal.appended_records` (`stats`: `journal_records`) is a
+//! durable watermark: a batch is counted only after its `sync_data`
+//! returned, so once it reads N, N records survive a SIGKILL.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -61,17 +59,6 @@ pub struct JournalConfig {
     /// Rotation threshold: once the journal exceeds this many bytes,
     /// the writer snapshots and truncates.
     pub max_bytes: u64,
-}
-
-impl JournalConfig {
-    /// A journal at `path` with the default rotation threshold.
-    #[must_use]
-    pub fn new(path: PathBuf) -> Self {
-        JournalConfig {
-            path,
-            max_bytes: DEFAULT_JOURNAL_MAX_BYTES,
-        }
-    }
 }
 
 /// `<journal>.snapshot` — where compaction parks the full state.
@@ -157,11 +144,11 @@ pub fn recover(path: &Path) -> Recovery {
     rec
 }
 
-/// Pre-fetched metric handles for the writer thread.
-pub(crate) struct JournalCounters {
-    pub appended_records: std::sync::Arc<oov_obs::Counter>,
-    pub appended_bytes: std::sync::Arc<oov_obs::Counter>,
-    pub rotations: std::sync::Arc<oov_obs::Counter>,
+/// The writer thread's handles on the server's `journal.*` counters.
+struct JournalCounters {
+    appended_records: std::sync::Arc<oov_obs::Counter>,
+    appended_bytes: std::sync::Arc<oov_obs::Counter>,
+    rotations: std::sync::Arc<oov_obs::Counter>,
 }
 
 /// The batching journal writer: owns the file, the full persistent
@@ -169,22 +156,22 @@ pub(crate) struct JournalCounters {
 /// through a clonable [`mpsc::Sender`] — an append is one non-blocking
 /// send, never an fsync on the request path.
 pub(crate) struct JournalWriter {
-    tx: Option<mpsc::Sender<CacheLine>>,
-    thread: Option<JoinHandle<()>>,
-    path: PathBuf,
+    tx: mpsc::Sender<CacheLine>,
+    thread: JoinHandle<()>,
 }
 
 impl JournalWriter {
     /// Opens (creating if needed) and truncates the journal to its
     /// intact prefix, then starts the writer thread. `state` is the
-    /// recovered persistent state (seed + snapshot + journal tail,
-    /// merged) the thread snapshots from; `intact_bytes` comes from
-    /// [`recover`].
+    /// recovered persistent state (snapshot + journal tail, merged)
+    /// the thread snapshots from; `intact_bytes` comes from
+    /// [`recover`]. The `journal.*` counters are registered in
+    /// `metrics`.
     pub(crate) fn start(
         cfg: JournalConfig,
         state: HashMap<u64, CacheLine>,
         intact_bytes: u64,
-        counters: JournalCounters,
+        metrics: &oov_obs::Registry,
     ) -> Result<JournalWriter, String> {
         let file = (|| -> std::io::Result<std::fs::File> {
             let f = std::fs::OpenOptions::new()
@@ -198,52 +185,35 @@ impl JournalWriter {
             Ok(f)
         })()
         .map_err(|e| format!("journal {}: {e}", cfg.path.display()))?;
+        let counters = JournalCounters {
+            appended_records: metrics.counter("journal.appended_records"),
+            appended_bytes: metrics.counter("journal.appended_bytes"),
+            rotations: metrics.counter("journal.rotations"),
+        };
         let (tx, rx) = mpsc::channel::<CacheLine>();
-        let path = cfg.path.clone();
         let thread = std::thread::Builder::new()
             .name("oov-journal".to_string())
             .spawn(move || writer_loop(&rx, file, state, &cfg, &counters))
             .map_err(|e| format!("journal writer spawn: {e}"))?;
-        Ok(JournalWriter {
-            tx: Some(tx),
-            thread: Some(thread),
-            path,
-        })
+        Ok(JournalWriter { tx, thread })
     }
 
     /// A sender workers append through.
     pub(crate) fn sender(&self) -> mpsc::Sender<CacheLine> {
-        self.tx.as_ref().expect("writer running").clone()
+        self.tx.clone()
     }
 
-    /// Drains and stops the writer. With `truncate`, the journal is
-    /// then emptied — the caller just wrote an authoritative dump, so
-    /// replaying the journal on top would only repeat it.
-    pub(crate) fn finish(mut self, truncate: bool) {
-        drop(self.tx.take());
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        if truncate {
-            if let Err(e) = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&self.path)
-                .and_then(|f| {
-                    f.set_len(0)?;
-                    f.sync_all()
-                })
-            {
-                eprintln!(
-                    "oov-serve: journal {}: truncate after dump failed: {e}",
-                    self.path.display()
-                );
-            }
-        }
+    /// Drops this handle's sender and waits for the writer, which
+    /// drains, compacts and exits once every other sender is gone too.
+    pub(crate) fn finish(self) {
+        drop(self.tx);
+        let _ = self.thread.join();
     }
 }
 
-/// The writer thread: batch, frame, append, fsync; snapshot + truncate
-/// past the size threshold. Exits when every sender is gone.
+/// The writer thread: batch, frame, append, fsync; compact past the
+/// size threshold. Once every sender is gone it compacts a final time
+/// (unless the journal is already empty) and exits.
 fn writer_loop(
     rx: &mpsc::Receiver<CacheLine>,
     mut file: std::fs::File,
@@ -252,8 +222,13 @@ fn writer_loop(
     counters: &JournalCounters,
 ) {
     let mut journal_bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
+    // True while `state` holds records the snapshot lacks: a
+    // recovered tail, or any batch since the last compaction (even
+    // one whose append failed).
+    let mut unsaved = journal_bytes > 0;
     let mut buf: Vec<u8> = Vec::with_capacity(64 << 10);
     while let Ok(first) = rx.recv() {
+        unsaved = true;
         buf.clear();
         let mut records = 0u64;
         let mut next = Some(first);
@@ -285,32 +260,46 @@ fn writer_loop(
         journal_bytes += buf.len() as u64;
         counters.appended_records.add(records);
         counters.appended_bytes.add(buf.len() as u64);
-        if journal_bytes <= cfg.max_bytes {
-            continue;
+        if journal_bytes > cfg.max_bytes && compact(&file, &state, cfg, counters) {
+            journal_bytes = 0;
+            unsaved = false;
         }
-        // Compaction: snapshot the full state, then truncate. A crash
-        // between the two leaves snapshot + journal overlapping, which
-        // replay handles (same keys, same values — later wins).
-        let mut entries: Vec<CacheLine> = state.values().cloned().collect();
-        entries.sort_by_key(|e| e.key);
-        match persist::save(&snapshot_path(&cfg.path), &entries) {
-            Ok(()) => {
-                let truncated = file.set_len(0).and_then(|()| file.sync_all());
-                match truncated {
-                    Ok(()) => {
-                        journal_bytes = 0;
-                        counters.rotations.inc();
-                    }
-                    Err(e) => eprintln!(
-                        "oov-serve: journal {}: post-snapshot truncate failed: {e}",
-                        cfg.path.display()
-                    ),
-                }
-            }
-            Err(e) => eprintln!(
-                "oov-serve: journal {}: snapshot failed ({e}); journal keeps growing",
+    }
+    if unsaved {
+        compact(&file, &state, cfg, counters);
+    }
+}
+
+/// Snapshots the full state, then truncates the journal; returns
+/// whether both happened. A crash between the two leaves snapshot and
+/// journal overlapping, which replay handles (same keys, same values —
+/// later wins).
+fn compact(
+    file: &std::fs::File,
+    state: &HashMap<u64, CacheLine>,
+    cfg: &JournalConfig,
+    counters: &JournalCounters,
+) -> bool {
+    let mut entries: Vec<CacheLine> = state.values().cloned().collect();
+    entries.sort_by_key(|e| e.key);
+    if let Err(e) = persist::save(&snapshot_path(&cfg.path), &entries) {
+        eprintln!(
+            "oov-serve: journal {}: snapshot failed ({e}); journal keeps growing",
+            cfg.path.display()
+        );
+        return false;
+    }
+    match file.set_len(0).and_then(|()| file.sync_all()) {
+        Ok(()) => {
+            counters.rotations.inc();
+            true
+        }
+        Err(e) => {
+            eprintln!(
+                "oov-serve: journal {}: post-snapshot truncate failed: {e}",
                 cfg.path.display()
-            ),
+            );
+            false
         }
     }
 }
@@ -399,12 +388,23 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    fn counters() -> JournalCounters {
-        let reg = oov_obs::Registry::new();
-        JournalCounters {
-            appended_records: reg.counter("journal.appended_records"),
-            appended_bytes: reg.counter("journal.appended_bytes"),
-            rotations: reg.counter("journal.rotations"),
+    fn cfg(path: &Path) -> JournalConfig {
+        JournalConfig {
+            path: path.to_path_buf(),
+            max_bytes: DEFAULT_JOURNAL_MAX_BYTES,
+        }
+    }
+
+    /// Polls counter `name` until it reaches `n`.
+    fn await_counter(metrics: &oov_obs::Registry, name: &str, n: u64) {
+        let counter = metrics.counter(name);
+        let t0 = std::time::Instant::now();
+        while counter.get() < n {
+            assert!(
+                t0.elapsed() < std::time::Duration::from_secs(10),
+                "{name} never reached {n}"
+            );
+            std::thread::yield_now();
         }
     }
 
@@ -412,6 +412,7 @@ mod tests {
     fn writer_appends_durably_and_truncates_torn_tail() {
         let path = tmp("writer.wal");
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(snapshot_path(&path)).ok();
         // Pre-existing torn tail: start() must drop it.
         write_journal(&path, &[line(9, 90)]);
         let keep = std::fs::metadata(&path).unwrap().len();
@@ -419,22 +420,25 @@ mod tests {
         buf.extend_from_slice(&[0xAB; 6]);
         std::fs::write(&path, &buf).unwrap();
 
-        let w = JournalWriter::start(
-            JournalConfig::new(path.clone()),
-            HashMap::new(),
-            keep,
-            counters(),
-        )
-        .unwrap();
+        let metrics = oov_obs::Registry::new();
+        let state = HashMap::from([(9, line(9, 90))]);
+        let w = JournalWriter::start(cfg(&path), state, keep, &metrics).unwrap();
         let tx = w.sender();
         tx.send(line(1, 10)).unwrap();
         tx.send(line(2, 20)).unwrap();
         drop(tx);
-        w.finish(false);
+        // Both records are on disk once the watermark says so.
+        await_counter(&metrics, "journal.appended_records", 2);
         let rec = recover(&path);
         assert_eq!(rec.entries, vec![line(9, 90), line(1, 10), line(2, 20)]);
         assert_eq!(rec.truncated_bytes, 0);
+        // Stopping compacts: an empty journal beside a full snapshot.
+        w.finish();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        let snap = persist::load(&snapshot_path(&path)).unwrap();
+        assert_eq!(snap, (vec![line(1, 10), line(2, 20), line(9, 90)], 0));
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(snapshot_path(&path)).ok();
     }
 
     #[test]
@@ -447,46 +451,52 @@ mod tests {
             path: path.clone(),
             max_bytes: 256, // a couple of records
         };
-        let c = counters();
-        let rotations = std::sync::Arc::clone(&c.rotations);
-        let w = JournalWriter::start(cfg, HashMap::new(), 0, c).unwrap();
+        let metrics = oov_obs::Registry::new();
+        let w = JournalWriter::start(cfg, HashMap::new(), 0, &metrics).unwrap();
         let tx = w.sender();
-        for k in 0..32 {
+        for k in 0..16 {
             tx.send(line(k, k * 10)).unwrap();
         }
-        drop(tx);
-        w.finish(false);
-        assert!(rotations.get() >= 1, "no compaction happened");
-        // Snapshot + journal tail together hold every record.
+        // The writer is still running, so this compaction is the size
+        // threshold's, not shutdown's.
+        await_counter(&metrics, "journal.rotations", 1);
+        for k in 16..32 {
+            tx.send(line(k, k * 10)).unwrap();
+        }
+        // Crash-after-rotation state, with the writer still running:
+        // snapshot + journal tail together hold every record. Reading
+        // the journal before the snapshot is race-free against a
+        // concurrent compaction, which saves before it truncates.
+        await_counter(&metrics, "journal.appended_records", 32);
+        let tail = recover(&path).entries;
         let (snap_entries, skipped) = persist::load(&snap).unwrap();
         assert_eq!(skipped, 0);
-        let mut merged: HashMap<u64, CacheLine> =
-            snap_entries.into_iter().map(|e| (e.key, e)).collect();
-        for e in recover(&path).entries {
-            merged.insert(e.key, e);
-        }
-        assert_eq!(merged.len(), 32);
-        for k in 0..32u64 {
-            assert_eq!(merged[&k].result.stats.cycles, k * 10);
-        }
+        let merged: HashMap<u64, CacheLine> =
+            snap_entries.into_iter().chain(tail).map(|e| (e.key, e)).collect();
+        let all: Vec<CacheLine> = (0..32).map(|k| line(k, k * 10)).collect();
+        assert_eq!(merged, all.iter().map(|e| (e.key, e.clone())).collect());
+        drop(tx);
+        w.finish();
+        // Shutdown compacted the rest: the snapshot holds every record
+        // and the journal is empty.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        assert_eq!(persist::load(&snap).unwrap(), (all, 0));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&snap).ok();
     }
 
     #[test]
-    fn finish_truncate_empties_journal() {
+    fn finish_leaves_an_empty_journal_alone() {
         let path = tmp("finish.wal");
+        let snap = snapshot_path(&path);
         std::fs::remove_file(&path).ok();
-        let w = JournalWriter::start(
-            JournalConfig::new(path.clone()),
-            HashMap::new(),
-            0,
-            counters(),
-        )
-        .unwrap();
-        w.sender().send(line(4, 40)).unwrap();
-        w.finish(true);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        std::fs::remove_file(&snap).ok();
+        let metrics = oov_obs::Registry::new();
+        let state = HashMap::from([(4, line(4, 40))]);
+        let w = JournalWriter::start(cfg(&path), state, 0, &metrics).unwrap();
+        w.finish();
+        assert!(!snap.exists(), "an empty journal was compacted");
+        assert_eq!(metrics.counter("journal.rotations").get(), 0);
         std::fs::remove_file(&path).ok();
     }
 }

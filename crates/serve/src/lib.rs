@@ -48,16 +48,19 @@
 //!   the `shard.<n>` prefix: stripe `n` reports requests, service
 //!   time, queue depth and sheds; worker `n` reports panics, respawns
 //!   and liveness.
-//! * **Observability.** Every hot surface reports into an
+//! * **Observability.** Every hot surface reports into one
 //!   [`oov_obs::Registry`]: per-request-type latency histograms,
 //!   per-stripe service-time histograms, queue-depth and in-flight
-//!   gauges, and the result-cache hit/miss/eviction counters. The
-//!   `metrics` request returns the whole snapshot as JSON; `client
-//!   metrics` renders it as a table.
+//!   gauges, and the result-cache, suite-cache and journal counters.
+//!   The `metrics` request returns the whole snapshot as JSON; `stats`
+//!   is a fixed view over the same snapshot.
 //! * **Suite memoisation.** `Suite::compile(scale)` runs at most once
 //!   per scale for the life of the process, behind a lazily-populated
 //!   [`cache::SuiteCache`]; the compile counters are exported over the
 //!   wire so load tests can *prove* memoisation happened.
+//! * **Persistence.** One path: the write-ahead [`journal`], compacted
+//!   into `<journal>.snapshot` when it grows and at graceful shutdown;
+//!   a restart, clean or after a SIGKILL, starts warm from both.
 //! * **Batching.** A `sweep` request fans its misses out across the
 //!   pool and streams rows back **in request order** (a small
 //!   reorder buffer in the connection thread), so a client renders

@@ -1,23 +1,14 @@
-//! Cross-restart persistence of the result cache.
+//! The entry codec and the atomic snapshot writer behind the
+//! write-ahead journal ([`crate::journal`]).
 //!
-//! A long-lived daemon accumulates thousands of simulated points in
-//! its result cache; restarting it (a deploy, a crash, a host move)
-//! used to throw all of that work away. `serve --cache-dump <path>`
-//! writes every cache stripe as one
-//! [`oov_proto::Json`] document at shutdown, and `--cache-load
-//! <path>` seeds a fresh server from such a dump so it starts warm —
-//! `loadgen --cache-file` proves a restarted daemon answers a
-//! repeated workload entirely from cache.
-//!
-//! Each entry carries the full-request fingerprint (the cache key and,
-//! modulo the shard count, its cache stripe — so a dump taken with N
-//! shards loads correctly into a server with M), the
-//! machine-config fingerprint, and the result. Nothing reads the
-//! machine-config fingerprint back: it is kept only as part of the
-//! entry and journal record format. Fingerprints are 64-bit FNV values
-//! that use the whole range, while the wire's JSON numbers are
-//! f64-backed (exact only to 2^53) — so fingerprints travel as hex
-//! strings.
+//! A [`CacheLine`]'s compact JSON ([`encode_entry`]) is one journal
+//! record's payload; a snapshot ([`save`]) is every entry in one
+//! `"type": "cache_dump"` document (version 1), written whenever the
+//! journal compacts. Entries are keyed by full-request fingerprint, so
+//! state written with N shards loads into a server with M. Nothing
+//! reads the machine-config fingerprint back. Fingerprints use the
+//! whole 64-bit range while JSON numbers are exact only to 2^53, so
+//! they travel as hex strings.
 
 use std::io::Write;
 use std::path::Path;
@@ -43,7 +34,7 @@ fn fp_to_hex(fp: u64) -> String {
 }
 
 /// Encodes one cache entry as a JSON object — the `entries` element of
-/// a dump, and (compact) the payload of one journal record.
+/// a snapshot, and (compact) the payload of one journal record.
 #[must_use]
 pub fn encode_entry(e: &CacheLine) -> Json {
     Json::obj(vec![
@@ -62,7 +53,7 @@ pub fn decode_entry(e: &Json) -> Result<CacheLine, String> {
     let fp = |name: &str| {
         e.get(name)
             .and_then(Json::as_str)
-            .ok_or_else(|| format!("cache dump: entry without `{name}`"))
+            .ok_or_else(|| format!("snapshot: entry without `{name}`"))
             .and_then(fp_from_hex)
     };
     Ok(CacheLine {
@@ -70,7 +61,7 @@ pub fn decode_entry(e: &Json) -> Result<CacheLine, String> {
         machine_fp: fp("machine_fp")?,
         result: SimResult::from_json(
             e.get("result")
-                .ok_or_else(|| "cache dump: entry without `result`".to_string())?,
+                .ok_or_else(|| "snapshot: entry without `result`".to_string())?,
         )?,
     })
 }
@@ -78,11 +69,11 @@ pub fn decode_entry(e: &Json) -> Result<CacheLine, String> {
 fn fp_from_hex(s: &str) -> Result<u64, String> {
     let digits = s
         .strip_prefix("0x")
-        .ok_or_else(|| format!("cache dump: fingerprint `{s}` lacks the 0x prefix"))?;
-    u64::from_str_radix(digits, 16).map_err(|e| format!("cache dump: bad fingerprint `{s}`: {e}"))
+        .ok_or_else(|| format!("snapshot: fingerprint `{s}` lacks the 0x prefix"))?;
+    u64::from_str_radix(digits, 16).map_err(|e| format!("snapshot: bad fingerprint `{s}`: {e}"))
 }
 
-/// Encodes a set of cache entries as one JSON document.
+/// Encodes a set of cache entries as one snapshot document.
 #[must_use]
 pub fn encode(entries: &[CacheLine]) -> Json {
     Json::obj(vec![
@@ -109,16 +100,16 @@ pub fn encode(entries: &[CacheLine]) -> Json {
 pub fn decode(doc: &Json) -> Result<(Vec<CacheLine>, u64), String> {
     match doc.get("type").and_then(Json::as_str) {
         Some("cache_dump") => {}
-        _ => return Err("cache dump: not a cache_dump document".into()),
+        _ => return Err("snapshot: not a cache_dump document".into()),
     }
     match doc.get("version").and_then(Json::as_u64) {
         Some(1) => {}
-        v => return Err(format!("cache dump: unsupported version {v:?}")),
+        v => return Err(format!("snapshot: unsupported version {v:?}")),
     }
     let raw = doc
         .get("entries")
         .and_then(Json::as_arr)
-        .ok_or_else(|| "cache dump: missing `entries`".to_string())?;
+        .ok_or_else(|| "snapshot: missing `entries`".to_string())?;
     let mut entries = Vec::with_capacity(raw.len());
     let mut skipped = 0u64;
     for (ix, e) in raw.iter().enumerate() {
@@ -126,31 +117,22 @@ pub fn decode(doc: &Json) -> Result<(Vec<CacheLine>, u64), String> {
             Ok(line) => entries.push(line),
             Err(why) => {
                 skipped += 1;
-                eprintln!("oov-serve: cache dump: skipping malformed entry {ix}: {why}");
+                eprintln!("oov-serve: snapshot: skipping malformed entry {ix}: {why}");
             }
         }
     }
     Ok((entries, skipped))
 }
 
-/// Fsyncs the directory containing `path`, making a just-renamed file
-/// durable (the rename itself lives in the directory's data). Shared
-/// by the dump writer and the journal's compaction path.
-pub(crate) fn fsync_parent_dir(path: &Path) -> std::io::Result<()> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(parent)?.sync_all()
-}
-
-/// Writes a dump to `path`, durably and atomically: temp file +
+/// Writes a snapshot to `path`, durably and atomically: temp file +
 /// `fsync` + rename + **fsync of the parent directory** (without the
 /// last step the rename itself can be lost to a crash, resurrecting
-/// the old dump — or nothing). The temp name carries the writer's pid
-/// (`<path>.tmp.<pid>`), so two servers sharing a dump path cannot
+/// the old snapshot — or nothing). The temp name carries the writer's
+/// pid (`<path>.tmp.<pid>`), so two servers sharing a path cannot
 /// clobber each other's in-flight temp file; the loser of the final
-/// rename race still leaves a complete, valid dump.
+/// rename race still leaves a complete, valid snapshot. A failed save
+/// removes its temp file, so a retried compaction leaves nothing
+/// behind.
 ///
 /// # Errors
 ///
@@ -165,12 +147,22 @@ pub fn save(path: &Path, entries: &[CacheLine]) -> Result<(), String> {
         writeln!(f, "{}", doc.pretty())?;
         f.sync_all()?;
         std::fs::rename(&tmp, path)?;
-        fsync_parent_dir(path)
+        // The rename lives in the directory's data.
+        let parent = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(parent)?.sync_all()
     })()
-    .map_err(|e| format!("{}: {e}", path.display()))
+    .map_err(|e| {
+        // After a successful rename there is no temp file left and
+        // this is a harmless `NotFound`.
+        let _ = std::fs::remove_file(&tmp);
+        format!("{}: {e}", path.display())
+    })
 }
 
-/// Reads a dump written by [`save`]; returns the good entries plus
+/// Reads a snapshot written by [`save`]; returns the good entries plus
 /// the count of malformed entries skipped (see [`decode`]).
 ///
 /// # Errors
@@ -222,6 +214,22 @@ mod tests {
         save(&path, &entries).unwrap();
         assert_eq!(load(&path).unwrap(), (entries, 0));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_save_leaves_no_temp_file() {
+        // A directory in the way makes the final rename fail after the
+        // temp file was written and synced.
+        let path = std::env::temp_dir().join(format!("oov_snap_dir_{}", std::process::id()));
+        std::fs::create_dir_all(&path).unwrap();
+        assert!(save(&path, &[line(1, 10, 100)]).is_err());
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(format!(".tmp.{}", std::process::id()));
+        assert!(
+            !std::path::Path::new(&tmp).exists(),
+            "failed save left its temp file behind"
+        );
+        std::fs::remove_dir(&path).ok();
     }
 
     #[test]

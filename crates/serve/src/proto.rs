@@ -367,10 +367,13 @@ pub struct StatsSnapshot {
     /// expired `deadline_ms`, the shutdown cancel flag, or the
     /// per-job cycle cap.
     pub cancelled_jobs: u64,
-    /// Malformed cache entries skipped (with a warning) while seeding
-    /// from `--cache-load`, the journal snapshot, or the journal tail.
+    /// Malformed cache entries skipped (with a warning) while
+    /// recovering from the journal's snapshot or its tail. The name
+    /// predates the journal and stays for wire compatibility.
     pub cache_load_skipped: u64,
-    /// Records appended to the write-ahead journal since startup.
+    /// Records durably appended to the write-ahead journal since
+    /// startup: a record is counted only after its batch's
+    /// `sync_data`, so this is a watermark a SIGKILL cannot undo.
     pub journal_records: u64,
     /// Journal compactions (snapshot written, journal truncated).
     pub journal_rotations: u64,

@@ -77,7 +77,7 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -85,10 +85,11 @@ use std::time::{Duration, Instant};
 
 use oov_bench::machine_run_budgeted;
 use oov_core::{AbortReason, RunBudget, SimArena};
+use oov_proto::Json;
 
 use crate::cache::SuiteCache;
 use crate::chaos::{ChaosConfig, JobFault};
-use crate::journal::{self, JournalConfig, JournalCounters, JournalWriter};
+use crate::journal::{self, JournalConfig, JournalWriter};
 use crate::persist::{self, CacheLine};
 use crate::proto::{Request, Response, SimRequest, SimResult, StatsSnapshot};
 
@@ -182,7 +183,8 @@ enum JobReply {
 /// Shared server state: the striped result cache, the suite cache,
 /// the metrics registry (with pre-fetched handles for every hot
 /// counter and histogram), fault-tolerance config, and the
-/// shutdown/drain state.
+/// shutdown/drain state. The registry is the one source of every
+/// counter: `stats` is a view over its snapshot ([`stats_view`]).
 struct Engine {
     /// The result cache, one stripe per `--shards`, indexed by
     /// `fp % stripes.len()`.
@@ -218,19 +220,6 @@ struct Engine {
     /// `server.cancelled_jobs` — simulations aborted mid-run by their
     /// budget (deadline, shutdown cancel, or the cycle cap).
     cancelled_jobs: Arc<oov_obs::Counter>,
-    /// `cache.load_skipped` — malformed entries skipped (with a
-    /// warning) while loading the dump, snapshot and journal.
-    cache_load_skipped: Arc<oov_obs::Counter>,
-    /// `journal.appended_records` — records durably appended to the
-    /// write-ahead journal.
-    journal_appended: Arc<oov_obs::Counter>,
-    /// `journal.appended_bytes` — journal bytes written (pre-rotation).
-    journal_appended_bytes: Arc<oov_obs::Counter>,
-    /// `journal.rotations` — snapshot-and-truncate compactions.
-    journal_rotations: Arc<oov_obs::Counter>,
-    /// `journal.recovered_records` — records replayed from the journal
-    /// at startup.
-    journal_recovered: Arc<oov_obs::Counter>,
     /// `request.<kind>.latency_ns`, indexed by [`kind_index`].
     request_latency: Vec<Arc<oov_obs::Histogram>>,
     /// `server.inflight_requests` — requests currently being answered
@@ -268,7 +257,7 @@ impl Engine {
             stripes: (0..n_shards)
                 .map(|_| Mutex::new(Stripe::new(cfg.persist.max_entries)))
                 .collect(),
-            suites: SuiteCache::new(),
+            suites: SuiteCache::new(&metrics),
             result_hits: metrics.counter("cache.result_hits"),
             result_misses: metrics.counter("cache.result_misses"),
             result_evictions: metrics.counter("cache.result_evictions"),
@@ -299,11 +288,6 @@ impl Engine {
                 .collect(),
             deadline_drops: metrics.counter("server.deadline_drops"),
             cancelled_jobs: metrics.counter("server.cancelled_jobs"),
-            cache_load_skipped: metrics.counter("cache.load_skipped"),
-            journal_appended: metrics.counter("journal.appended_records"),
-            journal_appended_bytes: metrics.counter("journal.appended_bytes"),
-            journal_rotations: metrics.counter("journal.rotations"),
-            journal_recovered: metrics.counter("journal.recovered_records"),
             request_latency: REQUEST_KINDS
                 .iter()
                 .map(|kind| metrics.histogram(&format!("request.{kind}.latency_ns")))
@@ -401,11 +385,11 @@ impl Engine {
 
     /// Lands a leader's `result`: inserts it into the job's stripe,
     /// clears the pending entry and answers every waiter as a hit.
-    fn settle(&self, job: &mut Job, machine_fp: u64, result: &SimResult) {
+    fn settle(&self, job: &mut Job, result: &SimResult) {
         let since = Instant::now();
         let mut stripe = self.stripe(job.stripe);
         let waiters = stripe.pending.remove(&job.fp).unwrap_or_default();
-        let evicted = stripe.lru.insert(job.fp, machine_fp, result.clone());
+        let evicted = stripe.lru.insert(job.fp, result.clone());
         drop(stripe);
         job.settled = true;
         if evicted {
@@ -454,45 +438,101 @@ impl Engine {
         }
     }
 
-    /// Every cached result, across the stripes.
-    fn cache_lines(&self) -> Vec<CacheLine> {
-        (0..self.stripes.len())
-            .flat_map(|n| self.stripe(n).lru.lines())
-            .collect()
-    }
-
-    fn snapshot(&self) -> StatsSnapshot {
-        let per_shard_requests: Vec<u64> = self.per_shard.iter().map(|c| c.get()).collect();
-        let requests: u64 = per_shard_requests.iter().sum();
-        let shard_balance = if requests == 0 {
-            0.0
-        } else {
-            let min = per_shard_requests.iter().copied().min().unwrap_or(0);
-            let mean = requests as f64 / per_shard_requests.len() as f64;
-            min as f64 / mean
-        };
-        let (suite_compiles_smoke, suite_compiles_paper) = self.suites.compiles();
-        StatsSnapshot {
-            requests,
-            result_hits: self.result_hits.get(),
-            result_misses: self.result_misses.get(),
-            result_evictions: self.result_evictions.get(),
-            suite_requests: self.suites.requests(),
-            suite_compiles_smoke,
-            suite_compiles_paper,
-            per_shard_requests,
-            shard_balance,
-            panics: self.panics.iter().map(|c| c.get()).sum(),
-            respawns: self.respawns.iter().map(|c| c.get()).sum(),
-            sheds: self.sheds.iter().map(|c| c.get()).sum(),
-            deadline_drops: self.deadline_drops.get(),
-            cancelled_jobs: self.cancelled_jobs.get(),
-            cache_load_skipped: self.cache_load_skipped.get(),
-            journal_records: self.journal_appended.get(),
-            journal_rotations: self.journal_rotations.get(),
-            journal_recovered: self.journal_recovered.get(),
-            shards_alive: self.alive.iter().map(|g| g.get() != 0).collect(),
+    /// Loads journal `jpath`'s snapshot, then its tail on top (keyed
+    /// by request fingerprint), and seeds the stripes with the result.
+    /// Returns that state and the journal's intact length. An
+    /// unloadable snapshot is skipped with a warning: losing a cache
+    /// must never take the service down.
+    fn recover(&self, jpath: &Path) -> (HashMap<u64, CacheLine>, u64) {
+        let mut state: HashMap<u64, CacheLine> = HashMap::new();
+        let mut skipped = 0u64;
+        let snap = journal::snapshot_path(jpath);
+        if snap.exists() {
+            match persist::load(&snap) {
+                Ok((entries, bad)) => {
+                    skipped += bad;
+                    state.extend(entries.into_iter().map(|e| (e.key, e)));
+                }
+                Err(e) => {
+                    eprintln!("oov-serve: journal snapshot load failed ({e}); skipping it");
+                }
+            }
         }
+        let rec = journal::recover(jpath);
+        self.metrics
+            .counter("journal.recovered_records")
+            .add(rec.entries.len() as u64);
+        self.metrics
+            .counter("cache.load_skipped")
+            .add(skipped + rec.skipped);
+        state.extend(rec.entries.into_iter().map(|e| (e.key, e)));
+        for entry in state.values() {
+            // The stripe `dispatch` looks the key up in, so the shard
+            // count may change across restarts.
+            let n = (entry.key % self.stripes.len() as u64) as usize;
+            let result = SimResult {
+                shard: n,
+                ..entry.result.clone()
+            };
+            // Seeding through the same entry point applies the cap to
+            // an oversized recovery state too.
+            if self.stripe(n).lru.insert(entry.key, result) {
+                self.result_evictions.inc();
+            }
+        }
+        (state, rec.intact_bytes)
+    }
+}
+
+/// The `stats` snapshot as a view over a registry snapshot `m` (see
+/// [`oov_obs::Registry::snapshot`]): every field is a registered
+/// metric, or a sum or ratio of the per-stripe and per-worker ones.
+/// A metric that was never registered reads as 0.
+fn stats_view(m: &Json) -> StatsSnapshot {
+    let metric = |section: &str, name: &str| m.get(section)?.get(name)?.as_f64();
+    // `shard.0.<name>`, `shard.1.<name>`, ... up to the first gap.
+    let per_shard = |section: &str, name: &str| -> Vec<f64> {
+        (0..)
+            .map_while(|n| metric(section, &format!("shard.{n}.{name}")))
+            .collect()
+    };
+    // Counters cross the snapshot as JSON numbers, exact below 2^53.
+    let count = |name: &str| metric("counters", name).unwrap_or(0.0) as u64;
+    let sum = |name: &str| per_shard("counters", name).iter().sum::<f64>() as u64;
+    let per_shard_requests: Vec<u64> = per_shard("counters", "requests")
+        .iter()
+        .map(|&n| n as u64)
+        .collect();
+    let requests: u64 = per_shard_requests.iter().sum();
+    let shard_balance = match per_shard_requests.iter().min() {
+        Some(&min) if requests > 0 => {
+            min as f64 / (requests as f64 / per_shard_requests.len() as f64)
+        }
+        _ => 0.0,
+    };
+    StatsSnapshot {
+        requests,
+        result_hits: count("cache.result_hits"),
+        result_misses: count("cache.result_misses"),
+        result_evictions: count("cache.result_evictions"),
+        suite_requests: count("cache.suite_requests"),
+        suite_compiles_smoke: count("cache.suite_compiles_smoke"),
+        suite_compiles_paper: count("cache.suite_compiles_paper"),
+        per_shard_requests,
+        shard_balance,
+        panics: sum("panics"),
+        respawns: sum("respawns"),
+        sheds: sum("sheds"),
+        deadline_drops: count("server.deadline_drops"),
+        cancelled_jobs: count("server.cancelled_jobs"),
+        cache_load_skipped: count("cache.load_skipped"),
+        journal_records: count("journal.appended_records"),
+        journal_rotations: count("journal.rotations"),
+        journal_recovered: count("journal.recovered_records"),
+        shards_alive: per_shard("gauges", "alive")
+            .iter()
+            .map(|&alive| alive != 0.0)
+            .collect(),
     }
 }
 
@@ -501,25 +541,20 @@ fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Result-cache configuration for [`Server::start_with`]: persistence
-/// plus the per-stripe size bound.
+/// Result-cache configuration ([`ServeConfig::persist`]): the
+/// write-ahead journal plus the per-stripe size bound.
 #[derive(Debug, Default, Clone)]
 pub struct PersistOptions {
-    /// Seed the result cache from this dump at startup.
-    pub load: Option<PathBuf>,
-    /// Write every cache stripe to this path at shutdown.
-    pub dump: Option<PathBuf>,
     /// Maximum result-cache entries **per cache stripe**
     /// (`--cache-entries`).
     /// `None` (the default) keeps the caches unbounded; with a cap,
-    /// the least-recently-used entry is evicted on overflow, so
-    /// persistence dumps and long loadgen runs cannot grow without
-    /// limit.
+    /// the least-recently-used entry is evicted on overflow, so a
+    /// long-running daemon cannot grow without limit.
     pub max_entries: Option<usize>,
-    /// Write-ahead journal path (`--journal`). Every cache insert is
-    /// appended (batched, checksummed, fsynced) so a crash loses at
-    /// most the final in-flight batch; startup replays
-    /// `<journal>.snapshot` plus the journal tail on top of `load`.
+    /// Write-ahead journal path (`--journal`), the only persistence:
+    /// a crash loses at most the final in-flight batch, a graceful
+    /// shutdown compacts into `<journal>.snapshot`, and startup
+    /// replays the snapshot plus the journal tail.
     pub journal: Option<PathBuf>,
     /// Journal rotation threshold in bytes (`--journal-max-bytes`);
     /// past it the writer snapshots the full state and truncates the
@@ -609,7 +644,6 @@ struct Lru {
 
 struct LruEntry {
     key: u64,
-    machine_fp: u64,
     result: SimResult,
     prev: usize,
     next: usize,
@@ -665,10 +699,9 @@ impl Lru {
 
     /// Inserts `key`, evicting the least-recently-used entry when at
     /// the cap. Returns `true` if an entry was evicted.
-    fn insert(&mut self, key: u64, machine_fp: u64, result: SimResult) -> bool {
+    fn insert(&mut self, key: u64, result: SimResult) -> bool {
         if let Some(&slot) = self.map.get(&key) {
             // Overwrite in place and touch.
-            self.slots[slot].machine_fp = machine_fp;
             self.slots[slot].result = result;
             if self.head != slot {
                 self.unlink(slot);
@@ -688,7 +721,6 @@ impl Lru {
         };
         let entry = LruEntry {
             key,
-            machine_fp,
             result,
             prev: NO_SLOT,
             next: NO_SLOT,
@@ -706,24 +738,6 @@ impl Lru {
         self.map.insert(key, slot);
         self.push_front(slot);
         evicted
-    }
-
-    /// The live entries, most recently used first.
-    fn lines(&self) -> Vec<CacheLine> {
-        // Walk the recency list so only live slots are emitted (the
-        // free list may hold stale evicted entries).
-        let mut lines = Vec::with_capacity(self.map.len());
-        let mut slot = self.head;
-        while slot != NO_SLOT {
-            let e = &self.slots[slot];
-            lines.push(CacheLine {
-                key: e.key,
-                machine_fp: e.machine_fp,
-                result: e.result.clone(),
-            });
-            slot = e.next;
-        }
-        lines
     }
 }
 
@@ -747,40 +761,11 @@ impl Server {
         Self::start_cfg(addr, n_shards, ServeConfig::default())
     }
 
-    /// As [`Server::start`], optionally seeding the result cache from
-    /// a dump and/or dumping it at shutdown. Entries are placed in
-    /// stripes by request fingerprint at load, so a dump taken with
-    /// one shard count loads correctly into any other.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket and thread-spawn failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_shards` is zero.
-    pub fn start_with(
-        addr: &str,
-        n_shards: usize,
-        persist_opts: PersistOptions,
-    ) -> io::Result<ServerHandle> {
-        Self::start_cfg(
-            addr,
-            n_shards,
-            ServeConfig {
-                persist: persist_opts,
-                ..ServeConfig::default()
-            },
-        )
-    }
-
     /// The full-configuration entry point: persistence, admission
     /// caps, drain budget and chaos injection.
     ///
-    /// A missing or unloadable `persist.load` file (including a dump
-    /// from a build with an older `SimStats` schema) starts the server
-    /// **cold** with a warning instead of refusing to start — losing
-    /// a cache must never take the service down.
+    /// With a journal, the cache starts warm from its snapshot and
+    /// tail; a journal that cannot be opened only disables journaling.
     ///
     /// # Errors
     ///
@@ -794,103 +779,31 @@ impl Server {
         if cfg.chaos.is_some() {
             install_quiet_worker_panic_hook();
         }
-        // Recover persistent state in layers, each overriding the one
-        // below: the `--cache-load` seed, then the journal's snapshot
-        // (what compaction last parked), then the journal tail (every
-        // insert since). Keyed by request fingerprint, so a key that
-        // appears in several layers resolves to its newest result.
-        let mut state: HashMap<u64, CacheLine> = HashMap::new();
-        let mut load_skipped = 0u64;
-        if let Some(path) = &cfg.persist.load {
-            match persist::load(path) {
-                Ok((entries, skipped)) => {
-                    load_skipped += skipped;
-                    for entry in entries {
-                        state.insert(entry.key, entry);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("oov-serve: cache load failed ({e}); starting cold");
-                }
-            }
-        }
-        let mut journal_intact_bytes = 0u64;
-        let mut journal_recovered = 0u64;
-        if let Some(jpath) = &cfg.persist.journal {
-            let snap = journal::snapshot_path(jpath);
-            if snap.exists() {
-                match persist::load(&snap) {
-                    Ok((entries, skipped)) => {
-                        load_skipped += skipped;
-                        for entry in entries {
-                            state.insert(entry.key, entry);
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("oov-serve: journal snapshot load failed ({e}); skipping it");
-                    }
-                }
-            }
-            let rec = journal::recover(jpath);
-            journal_intact_bytes = rec.intact_bytes;
-            journal_recovered = rec.entries.len() as u64;
-            load_skipped += rec.skipped;
-            for entry in rec.entries {
-                state.insert(entry.key, entry);
-            }
-        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let engine = Arc::new(Engine::new(n_shards, &cfg));
-        engine.cache_load_skipped.add(load_skipped);
-        engine.journal_recovered.add(journal_recovered);
-        for entry in state.values() {
-            // The stripe `dispatch` looks the key up in, so the shard
-            // count may change across restarts.
-            let n = (entry.key % n_shards as u64) as usize;
-            let result = SimResult {
-                shard: n,
-                ..entry.result.clone()
+        let journal_writer = cfg.persist.journal.as_ref().and_then(|jpath| {
+            let (state, intact_bytes) = engine.recover(jpath);
+            let jcfg = JournalConfig {
+                path: jpath.clone(),
+                max_bytes: cfg
+                    .persist
+                    .journal_max_bytes
+                    .unwrap_or(journal::DEFAULT_JOURNAL_MAX_BYTES),
             };
-            // Seeding through the same entry point applies the cap to
-            // an oversized recovery state too.
-            let evicted = engine
-                .stripe(n)
-                .lru
-                .insert(entry.key, entry.machine_fp, result);
-            if evicted {
-                engine.result_evictions.inc();
-            }
-        }
-        let journal_writer = match &cfg.persist.journal {
-            Some(jpath) => {
-                let jcfg = JournalConfig {
-                    path: jpath.clone(),
-                    max_bytes: cfg
-                        .persist
-                        .journal_max_bytes
-                        .unwrap_or(journal::DEFAULT_JOURNAL_MAX_BYTES),
-                };
-                let counters = JournalCounters {
-                    appended_records: Arc::clone(&engine.journal_appended),
-                    appended_bytes: Arc::clone(&engine.journal_appended_bytes),
-                    rotations: Arc::clone(&engine.journal_rotations),
-                };
-                match JournalWriter::start(jcfg, state, journal_intact_bytes, counters) {
-                    Ok(writer) => {
-                        let _ = engine.journal_tx.set(writer.sender());
-                        Some(writer)
-                    }
-                    Err(e) => {
-                        // Like an unloadable dump: losing durability
-                        // must not take the service down.
-                        eprintln!("oov-serve: {e}; journaling disabled");
-                        None
-                    }
+            match JournalWriter::start(jcfg, state, intact_bytes, &engine.metrics) {
+                Ok(writer) => {
+                    let _ = engine.journal_tx.set(writer.sender());
+                    Some(writer)
+                }
+                Err(e) => {
+                    // Losing durability must not take the service
+                    // down.
+                    eprintln!("oov-serve: {e}; journaling disabled");
+                    None
                 }
             }
-            None => None,
-        };
+        });
 
         // One queue for the whole pool. The receiver is shared by the
         // workers and their supervisors, so queued jobs survive a
@@ -935,7 +848,6 @@ impl Server {
             acceptor,
             workers: supervisors,
             engine,
-            dump: cfg.persist.dump,
             journal: journal_writer,
         })
     }
@@ -947,7 +859,6 @@ pub struct ServerHandle {
     acceptor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
     engine: Arc<Engine>,
-    dump: Option<PathBuf>,
     journal: Option<JournalWriter>,
 }
 
@@ -958,10 +869,11 @@ impl ServerHandle {
         self.local_addr
     }
 
-    /// A snapshot of the server counters, taken in-process.
+    /// A snapshot of the server counters, taken in-process — the
+    /// same view over the registry the `stats` request returns.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
-        self.engine.snapshot()
+        stats_view(&self.engine.metrics.snapshot())
     }
 
     /// Requests shutdown (starting the drain clock) and joins every
@@ -975,14 +887,12 @@ impl ServerHandle {
 
     /// Joins every server thread; returns once the server has shut
     /// down (via [`ServerHandle::stop`] or a client's `shutdown`
-    /// request). If the server was started with a dump path, every
-    /// cache stripe is written there before returning.
+    /// request), the journal (if any) compacted into its snapshot.
     pub fn join(self) {
         let ServerHandle {
             acceptor,
             workers,
             engine,
-            dump,
             journal,
             ..
         } = self;
@@ -995,31 +905,11 @@ impl ServerHandle {
                 eprintln!("oov-serve: worker {w} supervisor died");
             }
         }
-        let mut dumped = false;
-        if let Some(path) = &dump {
-            let mut entries = engine.cache_lines();
-            // Deterministic file order regardless of stripe count.
-            entries.sort_by_key(|e| e.key);
-            if let Err(e) = persist::save(path, &entries) {
-                eprintln!("oov-serve: cache dump failed: {e}");
-            } else {
-                dumped = true;
-                eprintln!(
-                    "oov-serve: dumped {} cached results to {}",
-                    entries.len(),
-                    path.display()
-                );
-            }
-        }
-        // The engine holds a journal sender; the writer drains and
-        // exits once that and every other clone are gone.
+        // The engine holds a journal sender; the writer drains,
+        // compacts and exits once that and every other clone are gone.
         drop(engine);
         if let Some(writer) = journal {
-            // After a successful dump the journal's contents are
-            // redundant — truncate so the next start replays only the
-            // dump. With no dump (or a failed one) the journal stays:
-            // it IS the durable state.
-            writer.finish(dumped);
+            writer.finish();
         }
     }
 }
@@ -1202,14 +1092,13 @@ fn run_job(
                 cached: false,
                 shard: job.stripe,
             };
-            let machine_fp = req.machine.fingerprint();
-            engine.settle(job, machine_fp, &r);
+            engine.settle(job, &r);
             // Write-ahead append: one non-blocking send to the journal
             // writer; durability happens off the job path.
             if let Some(tx) = engine.journal_tx.get() {
                 let _ = tx.send(CacheLine {
                     key: job.fp,
-                    machine_fp,
+                    machine_fp: req.machine.fingerprint(),
                     result: r.clone(),
                 });
             }
@@ -1473,7 +1362,10 @@ fn answer(
     match req {
         Request::Ping => write_response(writer, &Response::Pong)?,
         Request::Stats => {
-            write_response(writer, &Response::Stats(engine.snapshot()))?;
+            write_response(
+                writer,
+                &Response::Stats(stats_view(&engine.metrics.snapshot())),
+            )?;
         }
         Request::Metrics => {
             write_response(
@@ -1634,15 +1526,15 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_in_order() {
         let mut c = Lru::new(Some(2));
-        assert!(!c.insert(1, 10, result(1)));
-        assert!(!c.insert(2, 20, result(2)));
+        assert!(!c.insert(1, result(1)));
+        assert!(!c.insert(2, result(2)));
         // Touch 1 so 2 becomes the LRU victim.
         assert_eq!(c.get(1).unwrap().stats.cycles, 1);
-        assert!(c.insert(3, 30, result(3)), "must evict at the cap");
+        assert!(c.insert(3, result(3)), "must evict at the cap");
         assert!(c.get(2).is_none(), "2 was the LRU entry");
         assert_eq!(keys_mru_to_lru(&c), vec![3, 1]);
         // Evicted slot is recycled, list stays consistent.
-        assert!(c.insert(4, 40, result(4)));
+        assert!(c.insert(4, result(4)));
         assert_eq!(keys_mru_to_lru(&c), vec![4, 3]);
         assert_eq!(c.slots.len(), 2, "slots are recycled, not grown");
     }
@@ -1650,28 +1542,24 @@ mod tests {
     #[test]
     fn lru_overwrite_touches_without_evicting() {
         let mut c = Lru::new(Some(2));
-        c.insert(1, 10, result(1));
-        c.insert(2, 20, result(2));
-        assert!(!c.insert(1, 11, result(100)), "overwrite never evicts");
+        c.insert(1, result(1));
+        c.insert(2, result(2));
+        assert!(!c.insert(1, result(100)), "overwrite never evicts");
         assert_eq!(c.get(1).unwrap().stats.cycles, 100);
         assert_eq!(keys_mru_to_lru(&c), vec![1, 2]);
-        let mut lines = c.lines();
-        lines.sort_by_key(|l| l.key);
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0].machine_fp, 11);
     }
 
     #[test]
     fn lru_unbounded_and_single_entry_caps() {
         let mut c = Lru::new(None);
         for k in 0..64 {
-            assert!(!c.insert(k, k, result(k)));
+            assert!(!c.insert(k, result(k)));
         }
-        assert_eq!(c.lines().len(), 64);
+        assert_eq!(keys_mru_to_lru(&c).len(), 64);
         // A zero cap behaves as "cache one entry".
         let mut one = Lru::new(Some(0));
-        assert!(!one.insert(1, 1, result(1)));
-        assert!(one.insert(2, 2, result(2)));
+        assert!(!one.insert(1, result(1)));
+        assert!(one.insert(2, result(2)));
         assert!(one.get(1).is_none());
         assert_eq!(one.get(2).unwrap().stats.cycles, 2);
     }

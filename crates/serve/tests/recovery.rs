@@ -3,7 +3,8 @@
 //! corruption recovers exactly the intact-record prefix without ever
 //! panicking or serving a corrupted result, and a `deadline_ms`
 //! expiring *mid-simulation* aborts the run cooperatively instead of
-//! completing it.
+//! completing it. Durability is awaited on the journal's watermark
+//! (`journal_records`, counted after `sync_data`), never by sleeping.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -63,6 +64,18 @@ fn spawn_serve(args: &[&str]) -> ServeProc {
     }
 }
 
+/// Polls `stats` until the journal's durable watermark reaches `n`.
+fn await_journal_records(client: &mut Client, n: u64) {
+    let t0 = Instant::now();
+    while client.stats().expect("stats").journal_records < n {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "journal writer never made {n} records durable"
+        );
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn sigkilled_server_restarts_warm_from_the_journal() {
     let jpath = tmp("kill.wal");
@@ -78,21 +91,13 @@ fn sigkilled_server_restarts_warm_from_the_journal() {
             let r = client.sim(p).expect("fresh simulation");
             assert!(!r.cached, "first run must be a miss");
         }
+        // Every result was answered, so every journal append is at
+        // least queued; wait on the durable watermark before pulling
+        // the plug.
+        await_journal_records(&mut client, points.len() as u64);
     }
-    // Every result was answered, so every journal append is at least
-    // queued; wait for the batching writer to make them durable before
-    // pulling the plug.
-    let t0 = Instant::now();
-    while journal::recover(&jpath).entries.len() < points.len() {
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "journal writer never persisted all {} records",
-            points.len()
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    // SIGKILL: no drop handlers, no dump, no clean close — the journal
-    // is all that survives.
+    // SIGKILL: no drop handlers, no compaction, no clean close — the
+    // journal is all that survives.
     first.child.kill().expect("SIGKILL");
     first.child.wait().expect("reap");
 
@@ -142,10 +147,13 @@ fn corrupted_journal_recovers_exactly_the_intact_prefix() {
     for p in &points {
         client.sim(p).expect("simulate");
     }
-    client.shutdown().expect("shutdown");
-    server.join(); // no dump configured, so the journal is kept
-
+    // Copy the journal once every record is durable and before the
+    // shutdown, which compacts it into the snapshot.
+    await_journal_records(&mut client, points.len() as u64);
     let pristine = std::fs::read(&jpath).expect("journal exists");
+    client.shutdown().expect("shutdown");
+    server.join();
+    std::fs::write(&jpath, &pristine).expect("restore the journal copy");
     let baseline = journal::recover(&jpath);
     assert_eq!(baseline.entries.len(), points.len());
     assert_eq!(baseline.truncated_bytes, 0);
@@ -189,6 +197,7 @@ fn corrupted_journal_recovers_exactly_the_intact_prefix() {
         assert_eq!(rec.entries[..], baseline.entries[..intact]);
     }
     std::fs::remove_file(&jpath).ok();
+    std::fs::remove_file(journal::snapshot_path(&jpath)).ok();
 }
 
 #[test]

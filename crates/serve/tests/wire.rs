@@ -10,7 +10,8 @@ use oov_kernels::{Program, Scale};
 use oov_proto::Json;
 use oov_ref::RefSim;
 use oov_serve::{
-    Client, PersistOptions, Request, Response, Server, SimRequest, SimResult, StatsSnapshot,
+    journal, Client, PersistOptions, Request, Response, ServeConfig, Server, SimRequest, SimResult,
+    StatsSnapshot,
 };
 use oov_stats::SimStats;
 
@@ -467,105 +468,30 @@ fn concurrent_clients_get_bit_identical_results() {
     server.join();
 }
 
-/// The `metrics` request against a spawned server: the registry
-/// snapshot round-trips the wire, its counters agree with the `stats`
-/// snapshot, and the latency histograms decode and cover every
-/// request.
-#[test]
-fn metrics_snapshot_matches_server_activity() {
-    let server = Server::start("127.0.0.1:0", 2).expect("server start");
-    let addr = server.addr();
-    let mut client = Client::connect(addr).expect("connect");
-    client.ping().expect("ping");
-    let reqs = [
-        SimRequest::ooo_default(Program::Trfd, Scale::Smoke),
-        SimRequest::ooo_default(Program::Dyfesm, Scale::Smoke),
-        SimRequest::ooo_default(Program::Trfd, Scale::Smoke), // cache hit
-    ];
-    for r in &reqs {
-        client.sim(r).expect("sim");
+/// A config with an optional journal and per-stripe cap.
+fn persist_cfg(journal: Option<&std::path::Path>, max_entries: Option<usize>) -> ServeConfig {
+    ServeConfig {
+        persist: PersistOptions {
+            journal: journal.map(std::path::Path::to_path_buf),
+            max_entries,
+            ..PersistOptions::default()
+        },
+        ..ServeConfig::default()
     }
-    let stats = client.stats().expect("stats");
-    let snap = client.metrics().expect("metrics");
-
-    let section = |name: &str| -> Vec<(String, Json)> {
-        match snap.get(name) {
-            Some(Json::Obj(kv)) => kv.clone(),
-            other => panic!("metrics snapshot: bad `{name}` section: {other:?}"),
-        }
-    };
-    let counters = section("counters");
-    let counter = |name: &str| {
-        counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_u64())
-            .unwrap_or_else(|| panic!("missing counter {name}"))
-    };
-    assert_eq!(counter("cache.result_hits"), stats.result_hits);
-    assert_eq!(counter("cache.result_misses"), stats.result_misses);
-    assert_eq!(counter("cache.result_evictions"), stats.result_evictions);
-    assert_eq!(stats.result_hits, 1, "third request repeats the first");
-    assert_eq!(stats.result_misses, 2);
-    let shard_sum: u64 = (0..2)
-        .map(|s| counter(&format!("shard.{s}.requests")))
-        .sum();
-    assert_eq!(
-        shard_sum, stats.requests,
-        "per-shard counters cover all jobs"
-    );
-
-    let gauges = section("gauges");
-    let gauge = |name: &str| {
-        gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_f64())
-            .unwrap_or_else(|| panic!("missing gauge {name}"))
-    };
-    // The metrics request itself is the only one in flight when the
-    // snapshot is taken, and every dispatched job has been drained.
-    assert_eq!(gauge("server.inflight_requests"), 1.0);
-    assert_eq!(
-        gauge("shard.0.queue_depth") + gauge("shard.1.queue_depth"),
-        0.0
-    );
-
-    let hists = section("histograms");
-    let hist = |name: &str| {
-        let j = hists
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("missing histogram {name}"));
-        oov_obs::Histogram::from_json(j).expect("histogram decodes")
-    };
-    let sim_lat = hist("request.sim.latency_ns");
-    assert_eq!(sim_lat.count(), reqs.len() as u64);
-    assert!(sim_lat.max() > 0, "sim requests take measurable time");
-    assert!(sim_lat.percentile(50.0) <= sim_lat.percentile(99.0));
-    assert!(sim_lat.percentile(99.0) <= sim_lat.max());
-    let service: u64 = (0..2)
-        .map(|s| hist(&format!("shard.{s}.service_ns")).count())
-        .sum();
-    assert_eq!(service, stats.requests, "every job's service time lands");
-
-    Client::connect(addr)
-        .expect("connect")
-        .shutdown()
-        .expect("shutdown");
-    server.join();
 }
 
-/// Cache persistence across a full server restart: a server dumps its
-/// result caches at shutdown; a fresh server — with a *different*
-/// shard count, so routing is recomputed — loads them and answers the
-/// same requests as cache hits, bit-identical, without simulating or
-/// compiling anything.
+/// Cache persistence across a graceful restart: a server journals
+/// every result and compacts at shutdown (the journal ends empty, the
+/// snapshot holds everything); a fresh server on the same journal —
+/// with a *different* shard count, so routing is recomputed — answers
+/// the same requests as cache hits, bit-identical, without simulating
+/// or compiling anything.
 #[test]
 fn result_caches_survive_a_restart() {
-    let dump = std::env::temp_dir().join(format!("oov_serve_cache_{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&dump);
+    let jpath = std::env::temp_dir().join(format!("oov_serve_cache_{}.wal", std::process::id()));
+    let snap = journal::snapshot_path(&jpath);
+    let _ = std::fs::remove_file(&jpath);
+    let _ = std::fs::remove_file(&snap);
     let points = [
         SimRequest::ooo_default(Program::Trfd, Scale::Smoke),
         SimRequest::ooo_default(Program::Dyfesm, Scale::Smoke),
@@ -579,17 +505,9 @@ fn result_caches_survive_a_restart() {
         },
     ];
 
-    // Phase 1: cold server simulates everything, dumps at shutdown.
-    let server = Server::start_with(
-        "127.0.0.1:0",
-        3,
-        PersistOptions {
-            load: None,
-            dump: Some(dump.clone()),
-            ..PersistOptions::default()
-        },
-    )
-    .expect("server start");
+    // Phase 1: cold server simulates everything, compacts at shutdown.
+    let server =
+        Server::start_cfg("127.0.0.1:0", 3, persist_cfg(Some(&jpath), None)).expect("server start");
     let addr = server.addr();
     let mut client = Client::connect(addr).expect("connect");
     let cold: Vec<SimResult> = points
@@ -602,17 +520,18 @@ fn result_caches_survive_a_restart() {
         .shutdown()
         .expect("shutdown");
     server.join();
-    assert!(dump.exists(), "no cache dump written");
+    assert_eq!(
+        std::fs::metadata(&jpath).expect("journal exists").len(),
+        0,
+        "graceful shutdown must compact the journal away"
+    );
+    assert!(snap.exists(), "no snapshot written at shutdown");
 
-    // Phase 2: warm server answers everything from the loaded cache.
-    let server = Server::start_with(
+    // Phase 2: warm server answers everything from the snapshot.
+    let server = Server::start_cfg(
         "127.0.0.1:0",
-        2, // different shard count: load must re-route
-        PersistOptions {
-            load: Some(dump.clone()),
-            dump: None,
-            ..PersistOptions::default()
-        },
+        2, // different shard count: recovery must re-route
+        persist_cfg(Some(&jpath), None),
     )
     .expect("warm server start");
     let addr = server.addr();
@@ -642,7 +561,115 @@ fn result_caches_survive_a_restart() {
         .shutdown()
         .expect("shutdown");
     server.join();
-    std::fs::remove_file(&dump).ok();
+    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_file(&snap).ok();
+}
+
+/// `stats` is a view over `metrics`: after a run with misses, hits and
+/// an eviction, every `StatsSnapshot` field equals the registry value
+/// (or the sum, or the balance ratio, of the per-stripe ones) that the
+/// same server reports in `metrics`. The registry's gauges and latency
+/// histograms decode and cover every request too.
+#[test]
+fn stats_is_a_view_over_metrics() {
+    let jpath = std::env::temp_dir().join(format!("oov_serve_view_{}.wal", std::process::id()));
+    let snap = journal::snapshot_path(&jpath);
+    let _ = std::fs::remove_file(&jpath);
+    let _ = std::fs::remove_file(&snap);
+    // Two stripes of one entry each: four distinct points put at least
+    // two in one stripe, so at least one is evicted.
+    let server = Server::start_cfg("127.0.0.1:0", 2, persist_cfg(Some(&jpath), Some(1)))
+        .expect("server start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let points = [
+        Program::Trfd,
+        Program::Dyfesm,
+        Program::Nasa7,
+        Program::Bdna,
+    ]
+    .map(|p| SimRequest::ooo_default(p, Scale::Smoke));
+    for p in &points {
+        assert!(!client.sim(p).expect("cold sim").cached);
+    }
+    // The last point is the newest entry of its stripe: a hit.
+    assert!(client.sim(&points[3]).expect("warm sim").cached);
+    // Wait on the journal's durable watermark, so nothing moves
+    // between the two reads below.
+    let t0 = std::time::Instant::now();
+    while client.stats().expect("stats").journal_records < 4 {
+        assert!(t0.elapsed().as_secs() < 10, "journal never caught up");
+        std::thread::yield_now();
+    }
+
+    let stats = client.stats().expect("stats");
+    let m = client.metrics().expect("metrics");
+    let metric = |section: &str, name: &str| {
+        m.get(section)
+            .and_then(|s| s.get(name))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("metrics lacks {section} {name}"))
+    };
+    let counter = |name: &str| metric("counters", name) as u64;
+    let shard = |name: &str| [0, 1].map(|n| counter(&format!("shard.{n}.{name}")));
+    let sum = |name: &str| shard(name).iter().sum::<u64>();
+    let requests = sum("requests");
+    let min = shard("requests").into_iter().min().unwrap() as f64;
+    // A struct literal without `..`: a new `StatsSnapshot` field fails
+    // to compile here until this test covers it.
+    let view = StatsSnapshot {
+        requests,
+        result_hits: counter("cache.result_hits"),
+        result_misses: counter("cache.result_misses"),
+        result_evictions: counter("cache.result_evictions"),
+        suite_requests: counter("cache.suite_requests"),
+        suite_compiles_smoke: counter("cache.suite_compiles_smoke"),
+        suite_compiles_paper: counter("cache.suite_compiles_paper"),
+        per_shard_requests: shard("requests").to_vec(),
+        shard_balance: (min / (requests as f64 / 2.0) * 1e3).round() / 1e3,
+        panics: sum("panics"),
+        respawns: sum("respawns"),
+        sheds: sum("sheds"),
+        deadline_drops: counter("server.deadline_drops"),
+        cancelled_jobs: counter("server.cancelled_jobs"),
+        cache_load_skipped: counter("cache.load_skipped"),
+        journal_records: counter("journal.appended_records"),
+        journal_rotations: counter("journal.rotations"),
+        journal_recovered: counter("journal.recovered_records"),
+        shards_alive: [0, 1]
+            .map(|n| metric("gauges", &format!("shard.{n}.alive")) != 0.0)
+            .to_vec(),
+    };
+    assert_eq!(stats, view);
+    // The run really exercised what it claims to.
+    assert_eq!((stats.result_misses, stats.result_hits), (4, 1));
+    assert!(stats.result_evictions >= 1, "no eviction happened");
+    assert_eq!((stats.suite_requests, stats.suite_compiles_smoke), (4, 1));
+
+    // The `metrics` request itself is the only one in flight, and every
+    // dispatched job has been drained.
+    assert_eq!(metric("gauges", "server.inflight_requests"), 1.0);
+    assert_eq!(
+        metric("gauges", "shard.0.queue_depth") + metric("gauges", "shard.1.queue_depth"),
+        0.0
+    );
+    let hist = |name: &str| {
+        let j = m.get("histograms").and_then(|h| h.get(name));
+        oov_obs::Histogram::from_json(j.expect("histogram")).expect("histogram decodes")
+    };
+    let sim_lat = hist("request.sim.latency_ns");
+    assert_eq!(sim_lat.count(), 5);
+    assert!(sim_lat.max() > 0, "sim requests take measurable time");
+    assert!(sim_lat.percentile(50.0) <= sim_lat.percentile(99.0));
+    assert!(sim_lat.percentile(99.0) <= sim_lat.max());
+    let service: u64 = (0..2)
+        .map(|s| hist(&format!("shard.{s}.service_ns")).count())
+        .sum();
+    assert_eq!(service, requests, "every job's service time lands");
+
+    client.shutdown().expect("shutdown");
+    server.join();
+    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_file(&snap).ok();
 }
 
 /// The `--cache-entries` LRU cap: with one shard bounded to two
@@ -651,15 +678,9 @@ fn result_caches_survive_a_restart() {
 /// the evicted point is a fresh (but still bit-identical) miss.
 #[test]
 fn bounded_result_cache_evicts_lru_and_keeps_warm_hits() {
-    let server = Server::start_with(
-        "127.0.0.1:0",
-        1, // one shard, so every request shares the bounded cache
-        PersistOptions {
-            max_entries: Some(2),
-            ..PersistOptions::default()
-        },
-    )
-    .expect("server start");
+    // One shard, so every request shares the bounded cache.
+    let server =
+        Server::start_cfg("127.0.0.1:0", 1, persist_cfg(None, Some(2))).expect("server start");
     let addr = server.addr();
     let mut client = Client::connect(addr).expect("connect");
 
