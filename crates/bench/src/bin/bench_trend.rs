@@ -69,21 +69,6 @@
 //!    inflates the smoke ratio by roughly the trace-length scale
 //!    factor (~4–5×). The gate still catches an order-of-magnitude
 //!    compile regression, which is what it is for.
-//!
-//! A second, standalone mode gates the serve journal instead of the
-//! engine artifacts:
-//!
-//! ```text
-//! cargo run -p oov-bench --release --bin bench_trend -- \
-//!     --serve-journal BENCH_serve.json
-//! ```
-//!
-//! reads the `journal` section `loadgen --journal-file` emits —
-//! journal-off vs journal-on throughput of the identical workload on
-//! the same machine in the same run — and fails when the
-//! `overhead_ratio` exceeds `--max-journal-overhead-ratio` (default
-//! 1.1): write-ahead durability batches and fsyncs off the job path,
-//! and must stay within 10% of a journal-less server.
 
 use std::process::ExitCode;
 
@@ -182,43 +167,6 @@ fn read(path: &str) -> Result<Json, String> {
     Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// The standalone serve-journal gate: reads the `journal` section of a
-/// `BENCH_serve.json` written by `loadgen --journal-file` and fails if
-/// journaling cost more than `max_overhead` times the journal-off
-/// throughput.
-fn journal_gate(path: &str, max_overhead: f64) -> Result<Vec<String>, String> {
-    let doc = read(path)?;
-    let section = doc
-        .get("journal")
-        .filter(|j| !matches!(j, Json::Null))
-        .ok_or_else(|| format!("{path}: no `journal` section (run loadgen with --journal-file)"))?;
-    let field = |name: &str| {
-        section
-            .get(name)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{path}: journal section: bad `{name}`"))
-    };
-    let ratio = field("overhead_ratio")?;
-    let off = field("throughput_off_rps")?;
-    let on = field("throughput_on_rps")?;
-    let records = field("appended_records")?;
-    println!(
-        "serve journal: {on:.0} req/s journaling vs {off:.0} req/s off \
-         ({records:.0} records); overhead ratio {ratio:.3}x (bound {max_overhead:.2}x)"
-    );
-    let mut regressions = Vec::new();
-    if ratio > max_overhead {
-        regressions.push(format!(
-            "journal overhead ratio {ratio:.3}x exceeds {max_overhead:.2}x — \
-             appends must stay off the job path"
-        ));
-    }
-    if records <= 0.0 {
-        regressions.push("journal phase appended no records".into());
-    }
-    Ok(regressions)
-}
-
 fn run() -> Result<Vec<String>, String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut files: Vec<&str> = Vec::new();
@@ -227,27 +175,9 @@ fn run() -> Result<Vec<String>, String> {
     let mut max_compile_ratio = 8.0f64;
     let mut min_speedup = 1.5f64;
     let mut max_trace_overhead = 1.05f64;
-    let mut serve_journal: Option<String> = None;
-    let mut max_journal_overhead = 1.1f64;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
-            "--serve-journal" => {
-                i += 1;
-                serve_journal = Some(
-                    argv.get(i)
-                        .ok_or("missing value for --serve-journal")?
-                        .clone(),
-                );
-            }
-            "--max-journal-overhead-ratio" => {
-                i += 1;
-                max_journal_overhead = argv
-                    .get(i)
-                    .ok_or("missing value for --max-journal-overhead-ratio")?
-                    .parse()
-                    .map_err(|e| format!("--max-journal-overhead-ratio: {e}"))?;
-            }
             "--max-ratio" => {
                 i += 1;
                 max_ratio = argv
@@ -292,12 +222,6 @@ fn run() -> Result<Vec<String>, String> {
             file => files.push(file),
         }
         i += 1;
-    }
-    if let Some(path) = serve_journal {
-        if !files.is_empty() {
-            return Err("--serve-journal is a standalone mode; no positional files".into());
-        }
-        return journal_gate(&path, max_journal_overhead);
     }
     let [fresh_path, base_path] = files.as_slice() else {
         return Err("usage: bench_trend <fresh.json> <baseline.json> [--max-ratio N]".into());

@@ -68,7 +68,7 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// The preset behind `serve --chaos` / `loadgen --chaos`: enough
+    /// The preset behind `serve --chaos`: enough
     /// injected failure to exercise every recovery path in a short
     /// run without drowning it (≈3% soft panics, ≈0.3% worker kills,
     /// ≈3% delayed jobs, ≈1% dropped connections).

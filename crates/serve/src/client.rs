@@ -1,5 +1,5 @@
-//! A blocking wire-protocol client, shared by the `client` and
-//! `loadgen` binaries and the integration tests.
+//! A blocking wire-protocol client, shared by the `client` binary,
+//! the integration tests and the repository benchmark.
 //!
 //! Beyond the plain request/response helpers, the client carries the
 //! fault-tolerance half of the protocol: a read timeout on every

@@ -471,8 +471,11 @@ mod tests {
         let tail = recover(&path).entries;
         let (snap_entries, skipped) = persist::load(&snap).unwrap();
         assert_eq!(skipped, 0);
-        let merged: HashMap<u64, CacheLine> =
-            snap_entries.into_iter().chain(tail).map(|e| (e.key, e)).collect();
+        let merged: HashMap<u64, CacheLine> = snap_entries
+            .into_iter()
+            .chain(tail)
+            .map(|e| (e.key, e))
+            .collect();
         let all: Vec<CacheLine> = (0..32).map(|k| line(k, k * 10)).collect();
         assert_eq!(merged, all.iter().map(|e| (e.key, e.clone())).collect());
         drop(tx);

@@ -57,7 +57,7 @@
 //! * **Suite memoisation.** `Suite::compile(scale)` runs at most once
 //!   per scale for the life of the process, behind a lazily-populated
 //!   [`cache::SuiteCache`]; the compile counters are exported over the
-//!   wire so load tests can *prove* memoisation happened.
+//!   wire so tests can *prove* memoisation happened.
 //! * **Persistence.** One path: the write-ahead [`journal`], compacted
 //!   into `<journal>.snapshot` when it grows and at graceful shutdown;
 //!   a restart, clean or after a SIGKILL, starts warm from both.
@@ -68,8 +68,7 @@
 //! * **Identical results.** Workers execute
 //!   [`oov_bench::machine_run`] — the same helper the experiment
 //!   harness uses — so a served result is bit-identical to a direct
-//!   in-process simulation (the integration tests and `loadgen
-//!   --verify` assert this).
+//!   in-process simulation (the integration tests assert this).
 //! * **Fault tolerance.** Every job runs inside `catch_unwind` (a
 //!   panicking request answers a structured error; the worker keeps
 //!   serving), a per-worker supervisor respawns dead worker threads
@@ -79,7 +78,8 @@
 //!   requests may carry a server-enforced `deadline_ms`, and shutdown
 //!   drains in-flight sweeps up to a `--drain-ms` budget. The
 //!   [`chaos`] module injects all of these failures deterministically
-//!   (`serve --chaos` / `loadgen --chaos`); [`Client`] ships read
+//!   (`serve --chaos`; the storm test in `tests/chaos.rs` drives a
+//!   chaos server with retrying clients); [`Client`] ships read
 //!   timeouts and a jittered exponential-backoff
 //!   [`client::RetryPolicy`].
 //!
@@ -88,9 +88,9 @@
 //! * `serve` — the daemon: `serve --addr 127.0.0.1:7540 --shards 4`
 //! * `client` — one-shot and sweep modes rendering the same tables as
 //!   `oov-bench`
-//! * `loadgen` — K concurrent clients × M requests; writes
-//!   `BENCH_serve.json` with throughput, latency percentiles and cache
-//!   hit rates
+//!
+//! Serve performance is measured by the repository benchmark,
+//! `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

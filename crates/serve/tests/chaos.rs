@@ -434,17 +434,21 @@ fn overload_sheds_with_retriable_responses() {
         // While the worker sleeps on the sweep's first job, pin one
         // more admitted job in the queue from a connection that never
         // reads its reply...
-        std::thread::sleep(Duration::from_millis(100));
+        let mut probe = Client::connect(addr).expect("connect");
+        wait_for("the worker to take the sweep's first job", || {
+            probe.stats().expect("stats").requests >= 1
+        });
         let mut pinner = TcpStream::connect(addr).expect("pinner connect");
         let pin = Request::Sim {
             req: points[6],
             deadline_ms: None,
         };
         writeln!(pinner, "{}", pin.encode()).expect("pin write");
-        std::thread::sleep(Duration::from_millis(50));
+        wait_for("a job to wait in the queue", || {
+            gauge(&mut probe, "shard.0.queue_depth") >= 1.0
+        });
         // ...so this `sim` meets a full queue and gets the retriable
         // overload response.
-        let mut probe = Client::connect(addr).expect("connect");
         match probe.sim_opts(&points[7], None) {
             Err(SimError::Overloaded { retry_after_ms }) => {
                 assert!(retry_after_ms > 0, "hint must be positive");
@@ -500,6 +504,30 @@ fn slowloris_client_neither_wedges_nor_blocks_shutdown() {
     client
         .sim(&SimRequest::ooo_default(Program::Trfd, Scale::Smoke))
         .expect("sim while slowloris holds a line");
+
+    // A complete ping dripped one byte at a time is answered: a line
+    // that arrives in pieces is buffered, not dropped, even across a
+    // mid-line pause longer than the server's 250 ms read poll.
+    let mut dripper = TcpStream::connect(addr).expect("dripper connect");
+    dripper.set_nodelay(true).ok();
+    dripper.set_read_timeout(Some(Duration::from_secs(10))).ok();
+    let ping = format!("{}\n", Request::Ping.encode());
+    for (i, byte) in ping.bytes().enumerate() {
+        if i > 0 {
+            let pause = if i == ping.len() / 2 { 300 } else { 10 };
+            std::thread::sleep(Duration::from_millis(pause));
+        }
+        dripper.write_all(&[byte]).expect("drip write");
+    }
+    let mut line = String::new();
+    BufReader::new(dripper)
+        .read_line(&mut line)
+        .expect("dripper read");
+    assert_eq!(
+        Response::decode(line.trim()).expect("decodes"),
+        Response::Pong,
+        "a byte-dripped ping must be answered"
+    );
 
     // An oversized unterminated line is cut with an explicit error.
     let mut flooder = TcpStream::connect(addr).expect("flooder connect");
@@ -692,13 +720,66 @@ fn chaos_storm_is_survived_with_correct_results() {
             "missing health counter {key}"
         );
     }
-    // A shutdown request can itself be eaten by an injected connection
-    // drop; keep asking until one lands.
-    for _ in 0..20 {
-        match Client::connect(addr).and_then(|mut c| c.shutdown()) {
-            Ok(()) => break,
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
-        }
+    // Shutdown from three connections at once: the first caller wins
+    // and every later one is answered `shutting_down` too. Each
+    // connection is first proven served with a `ping` (a connection
+    // the chaos plan drops is replaced), so all three are inside their
+    // handler threads when the shutdowns race. An injected drop may
+    // still eat a shutdown; keep asking until one lands.
+    let racers: Vec<TcpStream> = (0..3)
+        .map(|_| {
+            (0..20)
+                .find_map(|_| {
+                    let mut sock = TcpStream::connect(addr).ok()?;
+                    sock.set_read_timeout(Some(Duration::from_secs(10))).ok();
+                    writeln!(sock, "{}", Request::Ping.encode()).ok()?;
+                    let mut line = String::new();
+                    BufReader::new(&sock).read_line(&mut line).ok()?;
+                    (Response::decode(line.trim()).ok()? == Response::Pong).then_some(sock)
+                })
+                .expect("no connection answered a ping")
+        })
+        .collect();
+    let start = Barrier::new(racers.len());
+    let landed = std::thread::scope(|s| {
+        let handles: Vec<_> = racers
+            .into_iter()
+            .map(|mut sock| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    // A dropped or already-closed connection may fail
+                    // the write or read; only an answer is checked.
+                    let _ = writeln!(sock, "{}", Request::Shutdown.encode());
+                    let mut line = String::new();
+                    let _ = BufReader::new(&sock).read_line(&mut line);
+                    if line.is_empty() {
+                        return false;
+                    }
+                    assert_eq!(
+                        Response::decode(line.trim()).expect("decodes"),
+                        Response::ShuttingDown,
+                        "a concurrent shutdown was answered with something else"
+                    );
+                    true
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shutdown racer"))
+            .filter(|&answered| answered)
+            .count()
+    });
+    if landed == 0 {
+        let retried = (0..20).any(|_| {
+            let ok = Client::connect(addr).and_then(|mut c| c.shutdown()).is_ok();
+            if !ok {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            ok
+        });
+        assert!(retried, "no shutdown request landed");
     }
     server.join();
 }

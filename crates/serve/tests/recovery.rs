@@ -85,17 +85,19 @@ fn sigkilled_server_restarts_warm_from_the_journal() {
 
     let mut first = spawn_serve(&["--shards", "2", "--journal", journal_flag]);
     let points = distinct_points(6);
-    {
+    let fresh: Vec<_> = {
         let mut client = Client::connect(first.addr.as_str()).expect("connect");
-        for p in &points {
-            let r = client.sim(p).expect("fresh simulation");
-            assert!(!r.cached, "first run must be a miss");
-        }
+        let fresh = points
+            .iter()
+            .map(|p| client.sim(p).expect("fresh simulation"))
+            .collect::<Vec<_>>();
+        assert!(fresh.iter().all(|r| !r.cached), "first run must be a miss");
         // Every result was answered, so every journal append is at
         // least queued; wait on the durable watermark before pulling
         // the plug.
         await_journal_records(&mut client, points.len() as u64);
-    }
+        fresh
+    };
     // SIGKILL: no drop handlers, no compaction, no clean close — the
     // journal is all that survives.
     first.child.kill().expect("SIGKILL");
@@ -105,9 +107,10 @@ fn sigkilled_server_restarts_warm_from_the_journal() {
     // re-routed by fingerprint, so the warm cache must still line up.
     let mut second = spawn_serve(&["--shards", "3", "--journal", journal_flag]);
     let mut client = Client::connect(second.addr.as_str()).expect("reconnect");
-    for p in &points {
+    for (p, want) in points.iter().zip(&fresh) {
         let r = client.sim(p).expect("served after recovery");
         assert!(r.cached, "every fully-appended record must serve warm");
+        assert_eq!(r.stats, want.stats, "a recovered result diverged");
     }
     let stats = client.stats().expect("stats");
     assert_eq!(stats.result_misses, 0, "no recomputation after recovery");

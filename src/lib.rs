@@ -17,8 +17,8 @@
 //! | [`proto`] | `oov-proto` | dep-free JSON + fingerprints for bench artifacts and the wire protocol |
 //! | [`obs`] | `oov-obs` | counters, gauges, mergeable histograms behind a named registry |
 //!
-//! The simulation server (`oov-serve`, with its `serve`/`client`/
-//! `loadgen` binaries) sits on top of the harness crate `oov-bench`;
+//! The simulation server (`oov-serve`, with its `serve` and `client`
+//! binaries) sits on top of the harness crate `oov-bench`;
 //! both are workspace members rather than facade modules.
 //!
 //! # Quickstart
