@@ -6,7 +6,9 @@
 //! The encoding feeds the `oov-serve` request fingerprint, which keys
 //! its result cache and shard routing.
 
-use oov_proto::{fingerprint_bytes, Json};
+use std::hash::Hasher as _;
+
+use oov_proto::{Fnv1a, Json};
 
 use crate::LatencyModel;
 
@@ -506,9 +508,13 @@ impl MachineConfig {
     /// process — neither is stable). `oov-serve` stores it beside each
     /// cached result and journal record; routing and cache lookup use
     /// the full-request fingerprint, which hashes this same encoding.
+    /// The encoding streams straight into the hash, never into a
+    /// `String`.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        fingerprint_bytes(self.to_json().encode().as_bytes())
+        let mut h = Fnv1a::new();
+        self.to_json().encode_into(&mut h);
+        h.finish()
     }
 }
 

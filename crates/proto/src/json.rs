@@ -2,26 +2,29 @@
 //! recursive-descent parser.
 //!
 //! This is the codec of the bench artifacts, the bench-trend checker
-//! and the `oov-serve` wire protocol. A served `sim` request passes
-//! through it five times: the client encodes the request, the server
-//! decodes it and re-encodes it for the cache fingerprint, the server
-//! encodes the response and the client decodes it. A cache hit does
-//! little else, so the codec is most of a hit's cost, and both halves
+//! and the `oov-serve` wire protocol. On a served cache hit the codec
+//! is most of the server's work: it decodes the request and hashes
+//! the request's canonical encoding into the cache key. The reply
+//! itself is bytes the server encoded once, on the miss. Both halves
 //! are written to touch each byte once:
 //!
-//! * The writer appends straight into one `String`
-//!   ([`Json::encode`]). It allocates no temporary per key, string or
-//!   number: integers go through a digit loop, and a string's runs of
-//!   bytes that need no escape are copied whole. [`Display`](fmt::Display)
-//!   and [`Json::pretty`] share the same writer.
+//! * There is one writer, and it is generic over a [`Sink`]: the
+//!   place its bytes go, one `&str` piece at a time. A `String` sink
+//!   ([`Json::encode`], [`Json::encode_into`]) collects the encoding.
+//!   An [`Fnv1a`] sink hashes the same bytes as they pass, so a
+//!   fingerprint never materialises the encoding it hashes. The writer
+//!   allocates no temporary per key, string or number: integers go
+//!   through a digit loop, and a string's runs of bytes that need no
+//!   escape are put whole. [`Display`](fmt::Display) and
+//!   [`Json::pretty`] share the same writer.
 //! * The parser slices strings without escapes from the input (one
 //!   exact-size allocation each) and accumulates short integer
 //!   literals without going through `str::parse::<f64>`.
 //!
-//! The output is byte-identical by contract: request fingerprints hash
-//! the encoding and the journal stores it, so a changed byte would
-//! orphan every cached result. Golden literals in the `oov-isa` and
-//! `oov-serve` tests pin it.
+//! The output is byte-identical by contract, whatever the sink:
+//! request fingerprints hash the encoding and the journal stores it,
+//! so a changed byte would orphan every cached result. Golden literals
+//! in the `oov-isa` and `oov-serve` tests pin it.
 //!
 //! The parser accepts full JSON minus exotica (no `\u` escapes beyond
 //! the Basic Multilingual Plane's direct code points), with a depth
@@ -30,6 +33,9 @@
 //! so an encode is deterministic.
 
 use std::fmt;
+use std::hash::Hasher as _;
+
+use crate::Fnv1a;
 
 /// Maximum nesting depth the parser accepts. Wire requests are three
 /// levels deep; anything past this is hostile or corrupt.
@@ -160,8 +166,15 @@ impl Json {
     #[must_use]
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(128);
-        self.write_compact(&mut out);
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Appends the compact encoding ([`Json::encode`]'s bytes) to any
+    /// [`Sink`]: a `String` to build a line in a reused buffer, or an
+    /// [`Fnv1a`] to hash the encoding without materialising it.
+    pub fn encode_into<S: Sink>(&self, out: &mut S) {
+        self.write_compact(out);
     }
 
     /// Pretty-prints with two-space indentation and a trailing newline —
@@ -174,33 +187,33 @@ impl Json {
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    fn write_compact<S: Sink>(&self, out: &mut S) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.put("null"),
+            Json::Bool(b) => out.put(if *b { "true" } else { "false" }),
             Json::Num(n) => write_num(out, *n),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.put("[");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(", ");
+                        out.put(", ");
                     }
                     item.write_compact(out);
                 }
-                out.push(']');
+                out.put("]");
             }
             Json::Obj(pairs) => {
-                out.push('{');
+                out.put("{");
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(", ");
+                        out.put(", ");
                     }
                     write_escaped(out, k);
-                    out.push_str(": ");
+                    out.put(": ");
                     v.write_compact(out);
                 }
-                out.push('}');
+                out.put("}");
             }
         }
     }
@@ -249,66 +262,99 @@ fn indent(out: &mut String, depth: usize) {
 /// Writes `s` as a quoted JSON string. Runs of bytes that need no
 /// escape are copied whole; every escaped byte is ASCII, so the run
 /// boundaries are always char boundaries.
-fn write_escaped(out: &mut String, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.push('"');
+fn write_escaped<S: Sink>(out: &mut S, s: &str) {
+    const HEX: &str = "0123456789abcdef";
+    out.put("\"");
     let mut run = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
         if b >= 0x20 && b != b'"' && b != b'\\' {
             continue;
         }
-        out.push_str(&s[run..i]);
+        out.put(&s[run..i]);
         run = i + 1;
         match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
+            b'"' => out.put("\\\""),
+            b'\\' => out.put("\\\\"),
+            b'\n' => out.put("\\n"),
+            b'\r' => out.put("\\r"),
+            b'\t' => out.put("\\t"),
             _ => {
-                out.push_str("\\u00");
-                out.push(char::from(HEX[usize::from(b >> 4)]));
-                out.push(char::from(HEX[usize::from(b & 0xf)]));
+                let (hi, lo) = (usize::from(b >> 4), usize::from(b & 0xf));
+                out.put("\\u00");
+                out.put(&HEX[hi..=hi]);
+                out.put(&HEX[lo..=lo]);
             }
         }
     }
-    out.push_str(&s[run..]);
-    out.push('"');
+    out.put(&s[run..]);
+    out.put("\"");
 }
 
 /// Integers below 2^53 in magnitude print as integers (no `.0`, no
 /// exponent) through a digit loop; other finite numbers use the
 /// shortest round-trip `{}` form; JSON has no Inf/NaN, so those print
 /// as the conventional stand-in `null`.
-fn write_num(out: &mut String, n: f64) {
+fn write_num<S: Sink>(out: &mut S, n: f64) {
     if !n.is_finite() {
-        out.push_str("null");
+        out.put("null");
     } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
         write_int(out, n as i64);
     } else {
         use fmt::Write as _;
-        let _ = write!(out, "{n}");
+        let _ = write!(Fmt(out), "{n}");
     }
 }
 
 /// Writes `n` in decimal, exactly as `n.to_string()` would.
-fn write_int(out: &mut String, n: i64) {
-    if n < 0 {
-        out.push('-');
-    }
+fn write_int<S: Sink>(out: &mut S, n: i64) {
     let mut v = n.unsigned_abs();
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
+    // 19 digits for |i64::MIN|, plus the sign.
+    let mut text = [0u8; 20];
+    let mut at = text.len();
     loop {
         at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
+        text[at] = b'0' + (v % 10) as u8;
         v /= 10;
         if v == 0 {
             break;
         }
     }
-    for &d in &digits[at..] {
-        out.push(char::from(d));
+    if n < 0 {
+        at -= 1;
+        text[at] = b'-';
+    }
+    // Digits and a sign are ASCII, so this never fails.
+    out.put(std::str::from_utf8(&text[at..]).unwrap_or_default());
+}
+
+/// Where the writer's bytes go. Every encoding is a sequence of `put`
+/// calls, so one writer serves every consumer: a `String` collects
+/// the bytes, an [`Fnv1a`] hashes them as they pass.
+pub trait Sink {
+    /// Appends `s`.
+    fn put(&mut self, s: &str);
+}
+
+impl Sink for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+impl Sink for Fnv1a {
+    fn put(&mut self, s: &str) {
+        self.write(s.as_bytes());
+    }
+}
+
+/// Adapts a [`Sink`] to `fmt::Write`, for the non-integral numbers
+/// that go through `{}` formatting.
+struct Fmt<'a, S>(&'a mut S);
+
+impl<S: Sink> fmt::Write for Fmt<'_, S> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.put(s);
+        Ok(())
     }
 }
 
@@ -797,6 +843,79 @@ mod tests {
             let value = Json::Str(expected.into());
             assert_eq!(Json::parse(text).unwrap(), value, "{text}");
             assert_eq!(Json::parse(&value.encode()).unwrap(), value);
+        }
+    }
+
+    /// Values covering every writer path: escapes and control bytes,
+    /// negative, non-integral and non-finite numbers, `null`, empty and
+    /// nested containers.
+    fn sink_corpus() -> Vec<Json> {
+        let mut corpus = vec![
+            Json::Null,
+            Json::Bool(true),
+            Json::Bool(false),
+            Json::Num(0.0),
+            Json::Num(-0.0),
+            Json::Num(-42.0),
+            Json::Num(0.5),
+            Json::Num(-3.25e-7),
+            Json::Num(1e300),
+            Json::Num(f64::NAN),
+            Json::Num(f64::INFINITY),
+            Json::Num((TWO_53 - 1) as f64),
+            Json::Num(-((TWO_53 - 1) as f64)),
+            Json::Str(String::new()),
+            Json::Str("bad \"quoted\" C:\\path\nline two\u{1}\u{1b}\ttab\r é→".into()),
+            Json::Str("\u{0}\u{1f}\u{7f}".into()),
+            Json::Arr(vec![]),
+            Json::Obj(vec![]),
+        ];
+        corpus.push(Json::Arr(corpus.clone()));
+        corpus.push(Json::obj(vec![
+            ("name", "swm256".into()),
+            ("cycles", 12750u64.into()),
+            ("ratio", 5.33.into()),
+            ("flags", Json::Arr(vec![true.into(), Json::Null])),
+            (
+                "inner",
+                Json::obj(vec![("k\t", "v\"with\\quotes\n".into())]),
+            ),
+        ]));
+        let mut state = 7;
+        for _ in 0..1_000 {
+            let n = small_int(&mut state) as f64;
+            let float = f64::from_bits(splitmix(&mut state));
+            corpus.push(Json::Arr(vec![
+                Json::Num(n),
+                Json::Num(-n),
+                Json::Num(float),
+            ]));
+        }
+        corpus
+    }
+
+    #[test]
+    fn every_sink_sees_the_bytes_encode_returns() {
+        use crate::fingerprint_bytes;
+        use std::hash::Hasher as _;
+        let mut reused = String::from("stale prefix ");
+        for v in sink_corpus() {
+            let encoded = v.encode();
+            let mut out = String::new();
+            v.encode_into(&mut out);
+            assert_eq!(out, encoded);
+            // `encode_into` appends: a reused buffer keeps what it had.
+            let before = reused.len();
+            v.encode_into(&mut reused);
+            assert_eq!(&reused[before..], encoded);
+            reused.truncate(before);
+            let mut h = Fnv1a::new();
+            v.encode_into(&mut h);
+            assert_eq!(
+                h.finish(),
+                fingerprint_bytes(encoded.as_bytes()),
+                "{encoded}"
+            );
         }
     }
 }

@@ -6,12 +6,12 @@
 //!
 //! * [`Json`] — a JSON value model with one writer (compact
 //!   [`Json::encode`], which `Display` and [`Json::pretty`] share) and
-//!   a recursive-descent parser. A served request crosses the codec
-//!   five times (client encode and decode; server decode, fingerprint
-//!   re-encode and response encode), so the writer appends into one `String`
-//!   with no per-node allocation and the parser slices plain strings
-//!   from its input. The output is byte-identical by contract, because
-//!   fingerprints and the journal are built from it;
+//!   a recursive-descent parser. The writer puts its bytes into a
+//!   [`Sink`]: a `String`, or an [`Fnv1a`] that hashes the encoding
+//!   without materialising it. It does no per-node allocation, and
+//!   the parser slices plain strings from its input. The output is
+//!   byte-identical by contract, because fingerprints and the journal
+//!   are built from it;
 //! * [`Fnv1a`] — the 64-bit FNV-1a hash, used for stable config and
 //!   request fingerprints (stable across processes and platforms,
 //!   unlike `std::collections::hash_map::DefaultHasher`);
@@ -42,4 +42,4 @@ mod json;
 pub use crc::{crc32, Crc32};
 pub use fnv::{fingerprint_bytes, Fnv1a};
 pub use frame::{frame_record, FrameReader, FrameStop, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD};
-pub use json::{Json, ParseError};
+pub use json::{Json, ParseError, Sink};

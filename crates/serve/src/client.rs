@@ -8,15 +8,21 @@
 //! responses ([`SimError::Overloaded`] carries the server's
 //! `retry_after_ms` hint), [`Client::reconnect`] after a dropped
 //! connection, and [`RetryPolicy`] — bounded exponential backoff with
-//! equal jitter — driving [`Client::sim_retry`].
+//! equal jitter — driving [`Client::sim_retry`]. A response line is
+//! capped at [`MAX_LINE_BYTES`], as a request line is on the server, so
+//! a misbehaving server cannot grow client memory without end.
+//!
+//! A client keeps one request buffer and one response buffer for its
+//! connection's lifetime: a closed loop of requests allocates no line.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use oov_proto::Json;
 
 use crate::proto::{Request, Response, SimRequest, SimResult, StatsSnapshot};
+use crate::server::MAX_LINE_BYTES;
 
 /// Default per-response read timeout. Generous: a cold `paper`-scale
 /// suite compile can hold the first simulation for a while.
@@ -125,6 +131,10 @@ pub struct Client {
     /// Remembered for [`Client::reconnect`].
     peer: SocketAddr,
     read_timeout: Duration,
+    /// The request line being sent, reused across requests.
+    out: String,
+    /// The response line being read, reused across responses.
+    line: Vec<u8>,
 }
 
 impl Client {
@@ -168,6 +178,8 @@ impl Client {
             writer: stream,
             peer,
             read_timeout,
+            out: String::with_capacity(1024),
+            line: Vec::with_capacity(1024),
         })
     }
 
@@ -186,18 +198,34 @@ impl Client {
     /// newline together, so a request is one TCP segment under
     /// `TCP_NODELAY`.
     fn send(&mut self, req: &Request) -> Result<(), String> {
-        let mut line = req.encode();
-        line.push('\n');
+        self.out.clear();
+        req.encode_into(&mut self.out);
+        self.out.push('\n');
         self.writer
-            .write_all(line.as_bytes())
+            .write_all(self.out.as_bytes())
             .map_err(|e| format!("send: {e}"))
     }
 
+    /// Reads one response line of at most [`MAX_LINE_BYTES`]: the read
+    /// stops one byte past the cap, so a server that never sends a
+    /// newline costs a bounded buffer and a transport error.
     fn recv(&mut self) -> Result<Response, String> {
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
+        self.line.clear();
+        let room = MAX_LINE_BYTES as u64 + 1;
+        match self
+            .reader
+            .by_ref()
+            .take(room)
+            .read_until(b'\n', &mut self.line)
+        {
             Ok(0) => Err("recv: server closed the connection".into()),
-            Ok(_) => Response::decode(line.trim()),
+            Ok(_) if self.line.len() > MAX_LINE_BYTES && !self.line.ends_with(b"\n") => Err(
+                format!("recv: response line exceeds {MAX_LINE_BYTES} bytes"),
+            ),
+            Ok(_) => match std::str::from_utf8(&self.line) {
+                Ok(text) => Response::decode(text.trim()),
+                Err(e) => Err(format!("recv: response is not UTF-8: {e}")),
+            },
             // `set_read_timeout` bounds each read, so a silent server
             // fails here rather than hanging the client thread. (A
             // timeout surfaces as WouldBlock or TimedOut depending on
@@ -392,5 +420,52 @@ impl Client {
                 other => return Err(format!("expected sweep row, got {other:?}")),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_response_line_past_the_cap_is_a_transport_error() {
+        // A fake server that answers anything with 2 MiB and no newline.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let flood = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(peer.try_clone().expect("clone"));
+            let mut request = String::new();
+            reader.read_line(&mut request).expect("request line");
+            // The client stops reading at the cap and hangs up, so the
+            // tail of this write may fail; that is the point.
+            let _ = peer.write_all(&vec![b'x'; 2 << 20]);
+            // Hold the connection until the client closes it, so no
+            // reset races the client's read.
+            let _ = reader.read_to_end(&mut Vec::new());
+        });
+        // A short timeout, so a client without the cap fails fast
+        // instead of waiting out the default for a newline.
+        let mut client = Client::connect_timeout(addr, Duration::from_secs(5)).expect("connect");
+        let err = client
+            .sim_opts(
+                &SimRequest::ooo_default(oov_kernels::Program::Trfd, oov_kernels::Scale::Smoke),
+                None,
+            )
+            .expect_err("an unbounded line must not decode");
+        match err {
+            SimError::Transport(message) => {
+                assert!(message.contains("exceeds"), "unexpected error: {message}");
+            }
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+        assert!(
+            client.line.capacity() <= 2 * (MAX_LINE_BYTES + 1),
+            "the line buffer outgrew its cap: {}",
+            client.line.capacity()
+        );
+        drop(client);
+        flood.join().expect("flood thread");
     }
 }

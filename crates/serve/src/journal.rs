@@ -22,6 +22,10 @@
 //!
 //! The writer thread keeps the full persistent state in memory (it
 //! sees every insert, so this costs no coordination with the workers).
+//! Each entry is a `Record`: the result's stored body, shared with
+//! the cache stripe that serves it, so the state costs a few words per
+//! key on top of bytes the cache holds anyway. A record's payload is
+//! spliced around that body, never re-encoded from a `SimResult`.
 //! When the journal grows past [`JournalConfig::max_bytes`], it
 //! compacts: a full snapshot ([`persist::save`]) goes to
 //! `<journal>.snapshot`, then the journal is truncated. Graceful
@@ -36,12 +40,13 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 use oov_proto::{frame_record, FrameReader, Json};
 
 use crate::persist::{self, CacheLine};
+use crate::proto::write_result_fields;
 
 /// Default journal-rotation threshold (`--journal-max-bytes`).
 pub const DEFAULT_JOURNAL_MAX_BYTES: u64 = 8 << 20;
@@ -86,10 +91,78 @@ pub struct Recovery {
     pub skipped: u64,
 }
 
-/// Encodes one cache entry as a journal-record payload (compact JSON).
+/// One simulated result on its way to the journal, and the writer's
+/// in-memory copy of it: the cache key, the machine fingerprint, the
+/// stripe it was simulated for and its stored body
+/// ([`SimResult::encode_body`](crate::proto::SimResult::encode_body)),
+/// shared with the cache.
+pub(crate) struct Record {
+    pub(crate) key: u64,
+    pub(crate) machine_fp: u64,
+    pub(crate) shard: usize,
+    pub(crate) body: Arc<str>,
+}
+
+impl Record {
+    /// The record of a decoded cache line, with its body encoded.
+    pub(crate) fn of(line: &CacheLine) -> Record {
+        Record {
+            key: line.key,
+            machine_fp: line.machine_fp,
+            shard: line.result.shard,
+            body: line.result.encode_body().into(),
+        }
+    }
+
+    /// Appends the record's journal payload. The journal holds
+    /// simulated results only, so `cached` is always `false`.
+    fn encode_into(&self, out: &mut String) {
+        splice(
+            out,
+            self.key,
+            self.machine_fp,
+            false,
+            self.shard,
+            &self.body,
+        );
+    }
+
+    /// Decodes the record back into the cache line it stores.
+    fn decode(&self) -> Result<CacheLine, String> {
+        let mut payload = String::new();
+        self.encode_into(&mut payload);
+        decode_record(payload.as_bytes())
+    }
+}
+
+/// `{"key": …, "machine_fp": …, "result": {"cached": …, "shard": …` +
+/// `body` + `}`: byte for byte the compact encoding of
+/// [`persist::encode_entry`].
+fn splice(out: &mut String, key: u64, machine_fp: u64, cached: bool, shard: usize, body: &str) {
+    use std::fmt::Write as _;
+    let _ = write!(
+        out,
+        "{{\"key\": \"{key:#018x}\", \"machine_fp\": \"{machine_fp:#018x}\", \"result\": {{"
+    );
+    write_result_fields(out, cached, shard, body);
+    out.push('}');
+}
+
+/// Encodes one cache entry as a journal-record payload (compact JSON),
+/// through the same splice as the records the server appends.
 #[must_use]
 pub fn encode_record(entry: &CacheLine) -> Vec<u8> {
-    persist::encode_entry(entry).encode().into_bytes()
+    let mut out = String::new();
+    let r = &entry.result;
+    splice(
+        &mut out,
+        entry.key,
+        entry.machine_fp,
+        r.cached,
+        r.shard,
+        &r.encode_body(),
+    );
+    out.into_bytes()
 }
 
 fn decode_record(payload: &[u8]) -> Result<CacheLine, String> {
@@ -156,7 +229,7 @@ struct JournalCounters {
 /// through a clonable [`mpsc::Sender`] — an append is one non-blocking
 /// send, never an fsync on the request path.
 pub(crate) struct JournalWriter {
-    tx: mpsc::Sender<CacheLine>,
+    tx: mpsc::Sender<Record>,
     thread: JoinHandle<()>,
 }
 
@@ -169,7 +242,7 @@ impl JournalWriter {
     /// `metrics`.
     pub(crate) fn start(
         cfg: JournalConfig,
-        state: HashMap<u64, CacheLine>,
+        state: HashMap<u64, Record>,
         intact_bytes: u64,
         metrics: &oov_obs::Registry,
     ) -> Result<JournalWriter, String> {
@@ -190,7 +263,7 @@ impl JournalWriter {
             appended_bytes: metrics.counter("journal.appended_bytes"),
             rotations: metrics.counter("journal.rotations"),
         };
-        let (tx, rx) = mpsc::channel::<CacheLine>();
+        let (tx, rx) = mpsc::channel::<Record>();
         let thread = std::thread::Builder::new()
             .name("oov-journal".to_string())
             .spawn(move || writer_loop(&rx, file, state, &cfg, &counters))
@@ -199,7 +272,7 @@ impl JournalWriter {
     }
 
     /// A sender workers append through.
-    pub(crate) fn sender(&self) -> mpsc::Sender<CacheLine> {
+    pub(crate) fn sender(&self) -> mpsc::Sender<Record> {
         self.tx.clone()
     }
 
@@ -215,9 +288,9 @@ impl JournalWriter {
 /// size threshold. Once every sender is gone it compacts a final time
 /// (unless the journal is already empty) and exits.
 fn writer_loop(
-    rx: &mpsc::Receiver<CacheLine>,
+    rx: &mpsc::Receiver<Record>,
     mut file: std::fs::File,
-    mut state: HashMap<u64, CacheLine>,
+    mut state: HashMap<u64, Record>,
     cfg: &JournalConfig,
     counters: &JournalCounters,
 ) {
@@ -227,16 +300,19 @@ fn writer_loop(
     // one whose append failed).
     let mut unsaved = journal_bytes > 0;
     let mut buf: Vec<u8> = Vec::with_capacity(64 << 10);
+    let mut payload = String::with_capacity(1024);
     while let Ok(first) = rx.recv() {
         unsaved = true;
         buf.clear();
         let mut records = 0u64;
         let mut next = Some(first);
-        while let Some(entry) = next {
-            if frame_record(&encode_record(&entry), &mut buf).is_some() {
+        while let Some(record) = next {
+            payload.clear();
+            record.encode_into(&mut payload);
+            if frame_record(payload.as_bytes(), &mut buf).is_some() {
                 records += 1;
             }
-            state.insert(entry.key, entry);
+            state.insert(record.key, record);
             next = if records < MAX_BATCH as u64 {
                 rx.try_recv().ok()
             } else {
@@ -273,14 +349,28 @@ fn writer_loop(
 /// Snapshots the full state, then truncates the journal; returns
 /// whether both happened. A crash between the two leaves snapshot and
 /// journal overlapping, which replay handles (same keys, same values —
-/// later wins).
+/// later wins). The stored bodies are decoded here, on the writer
+/// thread, so the snapshot keeps its format.
 fn compact(
     file: &std::fs::File,
-    state: &HashMap<u64, CacheLine>,
+    state: &HashMap<u64, Record>,
     cfg: &JournalConfig,
     counters: &JournalCounters,
 ) -> bool {
-    let mut entries: Vec<CacheLine> = state.values().cloned().collect();
+    let mut entries: Vec<CacheLine> = Vec::with_capacity(state.len());
+    for record in state.values() {
+        match record.decode() {
+            Ok(line) => entries.push(line),
+            // Bodies are the server's own encodings; one that does not
+            // decode is a bug, and the snapshot goes on without it.
+            Err(why) => eprintln!(
+                "oov-serve: journal {}: record {:#018x} does not decode ({why}); \
+                 leaving it out of the snapshot",
+                cfg.path.display(),
+                record.key
+            ),
+        }
+    }
     entries.sort_by_key(|e| e.key);
     if let Err(e) = persist::save(&snapshot_path(&cfg.path), &entries) {
         eprintln!(
@@ -324,6 +414,61 @@ mod tests {
                 cached: false,
                 shard: 0,
             },
+        }
+    }
+
+    /// A cache line at the extremes the wire pins use: counters at and
+    /// past 2^32, 2^40 and 2^53 − 1, and full-range fingerprints.
+    fn extreme_line(key: u64, machine_fp: u64, cached: bool, shard: usize) -> CacheLine {
+        let mut stats = SimStats {
+            cycles: 9_007_199_254_740_991,
+            committed: 4_294_967_296,
+            addr_bus_busy_cycles: 1_099_511_627_776,
+            mem_requests: 123_456_789_012,
+            branches: 999_999_999_999_999,
+            progress_cycles: 2_251_799_813_685_248,
+            ..SimStats::new()
+        };
+        stats.breakdown.record(
+            oov_stats::UnitState::new(true, false, false),
+            7_000_000_000_001,
+        );
+        stats
+            .breakdown
+            .record(oov_stats::UnitState::new(true, true, true), 1 << 50);
+        stats.stages.commit = 2_251_799_813_685_247;
+        CacheLine {
+            key,
+            machine_fp,
+            result: crate::proto::SimResult {
+                stats,
+                ideal_cycles: 4_503_599_627_370_496,
+                faults_taken: 17,
+                cached,
+                shard,
+            },
+        }
+    }
+
+    #[test]
+    fn spliced_records_are_the_entry_encoding_byte_for_byte() {
+        for (key, machine_fp) in [(u64::MAX, 0), (0, u64::MAX), (0xdead_beef_cafe_f00d, 1)] {
+            for shard in [0, 1, usize::from(u16::MAX)] {
+                let line = extreme_line(key, machine_fp, false, shard);
+                let tree = persist::encode_entry(&line).encode().into_bytes();
+                assert_eq!(encode_record(&line), tree);
+                // What the writer appends from a worker's record.
+                let mut spliced = String::new();
+                Record::of(&line).encode_into(&mut spliced);
+                assert_eq!(spliced.into_bytes(), tree);
+                assert_eq!(Record::of(&line).decode().unwrap(), line);
+                // `encode_record` keeps any line's `cached` flag.
+                let hit = extreme_line(key, machine_fp, true, shard);
+                assert_eq!(
+                    encode_record(&hit),
+                    persist::encode_entry(&hit).encode().into_bytes()
+                );
+            }
         }
     }
 
@@ -421,11 +566,11 @@ mod tests {
         std::fs::write(&path, &buf).unwrap();
 
         let metrics = oov_obs::Registry::new();
-        let state = HashMap::from([(9, line(9, 90))]);
+        let state = HashMap::from([(9, Record::of(&line(9, 90)))]);
         let w = JournalWriter::start(cfg(&path), state, keep, &metrics).unwrap();
         let tx = w.sender();
-        tx.send(line(1, 10)).unwrap();
-        tx.send(line(2, 20)).unwrap();
+        tx.send(Record::of(&line(1, 10))).unwrap();
+        tx.send(Record::of(&line(2, 20))).unwrap();
         drop(tx);
         // Both records are on disk once the watermark says so.
         await_counter(&metrics, "journal.appended_records", 2);
@@ -455,13 +600,13 @@ mod tests {
         let w = JournalWriter::start(cfg, HashMap::new(), 0, &metrics).unwrap();
         let tx = w.sender();
         for k in 0..16 {
-            tx.send(line(k, k * 10)).unwrap();
+            tx.send(Record::of(&line(k, k * 10))).unwrap();
         }
         // The writer is still running, so this compaction is the size
         // threshold's, not shutdown's.
         await_counter(&metrics, "journal.rotations", 1);
         for k in 16..32 {
-            tx.send(line(k, k * 10)).unwrap();
+            tx.send(Record::of(&line(k, k * 10))).unwrap();
         }
         // Crash-after-rotation state, with the writer still running:
         // snapshot + journal tail together hold every record. Reading
@@ -495,7 +640,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&snap).ok();
         let metrics = oov_obs::Registry::new();
-        let state = HashMap::from([(4, line(4, 40))]);
+        let state = HashMap::from([(4, Record::of(&line(4, 40)))]);
         let w = JournalWriter::start(cfg(&path), state, 0, &metrics).unwrap();
         w.finish();
         assert!(!snap.exists(), "an empty journal was compacted");

@@ -20,16 +20,16 @@
 //!                                   ▼
 //!            ┌──────────┬──────────┬──────────┐
 //!            │ stripe 0 │ stripe 1 │  ... N   │  shared result cache:
-//!            │ LRU      │ LRU      │ LRU      │  hit → answered here,
-//!            │ pending  │ pending  │ pending  │  pending → wait on it
-//!            └──────────┴──────────┴──────────┘
-//!                                   │ miss only
-//!                                   ▼
-//!                          one job queue (mpsc)
-//!                    ┌──────────┬──────────┬──────────┐
-//!                    │ worker 0 │ worker 1 │  ... N   │  supervised pool
-//!                    └────┬─────┴────┬─────┴────┬─────┘
-//!                         └── suite cache (one compile per scale) ──┘
+//!            │ LRU      │ LRU      │ LRU      │  hit → header + stored
+//!            │ pending  │ pending  │ pending  │  body, written here;
+//!            └──────────┴──────────┴──────────┘  pending → wait on it
+//!                   │ miss only          ▲
+//!                   ▼                    │ body, encoded once (Arc<str>),
+//!          one job queue (mpsc)          │ shared with the journal writer
+//!            ┌──────────┬──────────┬─────┴────┐
+//!            │ worker 0 │ worker 1 │  ... N   │  supervised pool
+//!            └────┬─────┴────┬─────┴────┬─────┘
+//!                 └── suite cache (one compile per scale) ──┘
 //! ```
 //!
 //! * **Hits first.** The result cache is shared, split into N
@@ -39,7 +39,12 @@
 //!   the out-of-order lesson of the paper applied to the daemon.
 //!   Identical requests always meet the same stripe (the stripe is the
 //!   full request fingerprint ([`SimRequest::fingerprint`]) modulo N),
-//!   so a stripe lock is the only coordination a lookup needs.
+//!   so a stripe lock is the only coordination a lookup needs. An
+//!   entry is the result's encoded body
+//!   ([`SimResult::encode_body`]), made once by the worker that
+//!   simulated it and shared with the journal, so a hit writes a short
+//!   header plus the stored bytes: one request decode, one streamed
+//!   fingerprint, one lock and one copy.
 //! * **One queue, a pool of workers.** Misses go on one queue that N
 //!   supervised workers pull from, so an idle worker takes the next
 //!   miss whatever its stripe. A point already being simulated is not

@@ -1,10 +1,11 @@
 //! The entry codec and the atomic snapshot writer behind the
 //! write-ahead journal ([`crate::journal`]).
 //!
-//! A [`CacheLine`]'s compact JSON ([`encode_entry`]) is one journal
-//! record's payload; a snapshot ([`save`]) is every entry in one
-//! `"type": "cache_dump"` document (version 1), written whenever the
-//! journal compacts. Entries are keyed by full-request fingerprint, so
+//! A [`CacheLine`]'s compact JSON ([`encode_entry`]) is the format of
+//! one journal record's payload (the journal splices the same bytes
+//! around a result's stored body); a snapshot ([`save`]) is every
+//! entry in one `"type": "cache_dump"` document (version 1), written
+//! whenever the journal compacts. Entries are keyed by full-request fingerprint, so
 //! state written with N shards loads into a server with M. Nothing
 //! reads the machine-config fingerprint back. Fingerprints use the
 //! whole 64-bit range while JSON numbers are exact only to 2^53, so
@@ -40,7 +41,7 @@ pub fn encode_entry(e: &CacheLine) -> Json {
     Json::obj(vec![
         ("key", fp_to_hex(e.key).into()),
         ("machine_fp", fp_to_hex(e.machine_fp).into()),
-        ("result", Json::Obj(e.result.body())),
+        ("result", Json::Obj(e.result.fields())),
     ])
 }
 

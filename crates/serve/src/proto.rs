@@ -16,11 +16,20 @@
 //! ← {"type": "sweep_row", "index": 1, ...}
 //! ← {"type": "sweep_done", "count": 2}
 //! ```
+//!
+//! A result reply is a short header plus a body. The header opens the
+//! object and names the reply (`{"type": "result", "cached": true,
+//! "shard": 2`); the body is everything after the shard field
+//! ([`SimResult::encode_body`]). The server encodes a body once, when
+//! the result is simulated, and every later reply, cache entry and
+//! journal record reuses those bytes.
+
+use std::hash::Hasher as _;
 
 use oov_core::Stepper;
 use oov_isa::{CommitMode, MachineConfig};
 use oov_kernels::{Program, Scale};
-use oov_proto::Json;
+use oov_proto::{Fnv1a, Json};
 use oov_stats::SimStats;
 
 /// Hard cap on the number of points in one `sweep` request, enforced
@@ -149,10 +158,13 @@ impl SimRequest {
     /// key. Two requests fingerprint equal iff every field that can
     /// influence the simulation outcome is equal. FNV-1a over the raw
     /// canonical-encoding bytes, for the same cross-toolchain
-    /// stability as [`MachineConfig::fingerprint`].
+    /// stability as [`MachineConfig::fingerprint`]. The encoding
+    /// streams into the hash; no `String` of it is built.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        oov_proto::fingerprint_bytes(self.to_json().encode().as_bytes())
+        let mut h = Fnv1a::new();
+        self.to_json().encode_into(&mut h);
+        h.finish()
     }
 }
 
@@ -194,11 +206,19 @@ impl Request {
     /// Encodes to one line of JSON (no trailing newline).
     #[must_use]
     pub fn encode(&self) -> String {
-        match self {
-            Request::Ping => Json::obj(vec![("type", "ping".into())]).encode(),
-            Request::Stats => Json::obj(vec![("type", "stats".into())]).encode(),
-            Request::Metrics => Json::obj(vec![("type", "metrics".into())]).encode(),
-            Request::Shutdown => Json::obj(vec![("type", "shutdown".into())]).encode(),
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`Request::encode`]'s bytes to `out`, so a caller can
+    /// reuse one line buffer.
+    pub fn encode_into(&self, out: &mut String) {
+        let doc = match self {
+            Request::Ping => Json::obj(vec![("type", "ping".into())]),
+            Request::Stats => Json::obj(vec![("type", "stats".into())]),
+            Request::Metrics => Json::obj(vec![("type", "metrics".into())]),
+            Request::Shutdown => Json::obj(vec![("type", "shutdown".into())]),
             Request::Sim { req, deadline_ms } => {
                 let mut pairs = vec![("type".to_string(), Json::Str("sim".into()))];
                 if let Json::Obj(body) = req.to_json() {
@@ -207,7 +227,7 @@ impl Request {
                 if let Some(ms) = deadline_ms {
                     pairs.push(("deadline_ms".to_string(), (*ms).into()));
                 }
-                Json::Obj(pairs).encode()
+                Json::Obj(pairs)
             }
             Request::Sweep {
                 points,
@@ -223,9 +243,10 @@ impl Request {
                 if let Some(ms) = deadline_ms {
                     pairs.push(("deadline_ms".to_string(), (*ms).into()));
                 }
-                Json::Obj(pairs).encode()
+                Json::Obj(pairs)
             }
-        }
+        };
+        doc.encode_into(out);
     }
 
     /// Decodes one line.
@@ -296,14 +317,38 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    pub(crate) fn body(&self) -> Vec<(String, Json)> {
+    /// The fields after `shard`, in wire order.
+    fn tail(&self) -> Vec<(String, Json)> {
         vec![
-            ("cached".to_string(), self.cached.into()),
-            ("shard".to_string(), self.shard.into()),
             ("ideal_cycles".to_string(), self.ideal_cycles.into()),
             ("faults_taken".to_string(), self.faults_taken.into()),
             ("stats".to_string(), self.stats.to_json()),
         ]
+    }
+
+    /// Every field, as the object a snapshot entry nests.
+    pub(crate) fn fields(&self) -> Vec<(String, Json)> {
+        let mut fields = vec![
+            ("cached".to_string(), self.cached.into()),
+            ("shard".to_string(), self.shard.into()),
+        ];
+        fields.extend(self.tail());
+        fields
+    }
+
+    /// The result's stored encoding: the bytes after the shard field,
+    /// `, "ideal_cycles": …, "faults_taken": …, "stats": {…}}`. It
+    /// closes the object a reply header opened, and it holds neither
+    /// `cached` nor `shard`, so the same bytes serve a miss, every hit
+    /// on any stripe, and the journal record.
+    #[must_use]
+    pub fn encode_body(&self) -> String {
+        let mut out = String::with_capacity(768);
+        Json::Obj(self.tail()).encode_into(&mut out);
+        // `{"ideal_cycles": …}` continues a header instead of opening
+        // an object of its own.
+        out.replace_range(..1, ", ");
+        out
     }
 
     pub(crate) fn from_json(v: &Json) -> Result<Self, String> {
@@ -326,6 +371,40 @@ impl SimResult {
             shard: field("shard")? as usize,
         })
     }
+}
+
+/// Writes `"cached": …, "shard": …` and then `body`: the fields of a
+/// result object, after whatever opened it (a reply header or a
+/// journal record's `"result": {`).
+pub(crate) fn write_result_fields(out: &mut String, cached: bool, shard: usize, body: &str) {
+    out.push_str("\"cached\": ");
+    Json::Bool(cached).encode_into(out);
+    out.push_str(", \"shard\": ");
+    Json::from(shard).encode_into(out);
+    out.push_str(body);
+}
+
+/// Appends one result reply: a [`Response::Result`] when `index` is
+/// `None`, else the [`Response::SweepRow`] at `index`. `body` is the
+/// result's [`SimResult::encode_body`]. [`Response::encode`] goes
+/// through here too, so a reply the server splices from stored bytes
+/// and one encoded from a [`SimResult`] cannot differ.
+pub(crate) fn write_reply(
+    out: &mut String,
+    index: Option<usize>,
+    cached: bool,
+    shard: usize,
+    body: &str,
+) {
+    match index {
+        None => out.push_str("{\"type\": \"result\", "),
+        Some(index) => {
+            out.push_str("{\"type\": \"sweep_row\", \"index\": ");
+            Json::from(index).encode_into(out);
+            out.push_str(", ");
+        }
+    }
+    write_result_fields(out, cached, shard, body);
 }
 
 /// A snapshot of the server's counters, exported over the wire.
@@ -544,49 +623,64 @@ impl Response {
     /// Encodes to one line of JSON (no trailing newline).
     #[must_use]
     pub fn encode(&self) -> String {
-        let tagged = |tag: &str, body: Vec<(String, Json)>| {
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`Response::encode`]'s bytes to `out`, so a caller can
+    /// reuse one line buffer. Results and sweep rows are a header plus
+    /// [`SimResult::encode_body`], through the one function the server
+    /// also splices stored bodies with.
+    pub fn encode_into(&self, out: &mut String) {
+        let tagged = |out: &mut String, tag: &str, body: Vec<(String, Json)>| {
             let mut pairs = vec![("type".to_string(), Json::Str(tag.into()))];
             pairs.extend(body);
-            Json::Obj(pairs).encode()
+            Json::Obj(pairs).encode_into(out);
         };
         match self {
-            Response::Pong => tagged("pong", vec![]),
+            Response::Pong => tagged(out, "pong", vec![]),
             Response::Error { message } => tagged(
+                out,
                 "error",
                 vec![("message".to_string(), message.clone().into())],
             ),
             Response::Overloaded { retry_after_ms } => tagged(
+                out,
                 "overloaded",
                 vec![("retry_after_ms".to_string(), (*retry_after_ms).into())],
             ),
-            Response::DeadlineExceeded => tagged("deadline_exceeded", vec![]),
+            Response::DeadlineExceeded => tagged(out, "deadline_exceeded", vec![]),
             Response::SweepRowError { index, message } => tagged(
+                out,
                 "sweep_row_error",
                 vec![
                     ("index".to_string(), (*index).into()),
                     ("message".to_string(), message.clone().into()),
                 ],
             ),
-            Response::ShuttingDown => tagged("shutting_down", vec![]),
-            Response::Result(r) => tagged("result", r.body()),
-            Response::SweepRow { index, result } => {
-                let mut body = vec![("index".to_string(), (*index).into())];
-                body.extend(result.body());
-                tagged("sweep_row", body)
+            Response::ShuttingDown => tagged(out, "shutting_down", vec![]),
+            Response::Result(r) => write_reply(out, None, r.cached, r.shard, &r.encode_body()),
+            Response::SweepRow { index, result: r } => {
+                write_reply(out, Some(*index), r.cached, r.shard, &r.encode_body());
             }
-            Response::SweepDone { count } => {
-                tagged("sweep_done", vec![("count".to_string(), (*count).into())])
-            }
+            Response::SweepDone { count } => tagged(
+                out,
+                "sweep_done",
+                vec![("count".to_string(), (*count).into())],
+            ),
             Response::Stats(s) => {
                 if let Json::Obj(body) = s.to_json() {
-                    tagged("stats", body)
+                    tagged(out, "stats", body);
                 } else {
                     unreachable!("snapshot encodes to an object")
                 }
             }
-            Response::Metrics { snapshot } => {
-                tagged("metrics", vec![("snapshot".to_string(), snapshot.clone())])
-            }
+            Response::Metrics { snapshot } => tagged(
+                out,
+                "metrics",
+                vec![("snapshot".to_string(), snapshot.clone())],
+            ),
         }
     }
 
@@ -667,6 +761,100 @@ mod tests {
         // every result cache and journal written before it.
         let req = SimRequest::ooo_default(Program::Trfd, Scale::Paper);
         assert_eq!(req.fingerprint(), 13_249_383_966_225_158_790);
+    }
+
+    /// SplitMix64, the workspace's dependency-free PRNG.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A seeded random request. Fields are drawn independently, so
+    /// fault points land on every machine; the fingerprint hashes
+    /// whatever the request holds.
+    fn random_request(state: &mut u64) -> SimRequest {
+        let mut pick = |n: usize| (splitmix(state) % n as u64) as usize;
+        let latency = 1 + pick(200) as u32;
+        let machine = if pick(4) == 0 {
+            MachineConfig::Ref(RefConfig {
+                lat: RefConfig::default().lat.with_memory_latency(latency),
+                banked_ports: pick(2) == 0,
+                chain_fu: pick(2) == 0,
+                chain_loads: pick(2) == 0,
+                scalar_cache: if pick(2) == 0 {
+                    None
+                } else {
+                    RefConfig::default().scalar_cache
+                },
+            })
+        } else {
+            let commit = [CommitMode::Early, CommitMode::Late][pick(2)];
+            let elim = [
+                LoadElimMode::Off,
+                LoadElimMode::Sle,
+                LoadElimMode::SleVle,
+                LoadElimMode::SleVleSse,
+            ][pick(4)];
+            MachineConfig::Ooo(
+                OooConfig::default()
+                    .with_phys_v_regs(9 + pick(120))
+                    .with_queue_slots(1 + pick(256))
+                    .with_memory_latency(latency)
+                    .with_commit(commit)
+                    .with_load_elim(elim),
+            )
+        };
+        SimRequest {
+            program: Program::ALL[pick(Program::ALL.len())],
+            scale: [Scale::Smoke, Scale::Paper][pick(2)],
+            machine,
+            stepper: [Stepper::Naive, Stepper::EventDriven][pick(2)],
+            fault_at: if pick(2) == 0 {
+                None
+            } else {
+                Some(pick(1 << 40))
+            },
+        }
+    }
+
+    #[test]
+    fn streamed_fingerprint_hashes_the_encoded_request() {
+        let mut state = 0x05ee_d0ff_1e1d;
+        let (mut refs, mut elims, mut commits, mut naive, mut paper, mut faults) =
+            (0, [0; 4], [0; 2], 0, 0, 0);
+        for _ in 0..2_000 {
+            let req = random_request(&mut state);
+            let encoded = req.to_json().encode();
+            assert_eq!(
+                req.fingerprint(),
+                oov_proto::fingerprint_bytes(encoded.as_bytes()),
+                "{encoded}"
+            );
+            assert_eq!(
+                req.machine.fingerprint(),
+                oov_proto::fingerprint_bytes(req.machine.to_json().encode().as_bytes())
+            );
+            match req.machine {
+                MachineConfig::Ref(_) => refs += 1,
+                MachineConfig::Ooo(c) => {
+                    elims[c.load_elim as usize] += 1;
+                    commits[usize::from(c.commit == CommitMode::Late)] += 1;
+                }
+            }
+            naive += usize::from(req.stepper == Stepper::Naive);
+            paper += usize::from(req.scale == Scale::Paper);
+            faults += usize::from(req.fault_at.is_some());
+        }
+        // The corpus covers both machines, every commit and load-elim
+        // mode, both steppers, both scales, and fault points on and off.
+        for n in [refs, naive, paper, faults] {
+            assert!((200..1_800).contains(&n), "lopsided corpus: {n}");
+        }
+        assert!(elims.iter().all(|&n| n > 100), "{elims:?}");
+        assert!(commits.iter().all(|&n| n > 100), "{commits:?}");
     }
 
     #[test]

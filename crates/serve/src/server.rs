@@ -11,10 +11,11 @@
 //!   the out-of-order lesson of the paper applied to the daemon. Only
 //!   misses go on to the workers;
 //! * the result cache is split into N **cache stripes** (stripe
-//!   `fp % N`), each a mutex over an O(1) LRU, the set of fingerprints
-//!   currently being simulated, and the `shard.<n>.{requests,
-//!   service_ns, queue_depth, sheds}` metrics. A lock is held for one
-//!   lookup or one insert, never across a simulation;
+//!   `fp % N`), each a mutex over an O(1) LRU of encoded result bodies,
+//!   the set of fingerprints currently being simulated, and the
+//!   `shard.<n>.{requests, service_ns, queue_depth, sheds}` metrics. A
+//!   lock is held for one lookup or one insert, never across a
+//!   simulation or an encode;
 //! * N **pool workers** pulling misses from one `mpsc` queue (the
 //!   receiver sits behind a mutex taken per `recv`, so an idle worker
 //!   picks up the next miss whatever its stripe) — plus one
@@ -68,10 +69,19 @@
 //! budget-exhausted fallback. Connection reads use a short timeout so
 //! every idle thread observes the shutdown flag promptly.
 //!
-//! Replies travel back over a per-request `mpsc` channel (a hit is
-//! sent on it by the connection thread itself); a sweep's connection
-//! thread holds a reorder buffer so rows stream to the client in
-//! request order no matter how the workers interleave.
+//! # Encode once
+//!
+//! A result is encoded once, by the worker that simulated it, into a
+//! shared body ([`SimResult::encode_body`]): every field after
+//! `shard`. The stripe's LRU entry, the journal writer's state and
+//! every reply share that `Arc<str>`. Replies travel back over a
+//! per-request `mpsc` channel as `(cached, shard, body)` (a hit is
+//! sent on it by the connection thread itself). The connection thread
+//! writes a short header into one reused line buffer, appends the
+//! body and the newline, and sends the line with one `write_all`, so
+//! a hit builds no `Json` value and encodes no result. A sweep's
+//! connection thread holds a reorder buffer so rows stream to the
+//! client in request order no matter how the workers interleave.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
@@ -89,9 +99,9 @@ use oov_proto::Json;
 
 use crate::cache::SuiteCache;
 use crate::chaos::{ChaosConfig, JobFault};
-use crate::journal::{self, JournalConfig, JournalWriter};
+use crate::journal::{self, JournalConfig, JournalWriter, Record};
 use crate::persist::{self, CacheLine};
-use crate::proto::{Request, Response, SimRequest, SimResult, StatsSnapshot};
+use crate::proto::{self, Request, Response, SimRequest, SimResult, StatsSnapshot};
 
 /// How often parked connection threads re-check the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(250);
@@ -169,10 +179,22 @@ impl Drop for Job {
 /// Receiving end of a dispatched batch's reply channel.
 type ReplyRx = mpsc::Receiver<(usize, JobReply)>;
 
-/// A worker's answer to one job. The result is boxed so the common
-/// control variants stay pointer-sized on the reply channel.
+/// A result ready to write: the reply header's `cached` and `shard`
+/// fields, and the result's stored body.
+struct Answer {
+    cached: bool,
+    shard: usize,
+    body: Arc<str>,
+}
+
+/// The answer to one job or hit, sent over the batch's reply channel.
+/// Hits, single-flight waiters and misses all arrive as `Done`, which
+/// carries the shared body rather than a `SimResult`: the connection
+/// thread only copies it out.
 enum JobReply {
-    Done(Box<SimResult>),
+    /// A result: `cached: false` for the job's own simulation, `true`
+    /// for a hit or a waiter.
+    Done(Answer),
     /// The job's execution panicked (real or injected) or was
     /// aborted; the worker survives and keeps serving.
     Failed(String),
@@ -242,7 +264,7 @@ struct Engine {
     cancel: Arc<AtomicBool>,
     /// Append-side of the write-ahead journal; empty when journaling
     /// is off. Set once at startup, read lock-free on the job path.
-    journal_tx: OnceLock<mpsc::Sender<CacheLine>>,
+    journal_tx: OnceLock<mpsc::Sender<Record>>,
     chaos: Option<ChaosConfig>,
     shutdown: AtomicBool,
     /// Set exactly once, when shutdown begins: the instant the drain
@@ -373,34 +395,36 @@ impl Engine {
         self.stripes[n].lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Answers `to` with a cached `result` (already `cached: true`),
-    /// counting a hit and the time since `since` as stripe service.
-    fn answer_hit(&self, stripe: usize, to: &ReplyTo, result: SimResult, since: Instant) {
+    /// Answers `to` with a cached `body` from `stripe`, counting a hit
+    /// and the time since `since` as stripe service.
+    fn answer_hit(&self, stripe: usize, to: &ReplyTo, body: Arc<str>, since: Instant) {
         self.result_hits.inc();
         self.per_shard[stripe].inc();
         self.service_time[stripe].record(elapsed_ns(since));
+        let hit = Answer {
+            cached: true,
+            shard: stripe,
+            body,
+        };
         // A dropped reply receiver just means the client went away.
-        let _ = to.tx.send((to.tag, JobReply::Done(Box::new(result))));
+        let _ = to.tx.send((to.tag, JobReply::Done(hit)));
     }
 
-    /// Lands a leader's `result`: inserts it into the job's stripe,
-    /// clears the pending entry and answers every waiter as a hit.
-    fn settle(&self, job: &mut Job, result: &SimResult) {
+    /// Lands a leader's result `body`: inserts it into the job's
+    /// stripe, clears the pending entry and answers every waiter as a
+    /// hit.
+    fn settle(&self, job: &mut Job, body: &Arc<str>) {
         let since = Instant::now();
         let mut stripe = self.stripe(job.stripe);
         let waiters = stripe.pending.remove(&job.fp).unwrap_or_default();
-        let evicted = stripe.lru.insert(job.fp, result.clone());
+        let evicted = stripe.lru.insert(job.fp, Arc::clone(body));
         drop(stripe);
         job.settled = true;
         if evicted {
             self.result_evictions.inc();
         }
         for to in &waiters {
-            let hit = SimResult {
-                cached: true,
-                ..result.clone()
-            };
-            self.answer_hit(job.stripe, to, hit, since);
+            self.answer_hit(job.stripe, to, Arc::clone(body), since);
         }
     }
 
@@ -439,11 +463,12 @@ impl Engine {
     }
 
     /// Loads journal `jpath`'s snapshot, then its tail on top (keyed
-    /// by request fingerprint), and seeds the stripes with the result.
-    /// Returns that state and the journal's intact length. An
+    /// by request fingerprint), encodes each result's body once and
+    /// seeds the stripes with it. Returns the journal writer's state,
+    /// which shares those bodies, and the journal's intact length. An
     /// unloadable snapshot is skipped with a warning: losing a cache
     /// must never take the service down.
-    fn recover(&self, jpath: &Path) -> (HashMap<u64, CacheLine>, u64) {
+    fn recover(&self, jpath: &Path) -> (HashMap<u64, Record>, u64) {
         let mut state: HashMap<u64, CacheLine> = HashMap::new();
         let mut skipped = 0u64;
         let snap = journal::snapshot_path(jpath);
@@ -466,21 +491,21 @@ impl Engine {
             .counter("cache.load_skipped")
             .add(skipped + rec.skipped);
         state.extend(rec.entries.into_iter().map(|e| (e.key, e)));
-        for entry in state.values() {
+        let mut records = HashMap::with_capacity(state.len());
+        for (key, line) in state {
+            let record = Record::of(&line);
             // The stripe `dispatch` looks the key up in, so the shard
-            // count may change across restarts.
-            let n = (entry.key % self.stripes.len() as u64) as usize;
-            let result = SimResult {
-                shard: n,
-                ..entry.result.clone()
-            };
+            // count may change across restarts. The body holds no
+            // shard, so it is valid on any stripe.
+            let n = (key % self.stripes.len() as u64) as usize;
             // Seeding through the same entry point applies the cap to
             // an oversized recovery state too.
-            if self.stripe(n).lru.insert(entry.key, result) {
+            if self.stripe(n).lru.insert(key, Arc::clone(&record.body)) {
                 self.result_evictions.inc();
             }
+            records.insert(key, record);
         }
-        (state, rec.intact_bytes)
+        (records, rec.intact_bytes)
     }
 }
 
@@ -604,7 +629,8 @@ impl Default for ServeConfig {
 const NO_SLOT: usize = usize::MAX;
 
 /// One stripe of the result cache: the ready results for fingerprints
-/// `≡ n (mod stripes)` and the ones being simulated right now.
+/// `≡ n (mod stripes)`, as stored bodies, and the fingerprints being
+/// simulated right now.
 struct Stripe {
     lru: Lru,
     /// Fingerprints with a leader job in flight, each with the
@@ -621,7 +647,9 @@ impl Stripe {
     }
 }
 
-/// A stripe's ready results, with an optional LRU cap.
+/// A stripe's ready results, with an optional LRU cap. An entry holds
+/// the result's stored body ([`SimResult::encode_body`]), shared with
+/// the journal writer, so a hit copies bytes and encodes nothing.
 ///
 /// Recency is an intrusive doubly-linked list threaded through a slot
 /// vector (`prev`/`next` indices), with a `HashMap` from request
@@ -644,7 +672,7 @@ struct Lru {
 
 struct LruEntry {
     key: u64,
-    result: SimResult,
+    body: Arc<str>,
     prev: usize,
     next: usize,
 }
@@ -688,21 +716,21 @@ impl Lru {
     }
 
     /// Looks up `key`, moving it to the recency front on a hit.
-    fn get(&mut self, key: u64) -> Option<&SimResult> {
+    fn get(&mut self, key: u64) -> Option<&Arc<str>> {
         let slot = *self.map.get(&key)?;
         if self.head != slot {
             self.unlink(slot);
             self.push_front(slot);
         }
-        Some(&self.slots[slot].result)
+        Some(&self.slots[slot].body)
     }
 
     /// Inserts `key`, evicting the least-recently-used entry when at
     /// the cap. Returns `true` if an entry was evicted.
-    fn insert(&mut self, key: u64, result: SimResult) -> bool {
+    fn insert(&mut self, key: u64, body: Arc<str>) -> bool {
         if let Some(&slot) = self.map.get(&key) {
             // Overwrite in place and touch.
-            self.slots[slot].result = result;
+            self.slots[slot].body = body;
             if self.head != slot {
                 self.unlink(slot);
                 self.push_front(slot);
@@ -721,7 +749,7 @@ impl Lru {
         };
         let entry = LruEntry {
             key,
-            result,
+            body,
             prev: NO_SLOT,
             next: NO_SLOT,
         };
@@ -1092,17 +1120,25 @@ fn run_job(
                 cached: false,
                 shard: job.stripe,
             };
-            engine.settle(job, &r);
+            // The one encoding of this result: the cache, the journal
+            // and every reply share these bytes.
+            let body: Arc<str> = r.encode_body().into();
+            engine.settle(job, &body);
             // Write-ahead append: one non-blocking send to the journal
             // writer; durability happens off the job path.
             if let Some(tx) = engine.journal_tx.get() {
-                let _ = tx.send(CacheLine {
+                let _ = tx.send(Record {
                     key: job.fp,
                     machine_fp: req.machine.fingerprint(),
-                    result: r.clone(),
+                    shard: job.stripe,
+                    body: Arc::clone(&body),
                 });
             }
-            JobReply::Done(Box::new(r))
+            JobReply::Done(Answer {
+                cached: false,
+                shard: job.stripe,
+                body,
+            })
         }
         Ok(Err(aborted)) => {
             engine.cancelled_jobs.inc();
@@ -1167,13 +1203,10 @@ fn dispatch(
             tx: tx.clone(),
         };
         let mut stripe = engine.stripe(n);
-        if let Some(hit) = stripe.lru.get(fp) {
-            let hit = SimResult {
-                cached: true,
-                ..hit.clone()
-            };
+        if let Some(body) = stripe.lru.get(fp) {
+            let body = Arc::clone(body);
             drop(stripe);
-            engine.answer_hit(n, &to, hit, looked_up);
+            engine.answer_hit(n, &to, body, looked_up);
             continue;
         }
         if let Some(waiters) = stripe.pending.get_mut(&fp) {
@@ -1215,12 +1248,32 @@ fn dispatch(
     (rx, shed)
 }
 
-/// Writes one response line with a single `write` — body and newline
+/// A connection's write half and its one reused line buffer. Every
+/// response goes out with a single `write_all`, body and newline
 /// together, so a message is one TCP segment under `TCP_NODELAY`.
-fn write_response(writer: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    let mut line = resp.encode();
-    line.push('\n');
-    writer.write_all(line.as_bytes())
+struct Replies {
+    stream: TcpStream,
+    line: String,
+}
+
+impl Replies {
+    fn send(&mut self, fill: impl FnOnce(&mut String)) -> io::Result<()> {
+        self.line.clear();
+        fill(&mut self.line);
+        self.line.push('\n');
+        self.stream.write_all(self.line.as_bytes())
+    }
+
+    /// Writes `resp`, encoded.
+    fn response(&mut self, resp: &Response) -> io::Result<()> {
+        self.send(|line| resp.encode_into(line))
+    }
+
+    /// Writes a result reply (a sweep row when `index` is set): the
+    /// header, then the stored body, copied.
+    fn answer(&mut self, index: Option<usize>, a: &Answer) -> io::Result<()> {
+        self.send(|line| proto::write_reply(line, index, a.cached, a.shard, &a.body))
+    }
 }
 
 /// Per-connection loop: parse a line, answer it, repeat until EOF,
@@ -1239,7 +1292,10 @@ fn handle_connection(
     let conn_id = engine.conn_seq.fetch_add(1, Ordering::Relaxed);
     let mut requests_read: u64 = 0;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let mut writer = Replies {
+        stream,
+        line: String::with_capacity(1024),
+    };
     let mut line = Vec::new();
     loop {
         line.clear();
@@ -1266,12 +1322,9 @@ fn handle_connection(
                     } else {
                         let since = *partial_since.get_or_insert_with(Instant::now);
                         if since.elapsed() > PARTIAL_LINE_TIMEOUT {
-                            let _ = write_response(
-                                &mut writer,
-                                &Response::Error {
-                                    message: "partial request line timed out".into(),
-                                },
-                            );
+                            let _ = writer.response(&Response::Error {
+                                message: "partial request line timed out".into(),
+                            });
                             return Ok(());
                         }
                     }
@@ -1281,12 +1334,9 @@ fn handle_connection(
         }
         // The cap was reached before a newline.
         if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") {
-            let _ = write_response(
-                &mut writer,
-                &Response::Error {
-                    message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                },
-            );
+            let _ = writer.response(&Response::Error {
+                message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            });
             return Ok(());
         }
         let text = std::str::from_utf8(&line)
@@ -1307,7 +1357,7 @@ fn handle_connection(
         }
         let req = match Request::decode(text) {
             Err(message) => {
-                write_response(&mut writer, &Response::Error { message })?;
+                writer.response(&Response::Error { message })?;
                 continue;
             }
             Ok(req) => req,
@@ -1341,12 +1391,12 @@ fn shed_response(cause: &Shed) -> Response {
     }
 }
 
-/// Maps one job reply to the response for a single `sim` request.
-fn sim_response(reply: JobReply) -> Response {
+/// Writes one job reply as the response to a single `sim` request.
+fn write_sim_reply(writer: &mut Replies, reply: JobReply) -> io::Result<()> {
     match reply {
-        JobReply::Done(result) => Response::Result(*result),
-        JobReply::Failed(message) => Response::Error { message },
-        JobReply::Deadline => Response::DeadlineExceeded,
+        JobReply::Done(answer) => writer.answer(None, &answer),
+        JobReply::Failed(message) => writer.response(&Response::Error { message }),
+        JobReply::Deadline => writer.response(&Response::DeadlineExceeded),
     }
 }
 
@@ -1354,30 +1404,24 @@ fn sim_response(reply: JobReply) -> Response {
 /// connection should close (a `shutdown` request).
 fn answer(
     req: Request,
-    writer: &mut TcpStream,
+    writer: &mut Replies,
     queue: &mpsc::Sender<Job>,
     engine: &Arc<Engine>,
     listen_addr: SocketAddr,
 ) -> io::Result<bool> {
     match req {
-        Request::Ping => write_response(writer, &Response::Pong)?,
+        Request::Ping => writer.response(&Response::Pong)?,
         Request::Stats => {
-            write_response(
-                writer,
-                &Response::Stats(stats_view(&engine.metrics.snapshot())),
-            )?;
+            writer.response(&Response::Stats(stats_view(&engine.metrics.snapshot())))?;
         }
         Request::Metrics => {
-            write_response(
-                writer,
-                &Response::Metrics {
-                    snapshot: engine.metrics.snapshot(),
-                },
-            )?;
+            writer.response(&Response::Metrics {
+                snapshot: engine.metrics.snapshot(),
+            })?;
         }
         Request::Shutdown => {
             engine.begin_shutdown();
-            write_response(writer, &Response::ShuttingDown)?;
+            writer.response(&Response::ShuttingDown)?;
             // Wake the acceptor so it observes the flag.
             let _ = TcpStream::connect(listen_addr);
             return Ok(false);
@@ -1385,20 +1429,19 @@ fn answer(
         Request::Sim { req, deadline_ms } => {
             let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
             let (rx, shed) = dispatch(queue, engine, std::slice::from_ref(&req), deadline);
-            let resp = if let Some((_, cause)) = shed.first() {
-                shed_response(cause)
+            if let Some((_, cause)) = shed.first() {
+                writer.response(&shed_response(cause))?;
             } else {
                 match rx.recv() {
-                    Ok((_, reply)) => sim_response(reply),
+                    Ok((_, reply)) => write_sim_reply(writer, reply)?,
                     // The worker died mid-job (its reply sender
                     // dropped unanswered). Retriable: the respawned
                     // worker will simulate it fresh.
-                    Err(_) => Response::Error {
+                    Err(_) => writer.response(&Response::Error {
                         message: "job lost (worker died); retry".into(),
-                    },
+                    })?,
                 }
-            };
-            write_response(writer, &resp)?;
+            }
         }
         Request::Sweep {
             points,
@@ -1409,7 +1452,8 @@ fn answer(
             let (rx, shed) = dispatch(queue, engine, &points, deadline);
             // Reorder buffer: rows stream to the client in request
             // order. Shed points are pre-filled as error rows.
-            let mut buf: Vec<Option<Result<SimResult, String>>> = vec![None; n];
+            let mut buf: Vec<Option<Result<Answer, String>>> =
+                std::iter::repeat_with(|| None).take(n).collect();
             let mut filled = 0;
             for (tag, cause) in shed {
                 buf[tag] = Some(Err(match cause {
@@ -1432,7 +1476,7 @@ fn answer(
                 match rx.recv_timeout(wait) {
                     Ok((tag, reply)) => {
                         buf[tag] = Some(match reply {
-                            JobReply::Done(result) => Ok(*result),
+                            JobReply::Done(answer) => Ok(answer),
                             JobReply::Failed(message) => Err(message),
                             JobReply::Deadline => Err("deadline exceeded".into()),
                         });
@@ -1457,7 +1501,7 @@ fn answer(
                 }
             }
             stream_rows(writer, &mut buf, next)?;
-            write_response(writer, &Response::SweepDone { count: n })?;
+            writer.response(&Response::SweepDone { count: n })?;
         }
     }
     Ok(true)
@@ -1466,8 +1510,8 @@ fn answer(
 /// Streams the filled prefix of the reorder buffer starting at `next`;
 /// returns the new `next`.
 fn stream_rows(
-    writer: &mut TcpStream,
-    buf: &mut [Option<Result<SimResult, String>>],
+    writer: &mut Replies,
+    buf: &mut [Option<Result<Answer, String>>],
     mut next: usize,
 ) -> io::Result<usize> {
     while next < buf.len() {
@@ -1475,20 +1519,11 @@ fn stream_rows(
             break;
         };
         match row {
-            Ok(result) => write_response(
-                writer,
-                &Response::SweepRow {
-                    index: next,
-                    result,
-                },
-            )?,
-            Err(message) => write_response(
-                writer,
-                &Response::SweepRowError {
-                    index: next,
-                    message,
-                },
-            )?,
+            Ok(answer) => writer.answer(Some(next), &answer)?,
+            Err(message) => writer.response(&Response::SweepRowError {
+                index: next,
+                message,
+            })?,
         }
         next += 1;
     }
@@ -1498,19 +1533,9 @@ fn stream_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oov_stats::SimStats;
-
-    fn result(tag: u64) -> SimResult {
-        SimResult {
-            stats: SimStats {
-                cycles: tag,
-                ..SimStats::new()
-            },
-            ideal_cycles: 0,
-            faults_taken: 0,
-            cached: false,
-            shard: 0,
-        }
+    /// A stand-in body that names its tag.
+    fn body(tag: u64) -> Arc<str> {
+        tag.to_string().into()
     }
 
     fn keys_mru_to_lru(c: &Lru) -> Vec<u64> {
@@ -1526,15 +1551,15 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_in_order() {
         let mut c = Lru::new(Some(2));
-        assert!(!c.insert(1, result(1)));
-        assert!(!c.insert(2, result(2)));
+        assert!(!c.insert(1, body(1)));
+        assert!(!c.insert(2, body(2)));
         // Touch 1 so 2 becomes the LRU victim.
-        assert_eq!(c.get(1).unwrap().stats.cycles, 1);
-        assert!(c.insert(3, result(3)), "must evict at the cap");
+        assert_eq!(&**c.get(1).unwrap(), "1");
+        assert!(c.insert(3, body(3)), "must evict at the cap");
         assert!(c.get(2).is_none(), "2 was the LRU entry");
         assert_eq!(keys_mru_to_lru(&c), vec![3, 1]);
         // Evicted slot is recycled, list stays consistent.
-        assert!(c.insert(4, result(4)));
+        assert!(c.insert(4, body(4)));
         assert_eq!(keys_mru_to_lru(&c), vec![4, 3]);
         assert_eq!(c.slots.len(), 2, "slots are recycled, not grown");
     }
@@ -1542,10 +1567,10 @@ mod tests {
     #[test]
     fn lru_overwrite_touches_without_evicting() {
         let mut c = Lru::new(Some(2));
-        c.insert(1, result(1));
-        c.insert(2, result(2));
-        assert!(!c.insert(1, result(100)), "overwrite never evicts");
-        assert_eq!(c.get(1).unwrap().stats.cycles, 100);
+        c.insert(1, body(1));
+        c.insert(2, body(2));
+        assert!(!c.insert(1, body(100)), "overwrite never evicts");
+        assert_eq!(&**c.get(1).unwrap(), "100");
         assert_eq!(keys_mru_to_lru(&c), vec![1, 2]);
     }
 
@@ -1553,15 +1578,15 @@ mod tests {
     fn lru_unbounded_and_single_entry_caps() {
         let mut c = Lru::new(None);
         for k in 0..64 {
-            assert!(!c.insert(k, result(k)));
+            assert!(!c.insert(k, body(k)));
         }
         assert_eq!(keys_mru_to_lru(&c).len(), 64);
         // A zero cap behaves as "cache one entry".
         let mut one = Lru::new(Some(0));
-        assert!(!one.insert(1, result(1)));
-        assert!(one.insert(2, result(2)));
+        assert!(!one.insert(1, body(1)));
+        assert!(one.insert(2, body(2)));
         assert!(one.get(1).is_none());
-        assert_eq!(one.get(2).unwrap().stats.cycles, 2);
+        assert_eq!(&**one.get(2).unwrap(), "2");
     }
 
     #[test]

@@ -14,7 +14,11 @@ use std::time::{Duration, Instant};
 use oov_core::Stepper;
 use oov_isa::{MachineConfig, OooConfig};
 use oov_kernels::{Program, Scale};
-use oov_serve::{journal, Client, PersistOptions, ServeConfig, Server, SimError, SimRequest};
+use oov_serve::{
+    journal, persist, CacheLine, Client, PersistOptions, ServeConfig, Server, SimError, SimRequest,
+    SimResult,
+};
+use oov_stats::SimStats;
 
 /// A pool of distinct smoke-scale points (distinct fingerprints).
 fn distinct_points(n: usize) -> Vec<SimRequest> {
@@ -201,6 +205,100 @@ fn corrupted_journal_recovers_exactly_the_intact_prefix() {
     }
     std::fs::remove_file(&jpath).ok();
     std::fs::remove_file(journal::snapshot_path(&jpath)).ok();
+}
+
+/// State written in the on-disk format of earlier builds —
+/// snapshot entries through `persist::save`, journal records through
+/// `journal::encode_record` — is recovered, re-encoded into stored
+/// bodies and served warm, and the shutdown compaction writes the
+/// snapshot those same functions write.
+#[test]
+fn journal_and_snapshot_in_the_existing_format_serve_warm() {
+    let jpath = tmp("format.wal");
+    let snap = journal::snapshot_path(&jpath);
+    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_file(&snap).ok();
+    let points = distinct_points(4);
+    // Made-up results: the cache serves what the journal says, so
+    // these numbers must come back bit for bit.
+    let line = |i: usize, cycles: u64| {
+        let mut stats = SimStats {
+            cycles,
+            committed: 4_294_967_296 + i as u64,
+            branches: 999_999_999_999_999,
+            ..SimStats::new()
+        };
+        stats
+            .breakdown
+            .record(oov_stats::UnitState::new(true, false, true), 1 << 50);
+        CacheLine {
+            key: points[i].fingerprint(),
+            machine_fp: points[i].machine.fingerprint(),
+            result: SimResult {
+                stats,
+                ideal_cycles: 4_503_599_627_370_496,
+                faults_taken: i as u64,
+                cached: false,
+                shard: i,
+            },
+        }
+    };
+    persist::save(&snap, &[line(0, 100), line(1, 101), line(2, 102)]).expect("save snapshot");
+    // The journal tail overrides point 2 and adds point 3.
+    let tail = [line(2, 9_007_199_254_740_991), line(3, 103)];
+    let mut framed = Vec::new();
+    for l in &tail {
+        oov_proto::frame_record(&journal::encode_record(l), &mut framed).expect("frame");
+    }
+    std::fs::write(&jpath, &framed).expect("write journal");
+    let mut want = vec![line(0, 100), line(1, 101), tail[0].clone(), tail[1].clone()];
+
+    let server = Server::start_cfg(
+        "127.0.0.1:0",
+        2,
+        ServeConfig {
+            persist: PersistOptions {
+                journal: Some(jpath.clone()),
+                ..PersistOptions::default()
+            },
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for (p, want) in points.iter().zip(&want) {
+        let got = client.sim(p).expect("served after recovery");
+        assert!(got.cached, "a recovered point was simulated");
+        assert_eq!(got.shard, (want.key % 2) as usize);
+        assert_eq!(
+            (got.stats, got.ideal_cycles, got.faults_taken),
+            (
+                want.result.stats,
+                want.result.ideal_cycles,
+                want.result.faults_taken
+            )
+        );
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.result_misses, 0);
+    assert_eq!(stats.journal_recovered, tail.len() as u64);
+    assert_eq!(stats.suite_compiles_smoke + stats.suite_compiles_paper, 0);
+    client.shutdown().expect("shutdown");
+    server.join();
+
+    // The compaction decoded the stored bodies back into the snapshot
+    // `persist::save` writes for the recovered lines.
+    want.sort_by_key(|l| l.key);
+    let expected = tmp("format.expected");
+    persist::save(&expected, &want).expect("save expected");
+    assert_eq!(
+        std::fs::read(&snap).expect("compacted snapshot"),
+        std::fs::read(&expected).expect("expected snapshot")
+    );
+    assert_eq!(std::fs::metadata(&jpath).expect("journal").len(), 0);
+    for path in [&jpath, &snap, &expected] {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 #[test]

@@ -1,8 +1,10 @@
 //! Wire-protocol contract tests: exact encode/decode round trips for
 //! every message variant, malformed-request rejection (direct and over
-//! a live socket), and an end-to-end integration test with concurrent
+//! a live socket), an end-to-end integration test with concurrent
 //! clients asserting served results are bit-identical to direct
-//! in-process simulation.
+//! in-process simulation, and raw-socket checks that every served
+//! result line (miss, hit, single-flight waiter, sweep row, hit after a
+//! journal restart) is the canonical encoding of what it decodes to.
 
 use oov_core::{OooSim, Stepper};
 use oov_isa::{CommitMode, LoadElimMode, MachineConfig, OooConfig, RefConfig};
@@ -725,4 +727,231 @@ fn bounded_result_cache_evicts_lru_and_keeps_warm_hits() {
         .shutdown()
         .expect("shutdown");
     server.join();
+}
+
+/// One raw connection: requests go out as encoded lines, and responses
+/// come back as the exact bytes the server wrote.
+struct RawConn {
+    writer: std::net::TcpStream,
+    reader: std::io::BufReader<std::net::TcpStream>,
+}
+
+impl RawConn {
+    fn connect(addr: std::net::SocketAddr) -> RawConn {
+        let writer = std::net::TcpStream::connect(addr).expect("raw connect");
+        writer.set_nodelay(true).ok();
+        let reader = std::io::BufReader::new(writer.try_clone().expect("clone stream"));
+        RawConn { writer, reader }
+    }
+
+    fn send(&mut self, req: &Request) {
+        use std::io::Write;
+        writeln!(self.writer, "{}", req.encode()).expect("send");
+    }
+
+    /// The next response line, without its newline.
+    fn line(&mut self) -> String {
+        use std::io::BufRead;
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("read line");
+        assert!(line.ends_with('\n'), "unterminated line {line:?}");
+        line.pop();
+        line
+    }
+
+    fn sim(&mut self, req: &SimRequest) -> String {
+        self.send(&Request::Sim {
+            req: *req,
+            deadline_ms: None,
+        });
+        self.line()
+    }
+}
+
+/// Asserts that `line` is a result reply (a sweep row when `index` is
+/// set) whose bytes are the canonical encoding of what it decodes to,
+/// both as a `Response` and as a plain JSON value, with the expected
+/// `cached` flag and shard; returns the result.
+fn canonical_result(line: &str, index: Option<usize>, cached: bool, shard: usize) -> SimResult {
+    let resp = Response::decode(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    assert_eq!(resp.encode(), line, "served bytes are not canonical");
+    // The spliced header is the JSON writer's own layout too.
+    assert_eq!(Json::parse(line).expect("parse").encode(), line);
+    let (got_index, result) = match resp {
+        Response::Result(r) => (None, r),
+        Response::SweepRow { index, result } => (Some(index), result),
+        other => panic!("expected a result, got {other:?}"),
+    };
+    assert_eq!(got_index, index);
+    assert_eq!(result.cached, cached, "wrong `cached` in {line}");
+    assert_eq!(result.shard, shard, "wrong shard in {line}");
+    result
+}
+
+/// The line a hit on `shard` must be: the miss's line with only its
+/// header changed, since both carry the one stored body.
+fn as_hit(miss_line: &str, shard: usize) -> String {
+    let miss = Response::decode(miss_line).expect("decode miss");
+    let Response::Result(result) = miss else {
+        panic!("not a result: {miss_line}")
+    };
+    Response::Result(SimResult {
+        cached: true,
+        shard,
+        ..result
+    })
+    .encode()
+}
+
+fn stripe_of(req: &SimRequest, stripes: u64) -> usize {
+    (req.fingerprint() % stripes) as usize
+}
+
+/// A miss, a hit, and a sweep with a hit row and a miss row, read as
+/// raw bytes: every line is canonical, and a hit is the miss's bytes
+/// under a `cached: true` header.
+#[test]
+fn served_result_lines_are_canonical_bytes() {
+    let server = Server::start("127.0.0.1:0", 2).expect("server start");
+    let mut conn = RawConn::connect(server.addr());
+    let x = SimRequest::ooo_default(Program::Trfd, Scale::Smoke);
+    let y = SimRequest {
+        machine: MachineConfig::Ref(RefConfig::default()),
+        ..SimRequest::ooo_default(Program::Dyfesm, Scale::Smoke)
+    };
+    let (sx, sy) = (stripe_of(&x, 2), stripe_of(&y, 2));
+
+    let miss = conn.sim(&x);
+    let cold = canonical_result(&miss, None, false, sx);
+    let hit = conn.sim(&x);
+    let warm = canonical_result(&hit, None, true, sx);
+    assert_eq!(hit, as_hit(&miss, sx));
+    assert_eq!(
+        (warm.stats, warm.ideal_cycles),
+        (cold.stats, cold.ideal_cycles)
+    );
+
+    conn.send(&Request::Sweep {
+        points: vec![x, y],
+        deadline_ms: None,
+    });
+    let row_hit = canonical_result(&conn.line(), Some(0), true, sx);
+    assert_eq!(row_hit.stats, cold.stats);
+    canonical_result(&conn.line(), Some(1), false, sy);
+    assert_eq!(
+        Response::decode(&conn.line()).expect("sweep done"),
+        Response::SweepDone { count: 2 }
+    );
+    // The miss row was cached on its way out: a `sim` of it hits.
+    canonical_result(&conn.sim(&y), None, true, sy);
+
+    server.stop();
+}
+
+/// A request that waits on an in-flight simulation of its point (a
+/// single-flight waiter) is answered with the leader's stored bytes
+/// under a `cached: true` header.
+#[test]
+fn a_single_flight_waiter_gets_canonical_bytes() {
+    // Every job sleeps before it simulates, so the waiter arrives
+    // while its leader is pending.
+    let chaos = oov_serve::ChaosConfig {
+        seed: 0,
+        panic_permille: 0,
+        hard_panic_permille: 0,
+        delay_permille: 1000,
+        delay_ms: 750,
+        drop_permille: 0,
+    };
+    let server = Server::start_cfg(
+        "127.0.0.1:0",
+        2,
+        ServeConfig {
+            chaos: Some(chaos),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server start");
+    let addr = server.addr();
+    let x = SimRequest::ooo_default(Program::Bdna, Scale::Smoke);
+    let shard = stripe_of(&x, 2);
+    let mut probe = Client::connect(addr).expect("connect");
+    let mut leader = RawConn::connect(addr);
+    leader.send(&Request::Sim {
+        req: x,
+        deadline_ms: None,
+    });
+    // A worker has taken the leader's job and is sleeping on it.
+    let t0 = std::time::Instant::now();
+    while probe.stats().expect("stats").requests < 1 {
+        assert!(t0.elapsed().as_secs() < 10, "no worker took the job");
+        std::thread::yield_now();
+    }
+    let mut waiter = RawConn::connect(addr);
+    waiter.send(&Request::Sim {
+        req: x,
+        deadline_ms: None,
+    });
+    // Leader, waiter and the probe's own `metrics` request in flight
+    // at once: the waiter arrived before the leader was answered.
+    let inflight = |probe: &mut Client| {
+        let m = probe.metrics().expect("metrics");
+        m.get("gauges")
+            .and_then(|g| g.get("server.inflight_requests"))
+            .and_then(Json::as_f64)
+            .expect("inflight gauge")
+    };
+    while inflight(&mut probe) < 3.0 {
+        assert!(t0.elapsed().as_secs() < 10, "the waiter never arrived");
+        std::thread::yield_now();
+    }
+    let miss = leader.line();
+    canonical_result(&miss, None, false, shard);
+    let waited = waiter.line();
+    canonical_result(&waited, None, true, shard);
+    assert_eq!(waited, as_hit(&miss, shard));
+    let stats = probe.stats().expect("stats");
+    assert_eq!((stats.result_misses, stats.result_hits), (1, 1));
+    server.stop();
+}
+
+/// A hit answered from a recovered journal carries bytes re-encoded
+/// from the snapshot, on the stripe the new shard count maps it to,
+/// and they equal the cold server's bytes under a hit header.
+#[test]
+fn a_hit_after_a_journal_restart_is_canonical() {
+    let jpath = std::env::temp_dir().join(format!("oov_serve_bytes_{}.wal", std::process::id()));
+    let snap = journal::snapshot_path(&jpath);
+    let _ = std::fs::remove_file(&jpath);
+    let _ = std::fs::remove_file(&snap);
+    let points = [
+        SimRequest::ooo_default(Program::Flo52, Scale::Smoke),
+        SimRequest {
+            machine: MachineConfig::Ooo(OooConfig::default().with_load_elim(LoadElimMode::SleVle)),
+            ..SimRequest::ooo_default(Program::Nasa7, Scale::Smoke)
+        },
+    ];
+    let server =
+        Server::start_cfg("127.0.0.1:0", 2, persist_cfg(Some(&jpath), None)).expect("server start");
+    let mut conn = RawConn::connect(server.addr());
+    let cold: Vec<String> = points.iter().map(|p| conn.sim(p)).collect();
+    for (p, line) in points.iter().zip(&cold) {
+        canonical_result(line, None, false, stripe_of(p, 2));
+    }
+    drop(conn);
+    server.stop();
+
+    let server = Server::start_cfg("127.0.0.1:0", 3, persist_cfg(Some(&jpath), None))
+        .expect("warm server start");
+    let mut conn = RawConn::connect(server.addr());
+    for (p, cold) in points.iter().zip(&cold) {
+        let shard = stripe_of(p, 3);
+        let warm = conn.sim(p);
+        canonical_result(&warm, None, true, shard);
+        assert_eq!(warm, as_hit(cold, shard));
+    }
+    drop(conn);
+    server.stop();
+    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_file(&snap).ok();
 }
