@@ -52,7 +52,7 @@ mod verify;
 pub use btb::{Btb, ReturnStack};
 pub use budget::{AbortReason, RunAborted, RunBudget};
 pub use rename::{PhysReg, RenameTable, RenameUnit};
-pub use rob::{DstInfo, EntryState, MemStage, QueueKind, Rob, RobEntry};
+pub use rob::{DstInfo, EntryState, MemStage, QueueKind, Rob, RobEntry, SrcList};
 pub use sim::{arena_constructions, OooSim, RunResult, SimArena, Stepper};
 pub use tags::{Tag, TagTable, TagUnit};
 pub use trace::{TraceRecord, TraceSink};

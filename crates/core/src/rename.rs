@@ -43,24 +43,15 @@ impl RenameTable {
     /// (rename could never proceed).
     #[must_use]
     pub fn new(class: RegClass, n_phys: usize) -> Self {
-        let n_arch = usize::from(class.arch_count());
-        assert!(
-            n_phys > n_arch,
-            "{class}: need more than {n_arch} physical registers, got {n_phys}"
-        );
-        let map: Vec<PhysReg> = (0..n_arch as PhysReg).collect();
-        let mut refcount = vec![0u16; n_phys];
-        for &p in &map {
-            refcount[p as usize] = 1;
-        }
-        let free: Vec<PhysReg> = ((n_arch as PhysReg)..(n_phys as PhysReg)).rev().collect();
-        RenameTable {
+        let mut t = RenameTable {
             class,
-            map,
-            free,
-            refcount,
-            n_phys,
-        }
+            map: Vec::new(),
+            free: Vec::new(),
+            refcount: Vec::new(),
+            n_phys: 0,
+        };
+        t.reinit(n_phys);
+        t
     }
 
     /// The class this table renames.
@@ -69,19 +60,31 @@ impl RenameTable {
         self.class
     }
 
-    /// Reinitialises the table to its just-built state without
-    /// reallocating (arena reuse). `n_phys` and `class` are unchanged.
-    pub(crate) fn reinit(&mut self) {
+    /// Reinitialises the table for `n_phys` physical registers of the
+    /// same class, reusing its storage (arena reuse: a size this table
+    /// has held before allocates nothing).
+    ///
+    /// # Panics
+    ///
+    /// As [`RenameTable::new`].
+    pub(crate) fn reinit(&mut self, n_phys: usize) {
         let n_arch = usize::from(self.class.arch_count());
+        assert!(
+            n_phys > n_arch,
+            "{}: need more than {n_arch} physical registers, got {n_phys}",
+            self.class
+        );
+        self.n_phys = n_phys;
         self.map.clear();
         self.map.extend(0..n_arch as PhysReg);
-        self.refcount.fill(0);
+        self.refcount.clear();
+        self.refcount.resize(n_phys, 0);
         for r in &mut self.refcount[..n_arch] {
             *r = 1;
         }
         self.free.clear();
         self.free
-            .extend(((n_arch as PhysReg)..(self.n_phys as PhysReg)).rev());
+            .extend(((n_arch as PhysReg)..(n_phys as PhysReg)).rev());
     }
 
     /// Total physical registers.
@@ -250,11 +253,8 @@ impl RenameUnit {
             (RegClass::Mask, phys_m.max(9)),
         ];
         for (t, (class, n)) in self.tables.iter_mut().zip(want) {
-            if t.n_phys == n {
-                t.reinit();
-            } else {
-                *t = RenameTable::new(class, n);
-            }
+            debug_assert_eq!(t.class, class);
+            t.reinit(n);
         }
     }
 }

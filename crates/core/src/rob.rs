@@ -7,10 +7,73 @@
 //! register names; it never holds register values."*
 
 use std::collections::VecDeque;
+use std::ops::Deref;
 
-use oov_isa::{BranchInfo, MemRef, Opcode, RegClass};
+use oov_isa::{BranchInfo, MemRef, Opcode, RegClass, MAX_SRCS};
 
 use crate::rename::PhysReg;
+
+/// A fixed-capacity operand list held inline in its ROB entry: at most
+/// [`MAX_SRCS`] items, the same bound an [`oov_isa::Instruction`]
+/// carries. It is `Copy`, so renaming, waking and issuing an entry copy
+/// its operands instead of touching the heap. Dereferences to the
+/// slice of the pushed items, in push order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SrcList<T> {
+    items: [T; MAX_SRCS],
+    len: u8,
+}
+
+impl<T: Copy + Default> SrcList<T> {
+    /// An empty list.
+    #[must_use]
+    pub fn new() -> Self {
+        SrcList {
+            items: [T::default(); MAX_SRCS],
+            len: 0,
+        }
+    }
+
+    /// Appends `item`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list already holds [`MAX_SRCS`] items.
+    pub fn push(&mut self, item: T) {
+        let len = usize::from(self.len);
+        assert!(len < MAX_SRCS, "operand list overflow");
+        self.items[len] = item;
+        self.len += 1;
+    }
+
+    /// Empties the list.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+}
+
+impl<T: Copy + Default> Default for SrcList<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> Deref for SrcList<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+impl<'a, T> IntoIterator for &'a SrcList<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
 
 /// Destination bookkeeping of one ROB entry: enough to commit (release
 /// the old mapping) or squash (restore it).
@@ -67,7 +130,9 @@ pub enum EntryState {
     Issued,
 }
 
-/// One reorder-buffer entry.
+/// One reorder-buffer entry: identifiers, register names and progress
+/// flags, with no heap storage of its own (the operand lists are inline
+/// [`SrcList`]s).
 #[derive(Debug, Clone)]
 pub struct RobEntry {
     /// Global sequence number (program order).
@@ -89,9 +154,9 @@ pub struct RobEntry {
     /// Renamed sources `(class, phys)`; vector sources may be deferred
     /// under the VLE pipeline, in which case they appear in
     /// `deferred_srcs` until stage 3.
-    pub srcs: Vec<(RegClass, PhysReg)>,
+    pub srcs: SrcList<(RegClass, PhysReg)>,
     /// Architectural vector sources awaiting late rename (VLE mode).
-    pub deferred_srcs: Vec<u8>,
+    pub deferred_srcs: SrcList<u8>,
     /// Destination bookkeeping (populated at rename, or stage 3 for
     /// vector destinations under VLE).
     pub dst: Option<DstInfo>,
@@ -128,6 +193,17 @@ impl RobEntry {
     #[must_use]
     pub fn is_store(&self) -> bool {
         self.op.is_store()
+    }
+
+    /// Completes the late (stage-3) rename of the deferred vector
+    /// sources: appends `resolved` — their physical registers, in
+    /// `deferred_srcs` order — after the dispatch-time sources, and
+    /// empties `deferred_srcs`.
+    pub(crate) fn resolve_deferred(&mut self, resolved: &[(RegClass, PhysReg)]) {
+        for &src in resolved {
+            self.srcs.push(src);
+        }
+        self.deferred_srcs.clear();
     }
 }
 
@@ -268,8 +344,8 @@ mod tests {
             mem: None,
             branch: None,
             pc: 0,
-            srcs: Vec::new(),
-            deferred_srcs: Vec::new(),
+            srcs: SrcList::new(),
+            deferred_srcs: SrcList::new(),
             dst: None,
             deferred_dst: None,
             state: EntryState::Waiting,
@@ -292,6 +368,73 @@ mod tests {
         assert_eq!(r.head().unwrap().trace_idx, 10);
         assert_eq!(r.pop().unwrap().seq, 0);
         assert_eq!(r.head_seq(), Some(1));
+    }
+
+    #[test]
+    fn src_list_push_clear_and_order() {
+        let mut l: SrcList<(RegClass, PhysReg)> = SrcList::new();
+        assert!(l.is_empty());
+        l.push((RegClass::S, 7));
+        l.push((RegClass::V, 3));
+        l.push((RegClass::A, 1));
+        assert_eq!(&*l, &[(RegClass::S, 7), (RegClass::V, 3), (RegClass::A, 1)]);
+        assert_eq!(l.first(), Some(&(RegClass::S, 7)));
+        assert_eq!(l.get(2), Some(&(RegClass::A, 1)));
+        assert_eq!(l.get(3), None, "only pushed items are visible");
+        let copy = l;
+        l.clear();
+        assert!(l.is_empty());
+        assert_eq!(copy.len(), 3, "a copy is independent of the original");
+        l.push((RegClass::Mask, 2));
+        assert_eq!(&*l, &[(RegClass::Mask, 2)]);
+    }
+
+    #[test]
+    fn src_list_holds_max_srcs() {
+        let mut l: SrcList<u8> = SrcList::new();
+        for i in 0..MAX_SRCS as u8 {
+            l.push(i);
+        }
+        assert_eq!(l.len(), MAX_SRCS);
+        assert!(l.iter().copied().eq(0..MAX_SRCS as u8));
+    }
+
+    #[test]
+    #[should_panic(expected = "operand list overflow")]
+    fn src_list_push_past_capacity_panics() {
+        let mut l: SrcList<u8> = SrcList::new();
+        for i in 0..=MAX_SRCS as u8 {
+            l.push(i);
+        }
+    }
+
+    #[test]
+    fn late_rename_appends_deferred_sources_in_order() {
+        // Under VLE a queue-M entry renames its scalar and mask
+        // operands at dispatch and defers its vector operands.
+        let mut e = entry(0);
+        e.srcs.push((RegClass::A, 4));
+        e.srcs.push((RegClass::Mask, 1));
+        e.deferred_srcs.push(5);
+        e.deferred_srcs.push(2);
+        // Stage 3 resolves the deferred names against the current map
+        // (arch r -> phys 10 + r here) in `deferred_srcs` order.
+        let mut resolved: SrcList<(RegClass, PhysReg)> = SrcList::new();
+        for &arch in &e.deferred_srcs {
+            resolved.push((RegClass::V, 10 + PhysReg::from(arch)));
+        }
+        e.resolve_deferred(&resolved);
+        // Dispatch-time operands first, then the deferred ones.
+        assert_eq!(
+            &*e.srcs,
+            &[
+                (RegClass::A, 4),
+                (RegClass::Mask, 1),
+                (RegClass::V, 15),
+                (RegClass::V, 12)
+            ]
+        );
+        assert!(e.deferred_srcs.is_empty());
     }
 
     #[test]

@@ -219,7 +219,9 @@ pub struct OooSim<'t> {
     /// maintained cheaply in both).
     pub(crate) sched: Scheduler,
     /// Wakeup index: per `(class, phys)`, sequence numbers of queue
-    /// entries waiting for that register to be produced.
+    /// entries waiting for that register to be produced. Each list
+    /// keeps its storage once emptied; a recycled arena may hold more
+    /// lists than the register file has (the surplus stays empty).
     pub(crate) waiters: [Vec<Vec<u64>>; 4],
     /// Wake accumulator for the currently-running issue stage: the
     /// scan notes each rejected entry's exact ready time as it walks,
@@ -309,7 +311,9 @@ pub fn arena_constructions() -> u64 {
 /// The allocation footprint of one [`OooSim`]: ROB storage, the four
 /// issue `SlotQueue`s, the wakeup index, the memory-pipe FIFO,
 /// BTB/tag/rename/timing tables, occupancy intervals — everything a
-/// run heap-allocates except the per-entry source lists.
+/// run heap-allocates. ROB entries hold their source lists inline, so
+/// once every container has grown to a run's peak, a replay of the
+/// same configs allocates nothing.
 #[derive(Debug)]
 struct Storage {
     rename: RenameUnit,
@@ -395,11 +399,15 @@ impl Storage {
         let n = phys_counts(&self.rename);
         self.timing.reset(n);
         self.tags.reset_to(n[0], n[1], n[2]);
+        // Waiter lists only grow: a register file that shrank keeps its
+        // surplus (empty) lists, so a larger one later reuses them.
         for (ws, &len) in self.waiters.iter_mut().zip(&n) {
             for w in ws.iter_mut() {
                 w.clear();
             }
-            ws.resize_with(len, Vec::new);
+            if ws.len() < len {
+                ws.resize_with(len, Vec::new);
+            }
         }
         self.rob.reset(cfg.rob_entries);
         self.q_a.clear();
@@ -445,9 +453,12 @@ impl Storage {
 ///
 /// The arena is engine-agnostic (the naive oracle and the stage-graph
 /// engine run through the same storage), and the parity grid asserts
-/// bit-identical [`SimStats`] against fresh construction.
-/// [`arena_constructions`] counts the fresh builds so tests can assert
-/// a warm replay allocated nothing.
+/// bit-identical [`SimStats`] against fresh construction. A reset
+/// keeps and only ever grows each container (a scalar cache of another
+/// geometry is the one thing built anew), so after one pass over a set
+/// of configs a second pass makes no heap allocation at all
+/// (`tests/alloc_smoke.rs` counts them with a counting global
+/// allocator). [`arena_constructions`] counts the fresh builds.
 #[derive(Debug, Default)]
 pub struct SimArena {
     storage: Option<Storage>,
@@ -1055,7 +1066,8 @@ impl<'t> OooSim<'t> {
     /// zero re-arms its queue's issue stage.
     pub(crate) fn set_avail(&mut self, class: RegClass, phys: PhysReg, first: u64, last: u64) {
         self.timing.set_avail(class, phys, first, last);
-        let mut woken = std::mem::take(&mut self.waiters[class_ix(class)][phys as usize]);
+        let (ix, slot) = (class_ix(class), phys as usize);
+        let mut woken = std::mem::take(&mut self.waiters[ix][slot]);
         // Squashed entries resolve to `None`; sequence numbers are
         // never reused, so a stale wake is simply dropped.
         woken.retain(|&seq| {
@@ -1067,9 +1079,13 @@ impl<'t> OooSim<'t> {
                 })
                 .unwrap_or(false)
         });
-        for seq in woken {
+        for &seq in &woken {
             self.merge_entry_wake(seq);
         }
+        // Hand the emptied list back so the register's next waiter
+        // reuses its storage.
+        woken.clear();
+        self.waiters[ix][slot] = woken;
     }
 
     /// Counts the entry's not-yet-produced sources and registers it in
@@ -1078,9 +1094,9 @@ impl<'t> OooSim<'t> {
     /// every source already produced arms its queue's issue stage.
     pub(crate) fn register_waits(&mut self, seq: u64) {
         let Some(e) = self.rob.get(seq) else { return };
-        let srcs = e.srcs.clone();
+        let srcs = e.srcs;
         let mut waiting = 0u16;
-        for (class, phys) in srcs {
+        for &(class, phys) in &srcs {
             if !self.timing.is_produced(class, phys) {
                 waiting += 1;
                 self.waiters[class_ix(class)][phys as usize].push(seq);

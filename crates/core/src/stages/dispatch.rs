@@ -8,8 +8,7 @@
 use oov_isa::{ArchReg, Instruction, Opcode, RegClass};
 
 use crate::queue::SlotQueue;
-use crate::rename::PhysReg;
-use crate::rob::{DstInfo, EntryState, MemStage, QueueKind, RobEntry};
+use crate::rob::{DstInfo, EntryState, MemStage, QueueKind, RobEntry, SrcList};
 use crate::sim::OooSim;
 use crate::stages::StageId;
 
@@ -59,8 +58,8 @@ impl OooSim<'_> {
         }
         let defer_vector = kind == QueueKind::M && self.vle_on();
         // Rename sources.
-        let mut srcs: Vec<(RegClass, PhysReg)> = Vec::with_capacity(3);
-        let mut deferred_srcs: Vec<u8> = Vec::new();
+        let mut srcs = SrcList::new();
+        let mut deferred_srcs = SrcList::new();
         for s in inst.sources() {
             let class = s.class();
             if defer_vector && class == RegClass::V {

@@ -7,11 +7,21 @@
 //! hit.
 //!
 //! This is the most expensive scan of the pipeline (the
-//! disambiguation check is quadratic in queue occupancy), which is why
-//! it is a masked stage: it sleeps whenever a failed scan proves
-//! nothing can issue, waking at the earliest ready time the failed
-//! scan saw or on one of the state edges the module docs of
+//! disambiguation check is quadratic in the number of candidates),
+//! which is why it is a masked stage: it sleeps whenever a failed scan
+//! proves nothing can issue, waking at the earliest ready time the
+//! failed scan saw or on one of the state edges the module docs of
 //! [`crate::stages`] enumerate.
+//!
+//! **The pipe frontier.** The three-stage memory pipe admits queue-M
+//! entries in queue order and they leave it in that order, so the
+//! `WaitDisamb` entries form a prefix of queue M: behind the first
+//! entry still in (or waiting for) the pipe, nothing is a candidate.
+//! The stage-graph engine stops its scan there, so the quadratic
+//! disambiguation walk covers only the post-pipe prefix. The naive
+//! oracle scans the whole queue, so the parity grid checks the
+//! frontier rule rather than sharing it, and debug builds assert it
+//! at every stop.
 
 use oov_isa::{CommitMode, MemKind, Opcode, RegClass};
 
@@ -45,6 +55,16 @@ impl OooSim<'_> {
         }
     }
 
+    /// The frontier invariant behind the stage-graph engine's early
+    /// stop: no queue-M entry after raw position `frontier` has
+    /// reached `WaitDisamb`. Checked by a debug assertion.
+    fn past_frontier_never_waits(&self, frontier: usize) -> bool {
+        (frontier + 1..self.q_m.raw_len())
+            .filter_map(|pos| self.q_m.raw_get(pos))
+            .filter_map(|seq| self.rob.get(seq))
+            .all(|e| e.mem_stage != MemStage::WaitDisamb)
+    }
+
     pub(crate) fn issue_mem(&mut self) {
         'outer: for pos in 0..self.q_m.raw_len() {
             let Some(seq) = self.q_m.raw_get(pos) else {
@@ -53,8 +73,16 @@ impl OooSim<'_> {
             let Some(e) = self.rob.get(seq) else { continue };
             if e.mem_stage != MemStage::WaitDisamb {
                 // Entries before stage 3 (and vector computes in the VLE
-                // pipe) cannot issue; they also block later conflicting
-                // accesses via the overlap check below.
+                // pipe) cannot issue. This is the pipe frontier: every
+                // entry behind it is still in or before the pipe too.
+                if self.stepper == crate::Stepper::EventDriven {
+                    debug_assert!(
+                        self.past_frontier_never_waits(pos),
+                        "a WaitDisamb entry follows the memory-pipe frontier at cycle {}",
+                        self.now
+                    );
+                    break;
+                }
                 continue;
             }
             // Wakeup index + fused wake accumulation (event engine

@@ -95,7 +95,7 @@ impl OooSim<'_> {
             // Issue.
             let vl = u64::from(e.vl);
             let leff = u64::from(lat.first_result(e.op));
-            let srcs = e.srcs.clone();
+            let srcs = e.srcs;
             let dst = e.dst;
             let now = self.now;
             let busy_until = now + vl.max(1);
@@ -108,7 +108,7 @@ impl OooSim<'_> {
                 self.occ
                     .busy(oov_stats::VectorUnit::Fu1, now, busy_until - 1);
             }
-            for (c, p) in srcs {
+            for &(c, p) in &srcs {
                 if c == RegClass::V {
                     self.timing.read_port_free[p as usize] = busy_until;
                 }

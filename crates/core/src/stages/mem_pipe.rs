@@ -22,7 +22,7 @@
 use oov_isa::{MemKind, Opcode, RegClass};
 
 use crate::rename::PhysReg;
-use crate::rob::{DstInfo, EntryState, MemStage, QueueKind};
+use crate::rob::{DstInfo, EntryState, MemStage, QueueKind, SrcList};
 use crate::sim::OooSim;
 use crate::stages::StageId;
 use crate::tags::Tag;
@@ -293,16 +293,16 @@ impl OooSim<'_> {
         let Some(e) = self.rob.get(seq) else {
             return Stage3Rename::Renamed;
         };
-        // Resolve deferred sources against the current map.
-        let deferred: Vec<u8> = e.deferred_srcs.clone();
+        // Resolve deferred sources against the current map (before a
+        // destination allocation can move it).
         let ddst = e.deferred_dst;
         let op = e.op;
         let vl = e.vl;
         let mem = e.mem;
         let trace_idx = e.trace_idx;
-        let mut resolved: Vec<(RegClass, PhysReg)> = Vec::with_capacity(deferred.len());
-        for arch in &deferred {
-            resolved.push((RegClass::V, self.rename.table(RegClass::V).lookup(*arch)));
+        let mut resolved: SrcList<(RegClass, PhysReg)> = SrcList::new();
+        for &arch in &e.deferred_srcs {
+            resolved.push((RegClass::V, self.rename.table(RegClass::V).lookup(arch)));
         }
         // Vector load elimination: probe before allocating.
         if let Some(arch) = ddst {
@@ -318,8 +318,7 @@ impl OooSim<'_> {
                 self.progress(StageId::MemPipe);
                 let (new, old) = self.rename.table_mut(RegClass::V).alias(arch, provider);
                 let entry = self.rob.get_mut(seq).expect("entry vanished");
-                entry.srcs.extend(resolved);
-                entry.deferred_srcs.clear();
+                entry.resolve_deferred(&resolved);
                 entry.deferred_dst = None;
                 entry.dst = Some(DstInfo {
                     class: RegClass::V,
@@ -349,8 +348,7 @@ impl OooSim<'_> {
             self.tags.table_mut(RegClass::V).invalidate_reg(new);
             self.timing.clear(RegClass::V, new);
             let entry = self.rob.get_mut(seq).expect("entry vanished");
-            entry.srcs.extend(resolved);
-            entry.deferred_srcs.clear();
+            entry.resolve_deferred(&resolved);
             entry.deferred_dst = None;
             entry.dst = Some(DstInfo {
                 class: RegClass::V,
@@ -364,8 +362,7 @@ impl OooSim<'_> {
             return Stage3Rename::Renamed;
         }
         let entry = self.rob.get_mut(seq).expect("entry vanished");
-        entry.srcs.extend(resolved);
-        entry.deferred_srcs.clear();
+        entry.resolve_deferred(&resolved);
         self.progress(StageId::MemPipe);
         Stage3Rename::Renamed
     }

@@ -41,7 +41,7 @@ mod trace;
 pub use config::{
     CommitMode, LoadElimMode, MachineConfig, MachineKind, OooConfig, RefConfig, ScalarCacheCfg,
 };
-pub use inst::{BranchInfo, Instruction, MemKind, MemRef};
+pub use inst::{BranchInfo, Instruction, MemKind, MemRef, MAX_SRCS};
 pub use latency::LatencyModel;
 pub use opcode::{FuClass, LatClass, Opcode};
 pub use reg::{ArchReg, RegClass, MAX_VL, NUM_A_REGS, NUM_MASK_REGS, NUM_S_REGS, NUM_V_REGS};

@@ -18,9 +18,13 @@ pub const MAX_VL: u16 = 128;
 /// The out-of-order implementation keeps one rename map and one free list
 /// per class (paper §2.2: "There are 4 independent mapping tables, one for
 /// each type of register: A, S, V and mask registers").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The default, [`RegClass::A`], carries no meaning: it only fills the
+/// unused slots of fixed-capacity operand lists.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RegClass {
     /// Address registers (scalar unit).
+    #[default]
     A,
     /// Scalar data registers (scalar unit).
     S,
