@@ -625,16 +625,6 @@ impl<'t> OooSim<'t> {
         self
     }
 
-    /// As [`OooSim::with_checker`], but seeds the checker's memory image
-    /// with a compiled program's initial contents.
-    #[must_use]
-    pub fn with_checker_seeded(mut self, init: &[(u64, u64)]) -> Self {
-        let mut c = Checker::new(self.trace);
-        c.seed(init);
-        self.checker = Some(c);
-        self
-    }
-
     /// As [`OooSim::with_checker`], but installs the checker's memory
     /// as a copy-on-write fork of a compiled program's frozen base
     /// image (`CompiledProgram::base_image`) — the warm-replay path:

@@ -60,11 +60,6 @@ impl Checker {
         }
     }
 
-    /// Seeds initial memory (a compiled program's `mem_init`).
-    pub(crate) fn seed(&mut self, init: &[(u64, u64)]) {
-        self.machine.memory_mut().seed(init);
-    }
-
     /// Installs initial memory as a copy-on-write fork of a compiled
     /// program's frozen base image — no seed work per run.
     pub(crate) fn seed_base(&mut self, base: &Arc<BaseImage>) {

@@ -210,7 +210,7 @@ mod tests {
             let k = p.kernel(Scale::Smoke);
             let prog = oov_vcc::compile(&k);
             let want = IrInterp::run_kernel(&k);
-            let mut m = prog.golden_machine();
+            let mut m = prog.fresh_machine();
             m.run(&prog.trace);
             for (addr, val) in want.iter() {
                 if addr < SPILL_SPACE_BASE {

@@ -130,7 +130,7 @@ mod tests {
             let k = random_kernel(seed);
             let prog = compile(&k);
             let want = IrInterp::run_kernel(&k);
-            let mut m = prog.golden_machine();
+            let mut m = prog.fresh_machine();
             m.run(&prog.trace);
             for (addr, val) in want.iter() {
                 if addr < SPILL_SPACE_BASE {

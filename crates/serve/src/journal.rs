@@ -1,5 +1,5 @@
 //! Write-ahead journal for the result cache — the daemon's only
-//! persistence.
+//! persistence, and the one module that knows its on-disk format.
 //!
 //! Every cache insert is appended, through a batching writer thread,
 //! as one framed record
@@ -11,12 +11,19 @@
 //! ```
 //!
 //! ([`oov_proto::frame_record`]) to an append-only file, fsynced per
-//! batch. Recovery ([`recover`]) replays the file from the start and
-//! **truncates at the first torn or corrupt record** instead of
-//! failing — everything before the tear is durable, and a crash
-//! mid-append costs at most the final batch. A record whose frame is
-//! intact but whose JSON no longer decodes (say, a schema change) is
-//! skipped with a counted warning.
+//! batch. The payload is one [`CacheLine`]:
+//! `{"key": …, "machine_fp": …, "result": {…}}`. Entries are keyed by
+//! full-request fingerprint, so state written with N shards loads into
+//! a server with M; nothing reads the machine-config fingerprint back.
+//! Fingerprints use the whole 64-bit range while JSON numbers are
+//! exact only to 2^53, so they travel as hex strings.
+//!
+//! Recovery ([`recover`]) replays a file from the start and **stops at
+//! the first torn or corrupt record** instead of failing — everything
+//! before the tear is durable, and a crash mid-append costs at most
+//! the final batch. A record whose frame is intact but whose JSON no
+//! longer decodes (say, a schema change) is skipped with a counted
+//! warning.
 //!
 //! # Snapshot + compaction
 //!
@@ -27,11 +34,17 @@
 //! key on top of bytes the cache holds anyway. A record's payload is
 //! spliced around that body, never re-encoded from a `SimResult`.
 //! When the journal grows past [`JournalConfig::max_bytes`], it
-//! compacts: a full snapshot ([`persist::save`]) goes to
-//! `<journal>.snapshot`, then the journal is truncated. Graceful
+//! compacts: every record of the state, framed exactly as appends
+//! frame it and sorted by key, replaces `<journal>.snapshot` whole
+//! (temp file, fsync, rename, directory fsync), then the journal is
+//! truncated. The snapshot is therefore a compacted journal. Graceful
 //! shutdown runs the same compaction once the last sender is gone,
-//! unless the journal is already empty. Startup loads **snapshot +
-//! journal tail**, the tail overriding the snapshot.
+//! unless the journal is already empty. Startup replays the snapshot
+//! and then the journal tail through the same [`recover`], the tail
+//! overriding the snapshot. Recovery never truncates the snapshot: a
+//! torn one yields its intact prefix and is replaced at the next
+//! compaction. A file in any other format at the snapshot path yields
+//! no records and the server starts cold for them.
 //!
 //! `journal.appended_records` (`stats`: `journal_records`) is a
 //! durable watermark: a batch is counted only after its `sync_data`
@@ -45,8 +58,7 @@ use std::thread::JoinHandle;
 
 use oov_proto::{frame_record, FrameReader, Json};
 
-use crate::persist::{self, CacheLine};
-use crate::proto::write_result_fields;
+use crate::proto::{write_result_fields, SimResult};
 
 /// Default journal-rotation threshold (`--journal-max-bytes`).
 pub const DEFAULT_JOURNAL_MAX_BYTES: u64 = 8 << 20;
@@ -72,6 +84,18 @@ pub fn snapshot_path(journal: &Path) -> PathBuf {
     let mut name = journal.as_os_str().to_os_string();
     name.push(".snapshot");
     PathBuf::from(name)
+}
+
+/// One persisted result-cache entry: the payload of one record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CacheLine {
+    /// Full-request fingerprint — the result-cache key.
+    pub key: u64,
+    /// Machine-config fingerprint. Not used for routing or lookup;
+    /// kept only as part of the record format.
+    pub machine_fp: u64,
+    /// The cached result.
+    pub result: SimResult,
 }
 
 /// What [`recover`] salvaged from a journal file.
@@ -126,18 +150,19 @@ impl Record {
             &self.body,
         );
     }
+}
 
-    /// Decodes the record back into the cache line it stores.
-    fn decode(&self) -> Result<CacheLine, String> {
-        let mut payload = String::new();
-        self.encode_into(&mut payload);
-        decode_record(payload.as_bytes())
-    }
+/// Frames `record` onto `buf` through the scratch `payload`; false if
+/// the payload is past [`oov_proto::MAX_FRAME_PAYLOAD`] and was left
+/// out.
+fn frame_into(record: &Record, payload: &mut String, buf: &mut Vec<u8>) -> bool {
+    payload.clear();
+    record.encode_into(payload);
+    frame_record(payload.as_bytes(), buf).is_some()
 }
 
 /// `{"key": …, "machine_fp": …, "result": {"cached": …, "shard": …` +
-/// `body` + `}`: byte for byte the compact encoding of
-/// [`persist::encode_entry`].
+/// `body` + `}`: the record payload of a [`CacheLine`].
 fn splice(out: &mut String, key: u64, machine_fp: u64, cached: bool, shard: usize, body: &str) {
     use std::fmt::Write as _;
     let _ = write!(
@@ -165,15 +190,33 @@ pub fn encode_record(entry: &CacheLine) -> Vec<u8> {
     out.into_bytes()
 }
 
+/// Decodes one record payload back into its cache line, validating
+/// every field.
 fn decode_record(payload: &[u8]) -> Result<CacheLine, String> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("payload not UTF-8: {e}"))?;
     let doc = Json::parse(text).map_err(|e| format!("{e}"))?;
-    persist::decode_entry(&doc)
+    let fp = |name: &str| {
+        let s = doc
+            .get(name)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("record without `{name}`"))?;
+        s.strip_prefix("0x")
+            .and_then(|digits| u64::from_str_radix(digits, 16).ok())
+            .ok_or_else(|| format!("record: bad fingerprint `{s}`"))
+    };
+    Ok(CacheLine {
+        key: fp("key")?,
+        machine_fp: fp("machine_fp")?,
+        result: SimResult::from_json(
+            doc.get("result")
+                .ok_or_else(|| "record without `result`".to_string())?,
+        )?,
+    })
 }
 
-/// Replays a journal file, stopping at the first torn or corrupt
-/// record. A missing file is an empty journal, not an error — the
-/// first run of a `--journal` server starts that way.
+/// Replays a journal or snapshot file, stopping at the first torn or
+/// corrupt record. A missing file is an empty journal, not an error —
+/// the first run of a `--journal` server starts that way.
 #[must_use]
 pub fn recover(path: &Path) -> Recovery {
     let buf = match std::fs::read(path) {
@@ -207,7 +250,7 @@ pub fn recover(path: &Path) -> Recovery {
     if rec.truncated_bytes > 0 {
         eprintln!(
             "oov-serve: journal {}: torn/corrupt tail ({:?}); keeping the {}-record intact \
-             prefix, truncating {} bytes",
+             prefix, dropping the {} bytes after it",
             path.display(),
             reader.stop(),
             rec.entries.len(),
@@ -307,9 +350,7 @@ fn writer_loop(
         let mut records = 0u64;
         let mut next = Some(first);
         while let Some(record) = next {
-            payload.clear();
-            record.encode_into(&mut payload);
-            if frame_record(payload.as_bytes(), &mut buf).is_some() {
+            if frame_into(&record, &mut payload, &mut buf) {
                 records += 1;
             }
             state.insert(record.key, record);
@@ -349,30 +390,22 @@ fn writer_loop(
 /// Snapshots the full state, then truncates the journal; returns
 /// whether both happened. A crash between the two leaves snapshot and
 /// journal overlapping, which replay handles (same keys, same values —
-/// later wins). The stored bodies are decoded here, on the writer
-/// thread, so the snapshot keeps its format.
+/// later wins). Records are framed as appends frame them, in key
+/// order, so the same state always writes the same bytes.
 fn compact(
     file: &std::fs::File,
     state: &HashMap<u64, Record>,
     cfg: &JournalConfig,
     counters: &JournalCounters,
 ) -> bool {
-    let mut entries: Vec<CacheLine> = Vec::with_capacity(state.len());
-    for record in state.values() {
-        match record.decode() {
-            Ok(line) => entries.push(line),
-            // Bodies are the server's own encodings; one that does not
-            // decode is a bug, and the snapshot goes on without it.
-            Err(why) => eprintln!(
-                "oov-serve: journal {}: record {:#018x} does not decode ({why}); \
-                 leaving it out of the snapshot",
-                cfg.path.display(),
-                record.key
-            ),
-        }
+    let mut records: Vec<&Record> = state.values().collect();
+    records.sort_unstable_by_key(|r| r.key);
+    let mut buf = Vec::new();
+    let mut payload = String::with_capacity(1024);
+    for record in records {
+        frame_into(record, &mut payload, &mut buf);
     }
-    entries.sort_by_key(|e| e.key);
-    if let Err(e) = persist::save(&snapshot_path(&cfg.path), &entries) {
+    if let Err(e) = write_atomic(&snapshot_path(&cfg.path), &buf) {
         eprintln!(
             "oov-serve: journal {}: snapshot failed ({e}); journal keeps growing",
             cfg.path.display()
@@ -392,6 +425,39 @@ fn compact(
             false
         }
     }
+}
+
+/// Writes `bytes` to `path`, durably and atomically: temp file +
+/// `fsync` + rename + **fsync of the parent directory** (without the
+/// last step the rename itself can be lost to a crash, resurrecting
+/// the old snapshot — or nothing). The temp name carries the writer's
+/// pid (`<path>.tmp.<pid>`), so two servers sharing a path cannot
+/// clobber each other's in-flight temp file; the loser of the final
+/// rename race still leaves a complete, valid snapshot. A failed write
+/// removes its temp file, so a retried compaction leaves nothing
+/// behind.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
+    let mut tmp_name = path.as_os_str().to_os_string();
+    tmp_name.push(format!(".tmp.{}", std::process::id()));
+    let tmp = PathBuf::from(tmp_name);
+    (|| -> std::io::Result<()> {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        // The rename lives in the directory's data.
+        let parent = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(parent)?.sync_all()
+    })()
+    .map_err(|e| {
+        // After a successful rename there is no temp file left and
+        // this is a harmless `NotFound`.
+        let _ = std::fs::remove_file(&tmp);
+        format!("{}: {e}", path.display())
+    })
 }
 
 #[cfg(test)]
@@ -450,23 +516,34 @@ mod tests {
         }
     }
 
+    /// The `Json`-tree encoding of a cache line — the oracle the
+    /// spliced record payload is pinned against.
+    fn encode_entry(e: &CacheLine) -> Json {
+        let hex = |fp: u64| Json::from(format!("{fp:#018x}"));
+        Json::obj(vec![
+            ("key", hex(e.key)),
+            ("machine_fp", hex(e.machine_fp)),
+            ("result", Json::Obj(e.result.fields())),
+        ])
+    }
+
     #[test]
     fn spliced_records_are_the_entry_encoding_byte_for_byte() {
         for (key, machine_fp) in [(u64::MAX, 0), (0, u64::MAX), (0xdead_beef_cafe_f00d, 1)] {
             for shard in [0, 1, usize::from(u16::MAX)] {
                 let line = extreme_line(key, machine_fp, false, shard);
-                let tree = persist::encode_entry(&line).encode().into_bytes();
+                let tree = encode_entry(&line).encode().into_bytes();
                 assert_eq!(encode_record(&line), tree);
                 // What the writer appends from a worker's record.
                 let mut spliced = String::new();
                 Record::of(&line).encode_into(&mut spliced);
                 assert_eq!(spliced.into_bytes(), tree);
-                assert_eq!(Record::of(&line).decode().unwrap(), line);
+                assert_eq!(decode_record(&tree).unwrap(), line);
                 // `encode_record` keeps any line's `cached` flag.
                 let hit = extreme_line(key, machine_fp, true, shard);
                 assert_eq!(
                     encode_record(&hit),
-                    persist::encode_entry(&hit).encode().into_bytes()
+                    encode_entry(&hit).encode().into_bytes()
                 );
             }
         }
@@ -580,8 +657,9 @@ mod tests {
         // Stopping compacts: an empty journal beside a full snapshot.
         w.finish();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-        let snap = persist::load(&snapshot_path(&path)).unwrap();
-        assert_eq!(snap, (vec![line(1, 10), line(2, 20), line(9, 90)], 0));
+        let snap = recover(&snapshot_path(&path));
+        assert_eq!(snap.entries, vec![line(1, 10), line(2, 20), line(9, 90)]);
+        assert_eq!((snap.skipped, snap.truncated_bytes), (0, 0));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(snapshot_path(&path)).ok();
     }
@@ -614,9 +692,10 @@ mod tests {
         // concurrent compaction, which saves before it truncates.
         await_counter(&metrics, "journal.appended_records", 32);
         let tail = recover(&path).entries;
-        let (snap_entries, skipped) = persist::load(&snap).unwrap();
-        assert_eq!(skipped, 0);
-        let merged: HashMap<u64, CacheLine> = snap_entries
+        let snap_rec = recover(&snap);
+        assert_eq!(snap_rec.skipped, 0);
+        let merged: HashMap<u64, CacheLine> = snap_rec
+            .entries
             .into_iter()
             .chain(tail)
             .map(|e| (e.key, e))
@@ -628,9 +707,26 @@ mod tests {
         // Shutdown compacted the rest: the snapshot holds every record
         // and the journal is empty.
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-        assert_eq!(persist::load(&snap).unwrap(), (all, 0));
+        let snap_rec = recover(&snap);
+        assert_eq!((snap_rec.entries, snap_rec.skipped), (all, 0));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&snap).ok();
+    }
+
+    #[test]
+    fn failed_save_leaves_no_temp_file() {
+        // A directory in the way makes the final rename fail after the
+        // temp file was written and synced.
+        let path = tmp("snap_dir");
+        std::fs::create_dir_all(&path).unwrap();
+        assert!(write_atomic(&path, b"bytes").is_err());
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(format!(".tmp.{}", std::process::id()));
+        assert!(
+            !std::path::Path::new(&tmp).exists(),
+            "failed save left its temp file behind"
+        );
+        std::fs::remove_dir(&path).ok();
     }
 
     #[test]

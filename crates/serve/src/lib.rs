@@ -63,9 +63,11 @@
 //!   per scale for the life of the process, behind a lazily-populated
 //!   [`cache::SuiteCache`]; the compile counters are exported over the
 //!   wire so tests can *prove* memoisation happened.
-//! * **Persistence.** One path: the write-ahead [`journal`], compacted
-//!   into `<journal>.snapshot` when it grows and at graceful shutdown;
-//!   a restart, clean or after a SIGKILL, starts warm from both.
+//! * **Persistence.** One path and one format: the write-ahead
+//!   [`journal`] of CRC-framed records, compacted into
+//!   `<journal>.snapshot` (the same records, key-sorted) when it grows
+//!   and at graceful shutdown; a restart, clean or after a SIGKILL,
+//!   replays both through one reader and starts warm.
 //! * **Batching.** A `sweep` request fans its misses out across the
 //!   pool and streams rows back **in request order** (a small
 //!   reorder buffer in the connection thread), so a client renders
@@ -104,12 +106,11 @@ pub mod cache;
 pub mod chaos;
 pub mod client;
 pub mod journal;
-pub mod persist;
 pub mod proto;
 pub mod server;
 
 pub use chaos::ChaosConfig;
 pub use client::{Client, RetryPolicy, SimError, SweepOutcome};
-pub use persist::CacheLine;
+pub use journal::CacheLine;
 pub use proto::{Request, Response, SimRequest, SimResult, StatsSnapshot};
 pub use server::{PersistOptions, ServeConfig, Server, ServerHandle};

@@ -326,7 +326,9 @@ impl SimResult {
         ]
     }
 
-    /// Every field, as the object a snapshot entry nests.
+    /// Every field, as a `Json` object's pairs: the tree encoding the
+    /// spliced journal record is pinned against.
+    #[cfg(test)]
     pub(crate) fn fields(&self) -> Vec<(String, Json)> {
         let mut fields = vec![
             ("cached".to_string(), self.cached.into()),

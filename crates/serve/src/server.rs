@@ -99,8 +99,7 @@ use oov_proto::Json;
 
 use crate::cache::SuiteCache;
 use crate::chaos::{ChaosConfig, JobFault};
-use crate::journal::{self, JournalConfig, JournalWriter, Record};
-use crate::persist::{self, CacheLine};
+use crate::journal::{self, CacheLine, JournalConfig, JournalWriter, Record};
 use crate::proto::{self, Request, Response, SimRequest, SimResult, StatsSnapshot};
 
 /// How often parked connection threads re-check the shutdown flag.
@@ -462,35 +461,28 @@ impl Engine {
         }
     }
 
-    /// Loads journal `jpath`'s snapshot, then its tail on top (keyed
-    /// by request fingerprint), encodes each result's body once and
-    /// seeds the stripes with it. Returns the journal writer's state,
-    /// which shares those bodies, and the journal's intact length. An
-    /// unloadable snapshot is skipped with a warning: losing a cache
-    /// must never take the service down.
+    /// Replays journal `jpath`'s snapshot, then its tail on top (keyed
+    /// by request fingerprint, later records winning), encodes each
+    /// result's body once and seeds the stripes with it. Returns the
+    /// journal writer's state, which shares those bodies, and the
+    /// journal's intact length. A torn or unreadable snapshot yields
+    /// its intact prefix: losing a cache must never take the service
+    /// down.
     fn recover(&self, jpath: &Path) -> (HashMap<u64, Record>, u64) {
-        let mut state: HashMap<u64, CacheLine> = HashMap::new();
-        let mut skipped = 0u64;
-        let snap = journal::snapshot_path(jpath);
-        if snap.exists() {
-            match persist::load(&snap) {
-                Ok((entries, bad)) => {
-                    skipped += bad;
-                    state.extend(entries.into_iter().map(|e| (e.key, e)));
-                }
-                Err(e) => {
-                    eprintln!("oov-serve: journal snapshot load failed ({e}); skipping it");
-                }
-            }
-        }
-        let rec = journal::recover(jpath);
+        let snap = journal::recover(&journal::snapshot_path(jpath));
+        let tail = journal::recover(jpath);
         self.metrics
             .counter("journal.recovered_records")
-            .add(rec.entries.len() as u64);
+            .add(tail.entries.len() as u64);
         self.metrics
             .counter("cache.load_skipped")
-            .add(skipped + rec.skipped);
-        state.extend(rec.entries.into_iter().map(|e| (e.key, e)));
+            .add(snap.skipped + tail.skipped);
+        let state: HashMap<u64, CacheLine> = snap
+            .entries
+            .into_iter()
+            .chain(tail.entries)
+            .map(|e| (e.key, e))
+            .collect();
         let mut records = HashMap::with_capacity(state.len());
         for (key, line) in state {
             let record = Record::of(&line);
@@ -505,7 +497,7 @@ impl Engine {
             }
             records.insert(key, record);
         }
-        (records, rec.intact_bytes)
+        (records, tail.intact_bytes)
     }
 }
 
@@ -578,8 +570,9 @@ pub struct PersistOptions {
     pub max_entries: Option<usize>,
     /// Write-ahead journal path (`--journal`), the only persistence:
     /// a crash loses at most the final in-flight batch, a graceful
-    /// shutdown compacts into `<journal>.snapshot`, and startup
-    /// replays the snapshot plus the journal tail.
+    /// shutdown compacts into `<journal>.snapshot` (the same framed
+    /// records, key-sorted, replaced whole), and startup replays the
+    /// snapshot and then the journal tail through one reader.
     pub journal: Option<PathBuf>,
     /// Journal rotation threshold in bytes (`--journal-max-bytes`);
     /// past it the writer snapshots the full state and truncates the

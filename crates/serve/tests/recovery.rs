@@ -1,13 +1,14 @@
 //! Durability and cancellation integration tests: a SIGKILLed server
 //! restarts warm from its write-ahead journal, arbitrary journal
 //! corruption recovers exactly the intact-record prefix without ever
-//! panicking or serving a corrupted result, and a `deadline_ms`
+//! panicking or serving a corrupted result, a torn snapshot serves its
+//! intact prefix warm, and a `deadline_ms`
 //! expiring *mid-simulation* aborts the run cooperatively instead of
 //! completing it. Durability is awaited on the journal's watermark
 //! (`journal_records`, counted after `sync_data`), never by sleeping.
 
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -15,8 +16,8 @@ use oov_core::Stepper;
 use oov_isa::{MachineConfig, OooConfig};
 use oov_kernels::{Program, Scale};
 use oov_serve::{
-    journal, persist, CacheLine, Client, PersistOptions, ServeConfig, Server, SimError, SimRequest,
-    SimResult,
+    journal, CacheLine, Client, PersistOptions, ServeConfig, Server, ServerHandle, SimError,
+    SimRequest, SimResult,
 };
 use oov_stats::SimStats;
 
@@ -80,6 +81,70 @@ fn await_journal_records(client: &mut Client, n: u64) {
     }
 }
 
+/// An in-process server journaling to `jpath`.
+fn start_journaled(jpath: &Path, n_shards: usize) -> ServerHandle {
+    Server::start_cfg(
+        "127.0.0.1:0",
+        n_shards,
+        ServeConfig {
+            persist: PersistOptions {
+                journal: Some(jpath.to_path_buf()),
+                ..PersistOptions::default()
+            },
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server start")
+}
+
+/// A made-up result for `point`: the cache serves what the journal
+/// says, so these numbers must come back bit for bit.
+fn made_up_line(point: &SimRequest, i: usize, cycles: u64) -> CacheLine {
+    let mut stats = SimStats {
+        cycles,
+        committed: 4_294_967_296 + i as u64,
+        branches: 999_999_999_999_999,
+        ..SimStats::new()
+    };
+    stats
+        .breakdown
+        .record(oov_stats::UnitState::new(true, false, true), 1 << 50);
+    CacheLine {
+        key: point.fingerprint(),
+        machine_fp: point.machine.fingerprint(),
+        result: SimResult {
+            stats,
+            ideal_cycles: 4_503_599_627_370_496,
+            faults_taken: i as u64,
+            cached: false,
+            shard: i,
+        },
+    }
+}
+
+/// `lines` as framed journal records, in order.
+fn framed(lines: &[CacheLine]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for l in lines {
+        oov_proto::frame_record(&journal::encode_record(l), &mut buf).expect("frame");
+    }
+    buf
+}
+
+/// Asserts `got` is `want`'s result, answered from the cache.
+fn assert_served_warm(got: &SimResult, want: &CacheLine, n_shards: u64) {
+    assert!(got.cached, "a recovered point was simulated");
+    assert_eq!(got.shard, (want.key % n_shards) as usize);
+    assert_eq!(
+        (&got.stats, got.ideal_cycles, got.faults_taken),
+        (
+            &want.result.stats,
+            want.result.ideal_cycles,
+            want.result.faults_taken
+        )
+    );
+}
+
 #[test]
 fn sigkilled_server_restarts_warm_from_the_journal() {
     let jpath = tmp("kill.wal");
@@ -137,18 +202,7 @@ fn corrupted_journal_recovers_exactly_the_intact_prefix() {
     std::fs::remove_file(journal::snapshot_path(&jpath)).ok();
 
     // Build a real journal through a live server.
-    let server = Server::start_cfg(
-        "127.0.0.1:0",
-        2,
-        ServeConfig {
-            persist: PersistOptions {
-                journal: Some(jpath.clone()),
-                ..PersistOptions::default()
-            },
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server start");
+    let server = start_journaled(&jpath, 2);
     let mut client = Client::connect(server.addr()).expect("connect");
     let points = distinct_points(8);
     for p in &points {
@@ -207,11 +261,11 @@ fn corrupted_journal_recovers_exactly_the_intact_prefix() {
     std::fs::remove_file(journal::snapshot_path(&jpath)).ok();
 }
 
-/// State written in the on-disk format of earlier builds —
-/// snapshot entries through `persist::save`, journal records through
-/// `journal::encode_record` — is recovered, re-encoded into stored
-/// bodies and served warm, and the shutdown compaction writes the
-/// snapshot those same functions write.
+/// State written in the on-disk format of earlier builds — snapshot
+/// and journal records alike through `journal::encode_record` — is
+/// recovered, re-encoded into stored bodies and served warm, and the
+/// shutdown compaction writes the recovered lines as framed records
+/// sorted by key.
 #[test]
 fn journal_and_snapshot_in_the_existing_format_serve_warm() {
     let jpath = tmp("format.wal");
@@ -219,65 +273,19 @@ fn journal_and_snapshot_in_the_existing_format_serve_warm() {
     std::fs::remove_file(&jpath).ok();
     std::fs::remove_file(&snap).ok();
     let points = distinct_points(4);
-    // Made-up results: the cache serves what the journal says, so
-    // these numbers must come back bit for bit.
-    let line = |i: usize, cycles: u64| {
-        let mut stats = SimStats {
-            cycles,
-            committed: 4_294_967_296 + i as u64,
-            branches: 999_999_999_999_999,
-            ..SimStats::new()
-        };
-        stats
-            .breakdown
-            .record(oov_stats::UnitState::new(true, false, true), 1 << 50);
-        CacheLine {
-            key: points[i].fingerprint(),
-            machine_fp: points[i].machine.fingerprint(),
-            result: SimResult {
-                stats,
-                ideal_cycles: 4_503_599_627_370_496,
-                faults_taken: i as u64,
-                cached: false,
-                shard: i,
-            },
-        }
-    };
-    persist::save(&snap, &[line(0, 100), line(1, 101), line(2, 102)]).expect("save snapshot");
+    let line = |i: usize, cycles: u64| made_up_line(&points[i], i, cycles);
+    std::fs::write(&snap, framed(&[line(0, 100), line(1, 101), line(2, 102)]))
+        .expect("write snapshot");
     // The journal tail overrides point 2 and adds point 3.
     let tail = [line(2, 9_007_199_254_740_991), line(3, 103)];
-    let mut framed = Vec::new();
-    for l in &tail {
-        oov_proto::frame_record(&journal::encode_record(l), &mut framed).expect("frame");
-    }
-    std::fs::write(&jpath, &framed).expect("write journal");
+    std::fs::write(&jpath, framed(&tail)).expect("write journal");
     let mut want = vec![line(0, 100), line(1, 101), tail[0].clone(), tail[1].clone()];
 
-    let server = Server::start_cfg(
-        "127.0.0.1:0",
-        2,
-        ServeConfig {
-            persist: PersistOptions {
-                journal: Some(jpath.clone()),
-                ..PersistOptions::default()
-            },
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server start");
+    let server = start_journaled(&jpath, 2);
     let mut client = Client::connect(server.addr()).expect("connect");
     for (p, want) in points.iter().zip(&want) {
         let got = client.sim(p).expect("served after recovery");
-        assert!(got.cached, "a recovered point was simulated");
-        assert_eq!(got.shard, (want.key % 2) as usize);
-        assert_eq!(
-            (got.stats, got.ideal_cycles, got.faults_taken),
-            (
-                want.result.stats,
-                want.result.ideal_cycles,
-                want.result.faults_taken
-            )
-        );
+        assert_served_warm(&got, want, 2);
     }
     let stats = client.stats().expect("stats");
     assert_eq!(stats.result_misses, 0);
@@ -286,19 +294,96 @@ fn journal_and_snapshot_in_the_existing_format_serve_warm() {
     client.shutdown().expect("shutdown");
     server.join();
 
-    // The compaction decoded the stored bodies back into the snapshot
-    // `persist::save` writes for the recovered lines.
+    // The compaction framed the stored records, sorted by key, with
+    // nothing decoded or re-encoded on the way.
     want.sort_by_key(|l| l.key);
-    let expected = tmp("format.expected");
-    persist::save(&expected, &want).expect("save expected");
     assert_eq!(
         std::fs::read(&snap).expect("compacted snapshot"),
-        std::fs::read(&expected).expect("expected snapshot")
+        framed(&want)
     );
     assert_eq!(std::fs::metadata(&jpath).expect("journal").len(), 0);
-    for path in [&jpath, &snap, &expected] {
+    for path in [&jpath, &snap] {
         std::fs::remove_file(path).ok();
     }
+}
+
+/// A snapshot cut mid-record serves its intact prefix warm, the journal
+/// tail on top of it serves warm too, and only the cut records miss.
+/// A snapshot in the retired `cache_dump` document format yields no
+/// records and does not stop start-up.
+#[test]
+fn torn_snapshot_serves_its_intact_prefix() {
+    let jpath = tmp("torn_snap.wal");
+    let snap = journal::snapshot_path(&jpath);
+    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_file(&snap).ok();
+    let points = distinct_points(10);
+    let line = |i: usize, cycles: u64| made_up_line(&points[i], i, 1000 + cycles);
+    // Points 0..8 in the snapshot, cut in the middle of record 4.
+    let snap_lines: Vec<CacheLine> = (0..8).map(|i| line(i, i as u64)).collect();
+    let bytes = framed(&snap_lines);
+    let cut = framed(&snap_lines[..4]).len() + 20;
+    std::fs::write(&snap, &bytes[..cut]).expect("write torn snapshot");
+    // The tail overrides prefix point 1, restores cut point 6 and adds
+    // point 8; point 9 is never stored.
+    let tail = [line(1, 500), line(6, 600), line(8, 800)];
+    std::fs::write(&jpath, framed(&tail)).expect("write journal");
+    let want: Vec<Option<CacheLine>> = (0..10)
+        .map(|i| match i {
+            1 => Some(tail[0].clone()),
+            6 => Some(tail[1].clone()),
+            8 => Some(tail[2].clone()),
+            0 | 2 | 3 => Some(snap_lines[i].clone()),
+            _ => None,
+        })
+        .collect();
+
+    let server = start_journaled(&jpath, 2);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for (i, (p, want)) in points.iter().zip(&want).enumerate() {
+        let got = client.sim(p).expect("served");
+        match want {
+            Some(want) => assert_served_warm(&got, want, 2),
+            None => assert!(!got.cached, "point {i} was never stored, yet served warm"),
+        }
+    }
+    let stats = client.stats().expect("stats");
+    // The cut records 4, 5 and 7, and the never-stored point 9.
+    assert_eq!(stats.result_misses, 4);
+    assert_eq!(stats.journal_recovered, tail.len() as u64);
+    client.shutdown().expect("shutdown");
+    server.join();
+    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_file(&snap).ok();
+
+    // The retired snapshot format: one JSON document holding the
+    // entries. It is not a framed record, so it yields nothing.
+    let entries: Vec<String> = snap_lines
+        .iter()
+        .map(|l| String::from_utf8(journal::encode_record(l)).expect("utf-8"))
+        .collect();
+    let legacy = format!(
+        "{{\"type\": \"cache_dump\", \"version\": 1, \"entries\": [{}]}}\n",
+        entries.join(", ")
+    );
+    std::fs::write(&snap, legacy).expect("write legacy snapshot");
+    let rec = journal::recover(&snap);
+    assert!(rec.entries.is_empty(), "a legacy document yielded records");
+    assert_eq!(rec.skipped, 0);
+    std::fs::write(&jpath, framed(&tail)).expect("write journal");
+    let server = start_journaled(&jpath, 2);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for (i, want) in [(1, &tail[0]), (6, &tail[1]), (8, &tail[2])] {
+        let got = client.sim(&points[i]).expect("served");
+        assert_served_warm(&got, want, 2);
+    }
+    let got = client.sim(&points[0]).expect("served");
+    assert!(!got.cached, "a legacy snapshot entry was served");
+    assert_eq!(client.stats().expect("stats").result_misses, 1);
+    client.shutdown().expect("shutdown");
+    server.join();
+    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_file(&snap).ok();
 }
 
 #[test]

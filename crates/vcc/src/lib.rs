@@ -67,7 +67,7 @@ mod tests {
     fn check_golden(k: &Kernel) -> CompiledProgram {
         let prog = compile(k);
         let want = IrInterp::run_kernel(k);
-        let mut m = prog.golden_machine();
+        let mut m = prog.fresh_machine();
         m.run(&prog.trace);
         for (addr, val) in want.iter() {
             if addr < SPILL_SPACE_BASE {
@@ -259,7 +259,7 @@ mod tests {
         };
         let prog = compile_with(&k, &opts);
         let want = IrInterp::run_kernel(&k);
-        let mut m = prog.golden_machine();
+        let mut m = prog.fresh_machine();
         m.run(&prog.trace);
         assert!(want
             .iter()

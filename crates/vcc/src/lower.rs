@@ -279,13 +279,6 @@ impl CompiledProgram {
     pub fn fresh_machine(&self) -> Machine {
         Machine::from_base(self.base_image())
     }
-
-    /// A golden-model machine with the program's initial memory
-    /// installed (an alias of [`CompiledProgram::fresh_machine`]).
-    #[must_use]
-    pub fn golden_machine(&self) -> Machine {
-        self.fresh_machine()
-    }
 }
 
 /// Compilation pipeline options.

@@ -42,7 +42,7 @@ fn main() {
 
     // Golden check: IR semantics == lowered-trace semantics.
     let want = IrInterp::run_kernel(&k);
-    let mut m = program.golden_machine();
+    let mut m = program.fresh_machine();
     m.run(&program.trace);
     let ok = want
         .iter()

@@ -20,7 +20,7 @@ fn main() {
     // 2. Check it against the golden models (IR interpreter vs the
     //    architectural executor running the lowered trace).
     let want = IrInterp::run_kernel(&kernel);
-    let mut machine = program.golden_machine();
+    let mut machine = program.fresh_machine();
     machine.run(&program.trace);
     let clean = want
         .iter()

@@ -29,7 +29,7 @@ fn compilation_preserves_semantics() {
         let kernel = random_kernel(seed);
         let prog = compile(&kernel);
         let want = IrInterp::run_kernel(&kernel);
-        let mut m = prog.golden_machine();
+        let mut m = prog.fresh_machine();
         m.run(&prog.trace);
         for (addr, val) in want.iter() {
             if addr < SPILL_SPACE_BASE {
