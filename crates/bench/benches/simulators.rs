@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use oov_bench::Suite;
 use oov_core::{OooSim, SimArena, Stepper};
-use oov_exec::MemImage;
+use oov_exec::BaseImage;
 use oov_isa::{OooConfig, RefConfig};
 use oov_kernels::Scale;
 use oov_proto::Json;
@@ -48,12 +48,11 @@ struct Row {
     naive_ms: f64,
     event_ms: f64,
     ref_ms: f64,
-    /// First-touch cost: seeding `mem_init` into a fresh image — paid
-    /// once per program when its base image is frozen, never per
-    /// replay.
+    /// Seed cost: building the base image from `mem_init` — paid once
+    /// per program, never per replay.
     seed_ms: f64,
-    /// Warm-replay functional execution: fork the frozen base (no
-    /// seeding, pooled pages) and run the full trace.
+    /// Warm-replay functional execution: rewind the machine over the
+    /// shared base (no seeding, no allocation) and run the full trace.
     exec_ms: f64,
     q128_naive_ms: f64,
     q128_event_ms: f64,
@@ -153,16 +152,13 @@ fn main() {
             // noise dominates at the engine rep count; more reps cost
             // nothing and give a stable best-of floor.
             let fn_reps = reps * 10;
-            // First-touch seed cost, isolated: what a replay used to
-            // pay per run and now pays once per program.
-            let (seed_ms, _) = time_ms(fn_reps, || {
-                let mut img = MemImage::new();
-                img.seed(&prog.mem_init);
-                img.len()
-            });
-            // Warm replay: fork the (pre-seeded) base image and run;
-            // the machine is reused so pages recycle through its pool.
-            let (_, base) = suite.get_pair(p);
+            // Seed cost, isolated: building the program's base image,
+            // which `CompiledProgram::base_image` pays once.
+            let (seed_ms, _) = time_ms(fn_reps, || BaseImage::seeded(&prog.mem_init).len());
+            // Warm replay: rewind the machine over the shared base and
+            // run. The rewind clears the machine's own word map in
+            // place, so a replay seeds nothing and allocates nothing.
+            let base = prog.base_image();
             let mut machine = prog.fresh_machine();
             let (exec_ms, _) = time_ms(fn_reps, || {
                 machine.reset_to_base(base);

@@ -22,10 +22,7 @@
 
 pub mod experiments;
 
-use std::sync::Arc;
-
 use oov_core::{OooSim, RunAborted, RunBudget, SimArena, Stepper};
-use oov_exec::BaseImage;
 use oov_isa::{MachineConfig, OooConfig, RefConfig};
 use oov_kernels::{Program, Scale};
 use oov_ref::RefSim;
@@ -39,22 +36,15 @@ pub struct Suite {
 
 impl Suite {
     /// Compiles all ten programs at the given scale, one worker thread
-    /// per program. Each worker also seeds the program's frozen base
-    /// image (`CompiledProgram::base_image`), so every later replay —
-    /// a sweep iteration, a serve miss, a golden check — forks it with
-    /// zero seed work.
+    /// per program. Sweeps, serve misses and every exhibit simulate the
+    /// compiled trace alone; only functional checks seed memory, on
+    /// first use of `CompiledProgram::base_image`.
     #[must_use]
     pub fn compile(scale: Scale) -> Self {
         let programs = std::thread::scope(|s| {
             let handles: Vec<_> = Program::ALL
                 .iter()
-                .map(|&p| {
-                    s.spawn(move || {
-                        let compiled = p.compile(scale);
-                        let _ = compiled.base_image(); // seed once, here
-                        (p, compiled)
-                    })
-                })
+                .map(|&p| s.spawn(move || (p, p.compile(scale))))
                 .collect();
             handles
                 .into_iter()
@@ -77,14 +67,6 @@ impl Suite {
             .find(|(p, _)| *p == program)
             .map(|(_, c)| c)
             .expect("Suite::compile builds every program")
-    }
-
-    /// `(compiled, base_image)` for one program — the replay pair: the
-    /// trace to simulate plus the frozen initial memory to fork.
-    #[must_use]
-    pub fn get_pair(&self, program: Program) -> (&CompiledProgram, &Arc<BaseImage>) {
-        let prog = self.get(program);
-        (prog, prog.base_image())
     }
 
     /// Runs `f` over every program concurrently (one scoped thread per
@@ -251,11 +233,6 @@ mod tests {
         let suite = Suite::compile(Scale::Smoke);
         for (p, c) in suite.iter() {
             assert_eq!(suite.get(p).trace.len(), c.trace.len());
-            // The replay pair: same program, its (prewarmed) base.
-            let (pair_prog, base) = suite.get_pair(p);
-            assert_eq!(pair_prog.trace.len(), c.trace.len());
-            assert_eq!(base.len(), c.mem_init.len());
-            assert!(std::sync::Arc::ptr_eq(base, c.base_image()));
         }
     }
 }

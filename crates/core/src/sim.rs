@@ -625,10 +625,10 @@ impl<'t> OooSim<'t> {
         self
     }
 
-    /// As [`OooSim::with_checker`], but installs the checker's memory
-    /// as a copy-on-write fork of a compiled program's frozen base
-    /// image (`CompiledProgram::base_image`) — the warm-replay path:
-    /// no per-run seed work.
+    /// As [`OooSim::with_checker`], but the checker's memory reads
+    /// through a compiled program's shared base image
+    /// (`CompiledProgram::base_image`) — the warm-replay path: no
+    /// per-run seed work.
     #[must_use]
     pub fn with_checker_base(mut self, base: &std::sync::Arc<oov_exec::BaseImage>) -> Self {
         let mut c = Checker::new(self.trace);

@@ -60,8 +60,8 @@ impl Checker {
         }
     }
 
-    /// Installs initial memory as a copy-on-write fork of a compiled
-    /// program's frozen base image — no seed work per run.
+    /// Installs initial memory as a view over a compiled program's
+    /// shared base image — no seed work per run.
     pub(crate) fn seed_base(&mut self, base: &Arc<BaseImage>) {
         self.machine.reset_to_base(base);
     }

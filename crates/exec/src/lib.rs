@@ -1,30 +1,21 @@
-//! Architectural (functional) executor — the golden model of the
+//! Architectural (functional) executor — the test oracle of the
 //! reproduction.
 //!
 //! The paper's simulators are *timing* models: they never carry data
 //! values. Correctness of register allocation (`oov-vcc`), register
-//! renaming and dynamic load elimination (`oov-core`) is instead verified
-//! against this executor, which runs the same [`oov_isa::Trace`] with real
-//! 64-bit values over a paged memory image.
+//! renaming and dynamic load elimination (`oov-core`) is instead checked
+//! in tests against this executor, which runs the same
+//! [`oov_isa::Trace`] with real 64-bit values. No production path links
+//! it: the simulation server, the sweeps and every exhibit simulate the
+//! trace alone.
 //!
-//! The executor is built to be as fast as the timing layer it checks —
-//! every cache-miss request the simulation server answers replays a
-//! functional execution, so this is a serving hot path, not just a test
-//! oracle. Two pieces carry that: [`MemImage`] is a page directory of
-//! lazily-allocated 4 KiB word pages with a one-entry last-page cache
-//! and bulk slice/strided/indexed entry points (see its module docs for
-//! the layout and aliasing rules), and [`Machine::execute`] moves whole
-//! `vl`-element groups per instruction — bulk memory calls plus one
-//! autovectorizable slice loop per opcode, with no per-instruction
-//! allocation.
-//!
-//! For replay-heavy callers the seeded initial memory itself is shared:
-//! [`MemImage::freeze`] produces an immutable, `Arc`-shared
-//! [`BaseImage`], and [`MemImage::fork`] / [`Machine::from_base`] build
-//! writable views that copy-on-write fault 4 KiB pages only on first
-//! store — a warm replay ([`Machine::reset_to_base`]) performs zero
-//! seeding and, with the recycled page pool, zero allocation (asserted
-//! by the debug-only [`page_allocations`] counter).
+//! Memory is a sparse word map ([`MemImage`]) over an optional shared
+//! seed: [`BaseImage::seeded`] builds a program's initial memory once,
+//! behind an `Arc`, and [`MemImage::fork`] / [`Machine::from_base`] read
+//! through it while holding only the words they store. A warm replay
+//! ([`Machine::reset_to_base`]) clears those words in place, so it seeds
+//! nothing and allocates nothing (the debug-only [`page_allocations`]
+//! counter of word-table growths stays flat).
 //!
 //! All operations are defined over `u64` with wrapping arithmetic, which is
 //! sufficient for dataflow-equivalence checking (the experiments never

@@ -4,11 +4,11 @@
 //! # Batched execution
 //!
 //! [`Machine::execute`] moves whole `vl`-element groups per call: vector
-//! memory operations go through the [`MemImage`] bulk API
+//! memory operations go through the [`MemImage`] element-group calls
 //! (`load_strided`/`store_strided`/`load_indexed`/`store_indexed`) and
 //! the vector ALU/compare/merge loops run over slices with one tight
-//! loop per opcode, so the compiler can autovectorize them. No opcode
-//! allocates: operands are snapshotted into fixed stack buffers.
+//! loop per opcode. No opcode allocates: operands are snapshotted into
+//! fixed stack buffers.
 //!
 //! **Aliasing.** Snapshotting is what makes `dst == src` forms well
 //! defined — every operand (including gather indices) is read in full
@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use oov_isa::{ArchReg, Instruction, MemKind, MemRef, Opcode, RegClass, Trace, MAX_VL};
+use oov_isa::{ArchReg, Instruction, MemKind, MemRef, Opcode, Trace, MAX_VL};
 
 use crate::{BaseImage, MemImage};
 
@@ -72,9 +72,9 @@ impl Machine {
         Self::default()
     }
 
-    /// A machine with zeroed registers whose memory is a copy-on-write
-    /// fork of `base` — the replay entry point: no seeding, no page
-    /// allocation for data that is only read.
+    /// A machine with zeroed registers whose memory reads through
+    /// `base` ([`MemImage::fork`]) — the replay entry point: no
+    /// seeding, and only stored words are held per machine.
     #[must_use]
     pub fn from_base(base: &Arc<BaseImage>) -> Self {
         Machine {
@@ -84,9 +84,9 @@ impl Machine {
     }
 
     /// Rewinds the machine for the next replay: registers zeroed,
-    /// memory re-forked from `base` with the previous run's pages
-    /// recycled ([`MemImage::reset_to_base`]), so warm replays perform
-    /// no seeding and no allocation.
+    /// memory re-forked from `base` with the previous run's stores
+    /// cleared in place ([`MemImage::reset_to_base`]), so warm replays
+    /// perform no seeding and no allocation.
     pub fn reset_to_base(&mut self, base: &Arc<BaseImage>) {
         self.a.fill(0);
         self.s.fill(0);
@@ -247,8 +247,7 @@ impl Machine {
         out
     }
 
-    /// Vector load: the whole element group moves through the bulk
-    /// memory API.
+    /// Vector load: the whole element group in one memory call.
     fn vector_load(&mut self, inst: &Instruction, m: MemRef, vl: usize) {
         let d = vreg(inst.dst.expect("vector load needs dst"));
         match m.kind {
@@ -270,8 +269,7 @@ impl Machine {
         }
     }
 
-    /// Vector store: the whole element group moves through the bulk
-    /// memory API.
+    /// Vector store: the whole element group in one memory call.
     fn vector_store(&mut self, inst: &Instruction, m: MemRef, vl: usize) {
         let data = vreg(self.src(inst, 0).expect("vector store needs data"));
         match m.kind {
@@ -463,12 +461,6 @@ impl Machine {
             eat((m >> 64) as u64);
         }
         h
-    }
-
-    /// `true` if a register class is modelled with values (all are).
-    #[must_use]
-    pub fn models_class(_class: RegClass) -> bool {
-        true
     }
 }
 

@@ -1,314 +1,135 @@
-//! Paged word-addressed memory image.
+//! Sparse word-addressed memory image.
 //!
-//! # Layout
-//!
-//! The image is a directory of lazily-allocated 4 KiB **pages** (512
-//! words of 8 bytes). The directory maps a page number (`addr >> 12`)
-//! to a slot in a dense page vector via a `HashMap`, but the map is
-//! off the hot path: a one-entry **last-page cache** answers repeated
-//! accesses to the same page in O(1) with no hashing, so unit-stride
-//! and small-stride vector traffic hashes at most once per 512 words.
-//!
-//! Each page carries the word data plus a **written bitmap** (one bit
-//! per word). The bitmap is never consulted by `load`/`store` — it
-//! exists so [`MemImage::len`], [`MemImage::iter`], equality and
-//! [`MemImage::same_contents`] keep the exact observational semantics
-//! of the sparse `HashMap<u64, u64>` image this type replaced: a word
-//! is "written" iff some store targeted it, even if it was stored a
-//! zero. The model-based property suite at the bottom of this file
-//! pins the equivalence.
-//!
-//! # Bulk access
-//!
-//! Vector memory traffic should use the bulk entry points instead of
-//! word-at-a-time loops:
-//!
-//! * [`MemImage::load_slice`] / [`MemImage::store_slice`] — a
-//!   unit-stride run of words, moved with per-page `memcpy`s;
-//! * [`MemImage::load_strided`] / [`MemImage::store_strided`] — byte
-//!   strides; `±8` take the slice path, anything else falls back to
-//!   cached per-element access;
-//! * [`MemImage::load_indexed`] / [`MemImage::store_indexed`] — the
-//!   gather/scatter fallback (per element, in element order);
-//! * [`MemImage::seed`] — installs `(address, value)` pairs,
-//!   detecting contiguous runs and batching them through
-//!   [`MemImage::store_slice`].
-//!
-//! **Aliasing rules.** The image owns its pages, so a caller-provided
-//! slice can never alias image storage; bulk stores read `vals` in
-//! ascending element order and bulk loads write `out` in ascending
-//! element order. `store_indexed` with duplicate addresses therefore
-//! keeps last-writer-wins element order — the same semantics as the
-//! scalar [`MemImage::store`] loop it replaces. Callers that batch
-//! *register* operands (e.g. `Machine::execute`) must snapshot any
-//! operand that the destination may alias before writing — the bulk
-//! API cannot see register aliasing.
-//!
-//! # Copy-on-write base layers
-//!
-//! Replay-heavy callers (the bench sweeps, the serve shards, the
-//! golden checks) execute the *same* seeded initial memory over and
-//! over. [`MemImage::freeze`] turns a seeded image into an immutable
-//! [`BaseImage`] that is shared behind an `Arc`; [`MemImage::fork`]
-//! then builds a writable image that starts with **zero owned pages**:
-//!
-//! * loads and `is_written` fall through to the base when the fork
-//!   does not own the page (a second one-entry cache keeps repeated
-//!   base reads O(1));
-//! * the **first store** to a base-resident page copy-on-write faults
-//!   the whole 4 KiB page (words *and* written bitmap) into the fork,
-//!   after which the owned copy fully shadows the base page;
-//! * `len`/`iter`/`eq`/[`MemImage::same_contents`] observe the union —
-//!   exactly the state a fresh image re-seeded from the same pairs
-//!   would have, which the model-based suite below pins.
-//!
-//! **CoW aliasing rules.** A base page and its faulted copy never
-//! alias: the fault copies the page, so later stores through the fork
-//! are invisible to the base and to sibling forks. The base itself is
-//! immutable by construction (`freeze` consumes the image; `BaseImage`
-//! has no `&mut` API), so a fork's fall-through reads are stable for
-//! the base's lifetime. Forking a fork is allowed: `freeze` first
-//! flattens the chain by materialising every unshadowed base page, so
-//! a `BaseImage` is always self-contained (depth ≤ 1 at run time).
-//!
-//! [`MemImage::reset_to_base`] recycles a fork for the next replay:
-//! owned pages move to a private free pool and later faults pop from
-//! it, so the **second and later replays of the same workload allocate
-//! no pages at all** — asserted by the debug-only
-//! [`page_allocations`] counter.
+//! A [`MemImage`] maps word addresses (`addr >> 3`) to values in a
+//! `HashMap`. It may sit over a shared, immutable [`BaseImage`] (a
+//! program's seeded `mem_init`): loads check the image's own map
+//! first and fall through to the base, stores always land in the own
+//! map, so the base is never written and sibling images never see
+//! each other's stores. [`MemImage::reset_to_base`] only clears the
+//! own map, which keeps its capacity, so a warm replay does no seeding
+//! and no allocation.
 //!
 //! All addresses are byte addresses; accesses are 8-byte aligned words
 //! (the study's access granularity — paper §6.1 tags carry `sz`, which
 //! is always 8 here), and `addr` is rounded down to a word boundary.
-//! Uninitialised words read as zero. The slice entry points walk word
-//! addresses upward and assume the run does not wrap the 2^64 address
-//! space; the strided wrappers check and fall back to the (wrapping)
-//! per-element path, matching per-element semantics exactly.
+//! Uninitialised words read as zero. A word is *written* once some
+//! store targeted it, even a store of zero; [`MemImage::len`],
+//! [`MemImage::iter`] and `==` observe the written set, counting a base
+//! word the image shadows once. Strided and indexed accesses are plain
+//! per-element loops in element order with wrapping address
+//! arithmetic, so duplicate scatter addresses keep last-writer-wins.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Words per page.
-const PAGE_WORDS: usize = 512;
-/// log2 of `PAGE_WORDS`.
-const PAGE_WORD_SHIFT: u32 = 9;
-/// log2 of the page size in bytes (512 words × 8 bytes).
-const PAGE_BYTE_SHIFT: u32 = PAGE_WORD_SHIFT + 3;
-/// Mask selecting the word index within a page.
-const WORD_IX_MASK: u64 = PAGE_WORDS as u64 - 1;
-/// `u64`s in the per-page written bitmap.
-const BITMAP_WORDS: usize = PAGE_WORDS / 64;
-/// Sentinel page number for the empty last-page cache (no real page
-/// number reaches it: page numbers are `addr >> 12` ≤ 2^52).
-const NO_PAGE: u64 = u64::MAX;
+/// Hashes a word address with one folded 64×64→128 multiply. The keys
+/// are addresses from compiled traces and tests, never untrusted input,
+/// so no DoS-resistant hasher is needed; folding the high half in keeps
+/// power-of-two strides from landing in one bucket.
+#[derive(Default)]
+struct WordHasher(u64);
 
-/// One 4 KiB page: word data plus the written bitmap.
-#[derive(Clone)]
-struct Page {
-    words: [u64; PAGE_WORDS],
-    written: [u64; BITMAP_WORDS],
-}
-
-impl Page {
-    fn new_boxed() -> Box<Page> {
-        count_page_alloc();
-        Box::new(Page {
-            words: [0; PAGE_WORDS],
-            written: [0; BITMAP_WORDS],
-        })
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
-    fn is_written(&self, word_ix: usize) -> bool {
-        self.written[word_ix >> 6] & (1u64 << (word_ix & 63)) != 0
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("word maps hash only u64 keys")
     }
 
-    /// Resets a recycled page to the all-zero, nothing-written state.
-    fn zero(&mut self) {
-        self.words.fill(0);
-        self.written.fill(0);
-    }
-
-    /// Overwrites this page with `other`'s words and bitmap (the
-    /// copy-on-write fault).
-    fn copy_from(&mut self, other: &Page) {
-        self.words.copy_from_slice(&other.words);
-        self.written.copy_from_slice(&other.written);
+    fn write_u64(&mut self, word: u64) {
+        let p = u128::from(word) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
     }
 }
 
-#[cfg(debug_assertions)]
-static PAGE_ALLOCS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+/// Word address → value.
+type WordMap = HashMap<u64, u64, BuildHasherDefault<WordHasher>>;
 
-#[inline]
-fn count_page_alloc() {
-    #[cfg(debug_assertions)]
-    PAGE_ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-}
+static TABLE_GROWTHS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide count of 4 KiB page allocations (fresh `Box<Page>`
-/// constructions; pool reuse and copy-on-write faults served from the
-/// pool do not count). Debug instrumentation for the allocation-free
-/// replay assertion — always 0 in release builds.
+/// Process-wide count of word-table growths: each time an image's own
+/// word map reallocates to a larger capacity. A cleared map keeps its
+/// capacity, so a warm replay of the same workload counts none. Debug
+/// instrumentation for the allocation-free replay assertion — always 0
+/// in release builds.
 #[must_use]
 pub fn page_allocations() -> u64 {
-    #[cfg(debug_assertions)]
-    {
-        PAGE_ALLOCS.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        0
-    }
+    TABLE_GROWTHS.load(Ordering::Relaxed)
 }
 
-/// An immutable, `Arc`-shared seeded memory image — the frozen base
-/// layer copy-on-write forks read through. Build one with
-/// [`MemImage::freeze`]; fork writable images from it with
-/// [`MemImage::fork`]. See the module docs for the aliasing rules.
+/// An immutable, `Arc`-shared seeded memory image that [`MemImage`]s
+/// read through. Build one with [`BaseImage::seeded`]; view it with
+/// [`MemImage::fork`].
 pub struct BaseImage {
-    /// Page number → index into `pages`.
-    dir: HashMap<u64, u32>,
-    /// Page number of `pages[i]`, for iteration.
-    page_nos: Vec<u64>,
-    pages: Vec<Box<Page>>,
-    /// Number of distinct words ever written.
-    written_words: usize,
+    words: WordMap,
 }
 
 impl fmt::Debug for BaseImage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BaseImage")
-            .field("words", &self.written_words)
-            .field("pages", &self.pages.len())
+            .field("words", &self.words.len())
             .finish()
     }
 }
 
 impl BaseImage {
-    fn page_ref(&self, page_no: u64) -> Option<&Page> {
-        self.dir.get(&page_no).map(|&ix| &*self.pages[ix as usize])
+    /// The image `(address, value)` pairs (a compiled program's
+    /// `mem_init`) describe; a later pair for the same word wins.
+    #[must_use]
+    pub fn seeded(pairs: &[(u64, u64)]) -> Self {
+        let mut words = WordMap::with_capacity_and_hasher(pairs.len(), Default::default());
+        words.extend(pairs.iter().map(|&(a, v)| (a >> 3, v)));
+        BaseImage { words }
     }
 
-    /// Number of words ever written into the base.
+    /// Number of words in the base.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.written_words
+        self.words.len()
     }
 
-    /// `true` if the base holds no written words.
+    /// `true` if the base holds no words.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.written_words == 0
+        self.words.is_empty()
     }
 
     /// Reads the word at byte address `addr` (rounded down to 8 bytes).
     #[must_use]
     pub fn load(&self, addr: u64) -> u64 {
-        let word = addr >> 3;
-        match self.page_ref(word >> PAGE_WORD_SHIFT) {
-            Some(p) => p.words[(word & WORD_IX_MASK) as usize],
-            None => 0,
-        }
+        self.words.get(&(addr >> 3)).copied().unwrap_or(0)
     }
 }
 
-/// A paged memory image of 64-bit words. See the module docs for the
-/// layout, the bulk-access API and the copy-on-write base layer.
+/// A sparse memory image of 64-bit words, optionally over a shared
+/// [`BaseImage`]. See the module docs.
+#[derive(Clone, Default)]
 pub struct MemImage {
-    /// Page number → index into `pages` (owned pages only).
-    dir: HashMap<u64, u32>,
-    /// Page number of `pages[i]`, for iteration.
-    page_nos: Vec<u64>,
-    pages: Vec<Box<Page>>,
-    /// Number of distinct words ever written — owned pages plus
-    /// fall-through base pages (a faulted copy carries its base
-    /// page's bitmap, so the union never double-counts).
-    written_words: usize,
-    /// The frozen base layer reads fall through to (forks only).
+    /// Words this image stored, by word address.
+    own: WordMap,
+    /// The seed reads fall through to.
     base: Option<Arc<BaseImage>>,
-    /// Recycled pages ([`MemImage::reset_to_base`]); faults pop from
-    /// here before allocating.
-    pool: Vec<Box<Page>>,
-    /// `(page_no, index)` of the most recently touched owned page.
-    last: Cell<(u64, u32)>,
-    /// Direct-mapped `(page_no, index)` cache of recently read base
-    /// pages, indexed by `page_no % ways`. Multi-way because a loop
-    /// body typically streams several input arrays at once — a
-    /// one-entry cache thrashes on that cyclic pattern. A CoW fault
-    /// evicts the faulted page's slot, so a cached base page is never
-    /// owned (the invariant that lets reads probe this cache first).
-    last_base: [Cell<(u64, u32)>; BASE_CACHE_WAYS],
-}
-
-/// Ways in the base-page read cache (power of two).
-const BASE_CACHE_WAYS: usize = 8;
-
-/// The base-cache slot for `page_no`. A multiplicative (Fibonacci)
-/// hash picks the way: kernels allocate their arrays at aligned
-/// strides, so the low page-number bits are congruent across arrays
-/// and would map every streamed array to one slot.
-#[inline]
-fn base_way(page_no: u64) -> usize {
-    (page_no.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61) as usize & (BASE_CACHE_WAYS - 1)
-}
-
-fn empty_base_cache() -> [Cell<(u64, u32)>; BASE_CACHE_WAYS] {
-    std::array::from_fn(|_| Cell::new((NO_PAGE, 0)))
-}
-
-impl Default for MemImage {
-    fn default() -> Self {
-        MemImage {
-            dir: HashMap::new(),
-            page_nos: Vec::new(),
-            pages: Vec::new(),
-            written_words: 0,
-            base: None,
-            pool: Vec::new(),
-            last: Cell::new((NO_PAGE, 0)),
-            last_base: empty_base_cache(),
-        }
-    }
-}
-
-impl Clone for MemImage {
-    /// Deep-copies the owned pages and shares the base; the page pool
-    /// is not cloned (it is a recycling cache, not state).
-    fn clone(&self) -> Self {
-        MemImage {
-            dir: self.dir.clone(),
-            page_nos: self.page_nos.clone(),
-            pages: self.pages.clone(),
-            written_words: self.written_words,
-            base: self.base.clone(),
-            pool: Vec::new(),
-            last: self.last.clone(),
-            last_base: self.last_base.clone(),
-        }
-    }
 }
 
 impl fmt::Debug for MemImage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemImage")
-            .field("words", &self.written_words)
-            .field("pages", &self.pages.len())
-            .field(
-                "base_pages",
-                &self.base.as_ref().map_or(0, |b| b.pages.len()),
-            )
+            .field("words", &self.len())
+            .field("base_words", &self.base_len())
             .finish()
     }
 }
 
 impl PartialEq for MemImage {
-    /// Observational equality on the *written* state: both images have
-    /// written exactly the same set of words, with equal values —
-    /// the equality the sparse `HashMap` image had.
+    /// Equality on the *written* state: both images have written
+    /// exactly the same set of words, with equal values.
     fn eq(&self, other: &Self) -> bool {
-        self.written_words == other.written_words
+        self.len() == other.len()
             && self
                 .iter()
                 .all(|(a, v)| other.is_written(a) && other.load(a) == v)
@@ -324,341 +145,75 @@ impl MemImage {
         Self::default()
     }
 
-    /// Freezes this image into an immutable, shareable base layer.
-    ///
-    /// If the image is itself a fork, the chain is flattened first
-    /// (every unshadowed base page is materialised), so the returned
-    /// base is self-contained and forks of it read through exactly one
-    /// level.
-    #[must_use]
-    pub fn freeze(mut self) -> BaseImage {
-        if let Some(base) = self.base.take() {
-            for (&page_no, page) in base.page_nos.iter().zip(&base.pages) {
-                if self.dir.contains_key(&page_no) {
-                    continue;
-                }
-                let ix = u32::try_from(self.pages.len()).expect("page directory overflow");
-                let copy = match self.pool.pop() {
-                    Some(mut p) => {
-                        p.copy_from(page);
-                        p
-                    }
-                    None => {
-                        count_page_alloc();
-                        Box::new((**page).clone())
-                    }
-                };
-                self.pages.push(copy);
-                self.page_nos.push(page_no);
-                self.dir.insert(page_no, ix);
-            }
-        }
-        BaseImage {
-            dir: self.dir,
-            page_nos: self.page_nos,
-            pages: self.pages,
-            written_words: self.written_words,
-        }
-    }
-
-    /// A writable fork of `base`: observationally identical to the
-    /// image that was frozen, but with zero owned pages — reads fall
-    /// through, the first store to a page copy-on-write faults it.
+    /// An image that reads `base` until it stores over it.
     #[must_use]
     pub fn fork(base: &Arc<BaseImage>) -> Self {
         MemImage {
-            written_words: base.written_words,
             base: Some(Arc::clone(base)),
             ..Self::default()
         }
     }
 
-    /// Rewinds a fork (or any image) to be a fresh fork of `base`,
-    /// recycling its owned pages into the free pool so the next
-    /// replay's copy-on-write faults allocate nothing.
+    /// Rewinds this image to a fresh fork of `base`. The own map is
+    /// cleared, not freed, so replaying the same workload again stores
+    /// into the capacity the last run grew.
     pub fn reset_to_base(&mut self, base: &Arc<BaseImage>) {
-        self.pool.append(&mut self.pages);
-        self.dir.clear();
-        self.page_nos.clear();
-        self.written_words = base.written_words;
+        self.own.clear();
         self.base = Some(Arc::clone(base));
-        self.last.set((NO_PAGE, 0));
-        for slot in &self.last_base {
-            slot.set((NO_PAGE, 0));
-        }
     }
 
-    /// Index of `page_no` in `pages`, if allocated, via the last-page
-    /// cache.
-    #[inline]
-    fn page_ix(&self, page_no: u64) -> Option<usize> {
-        let (cached_no, cached_ix) = self.last.get();
-        if cached_no == page_no {
-            return Some(cached_ix as usize);
-        }
-        let ix = *self.dir.get(&page_no)?;
-        self.last.set((page_no, ix));
-        Some(ix as usize)
+    fn base_word(&self, word: u64) -> Option<u64> {
+        self.base.as_deref()?.words.get(&word).copied()
     }
 
-    /// The base layer's page for `page_no`, via the base-page cache.
-    /// Callers must have missed the owned-page lookup first (a faulted
-    /// copy shadows its base page; the fault evicts any stale
-    /// base-cache entry, so the invariant "a cached base page is never
-    /// owned" lets [`MemImage::page_for_read`] consult this cache
-    /// before the owned directory).
-    #[inline]
-    fn base_page(&self, page_no: u64) -> Option<&Page> {
-        let base = self.base.as_deref()?;
-        let slot = &self.last_base[base_way(page_no)];
-        let (cached_no, cached_ix) = slot.get();
-        if cached_no == page_no {
-            return Some(&base.pages[cached_ix as usize]);
-        }
-        let ix = *base.dir.get(&page_no)?;
-        slot.set((page_no, ix));
-        Some(&base.pages[ix as usize])
-    }
-
-    /// Index of `page_no` in `pages`, faulting it in on first touch: a
-    /// copy of the base page when the base holds it (the CoW fault), a
-    /// zeroed page otherwise. Recycled pool pages are used before
-    /// allocating.
-    #[inline]
-    fn page_ix_or_insert(&mut self, page_no: u64) -> usize {
-        let (cached_no, cached_ix) = self.last.get();
-        if cached_no == page_no {
-            return cached_ix as usize;
-        }
-        let ix = match self.dir.get(&page_no) {
-            Some(&ix) => ix,
-            None => {
-                let ix = u32::try_from(self.pages.len()).expect("page directory overflow");
-                let recycled = self.pool.pop();
-                let from_base = self.base.as_deref().and_then(|base| base.page_ref(page_no));
-                let page = match (recycled, from_base) {
-                    (Some(mut p), Some(bp)) => {
-                        p.copy_from(bp);
-                        p
-                    }
-                    (Some(mut p), None) => {
-                        p.zero();
-                        p
-                    }
-                    (None, Some(bp)) => {
-                        count_page_alloc();
-                        Box::new((*bp).clone())
-                    }
-                    (None, None) => Page::new_boxed(),
-                };
-                self.pages.push(page);
-                self.page_nos.push(page_no);
-                self.dir.insert(page_no, ix);
-                // The owned copy shadows the base page from now on; a
-                // stale base-cache entry must not serve reads for it.
-                let slot = &self.last_base[base_way(page_no)];
-                if slot.get().0 == page_no {
-                    slot.set((NO_PAGE, 0));
-                }
-                ix
-            }
-        };
-        self.last.set((page_no, ix));
-        ix as usize
-    }
-
-    /// The page `page_no` reads resolve to — owned pages shadow the
-    /// base, untouched pages are `None`.
-    ///
-    /// Fast path: both one-entry caches are checked before any
-    /// directory hash, so repeated reads of the same page — owned *or*
-    /// base-resident — stay hash-free. The base cache is probed first
-    /// because a fork's read mix is dominated by fall-through reads of
-    /// seeded input data; probe order cannot affect the answer, since
-    /// the CoW fault evicts a shadowed base-cache entry (a cached base
-    /// page is never owned).
-    #[inline]
-    fn page_for_read(&self, page_no: u64) -> Option<&Page> {
-        let (base_no, base_ix) = self.last_base[base_way(page_no)].get();
-        if base_no == page_no {
-            if let Some(base) = self.base.as_deref() {
-                return Some(&base.pages[base_ix as usize]);
-            }
-        }
-        let (cached_no, cached_ix) = self.last.get();
-        if cached_no == page_no {
-            return Some(&self.pages[cached_ix as usize]);
-        }
-        match self.page_ix(page_no) {
-            Some(ix) => Some(&self.pages[ix]),
-            None => self.base_page(page_no),
-        }
+    fn base_len(&self) -> usize {
+        self.base.as_deref().map_or(0, BaseImage::len)
     }
 
     /// Reads the word at byte address `addr` (rounded down to 8 bytes).
     #[must_use]
-    #[inline]
     pub fn load(&self, addr: u64) -> u64 {
         let word = addr >> 3;
-        match self.page_for_read(word >> PAGE_WORD_SHIFT) {
-            Some(p) => p.words[(word & WORD_IX_MASK) as usize],
-            None => 0,
+        match self.own.get(&word) {
+            Some(&v) => v,
+            None => self.base_word(word).unwrap_or(0),
         }
     }
 
     /// Writes the word at byte address `addr` (rounded down to 8 bytes).
-    #[inline]
     pub fn store(&mut self, addr: u64, value: u64) {
-        let word = addr >> 3;
-        let ix = self.page_ix_or_insert(word >> PAGE_WORD_SHIFT);
-        let page = &mut self.pages[ix];
-        let wi = (word & WORD_IX_MASK) as usize;
-        page.words[wi] = value;
-        let bit = 1u64 << (wi & 63);
-        let b = &mut page.written[wi >> 6];
-        if *b & bit == 0 {
-            *b |= bit;
-            self.written_words += 1;
+        let capacity = self.own.capacity();
+        self.own.insert(addr >> 3, value);
+        if cfg!(debug_assertions) && self.own.capacity() != capacity {
+            TABLE_GROWTHS.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// `true` if some store targeted the word at `addr` (even a zero),
-    /// in this image or in its frozen base.
+    /// in this image or in its base.
     #[must_use]
     pub fn is_written(&self, addr: u64) -> bool {
         let word = addr >> 3;
-        self.page_for_read(word >> PAGE_WORD_SHIFT)
-            .is_some_and(|p| p.is_written((word & WORD_IX_MASK) as usize))
-    }
-
-    /// Reads `out.len()` consecutive words starting at `addr` (rounded
-    /// down to 8 bytes) with one `memcpy` per touched page.
-    ///
-    /// The run must not wrap the address space (use
-    /// [`MemImage::load_strided`] when in doubt — it checks).
-    pub fn load_slice(&self, addr: u64, out: &mut [u64]) {
-        let mut word = addr >> 3;
-        let mut out = out;
-        while !out.is_empty() {
-            let wi = (word & WORD_IX_MASK) as usize;
-            let n = (PAGE_WORDS - wi).min(out.len());
-            let (chunk, rest) = out.split_at_mut(n);
-            match self.page_for_read(word >> PAGE_WORD_SHIFT) {
-                Some(p) => chunk.copy_from_slice(&p.words[wi..wi + n]),
-                None => chunk.fill(0),
-            }
-            out = rest;
-            word += n as u64;
-        }
-    }
-
-    /// Writes `vals` to consecutive words starting at `addr` (rounded
-    /// down to 8 bytes) with one `memcpy` per touched page; the
-    /// written bitmap is updated 64 words at a time.
-    ///
-    /// The run must not wrap the address space (use
-    /// [`MemImage::store_strided`] when in doubt — it checks).
-    pub fn store_slice(&mut self, addr: u64, vals: &[u64]) {
-        let mut word = addr >> 3;
-        let mut vals = vals;
-        while !vals.is_empty() {
-            let wi = (word & WORD_IX_MASK) as usize;
-            let n = (PAGE_WORDS - wi).min(vals.len());
-            let ix = self.page_ix_or_insert(word >> PAGE_WORD_SHIFT);
-            let page = &mut self.pages[ix];
-            page.words[wi..wi + n].copy_from_slice(&vals[..n]);
-            // Mark words [wi, wi + n) written, counting newly-set bits.
-            let mut newly = 0u32;
-            for b in wi >> 6..=(wi + n - 1) >> 6 {
-                let lo = wi.max(b << 6);
-                let hi = (wi + n).min((b + 1) << 6);
-                let run = hi - lo;
-                let mask = if run == 64 {
-                    u64::MAX
-                } else {
-                    ((1u64 << run) - 1) << (lo & 63)
-                };
-                newly += (mask & !page.written[b]).count_ones();
-                page.written[b] |= mask;
-            }
-            self.written_words += newly as usize;
-            vals = &vals[n..];
-            word += n as u64;
-        }
-    }
-
-    /// `true` if a run of `len` words starting at `addr` stays within
-    /// the address space (the last element's byte address does not
-    /// wrap), so the slice paths apply.
-    fn run_fits(addr: u64, len: usize) -> bool {
-        len == 0 || addr.checked_add(8 * (len as u64 - 1)).is_some()
+        self.own.contains_key(&word) || self.base_word(word).is_some()
     }
 
     /// Reads `out.len()` words at byte stride `stride` from `base`:
-    /// `out[i] = load(base + stride·i)`. Strides of `±8` move whole
-    /// slices; other strides use cached per-element access.
+    /// `out[i] = load(base + stride·i)`.
     pub fn load_strided(&self, base: u64, stride: i64, out: &mut [u64]) {
-        match stride {
-            8 if Self::run_fits(base, out.len()) => self.load_slice(base, out),
-            -8 if !out.is_empty() => {
-                let start = base.wrapping_sub(8 * (out.len() as u64 - 1));
-                if start <= base {
-                    self.load_slice(start, out);
-                    out.reverse();
-                } else {
-                    self.load_strided_slow(base, stride, out);
-                }
-            }
-            _ => self.load_strided_slow(base, stride, out),
-        }
-    }
-
-    fn load_strided_slow(&self, base: u64, stride: i64, out: &mut [u64]) {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.load(base.wrapping_add_signed(stride * i as i64));
+        let mut addr = base;
+        for o in out {
+            *o = self.load(addr);
+            addr = addr.wrapping_add_signed(stride);
         }
     }
 
     /// Writes `vals` at byte stride `stride` from `base`:
-    /// `store(base + stride·i, vals[i])`. Strides of `±8` move whole
-    /// slices; other strides use cached per-element access.
+    /// `store(base + stride·i, vals[i])`, in element order.
     pub fn store_strided(&mut self, base: u64, stride: i64, vals: &[u64]) {
-        match stride {
-            8 if Self::run_fits(base, vals.len()) => self.store_slice(base, vals),
-            -8 if !vals.is_empty() => {
-                let start = base.wrapping_sub(8 * (vals.len() as u64 - 1));
-                if start <= base {
-                    // One allocation-free reversal via a page-sized
-                    // stack buffer per chunk would complicate the
-                    // bitmap batching; a reversed iteration per page
-                    // chunk keeps it simple: copy into a local, then
-                    // slice-store.
-                    let mut buf = [0u64; PAGE_WORDS];
-                    let mut remaining = vals;
-                    let mut chunk_start = start;
-                    while !remaining.is_empty() {
-                        let n = remaining.len().min(PAGE_WORDS);
-                        // The *last* n values land at the lowest
-                        // addresses, reversed.
-                        let (rest, tail) = remaining.split_at(remaining.len() - n);
-                        for (b, &v) in buf[..n].iter_mut().zip(tail.iter().rev()) {
-                            *b = v;
-                        }
-                        self.store_slice(chunk_start, &buf[..n]);
-                        chunk_start += 8 * n as u64;
-                        remaining = rest;
-                    }
-                } else {
-                    self.store_strided_slow(base, stride, vals);
-                }
-            }
-            _ => self.store_strided_slow(base, stride, vals),
-        }
-    }
-
-    fn store_strided_slow(&mut self, base: u64, stride: i64, vals: &[u64]) {
-        for (i, &v) in vals.iter().enumerate() {
-            self.store(base.wrapping_add_signed(stride * i as i64), v);
+        let mut addr = base;
+        for &v in vals {
+            self.store(addr, v);
+            addr = addr.wrapping_add_signed(stride);
         }
     }
 
@@ -687,70 +242,45 @@ impl MemImage {
         }
     }
 
-    /// Installs `(address, value)` pairs (a compiled program's
-    /// `mem_init`), batching contiguous ascending runs through
-    /// [`MemImage::store_slice`].
+    /// Stores `(address, value)` pairs (a compiled program's
+    /// `mem_init`) in order.
     pub fn seed(&mut self, pairs: &[(u64, u64)]) {
-        let mut buf = [0u64; PAGE_WORDS];
-        let mut i = 0;
-        while i < pairs.len() {
-            let start = pairs[i].0;
-            let mut n = 1;
-            while i + n < pairs.len()
-                && n < PAGE_WORDS
-                && pairs[i + n].0 == start.wrapping_add(8 * n as u64)
-            {
-                n += 1;
-            }
-            if n >= 4 && Self::run_fits(start, n) {
-                for (b, p) in buf[..n].iter_mut().zip(&pairs[i..i + n]) {
-                    *b = p.1;
-                }
-                self.store_slice(start, &buf[..n]);
-            } else {
-                for &(a, v) in &pairs[i..i + n] {
-                    self.store(a, v);
-                }
-            }
-            i += n;
+        for &(a, v) in pairs {
+            self.store(a, v);
         }
     }
 
-    /// Number of words ever written.
+    /// Number of words ever written, a shadowed base word counted once.
+    /// Walks the stored words, so stores stay a single map insert.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.written_words
+        let shadowed = self
+            .own
+            .keys()
+            .filter(|&&w| self.base_word(w).is_some())
+            .count();
+        self.own.len() + self.base_len() - shadowed
     }
 
     /// `true` if nothing has been written.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.written_words == 0
+        self.len() == 0
     }
 
     /// Iterates `(address, value)` over all written words, unordered —
-    /// owned pages first, then every base page the fork has not
+    /// the image's own words first, then every base word it has not
     /// shadowed.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        fn page_words(page_no: u64, page: &Page) -> impl Iterator<Item = (u64, u64)> + '_ {
-            let base = page_no << PAGE_BYTE_SHIFT;
-            (0..PAGE_WORDS)
-                .filter(|&wi| page.is_written(wi))
-                .map(move |wi| (base + 8 * wi as u64, page.words[wi]))
-        }
-        let own = self
-            .page_nos
+        let fall_through = self
+            .base
             .iter()
-            .zip(&self.pages)
-            .flat_map(|(&page_no, page)| page_words(page_no, page));
-        let fall_through = self.base.as_deref().into_iter().flat_map(move |b| {
-            b.page_nos
-                .iter()
-                .zip(&b.pages)
-                .filter(|(page_no, _)| !self.dir.contains_key(page_no))
-                .flat_map(|(&page_no, page)| page_words(page_no, page))
-        });
-        own.chain(fall_through)
+            .flat_map(|b| &b.words)
+            .filter(|(w, _)| !self.own.contains_key(w));
+        self.own
+            .iter()
+            .chain(fall_through)
+            .map(|(&w, &v)| (w << 3, v))
     }
 
     /// `true` if the written (non-zero-default) state of `self` and
@@ -803,20 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_round_trip_across_page_boundary() {
-        let mut m = MemImage::new();
-        // 0xff8 is the last word of page 0; the run spills into page 1.
-        let vals: Vec<u64> = (0..20).map(|i| 1000 + i).collect();
-        m.store_slice(0xff8, &vals);
-        let mut out = vec![0u64; 20];
-        m.load_slice(0xff8, &mut out);
-        assert_eq!(out, vals);
-        assert_eq!(m.len(), 20);
-        assert_eq!(m.load(0xff8), 1000);
-        assert_eq!(m.load(0x1000), 1001);
-    }
-
-    #[test]
     fn strided_negative_matches_elementwise() {
         let mut m = MemImage::new();
         let vals = [111u64, 222, 333];
@@ -842,6 +358,26 @@ mod tests {
     }
 
     #[test]
+    fn strided_run_wrapping_the_address_space_matches_elementwise() {
+        // Up from the top of the address space, and down from the
+        // bottom: both runs wrap past 2^64.
+        for (start, stride) in [(u64::MAX - 15, 8i64), (0x10, -8)] {
+            let vals: Vec<u64> = (1..=6).collect();
+            let mut strided = MemImage::new();
+            strided.store_strided(start, stride, &vals);
+            let mut elementwise = MemImage::new();
+            for (i, &v) in vals.iter().enumerate() {
+                elementwise.store(start.wrapping_add_signed(stride * i as i64), v);
+            }
+            assert_eq!(strided, elementwise, "start {start:#x} stride {stride}");
+            assert_eq!(strided.len(), vals.len());
+            let mut out = [0u64; 6];
+            strided.load_strided(start, stride, &mut out);
+            assert_eq!(out[..], vals[..]);
+        }
+    }
+
+    #[test]
     fn indexed_round_trip_and_duplicate_order() {
         let mut m = MemImage::new();
         m.store_indexed(0x1000, &[0, 0x20, 0], &[1, 2, 3]);
@@ -854,20 +390,22 @@ mod tests {
     }
 
     #[test]
-    fn seed_batches_runs_and_handles_scattered_pairs() {
-        let contiguous: Vec<(u64, u64)> = (0..600u64).map(|i| (0x2000 + 8 * i, i * 3)).collect();
-        let mut scattered = contiguous.clone();
-        scattered.push((0x9_0000, 77));
-        scattered.push((0x10, 88));
+    fn seed_matches_per_pair_stores() {
+        let mut pairs: Vec<(u64, u64)> = (0..600u64).map(|i| (0x2000 + 8 * i, i * 3)).collect();
+        pairs.push((0x9_0000, 77));
+        pairs.push((0x2000, 88)); // a later pair for the same word wins
         let mut m = MemImage::new();
-        m.seed(&scattered);
+        m.seed(&pairs);
         let mut reference = MemImage::new();
-        for &(a, v) in &scattered {
+        for &(a, v) in &pairs {
             reference.store(a, v);
         }
         assert_eq!(m, reference);
+        assert_eq!(m.len(), 601);
+        assert_eq!(m.load(0x2000), 88);
         assert_eq!(m.load(0x2000 + 8 * 599), 599 * 3);
-        assert_eq!(m.load(0x9_0000), 77);
+        let base = BaseImage::seeded(&pairs);
+        assert_eq!(MemImage::fork(&Arc::new(base)), reference);
     }
 
     #[test]
@@ -884,10 +422,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Model-based property suite: the paged image versus the sparse
-    // HashMap reference model it replaced, under random interleaved
-    // scalar/slice/strided/indexed traffic (mirrors the `SlotQueue`
-    // seed-loop suite in `oov-core`).
+    // Images over a shared base.
     // ------------------------------------------------------------------
 
     /// SplitMix64 (same constants as the workspace harness).
@@ -899,160 +434,17 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// The reference model: the exact semantics of the old sparse
-    /// image.
-    #[derive(Default)]
-    struct ModelMem(HashMap<u64, u64>);
-
-    impl ModelMem {
-        fn load(&self, addr: u64) -> u64 {
-            self.0.get(&(addr & !7)).copied().unwrap_or(0)
-        }
-
-        fn store(&mut self, addr: u64, value: u64) {
-            self.0.insert(addr & !7, value);
-        }
-    }
-
-    /// Addresses cluster around a handful of regions whose runs cross
-    /// page boundaries, plus occasional far-flung pages, so the
-    /// directory, the last-page cache and the bitmap batching all get
-    /// exercised.
-    fn rand_addr(rng: &mut u64) -> u64 {
-        let region = match splitmix(rng) % 4 {
-            0 => 0x0,
-            1 => 0xf00,       // runs from here cross the 0x1000 page edge
-            2 => 0x7ff8,      // last word of page 7
-            _ => 0x1234_5000, // a far page, hits the directory
-        };
-        // Sometimes unaligned: the image must round down.
-        region + (splitmix(rng) % 0x220) * 8 + (splitmix(rng) % 3)
-    }
-
-    fn check_equivalence(paged: &MemImage, model: &ModelMem, seed: u64) {
-        assert_eq!(paged.len(), model.0.len(), "seed {seed}: len diverged");
-        // iter() equivalence: same (addr, value) multiset.
-        let mut got: Vec<(u64, u64)> = paged.iter().collect();
-        let mut want: Vec<(u64, u64)> = model.0.iter().map(|(&a, &v)| (a, v)).collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want, "seed {seed}: iter() diverged");
-        // same_contents against a paged rebuild of the model.
-        let mut rebuilt = MemImage::new();
-        for &(a, v) in &want {
-            rebuilt.store(a, v);
-        }
-        assert!(
-            paged.same_contents(&rebuilt) && rebuilt.same_contents(paged),
-            "seed {seed}: same_contents diverged"
-        );
-        assert_eq!(*paged, rebuilt, "seed {seed}: eq diverged");
-    }
-
-    #[test]
-    fn model_based_random_interleavings() {
-        for seed in 0..24u64 {
-            let mut rng = 0xda7a_0000 + seed;
-            let mut paged = MemImage::new();
-            let mut model = ModelMem::default();
-            for step in 0..400 {
-                let addr = rand_addr(&mut rng);
-                let n = (splitmix(&mut rng) % 160) as usize + 1;
-                match splitmix(&mut rng) % 8 {
-                    0 => {
-                        let v = splitmix(&mut rng) % 5; // small values, zeros included
-                        paged.store(addr, v);
-                        model.store(addr, v);
-                    }
-                    1 => {
-                        assert_eq!(
-                            paged.load(addr),
-                            model.load(addr),
-                            "seed {seed} step {step}: load({addr:#x})"
-                        );
-                    }
-                    2 => {
-                        let vals: Vec<u64> = (0..n).map(|_| splitmix(&mut rng) % 100).collect();
-                        paged.store_slice(addr, &vals);
-                        for (i, &v) in vals.iter().enumerate() {
-                            model.store((addr & !7) + 8 * i as u64, v);
-                        }
-                    }
-                    3 => {
-                        let mut out = vec![0u64; n];
-                        paged.load_slice(addr, &mut out);
-                        for (i, &v) in out.iter().enumerate() {
-                            assert_eq!(
-                                v,
-                                model.load((addr & !7) + 8 * i as u64),
-                                "seed {seed} step {step}: load_slice[{i}]"
-                            );
-                        }
-                    }
-                    4 => {
-                        let stride = [8i64, -8, 16, -24, 4096][(splitmix(&mut rng) % 5) as usize];
-                        let vals: Vec<u64> = (0..n).map(|_| splitmix(&mut rng) % 100).collect();
-                        paged.store_strided(addr, stride, &vals);
-                        for (i, &v) in vals.iter().enumerate() {
-                            model.store(addr.wrapping_add_signed(stride * i as i64), v);
-                        }
-                    }
-                    5 => {
-                        let stride = [8i64, -8, 16, -24, 4096][(splitmix(&mut rng) % 5) as usize];
-                        let mut out = vec![0u64; n];
-                        paged.load_strided(addr, stride, &mut out);
-                        for (i, &v) in out.iter().enumerate() {
-                            assert_eq!(
-                                v,
-                                model.load(addr.wrapping_add_signed(stride * i as i64)),
-                                "seed {seed} step {step}: load_strided[{i}]"
-                            );
-                        }
-                    }
-                    6 => {
-                        let idx: Vec<u64> =
-                            (0..n).map(|_| (splitmix(&mut rng) % 0x400) * 8).collect();
-                        let vals: Vec<u64> = (0..n).map(|_| splitmix(&mut rng) % 100).collect();
-                        paged.store_indexed(addr, &idx, &vals);
-                        for (&off, &v) in idx.iter().zip(&vals) {
-                            model.store(addr.wrapping_add(off), v);
-                        }
-                    }
-                    _ => {
-                        let pairs: Vec<(u64, u64)> = (0..n)
-                            .map(|i| {
-                                // Mostly contiguous, occasionally broken
-                                // runs, so seed() exercises both paths.
-                                let gap = u64::from(splitmix(&mut rng).is_multiple_of(16));
-                                (addr + 8 * (i as u64 + gap * 64), splitmix(&mut rng) % 100)
-                            })
-                            .collect();
-                        paged.seed(&pairs);
-                        for &(a, v) in &pairs {
-                            model.store(a, v);
-                        }
-                    }
-                }
-            }
-            check_equivalence(&paged, &model, seed);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Copy-on-write base/fork semantics.
-    // ------------------------------------------------------------------
-
     fn seeded_base() -> Arc<BaseImage> {
-        let mut m = MemImage::new();
-        m.store(0x1000, 11);
-        m.store(0x1008, 22);
-        m.store(0xff8, 33); // last word of page 0
-        m.store(0x9_0000, 44); // a far page
-        Arc::new(m.freeze())
+        Arc::new(BaseImage::seeded(&[
+            (0x1000, 11),
+            (0x1008, 22),
+            (0xff8, 33),
+            (0x9_0000, 44),
+        ]))
     }
 
     #[test]
-    fn fork_reads_fall_through_without_owning_pages() {
+    fn fork_reads_fall_through_without_storing() {
         let base = seeded_base();
         let f = MemImage::fork(&base);
         assert_eq!(f.load(0x1000), 11);
@@ -1061,24 +453,24 @@ mod tests {
         assert!(f.is_written(0x1008));
         assert!(!f.is_written(0x5000));
         assert_eq!(f.len(), base.len());
-        assert_eq!(f.pages.len(), 0, "reads must not fault pages");
+        assert!(f.own.is_empty(), "reads must not store");
     }
 
     #[test]
-    fn fork_store_faults_the_page_and_leaves_base_untouched() {
+    fn fork_store_shadows_one_word_and_leaves_base_untouched() {
         let base = seeded_base();
         let mut f = MemImage::fork(&base);
-        f.store(0x1000, 99); // same page as 0x1008
+        f.store(0x1000, 99);
         assert_eq!(f.load(0x1000), 99);
-        assert_eq!(f.load(0x1008), 22, "CoW fault copies the whole page");
-        assert_eq!(f.pages.len(), 1, "exactly one page faulted");
+        assert_eq!(f.load(0x1008), 22, "neighbours still fall through");
+        assert_eq!(f.own.len(), 1, "exactly one word stored");
         // Base immutability: the base and a sibling fork still see the
         // original value.
         assert_eq!(base.load(0x1000), 11);
         let sibling = MemImage::fork(&base);
         assert_eq!(sibling.load(0x1000), 11);
-        // Overwriting an already-written word does not change len;
-        // writing a fresh word does.
+        // Overwriting a base word does not change len; writing a fresh
+        // word does.
         assert_eq!(f.len(), base.len());
         f.store(0x1010, 7);
         assert_eq!(f.len(), base.len() + 1);
@@ -1098,27 +490,9 @@ mod tests {
     }
 
     #[test]
-    fn fork_slice_store_faults_across_page_boundary() {
-        let base = seeded_base();
-        let mut f = MemImage::fork(&base);
-        // 0xff8 is the last word of page 0 (written 33 in the base);
-        // the run spills into page 1 (also base-resident via 0x1000).
-        let vals: Vec<u64> = (0..4).map(|i| 500 + i).collect();
-        f.store_slice(0xff8, &vals);
-        assert_eq!(f.pages.len(), 2, "both pages fault");
-        assert_eq!(f.load(0xff8), 500);
-        assert_eq!(f.load(0x1000), 501);
-        assert_eq!(f.load(0x1008), 502);
-        assert_eq!(base.load(0xff8), 33);
-        assert_eq!(base.load(0x1000), 11);
-    }
-
-    #[test]
     fn fork_matches_reseeded_image_observationally() {
         let pairs: Vec<(u64, u64)> = (0..700u64).map(|i| (0x3000 + 8 * i, i * 7)).collect();
-        let mut seeded = MemImage::new();
-        seeded.seed(&pairs);
-        let base = Arc::new(seeded.freeze());
+        let base = Arc::new(BaseImage::seeded(&pairs));
         let mut fork = MemImage::fork(&base);
         let mut flat = MemImage::new();
         flat.seed(&pairs);
@@ -1130,74 +504,34 @@ mod tests {
         assert!(!fork.same_contents(&flat));
         flat.store(0x3000, u64::MAX);
         assert_eq!(fork, flat);
+        // A reset forgets the divergence.
+        fork.reset_to_base(&base);
+        assert_eq!(fork.load(0x3000), 0);
+        assert_eq!(fork.len(), pairs.len());
     }
 
-    #[test]
-    fn freeze_flattens_a_fork_chain() {
-        let base = seeded_base();
-        let mut f = MemImage::fork(&base);
-        f.store(0x1000, 99);
-        f.store(0x7000, 7);
-        let refrozen = Arc::new(f.freeze());
-        let g = MemImage::fork(&refrozen);
-        assert_eq!(g.load(0x1000), 99, "fork's write survives the freeze");
-        assert_eq!(g.load(0x1008), 22, "shadowed page kept its other words");
-        assert_eq!(g.load(0x9_0000), 44, "unshadowed base page materialised");
-        assert_eq!(g.load(0x7000), 7);
-        assert!(g.base.as_ref().unwrap().dir.contains_key(&(0x9_0000 >> 12)));
+    /// Addresses cluster around a few small regions, sometimes
+    /// unaligned, so stores often land on seeded words and on each
+    /// other.
+    fn rand_addr(rng: &mut u64) -> u64 {
+        let region = [0x0, 0xf00, 0x7ff8, 0x1234_5000][(splitmix(rng) % 4) as usize];
+        region + (splitmix(rng) % 0x220) * 8 + (splitmix(rng) % 3)
     }
 
-    #[test]
-    fn reset_to_base_recycles_pages_through_the_pool() {
-        // The global `page_allocations` counter is asserted in
-        // `tests/alloc_smoke.rs` (its own process); here, where unit
-        // tests run concurrently, we assert the structural pool
-        // behaviour instead: reset moves owned pages to the pool and
-        // re-faulting drains it without growing total page count.
-        let base = seeded_base();
-        let mut f = MemImage::fork(&base);
-        // Warm-up replay: fault two base pages and one fresh page.
-        f.store(0x1000, 1);
-        f.store(0x9_0000, 2);
-        f.store(0x5000, 3);
-        assert_eq!((f.pages.len(), f.pool.len()), (3, 0));
-        for round in 0..3u64 {
-            f.reset_to_base(&base);
-            assert_eq!((f.pages.len(), f.pool.len()), (0, 3), "round {round}");
-            assert_eq!(f.load(0x1000), 11, "round {round}: reset lost the base");
-            f.store(0x1000, round);
-            f.store(0x9_0000, round + 1);
-            f.store(0x5000, round + 2);
-            assert_eq!(
-                (f.pages.len(), f.pool.len()),
-                (3, 0),
-                "round {round}: faults must pop the pool, not allocate"
-            );
-            assert_eq!(f.load(0x1000), round);
-            assert_eq!(f.load(0x1008), 22);
-        }
-    }
-
-    /// Model-based fork suite: random traffic builds a base (mirrored
-    /// in the HashMap model), then a fork takes more random traffic
-    /// while the base must stay frozen at its snapshot.
+    /// Random traffic builds a base; a fork then takes more random
+    /// traffic and must match a flat image seeded with the same pairs
+    /// that took the same stores, while the base stays unchanged.
     #[test]
     fn model_based_fork_against_reference() {
         for seed in 0..16u64 {
             let mut rng = 0xc0u64 << 56 | seed;
-            let mut img = MemImage::new();
-            let mut model = ModelMem::default();
-            // Phase 1: build the base.
-            for _ in 0..120 {
-                let addr = rand_addr(&mut rng);
-                let v = splitmix(&mut rng) % 50;
-                img.store(addr, v);
-                model.store(addr, v);
-            }
-            let base_model: HashMap<u64, u64> = model.0.clone();
-            let base = Arc::new(img.freeze());
-            // Phase 2: the fork diverges under mixed scalar/slice
-            // traffic; the model follows the fork.
+            let pairs: Vec<(u64, u64)> = (0..120)
+                .map(|_| (rand_addr(&mut rng), splitmix(&mut rng) % 50))
+                .collect();
+            let base = Arc::new(BaseImage::seeded(&pairs));
+            let mut flat = MemImage::new();
+            flat.seed(&pairs);
+            let base_snapshot = flat.clone();
             let mut fork = MemImage::fork(&base);
             for step in 0..200 {
                 let addr = rand_addr(&mut rng);
@@ -1205,38 +539,40 @@ mod tests {
                     0 => {
                         let v = splitmix(&mut rng) % 50;
                         fork.store(addr, v);
-                        model.store(addr, v);
+                        flat.store(addr, v);
                     }
                     1 => {
                         let n = (splitmix(&mut rng) % 96) as usize + 1;
+                        let stride = [8i64, -8, 24][(splitmix(&mut rng) % 3) as usize];
                         let vals: Vec<u64> = (0..n).map(|_| splitmix(&mut rng) % 50).collect();
-                        fork.store_slice(addr, &vals);
-                        for (i, &v) in vals.iter().enumerate() {
-                            model.store((addr & !7) + 8 * i as u64, v);
-                        }
+                        fork.store_strided(addr, stride, &vals);
+                        flat.store_strided(addr, stride, &vals);
                     }
-                    2 => {
-                        assert_eq!(
-                            fork.load(addr),
-                            model.load(addr),
-                            "seed {seed} step {step}: fork load({addr:#x})"
-                        );
-                    }
-                    _ => {
-                        assert_eq!(
-                            fork.is_written(addr),
-                            model.0.contains_key(&(addr & !7)),
-                            "seed {seed} step {step}: is_written({addr:#x})"
-                        );
-                    }
+                    2 => assert_eq!(
+                        fork.load(addr),
+                        flat.load(addr),
+                        "seed {seed} step {step}: load({addr:#x})"
+                    ),
+                    _ => assert_eq!(
+                        fork.is_written(addr),
+                        flat.is_written(addr),
+                        "seed {seed} step {step}: is_written({addr:#x})"
+                    ),
                 }
+                assert_eq!(fork.len(), flat.len(), "seed {seed} step {step}: len");
+                assert_eq!(fork, flat, "seed {seed} step {step}: eq");
             }
-            check_equivalence(&fork, &model, seed);
+            let mut got: Vec<(u64, u64)> = fork.iter().collect();
+            let mut want: Vec<(u64, u64)> = flat.iter().collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "seed {seed}: iter");
             // The base never moved.
-            for (&a, &v) in &base_model {
-                assert_eq!(base.load(a), v, "seed {seed}: base mutated at {a:#x}");
-            }
-            assert_eq!(base.len(), base_model.len());
+            assert_eq!(
+                MemImage::fork(&base),
+                base_snapshot,
+                "seed {seed}: base mutated"
+            );
         }
     }
 }

@@ -9,7 +9,7 @@
 //! The operation semantics intentionally mirror `oov_exec::Machine` — the
 //! two implementations are kept separate so that a bug in one cannot hide
 //! in the other. Like the machine, the interpreter is batched: vector
-//! memory traffic goes through the [`MemImage`] bulk API and vector
+//! memory traffic moves whole element groups through [`MemImage`] and vector
 //! values reuse their destination buffers (a virtual register redefined
 //! on every loop iteration recycles one allocation), with operands
 //! snapshotted into scratch buffers before the destination is taken so
@@ -55,13 +55,13 @@ impl IrInterp {
         &self.mem
     }
 
-    /// Runs a kernel from scratch: forks the kernel's cached base
-    /// image (no per-run seeding), executes every segment over its
-    /// iteration space, and returns the final image.
+    /// Runs a kernel from scratch: seeds the kernel's `mem_init`,
+    /// executes every segment over its iteration space, and returns the
+    /// final image.
     #[must_use]
     pub fn run_kernel(kernel: &Kernel) -> MemImage {
         let mut it = IrInterp::new();
-        it.mem = MemImage::fork(kernel.base_image());
+        it.mem.seed(&kernel.mem_init);
         for seg in kernel.segments() {
             for outer in 0..u64::from(seg.outer_trips) {
                 // Carried registers start at zero each outer iteration,

@@ -7,9 +7,7 @@
 //! spill traffic (paper Table 3) instead of faking it.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
-use oov_exec::{BaseImage, MemImage};
 use oov_isa::{Opcode, MAX_VL};
 
 /// A virtual register: class plus an unbounded index.
@@ -137,9 +135,6 @@ pub struct Kernel {
     /// Initial memory contents `(byte address, value)` the golden executor
     /// should install before running.
     pub mem_init: Vec<(u64, u64)>,
-    /// The seeded base image, built lazily from `mem_init` and shared
-    /// by every interpreter fork (see [`Kernel::base_image`]).
-    base: OnceLock<Arc<BaseImage>>,
 }
 
 /// Lowest address used for data arrays.
@@ -158,22 +153,7 @@ impl Kernel {
             next_virt: 0,
             next_addr: ARRAY_SPACE_BASE,
             mem_init: Vec::new(),
-            base: OnceLock::new(),
         }
-    }
-
-    /// The kernel's frozen initial-memory image, seeded from
-    /// `mem_init` exactly once and forked copy-on-write by every
-    /// consumer (the IR interpreter, golden checks). Call only after
-    /// the kernel is fully built — later `array_init` additions are
-    /// not reflected in an already-frozen base.
-    #[must_use]
-    pub fn base_image(&self) -> &Arc<BaseImage> {
-        self.base.get_or_init(|| {
-            let mut m = MemImage::new();
-            m.seed(&self.mem_init);
-            Arc::new(m.freeze())
-        })
     }
 
     /// The kernel's name.

@@ -11,7 +11,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use oov_exec::{BaseImage, Machine, MemImage};
+use oov_exec::{BaseImage, Machine};
 use oov_isa::{ArchReg, BranchInfo, Instruction, MemRef, Opcode, RegClass, Trace};
 
 use crate::ir::{AddrExpr, Kernel};
@@ -254,27 +254,23 @@ pub struct CompiledProgram {
     /// Spill code inserted by the register allocator.
     pub spill: SpillSummary,
     /// The seeded base image, built once on first use and shared by
-    /// every machine forked from this program.
+    /// every machine made from this program.
     base: OnceLock<Arc<BaseImage>>,
 }
 
 impl CompiledProgram {
-    /// The program's frozen initial-memory image. `mem_init` is seeded
+    /// The program's initial-memory image. `mem_init` is seeded
     /// exactly once per program (cached behind a `OnceLock`); every
-    /// replay forks this base copy-on-write instead of re-seeding.
+    /// machine reads through this shared base instead of re-seeding.
     #[must_use]
     pub fn base_image(&self) -> &Arc<BaseImage> {
-        self.base.get_or_init(|| {
-            let mut m = MemImage::new();
-            m.seed(&self.mem_init);
-            Arc::new(m.freeze())
-        })
+        self.base
+            .get_or_init(|| Arc::new(BaseImage::seeded(&self.mem_init)))
     }
 
-    /// A machine with zeroed registers whose memory is a copy-on-write
-    /// fork of [`CompiledProgram::base_image`]: on warm calls this
-    /// performs zero seed work and zero page allocation for read-only
-    /// data.
+    /// A machine with zeroed registers whose memory reads through
+    /// [`CompiledProgram::base_image`]: on warm calls this performs
+    /// zero seed work.
     #[must_use]
     pub fn fresh_machine(&self) -> Machine {
         Machine::from_base(self.base_image())
