@@ -11,10 +11,12 @@
 //!
 //! * `--program <name>`  one of the ten benchmark names, or `all`
 //! * `--machine <ref|ooo>`            default `ooo`
-//! * `--regs <9..64>`                 physical V registers, default 16
-//! * `--queues <n>`                   issue-queue slots, default 16
+//! * `--regs <n ≥ 9>`                 physical V registers, default 16
+//! * `--queues <n ≥ 1>`               issue-queue slots, default 16
 //! * `--latency <cycles>`             memory latency, default 50
-//! * `--commit <early|late>`          default `early`
+//! * `--commit <early|late>`          default `early`, or `late` when
+//!   `--elim` is set (load elimination requires late commit, so an
+//!   explicit `--commit early` with it is an error)
 //! * `--elim <off|sle|sle+vle|sle+vle+sse>`  default `off`
 //! * `--scale <smoke|paper>`          default `paper`
 //! * `--breakdown`                    print the 8-state cycle breakdown
@@ -31,7 +33,8 @@ use oov_stats::SimStats;
 
 struct Args {
     programs: Vec<Program>,
-    machine: String,
+    /// `--machine ooo` (the default) rather than `ref`.
+    ooo: bool,
     regs: usize,
     queues: usize,
     latency: u32,
@@ -45,7 +48,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         programs: vec![],
-        machine: "ooo".into(),
+        ooo: true,
         regs: 16,
         queues: 16,
         latency: 50,
@@ -55,6 +58,7 @@ fn parse_args() -> Result<Args, String> {
         breakdown: false,
         trace: None,
     };
+    let mut commit = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let value = |i: &mut usize| -> Result<String, String> {
@@ -75,7 +79,13 @@ fn parse_args() -> Result<Args, String> {
                     );
                 }
             }
-            "--machine" => args.machine = value(&mut i)?,
+            "--machine" => {
+                args.ooo = match value(&mut i)?.as_str() {
+                    "ooo" => true,
+                    "ref" => false,
+                    other => return Err(format!("unknown machine {other} (use ref|ooo)")),
+                };
+            }
             "--regs" => {
                 args.regs = value(&mut i)?.parse().map_err(|e| format!("--regs: {e}"))?;
             }
@@ -90,20 +100,15 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--latency: {e}"))?;
             }
             "--commit" => {
-                args.commit = match value(&mut i)?.as_str() {
-                    "early" => CommitMode::Early,
-                    "late" => CommitMode::Late,
-                    other => return Err(format!("unknown commit mode {other}")),
-                };
+                let v = value(&mut i)?;
+                commit = Some(
+                    CommitMode::from_name(&v).ok_or_else(|| format!("unknown commit mode {v}"))?,
+                );
             }
             "--elim" => {
-                args.elim = match value(&mut i)?.as_str() {
-                    "off" => LoadElimMode::Off,
-                    "sle" => LoadElimMode::Sle,
-                    "sle+vle" => LoadElimMode::SleVle,
-                    "sle+vle+sse" => LoadElimMode::SleVleSse,
-                    other => return Err(format!("unknown elimination mode {other}")),
-                };
+                let v = value(&mut i)?;
+                args.elim = LoadElimMode::from_name(&v)
+                    .ok_or_else(|| format!("unknown elimination mode {v}"))?;
             }
             "--scale" => {
                 args.scale = match value(&mut i)?.as_str() {
@@ -121,9 +126,26 @@ fn parse_args() -> Result<Args, String> {
     if args.programs.is_empty() {
         return Err("--program is required (a benchmark name, or `all`)".into());
     }
-    if args.trace.is_some() && args.machine != "ooo" {
+    if args.trace.is_some() && !args.ooo {
         return Err("--trace only applies to the ooo machine".into());
     }
+    if args.regs < 9 {
+        return Err(format!(
+            "--regs {}: need at least 9 physical vector registers",
+            args.regs
+        ));
+    }
+    if args.queues == 0 {
+        return Err("--queues: issue queues need at least one slot".into());
+    }
+    args.commit = match (commit, args.elim) {
+        (Some(CommitMode::Early), elim) if elim != LoadElimMode::Off => {
+            return Err("load elimination requires late commit".into());
+        }
+        (Some(mode), _) => mode,
+        (None, LoadElimMode::Off) => CommitMode::Early,
+        (None, _) => CommitMode::Late,
+    };
     Ok(args)
 }
 
@@ -178,48 +200,39 @@ fn main() {
     for p in &args.programs {
         let prog = p.compile(args.scale);
         let ideal = prog.trace.ideal_cycles();
-        match args.machine.as_str() {
-            "ref" => {
-                let cfg = RefConfig::default().with_memory_latency(args.latency);
-                let stats = RefSim::new(cfg).run(&prog.trace);
-                report(p.name(), &stats, ideal, args.breakdown);
+        if args.ooo {
+            let cfg = OooConfig::default()
+                .with_phys_v_regs(args.regs)
+                .with_queue_slots(args.queues)
+                .with_memory_latency(args.latency)
+                .with_commit(args.commit)
+                .with_load_elim(args.elim);
+            let mut sim = OooSim::new(cfg, &prog.trace);
+            if args.trace.is_some() {
+                sim = sim.with_trace(TraceSink::new());
             }
-            "ooo" => {
-                let mut cfg = OooConfig::default()
-                    .with_phys_v_regs(args.regs)
-                    .with_queue_slots(args.queues)
-                    .with_memory_latency(args.latency)
-                    .with_commit(args.commit);
-                if args.elim != LoadElimMode::Off {
-                    cfg = cfg.with_load_elim(args.elim);
+            let r = sim.run();
+            report(p.name(), &r.stats, ideal, args.breakdown);
+            if let (Some(base), Some(sink)) = (&args.trace, &r.trace) {
+                let path = trace_path(base, p.name(), args.programs.len() > 1);
+                if let Err(e) = sink.write_konata(&path) {
+                    eprintln!("error: writing {}: {e}", path.display());
+                    std::process::exit(1);
                 }
-                let mut sim = OooSim::new(cfg, &prog.trace);
-                if args.trace.is_some() {
-                    sim = sim.with_trace(TraceSink::new());
-                }
-                let r = sim.run();
-                report(p.name(), &r.stats, ideal, args.breakdown);
-                if let (Some(base), Some(sink)) = (&args.trace, &r.trace) {
-                    let path = trace_path(base, p.name(), args.programs.len() > 1);
-                    if let Err(e) = sink.write_konata(&path) {
-                        eprintln!("error: writing {}: {e}", path.display());
-                        std::process::exit(1);
-                    }
-                    println!(
-                        "  trace: {} records -> {}",
-                        sink.records().len(),
-                        path.display()
-                    );
-                    let stalls = sink.stall_table();
-                    if !stalls.is_empty() {
-                        print!("{}", stalls.render());
-                    }
+                println!(
+                    "  trace: {} records -> {}",
+                    sink.records().len(),
+                    path.display()
+                );
+                let stalls = sink.stall_table();
+                if !stalls.is_empty() {
+                    print!("{}", stalls.render());
                 }
             }
-            other => {
-                eprintln!("error: unknown machine {other} (use ref|ooo)");
-                std::process::exit(2);
-            }
+        } else {
+            let cfg = RefConfig::default().with_memory_latency(args.latency);
+            let stats = RefSim::new(cfg).run(&prog.trace);
+            report(p.name(), &stats, ideal, args.breakdown);
         }
     }
 }

@@ -1,14 +1,55 @@
-//! One function per paper exhibit.
+//! One function per paper exhibit, plus two studies beyond the paper.
 //!
 //! Every function takes the compiled [`Suite`] and returns the rendered
-//! exhibit as text (tables and ASCII charts). The binaries print them;
-//! the `all` binary prints every exhibit in turn.
+//! exhibit as text (tables and ASCII charts). [`EXHIBITS`] names them
+//! all; the `all` binary prints every entry, or the ones named on its
+//! command line (`all figure5 stage_occupancy`), in table order.
 
 use oov_core::SimArena;
 use oov_isa::{CommitMode, LatencyModel, LoadElimMode, OooConfig, RefConfig};
+use oov_kernels::Program;
 use oov_stats::{BarChart, SimStats, Table};
+use oov_vcc::{compile_with, CompileOptions};
 
 use crate::{ooo_run, ooo_run_in, Suite};
+
+/// An exhibit's key (its name on the `all` command line), its heading
+/// and the function that renders it.
+pub type Exhibit = (&'static str, &'static str, fn(&Suite) -> String);
+
+/// Every exhibit: the paper's tables and figures in evaluation order,
+/// the per-stage occupancy report, then the ablation and extension
+/// studies.
+pub const EXHIBITS: [Exhibit; 16] = [
+    ("table1", "Table 1 — machine parameters", |_| table1()),
+    ("table2", "Table 2 — operation counts", table2),
+    (
+        "figure3",
+        "Figure 3 — REF cycle breakdown vs latency",
+        figure3,
+    ),
+    ("figure4", "Figure 4 — REF memory-port idle", figure4),
+    ("figure5", "Figure 5 — OOOVA speedup vs registers", figure5),
+    ("figure6", "Figure 6 — port idle REF vs OOOVA", figure6),
+    ("figure7", "Figure 7 — breakdown REF vs OOOVA", figure7),
+    ("figure8", "Figure 8 — latency tolerance", figure8),
+    ("figure9", "Figure 9 — early vs late commit", figure9),
+    ("table3", "Table 3 — spill traffic", table3),
+    ("figure11", "Figure 11 — SLE speedup", figure11),
+    ("figure12", "Figure 12 — SLE+VLE speedup", figure12),
+    ("figure13", "Figure 13 — traffic reduction", figure13),
+    (
+        "stage_occupancy",
+        "Stage occupancy — per-stage progress",
+        stage_occupancy,
+    ),
+    ("ablation", "Ablation — mechanism contributions", ablation),
+    (
+        "extension",
+        "Extension — silent-store elimination",
+        extension,
+    ),
+];
 
 /// Memory latencies swept by Figures 3 and 4.
 pub const REF_LATENCIES: [u32; 4] = [1, 20, 70, 100];
@@ -464,58 +505,182 @@ pub fn stage_occupancy(suite: &Suite) -> String {
     )
 }
 
+/// Ablation studies of the modelled mechanisms — reference-machine
+/// chaining, register-file banking and the scalar cache; OOOVA queue,
+/// ROB and cache sizing; compiler list scheduling — showing what each
+/// contributes to the cycle counts of four programs.
+#[must_use]
+pub fn ablation(suite: &Suite) -> String {
+    let programs = [
+        Program::Swm256,
+        Program::Flo52,
+        Program::Trfd,
+        Program::Bdna,
+    ];
+
+    let mut reference = Table::new(&[
+        "program",
+        "baseline",
+        "no FU chaining",
+        "+load chaining",
+        "unbanked RF",
+        "no scalar cache",
+    ]);
+    for p in programs {
+        let run = |cfg: RefConfig| crate::ref_run(suite.get(p), cfg).cycles.to_string();
+        reference.row_owned(vec![
+            p.name().into(),
+            run(RefConfig::default()),
+            run(RefConfig {
+                chain_fu: false,
+                ..RefConfig::default()
+            }),
+            run(RefConfig {
+                chain_loads: true,
+                ..RefConfig::default()
+            }),
+            run(RefConfig {
+                banked_ports: false,
+                ..RefConfig::default()
+            }),
+            run(RefConfig {
+                scalar_cache: None,
+                ..RefConfig::default()
+            }),
+        ]);
+    }
+
+    let mut ooo = Table::new(&[
+        "program",
+        "baseline",
+        "queues=4",
+        "queues=128",
+        "no scalar cache",
+        "rob=16",
+    ]);
+    for p in programs {
+        let run = |cfg: OooConfig| ooo_run(suite.get(p), cfg).cycles.to_string();
+        ooo.row_owned(vec![
+            p.name().into(),
+            run(OooConfig::default()),
+            run(OooConfig::default().with_queue_slots(4)),
+            run(OooConfig::default().with_queue_slots(128)),
+            run(OooConfig {
+                scalar_cache: None,
+                ..OooConfig::default()
+            }),
+            run(OooConfig {
+                rob_entries: 16,
+                ..OooConfig::default()
+            }),
+        ]);
+    }
+
+    // The suite holds the list-scheduled compile; only the unscheduled
+    // one is built here.
+    let mut sched = Table::new(&["program", "scheduled", "unscheduled", "penalty"]);
+    for p in programs {
+        let unscheduled = compile_with(
+            &p.kernel(suite.scale),
+            &CompileOptions {
+                schedule: false,
+                ..CompileOptions::default()
+            },
+        );
+        let a = crate::ref_run(suite.get(p), RefConfig::default()).cycles;
+        let b = crate::ref_run(&unscheduled, RefConfig::default()).cycles;
+        sched.row_owned(vec![
+            p.name().into(),
+            a.to_string(),
+            b.to_string(),
+            format!("{:+.1}%", 100.0 * (b as f64 / a as f64 - 1.0)),
+        ]);
+    }
+
+    format!(
+        "== Reference-machine mechanisms (cycles, latency 50) ==\n{reference}\n\
+         == OOOVA structures (cycles, latency 50, 16 registers) ==\n{ooo}\n\
+         == Compiler scheduling (REF cycles with/without list scheduling) ==\n{sched}"
+    )
+}
+
+/// Extension study: redundant (silent) store elimination — the future
+/// work the paper sketches in §6 ("Relaxing compatibility could lead to
+/// removing some spill stores, but we have not yet pursued this
+/// approach"). Compares the late-commit OOOVA, SLE+VLE, and
+/// SLE+VLE+SSE.
+#[must_use]
+pub fn extension(suite: &Suite) -> String {
+    let mut t = Table::new(&[
+        "program",
+        "base requests",
+        "SLE+VLE",
+        "SLE+VLE+SSE",
+        "stores elided (words)",
+        "extra speedup",
+    ]);
+    for (p, [base, vle, sse]) in suite.par_map(|_, prog| {
+        let mut arena = SimArena::new();
+        [
+            OooConfig::default().with_commit(CommitMode::Late),
+            OooConfig::default().with_load_elim(LoadElimMode::SleVle),
+            OooConfig::default().with_load_elim(LoadElimMode::SleVleSse),
+        ]
+        .map(|cfg| ooo_run_in(prog, cfg, &mut arena))
+    }) {
+        t.row_owned(vec![
+            p.name().into(),
+            base.mem_requests.to_string(),
+            vle.mem_requests.to_string(),
+            sse.mem_requests.to_string(),
+            format!("{} ({})", sse.eliminated_stores, sse.eliminated_store_words),
+            format!("{:.3}x", vle.cycles as f64 / sse.cycles as f64),
+        ]);
+    }
+    format!(
+        "Silent-store extension on top of SLE+VLE (latency 50, 16 registers)\n{t}\n\
+         Every elision is value-verified in the test suite: the store's data\n\
+         must equal the bytes memory already holds at its exact target range."
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use oov_kernels::Scale;
 
-    fn smoke_suite() -> Suite {
-        Suite::compile(Scale::Smoke)
-    }
-
     #[test]
-    fn table1_renders() {
-        let s = table1();
-        assert!(s.contains("memory (default)"));
-        assert!(s.contains("50"));
-    }
-
-    #[test]
-    fn table2_covers_all_programs() {
-        let s = table2(&smoke_suite());
-        for p in oov_kernels::Program::ALL {
-            assert!(s.contains(p.name()), "missing {p}");
+    fn exhibit_keys_are_unique() {
+        for (i, (key, ..)) in EXHIBITS.iter().enumerate() {
+            assert!(
+                EXHIBITS[..i].iter().all(|(k, ..)| k != key),
+                "duplicate exhibit key {key}"
+            );
         }
     }
 
     #[test]
-    fn figure4_idle_grows_with_latency() {
-        let suite = smoke_suite();
-        let s = figure4(&suite);
-        assert!(s.contains("%"));
-    }
-
-    #[test]
-    fn figure5_speedups_above_one() {
-        let suite = smoke_suite();
-        let s = figure5(&suite);
-        // Every program should show a speedup over REF at 16 registers.
-        assert!(s.contains("swm256"));
-    }
-
-    #[test]
-    fn figure13_reports_reduction() {
-        let suite = smoke_suite();
-        let s = figure13(&suite);
-        assert!(s.contains("fewer requests"));
-    }
-
-    #[test]
-    fn stage_occupancy_covers_programs_and_stages() {
-        let s = stage_occupancy(&smoke_suite());
-        for p in oov_kernels::Program::ALL {
-            assert!(s.contains(p.name()), "missing {p}");
+    fn every_exhibit_renders() {
+        let suite = Suite::compile(Scale::Smoke);
+        let rendered: Vec<(&str, String)> = EXHIBITS
+            .iter()
+            .map(|(key, _, render)| (*key, render(&suite)))
+            .collect();
+        for (key, body) in &rendered {
+            assert!(!body.trim().is_empty(), "{key} rendered nothing");
         }
-        assert!(s.contains("progress%"));
+        let get = |key: &str| &rendered.iter().find(|(k, _)| *k == key).unwrap().1;
+
+        assert!(get("table1").contains("memory (default)"));
+        assert!(get("table1").contains("50"));
+        for key in ["table2", "figure5", "stage_occupancy", "extension"] {
+            for p in Program::ALL {
+                assert!(get(key).contains(p.name()), "{key} misses {p}");
+            }
+        }
+        assert!(get("figure4").contains('%'));
+        assert!(get("figure13").contains("fewer requests"));
+        assert!(get("stage_occupancy").contains("progress%"));
+        assert!(get("ablation").contains("Compiler scheduling"));
     }
 }

@@ -3,13 +3,18 @@
 //! `oov-serve`.
 //!
 //! Each `figure*` / `table*` function in [`experiments`] renders one
-//! exhibit from live simulation; the `all` binary runs the full set and
-//! prints it to stdout. Run with `--release`:
+//! exhibit from live simulation, and [`experiments::EXHIBITS`] names
+//! them all. The `all` binary prints every exhibit, or the ones named
+//! on its command line, to stdout. Run with `--release`:
 //!
 //! ```text
 //! cargo run -p oov-bench --release --bin all
-//! cargo run -p oov-bench --release --bin figure5
+//! cargo run -p oov-bench --release --bin all -- figure5 table1
 //! ```
+//!
+//! The crate's other two binaries are `simulate` (one ad-hoc run of any
+//! program on either machine) and `bench_trend` (the engine-bench
+//! regression gate).
 //!
 //! The compiled [`Suite`], the [`ref_run`]/[`ooo_run`]/[`machine_run`]
 //! helpers and the JSON bench artifacts (via [`oov_proto::Json`]) live
@@ -31,6 +36,7 @@ use oov_vcc::CompiledProgram;
 
 /// The compiled benchmark suite, built once and shared by experiments.
 pub struct Suite {
+    scale: Scale,
     programs: Vec<(Program, CompiledProgram)>,
 }
 
@@ -51,7 +57,7 @@ impl Suite {
                 .map(|h| h.join().expect("suite compile worker panicked"))
                 .collect()
         });
-        Suite { programs }
+        Suite { scale, programs }
     }
 
     /// Iterates `(program, compiled)` pairs.

@@ -264,7 +264,8 @@ impl OooConfig {
     }
 
     /// Sets the load-elimination mode (builder style). Load elimination
-    /// requires precise state, so `Sle`/`SleVle` force late commit.
+    /// requires precise state, so every mode other than `Off` (`Sle`,
+    /// `SleVle` and `SleVleSse`) forces late commit.
     #[must_use]
     pub fn with_load_elim(mut self, mode: LoadElimMode) -> Self {
         self.load_elim = mode;
