@@ -25,6 +25,7 @@
 //!   print the stall-attribution table. With `--program all` the program
 //!   name is inserted before the extension.
 
+use oov_bench::ooo_config_from_flags;
 use oov_core::{OooSim, TraceSink};
 use oov_isa::{CommitMode, LoadElimMode, OooConfig, RefConfig};
 use oov_kernels::{Program, Scale};
@@ -35,11 +36,9 @@ struct Args {
     programs: Vec<Program>,
     /// `--machine ooo` (the default) rather than `ref`.
     ooo: bool,
-    regs: usize,
-    queues: usize,
+    /// The OOOVA point (checked even for `--machine ref`).
+    cfg: OooConfig,
     latency: u32,
-    commit: CommitMode,
-    elim: LoadElimMode,
     scale: Scale,
     breakdown: bool,
     trace: Option<std::path::PathBuf>,
@@ -49,16 +48,13 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         programs: vec![],
         ooo: true,
-        regs: 16,
-        queues: 16,
+        cfg: OooConfig::default(),
         latency: 50,
-        commit: CommitMode::Early,
-        elim: LoadElimMode::Off,
         scale: Scale::Paper,
         breakdown: false,
         trace: None,
     };
-    let mut commit = None;
+    let (mut regs, mut queues, mut commit, mut elim) = (16, 16, None, LoadElimMode::Off);
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let value = |i: &mut usize| -> Result<String, String> {
@@ -87,10 +83,10 @@ fn parse_args() -> Result<Args, String> {
                 };
             }
             "--regs" => {
-                args.regs = value(&mut i)?.parse().map_err(|e| format!("--regs: {e}"))?;
+                regs = value(&mut i)?.parse().map_err(|e| format!("--regs: {e}"))?;
             }
             "--queues" => {
-                args.queues = value(&mut i)?
+                queues = value(&mut i)?
                     .parse()
                     .map_err(|e| format!("--queues: {e}"))?;
             }
@@ -107,15 +103,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--elim" => {
                 let v = value(&mut i)?;
-                args.elim = LoadElimMode::from_name(&v)
+                elim = LoadElimMode::from_name(&v)
                     .ok_or_else(|| format!("unknown elimination mode {v}"))?;
             }
             "--scale" => {
-                args.scale = match value(&mut i)?.as_str() {
-                    "smoke" => Scale::Smoke,
-                    "paper" => Scale::Paper,
-                    other => return Err(format!("unknown scale {other}")),
-                };
+                let v = value(&mut i)?;
+                args.scale = Scale::from_name(&v).ok_or_else(|| format!("unknown scale {v}"))?;
             }
             "--breakdown" => args.breakdown = true,
             "--trace" => args.trace = Some(value(&mut i)?.into()),
@@ -129,23 +122,7 @@ fn parse_args() -> Result<Args, String> {
     if args.trace.is_some() && !args.ooo {
         return Err("--trace only applies to the ooo machine".into());
     }
-    if args.regs < 9 {
-        return Err(format!(
-            "--regs {}: need at least 9 physical vector registers",
-            args.regs
-        ));
-    }
-    if args.queues == 0 {
-        return Err("--queues: issue queues need at least one slot".into());
-    }
-    args.commit = match (commit, args.elim) {
-        (Some(CommitMode::Early), elim) if elim != LoadElimMode::Off => {
-            return Err("load elimination requires late commit".into());
-        }
-        (Some(mode), _) => mode,
-        (None, LoadElimMode::Off) => CommitMode::Early,
-        (None, _) => CommitMode::Late,
-    };
+    args.cfg = ooo_config_from_flags(regs, queues, args.latency, commit, elim)?;
     Ok(args)
 }
 
@@ -201,13 +178,7 @@ fn main() {
         let prog = p.compile(args.scale);
         let ideal = prog.trace.ideal_cycles();
         if args.ooo {
-            let cfg = OooConfig::default()
-                .with_phys_v_regs(args.regs)
-                .with_queue_slots(args.queues)
-                .with_memory_latency(args.latency)
-                .with_commit(args.commit)
-                .with_load_elim(args.elim);
-            let mut sim = OooSim::new(cfg, &prog.trace);
+            let mut sim = OooSim::new(args.cfg, &prog.trace);
             if args.trace.is_some() {
                 sim = sim.with_trace(TraceSink::new());
             }

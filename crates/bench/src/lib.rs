@@ -28,7 +28,7 @@
 pub mod experiments;
 
 use oov_core::{OooSim, RunAborted, RunBudget, SimArena, Stepper};
-use oov_isa::{MachineConfig, OooConfig, RefConfig};
+use oov_isa::{CommitMode, LoadElimMode, MachineConfig, OooConfig, RefConfig};
 use oov_kernels::{Program, Scale};
 use oov_ref::RefSim;
 use oov_stats::SimStats;
@@ -111,6 +111,42 @@ pub struct RunOutcome {
     pub faults_taken: u64,
 }
 
+/// The OOOVA point a command line names, checked before anything
+/// compiles or connects: the `simulate` and `client` binaries both
+/// build their machine here. `commit: None` means early commit, or
+/// late when load elimination is on.
+///
+/// # Errors
+///
+/// A usage message for a point [`OooConfig`]'s builders would panic on
+/// (`regs < 9`, `queues == 0`), or for an explicit early commit with
+/// load elimination, which requires late commit.
+pub fn ooo_config_from_flags(
+    regs: usize,
+    queues: usize,
+    latency: u32,
+    commit: Option<CommitMode>,
+    elim: LoadElimMode,
+) -> Result<OooConfig, String> {
+    if regs < 9 {
+        return Err(format!(
+            "--regs {regs}: need at least 9 physical vector registers"
+        ));
+    }
+    if queues == 0 {
+        return Err("--queues: issue queues need at least one slot".into());
+    }
+    if commit == Some(CommitMode::Early) && elim != LoadElimMode::Off {
+        return Err("load elimination requires late commit".into());
+    }
+    Ok(OooConfig::default()
+        .with_phys_v_regs(regs)
+        .with_queue_slots(queues)
+        .with_memory_latency(latency)
+        .with_commit(commit.unwrap_or(CommitMode::Early))
+        .with_load_elim(elim))
+}
+
 /// Runs the reference (in-order) machine over a compiled program.
 #[must_use]
 pub fn ref_run(prog: &CompiledProgram, cfg: RefConfig) -> SimStats {
@@ -172,7 +208,7 @@ pub fn machine_run_in(
 }
 
 /// As [`machine_run_in`], with a cooperative [`RunBudget`]: the OOOVA
-/// engine polls the budget's fuel/cycle/deadline/cancel limits and
+/// engine polls the budget's cycle/deadline/cancel limits and
 /// aborts with `Err(RunAborted)` when one fires — the serve path for
 /// mid-simulation deadline expiry and shutdown cancellation. The
 /// arena gets its storage back even on an abort. The reference
@@ -240,5 +276,22 @@ mod tests {
         for (p, c) in suite.iter() {
             assert_eq!(suite.get(p).trace.len(), c.trace.len());
         }
+    }
+
+    #[test]
+    fn flags_resolve_commit_and_reject_panicking_points() {
+        let point = |commit, elim| ooo_config_from_flags(16, 16, 50, commit, elim);
+        assert_eq!(point(None, LoadElimMode::Off), Ok(OooConfig::default()));
+        let elim = point(None, LoadElimMode::Sle).unwrap();
+        assert_eq!(
+            (elim.commit, elim.load_elim),
+            (CommitMode::Late, LoadElimMode::Sle)
+        );
+        let late = point(Some(CommitMode::Late), LoadElimMode::Off).unwrap();
+        assert_eq!(late.commit, CommitMode::Late);
+        assert!(point(Some(CommitMode::Early), LoadElimMode::SleVle).is_err());
+        assert!(ooo_config_from_flags(8, 16, 50, None, LoadElimMode::Off).is_err());
+        assert!(ooo_config_from_flags(9, 0, 50, None, LoadElimMode::Off).is_err());
+        assert!(ooo_config_from_flags(9, 1, 50, None, LoadElimMode::Off).is_ok());
     }
 }

@@ -1,10 +1,10 @@
-//! Cooperative run budgets: fuel, cycle caps, deadlines and
-//! cancellation for [`OooSim`](crate::OooSim) runs.
+//! Cooperative run budgets: cycle caps, deadlines and cancellation
+//! for [`OooSim`](crate::OooSim) runs.
 //!
 //! A simulation is pure compute — once launched it never blocks — so
 //! the only way to stop a runaway or no-longer-wanted run is for the
 //! engine itself to check. A [`RunBudget`] threads those limits in:
-//! the engine polls the cheap limits (simulated-cycle cap, fuel) every
+//! the engine polls the cheap limit (the simulated-cycle cap) every
 //! step and amortises the expensive ones (wall-clock deadline, the
 //! shared cancel flag) to every [`BUDGET_CHECK_INTERVAL`] steps and
 //! every cycle-skip boundary. A run with no budget attached pays
@@ -31,12 +31,6 @@ pub const BUDGET_CHECK_INTERVAL: u32 = 1024;
 /// unlimited (and costs nothing — see the module docs).
 #[derive(Clone, Debug, Default)]
 pub struct RunBudget {
-    /// Fuel: maximum engine steps (progress cycles plus cycle-skip
-    /// boundaries) before the run aborts with
-    /// [`AbortReason::FuelExhausted`]. Unlike `max_cycles` this bounds
-    /// *work done*, not simulated time, so it is immune to cycle
-    /// skipping jumping the clock.
-    pub max_progress_cycles: Option<u64>,
     /// Hard cap on the simulated-cycle clock; crossing it aborts with
     /// [`AbortReason::CycleCapExceeded`].
     pub max_cycles: Option<u64>,
@@ -59,17 +53,7 @@ impl RunBudget {
     /// at attach time, keeping the hot loop branch-free).
     #[must_use]
     pub fn is_unlimited(&self) -> bool {
-        self.max_progress_cycles.is_none()
-            && self.max_cycles.is_none()
-            && self.deadline.is_none()
-            && self.cancel.is_none()
-    }
-
-    /// Sets the fuel limit (engine steps).
-    #[must_use]
-    pub fn with_fuel(mut self, steps: u64) -> Self {
-        self.max_progress_cycles = Some(steps);
-        self
+        self.max_cycles.is_none() && self.deadline.is_none() && self.cancel.is_none()
     }
 
     /// Sets the simulated-cycle cap.
@@ -103,8 +87,6 @@ pub enum AbortReason {
     DeadlineExpired,
     /// The simulated-cycle clock crossed `max_cycles`.
     CycleCapExceeded,
-    /// The engine-step fuel ran out.
-    FuelExhausted,
 }
 
 impl std::fmt::Display for AbortReason {
@@ -113,7 +95,6 @@ impl std::fmt::Display for AbortReason {
             AbortReason::Cancelled => "cancelled",
             AbortReason::DeadlineExpired => "deadline expired",
             AbortReason::CycleCapExceeded => "cycle cap exceeded",
-            AbortReason::FuelExhausted => "fuel exhausted",
         })
     }
 }

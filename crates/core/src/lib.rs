@@ -554,14 +554,8 @@ mod tests {
     }
 
     #[test]
-    fn budget_fuel_and_flags_abort() {
+    fn budget_cancel_flag_and_deadline_abort() {
         let t = chain_trace(64);
-        let err = OooSim::new(OooConfig::default(), &t)
-            .with_budget(RunBudget::unlimited().with_fuel(10))
-            .try_run()
-            .unwrap_err();
-        assert_eq!(err.reason, AbortReason::FuelExhausted);
-
         // An already-set cancel flag and an already-expired deadline
         // both abort on the very first step (tick starts saturated).
         let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
@@ -589,11 +583,7 @@ mod tests {
                 .run();
             let budgeted = OooSim::new(OooConfig::default(), &t)
                 .with_stepper(stepper)
-                .with_budget(
-                    RunBudget::unlimited()
-                        .with_max_cycles(u64::MAX)
-                        .with_fuel(u64::MAX),
-                )
+                .with_budget(RunBudget::unlimited().with_max_cycles(u64::MAX))
                 .try_run()
                 .unwrap();
             assert_eq!(plain.stats, budgeted.stats);
@@ -608,10 +598,10 @@ mod tests {
         let t = chain_trace(64);
         let mut arena = SimArena::new();
         let err = OooSim::new_in(OooConfig::default(), &t, &mut arena)
-            .with_budget(RunBudget::unlimited().with_fuel(5))
+            .with_budget(RunBudget::unlimited().with_max_cycles(5))
             .try_run_into(&mut arena)
             .unwrap_err();
-        assert_eq!(err.reason, AbortReason::FuelExhausted);
+        assert_eq!(err.reason, AbortReason::CycleCapExceeded);
         // The aborted run's (mid-run, dirty) storage went back to the
         // arena; a recycled rerun completes with bit-clean state.
         let full = OooSim::new_in(OooConfig::default(), &t, &mut arena).run_into(&mut arena);

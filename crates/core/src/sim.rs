@@ -276,8 +276,8 @@ pub struct OooSim<'t> {
     /// perturbs warm-replay reuse). Boxed to keep the disabled case a
     /// single word.
     pub(crate) sink: Option<Box<crate::trace::TraceSink>>,
-    /// Optional cooperative run budget (fuel / cycle cap / deadline /
-    /// cancel flag). `None` — the default — keeps the run loop on the
+    /// Optional cooperative run budget (cycle cap / deadline / cancel
+    /// flag). `None` — the default — keeps the run loop on the
     /// exact pre-budget path; see [`crate::budget`].
     pub(crate) budget: Option<Box<RunBudget>>,
 }
@@ -722,19 +722,14 @@ impl<'t> OooSim<'t> {
     }
 
     /// Amortised budget poll — see [`crate::budget`] for the policy.
-    /// `steps` counts engine steps so far; `tick` is the countdown to
-    /// the next expensive (wall-clock / cancel-flag) poll.
+    /// `tick` is the countdown to the next expensive (wall-clock /
+    /// cancel-flag) poll.
     #[inline]
-    fn budget_exceeded(&self, steps: u64, tick: &mut u32) -> Option<AbortReason> {
+    fn budget_exceeded(&self, tick: &mut u32) -> Option<AbortReason> {
         let b = self.budget.as_deref()?;
         if let Some(cap) = b.max_cycles {
             if self.now >= cap {
                 return Some(AbortReason::CycleCapExceeded);
-            }
-        }
-        if let Some(fuel) = b.max_progress_cycles {
-            if steps >= fuel {
-                return Some(AbortReason::FuelExhausted);
             }
         }
         *tick += 1;
@@ -767,19 +762,17 @@ impl<'t> OooSim<'t> {
         let total = self.trace.len() as u64;
         let mut last_commit_cycle = 0;
         let mut last_committed = 0;
-        // Budget bookkeeping; both stay untouched (and the poll is one
+        // Budget bookkeeping; it stays untouched (and the poll is one
         // never-taken branch) when no budget is attached. `tick`
         // starts saturated so an already-expired deadline or
         // already-set cancel flag aborts on the very first step.
-        let mut budget_steps: u64 = 0;
         let mut budget_tick: u32 = crate::budget::BUDGET_CHECK_INTERVAL;
         let masked = self.stepper == Stepper::EventDriven;
         while self.committed < total {
             if self.budget.is_some() {
-                if let Some(reason) = self.budget_exceeded(budget_steps, &mut budget_tick) {
+                if let Some(reason) = self.budget_exceeded(&mut budget_tick) {
                     return Err(self.aborted(reason));
                 }
-                budget_steps += 1;
             }
             self.progressed = false;
             let stalls_before = (

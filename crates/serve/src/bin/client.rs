@@ -12,19 +12,23 @@
 //! `metrics` fetches the server's full metrics registry and renders
 //! counters and gauges as lines plus one latency table row per
 //! histogram (count, mean and tail percentiles, in microseconds).
+//! `stats` fetches the same registry and prints the fixed
+//! [`StatsSnapshot`](oov_serve::StatsSnapshot) view of it, computed
+//! here: the protocol has no `stats` message.
 //!
 //! `sim` prints one result; `sweep` fans a program × register grid out
 //! in a single batched request and renders the same table shape as the
 //! `oov-bench` figures (with `--ref`, cells are speedups over the
 //! served reference machine; without it, raw OOOVA cycles).
 //!
-//! Shared flags (both `sim` and `sweep`):
+//! Shared flags (both `sim` and `sweep`), checked before connecting:
 //!
 //! * `--machine <ref|ooo>`            default `ooo` (`sim` only)
-//! * `--regs <n[,n...]>`              physical V registers, default 16
-//! * `--queues <n>`                   issue-queue slots, default 16
+//! * `--regs <n ≥ 9[,n...]>`          physical V registers, default 16
+//! * `--queues <n ≥ 1>`               issue-queue slots, default 16
 //! * `--latency <cycles>`             memory latency, default 50
-//! * `--commit <early|late>`          default `early`
+//! * `--commit <early|late>`          default `early`, or `late` when
+//!   `--elim` is set (an explicit `--commit early` with it is an error)
 //! * `--elim <off|sle|sle+vle|sle+vle+sse>`  default `off`
 //! * `--scale <smoke|paper>`          default `paper`
 //! * `--stepper <event|naive>`        default `event`
@@ -33,6 +37,7 @@
 //!   still queued when it expires answers `deadline exceeded` instead
 //!   of simulating
 
+use oov_bench::ooo_config_from_flags;
 use oov_core::Stepper;
 use oov_isa::{CommitMode, LoadElimMode, MachineConfig, OooConfig, RefConfig};
 use oov_kernels::{Program, Scale};
@@ -45,12 +50,11 @@ struct Args {
     addr: String,
     command: String,
     programs: Vec<Program>,
-    machine: String,
-    regs: Vec<usize>,
-    queues: usize,
+    /// `--machine ooo` (the default) rather than `ref`.
+    ooo: bool,
+    /// The OOOVA point for each `--regs` value, in order.
+    configs: Vec<OooConfig>,
     latency: u32,
-    commit: CommitMode,
-    elim: LoadElimMode,
     scale: Scale,
     stepper: Stepper,
     fault_at: Option<usize>,
@@ -63,18 +67,16 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:7540".into(),
         command: String::new(),
         programs: vec![],
-        machine: "ooo".into(),
-        regs: vec![16],
-        queues: 16,
+        ooo: true,
+        configs: vec![],
         latency: 50,
-        commit: CommitMode::Early,
-        elim: LoadElimMode::Off,
         scale: Scale::Paper,
         stepper: Stepper::EventDriven,
         fault_at: None,
         deadline_ms: None,
         with_ref: false,
     };
+    let (mut regs, mut queues, mut commit, mut elim) = (vec![16], 16, None, LoadElimMode::Off);
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let value = |i: &mut usize| -> Result<String, String> {
@@ -99,15 +101,21 @@ fn parse_args() -> Result<Args, String> {
                     }
                 }
             }
-            "--machine" => args.machine = value(&mut i)?,
+            "--machine" => {
+                args.ooo = match value(&mut i)?.as_str() {
+                    "ooo" => true,
+                    "ref" => false,
+                    other => return Err(format!("unknown machine {other} (use ref|ooo)")),
+                };
+            }
             "--regs" => {
-                args.regs = value(&mut i)?
+                regs = value(&mut i)?
                     .split(',')
                     .map(|v| v.parse().map_err(|e| format!("--regs: {e}")))
                     .collect::<Result<_, _>>()?;
             }
             "--queues" => {
-                args.queues = value(&mut i)?
+                queues = value(&mut i)?
                     .parse()
                     .map_err(|e| format!("--queues: {e}"))?;
             }
@@ -118,12 +126,13 @@ fn parse_args() -> Result<Args, String> {
             }
             "--commit" => {
                 let v = value(&mut i)?;
-                args.commit =
-                    CommitMode::from_name(&v).ok_or_else(|| format!("unknown commit mode {v}"))?;
+                commit = Some(
+                    CommitMode::from_name(&v).ok_or_else(|| format!("unknown commit mode {v}"))?,
+                );
             }
             "--elim" => {
                 let v = value(&mut i)?;
-                args.elim = LoadElimMode::from_name(&v)
+                elim = LoadElimMode::from_name(&v)
                     .ok_or_else(|| format!("unknown elimination mode {v}"))?;
             }
             "--scale" => {
@@ -162,19 +171,11 @@ fn parse_args() -> Result<Args, String> {
     if args.command.is_empty() {
         return Err("missing command (ping|stats|metrics|sim|sweep|shutdown)".into());
     }
+    args.configs = regs
+        .into_iter()
+        .map(|regs| ooo_config_from_flags(regs, queues, args.latency, commit, elim))
+        .collect::<Result<_, _>>()?;
     Ok(args)
-}
-
-fn ooo_config(args: &Args, regs: usize) -> OooConfig {
-    let mut cfg = OooConfig::default()
-        .with_phys_v_regs(regs)
-        .with_queue_slots(args.queues)
-        .with_memory_latency(args.latency)
-        .with_commit(args.commit);
-    if args.elim != LoadElimMode::Off {
-        cfg = cfg.with_load_elim(args.elim);
-    }
-    cfg
 }
 
 fn run() -> Result<(), String> {
@@ -275,10 +276,10 @@ fn run() -> Result<(), String> {
         }
         "sim" => {
             let program = *args.programs.first().ok_or("sim: --program is required")?;
-            let machine = match args.machine.as_str() {
-                "ref" => MachineConfig::Ref(RefConfig::default().with_memory_latency(args.latency)),
-                "ooo" => MachineConfig::Ooo(ooo_config(&args, args.regs[0])),
-                other => return Err(format!("unknown machine {other} (use ref|ooo)")),
+            let machine = if args.ooo {
+                MachineConfig::Ooo(args.configs[0])
+            } else {
+                MachineConfig::Ref(RefConfig::default().with_memory_latency(args.latency))
             };
             let req = SimRequest {
                 program,
@@ -325,11 +326,11 @@ fn run() -> Result<(), String> {
                         fault_at: None,
                     });
                 }
-                for &regs in &args.regs {
+                for &cfg in &args.configs {
                     points.push(SimRequest {
                         program: p,
                         scale: args.scale,
-                        machine: MachineConfig::Ooo(ooo_config(&args, regs)),
+                        machine: MachineConfig::Ooo(cfg),
                         stepper: args.stepper,
                         fault_at: None,
                     });
@@ -350,11 +351,11 @@ fn run() -> Result<(), String> {
                 return Err(format!("sweep returned {count}/{} rows", points.len()));
             }
             let mut header = vec!["program".to_string()];
-            for &r in &args.regs {
-                header.push(format!("r{r}"));
+            for cfg in &args.configs {
+                header.push(format!("r{}", cfg.phys_v_regs));
             }
             let mut t = Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
-            let per_program = usize::from(args.with_ref) + args.regs.len();
+            let per_program = usize::from(args.with_ref) + args.configs.len();
             for (pi, &p) in programs.iter().enumerate() {
                 let rows = &results[pi * per_program..(pi + 1) * per_program];
                 let mut cells = vec![p.name().to_string()];
@@ -381,9 +382,9 @@ fn run() -> Result<(), String> {
             println!(
                 "Sweep ({what}; latency {}, queues {}, commit {}, elim {}):\n{t}",
                 args.latency,
-                args.queues,
-                args.commit.name(),
-                args.elim.name()
+                args.configs[0].queue_slots,
+                args.configs[0].commit.name(),
+                args.configs[0].load_elim.name()
             );
             let cached = results.iter().filter(|r| r.cached).count();
             println!("{count} rows, {cached} served from cache");

@@ -14,6 +14,9 @@
 //!
 //! A client keeps one request buffer and one response buffer for its
 //! connection's lifetime: a closed loop of requests allocates no line.
+//!
+//! [`Client::stats`] is computed here, from a `metrics` reply: the
+//! server ships its counters in that one format only.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -253,18 +256,15 @@ impl Client {
         }
     }
 
-    /// Fetches the server's counter snapshot.
+    /// The server's counter snapshot: a [`Client::metrics`] request,
+    /// projected here by [`StatsSnapshot::from_metrics`] (the protocol
+    /// has no `stats` message).
     ///
     /// # Errors
     ///
     /// Transport failure or an unexpected reply.
     pub fn stats(&mut self) -> Result<StatsSnapshot, String> {
-        self.send(&Request::Stats)?;
-        match self.recv()? {
-            Response::Stats(s) => Ok(s),
-            Response::Error { message } => Err(message),
-            other => Err(format!("expected stats, got {other:?}")),
-        }
+        self.metrics().map(|m| StatsSnapshot::from_metrics(&m))
     }
 
     /// Fetches the server's full metrics-registry snapshot: an object

@@ -57,12 +57,15 @@
 //!   [`oov_obs::Registry`]: per-request-type latency histograms,
 //!   per-stripe service-time histograms, queue-depth and in-flight
 //!   gauges, and the result-cache, suite-cache and journal counters.
-//!   The `metrics` request returns the whole snapshot as JSON; `stats`
-//!   is a fixed view over the same snapshot.
+//!   The `metrics` request returns the whole snapshot as JSON, and it
+//!   is the only way counters leave the server: `stats` is a fixed
+//!   view the client computes from it
+//!   ([`StatsSnapshot::from_metrics`]); the protocol has no `stats`
+//!   message.
 //! * **Suite memoisation.** `Suite::compile(scale)` runs at most once
 //!   per scale for the life of the process, behind a lazily-populated
-//!   [`cache::SuiteCache`]; the compile counters are exported over the
-//!   wire so tests can *prove* memoisation happened.
+//!   [`cache::SuiteCache`]; the compile counters are in the `metrics`
+//!   snapshot so tests can *prove* memoisation happened.
 //! * **Persistence.** One path and one format: the write-ahead
 //!   [`journal`] of CRC-framed records, compacted into
 //!   `<journal>.snapshot` (the same records, key-sorted) when it grows

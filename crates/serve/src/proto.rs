@@ -8,6 +8,11 @@
 //! the wire losslessly so served results can be compared bit-for-bit
 //! with in-process simulation.
 //!
+//! Server counters leave the daemon in one format only: the `metrics`
+//! registry snapshot. There is no `stats` message; a [`StatsSnapshot`]
+//! is computed client-side from `metrics` by
+//! [`StatsSnapshot::from_metrics`].
+//!
 //! ```text
 //! → {"type": "sim", "program": "trfd", "scale": "smoke", "machine": {...}, "stepper": "event", "fault_at": null}
 //! ← {"type": "result", "cached": false, "shard": 2, "ideal_cycles": 9156, "faults_taken": 0, "stats": {...}}
@@ -173,8 +178,6 @@ impl SimRequest {
 pub enum Request {
     /// Liveness probe.
     Ping,
-    /// Server counter snapshot.
-    Stats,
     /// Full metrics-registry snapshot (counters, gauges, latency
     /// histograms).
     Metrics,
@@ -216,7 +219,6 @@ impl Request {
     pub fn encode_into(&self, out: &mut String) {
         let doc = match self {
             Request::Ping => Json::obj(vec![("type", "ping".into())]),
-            Request::Stats => Json::obj(vec![("type", "stats".into())]),
             Request::Metrics => Json::obj(vec![("type", "metrics".into())]),
             Request::Shutdown => Json::obj(vec![("type", "shutdown".into())]),
             Request::Sim { req, deadline_ms } => {
@@ -269,7 +271,6 @@ impl Request {
         };
         match kind {
             "ping" => Ok(Request::Ping),
-            "stats" => Ok(Request::Stats),
             "metrics" => Ok(Request::Metrics),
             "shutdown" => Ok(Request::Shutdown),
             "sim" => SimRequest::from_json(&v).map(|req| Request::Sim { req, deadline_ms }),
@@ -409,7 +410,9 @@ pub(crate) fn write_reply(
     write_result_fields(out, cached, shard, body);
 }
 
-/// A snapshot of the server's counters, exported over the wire.
+/// A snapshot of the server's counters: a fixed view over the
+/// `metrics` registry snapshot, computed by
+/// [`StatsSnapshot::from_metrics`]. It has no wire encoding of its own.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StatsSnapshot {
     /// Simulation requests handled (cache hits included).
@@ -449,8 +452,8 @@ pub struct StatsSnapshot {
     /// per-job cycle cap.
     pub cancelled_jobs: u64,
     /// Malformed cache entries skipped (with a warning) while
-    /// recovering from the journal's snapshot or its tail. The name
-    /// predates the journal and stays for wire compatibility.
+    /// recovering from the journal's snapshot or its tail (the
+    /// `cache.load_skipped` counter).
     pub cache_load_skipped: u64,
     /// Records durably appended to the write-ahead journal since
     /// startup: a record is counted only after its batch's
@@ -465,102 +468,60 @@ pub struct StatsSnapshot {
     pub shards_alive: Vec<bool>,
 }
 
-/// `shard_balance` crosses the wire rounded to three decimals. The
-/// decoder rounds too, so a decoded snapshot re-encodes to itself.
-/// Past 10^12 the rounding is skipped: there `x * 1e3 / 1e3` is no
-/// longer exact, and a balance that large is not a real one anyway.
-fn wire_balance(b: f64) -> f64 {
-    if b.abs() < 1e12 {
-        (b * 1e3).round() / 1e3
-    } else {
-        b
-    }
-}
-
 impl StatsSnapshot {
-    /// Encodes the snapshot body (without the `"type"` tag).
+    /// The view over a registry snapshot `m` (see
+    /// `oov_obs::Registry::snapshot`): every field is a registered
+    /// metric, or a sum or ratio of the per-stripe and per-worker ones.
+    /// A metric that was never registered reads as 0. The server's
+    /// in-process [`crate::ServerHandle::snapshot`] and the client's
+    /// [`crate::Client::stats`] both project through here.
     #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("requests", self.requests.into()),
-            ("result_hits", self.result_hits.into()),
-            ("result_misses", self.result_misses.into()),
-            ("result_evictions", self.result_evictions.into()),
-            ("suite_requests", self.suite_requests.into()),
-            ("suite_compiles_smoke", self.suite_compiles_smoke.into()),
-            ("suite_compiles_paper", self.suite_compiles_paper.into()),
-            (
-                "per_shard_requests",
-                Json::Arr(self.per_shard_requests.iter().map(|&n| n.into()).collect()),
-            ),
-            ("shard_balance", Json::Num(wire_balance(self.shard_balance))),
-            ("panics", self.panics.into()),
-            ("respawns", self.respawns.into()),
-            ("sheds", self.sheds.into()),
-            ("deadline_drops", self.deadline_drops.into()),
-            ("cancelled_jobs", self.cancelled_jobs.into()),
-            ("cache_load_skipped", self.cache_load_skipped.into()),
-            ("journal_records", self.journal_records.into()),
-            ("journal_rotations", self.journal_rotations.into()),
-            ("journal_recovered", self.journal_recovered.into()),
-            (
-                "shards_alive",
-                Json::Arr(self.shards_alive.iter().map(|&b| b.into()).collect()),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("stats snapshot: bad or missing field `{name}`"))
+    pub fn from_metrics(m: &Json) -> Self {
+        let metric = |section: &str, name: &str| m.get(section)?.get(name)?.as_f64();
+        // `shard.0.<name>`, `shard.1.<name>`, ... up to the first gap.
+        let per_shard = |section: &str, name: &str| -> Vec<f64> {
+            (0..)
+                .map_while(|n| metric(section, &format!("shard.{n}.{name}")))
+                .collect()
         };
-        Ok(StatsSnapshot {
-            requests: field("requests")?,
-            result_hits: field("result_hits")?,
-            result_misses: field("result_misses")?,
-            result_evictions: field("result_evictions")?,
-            suite_requests: field("suite_requests")?,
-            suite_compiles_smoke: field("suite_compiles_smoke")?,
-            suite_compiles_paper: field("suite_compiles_paper")?,
-            per_shard_requests: v
-                .get("per_shard_requests")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| "stats snapshot: missing `per_shard_requests`".to_string())?
+        // Counters cross the snapshot as JSON numbers, exact below 2^53.
+        let count = |name: &str| metric("counters", name).unwrap_or(0.0) as u64;
+        let sum = |name: &str| per_shard("counters", name).iter().sum::<f64>() as u64;
+        let per_shard_requests: Vec<u64> = per_shard("counters", "requests")
+            .iter()
+            .map(|&n| n as u64)
+            .collect();
+        let requests: u64 = per_shard_requests.iter().sum();
+        let shard_balance = match per_shard_requests.iter().min() {
+            Some(&min) if requests > 0 => {
+                min as f64 / (requests as f64 / per_shard_requests.len() as f64)
+            }
+            _ => 0.0,
+        };
+        StatsSnapshot {
+            requests,
+            result_hits: count("cache.result_hits"),
+            result_misses: count("cache.result_misses"),
+            result_evictions: count("cache.result_evictions"),
+            suite_requests: count("cache.suite_requests"),
+            suite_compiles_smoke: count("cache.suite_compiles_smoke"),
+            suite_compiles_paper: count("cache.suite_compiles_paper"),
+            per_shard_requests,
+            shard_balance,
+            panics: sum("panics"),
+            respawns: sum("respawns"),
+            sheds: sum("sheds"),
+            deadline_drops: count("server.deadline_drops"),
+            cancelled_jobs: count("server.cancelled_jobs"),
+            cache_load_skipped: count("cache.load_skipped"),
+            journal_records: count("journal.appended_records"),
+            journal_rotations: count("journal.rotations"),
+            journal_recovered: count("journal.recovered_records"),
+            shards_alive: per_shard("gauges", "alive")
                 .iter()
-                .map(|n| {
-                    n.as_u64()
-                        .ok_or_else(|| "stats snapshot: bad shard counter".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            shard_balance: v
-                .get("shard_balance")
-                .and_then(Json::as_f64)
-                .map(wire_balance)
-                .ok_or_else(|| {
-                    "stats snapshot: bad or missing field `shard_balance`".to_string()
-                })?,
-            panics: field("panics")?,
-            respawns: field("respawns")?,
-            sheds: field("sheds")?,
-            deadline_drops: field("deadline_drops")?,
-            cancelled_jobs: field("cancelled_jobs")?,
-            cache_load_skipped: field("cache_load_skipped")?,
-            journal_records: field("journal_records")?,
-            journal_rotations: field("journal_rotations")?,
-            journal_recovered: field("journal_recovered")?,
-            shards_alive: v
-                .get("shards_alive")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| "stats snapshot: missing `shards_alive`".to_string())?
-                .iter()
-                .map(|b| {
-                    b.as_bool()
-                        .ok_or_else(|| "stats snapshot: bad shard liveness".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        })
+                .map(|&alive| alive != 0.0)
+                .collect(),
+        }
     }
 }
 
@@ -610,8 +571,6 @@ pub enum Response {
         /// Number of rows streamed.
         count: usize,
     },
-    /// Reply to [`Request::Stats`].
-    Stats(StatsSnapshot),
     /// Reply to [`Request::Metrics`]: the registry snapshot, an object
     /// with `counters`, `gauges` and `histograms` sections (see
     /// `oov_obs::Registry::snapshot` for the schema).
@@ -671,13 +630,6 @@ impl Response {
                 "sweep_done",
                 vec![("count".to_string(), (*count).into())],
             ),
-            Response::Stats(s) => {
-                if let Json::Obj(body) = s.to_json() {
-                    tagged(out, "stats", body);
-                } else {
-                    unreachable!("snapshot encodes to an object")
-                }
-            }
             Response::Metrics { snapshot } => tagged(
                 out,
                 "metrics",
@@ -740,7 +692,6 @@ impl Response {
                     .and_then(Json::as_usize)
                     .ok_or_else(|| "sweep done: bad or missing field `count`".to_string())?,
             }),
-            "stats" => StatsSnapshot::from_json(&v).map(Response::Stats),
             "metrics" => Ok(Response::Metrics {
                 snapshot: v
                     .get("snapshot")

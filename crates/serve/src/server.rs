@@ -95,7 +95,6 @@ use std::time::{Duration, Instant};
 
 use oov_bench::machine_run_budgeted;
 use oov_core::{AbortReason, RunBudget, SimArena};
-use oov_proto::Json;
 
 use crate::cache::SuiteCache;
 use crate::chaos::{ChaosConfig, JobFault};
@@ -121,16 +120,15 @@ pub const DEFAULT_DRAIN_MS: u64 = 2000;
 /// Wire request kinds, indexed by [`kind_index`] — the per-kind
 /// latency histograms are pre-fetched in this order so the hot path
 /// never formats a metric name.
-const REQUEST_KINDS: [&str; 6] = ["ping", "stats", "metrics", "shutdown", "sim", "sweep"];
+const REQUEST_KINDS: [&str; 5] = ["ping", "metrics", "shutdown", "sim", "sweep"];
 
 fn kind_index(req: &Request) -> usize {
     match req {
         Request::Ping => 0,
-        Request::Stats => 1,
-        Request::Metrics => 2,
-        Request::Shutdown => 3,
-        Request::Sim { .. } => 4,
-        Request::Sweep { .. } => 5,
+        Request::Metrics => 1,
+        Request::Shutdown => 2,
+        Request::Sim { .. } => 3,
+        Request::Sweep { .. } => 4,
     }
 }
 
@@ -205,7 +203,8 @@ enum JobReply {
 /// the metrics registry (with pre-fetched handles for every hot
 /// counter and histogram), fault-tolerance config, and the
 /// shutdown/drain state. The registry is the one source of every
-/// counter: `stats` is a view over its snapshot ([`stats_view`]).
+/// counter: `stats` is a view over its snapshot
+/// ([`StatsSnapshot::from_metrics`]).
 struct Engine {
     /// The result cache, one stripe per `--shards`, indexed by
     /// `fp % stripes.len()`.
@@ -498,58 +497,6 @@ impl Engine {
             records.insert(key, record);
         }
         (records, tail.intact_bytes)
-    }
-}
-
-/// The `stats` snapshot as a view over a registry snapshot `m` (see
-/// [`oov_obs::Registry::snapshot`]): every field is a registered
-/// metric, or a sum or ratio of the per-stripe and per-worker ones.
-/// A metric that was never registered reads as 0.
-fn stats_view(m: &Json) -> StatsSnapshot {
-    let metric = |section: &str, name: &str| m.get(section)?.get(name)?.as_f64();
-    // `shard.0.<name>`, `shard.1.<name>`, ... up to the first gap.
-    let per_shard = |section: &str, name: &str| -> Vec<f64> {
-        (0..)
-            .map_while(|n| metric(section, &format!("shard.{n}.{name}")))
-            .collect()
-    };
-    // Counters cross the snapshot as JSON numbers, exact below 2^53.
-    let count = |name: &str| metric("counters", name).unwrap_or(0.0) as u64;
-    let sum = |name: &str| per_shard("counters", name).iter().sum::<f64>() as u64;
-    let per_shard_requests: Vec<u64> = per_shard("counters", "requests")
-        .iter()
-        .map(|&n| n as u64)
-        .collect();
-    let requests: u64 = per_shard_requests.iter().sum();
-    let shard_balance = match per_shard_requests.iter().min() {
-        Some(&min) if requests > 0 => {
-            min as f64 / (requests as f64 / per_shard_requests.len() as f64)
-        }
-        _ => 0.0,
-    };
-    StatsSnapshot {
-        requests,
-        result_hits: count("cache.result_hits"),
-        result_misses: count("cache.result_misses"),
-        result_evictions: count("cache.result_evictions"),
-        suite_requests: count("cache.suite_requests"),
-        suite_compiles_smoke: count("cache.suite_compiles_smoke"),
-        suite_compiles_paper: count("cache.suite_compiles_paper"),
-        per_shard_requests,
-        shard_balance,
-        panics: sum("panics"),
-        respawns: sum("respawns"),
-        sheds: sum("sheds"),
-        deadline_drops: count("server.deadline_drops"),
-        cancelled_jobs: count("server.cancelled_jobs"),
-        cache_load_skipped: count("cache.load_skipped"),
-        journal_records: count("journal.appended_records"),
-        journal_rotations: count("journal.rotations"),
-        journal_recovered: count("journal.recovered_records"),
-        shards_alive: per_shard("gauges", "alive")
-            .iter()
-            .map(|&alive| alive != 0.0)
-            .collect(),
     }
 }
 
@@ -891,10 +838,11 @@ impl ServerHandle {
     }
 
     /// A snapshot of the server counters, taken in-process — the
-    /// same view over the registry the `stats` request returns.
+    /// same view over the registry that [`crate::Client::stats`]
+    /// computes from a `metrics` reply.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
-        stats_view(&self.engine.metrics.snapshot())
+        StatsSnapshot::from_metrics(&self.engine.metrics.snapshot())
     }
 
     /// Requests shutdown (starting the drain clock) and joins every
@@ -1143,9 +1091,7 @@ fn run_job(
                 AbortReason::Cancelled => {
                     JobReply::Failed("cancelled: server is shutting down".into())
                 }
-                AbortReason::CycleCapExceeded | AbortReason::FuelExhausted => {
-                    JobReply::Failed(format!("simulation {aborted}"))
-                }
+                AbortReason::CycleCapExceeded => JobReply::Failed(format!("simulation {aborted}")),
             }
         }
         Err(payload) => {
@@ -1404,9 +1350,6 @@ fn answer(
 ) -> io::Result<bool> {
     match req {
         Request::Ping => writer.response(&Response::Pong)?,
-        Request::Stats => {
-            writer.response(&Response::Stats(stats_view(&engine.metrics.snapshot())))?;
-        }
         Request::Metrics => {
             writer.response(&Response::Metrics {
                 snapshot: engine.metrics.snapshot(),

@@ -51,10 +51,10 @@ fn sample_requests() -> Vec<SimRequest> {
     ]
 }
 
-/// The four messages whose exact wire bytes are pinned below: large
-/// counters, a sweep with a deadline, a fractional float and every
-/// escape class the writer emits.
-fn pinned_messages() -> (Response, Request, Response, Response) {
+/// The three messages whose exact wire bytes are pinned below: large
+/// counters, a sweep with a deadline and every escape class the writer
+/// emits.
+fn pinned_messages() -> (Response, Request, Response) {
     let mut stats = SimStats {
         cycles: 9_007_199_254_740_991,
         committed: 4_294_967_296,
@@ -102,31 +102,10 @@ fn pinned_messages() -> (Response, Request, Response, Response) {
         points: sample_requests(),
         deadline_ms: Some(86_400_000),
     };
-    let snapshot = Response::Stats(StatsSnapshot {
-        requests: 1_000_003,
-        result_hits: 750_001,
-        result_misses: 250_002,
-        result_evictions: 12,
-        suite_requests: 250_002,
-        suite_compiles_smoke: 1,
-        suite_compiles_paper: 1,
-        per_shard_requests: vec![333_334, 333_335, 333_334],
-        shard_balance: 0.714_285_714,
-        panics: 0,
-        respawns: 0,
-        sheds: 9,
-        deadline_drops: 4,
-        cancelled_jobs: 2,
-        cache_load_skipped: 0,
-        journal_records: 250_002,
-        journal_rotations: 3,
-        journal_recovered: 0,
-        shards_alive: vec![true, true, false],
-    });
     let error = Response::Error {
         message: "bad \"quoted\" C:\\path\nline two\u{1}\u{1b}\ttab\r é→".into(),
     };
-    (result, sweep, snapshot, error)
+    (result, sweep, error)
 }
 
 /// Exact wire bytes, recorded before the JSON writer was rewritten:
@@ -135,8 +114,8 @@ fn pinned_messages() -> (Response, Request, Response, Response) {
 /// covers every point of `sample_requests`.
 #[test]
 fn wire_bytes_are_pinned() {
-    let (result, sweep, snapshot, error) = pinned_messages();
-    let pins: [(String, &str); 4] = [
+    let (result, sweep, error) = pinned_messages();
+    let pins: [(String, &str); 3] = [
         (
             result.encode(),
             concat!(
@@ -155,13 +134,6 @@ fn wire_bytes_are_pinned() {
             ),
         ),
         (
-            snapshot.encode(),
-            concat!(
-                r#"{"type": "stats", "requests": 1000003, "result_hits": 750001, "result_misses": 250002, "result_evictions": 12, "suite_requests": 250002, "suite_compiles_smoke": 1, "suite_compiles_paper": 1"#,
-                r#", "per_shard_requests": [333334, 333335, 333334], "shard_balance": 0.714, "panics": 0, "respawns": 0, "sheds": 9, "deadline_drops": 4, "cancelled_jobs": 2, "cache_load_skipped": 0, "journal_records": 250002, "journal_rotations": 3, "journal_recovered": 0, "shards_alive": [true, true, false]}"#,
-            ),
-        ),
-        (
             error.encode(),
             r#"{"type": "error", "message": "bad \"quoted\" C:\\path\nline two\u0001\u001b\ttab\r é→"}"#,
         ),
@@ -173,12 +145,7 @@ fn wire_bytes_are_pinned() {
 
 #[test]
 fn every_request_variant_round_trips() {
-    let mut variants = vec![
-        Request::Ping,
-        Request::Stats,
-        Request::Metrics,
-        Request::Shutdown,
-    ];
+    let mut variants = vec![Request::Ping, Request::Metrics, Request::Shutdown];
     for req in sample_requests() {
         variants.push(Request::Sim {
             req,
@@ -238,28 +205,6 @@ fn every_response_variant_round_trips() {
         Response::SweepDone { count: 12 },
         Response::Overloaded { retry_after_ms: 40 },
         Response::DeadlineExceeded,
-        Response::Stats(StatsSnapshot {
-            requests: 10,
-            result_hits: 4,
-            result_misses: 6,
-            result_evictions: 2,
-            suite_requests: 6,
-            suite_compiles_smoke: 1,
-            suite_compiles_paper: 0,
-            per_shard_requests: vec![3, 0, 7],
-            // 0.25 is exact in the 3-decimal wire rounding.
-            shard_balance: 0.25,
-            panics: 2,
-            respawns: 1,
-            sheds: 5,
-            deadline_drops: 3,
-            cancelled_jobs: 1,
-            cache_load_skipped: 2,
-            journal_records: 9,
-            journal_rotations: 1,
-            journal_recovered: 4,
-            shards_alive: vec![true, false, true],
-        }),
         Response::Metrics {
             snapshot: {
                 let reg = oov_obs::Registry::new();
@@ -308,6 +253,8 @@ fn malformed_requests_are_rejected() {
         "not json at all",
         "{}",
         r#"{"type": "launch_missiles"}"#,
+        // `stats` is a client-side view over `metrics`, not a message.
+        r#"{"type": "stats"}"#,
         r#"{"type": "sim"}"#,
         r#"{"type": "sim", "program": "nope", "scale": "smoke"}"#,
         r#"{"type": "sim", "program": "trfd", "scale": "galactic"}"#,
@@ -421,8 +368,8 @@ fn concurrent_clients_get_bit_identical_results() {
         }
     });
 
-    // Malformed lines get an error response and leave the connection
-    // usable.
+    // Malformed lines and unknown types get an error response and
+    // leave the connection usable.
     {
         use std::io::{BufRead, BufReader, Write};
         let mut stream = std::net::TcpStream::connect(addr).expect("raw connect");
@@ -437,6 +384,17 @@ fn concurrent_clients_get_bit_identical_results() {
             }
             other => panic!("expected an error response, got {other:?}"),
         }
+        // `stats` is computed client-side from `metrics`; the server
+        // knows no such message and says so.
+        writeln!(stream, r#"{{"type": "stats"}}"#).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(
+            Response::decode(line.trim()).unwrap(),
+            Response::Error {
+                message: "request: unknown type `stats`".into()
+            }
+        );
         writeln!(stream, "{}", Request::Ping.encode()).unwrap();
         line.clear();
         reader.read_line(&mut line).unwrap();
@@ -627,7 +585,7 @@ fn stats_is_a_view_over_metrics() {
         suite_compiles_smoke: counter("cache.suite_compiles_smoke"),
         suite_compiles_paper: counter("cache.suite_compiles_paper"),
         per_shard_requests: shard("requests").to_vec(),
-        shard_balance: (min / (requests as f64 / 2.0) * 1e3).round() / 1e3,
+        shard_balance: min / (requests as f64 / 2.0),
         panics: sum("panics"),
         respawns: sum("respawns"),
         sheds: sum("sheds"),
