@@ -580,13 +580,7 @@ pub fn ablation(suite: &Suite) -> String {
     // one is built here.
     let mut sched = Table::new(&["program", "scheduled", "unscheduled", "penalty"]);
     for p in programs {
-        let unscheduled = compile_with(
-            &p.kernel(suite.scale),
-            &CompileOptions {
-                schedule: false,
-                ..CompileOptions::default()
-            },
-        );
+        let unscheduled = compile_with(&p.kernel(suite.scale), &CompileOptions { schedule: false });
         let a = crate::ref_run(suite.get(p), RefConfig::default()).cycles;
         let b = crate::ref_run(&unscheduled, RefConfig::default()).cycles;
         sched.row_owned(vec![

@@ -14,32 +14,24 @@ struct BtbEntry {
     counter: u8,
 }
 
-/// Direct-mapped branch target buffer with 2-bit counters.
-#[derive(Debug, Clone)]
+/// Direct-mapped branch target buffer with 2-bit counters. Built
+/// empty by `Default`; [`Btb::reset`] gives it its entries.
+#[derive(Debug, Clone, Default)]
 pub struct Btb {
     entries: Vec<Option<BtbEntry>>,
 }
 
 impl Btb {
-    /// A BTB with `n` entries (power of two recommended; paper uses 64).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "BTB needs at least one entry");
-        Btb {
-            entries: vec![None; n],
-        }
-    }
-
     fn index(&self, pc: u64) -> usize {
         ((pc >> 2) as usize) % self.entries.len()
     }
 
-    /// Empties the BTB, resizing to `n` entries only if the geometry
-    /// changed (arena reuse).
+    /// Empties the BTB and sizes it to `n` entries (power of two
+    /// recommended; paper uses 64), reusing its storage (arena reuse).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
     pub(crate) fn reset(&mut self, n: usize) {
         assert!(n > 0, "BTB needs at least one entry");
         self.entries.clear();
@@ -84,23 +76,14 @@ impl Btb {
 
 /// Fixed-depth return-address stack. Overflow discards the oldest entry;
 /// underflow predicts nothing (a guaranteed mispredict).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReturnStack {
     depth: usize,
     stack: Vec<u64>,
 }
 
 impl ReturnStack {
-    /// A return stack of `depth` entries (paper: 8).
-    #[must_use]
-    pub fn new(depth: usize) -> Self {
-        ReturnStack {
-            depth: depth.max(1),
-            stack: Vec::new(),
-        }
-    }
-
-    /// Empties the stack and sets its depth (arena reuse).
+    /// Empties the stack and sets its depth (paper: 8; at least 1).
     pub(crate) fn reset(&mut self, depth: usize) {
         self.stack.clear();
         self.depth = depth.max(1);
@@ -124,15 +107,21 @@ impl ReturnStack {
 mod tests {
     use super::*;
 
+    fn btb(n: usize) -> Btb {
+        let mut b = Btb::default();
+        b.reset(n);
+        b
+    }
+
     #[test]
     fn cold_btb_predicts_not_taken() {
-        let b = Btb::new(64);
+        let b = btb(64);
         assert_eq!(b.predict(0x1000), (false, None));
     }
 
     #[test]
     fn counter_saturates_and_hysteresis_works() {
-        let mut b = Btb::new(64);
+        let mut b = btb(64);
         let pc = 0x2000;
         b.update(pc, true, 0x1000); // counter 2
         assert_eq!(b.predict(pc), (true, Some(0x1000)));
@@ -147,7 +136,7 @@ mod tests {
     fn loop_branch_mispredicts_twice_per_loop() {
         // Classic result: a loop of N iterations with a warm BTB
         // mispredicts only on exit.
-        let mut b = Btb::new(64);
+        let mut b = btb(64);
         let pc = 0x3000;
         // Warm up.
         for _ in 0..4 {
@@ -167,7 +156,7 @@ mod tests {
 
     #[test]
     fn conflicting_pcs_evict() {
-        let mut b = Btb::new(1);
+        let mut b = btb(1);
         b.update(0x1000, true, 0xa);
         b.update(0x2000, true, 0xb);
         assert_eq!(b.predict(0x1000), (false, None), "evicted");
@@ -176,7 +165,8 @@ mod tests {
 
     #[test]
     fn return_stack_lifo_and_overflow() {
-        let mut r = ReturnStack::new(2);
+        let mut r = ReturnStack::default();
+        r.reset(2);
         r.push(1);
         r.push(2);
         r.push(3); // discards 1

@@ -19,6 +19,15 @@
 //!   vector registers at the Dependence stage (paper Figure 10);
 //! * precise-trap injection and recovery ([`OooSim::with_fault_at`]).
 //!
+//! These structures are private to the crate. They live in one storage
+//! value with one way to build it: a reset for the run's
+//! configuration. [`OooSim::new`] resets empty storage, and
+//! [`OooSim::new_in`] resets the storage a [`SimArena`] recycled from
+//! an earlier run, so sweeps and serve shards replay without
+//! allocating. The public surface is the simulator, the arena,
+//! [`RunResult`], [`Stepper`], the [`budget`] types and the
+//! [`TraceSink`].
+//!
 //! # Example
 //!
 //! ```
@@ -49,12 +58,8 @@ mod tags;
 mod trace;
 mod verify;
 
-pub use btb::{Btb, ReturnStack};
 pub use budget::{AbortReason, RunAborted, RunBudget};
-pub use rename::{PhysReg, RenameTable, RenameUnit};
-pub use rob::{DstInfo, EntryState, MemStage, QueueKind, Rob, RobEntry, SrcList};
 pub use sim::{arena_constructions, OooSim, RunResult, SimArena, Stepper};
-pub use tags::{Tag, TagTable, TagUnit};
 pub use trace::{TraceRecord, TraceSink};
 
 #[cfg(test)]

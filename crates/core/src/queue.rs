@@ -23,18 +23,13 @@ pub(crate) struct SlotQueue {
 }
 
 impl SlotQueue {
-    /// An empty queue.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of live entries.
     pub(crate) fn len(&self) -> usize {
         self.live
     }
 
     /// `true` if no live entries remain.
-    #[cfg(any(debug_assertions, test))]
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.live == 0
     }
@@ -130,7 +125,7 @@ mod tests {
 
     #[test]
     fn push_len_iter_order() {
-        let mut q = SlotQueue::new();
+        let mut q = SlotQueue::default();
         for s in [3u64, 1, 4, 1, 5] {
             q.push_back(s);
         }
@@ -140,7 +135,7 @@ mod tests {
 
     #[test]
     fn remove_preserves_order_and_raw_indexing() {
-        let mut q = SlotQueue::new();
+        let mut q = SlotQueue::default();
         for s in 0u64..6 {
             q.push_back(s);
         }
@@ -155,7 +150,7 @@ mod tests {
 
     #[test]
     fn removes_only_one_occurrence() {
-        let mut q = SlotQueue::new();
+        let mut q = SlotQueue::default();
         q.push_back(7);
         q.push_back(7);
         assert!(q.remove(7));
@@ -165,7 +160,7 @@ mod tests {
 
     #[test]
     fn head_trim_and_compaction_keep_live_entries() {
-        let mut q = SlotQueue::new();
+        let mut q = SlotQueue::default();
         for s in 0u64..64 {
             q.push_back(s);
         }
@@ -182,8 +177,8 @@ mod tests {
 
     #[test]
     fn remove_at_matches_remove() {
-        let mut a = SlotQueue::new();
-        let mut b = SlotQueue::new();
+        let mut a = SlotQueue::default();
+        let mut b = SlotQueue::default();
         for s in 10u64..20 {
             a.push_back(s);
             b.push_back(s);
@@ -201,7 +196,7 @@ mod tests {
 
     #[test]
     fn clear_empties() {
-        let mut q = SlotQueue::new();
+        let mut q = SlotQueue::default();
         q.push_back(1);
         q.remove(1);
         q.push_back(2);
@@ -212,7 +207,7 @@ mod tests {
 
     #[test]
     fn drain_to_empty_resets_storage() {
-        let mut q = SlotQueue::new();
+        let mut q = SlotQueue::default();
         q.push_back(5);
         q.push_back(6);
         assert!(q.remove(6));
@@ -272,7 +267,7 @@ mod tests {
     fn random_op_sequences_match_reference_model() {
         for seed in SEEDS {
             let mut rng = seed;
-            let mut q = SlotQueue::new();
+            let mut q = SlotQueue::default();
             let mut model: Vec<u64> = Vec::new();
             let mut next_seq = 0u64;
             for _ in 0..400 {
@@ -328,7 +323,7 @@ mod tests {
     fn drain_order_and_wraparound_after_full_drain() {
         for seed in SEEDS {
             let mut rng = seed;
-            let mut q = SlotQueue::new();
+            let mut q = SlotQueue::default();
             for round in 0..4u64 {
                 let n = 16 + (splitmix(&mut rng) % 48);
                 let base = round * 1_000;
@@ -369,7 +364,7 @@ mod tests {
     fn sliding_window_keeps_storage_bounded() {
         for seed in SEEDS {
             let mut rng = seed;
-            let mut q = SlotQueue::new();
+            let mut q = SlotQueue::default();
             let mut model: Vec<u64> = Vec::new();
             for step in 0..600u64 {
                 q.push_back(step);

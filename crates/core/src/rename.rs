@@ -14,11 +14,10 @@
 
 use oov_isa::RegClass;
 
+use crate::sim::class_ix;
+
 /// A physical register number within one class.
 pub type PhysReg = u16;
-
-/// Sentinel for "no register".
-const NONE: PhysReg = PhysReg::MAX;
 
 /// Rename state of one register class.
 #[derive(Debug, Clone)]
@@ -34,39 +33,36 @@ pub struct RenameTable {
 }
 
 impl RenameTable {
-    /// Builds the table for `class` with `n_phys` physical registers.
-    /// The architectural registers are mapped to physicals `0..n_arch`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_phys` is smaller than the architectural count + 1
-    /// (rename could never proceed).
-    #[must_use]
-    pub fn new(class: RegClass, n_phys: usize) -> Self {
-        let mut t = RenameTable {
+    /// A table for `class` with no registers yet; [`RenameTable::reinit`]
+    /// sizes it.
+    fn empty(class: RegClass) -> Self {
+        RenameTable {
             class,
             map: Vec::new(),
             free: Vec::new(),
             refcount: Vec::new(),
             n_phys: 0,
-        };
+        }
+    }
+
+    /// The table for `class` with `n_phys` physical registers, built as
+    /// the simulator builds it.
+    #[cfg(test)]
+    fn new(class: RegClass, n_phys: usize) -> Self {
+        let mut t = Self::empty(class);
         t.reinit(n_phys);
         t
     }
 
-    /// The class this table renames.
-    #[must_use]
-    pub fn class(&self) -> RegClass {
-        self.class
-    }
-
-    /// Reinitialises the table for `n_phys` physical registers of the
-    /// same class, reusing its storage (arena reuse: a size this table
-    /// has held before allocates nothing).
+    /// Reinitialises the table for `n_phys` physical registers: the
+    /// architectural registers map to physicals `0..n_arch` and the
+    /// rest are free. Reuses the table's storage (arena reuse: a size
+    /// this table has held before allocates nothing).
     ///
     /// # Panics
     ///
-    /// As [`RenameTable::new`].
+    /// Panics if `n_phys` is smaller than the architectural count + 1
+    /// (rename could never proceed).
     pub(crate) fn reinit(&mut self, n_phys: usize) {
         let n_arch = usize::from(self.class.arch_count());
         assert!(
@@ -106,8 +102,8 @@ impl RenameTable {
     }
 
     /// Number of actually free physical registers.
-    #[must_use]
-    pub fn free_count(&self) -> usize {
+    #[cfg(test)]
+    fn free_count(&self) -> usize {
         let mut seen = vec![false; self.n_phys];
         self.free
             .iter()
@@ -196,64 +192,43 @@ impl RenameTable {
     }
 }
 
-/// The four rename tables of the OOOVA.
+/// The four rename tables of the OOOVA, indexed by
+/// [`crate::sim::class_ix`]. Built empty by `Default`;
+/// [`RenameUnit::reset_to`] sizes them.
 #[derive(Debug, Clone)]
 pub struct RenameUnit {
     tables: [RenameTable; 4],
 }
 
-fn class_index(class: RegClass) -> usize {
-    match class {
-        RegClass::A => 0,
-        RegClass::S => 1,
-        RegClass::V => 2,
-        RegClass::Mask => 3,
+impl Default for RenameUnit {
+    fn default() -> Self {
+        RenameUnit {
+            tables: RegClass::ALL.map(RenameTable::empty),
+        }
     }
 }
 
 impl RenameUnit {
-    /// Builds the rename unit with the configured physical counts.
-    #[must_use]
-    pub fn new(phys_a: usize, phys_s: usize, phys_v: usize, phys_mask: usize) -> Self {
-        RenameUnit {
-            tables: [
-                RenameTable::new(RegClass::A, phys_a),
-                RenameTable::new(RegClass::S, phys_s),
-                RenameTable::new(RegClass::V, phys_v),
-                RenameTable::new(RegClass::Mask, phys_mask.max(9)),
-            ],
-        }
-    }
-
     /// The table for `class`.
     #[must_use]
     pub fn table(&self, class: RegClass) -> &RenameTable {
-        &self.tables[class_index(class)]
+        &self.tables[class_ix(class)]
     }
 
     /// Mutable table for `class`.
     pub fn table_mut(&mut self, class: RegClass) -> &mut RenameTable {
-        &mut self.tables[class_index(class)]
+        &mut self.tables[class_ix(class)]
     }
 
-    /// A sentinel physical register value meaning "none".
-    #[must_use]
-    pub fn none() -> PhysReg {
-        NONE
-    }
-
-    /// Resets the unit to the just-built state for the given physical
-    /// counts, reusing each table's storage when its size is unchanged
-    /// (the warm-sweep case) and rebuilding it otherwise.
+    /// Resets the unit to the start-of-run state for the given
+    /// physical counts (mask tables get at least 9, the minimum
+    /// workable size), reusing each table's storage.
     pub(crate) fn reset_to(&mut self, phys_a: usize, phys_s: usize, phys_v: usize, phys_m: usize) {
-        let want = [
-            (RegClass::A, phys_a),
-            (RegClass::S, phys_s),
-            (RegClass::V, phys_v),
-            (RegClass::Mask, phys_m.max(9)),
-        ];
-        for (t, (class, n)) in self.tables.iter_mut().zip(want) {
-            debug_assert_eq!(t.class, class);
+        for (t, n) in self
+            .tables
+            .iter_mut()
+            .zip([phys_a, phys_s, phys_v, phys_m.max(9)])
+        {
             t.reinit(n);
         }
     }
@@ -366,10 +341,14 @@ mod tests {
 
     #[test]
     fn rename_unit_routes_classes() {
-        let u = RenameUnit::new(64, 64, 16, 8);
+        let mut u = RenameUnit::default();
+        u.reset_to(64, 64, 16, 8);
         assert_eq!(u.table(RegClass::V).n_phys(), 16);
         assert_eq!(u.table(RegClass::A).n_phys(), 64);
         // Mask tables are bumped to the minimum workable size.
         assert!(u.table(RegClass::Mask).n_phys() >= 9);
+        for class in RegClass::ALL {
+            assert_eq!(u.table(class).class, class);
+        }
     }
 }

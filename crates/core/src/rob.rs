@@ -207,8 +207,9 @@ impl RobEntry {
     }
 }
 
-/// The reorder buffer: a bounded FIFO of in-flight instructions.
-#[derive(Debug)]
+/// The reorder buffer: a bounded FIFO of in-flight instructions. Built
+/// empty by `Default`; [`Rob::reset`] gives it its capacity.
+#[derive(Debug, Default)]
 pub struct Rob {
     entries: VecDeque<RobEntry>,
     capacity: usize,
@@ -216,23 +217,10 @@ pub struct Rob {
 }
 
 impl Rob {
-    /// An empty ROB with `capacity` slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ROB needs at least one slot");
-        Rob {
-            entries: VecDeque::with_capacity(capacity),
-            capacity,
-            next_seq: 0,
-        }
-    }
-
-    /// Empties the buffer and rewinds sequence numbering for a new
-    /// run, keeping the deque's storage (arena reuse).
+    /// Empties the buffer, sets its capacity to `capacity` slots and
+    /// rewinds sequence numbering for a new run. The deque is sized
+    /// for a full buffer up front, and keeps its storage across resets
+    /// (arena reuse).
     ///
     /// # Panics
     ///
@@ -240,6 +228,7 @@ impl Rob {
     pub(crate) fn reset(&mut self, capacity: usize) {
         assert!(capacity > 0, "ROB needs at least one slot");
         self.entries.clear();
+        self.entries.reserve(capacity);
         self.capacity = capacity;
         self.next_seq = 0;
     }
@@ -260,12 +249,6 @@ impl Rob {
     #[must_use]
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Sequence number the next allocated entry will get.
-    #[must_use]
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     /// Allocates an entry at the tail, assigning its sequence number.
@@ -323,16 +306,17 @@ impl Rob {
     pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
         self.entries.iter()
     }
-
-    /// Iterates entries mutably in program order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut RobEntry> {
-        self.entries.iter_mut()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rob(capacity: usize) -> Rob {
+        let mut r = Rob::default();
+        r.reset(capacity);
+        r
+    }
 
     fn entry(trace_idx: usize) -> RobEntry {
         RobEntry {
@@ -361,7 +345,7 @@ mod tests {
 
     #[test]
     fn fifo_order_and_sequence_numbers() {
-        let mut r = Rob::new(4);
+        let mut r = rob(4);
         let s0 = r.push(entry(10));
         let s1 = r.push(entry(11));
         assert_eq!((s0, s1), (0, 1));
@@ -439,7 +423,7 @@ mod tests {
 
     #[test]
     fn capacity_enforced() {
-        let mut r = Rob::new(2);
+        let mut r = rob(2);
         r.push(entry(0));
         r.push(entry(1));
         assert!(r.is_full());
@@ -448,14 +432,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "ROB overflow")]
     fn overflow_panics() {
-        let mut r = Rob::new(1);
+        let mut r = rob(1);
         r.push(entry(0));
         r.push(entry(1));
     }
 
     #[test]
     fn lookup_by_seq_after_commits() {
-        let mut r = Rob::new(8);
+        let mut r = rob(8);
         for i in 0..5 {
             r.push(entry(i));
         }
@@ -470,7 +454,7 @@ mod tests {
 
     #[test]
     fn squash_walk_from_tail() {
-        let mut r = Rob::new(8);
+        let mut r = rob(8);
         for i in 0..4 {
             r.push(entry(i));
         }

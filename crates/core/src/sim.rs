@@ -99,7 +99,7 @@ pub(crate) fn class_ix(c: RegClass) -> usize {
 }
 
 /// Timing state of the physical register files.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct RegTiming {
     /// Cycle the first element is readable by a chained consumer.
     avail_first: [Vec<u64>; 4],
@@ -129,35 +129,13 @@ impl RegTiming {
             produced.clear();
             produced.resize(len, false);
             // The initial architectural mappings (phys 0..8) hold
-            // valid data, as in `RegTiming::new`.
+            // valid data.
             for b in produced.iter_mut().take(8) {
                 *b = true;
             }
         }
         self.read_port_free.clear();
         self.read_port_free.resize(n[2], 0);
-    }
-
-    fn new(n: [usize; 4]) -> Self {
-        let mk = |len: usize| vec![0u64; len];
-        let mut produced: [Vec<bool>; 4] = [
-            vec![false; n[0]],
-            vec![false; n[1]],
-            vec![false; n[2]],
-            vec![false; n[3]],
-        ];
-        // The initial architectural mappings (phys 0..8) hold valid data.
-        for p in produced.iter_mut() {
-            for b in p.iter_mut().take(8) {
-                *b = true;
-            }
-        }
-        RegTiming {
-            avail_first: [mk(n[0]), mk(n[1]), mk(n[2]), mk(n[3])],
-            avail_last: [mk(n[0]), mk(n[1]), mk(n[2]), mk(n[3])],
-            produced,
-            read_port_free: vec![0; n[2]],
-        }
     }
 
     fn set_avail(&mut self, class: RegClass, phys: PhysReg, first: u64, last: u64) {
@@ -204,9 +182,9 @@ pub struct OooSim<'t> {
     pub(crate) cfg: OooConfig,
     pub(crate) trace: &'t Trace,
     pub(crate) now: u64,
-    pub(crate) rename: RenameUnit,
-    pub(crate) rob: Rob,
-    pub(crate) timing: RegTiming,
+    /// The machine's structures: everything a run heap-allocates,
+    /// recycled whole through a [`SimArena`].
+    pub(crate) st: Storage,
     pub(crate) stepper: Stepper,
     /// Set by any stage that mutates machine state this cycle; a cycle
     /// that ends with this still `false` is dead and skippable.
@@ -218,11 +196,6 @@ pub struct OooSim<'t> {
     /// Stage-activity scheduler (consulted by the event engine only;
     /// maintained cheaply in both).
     pub(crate) sched: Scheduler,
-    /// Wakeup index: per `(class, phys)`, sequence numbers of queue
-    /// entries waiting for that register to be produced. Each list
-    /// keeps its storage once emptied; a recycled arena may hold more
-    /// lists than the register file has (the surplus stays empty).
-    pub(crate) waiters: [Vec<Vec<u64>>; 4],
     /// Wake accumulator for the currently-running issue stage: the
     /// scan notes each rejected entry's exact ready time as it walks,
     /// so a failed fire yields the stage's `next_wake` without a
@@ -231,38 +204,17 @@ pub struct OooSim<'t> {
     /// Per-stage progress-cycle counters, indexed by [`StageId`]
     /// discriminant; folded into `stats.stages` when the run ends.
     pub(crate) stage_cycle_counts: [u64; 9],
-    pub(crate) q_a: SlotQueue,
-    pub(crate) q_s: SlotQueue,
-    pub(crate) q_v: SlotQueue,
-    pub(crate) q_m: SlotQueue,
     /// The three memory-pipe stage registers (ROB sequence numbers).
     pub(crate) stage: [Option<u64>; 3],
-    /// Queue-M entries (sequence numbers, dispatch order) not yet
-    /// pulled into the memory pipe. The pipe admits strictly in
-    /// dispatch order, so the front of this FIFO *is* the oldest
-    /// `MemStage::None` entry — an O(1) replacement for scanning
-    /// queue M at every pull.
-    pub(crate) pipe_pending: VecDeque<u64>,
     pub(crate) fetch_idx: usize,
-    pub(crate) fetch_buf: VecDeque<usize>,
     /// Trace index of the unresolved mispredicted control transfer.
     pub(crate) fetch_blocked: Option<usize>,
     /// Cycle at which fetch resumes after the blocking branch resolves.
     pub(crate) fetch_resume_at: Option<u64>,
-    pub(crate) btb: Btb,
-    pub(crate) ras: ReturnStack,
-    /// Deferred BTB updates applied at branch resolution.
-    pub(crate) btb_updates: Vec<(u64, u64, bool, u64)>,
     pub(crate) fu1_free: u64,
     pub(crate) fu2_free: u64,
     pub(crate) bus: AddressBus,
     pub(crate) traffic: TrafficCounter,
-    pub(crate) occ: OccupancyTracker,
-    pub(crate) cache: Option<ScalarCache>,
-    pub(crate) tags: TagUnit,
-    /// Eliminated scalar loads waiting for their provider's value:
-    /// `(class, dst_phys, provider_class, provider_phys, min_time)`.
-    pub(crate) pending_copies: Vec<(RegClass, PhysReg, RegClass, PhysReg, u64)>,
     pub(crate) committed: u64,
     pub(crate) max_complete: u64,
     pub(crate) stats: SimStats,
@@ -284,12 +236,6 @@ pub struct OooSim<'t> {
 
 #[cfg(debug_assertions)]
 static ARENA_ALLOCS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-#[inline]
-fn count_arena_construction() {
-    #[cfg(debug_assertions)]
-    ARENA_ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-}
 
 /// Process-wide count of fresh simulator-storage constructions — every
 /// [`OooSim::new`] and every [`OooSim::new_in`] whose arena was empty.
@@ -314,80 +260,57 @@ pub fn arena_constructions() -> u64 {
 /// run heap-allocates. ROB entries hold their source lists inline, so
 /// once every container has grown to a run's peak, a replay of the
 /// same configs allocates nothing.
-#[derive(Debug)]
-struct Storage {
-    rename: RenameUnit,
-    rob: Rob,
-    timing: RegTiming,
-    tags: TagUnit,
-    waiters: [Vec<Vec<u64>>; 4],
-    q_a: SlotQueue,
-    q_s: SlotQueue,
-    q_v: SlotQueue,
-    q_m: SlotQueue,
-    pipe_pending: VecDeque<u64>,
-    fetch_buf: VecDeque<usize>,
-    btb: Btb,
-    ras: ReturnStack,
-    btb_updates: Vec<(u64, u64, bool, u64)>,
-    occ: OccupancyTracker,
-    cache: Option<ScalarCache>,
-    pending_copies: Vec<(RegClass, PhysReg, RegClass, PhysReg, u64)>,
-}
-
-/// Physical register-file sizes implied by a rename unit.
-fn phys_counts(rename: &RenameUnit) -> [usize; 4] {
-    [
-        rename.table(RegClass::A).n_phys(),
-        rename.table(RegClass::S).n_phys(),
-        rename.table(RegClass::V).n_phys(),
-        rename.table(RegClass::Mask).n_phys(),
-    ]
+///
+/// There is one way to build it: [`Storage::reset`] takes any storage,
+/// empty or recycled, to the exact start-of-run state for a config.
+/// A fresh simulator is a reset of `Storage::default()`.
+#[derive(Debug, Default)]
+pub(crate) struct Storage {
+    pub(crate) rename: RenameUnit,
+    pub(crate) rob: Rob,
+    pub(crate) timing: RegTiming,
+    pub(crate) tags: TagUnit,
+    /// Wakeup index: per `(class, phys)`, sequence numbers of queue
+    /// entries waiting for that register to be produced. Each list
+    /// keeps its storage once emptied; a recycled arena may hold more
+    /// lists than the register file has (the surplus stays empty).
+    pub(crate) waiters: [Vec<Vec<u64>>; 4],
+    pub(crate) q_a: SlotQueue,
+    pub(crate) q_s: SlotQueue,
+    pub(crate) q_v: SlotQueue,
+    pub(crate) q_m: SlotQueue,
+    /// Queue-M entries (sequence numbers, dispatch order) not yet
+    /// pulled into the memory pipe. The pipe admits strictly in
+    /// dispatch order, so the front of this FIFO *is* the oldest
+    /// `MemStage::None` entry — an O(1) replacement for scanning
+    /// queue M at every pull.
+    pub(crate) pipe_pending: VecDeque<u64>,
+    pub(crate) fetch_buf: VecDeque<usize>,
+    pub(crate) btb: Btb,
+    pub(crate) ras: ReturnStack,
+    /// Deferred BTB updates applied at branch resolution.
+    pub(crate) btb_updates: Vec<(u64, u64, bool, u64)>,
+    pub(crate) occ: OccupancyTracker,
+    pub(crate) cache: Option<ScalarCache>,
+    /// Eliminated scalar loads waiting for their provider's value:
+    /// `(class, dst_phys, provider_class, provider_phys, min_time)`.
+    pub(crate) pending_copies: Vec<(RegClass, PhysReg, RegClass, PhysReg, u64)>,
 }
 
 impl Storage {
-    /// Builds fresh storage for `cfg` (counted by
+    /// Builds storage for `cfg` from nothing (counted by
     /// [`arena_constructions`]).
     fn fresh(cfg: &OooConfig) -> Storage {
-        count_arena_construction();
-        let rename = RenameUnit::new(
-            cfg.phys_a_regs,
-            cfg.phys_s_regs,
-            cfg.phys_v_regs,
-            cfg.phys_mask_regs,
-        );
-        let n = phys_counts(&rename);
-        Storage {
-            timing: RegTiming::new(n),
-            tags: TagUnit::new(n[0], n[1], n[2]),
-            rename,
-            rob: Rob::new(cfg.rob_entries),
-            waiters: [
-                vec![Vec::new(); n[0]],
-                vec![Vec::new(); n[1]],
-                vec![Vec::new(); n[2]],
-                vec![Vec::new(); n[3]],
-            ],
-            q_a: SlotQueue::new(),
-            q_s: SlotQueue::new(),
-            q_v: SlotQueue::new(),
-            q_m: SlotQueue::new(),
-            pipe_pending: VecDeque::new(),
-            fetch_buf: VecDeque::new(),
-            btb: Btb::new(cfg.btb_entries),
-            ras: ReturnStack::new(cfg.ras_depth),
-            btb_updates: Vec::new(),
-            occ: OccupancyTracker::new(),
-            cache: cfg
-                .scalar_cache
-                .map(|c| ScalarCache::new(c.size_bytes, c.line_bytes)),
-            pending_copies: Vec::new(),
-        }
+        #[cfg(debug_assertions)]
+        ARENA_ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mut st = Storage::default();
+        st.reset(cfg);
+        st
     }
 
-    /// Reinitialises recycled storage to the exact just-built state
-    /// for `cfg`, reusing every allocation whose geometry is unchanged
-    /// (the warm-sweep case: same config point replayed — zero
+    /// Reinitialises storage to the start-of-run state for `cfg`,
+    /// reusing every allocation whose geometry is unchanged (the
+    /// warm-sweep case: same config point replayed — zero
     /// allocations; a changed config resizes only what moved).
     fn reset(&mut self, cfg: &OooConfig) {
         self.rename.reset_to(
@@ -396,7 +319,7 @@ impl Storage {
             cfg.phys_v_regs,
             cfg.phys_mask_regs,
         );
-        let n = phys_counts(&self.rename);
+        let n = RegClass::ALL.map(|c| self.rename.table(c).n_phys());
         self.timing.reset(n);
         self.tags.reset_to(n[0], n[1], n[2]);
         // Waiter lists only grow: a register file that shrank keeps its
@@ -452,13 +375,15 @@ impl Storage {
 /// ```
 ///
 /// The arena is engine-agnostic (the naive oracle and the stage-graph
-/// engine run through the same storage), and the parity grid asserts
-/// bit-identical [`SimStats`] against fresh construction. A reset
-/// keeps and only ever grows each container (a scalar cache of another
-/// geometry is the one thing built anew), so after one pass over a set
-/// of configs a second pass makes no heap allocation at all
-/// (`tests/alloc_smoke.rs` counts them with a counting global
-/// allocator). [`arena_constructions`] counts the fresh builds.
+/// engine run through the same storage). Fresh and recycled storage
+/// go through the same reset — a fresh build is a reset of empty
+/// storage — and the parity grid asserts bit-identical [`SimStats`]
+/// between arena runs and fresh ones. A reset keeps and only ever
+/// grows each container (a scalar cache of another geometry is the one
+/// thing built anew), so after one pass over a set of configs a second
+/// pass makes no heap allocation at all (`tests/alloc_smoke.rs` counts
+/// them with a counting global allocator). [`arena_constructions`]
+/// counts the fresh builds.
 #[derive(Debug, Default)]
 pub struct SimArena {
     storage: Option<Storage>,
@@ -504,65 +429,27 @@ impl<'t> OooSim<'t> {
         Self::assemble(cfg, trace, storage)
     }
 
-    /// Scatters `st` plus fresh per-run scalars into a simulator. The
-    /// resulting state is identical whether `st` came from
-    /// [`Storage::fresh`] or [`Storage::reset`] — the parity grid
-    /// holds the two paths bit-identical.
+    /// Wraps reset storage `st` with fresh per-run scalars.
     fn assemble(cfg: OooConfig, trace: &'t Trace, st: Storage) -> Self {
-        let Storage {
-            rename,
-            rob,
-            timing,
-            tags,
-            waiters,
-            q_a,
-            q_s,
-            q_v,
-            q_m,
-            pipe_pending,
-            fetch_buf,
-            btb,
-            ras,
-            btb_updates,
-            occ,
-            cache,
-            pending_copies,
-        } = st;
         OooSim {
-            timing,
-            tags,
-            rename,
             cfg,
             trace,
             now: 0,
-            rob,
+            st,
             stepper: Stepper::default(),
             progressed: false,
             progress_word: 0,
             sched: Scheduler::new(),
-            waiters,
             scan_wake: u64::MAX,
             stage_cycle_counts: [0; 9],
-            q_a,
-            q_s,
-            q_v,
-            q_m,
             stage: [None; 3],
-            pipe_pending,
             fetch_idx: 0,
-            fetch_buf,
             fetch_blocked: None,
             fetch_resume_at: None,
-            btb,
-            ras,
-            btb_updates,
             fu1_free: 0,
             fu2_free: 0,
             bus: AddressBus::new(),
             traffic: TrafficCounter::new(),
-            occ,
-            cache,
-            pending_copies,
             committed: 0,
             max_complete: 0,
             stats: SimStats::new(),
@@ -571,29 +458,6 @@ impl<'t> OooSim<'t> {
             faults_taken: 0,
             sink: None,
             budget: None,
-        }
-    }
-
-    /// Dismantles the simulator back into its reusable storage.
-    fn into_storage(self) -> Storage {
-        Storage {
-            rename: self.rename,
-            rob: self.rob,
-            timing: self.timing,
-            tags: self.tags,
-            waiters: self.waiters,
-            q_a: self.q_a,
-            q_s: self.q_s,
-            q_v: self.q_v,
-            q_m: self.q_m,
-            pipe_pending: self.pipe_pending,
-            fetch_buf: self.fetch_buf,
-            btb: self.btb,
-            ras: self.ras,
-            btb_updates: self.btb_updates,
-            occ: self.occ,
-            cache: self.cache,
-            pending_copies: self.pending_copies,
         }
     }
 
@@ -700,7 +564,7 @@ impl<'t> OooSim<'t> {
     #[must_use]
     pub fn run_into(mut self, arena: &mut SimArena) -> RunResult {
         let result = self.run_inner();
-        arena.storage = Some(self.into_storage());
+        arena.storage = Some(self.st);
         result.unwrap_or_else(|a| panic!("unhandled budget abort: {a} (use try_run_into)"))
     }
 
@@ -717,7 +581,7 @@ impl<'t> OooSim<'t> {
     /// allocations either.
     pub fn try_run_into(mut self, arena: &mut SimArena) -> Result<RunResult, RunAborted> {
         let result = self.run_inner();
-        arena.storage = Some(self.into_storage());
+        arena.storage = Some(self.st);
         result
     }
 
@@ -823,8 +687,8 @@ impl<'t> OooSim<'t> {
                     self.now,
                     self.committed,
                     total,
-                    self.rob.len(),
-                    self.rob.head().map(|e| (e.trace_idx, e.op, e.state, e.mem_stage))
+                    self.st.rob.len(),
+                    self.st.rob.head().map(|e| (e.trace_idx, e.op, e.state, e.mem_stage))
                 );
             }
             if self.committed != last_committed {
@@ -836,8 +700,9 @@ impl<'t> OooSim<'t> {
                     self.now,
                     self.committed,
                     total,
-                    self.rob.len(),
-                    self.rob
+                    self.st.rob.len(),
+                    self.st
+                        .rob
                         .head()
                         .map(|e| (e.trace_idx, e.op, e.state, e.mem_stage))
                 );
@@ -864,7 +729,7 @@ impl<'t> OooSim<'t> {
         self.stats.load_requests = self.traffic.loads();
         self.stats.store_requests = self.traffic.stores();
         self.stats.spill_requests = self.traffic.spill_loads() + self.traffic.spill_stores();
-        self.stats.breakdown = self.occ.take_breakdown(cycles);
+        self.stats.breakdown = self.st.occ.take_breakdown(cycles);
         Ok(RunResult {
             stats: self.stats,
             ideal_cycles: self.trace.ideal_cycles(),
@@ -897,10 +762,10 @@ impl<'t> OooSim<'t> {
         if self.sched.btb_wake <= self.now {
             self.apply_btb_updates();
         }
-        if !self.pending_copies.is_empty() {
+        if !self.st.pending_copies.is_empty() {
             self.resolve_pending_copies();
         }
-        if !self.rob.is_empty() {
+        if !self.st.rob.is_empty() {
             self.commit();
         }
         if self.mem_pipe_active() {
@@ -910,7 +775,7 @@ impl<'t> OooSim<'t> {
         self.run_issue_stage(StageId::IssueVector);
         self.run_issue_stage(StageId::IssueA);
         self.run_issue_stage(StageId::IssueS);
-        if !self.fetch_buf.is_empty() {
+        if !self.st.fetch_buf.is_empty() {
             self.dispatch();
         }
         self.fetch();
@@ -1011,13 +876,13 @@ impl<'t> OooSim<'t> {
         phys: PhysReg,
         chained: bool,
     ) -> Option<u64> {
-        if !self.timing.is_produced(class, phys) {
+        if !self.st.timing.is_produced(class, phys) {
             return None;
         }
         let t = if chained && !class.is_scalar() {
-            self.timing.first(class, phys) + 1
+            self.st.timing.first(class, phys) + 1
         } else {
-            self.timing.last(class, phys)
+            self.st.timing.last(class, phys)
         };
         Some(t)
     }
@@ -1030,7 +895,7 @@ impl<'t> OooSim<'t> {
                     // Vector reads also need the dedicated read port.
                     if class == RegClass::V
                         && chained
-                        && self.timing.read_port_free[phys as usize] > self.now
+                        && self.st.timing.read_port_free[phys as usize] > self.now
                     {
                         return false;
                     }
@@ -1048,13 +913,14 @@ impl<'t> OooSim<'t> {
     /// Scheduler edge: an entry whose outstanding-source count hits
     /// zero re-arms its queue's issue stage.
     pub(crate) fn set_avail(&mut self, class: RegClass, phys: PhysReg, first: u64, last: u64) {
-        self.timing.set_avail(class, phys, first, last);
+        self.st.timing.set_avail(class, phys, first, last);
         let (ix, slot) = (class_ix(class), phys as usize);
-        let mut woken = std::mem::take(&mut self.waiters[ix][slot]);
+        let mut woken = std::mem::take(&mut self.st.waiters[ix][slot]);
         // Squashed entries resolve to `None`; sequence numbers are
         // never reused, so a stale wake is simply dropped.
         woken.retain(|&seq| {
-            self.rob
+            self.st
+                .rob
                 .get_mut(seq)
                 .map(|e| {
                     e.waiting_srcs = e.waiting_srcs.saturating_sub(1);
@@ -1068,7 +934,7 @@ impl<'t> OooSim<'t> {
         // Hand the emptied list back so the register's next waiter
         // reuses its storage.
         woken.clear();
-        self.waiters[ix][slot] = woken;
+        self.st.waiters[ix][slot] = woken;
     }
 
     /// Counts the entry's not-yet-produced sources and registers it in
@@ -1076,16 +942,18 @@ impl<'t> OooSim<'t> {
     /// stage 3 for the VLE late-rename path). An entry dispatched with
     /// every source already produced arms its queue's issue stage.
     pub(crate) fn register_waits(&mut self, seq: u64) {
-        let Some(e) = self.rob.get(seq) else { return };
+        let Some(e) = self.st.rob.get(seq) else {
+            return;
+        };
         let srcs = e.srcs;
         let mut waiting = 0u16;
         for &(class, phys) in &srcs {
-            if !self.timing.is_produced(class, phys) {
+            if !self.st.timing.is_produced(class, phys) {
                 waiting += 1;
-                self.waiters[class_ix(class)][phys as usize].push(seq);
+                self.st.waiters[class_ix(class)][phys as usize].push(seq);
             }
         }
-        if let Some(e) = self.rob.get_mut(seq) {
+        if let Some(e) = self.st.rob.get_mut(seq) {
             e.waiting_srcs = waiting;
         }
         if waiting == 0 {
@@ -1095,13 +963,15 @@ impl<'t> OooSim<'t> {
 
     /// The timed half of a wakeup edge: computes the exact earliest
     /// cycle at which `seq` could pass its issue stage's time-based
-    /// checks (mirroring the per-entry wake-scan bodies) and lowers
+    /// checks ([`OooSim::entry_ready_time`]) and lowers
     /// that stage's wake to it — instead of arming the stage for an
     /// immediate scan that would mostly fail. `u64::MAX` (an
     /// outstanding source, a pre-`WaitDisamb` memory entry) merges
     /// nothing: a later edge covers those.
     pub(crate) fn merge_entry_wake(&mut self, seq: u64) {
-        let Some(e) = self.rob.get(seq) else { return };
+        let Some(e) = self.st.rob.get(seq) else {
+            return;
+        };
         let stage = match e.qkind {
             crate::rob::QueueKind::A => StageId::IssueA,
             crate::rob::QueueKind::S => StageId::IssueS,
@@ -1126,10 +996,10 @@ impl<'t> OooSim<'t> {
             crate::rob::QueueKind::A | crate::rob::QueueKind::S => {
                 let mut ready = 0u64;
                 for &(class, phys) in &e.srcs {
-                    if !self.timing.is_produced(class, phys) {
+                    if !self.st.timing.is_produced(class, phys) {
                         return u64::MAX;
                     }
-                    ready = ready.max(self.timing.last(class, phys));
+                    ready = ready.max(self.st.timing.last(class, phys));
                 }
                 ready
             }
@@ -1141,7 +1011,7 @@ impl<'t> OooSim<'t> {
                     };
                     ready = ready.max(t);
                     if class == RegClass::V {
-                        ready = ready.max(self.timing.read_port_free[phys as usize]);
+                        ready = ready.max(self.st.timing.read_port_free[phys as usize]);
                     }
                 }
                 let fu = if e.op.fu_class() == FuClass::VecFu2Only {
@@ -1161,14 +1031,15 @@ impl<'t> OooSim<'t> {
                     if mem.kind == MemKind::Indexed {
                         let idx_pos = usize::from(e.op == Opcode::VScatter);
                         if let Some(&(c, p)) = e.srcs.get(idx_pos) {
-                            if !self.timing.is_produced(c, p) {
+                            if !self.st.timing.is_produced(c, p) {
                                 return u64::MAX;
                             }
-                            ready = ready.max(self.timing.last(c, p) + 1);
+                            ready = ready.max(self.st.timing.last(c, p) + 1);
                         }
                     }
                     bypasses_bus = e.op == Opcode::SLoad
                         && self
+                            .st
                             .cache
                             .as_ref()
                             .map(|c| c.peek_load(mem.base))
@@ -1198,7 +1069,9 @@ impl<'t> OooSim<'t> {
     /// `waiting_srcs`). Addressing operands are not registered; ranges
     /// come from the trace and gate nothing at issue.
     pub(crate) fn register_mem_waits(&mut self, seq: u64) {
-        let Some(e) = self.rob.get(seq) else { return };
+        let Some(e) = self.st.rob.get(seq) else {
+            return;
+        };
         let mut checked: [Option<(RegClass, PhysReg)>; 2] = [None, None];
         if e.is_store() {
             checked[0] = e.srcs.first().copied();
@@ -1212,28 +1085,36 @@ impl<'t> OooSim<'t> {
         }
         let mut waiting = 0u16;
         for (class, phys) in checked.into_iter().flatten() {
-            if !self.timing.is_produced(class, phys) {
+            if !self.st.timing.is_produced(class, phys) {
                 waiting += 1;
-                self.waiters[class_ix(class)][phys as usize].push(seq);
+                self.st.waiters[class_ix(class)][phys as usize].push(seq);
             }
         }
-        if let Some(e) = self.rob.get_mut(seq) {
+        if let Some(e) = self.st.rob.get_mut(seq) {
             e.waiting_srcs = waiting;
         }
     }
 
     /// Earliest future cycle at which any stage's behaviour can change,
     /// given that the cycle just simulated was dead (mutated nothing),
-    /// computed by a full rescan of the machine state — the composition
-    /// of the per-stage wake scans plus the front end. Debug builds
-    /// only: it is the reference the cached skip target is checked
-    /// against.
+    /// computed by a full rescan of the machine state: the ROB head,
+    /// the front end, and every issue-queue entry's
+    /// [`OooSim::entry_ready_time`] (the single definition of
+    /// per-entry readiness, shared with the fused in-scan accumulation
+    /// and the wakeup-edge merge). Debug builds only: it is the
+    /// reference the cached skip target is checked against.
     ///
     /// Every `now` comparison in the stage code reads one of the times
     /// enumerated here; everything else the stages consult is machine
     /// state, which by assumption only changes in progress cycles.
-    /// Returns `None` when no future event exists (a provable
-    /// deadlock).
+    /// A ready time is exact *at scan time*: reservations made later (a
+    /// read port claimed by a store stream, an FU or the bus taken by
+    /// another issue) only delay an entry — a spurious early wake,
+    /// never a missed one. Entries gated on an unproduced source, a
+    /// pre-`WaitDisamb` memory entry, disambiguation and the
+    /// late-commit head rule are state conditions re-armed by edges;
+    /// they resolve to `u64::MAX` and add nothing. Returns `None` when
+    /// no future event exists (a provable deadlock).
     #[cfg(debug_assertions)]
     fn next_event_scan(&self) -> Option<u64> {
         let now = self.now;
@@ -1244,11 +1125,13 @@ impl<'t> OooSim<'t> {
             }
         };
         self.commit_wake_scan(&mut add);
-        self.issue_scalar_wake_scan(true, &mut add);
-        self.issue_scalar_wake_scan(false, &mut add);
-        self.issue_vector_wake_scan(&mut add);
-        self.issue_mem_wake_scan(&mut add);
         self.frontend_wake_scan(&mut add);
+        let st = &self.st;
+        for q in [&st.q_a, &st.q_s, &st.q_v, &st.q_m] {
+            for e in q.iter().filter_map(|seq| st.rob.get(seq)) {
+                add(self.entry_ready_time(e));
+            }
+        }
         (best != u64::MAX).then_some(best)
     }
 
@@ -1304,13 +1187,14 @@ impl<'t> OooSim<'t> {
     pub fn check_conservation(&self) -> bool {
         for class in RegClass::ALL {
             let rob_refs: Vec<PhysReg> = self
+                .st
                 .rob
                 .iter()
                 .filter_map(|e| e.dst)
                 .filter(|d| d.class == class)
                 .map(|d| d.old)
                 .collect();
-            if !self.rename.table(class).check_conservation(&rob_refs) {
+            if !self.st.rename.table(class).check_conservation(&rob_refs) {
                 return false;
             }
         }

@@ -20,8 +20,8 @@ impl OooSim<'_> {
         if e.eliminated {
             // Complete when the provider's data is fully available.
             if let Some(d) = e.dst {
-                return self.timing.is_produced(d.class, d.new)
-                    && self.timing.last(d.class, d.new) <= self.now;
+                return self.st.timing.is_produced(d.class, d.new)
+                    && self.st.timing.last(d.class, d.new) <= self.now;
             }
             return true;
         }
@@ -42,11 +42,11 @@ impl OooSim<'_> {
     /// can flip: its completion, or — for an eliminated head — its
     /// provider's full availability. Only the head gates progress.
     pub(crate) fn commit_wake_scan(&self, add: &mut impl FnMut(u64)) {
-        if let Some(h) = self.rob.head() {
+        if let Some(h) = self.st.rob.head() {
             if h.eliminated {
                 if let Some(d) = h.dst {
-                    if self.timing.is_produced(d.class, d.new) {
-                        add(self.timing.last(d.class, d.new));
+                    if self.st.timing.is_produced(d.class, d.new) {
+                        add(self.st.timing.last(d.class, d.new));
                     }
                 }
             } else if h.issued() {
@@ -57,7 +57,9 @@ impl OooSim<'_> {
 
     pub(crate) fn commit(&mut self) {
         for _ in 0..self.cfg.commit_width {
-            let Some(head) = self.rob.head() else { return };
+            let Some(head) = self.st.rob.head() else {
+                return;
+            };
             if let (Some(fault_idx), true) = (self.fault_at, head.issued()) {
                 if head.trace_idx == fault_idx && self.ready_to_commit(head) {
                     self.take_fault();
@@ -67,12 +69,12 @@ impl OooSim<'_> {
             if !self.ready_to_commit(head) {
                 return;
             }
-            let e = self.rob.pop().expect("head vanished");
+            let e = self.st.rob.pop().expect("head vanished");
             if let Some(s) = self.sink.as_deref_mut() {
                 s.on_commit(e.seq, e.issue_time, e.complete_time, self.now);
             }
             if let Some(d) = e.dst {
-                self.rename.table_mut(d.class).release(d.old);
+                self.st.rename.table_mut(d.class).release(d.old);
             }
             if let Some(c) = &mut self.checker {
                 c.on_commit(e.trace_idx);
@@ -95,12 +97,13 @@ impl OooSim<'_> {
         let fault_idx = self.fault_at.take().expect("no fault pending");
         self.faults_taken += 1;
         self.progress(StageId::Commit);
-        while let Some(e) = self.rob.pop_tail() {
+        while let Some(e) = self.st.rob.pop_tail() {
             if let Some(s) = self.sink.as_deref_mut() {
                 s.on_squash(e.seq, self.now);
             }
             if let Some(d) = e.dst {
-                self.rename
+                self.st
+                    .rename
                     .table_mut(d.class)
                     .rollback_alloc(d.arch, d.new, d.old);
             }
@@ -109,21 +112,21 @@ impl OooSim<'_> {
                 break;
             }
         }
-        self.q_a.clear();
-        self.q_s.clear();
-        self.q_v.clear();
-        self.q_m.clear();
+        self.st.q_a.clear();
+        self.st.q_s.clear();
+        self.st.q_v.clear();
+        self.st.q_m.clear();
         self.stage = [None; 3];
-        self.pipe_pending.clear();
-        self.fetch_buf.clear();
+        self.st.pipe_pending.clear();
+        self.st.fetch_buf.clear();
         if let Some(s) = self.sink.as_deref_mut() {
             s.on_squash_frontend();
         }
         self.fetch_blocked = None;
         self.fetch_resume_at = None;
-        self.pending_copies.clear();
+        self.st.pending_copies.clear();
         // Conservative: forget all register memory tags.
-        self.tags.clear();
+        self.st.tags.clear();
         self.fetch_idx = fault_idx;
         self.sched.reset_after_squash();
         if let Some(c) = &mut self.checker {

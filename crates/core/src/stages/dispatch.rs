@@ -29,19 +29,19 @@ impl OooSim<'_> {
 
     pub(crate) fn queue_of(&mut self, kind: QueueKind) -> &mut SlotQueue {
         match kind {
-            QueueKind::A => &mut self.q_a,
-            QueueKind::S => &mut self.q_s,
-            QueueKind::V => &mut self.q_v,
-            QueueKind::M => &mut self.q_m,
+            QueueKind::A => &mut self.st.q_a,
+            QueueKind::S => &mut self.st.q_s,
+            QueueKind::V => &mut self.st.q_v,
+            QueueKind::M => &mut self.st.q_m,
         }
     }
 
     pub(crate) fn dispatch(&mut self) {
-        let Some(&idx) = self.fetch_buf.front() else {
+        let Some(&idx) = self.st.fetch_buf.front() else {
             return;
         };
         let inst = &self.trace.instructions()[idx];
-        if self.rob.is_full() {
+        if self.st.rob.is_full() {
             self.stats.rob_stall_cycles += 1;
             if let Some(s) = self.sink.as_deref_mut() {
                 s.on_cycle_stall(oov_stats::StallKind::RobFull, 1);
@@ -65,7 +65,7 @@ impl OooSim<'_> {
             if defer_vector && class == RegClass::V {
                 deferred_srcs.push(s.index());
             } else {
-                srcs.push((class, self.rename.table(class).lookup(s.index())));
+                srcs.push((class, self.st.rename.table(class).lookup(s.index())));
             }
         }
         // Rename destination.
@@ -76,7 +76,7 @@ impl OooSim<'_> {
             if defer_vector && class == RegClass::V {
                 deferred_dst = Some(d.index());
             } else {
-                if !self.rename.table(class).can_alloc() {
+                if !self.st.rename.table(class).can_alloc() {
                     self.stats.rename_stall_cycles += 1;
                     if let Some(s) = self.sink.as_deref_mut() {
                         s.on_cycle_stall(oov_stats::StallKind::RenameStall, 1);
@@ -84,14 +84,15 @@ impl OooSim<'_> {
                     return;
                 }
                 let (new, old) = self
+                    .st
                     .rename
                     .table_mut(class)
                     .alloc(d.index())
                     .expect("can_alloc lied");
                 if class != RegClass::Mask && self.elim_on() {
-                    self.tags.table_mut(class).invalidate_reg(new);
+                    self.st.tags.table_mut(class).invalidate_reg(new);
                 }
-                self.timing.clear(class, new);
+                self.st.timing.clear(class, new);
                 dst = Some(DstInfo {
                     class,
                     arch: d.index(),
@@ -129,7 +130,7 @@ impl OooSim<'_> {
                 c.on_dst_renamed(idx, d.class, d.new);
             }
         }
-        let seq = self.rob.push(entry);
+        let seq = self.st.rob.push(entry);
         if let Some(s) = self.sink.as_deref_mut() {
             s.on_dispatch(seq, idx, inst.op, inst.vl, self.now);
         }
@@ -138,11 +139,11 @@ impl OooSim<'_> {
         // source-wakeup index (their readiness checks are per-operand at
         // issue); everything else registers its outstanding sources.
         if kind == QueueKind::M {
-            self.pipe_pending.push_back(seq);
+            self.st.pipe_pending.push_back(seq);
         } else {
             self.register_waits(seq);
         }
-        self.fetch_buf.pop_front();
+        self.st.fetch_buf.pop_front();
         if inst.op == Opcode::Branch {
             self.stats.branches += 1;
         }

@@ -15,7 +15,7 @@ impl OooSim<'_> {
         if let Some(t) = self.fetch_resume_at {
             add(t);
         }
-        for &(t, _, _, _) in &self.btb_updates {
+        for &(t, _, _, _) in &self.st.btb_updates {
             add(t);
         }
     }
@@ -31,7 +31,7 @@ impl OooSim<'_> {
         if self.fetch_blocked.is_some() {
             return;
         }
-        if self.fetch_buf.len() >= FETCH_BUF_DEPTH || self.fetch_idx >= self.trace.len() {
+        if self.st.fetch_buf.len() >= FETCH_BUF_DEPTH || self.fetch_idx >= self.trace.len() {
             return;
         }
         let idx = self.fetch_idx;
@@ -41,18 +41,18 @@ impl OooSim<'_> {
             let actual = inst.branch.expect("control without outcome");
             let mispredict = match inst.op {
                 Opcode::Branch => {
-                    let (pred_taken, pred_target) = self.btb.predict(inst.pc);
+                    let (pred_taken, pred_target) = self.st.btb.predict(inst.pc);
                     pred_taken != actual.taken
                         || (actual.taken && pred_target != Some(actual.target))
                 }
                 Opcode::Jump | Opcode::Call => {
                     if inst.op == Opcode::Call {
-                        self.ras.push(inst.pc + 4);
+                        self.st.ras.push(inst.pc + 4);
                     }
-                    let (_, pred_target) = self.btb.predict(inst.pc);
+                    let (_, pred_target) = self.st.btb.predict(inst.pc);
                     pred_target != Some(actual.target)
                 }
-                Opcode::Ret => self.ras.pop() != Some(actual.target),
+                Opcode::Ret => self.st.ras.pop() != Some(actual.target),
                 _ => unreachable!(),
             };
             if mispredict {
@@ -60,7 +60,7 @@ impl OooSim<'_> {
                 self.fetch_blocked = Some(idx);
             }
         }
-        self.fetch_buf.push_back(idx);
+        self.st.fetch_buf.push_back(idx);
         if let Some(s) = self.sink.as_deref_mut() {
             s.on_fetch(idx, self.now);
         }

@@ -30,47 +30,24 @@ use crate::sim::OooSim;
 use crate::stages::StageId;
 
 impl OooSim<'_> {
-    /// Future times at which a queue-M entry's *time-based* issue
-    /// conditions can flip: each entry's [`OooSim::entry_ready_time`]
-    /// — the max of its index-vector availability, store-data chaining
-    /// and (unless it is a scalar load the cache would hit, which
-    /// bypasses the bus) the address bus release, exact at scan time.
-    /// Disambiguation and the late-commit head-of-ROB rule are state
-    /// conditions, re-armed by edges, as are entries whose registered
-    /// data/index sources are still unproduced or that have not yet
-    /// reached `WaitDisamb` — those resolve to "edge-only". Debug
-    /// builds only, as part of the cross-check of the cached wakes.
-    #[cfg(debug_assertions)]
-    pub(crate) fn issue_mem_wake_scan(&self, add: &mut impl FnMut(u64)) {
-        if self.q_m.is_empty() {
-            return;
-        }
-        for seq in self.q_m.iter() {
-            if let Some(e) = self.rob.get(seq) {
-                let t = self.entry_ready_time(e);
-                if t != u64::MAX {
-                    add(t);
-                }
-            }
-        }
-    }
-
     /// The frontier invariant behind the stage-graph engine's early
     /// stop: no queue-M entry after raw position `frontier` has
     /// reached `WaitDisamb`. Checked by a debug assertion.
     fn past_frontier_never_waits(&self, frontier: usize) -> bool {
-        (frontier + 1..self.q_m.raw_len())
-            .filter_map(|pos| self.q_m.raw_get(pos))
-            .filter_map(|seq| self.rob.get(seq))
+        (frontier + 1..self.st.q_m.raw_len())
+            .filter_map(|pos| self.st.q_m.raw_get(pos))
+            .filter_map(|seq| self.st.rob.get(seq))
             .all(|e| e.mem_stage != MemStage::WaitDisamb)
     }
 
     pub(crate) fn issue_mem(&mut self) {
-        'outer: for pos in 0..self.q_m.raw_len() {
-            let Some(seq) = self.q_m.raw_get(pos) else {
+        'outer: for pos in 0..self.st.q_m.raw_len() {
+            let Some(seq) = self.st.q_m.raw_get(pos) else {
                 continue;
             };
-            let Some(e) = self.rob.get(seq) else { continue };
+            let Some(e) = self.st.rob.get(seq) else {
+                continue;
+            };
             if e.mem_stage != MemStage::WaitDisamb {
                 // Entries before stage 3 (and vector computes in the VLE
                 // pipe) cannot issue. This is the pipe frontier: every
@@ -107,15 +84,17 @@ impl OooSim<'_> {
                     continue;
                 }
             }
-            let Some(e) = self.rob.get(seq) else { continue };
+            let Some(e) = self.st.rob.get(seq) else {
+                continue;
+            };
             let mem = e.mem.expect("memory entry without memref");
             let is_store = e.is_store();
             // Disambiguation: check every earlier, unissued memory entry.
             for ppos in 0..pos {
-                let Some(prev) = self.q_m.raw_get(ppos) else {
+                let Some(prev) = self.st.q_m.raw_get(ppos) else {
                     continue;
                 };
-                let Some(p) = self.rob.get(prev) else {
+                let Some(p) = self.st.rob.get(prev) else {
                     continue;
                 };
                 if p.mem_stage == MemStage::Done {
@@ -152,7 +131,7 @@ impl OooSim<'_> {
                 let Some(&(c, p)) = e.srcs.get(idx_pos) else {
                     continue;
                 };
-                if !self.timing.is_produced(c, p) || self.timing.last(c, p) + 1 > self.now {
+                if !self.st.timing.is_produced(c, p) || self.st.timing.last(c, p) + 1 > self.now {
                     if let Some(s) = self.sink.as_deref_mut() {
                         s.on_wait(seq, oov_stats::StallKind::IndexVectorWait);
                     }
@@ -174,7 +153,7 @@ impl OooSim<'_> {
                     }
                 }
                 // Late commit: stores execute only at the ROB head.
-                if self.cfg.commit == CommitMode::Late && self.rob.head_seq() != Some(seq) {
+                if self.cfg.commit == CommitMode::Late && self.st.rob.head_seq() != Some(seq) {
                     if let Some(s) = self.sink.as_deref_mut() {
                         s.on_wait(seq, oov_stats::StallKind::LateCommitHead);
                     }
@@ -185,6 +164,7 @@ impl OooSim<'_> {
             // else must wait for it.
             let cache_hit = e.op == Opcode::SLoad
                 && self
+                    .st
                     .cache
                     .as_ref()
                     .map(|c| c.peek_load(mem.base))
@@ -202,7 +182,7 @@ impl OooSim<'_> {
 
     /// `q_pos` is the entry's raw position in `q_m` (for O(1) removal).
     fn do_issue_mem(&mut self, seq: u64, cache_hit: bool, q_pos: usize) {
-        let e = self.rob.get(seq).expect("entry vanished");
+        let e = self.st.rob.get(seq).expect("entry vanished");
         let vl = if e.op.is_vector() { e.vl } else { 1 };
         let is_load = e.op.is_load();
         let is_vector = e.op.is_vector();
@@ -217,7 +197,7 @@ impl OooSim<'_> {
         };
         let latency = u64::from(self.cfg.lat.memory);
         // Cache maintenance (timing-only).
-        if let (Some(cache), Some(m)) = (&mut self.cache, &mem) {
+        if let (Some(cache), Some(m)) = (&mut self.st.cache, &mem) {
             match op {
                 Opcode::SLoad => {
                     let hit = cache.access_load(m.base);
@@ -234,12 +214,12 @@ impl OooSim<'_> {
                             self.set_avail(d.class, d.new, done, done);
                         }
                         self.max_complete = self.max_complete.max(done);
-                        let entry = self.rob.get_mut(seq).expect("entry vanished");
+                        let entry = self.st.rob.get_mut(seq).expect("entry vanished");
                         entry.state = EntryState::Issued;
                         entry.issue_time = self.now;
                         entry.complete_time = done;
                         entry.mem_stage = MemStage::Done;
-                        self.q_m.remove_at(q_pos);
+                        self.st.q_m.remove_at(q_pos);
                         self.progress(StageId::IssueMem);
                         return;
                     }
@@ -254,7 +234,8 @@ impl OooSim<'_> {
         }
         let grant = self.bus.reserve(self.now, u64::from(vl));
         debug_assert_eq!(grant.start, self.now);
-        self.occ
+        self.st
+            .occ
             .busy(oov_stats::VectorUnit::Mem, grant.start, grant.last);
         if is_load {
             self.traffic.record_load(u64::from(vl), is_spill, is_vector);
@@ -273,18 +254,18 @@ impl OooSim<'_> {
             // Store data streams from its register: occupy the read port.
             if let Some((c, p)) = data_src {
                 if c == RegClass::V {
-                    self.timing.read_port_free[p as usize] = grant.last + 1;
+                    self.st.timing.read_port_free[p as usize] = grant.last + 1;
                 }
             }
             grant.last
         };
         self.max_complete = self.max_complete.max(complete);
-        let entry = self.rob.get_mut(seq).expect("entry vanished");
+        let entry = self.st.rob.get_mut(seq).expect("entry vanished");
         entry.state = EntryState::Issued;
         entry.issue_time = grant.start;
         entry.complete_time = complete;
         entry.mem_stage = MemStage::Done;
-        self.q_m.remove_at(q_pos);
+        self.st.q_m.remove_at(q_pos);
         self.progress(StageId::IssueMem);
     }
 }

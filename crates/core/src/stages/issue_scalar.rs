@@ -12,43 +12,22 @@ use crate::sim::OooSim;
 use crate::stages::StageId;
 
 impl OooSim<'_> {
-    /// Future times at which a scalar-queue entry's issue conditions
-    /// can flip: each entry's [`OooSim::entry_ready_time`] (the single
-    /// definition of per-entry readiness, shared with the fused
-    /// in-scan accumulation and the wakeup-edge merge). Entries with
-    /// an unproduced source resolve to "edge-only" and contribute
-    /// nothing: their producers' `set_avail` re-arms the stage. Debug
-    /// builds only, as part of the cross-check of the cached wakes.
-    #[cfg(debug_assertions)]
-    pub(crate) fn issue_scalar_wake_scan(&self, a_queue: bool, add: &mut impl FnMut(u64)) {
-        let q = if a_queue { &self.q_a } else { &self.q_s };
-        if q.is_empty() {
-            return;
-        }
-        for seq in q.iter() {
-            if let Some(e) = self.rob.get(seq) {
-                let t = self.entry_ready_time(e);
-                if t != u64::MAX {
-                    add(t);
-                }
-            }
-        }
-    }
-
     pub(crate) fn issue_scalar_queue(&mut self, a_queue: bool) {
         let qlen = if a_queue {
-            self.q_a.raw_len()
+            self.st.q_a.raw_len()
         } else {
-            self.q_s.raw_len()
+            self.st.q_s.raw_len()
         };
         for pos in 0..qlen {
             let got = if a_queue {
-                self.q_a.raw_get(pos)
+                self.st.q_a.raw_get(pos)
             } else {
-                self.q_s.raw_get(pos)
+                self.st.q_s.raw_get(pos)
             };
             let Some(seq) = got else { continue };
-            let Some(e) = self.rob.get(seq) else { continue };
+            let Some(e) = self.st.rob.get(seq) else {
+                continue;
+            };
             if self.stepper == crate::Stepper::EventDriven {
                 // Wakeup index + fused wake accumulation: entries with
                 // an outstanding producer are edge-woken; a time-blocked
@@ -77,7 +56,9 @@ impl OooSim<'_> {
                 }
                 continue;
             }
-            let Some(e) = self.rob.get(seq) else { continue };
+            let Some(e) = self.st.rob.get(seq) else {
+                continue;
+            };
             let exec = u64::from(self.cfg.lat.exec(e.op));
             let now = self.now;
             let complete = now + exec;
@@ -88,13 +69,13 @@ impl OooSim<'_> {
                 self.set_avail(d.class, d.new, complete, complete);
             }
             self.max_complete = self.max_complete.max(complete);
-            let entry = self.rob.get_mut(seq).expect("entry vanished");
+            let entry = self.st.rob.get_mut(seq).expect("entry vanished");
             entry.state = EntryState::Issued;
             entry.issue_time = now;
             entry.complete_time = complete;
             if is_control {
                 if let Some(b) = branch {
-                    self.btb_updates.push((complete, pc, b.taken, b.target));
+                    self.st.btb_updates.push((complete, pc, b.taken, b.target));
                     self.sched.btb_wake = self.sched.btb_wake.min(complete);
                 }
                 if mispredicted {
@@ -103,10 +84,10 @@ impl OooSim<'_> {
                 }
             }
             if a_queue {
-                self.q_a.remove_at(pos);
+                self.st.q_a.remove_at(pos);
                 self.progress(StageId::IssueA);
             } else {
-                self.q_s.remove_at(pos);
+                self.st.q_s.remove_at(pos);
                 self.progress(StageId::IssueS);
             }
             return;

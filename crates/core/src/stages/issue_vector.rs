@@ -11,38 +11,15 @@ use crate::sim::OooSim;
 use crate::stages::StageId;
 
 impl OooSim<'_> {
-    /// Future times at which a vector-queue entry's issue conditions
-    /// can flip: each entry's [`OooSim::entry_ready_time`] — the max
-    /// over its chained source times, its sources' read-port releases
-    /// and the release of a usable functional unit, exact *at scan
-    /// time*. Reservations made after the scan (a port claimed by a
-    /// store stream, an FU taken by another issue) can only delay the
-    /// entry further — a spurious early wake, never a missed one.
-    /// Entries with an unproduced source resolve to "edge-only":
-    /// their producers' `set_avail` re-arms the stage. Debug builds
-    /// only, as part of the cross-check of the cached wakes.
-    #[cfg(debug_assertions)]
-    pub(crate) fn issue_vector_wake_scan(&self, add: &mut impl FnMut(u64)) {
-        if self.q_v.is_empty() {
-            return;
-        }
-        for seq in self.q_v.iter() {
-            if let Some(e) = self.rob.get(seq) {
-                let t = self.entry_ready_time(e);
-                if t != u64::MAX {
-                    add(t);
-                }
-            }
-        }
-    }
-
     pub(crate) fn issue_vector(&mut self) {
         let lat = self.cfg.lat;
-        for pos in 0..self.q_v.raw_len() {
-            let Some(seq) = self.q_v.raw_get(pos) else {
+        for pos in 0..self.st.q_v.raw_len() {
+            let Some(seq) = self.st.q_v.raw_get(pos) else {
                 continue;
             };
-            let Some(e) = self.rob.get(seq) else { continue };
+            let Some(e) = self.st.rob.get(seq) else {
+                continue;
+            };
             if self.stepper == crate::Stepper::EventDriven {
                 // Wakeup index + fused wake accumulation: a producer
                 // that has not issued is an edge wake; a time-blocked
@@ -72,7 +49,9 @@ impl OooSim<'_> {
                 }
                 continue;
             }
-            let Some(e) = self.rob.get(seq) else { continue };
+            let Some(e) = self.st.rob.get(seq) else {
+                continue;
+            };
             let fu2_only = e.op.fu_class() == FuClass::VecFu2Only;
             let use_fu2 = if fu2_only {
                 if self.fu2_free > self.now {
@@ -101,16 +80,18 @@ impl OooSim<'_> {
             let busy_until = now + vl.max(1);
             if use_fu2 {
                 self.fu2_free = busy_until;
-                self.occ
+                self.st
+                    .occ
                     .busy(oov_stats::VectorUnit::Fu2, now, busy_until - 1);
             } else {
                 self.fu1_free = busy_until;
-                self.occ
+                self.st
+                    .occ
                     .busy(oov_stats::VectorUnit::Fu1, now, busy_until - 1);
             }
             for &(c, p) in &srcs {
                 if c == RegClass::V {
-                    self.timing.read_port_free[p as usize] = busy_until;
+                    self.st.timing.read_port_free[p as usize] = busy_until;
                 }
             }
             let complete = if let Some(d) = dst {
@@ -127,11 +108,11 @@ impl OooSim<'_> {
                 now + leff + vl - 1
             };
             self.max_complete = self.max_complete.max(complete);
-            let entry = self.rob.get_mut(seq).expect("entry vanished");
+            let entry = self.st.rob.get_mut(seq).expect("entry vanished");
             entry.state = EntryState::Issued;
             entry.issue_time = now;
             entry.complete_time = complete;
-            self.q_v.remove_at(pos);
+            self.st.q_v.remove_at(pos);
             self.progress(StageId::IssueVector);
             return;
         }

@@ -40,7 +40,7 @@ impl OooSim<'_> {
     /// stall) when a stage register is occupied or an un-piped entry
     /// waits in queue M.
     pub(crate) fn mem_pipe_active(&self) -> bool {
-        self.stage.iter().any(Option::is_some) || !self.pipe_pending.is_empty()
+        self.stage.iter().any(Option::is_some) || !self.st.pipe_pending.is_empty()
     }
 
     pub(crate) fn advance_mem_pipe(&mut self) {
@@ -54,7 +54,7 @@ impl OooSim<'_> {
         // Stage 2 → 3 (range computed here; nothing blocks).
         if self.stage[2].is_none() {
             if let Some(seq) = self.stage[1].take() {
-                if let Some(e) = self.rob.get_mut(seq) {
+                if let Some(e) = self.st.rob.get_mut(seq) {
                     e.mem_stage = MemStage::S3;
                 }
                 self.stage[2] = Some(seq);
@@ -64,7 +64,7 @@ impl OooSim<'_> {
         // Stage 1 → 2.
         if self.stage[1].is_none() {
             if let Some(seq) = self.stage[0].take() {
-                if let Some(e) = self.rob.get_mut(seq) {
+                if let Some(e) = self.st.rob.get_mut(seq) {
                     e.mem_stage = MemStage::S2;
                 }
                 self.stage[1] = Some(seq);
@@ -75,17 +75,17 @@ impl OooSim<'_> {
         // dispatch order, so the pending FIFO's front is the
         // candidate.
         if self.stage[0].is_none() {
-            if let Some(&seq) = self.pipe_pending.front() {
+            if let Some(&seq) = self.st.pipe_pending.front() {
                 debug_assert_eq!(
-                    self.rob.get(seq).map(|e| e.mem_stage),
+                    self.st.rob.get(seq).map(|e| e.mem_stage),
                     Some(MemStage::None),
                     "pipe-pending entry not awaiting admission"
                 );
-                if let Some(e) = self.rob.get_mut(seq) {
+                if let Some(e) = self.st.rob.get_mut(seq) {
                     e.mem_stage = MemStage::S1;
                 }
                 self.stage[0] = Some(seq);
-                self.pipe_pending.pop_front();
+                self.st.pipe_pending.pop_front();
                 self.progress(StageId::MemPipe);
             }
         }
@@ -94,7 +94,7 @@ impl OooSim<'_> {
     /// Processes an entry leaving the Dependence stage. Returns `false`
     /// if it must stall in stage 3 this cycle.
     fn stage3_exit(&mut self, seq: u64) -> bool {
-        let Some(e) = self.rob.get(seq) else {
+        let Some(e) = self.st.rob.get(seq) else {
             return true; // squashed
         };
         let is_mem = e.op.is_mem();
@@ -114,44 +114,44 @@ impl OooSim<'_> {
             if elim == Stage3Rename::Eliminated {
                 // Entry fully handled; leaves the M queue. Its removal
                 // can unblock younger disambiguation candidates.
-                self.q_m.remove(seq);
+                self.st.q_m.remove(seq);
                 self.sched.arm(StageId::IssueMem);
                 return true;
             }
         }
         if is_vec_compute {
             // Vector compute under VLE: move to the V queue.
-            if self.q_v.len() >= self.cfg.queue_slots {
+            if self.st.q_v.len() >= self.cfg.queue_slots {
                 self.stats.queue_stall_cycles += 1;
                 if let Some(s) = self.sink.as_deref_mut() {
                     s.on_cycle_stall(oov_stats::StallKind::QueueFull, 1);
                 }
                 return false;
             }
-            if let Some(e) = self.rob.get_mut(seq) {
+            if let Some(e) = self.st.rob.get_mut(seq) {
                 e.mem_stage = MemStage::Done;
                 e.qkind = QueueKind::V;
             }
-            self.q_m.remove(seq);
-            self.q_v.push_back(seq);
+            self.st.q_m.remove(seq);
+            self.st.q_v.push_back(seq);
             self.register_waits(seq);
             return true;
         }
         // Memory instruction: tag bookkeeping in program order.
         if self.elim_on() {
             if self.try_scalar_eliminate(seq) {
-                self.q_m.remove(seq);
+                self.st.q_m.remove(seq);
                 self.sched.arm(StageId::IssueMem);
                 return true;
             }
             if self.sse_on() && self.try_store_eliminate(seq) {
-                self.q_m.remove(seq);
+                self.st.q_m.remove(seq);
                 self.sched.arm(StageId::IssueMem);
                 return true;
             }
             self.stage3_tag_update(seq);
         }
-        if let Some(e) = self.rob.get_mut(seq) {
+        if let Some(e) = self.st.rob.get_mut(seq) {
             e.mem_stage = MemStage::WaitDisamb;
         }
         // A new disambiguation candidate: register its issue-checked
@@ -166,7 +166,9 @@ impl OooSim<'_> {
     /// Dependence stage: loads tag their destination, stores invalidate
     /// overlapping tags and tag their data register.
     fn stage3_tag_update(&mut self, seq: u64) {
-        let Some(e) = self.rob.get(seq) else { return };
+        let Some(e) = self.st.rob.get(seq) else {
+            return;
+        };
         let Some(mem) = e.mem else { return };
         let tag = Tag::from_mem(&mem, if e.op.is_vector() { e.vl } else { 1 });
         if e.op.is_load() {
@@ -175,7 +177,7 @@ impl OooSim<'_> {
                     // Indexed gathers cover a range, not an exact shape;
                     // never tag them (no exact match is possible anyway).
                     if mem.kind != MemKind::Indexed {
-                        self.tags.table_mut(d.class).set(d.new, tag);
+                        self.st.tags.table_mut(d.class).set(d.new, tag);
                         if let Some(c) = &mut self.checker {
                             c.on_tag_set(d.class, d.new, e.trace_idx);
                         }
@@ -183,11 +185,11 @@ impl OooSim<'_> {
                 }
             }
         } else {
-            self.tags.store_invalidate(mem.range_lo, mem.range_hi);
+            self.st.tags.store_invalidate(mem.range_lo, mem.range_hi);
             if mem.kind != MemKind::Indexed {
                 if let Some(&(class, phys)) = e.srcs.first() {
                     if class != RegClass::Mask {
-                        self.tags.table_mut(class).set(phys, tag);
+                        self.st.tags.table_mut(class).set(phys, tag);
                         if let Some(c) = &mut self.checker {
                             c.on_store_tag(class, phys, e.trace_idx);
                         }
@@ -205,7 +207,7 @@ impl OooSim<'_> {
     /// register reallocated; the lock-step checker verifies every
     /// elision against real values.
     fn try_store_eliminate(&mut self, seq: u64) -> bool {
-        let Some(e) = self.rob.get(seq) else {
+        let Some(e) = self.st.rob.get(seq) else {
             return false;
         };
         if !e.is_store() || e.eliminated {
@@ -223,12 +225,12 @@ impl OooSim<'_> {
         }
         let vl = if e.op.is_vector() { e.vl } else { 1 };
         let probe = Tag::from_mem(&mem, vl);
-        if self.tags.table(class).get(phys) != Some(probe) {
+        if self.st.tags.table(class).get(phys) != Some(probe) {
             return false;
         }
         let now = self.now;
         let trace_idx = e.trace_idx;
-        let entry = self.rob.get_mut(seq).expect("entry vanished");
+        let entry = self.st.rob.get_mut(seq).expect("entry vanished");
         entry.eliminated = true;
         entry.state = EntryState::Issued;
         entry.issue_time = now;
@@ -245,7 +247,7 @@ impl OooSim<'_> {
     /// Attempts scalar load elimination (SLE). Returns `true` if the
     /// load was satisfied by a register copy.
     fn try_scalar_eliminate(&mut self, seq: u64) -> bool {
-        let Some(e) = self.rob.get(seq) else {
+        let Some(e) = self.st.rob.get(seq) else {
             return false;
         };
         if e.op != Opcode::SLoad || e.eliminated {
@@ -254,7 +256,7 @@ impl OooSim<'_> {
         let Some(mem) = e.mem else { return false };
         let Some(d) = e.dst else { return false };
         let probe = Tag::from_mem(&mem, 1);
-        let Some(provider) = self.tags.table(d.class).find_match(&probe) else {
+        let Some(provider) = self.st.tags.table(d.class).find_match(&probe) else {
             return false;
         };
         if provider == d.new {
@@ -264,16 +266,17 @@ impl OooSim<'_> {
         let (trace_idx, is_spill) = (e.trace_idx, e.is_spill);
         // The value is copied between physical registers; the rename
         // table is untouched (paper §6.1).
-        if self.timing.is_produced(d.class, provider) {
-            let t = self.timing.last(d.class, provider).max(now) + 1;
+        if self.st.timing.is_produced(d.class, provider) {
+            let t = self.st.timing.last(d.class, provider).max(now) + 1;
             self.set_avail(d.class, d.new, t, t);
             self.max_complete = self.max_complete.max(t);
         } else {
-            self.pending_copies
+            self.st
+                .pending_copies
                 .push((d.class, d.new, d.class, provider, now));
         }
-        self.tags.table_mut(d.class).set(d.new, probe);
-        let entry = self.rob.get_mut(seq).expect("entry vanished");
+        self.st.tags.table_mut(d.class).set(d.new, probe);
+        let entry = self.st.rob.get_mut(seq).expect("entry vanished");
         entry.eliminated = true;
         entry.state = EntryState::Issued;
         entry.issue_time = now;
@@ -290,7 +293,7 @@ impl OooSim<'_> {
 
     /// Outcome of the stage-3 vector rename.
     fn try_vector_eliminate(&mut self, seq: u64) -> Stage3Rename {
-        let Some(e) = self.rob.get(seq) else {
+        let Some(e) = self.st.rob.get(seq) else {
             return Stage3Rename::Renamed;
         };
         // Resolve deferred sources against the current map (before a
@@ -302,22 +305,22 @@ impl OooSim<'_> {
         let trace_idx = e.trace_idx;
         let mut resolved: SrcList<(RegClass, PhysReg)> = SrcList::new();
         for &arch in &e.deferred_srcs {
-            resolved.push((RegClass::V, self.rename.table(RegClass::V).lookup(arch)));
+            resolved.push((RegClass::V, self.st.rename.table(RegClass::V).lookup(arch)));
         }
         // Vector load elimination: probe before allocating.
         if let Some(arch) = ddst {
             let probe_hit = if self.vle_on() && op == Opcode::VLoad {
                 mem.filter(|m| m.kind != MemKind::Indexed).and_then(|m| {
                     let probe = Tag::from_mem(&m, vl);
-                    self.tags.table(RegClass::V).find_match(&probe)
+                    self.st.tags.table(RegClass::V).find_match(&probe)
                 })
             } else {
                 None
             };
             if let Some(provider) = probe_hit {
                 self.progress(StageId::MemPipe);
-                let (new, old) = self.rename.table_mut(RegClass::V).alias(arch, provider);
-                let entry = self.rob.get_mut(seq).expect("entry vanished");
+                let (new, old) = self.st.rename.table_mut(RegClass::V).alias(arch, provider);
+                let entry = self.st.rob.get_mut(seq).expect("entry vanished");
                 entry.resolve_deferred(&resolved);
                 entry.deferred_dst = None;
                 entry.dst = Some(DstInfo {
@@ -341,13 +344,13 @@ impl OooSim<'_> {
             // Ordinary allocation. From here on the entry is mutated, so
             // the cycle counts as progress even if stage 3 then stalls
             // on a full V queue.
-            let Some((new, old)) = self.rename.table_mut(RegClass::V).alloc(arch) else {
+            let Some((new, old)) = self.st.rename.table_mut(RegClass::V).alloc(arch) else {
                 return Stage3Rename::Stalled;
             };
             self.progress(StageId::MemPipe);
-            self.tags.table_mut(RegClass::V).invalidate_reg(new);
-            self.timing.clear(RegClass::V, new);
-            let entry = self.rob.get_mut(seq).expect("entry vanished");
+            self.st.tags.table_mut(RegClass::V).invalidate_reg(new);
+            self.st.timing.clear(RegClass::V, new);
+            let entry = self.st.rob.get_mut(seq).expect("entry vanished");
             entry.resolve_deferred(&resolved);
             entry.deferred_dst = None;
             entry.dst = Some(DstInfo {
@@ -361,7 +364,7 @@ impl OooSim<'_> {
             }
             return Stage3Rename::Renamed;
         }
-        let entry = self.rob.get_mut(seq).expect("entry vanished");
+        let entry = self.st.rob.get_mut(seq).expect("entry vanished");
         entry.resolve_deferred(&resolved);
         self.progress(StageId::MemPipe);
         Stage3Rename::Renamed

@@ -23,16 +23,17 @@ impl OooSim<'_> {
     pub(crate) fn apply_btb_updates(&mut self) {
         let now = self.now;
         let mut i = 0;
-        while i < self.btb_updates.len() {
-            if self.btb_updates[i].0 <= now {
-                let (_, pc, taken, target) = self.btb_updates.swap_remove(i);
-                self.btb.update(pc, taken, target);
+        while i < self.st.btb_updates.len() {
+            if self.st.btb_updates[i].0 <= now {
+                let (_, pc, taken, target) = self.st.btb_updates.swap_remove(i);
+                self.st.btb.update(pc, taken, target);
                 self.progress(StageId::Writeback);
             } else {
                 i += 1;
             }
         }
         self.sched.btb_wake = self
+            .st
             .btb_updates
             .iter()
             .map(|u| u.0)
@@ -43,13 +44,13 @@ impl OooSim<'_> {
     /// Completes eliminated scalar loads whose provider has produced.
     pub(crate) fn resolve_pending_copies(&mut self) {
         let mut i = 0;
-        while i < self.pending_copies.len() {
-            let (dc, dp, pc_, pp, min_t) = self.pending_copies[i];
-            if self.timing.is_produced(pc_, pp) {
-                let t = self.timing.last(pc_, pp).max(min_t) + 1;
+        while i < self.st.pending_copies.len() {
+            let (dc, dp, pc_, pp, min_t) = self.st.pending_copies[i];
+            if self.st.timing.is_produced(pc_, pp) {
+                let t = self.st.timing.last(pc_, pp).max(min_t) + 1;
                 self.set_avail(dc, dp, t, t);
                 self.max_complete = self.max_complete.max(t);
-                self.pending_copies.swap_remove(i);
+                self.st.pending_copies.swap_remove(i);
                 self.progress(StageId::Writeback);
             } else {
                 i += 1;

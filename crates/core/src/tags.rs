@@ -59,20 +59,12 @@ impl Tag {
 }
 
 /// Tag storage for one register class.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TagTable {
     tags: Vec<Option<Tag>>,
 }
 
 impl TagTable {
-    /// A table for `n_phys` physical registers, all tags invalid.
-    #[must_use]
-    pub fn new(n_phys: usize) -> Self {
-        TagTable {
-            tags: vec![None; n_phys],
-        }
-    }
-
     /// Sets the tag of `reg` (a load completed into it, or it was the
     /// data source of a store).
     pub fn set(&mut self, reg: PhysReg, tag: Tag) {
@@ -118,23 +110,23 @@ impl TagTable {
         self.tags.fill(None);
     }
 
-    /// Clears and resizes the table for `n_phys` registers, reusing
-    /// storage when the size is unchanged (arena reuse).
+    /// Sizes the table for `n_phys` registers with every tag invalid,
+    /// reusing storage when the size is unchanged (arena reuse).
     pub(crate) fn reset(&mut self, n_phys: usize) {
         self.tags.clear();
         self.tags.resize(n_phys, None);
     }
 
-    /// Number of valid tags (for tests and diagnostics).
-    #[must_use]
-    pub fn valid_count(&self) -> usize {
+    /// Number of valid tags.
+    #[cfg(test)]
+    fn valid_count(&self) -> usize {
         self.tags.iter().filter(|t| t.is_some()).count()
     }
 }
 
 /// Tags for the three taggable classes (A, S, V — masks are never
 /// memory-resident).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TagUnit {
     a: TagTable,
     s: TagTable,
@@ -142,16 +134,6 @@ pub struct TagUnit {
 }
 
 impl TagUnit {
-    /// Builds tag tables sized to the physical register files.
-    #[must_use]
-    pub fn new(phys_a: usize, phys_s: usize, phys_v: usize) -> Self {
-        TagUnit {
-            a: TagTable::new(phys_a),
-            s: TagTable::new(phys_s),
-            v: TagTable::new(phys_v),
-        }
-    }
-
     /// The table for `class`.
     ///
     /// # Panics
@@ -193,7 +175,8 @@ impl TagUnit {
         self.v.clear();
     }
 
-    /// Resets the unit for the given register-file sizes (arena reuse).
+    /// Sizes the tables to the physical register files with every tag
+    /// invalid (arena reuse).
     pub(crate) fn reset_to(&mut self, phys_a: usize, phys_s: usize, phys_v: usize) {
         self.a.reset(phys_a);
         self.s.reset(phys_s);
@@ -205,6 +188,18 @@ impl TagUnit {
 mod tests {
     use super::*;
     use oov_isa::MemRef;
+
+    fn table(n_phys: usize) -> TagTable {
+        let mut t = TagTable::default();
+        t.reset(n_phys);
+        t
+    }
+
+    fn unit(n_phys: usize) -> TagUnit {
+        let mut u = TagUnit::default();
+        u.reset_to(n_phys, n_phys, n_phys);
+        u
+    }
 
     fn vtag(base: u64, stride: i64, vl: u16) -> Tag {
         Tag::from_mem(&MemRef::strided(base, stride, vl), vl)
@@ -221,7 +216,7 @@ mod tests {
 
     #[test]
     fn find_match_and_invalidate() {
-        let mut t = TagTable::new(16);
+        let mut t = table(16);
         t.set(5, vtag(0x1000, 8, 64));
         assert_eq!(t.find_match(&vtag(0x1000, 8, 64)), Some(5));
         // A store into the middle of the range kills the tag.
@@ -231,7 +226,7 @@ mod tests {
 
     #[test]
     fn disjoint_store_preserves_tags() {
-        let mut t = TagTable::new(16);
+        let mut t = table(16);
         t.set(3, vtag(0x1000, 8, 16)); // [0x1000, 0x107f]
         assert_eq!(t.invalidate_range(0x2000, 0x2007), 0);
         assert!(t.find_match(&vtag(0x1000, 8, 16)).is_some());
@@ -242,14 +237,14 @@ mod tests {
         // Stride-16 tag covers [0x1000, 0x1000+15*16+7]; a store at
         // 0x1008 (an address the access never touched) still invalidates:
         // "this invalidation may be done conservatively".
-        let mut t = TagTable::new(8);
+        let mut t = table(8);
         t.set(0, vtag(0x1000, 16, 16));
         assert_eq!(t.invalidate_range(0x1008, 0x100f), 1);
     }
 
     #[test]
     fn reallocation_invalidates() {
-        let mut t = TagTable::new(8);
+        let mut t = table(8);
         t.set(2, vtag(0x4000, 8, 8));
         t.invalidate_reg(2);
         assert_eq!(t.valid_count(), 0);
@@ -257,7 +252,7 @@ mod tests {
 
     #[test]
     fn store_invalidate_crosses_classes() {
-        let mut u = TagUnit::new(8, 8, 8);
+        let mut u = unit(8);
         let scalar_tag = Tag::from_mem(&MemRef::scalar(0x1010), 1);
         u.table_mut(RegClass::S).set(1, scalar_tag);
         u.table_mut(RegClass::V).set(2, vtag(0x1000, 8, 64));
@@ -268,7 +263,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no memory tags")]
     fn mask_class_rejected() {
-        let u = TagUnit::new(8, 8, 8);
+        let u = unit(8);
         let _ = u.table(RegClass::Mask);
     }
 }

@@ -18,15 +18,7 @@ use oov_exec::{BaseImage, Machine};
 use oov_isa::{RegClass, Trace};
 
 use crate::rename::PhysReg;
-
-fn class_ix(c: RegClass) -> usize {
-    match c {
-        RegClass::A => 0,
-        RegClass::S => 1,
-        RegClass::V => 2,
-        RegClass::Mask => 3,
-    }
-}
+use crate::sim::class_ix;
 
 /// Lock-step architectural checker.
 #[derive(Debug)]

@@ -147,19 +147,12 @@ pub fn scalar_alu_chain(b: &mut LoopBuilder<'_>, len: usize) -> VirtReg {
     acc
 }
 
-/// Emits a cross-iteration memory recurrence: loads a fixed-address
-/// vector, folds `update` into it, stores it back to the same address
-/// (advance 0). Iteration *i+1*'s load depends on iteration *i*'s store
-/// through memory — the paper's trfd/dyfesm pathology under late commit,
-/// and prime VLE fodder.
-pub fn memory_recurrence(b: &mut LoopBuilder<'_>, cell: ArrayHandle, update: VirtReg, vl: u16) {
-    let acc = recurrence_open(b, cell, vl);
-    let next = b.vadd(acc, update, vl);
-    recurrence_close(b, cell, next, vl);
-}
-
-/// Opens a memory recurrence: the fixed-address load whose value should
-/// seed the iteration's computation. Paired with [`recurrence_close`].
+/// Opens a cross-iteration memory recurrence: the fixed-address load
+/// whose value should seed the iteration's computation. Paired with
+/// [`recurrence_close`], which stores the result back to the same
+/// address (advance 0), so iteration *i+1*'s load depends on iteration
+/// *i*'s store through memory — the paper's trfd/dyfesm pathology under
+/// late commit, and prime VLE fodder.
 pub fn recurrence_open(b: &mut LoopBuilder<'_>, cell: ArrayHandle, vl: u16) -> VirtReg {
     b.vload(cell, 0, 1, vl, 0, 0)
 }
@@ -186,35 +179,6 @@ pub fn scalar_recurrence_open(b: &mut LoopBuilder<'_>, slot: ArrayHandle) -> Vir
 /// Closes the scalar recurrence: spills `value` back to the slot.
 pub fn scalar_recurrence_close(b: &mut LoopBuilder<'_>, slot: ArrayHandle, value: VirtReg) {
     b.sstore(value, slot, 0, 0);
-}
-
-/// A pressure block whose every output chain starts from `seed`: the
-/// register pressure of [`pressure_block`] plus a serial dependence of
-/// all outputs on the seed value (used by the recurrence-bound programs:
-/// the whole iteration hangs off the recurrence load).
-#[allow(clippy::too_many_arguments)]
-pub fn seeded_pressure_block(
-    b: &mut LoopBuilder<'_>,
-    src: ArrayHandle,
-    out: ArrayHandle,
-    seed: VirtReg,
-    n: usize,
-    outputs: usize,
-    vl: u16,
-    advance: i64,
-    pitch_words: u64,
-) {
-    let values: Vec<VirtReg> = (0..n)
-        .map(|i| b.vload(src, i as u64 * u64::from(vl), 1, vl, advance, 0))
-        .collect();
-    for j in 0..outputs {
-        let step = coprime_step(n, j);
-        let mut acc = seed;
-        for k in 0..n {
-            acc = b.vadd(acc, values[(j + k * step) % n], vl);
-        }
-        b.vstore(acc, out, j as u64 * pitch_words, 1, vl, advance, 0);
-    }
 }
 
 /// Emits a gather → compute → scatter body over an index permutation.

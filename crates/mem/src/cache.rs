@@ -134,16 +134,6 @@ impl ScalarCache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Hit rate in percent.
-    #[must_use]
-    pub fn hit_pct(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        100.0 * self.hits as f64 / total as f64
-    }
 }
 
 #[cfg(test)]

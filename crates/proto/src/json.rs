@@ -128,15 +128,6 @@ impl Json {
         }
     }
 
-    /// The value as the object's association list, if it is an object.
-    #[must_use]
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
     /// Parses a JSON document (must consume the whole input, modulo
     /// surrounding whitespace).
     ///

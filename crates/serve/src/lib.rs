@@ -76,9 +76,10 @@
 //!   reorder buffer in the connection thread), so a client renders
 //!   tables incrementally while later points still simulate.
 //! * **Identical results.** Workers execute
-//!   [`oov_bench::machine_run`] — the same helper the experiment
-//!   harness uses — so a served result is bit-identical to a direct
-//!   in-process simulation (the integration tests assert this).
+//!   [`oov_bench::machine_run_budgeted`] — the budgeted form of the
+//!   [`oov_bench::machine_run`] helper the experiment harness uses — so
+//!   a served result is bit-identical to a direct in-process
+//!   simulation (the integration tests assert this).
 //! * **Fault tolerance.** Every job runs inside `catch_unwind` (a
 //!   panicking request answers a structured error; the worker keeps
 //!   serving), a per-worker supervisor respawns dead worker threads

@@ -249,20 +249,6 @@ impl LoopBuilder<'_> {
         v
     }
 
-    /// Declares a fresh scalar virtual and marks it loop-carried.
-    pub fn carried_s(&mut self) -> VirtReg {
-        let v = VirtReg::S(self.kernel.fresh());
-        self.seg.carried.push(v);
-        v
-    }
-
-    /// Declares a fresh address virtual and marks it loop-carried.
-    pub fn carried_a(&mut self) -> VirtReg {
-        let v = VirtReg::A(self.kernel.fresh());
-        self.seg.carried.push(v);
-        v
-    }
-
     /// Strided vector load of `vl` elements from `arr` starting at word
     /// `offset_words`, element stride `stride_elems`, advancing
     /// `advance_words` words per iteration (and `outer_advance_words` per
@@ -478,11 +464,6 @@ impl LoopBuilder<'_> {
         self.vec_binop(Opcode::VMul, a, b, vl)
     }
 
-    /// Vector multiply into an existing virtual.
-    pub fn vmul_into(&mut self, dst: VirtReg, a: VirtReg, b: VirtReg, vl: u16) {
-        self.vec_binop_into(Opcode::VMul, dst, a, b, vl);
-    }
-
     /// Vector divide (FU2 only).
     pub fn vdiv(&mut self, a: VirtReg, b: VirtReg, vl: u16) -> VirtReg {
         self.vec_binop(Opcode::VDiv, a, b, vl)
@@ -554,18 +535,6 @@ impl LoopBuilder<'_> {
         dst
     }
 
-    /// Sum-reduction into an existing scalar virtual.
-    pub fn vreduce_into(&mut self, dst: VirtReg, a: VirtReg, vl: u16) {
-        self.push(KInst {
-            op: Opcode::VReduce,
-            dst: Some(dst),
-            srcs: vec![a],
-            imm: 0,
-            vl,
-            addr: None,
-        });
-    }
-
     /// Loads a constant into a fresh scalar virtual.
     pub fn slui(&mut self, imm: i64) -> VirtReg {
         let dst = VirtReg::S(self.kernel.fresh());
@@ -618,20 +587,6 @@ impl LoopBuilder<'_> {
         let dst = VirtReg::V(self.kernel.fresh());
         self.push(KInst {
             op: Opcode::VMul,
-            dst: Some(dst),
-            srcs: vec![a, s],
-            imm: 0,
-            vl,
-            addr: None,
-        });
-        dst
-    }
-
-    /// Vector-scalar add: `dst[i] = a[i] + s`.
-    pub fn vadd_s(&mut self, a: VirtReg, s: VirtReg, vl: u16) -> VirtReg {
-        let dst = VirtReg::V(self.kernel.fresh());
-        self.push(KInst {
-            op: Opcode::VAdd,
             dst: Some(dst),
             srcs: vec![a, s],
             imm: 0,

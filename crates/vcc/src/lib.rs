@@ -253,10 +253,7 @@ mod tests {
         let w = b.vadd(z, x, 128);
         b.vstore(w, out, 0, 1, 128, 128, 0);
         b.finish();
-        let opts = CompileOptions {
-            schedule: false,
-            ..CompileOptions::default()
-        };
+        let opts = CompileOptions { schedule: false };
         let prog = compile_with(&k, &opts);
         let want = IrInterp::run_kernel(&k);
         let mut m = prog.fresh_machine();

@@ -283,16 +283,11 @@ pub struct CompileOptions {
     /// Run the list scheduler before allocation (on by default; the
     /// ablation bench turns it off).
     pub schedule: bool,
-    /// Latency model used for scheduling priorities.
-    pub lat: oov_isa::LatencyModel,
 }
 
 impl Default for CompileOptions {
     fn default() -> Self {
-        CompileOptions {
-            schedule: true,
-            lat: oov_isa::LatencyModel::reference(),
-        }
+        CompileOptions { schedule: true }
     }
 }
 
@@ -305,7 +300,7 @@ pub fn compile_with(kernel: &Kernel, opts: &CompileOptions) -> CompiledProgram {
     let mut segments: Vec<crate::ir::LoopSeg> = kernel.segments().to_vec();
     if opts.schedule {
         for seg in &mut segments {
-            crate::sched::schedule_segment(seg, &opts.lat);
+            crate::sched::schedule_segment(seg);
         }
     }
     let mut slots = SlotAllocator::new();

@@ -105,10 +105,11 @@ pub(crate) fn dependence_preds(seg: &LoopSeg) -> Vec<Vec<usize>> {
 
 /// Reorders `seg.body` with greedy list scheduling: among ready
 /// instructions, pick the one with the longest latency-weighted path to
-/// the end of the body. Returns the new order as indices into the
-/// original body.
+/// the end of the body, weighted by the reference machine's latencies.
+/// Returns the new order as indices into the original body.
 #[must_use]
-pub(crate) fn schedule_order(seg: &LoopSeg, lat: &LatencyModel) -> Vec<usize> {
+pub(crate) fn schedule_order(seg: &LoopSeg) -> Vec<usize> {
+    let lat = LatencyModel::reference();
     let body = &seg.body;
     let preds = dependence_preds(seg);
     let n = body.len();
@@ -149,8 +150,8 @@ pub(crate) fn schedule_order(seg: &LoopSeg, lat: &LatencyModel) -> Vec<usize> {
 }
 
 /// Schedules a segment in place.
-pub fn schedule_segment(seg: &mut LoopSeg, lat: &LatencyModel) {
-    let order = schedule_order(seg, lat);
+pub fn schedule_segment(seg: &mut LoopSeg) {
+    let order = schedule_order(seg);
     let mut new_body = Vec::with_capacity(seg.body.len());
     for &i in &order {
         new_body.push(seg.body[i].clone());
@@ -222,7 +223,7 @@ mod tests {
     fn schedule_is_a_valid_topological_order() {
         let (k, n) = sample_seg();
         let seg = &k.segments()[0];
-        let order = schedule_order(seg, &LatencyModel::reference());
+        let order = schedule_order(seg);
         assert_eq!(order.len(), n);
         let pos: HashMap<usize, usize> = order.iter().enumerate().map(|(p, &i)| (i, p)).collect();
         for (i, ps) in dependence_preds(seg).iter().enumerate() {

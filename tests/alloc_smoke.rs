@@ -6,9 +6,9 @@
 //! - a counting `#[global_allocator]` (below) counts every heap
 //!   allocation and reallocation this thread makes, in debug and
 //!   release builds alike;
-//! - [`oov::exec::page_allocations`] counts fresh 4 KiB page
-//!   constructions in the functional layer (pool reuse and base
-//!   fall-through do not count);
+//! - [`oov::exec::page_allocations`] counts word-table growths in the
+//!   functional layer (a cleared table keeps its capacity, so a warm
+//!   replay counts none);
 //! - [`oov::core::arena_constructions`] counts fresh simulator-storage
 //!   builds (a warm [`SimArena`] recycle does not count).
 //!

@@ -11,7 +11,7 @@
 //! construction.
 
 use oov::core::{OooSim, SimArena, Stepper};
-use oov::isa::{CommitMode, LoadElimMode, OooConfig};
+use oov::isa::{CommitMode, LoadElimMode, OooConfig, ScalarCacheCfg};
 use oov::kernels::{Program, Scale};
 
 fn config_grid() -> Vec<(&'static str, OooConfig)> {
@@ -74,12 +74,60 @@ fn engine_parity_across_kernel_and_config_grid() {
 fn engine_parity_under_queue_and_register_pressure() {
     // Off-default structural parameters hit different stall paths
     // (rename stalls, queue stalls, ROB stalls) whose per-cycle counters
-    // the event engine replays arithmetically over skipped spans.
+    // the event engine replays arithmetically over skipped spans. The
+    // later variants change one arena-held geometry each (register
+    // files grown then shrunk, ROB, BTB and return stack, scalar cache
+    // dropped then rebuilt at another size), so every container of the
+    // recycled storage is reset across a geometry change.
+    let base = OooConfig::default();
     let variants = [
-        ("r9", OooConfig::default().with_phys_v_regs(9)),
-        ("q128", OooConfig::default().with_queue_slots(128)),
-        ("lat100", OooConfig::default().with_memory_latency(100)),
-        ("lat1", OooConfig::default().with_memory_latency(1)),
+        ("r9", base.with_phys_v_regs(9)),
+        ("q128", base.with_queue_slots(128)),
+        ("lat100", base.with_memory_latency(100)),
+        ("lat1", base.with_memory_latency(1)),
+        ("r64", base.with_phys_v_regs(64)),
+        ("r9-after-r64", base.with_phys_v_regs(9)),
+        (
+            "rob16",
+            OooConfig {
+                rob_entries: 16,
+                ..base
+            },
+        ),
+        (
+            "btb16-ras2",
+            OooConfig {
+                btb_entries: 16,
+                ras_depth: 2,
+                ..base
+            },
+        ),
+        (
+            "no-cache",
+            OooConfig {
+                scalar_cache: None,
+                ..base
+            },
+        ),
+        (
+            "cache4k-64",
+            OooConfig {
+                scalar_cache: Some(ScalarCacheCfg {
+                    size_bytes: 4096,
+                    line_bytes: 64,
+                    ..ScalarCacheCfg::default()
+                }),
+                ..base
+            },
+        ),
+        (
+            "a12-s12",
+            OooConfig {
+                phys_a_regs: 12,
+                phys_s_regs: 12,
+                ..base
+            },
+        ),
     ];
     std::thread::scope(|s| {
         for p in [
