@@ -26,11 +26,12 @@ use std::time::Instant;
 
 use oov_bench::Suite;
 use oov_core::{OooSim, SimArena, Stepper};
-use oov_exec::BaseImage;
+use oov_exec::Machine;
 use oov_isa::{OooConfig, RefConfig};
 use oov_kernels::Scale;
 use oov_proto::Json;
 use oov_ref::RefSim;
+use oov_vcc::BaseImage;
 
 struct Row {
     name: &'static str,
@@ -159,7 +160,7 @@ fn main() {
             // run. The rewind clears the machine's own word map in
             // place, so a replay seeds nothing and allocates nothing.
             let base = prog.base_image();
-            let mut machine = prog.fresh_machine();
+            let mut machine = Machine::from_base(base);
             let (exec_ms, _) = time_ms(fn_reps, || {
                 machine.reset_to_base(base);
                 machine.run(&prog.trace);

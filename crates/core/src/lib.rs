@@ -25,8 +25,10 @@
 //! [`OooSim::new_in`] resets the storage a [`SimArena`] recycled from
 //! an earlier run, so sweeps and serve shards replay without
 //! allocating. The public surface is the simulator, the arena,
-//! [`RunResult`], [`Stepper`], the [`budget`] types and the
-//! [`TraceSink`].
+//! [`RunResult`], [`Stepper`], the [`budget`] types, and the one
+//! observer slot: the [`Probe`] trait ([`OooSim::with_probe`]) and its
+//! lifecycle [`TraceSink`]. The value checker is a probe in the test
+//! oracle `oov-exec`, which this crate does not link.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@
 
 mod btb;
 pub mod budget;
+mod probe;
 mod queue;
 mod rename;
 mod rob;
@@ -56,9 +59,9 @@ mod sim;
 mod stages;
 mod tags;
 mod trace;
-mod verify;
 
 pub use budget::{AbortReason, RunAborted, RunBudget};
+pub use probe::Probe;
 pub use sim::{arena_constructions, OooSim, RunResult, SimArena, Stepper};
 pub use trace::{TraceRecord, TraceSink};
 
@@ -297,84 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn sle_eliminates_scalar_spill_reload() {
-        let slot = 0x9000;
-        let insts = vec![
-            Instruction::scalar(Opcode::SLui, ArchReg::S(1), &[]).with_imm(42),
-            Instruction::store(Opcode::SStore, &[ArchReg::S(1)], MemRef::scalar(slot), 1),
-            Instruction::load(Opcode::SLoad, ArchReg::S(2), &[], MemRef::scalar(slot), 1),
-        ];
-        let cfg = OooConfig::default().with_load_elim(LoadElimMode::Sle);
-        let r = OooSim::new(cfg, &trace(insts)).with_checker().run();
-        assert_eq!(r.stats.eliminated_scalar_loads, 1);
-    }
-
-    #[test]
-    fn vle_eliminates_vector_spill_reload() {
-        let insts = vec![
-            vload(1, 0x1000, 64),
-            vstore(1, 0x9000, 64), // spill store
-            vadd(1, 1, 1, 64),     // V1 overwritten
-            vload(2, 0x9000, 64),  // spill reload: matches the store tag
-        ];
-        let cfg = OooConfig::default().with_load_elim(LoadElimMode::SleVle);
-        let r = OooSim::new(cfg, &trace(insts)).with_checker().run();
-        assert_eq!(r.stats.eliminated_vector_loads, 1);
-        assert_eq!(r.stats.eliminated_vector_words, 64);
-        // The eliminated load sent no requests.
-        assert_eq!(r.stats.mem_requests, 64 + 64);
-    }
-
-    #[test]
-    fn vle_redundant_load_same_address() {
-        // Two identical loads: the second is redundant.
-        let insts = vec![vload(1, 0x1000, 64), vload(2, 0x1000, 64)];
-        let cfg = OooConfig::default().with_load_elim(LoadElimMode::SleVle);
-        let r = OooSim::new(cfg, &trace(insts)).with_checker().run();
-        assert_eq!(r.stats.eliminated_vector_loads, 1);
-    }
-
-    #[test]
-    fn vle_store_invalidates_tags() {
-        // A store overlapping (but not exactly matching) the first
-        // load's region kills its tag, and the store's own tag has a
-        // different shape — so the reload must NOT be eliminated.
-        let insts = vec![
-            vload(1, 0x1000, 64),
-            vload(3, 0x5000, 64),
-            vstore(3, 0x1008, 64), // overlaps [0x1000, ...], shifted by 8
-            vload(2, 0x1000, 64),  // no exact tag match remains
-        ];
-        let cfg = OooConfig::default().with_load_elim(LoadElimMode::SleVle);
-        let r = OooSim::new(cfg, &trace(insts)).with_checker().run();
-        assert_eq!(r.stats.eliminated_vector_loads, 0);
-    }
-
-    #[test]
-    fn vle_store_to_load_forwarding() {
-        // A load of exactly the range a store just wrote matches the
-        // store's data-register tag: store-to-load forwarding. The value
-        // checker proves the forwarded data is what memory would return.
-        let insts = vec![
-            vload(1, 0x1000, 64),
-            vstore(1, 0x20000, 64),
-            vload(2, 0x20000, 64),
-        ];
-        let cfg = OooConfig::default().with_load_elim(LoadElimMode::SleVle);
-        let r = OooSim::new(cfg, &trace(insts)).with_checker().run();
-        assert_eq!(r.stats.eliminated_vector_loads, 1);
-    }
-
-    #[test]
-    fn vle_mismatched_shapes_not_eliminated() {
-        // Same base, different vector length: tags must not match.
-        let insts = vec![vload(1, 0x1000, 64), vload(2, 0x1000, 32)];
-        let cfg = OooConfig::default().with_load_elim(LoadElimMode::SleVle);
-        let r = OooSim::new(cfg, &trace(insts)).with_checker().run();
-        assert_eq!(r.stats.eliminated_vector_loads, 0);
-    }
-
-    #[test]
     fn vle_reduces_traffic() {
         let mk = |n: u64| {
             let mut v = Vec::new();
@@ -391,72 +316,6 @@ mod tests {
         let vle = run(mk(8), vle_cfg);
         assert!(vle.stats.mem_requests < base.stats.mem_requests);
         assert!(vle.stats.cycles <= base.stats.cycles);
-    }
-
-    #[test]
-    fn silent_store_eliminated() {
-        // Load a range, then store the unmodified value straight back:
-        // the store writes what memory already holds and is elided.
-        let insts = vec![
-            vload(1, 0x1000, 64),
-            vstore(1, 0x1000, 64), // write-back, unchanged
-        ];
-        let cfg = OooConfig::default().with_load_elim(LoadElimMode::SleVleSse);
-        let r = OooSim::new(cfg, &trace(insts)).with_checker().run();
-        assert_eq!(r.stats.eliminated_stores, 1);
-        assert_eq!(r.stats.eliminated_store_words, 64);
-        assert_eq!(r.stats.mem_requests, 64, "only the load hit the bus");
-    }
-
-    #[test]
-    fn modified_value_store_not_eliminated() {
-        let insts = vec![
-            vload(1, 0x1000, 64),
-            vadd(2, 1, 1, 64),     // modified
-            vstore(2, 0x1000, 64), // must be performed
-        ];
-        let cfg = OooConfig::default().with_load_elim(LoadElimMode::SleVleSse);
-        let r = OooSim::new(cfg, &trace(insts)).with_checker().run();
-        assert_eq!(r.stats.eliminated_stores, 0);
-        assert_eq!(r.stats.mem_requests, 128);
-    }
-
-    #[test]
-    fn store_to_different_address_not_eliminated() {
-        // Same data, different location: the copy must be performed.
-        let insts = vec![vload(1, 0x1000, 64), vstore(1, 0x9000, 64)];
-        let cfg = OooConfig::default().with_load_elim(LoadElimMode::SleVleSse);
-        let r = OooSim::new(cfg, &trace(insts)).with_checker().run();
-        assert_eq!(r.stats.eliminated_stores, 0);
-    }
-
-    #[test]
-    fn silent_store_after_intervening_clobber_not_eliminated() {
-        // Another store overwrites the range in between: the write-back
-        // is no longer silent and must execute.
-        let insts = vec![
-            vload(1, 0x1000, 64),
-            vload(2, 0x5000, 64),
-            vstore(2, 0x1000, 64), // clobber
-            vstore(1, 0x1000, 64), // NOT silent any more
-        ];
-        let cfg = OooConfig::default().with_load_elim(LoadElimMode::SleVleSse);
-        let r = OooSim::new(cfg, &trace(insts)).with_checker().run();
-        assert_eq!(r.stats.eliminated_stores, 0);
-    }
-
-    #[test]
-    fn sse_mode_is_superset_of_slevle() {
-        let insts = vec![
-            vload(1, 0x1000, 64),
-            vstore(1, 0x9000, 64),
-            vload(2, 0x9000, 64),  // VLE forwarding still works
-            vstore(2, 0x9000, 64), // and the write-back is silent
-        ];
-        let cfg = OooConfig::default().with_load_elim(LoadElimMode::SleVleSse);
-        let r = OooSim::new(cfg, &trace(insts)).with_checker().run();
-        assert_eq!(r.stats.eliminated_vector_loads, 1);
-        assert_eq!(r.stats.eliminated_stores, 1);
     }
 
     #[test]

@@ -53,20 +53,22 @@
 //! program order is preserved for the positional disambiguation scans
 //! while removal stays O(1) amortised.
 
+use std::any::Any;
 use std::collections::VecDeque;
 
 use oov_isa::{CommitMode, Instruction, LoadElimMode, OooConfig, RegClass, Trace};
 use oov_mem::{AddressBus, ScalarCache, TrafficCounter};
-use oov_stats::{OccupancyTracker, SimStats};
+use oov_stats::{OccupancyTracker, SimStats, StallKind};
 
 use crate::btb::{Btb, ReturnStack};
 use crate::budget::{AbortReason, RunAborted, RunBudget};
+use crate::probe::Probe;
 use crate::queue::SlotQueue;
 use crate::rename::{PhysReg, RenameUnit};
 use crate::rob::{Rob, RobEntry};
 use crate::stages::{Scheduler, StageId};
 use crate::tags::TagUnit;
-use crate::verify::Checker;
+use crate::trace::TraceSink;
 
 /// Simulation-engine selection for [`OooSim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -171,9 +173,9 @@ pub struct RunResult {
     pub ideal_cycles: u64,
     /// Precise traps taken during the run (§5 fault injection).
     pub faults_taken: u64,
-    /// The filled lifecycle trace, when one was attached with
-    /// [`OooSim::with_trace`].
-    pub trace: Option<crate::trace::TraceSink>,
+    /// The filled lifecycle trace, when the run's probe was a
+    /// [`TraceSink`] ([`OooSim::with_trace`]).
+    pub trace: Option<TraceSink>,
 }
 
 /// The out-of-order vector architecture simulator.
@@ -218,16 +220,13 @@ pub struct OooSim<'t> {
     pub(crate) committed: u64,
     pub(crate) max_complete: u64,
     pub(crate) stats: SimStats,
-    /// Optional value-level checker for load elimination.
-    pub(crate) checker: Option<Checker>,
     /// Inject a precise trap at this trace index (late commit only).
     pub(crate) fault_at: Option<usize>,
     pub(crate) faults_taken: u64,
-    /// Optional pipeline lifecycle trace sink (per-run, like the
-    /// checker: not part of the arena storage, so attaching one never
-    /// perturbs warm-replay reuse). Boxed to keep the disabled case a
-    /// single word.
-    pub(crate) sink: Option<Box<crate::trace::TraceSink>>,
+    /// The optional observer of every pipeline event (per run: not
+    /// part of the arena storage, so attaching one never perturbs
+    /// warm-replay reuse).
+    pub(crate) probe: Option<Box<dyn Probe>>,
     /// Optional cooperative run budget (cycle cap / deadline / cancel
     /// flag). `None` — the default — keeps the run loop on the
     /// exact pre-budget path; see [`crate::budget`].
@@ -453,10 +452,9 @@ impl<'t> OooSim<'t> {
             committed: 0,
             max_complete: 0,
             stats: SimStats::new(),
-            checker: None,
             fault_at: None,
             faults_taken: 0,
-            sink: None,
+            probe: None,
             budget: None,
         }
     }
@@ -470,35 +468,21 @@ impl<'t> OooSim<'t> {
         self
     }
 
-    /// Attaches a pipeline lifecycle trace sink: per-instruction
-    /// stage timestamps and stall attribution, returned (filled) in
-    /// [`RunResult::trace`]. The sink is strictly passive — a traced
-    /// run produces bit-identical [`SimStats`] — but it records every
-    /// instruction, so only use it on runs you intend to inspect.
+    /// Attaches `probe` as the run's observer: it receives every
+    /// pipeline event (see [`Probe`]) and cannot change the result.
     #[must_use]
-    pub fn with_trace(mut self, sink: crate::trace::TraceSink) -> Self {
-        self.sink = Some(Box::new(sink));
+    pub fn with_probe(mut self, probe: Box<dyn Probe>) -> Self {
+        self.probe = Some(probe);
         self
     }
 
-    /// Enables value-level verification of dynamic load elimination
-    /// against the architectural executor. Only use on small traces.
+    /// Attaches a pipeline lifecycle trace sink as the run's probe:
+    /// per-instruction stage timestamps and stall attribution, returned
+    /// (filled) in [`RunResult::trace`]. It records every instruction,
+    /// so only use it on runs you intend to inspect.
     #[must_use]
-    pub fn with_checker(mut self) -> Self {
-        self.checker = Some(Checker::new(self.trace));
-        self
-    }
-
-    /// As [`OooSim::with_checker`], but the checker's memory reads
-    /// through a compiled program's shared base image
-    /// (`CompiledProgram::base_image`) — the warm-replay path: no
-    /// per-run seed work.
-    #[must_use]
-    pub fn with_checker_base(mut self, base: &std::sync::Arc<oov_exec::BaseImage>) -> Self {
-        let mut c = Checker::new(self.trace);
-        c.seed_base(base);
-        self.checker = Some(c);
-        self
+    pub fn with_trace(self, sink: TraceSink) -> Self {
+        self.with_probe(Box::new(sink))
     }
 
     /// Injects a precise trap: when the instruction at `trace_idx` first
@@ -665,14 +649,6 @@ impl<'t> OooSim<'t> {
                 self.stats.rename_stall_cycles += skipped * d_rename;
                 self.stats.queue_stall_cycles += skipped * d_queue;
                 self.stats.rob_stall_cycles += skipped * d_rob;
-                // Mirror the replayed stall deltas into the trace so
-                // its per-cycle attribution matches `SimStats` in the
-                // event engine exactly as it does in the naive one.
-                if let Some(s) = self.sink.as_deref_mut() {
-                    s.on_cycle_stall(oov_stats::StallKind::RenameStall, skipped * d_rename);
-                    s.on_cycle_stall(oov_stats::StallKind::QueueFull, skipped * d_queue);
-                    s.on_cycle_stall(oov_stats::StallKind::RobFull, skipped * d_rob);
-                }
                 self.now = t;
                 // A skip can jump the clock arbitrarily far, so force
                 // the next poll to include the expensive checks — this
@@ -730,11 +706,16 @@ impl<'t> OooSim<'t> {
         self.stats.store_requests = self.traffic.stores();
         self.stats.spill_requests = self.traffic.spill_loads() + self.traffic.spill_stores();
         self.stats.breakdown = self.st.occ.take_breakdown(cycles);
+        let trace = self.probe.take().and_then(|p| {
+            let mut sink = (p as Box<dyn Any>).downcast::<TraceSink>().ok()?;
+            sink.close(&self.stats);
+            Some(*sink)
+        });
         Ok(RunResult {
             stats: self.stats,
             ideal_cycles: self.trace.ideal_cycles(),
             faults_taken: self.faults_taken,
-            trace: self.sink.take().map(|b| *b),
+            trace,
         })
     }
 
@@ -811,6 +792,14 @@ impl<'t> OooSim<'t> {
     pub(crate) fn note_scan_wake(&mut self, t: u64) {
         if t > self.now && t < self.scan_wake {
             self.scan_wake = t;
+        }
+    }
+
+    /// Reports to the probe that an issue scan rejected entry `seq`
+    /// for `kind`.
+    pub(crate) fn wait(&mut self, seq: u64, kind: StallKind) {
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.wait(seq, kind);
         }
     }
 

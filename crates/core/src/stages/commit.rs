@@ -70,14 +70,11 @@ impl OooSim<'_> {
                 return;
             }
             let e = self.st.rob.pop().expect("head vanished");
-            if let Some(s) = self.sink.as_deref_mut() {
-                s.on_commit(e.seq, e.issue_time, e.complete_time, self.now);
+            if let Some(p) = self.probe.as_deref_mut() {
+                p.commit(e.seq, e.trace_idx, e.issue_time, e.complete_time, self.now);
             }
             if let Some(d) = e.dst {
                 self.st.rename.table_mut(d.class).release(d.old);
-            }
-            if let Some(c) = &mut self.checker {
-                c.on_commit(e.trace_idx);
             }
             self.committed += 1;
             self.progress(StageId::Commit);
@@ -98,8 +95,8 @@ impl OooSim<'_> {
         self.faults_taken += 1;
         self.progress(StageId::Commit);
         while let Some(e) = self.st.rob.pop_tail() {
-            if let Some(s) = self.sink.as_deref_mut() {
-                s.on_squash(e.seq, self.now);
+            if let Some(p) = self.probe.as_deref_mut() {
+                p.squash(e.seq, self.now);
             }
             if let Some(d) = e.dst {
                 self.st
@@ -119,8 +116,8 @@ impl OooSim<'_> {
         self.stage = [None; 3];
         self.st.pipe_pending.clear();
         self.st.fetch_buf.clear();
-        if let Some(s) = self.sink.as_deref_mut() {
-            s.on_squash_frontend();
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.squash_frontend();
         }
         self.fetch_blocked = None;
         self.fetch_resume_at = None;
@@ -129,8 +126,5 @@ impl OooSim<'_> {
         self.st.tags.clear();
         self.fetch_idx = fault_idx;
         self.sched.reset_after_squash();
-        if let Some(c) = &mut self.checker {
-            c.on_squash();
-        }
     }
 }

@@ -43,17 +43,11 @@ impl OooSim<'_> {
         let inst = &self.trace.instructions()[idx];
         if self.st.rob.is_full() {
             self.stats.rob_stall_cycles += 1;
-            if let Some(s) = self.sink.as_deref_mut() {
-                s.on_cycle_stall(oov_stats::StallKind::RobFull, 1);
-            }
             return;
         }
         let kind = self.route_queue(inst);
         if self.queue_of(kind).len() >= self.cfg.queue_slots {
             self.stats.queue_stall_cycles += 1;
-            if let Some(s) = self.sink.as_deref_mut() {
-                s.on_cycle_stall(oov_stats::StallKind::QueueFull, 1);
-            }
             return;
         }
         let defer_vector = kind == QueueKind::M && self.vle_on();
@@ -78,9 +72,6 @@ impl OooSim<'_> {
             } else {
                 if !self.st.rename.table(class).can_alloc() {
                     self.stats.rename_stall_cycles += 1;
-                    if let Some(s) = self.sink.as_deref_mut() {
-                        s.on_cycle_stall(oov_stats::StallKind::RenameStall, 1);
-                    }
                     return;
                 }
                 let (new, old) = self
@@ -124,15 +115,10 @@ impl OooSim<'_> {
             waiting_srcs: 0,
             qkind: kind,
         };
-        if let Some(c) = &mut self.checker {
-            c.on_dispatch(idx);
-            if let Some(d) = entry.dst {
-                c.on_dst_renamed(idx, d.class, d.new);
-            }
-        }
         let seq = self.st.rob.push(entry);
-        if let Some(s) = self.sink.as_deref_mut() {
-            s.on_dispatch(seq, idx, inst.op, inst.vl, self.now);
+        if let Some(p) = self.probe.as_deref_mut() {
+            let dst = dst.map(|d| (d.class, d.new));
+            p.dispatch(seq, idx, inst.op, inst.vl, dst, self.now);
         }
         self.queue_of(kind).push_back(seq);
         // M-queue entries are tracked by the memory pipe, not the

@@ -61,8 +61,8 @@ impl OooSim<'_> {
             }
         }
         self.st.fetch_buf.push_back(idx);
-        if let Some(s) = self.sink.as_deref_mut() {
-            s.on_fetch(idx, self.now);
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.fetch(idx, self.now);
         }
         self.progress(StageId::Fetch);
     }

@@ -24,6 +24,7 @@
 //! at every stop.
 
 use oov_isa::{CommitMode, MemKind, Opcode, RegClass};
+use oov_stats::StallKind;
 
 use crate::rob::{EntryState, MemStage};
 use crate::sim::OooSim;
@@ -70,17 +71,13 @@ impl OooSim<'_> {
             // performs the full checks so parity validates both.
             if self.stepper == crate::Stepper::EventDriven {
                 if e.waiting_srcs > 0 {
-                    if let Some(s) = self.sink.as_deref_mut() {
-                        s.on_wait(seq, oov_stats::StallKind::SourcesPending);
-                    }
+                    self.wait(seq, StallKind::SourcesPending);
                     continue;
                 }
                 let t = self.entry_ready_time(e);
                 if t > self.now {
                     self.note_scan_wake(t);
-                    if let Some(s) = self.sink.as_deref_mut() {
-                        s.on_wait(seq, oov_stats::StallKind::SourcesPending);
-                    }
+                    self.wait(seq, StallKind::SourcesPending);
                     continue;
                 }
             }
@@ -109,17 +106,13 @@ impl OooSim<'_> {
                 }
                 match p.mem {
                     Some(pm) if pm.ranges_overlap(&mem) => {
-                        if let Some(s) = self.sink.as_deref_mut() {
-                            s.on_wait(seq, oov_stats::StallKind::MemDisambiguation);
-                        }
+                        self.wait(seq, StallKind::MemDisambiguation);
                         continue 'outer;
                     }
                     // Range not yet known (still in early stages): since
                     // ours is known and theirs is not, be conservative.
                     None => {
-                        if let Some(s) = self.sink.as_deref_mut() {
-                            s.on_wait(seq, oov_stats::StallKind::MemDisambiguation);
-                        }
+                        self.wait(seq, StallKind::MemDisambiguation);
                         continue 'outer;
                     }
                     _ => {}
@@ -132,9 +125,7 @@ impl OooSim<'_> {
                     continue;
                 };
                 if !self.st.timing.is_produced(c, p) || self.st.timing.last(c, p) + 1 > self.now {
-                    if let Some(s) = self.sink.as_deref_mut() {
-                        s.on_wait(seq, oov_stats::StallKind::IndexVectorWait);
-                    }
+                    self.wait(seq, StallKind::IndexVectorWait);
                     continue;
                 }
             }
@@ -146,17 +137,13 @@ impl OooSim<'_> {
                 match self.src_ready_time(c, p, true) {
                     Some(t) if t <= self.now => {}
                     _ => {
-                        if let Some(s) = self.sink.as_deref_mut() {
-                            s.on_wait(seq, oov_stats::StallKind::StoreDataWait);
-                        }
+                        self.wait(seq, StallKind::StoreDataWait);
                         continue;
                     }
                 }
                 // Late commit: stores execute only at the ROB head.
                 if self.cfg.commit == CommitMode::Late && self.st.rob.head_seq() != Some(seq) {
-                    if let Some(s) = self.sink.as_deref_mut() {
-                        s.on_wait(seq, oov_stats::StallKind::LateCommitHead);
-                    }
+                    self.wait(seq, StallKind::LateCommitHead);
                     continue;
                 }
             }
@@ -170,9 +157,7 @@ impl OooSim<'_> {
                     .map(|c| c.peek_load(mem.base))
                     .unwrap_or(false);
             if !cache_hit && !self.bus.is_free(self.now) {
-                if let Some(s) = self.sink.as_deref_mut() {
-                    s.on_wait(seq, oov_stats::StallKind::BusBusy);
-                }
+                self.wait(seq, StallKind::BusBusy);
                 continue;
             }
             self.do_issue_mem(seq, cache_hit, pos);

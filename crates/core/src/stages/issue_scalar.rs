@@ -7,6 +7,8 @@
 //! Resolved control transfers schedule their deferred BTB update here
 //! and, on a misprediction, the fetch-resume time.
 
+use oov_stats::StallKind;
+
 use crate::rob::EntryState;
 use crate::sim::OooSim;
 use crate::stages::StageId;
@@ -37,23 +39,17 @@ impl OooSim<'_> {
                 // `sources_ready` unconditionally so the parity tests
                 // cross-check both the index and the accumulator.
                 if e.waiting_srcs > 0 {
-                    if let Some(s) = self.sink.as_deref_mut() {
-                        s.on_wait(seq, oov_stats::StallKind::SourcesPending);
-                    }
+                    self.wait(seq, StallKind::SourcesPending);
                     continue;
                 }
                 let t = self.entry_ready_time(e);
                 if t > self.now {
                     self.note_scan_wake(t);
-                    if let Some(s) = self.sink.as_deref_mut() {
-                        s.on_wait(seq, oov_stats::StallKind::SourcesPending);
-                    }
+                    self.wait(seq, StallKind::SourcesPending);
                     continue;
                 }
             } else if !self.sources_ready(e, false) {
-                if let Some(s) = self.sink.as_deref_mut() {
-                    s.on_wait(seq, oov_stats::StallKind::SourcesPending);
-                }
+                self.wait(seq, StallKind::SourcesPending);
                 continue;
             }
             let Some(e) = self.st.rob.get(seq) else {

@@ -5,6 +5,7 @@
 //! scalar result lands.
 
 use oov_isa::{FuClass, RegClass};
+use oov_stats::StallKind;
 
 use crate::rob::EntryState;
 use crate::sim::OooSim;
@@ -30,23 +31,17 @@ impl OooSim<'_> {
                 // naive oracle runs the full polls so the parity tests
                 // cross-check index and accumulator alike.
                 if e.waiting_srcs > 0 {
-                    if let Some(s) = self.sink.as_deref_mut() {
-                        s.on_wait(seq, oov_stats::StallKind::SourcesPending);
-                    }
+                    self.wait(seq, StallKind::SourcesPending);
                     continue;
                 }
                 let t = self.entry_ready_time(e);
                 if t > self.now {
                     self.note_scan_wake(t);
-                    if let Some(s) = self.sink.as_deref_mut() {
-                        s.on_wait(seq, oov_stats::StallKind::SourcesPending);
-                    }
+                    self.wait(seq, StallKind::SourcesPending);
                     continue;
                 }
             } else if !self.sources_ready(e, true) {
-                if let Some(s) = self.sink.as_deref_mut() {
-                    s.on_wait(seq, oov_stats::StallKind::SourcesPending);
-                }
+                self.wait(seq, StallKind::SourcesPending);
                 continue;
             }
             let Some(e) = self.st.rob.get(seq) else {
@@ -55,9 +50,7 @@ impl OooSim<'_> {
             let fu2_only = e.op.fu_class() == FuClass::VecFu2Only;
             let use_fu2 = if fu2_only {
                 if self.fu2_free > self.now {
-                    if let Some(s) = self.sink.as_deref_mut() {
-                        s.on_wait(seq, oov_stats::StallKind::FuBusy);
-                    }
+                    self.wait(seq, StallKind::FuBusy);
                     continue;
                 }
                 true
@@ -66,9 +59,7 @@ impl OooSim<'_> {
             } else if self.fu2_free <= self.now {
                 true
             } else {
-                if let Some(s) = self.sink.as_deref_mut() {
-                    s.on_wait(seq, oov_stats::StallKind::FuBusy);
-                }
+                self.wait(seq, StallKind::FuBusy);
                 continue;
             };
             // Issue.

@@ -106,9 +106,6 @@ impl OooSim<'_> {
             let elim = self.try_vector_eliminate(seq);
             if elim == Stage3Rename::Stalled {
                 self.stats.rename_stall_cycles += 1;
-                if let Some(s) = self.sink.as_deref_mut() {
-                    s.on_cycle_stall(oov_stats::StallKind::RenameStall, 1);
-                }
                 return false;
             }
             if elim == Stage3Rename::Eliminated {
@@ -123,9 +120,6 @@ impl OooSim<'_> {
             // Vector compute under VLE: move to the V queue.
             if self.st.q_v.len() >= self.cfg.queue_slots {
                 self.stats.queue_stall_cycles += 1;
-                if let Some(s) = self.sink.as_deref_mut() {
-                    s.on_cycle_stall(oov_stats::StallKind::QueueFull, 1);
-                }
                 return false;
             }
             if let Some(e) = self.st.rob.get_mut(seq) {
@@ -178,8 +172,8 @@ impl OooSim<'_> {
                     // never tag them (no exact match is possible anyway).
                     if mem.kind != MemKind::Indexed {
                         self.st.tags.table_mut(d.class).set(d.new, tag);
-                        if let Some(c) = &mut self.checker {
-                            c.on_tag_set(d.class, d.new, e.trace_idx);
+                        if let Some(p) = self.probe.as_deref_mut() {
+                            p.holds(d.class, d.new, e.trace_idx);
                         }
                     }
                 }
@@ -190,8 +184,8 @@ impl OooSim<'_> {
                 if let Some(&(class, phys)) = e.srcs.first() {
                     if class != RegClass::Mask {
                         self.st.tags.table_mut(class).set(phys, tag);
-                        if let Some(c) = &mut self.checker {
-                            c.on_store_tag(class, phys, e.trace_idx);
+                        if let Some(p) = self.probe.as_deref_mut() {
+                            p.store_tag(class, phys, e.trace_idx);
                         }
                     }
                 }
@@ -238,8 +232,8 @@ impl OooSim<'_> {
         entry.mem_stage = MemStage::Done;
         self.stats.eliminated_stores += 1;
         self.stats.eliminated_store_words += u64::from(vl);
-        if let Some(c) = &mut self.checker {
-            c.on_store_elimination(trace_idx, class, phys);
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.store_elim(trace_idx, class, phys);
         }
         true
     }
@@ -284,9 +278,9 @@ impl OooSim<'_> {
         entry.mem_stage = MemStage::Done;
         self.stats.eliminated_scalar_loads += 1;
         let _ = is_spill;
-        if let Some(c) = &mut self.checker {
-            c.on_scalar_elimination(trace_idx, d.class, provider);
-            c.on_tag_set(d.class, d.new, trace_idx);
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.scalar_elim(trace_idx, d.class, provider);
+            p.holds(d.class, d.new, trace_idx);
         }
         true
     }
@@ -336,8 +330,8 @@ impl OooSim<'_> {
                 entry.mem_stage = MemStage::Done;
                 self.stats.eliminated_vector_loads += 1;
                 self.stats.eliminated_vector_words += u64::from(vl);
-                if let Some(c) = &mut self.checker {
-                    c.on_vector_elimination(trace_idx, provider);
+                if let Some(p) = self.probe.as_deref_mut() {
+                    p.vector_elim(trace_idx, provider);
                 }
                 return Stage3Rename::Eliminated;
             }
@@ -359,8 +353,8 @@ impl OooSim<'_> {
                 new,
                 old,
             });
-            if let Some(c) = &mut self.checker {
-                c.on_dst_renamed(trace_idx, RegClass::V, new);
+            if let Some(p) = self.probe.as_deref_mut() {
+                p.holds(RegClass::V, new, trace_idx);
             }
             return Stage3Rename::Renamed;
         }

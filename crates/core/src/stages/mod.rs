@@ -78,12 +78,15 @@
 //!
 //! # Lifecycle tracing and stall attribution
 //!
-//! Every stage carries optional [`crate::TraceSink`] hooks (a single
-//! dormant `Option` branch when no sink is attached — `bench_trend`
-//! gates that they stay free). The sink records each instruction's
-//! fetch/dispatch/issue/complete/commit timestamps for the Konata
-//! export, plus a stall table keyed by [`oov_stats::StallKind`]. The
-//! mapping from stall reason to trace annotation:
+//! The stages emit one event stream into one optional observer slot,
+//! `OooSim::probe` (a [`crate::Probe`]; a single dormant `Option` branch
+//! per event site when none is attached — `bench_trend` gates that they
+//! stay free). Issue scans report each rejection through the one-line
+//! `OooSim::wait` helper. The lifecycle [`crate::TraceSink`] is the
+//! probe that records each instruction's fetch/dispatch/issue/
+//! complete/commit timestamps for the Konata export, plus a stall
+//! table keyed by [`oov_stats::StallKind`]. The mapping from stall
+//! reason to trace annotation:
 //!
 //! | stage | stall reason | kind | annotation |
 //! |---|---|---|---|
@@ -96,10 +99,10 @@
 //! | memory issue | late-commit head wait | `LateCommitHead` | `HEAD` |
 //! | memory issue | address bus busy | `BusBusy` | `BUS` |
 //!
-//! The per-cycle family (first row) mirrors the `SimStats` stall
-//! counters bit-exactly — including the dead-cycle arithmetic replay —
-//! so `sink.stall_table()` totals can be cross-checked against the
-//! engine's own accounting (the trace tests do). Issue-side waits
+//! The per-cycle family (first row) is not observed per cycle at all:
+//! the sink copies the run's `SimStats` stall counters (dead-cycle
+//! replay included) into those rows when the run ends, so no stage
+//! counts a stall twice. Issue-side waits
 //! charge each instruction's dispatch→issue gap to the *last* reason a
 //! scan rejected it, resolved at commit; the split is engine-dependent
 //! (the event engine runs fewer scans) but the totals agree.

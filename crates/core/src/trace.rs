@@ -1,29 +1,30 @@
-//! Pipeline lifecycle tracing: an optional [`TraceSink`] attached to a
-//! single [`crate::OooSim`] run records, per instruction, the cycle it
+//! Pipeline lifecycle tracing: a [`TraceSink`] is the [`Probe`] that
+//! records, per instruction of one [`crate::OooSim`] run, the cycle it
 //! passed each stage (fetch, dispatch, issue, completion, commit) and
 //! the stall reason attributed to each wait, exported as
 //! [Konata](https://github.com/shioyadan/Konata)-format text and as an
 //! aggregated [`StallTable`].
 //!
-//! The sink is a strictly passive observer: every hook reads machine
-//! state the stages already computed, so a traced run produces
+//! The sink only observes events, so a traced run produces
 //! bit-identical `SimStats` to an untraced one, under either engine.
-//! With no sink attached the hooks are a single `Option` branch each —
-//! zero allocations, no measurable slowdown (the bench trend gate
+//! With no probe attached each event site is a single `Option` branch
+//! — zero allocations, no measurable slowdown (the bench trend gate
 //! `--max-trace-overhead-ratio` enforces this against the committed
 //! baseline).
 //!
 //! Stall attribution comes in two flavours (see
-//! [`oov_stats::StallKind`]): per-cycle front-end stalls mirror the
-//! simulator's stall counters exactly — the event engine's dead-cycle
-//! replay is mirrored into the sink, so totals match `SimStats` in
-//! both engines — while issue-side waits charge the dispatch→issue
-//! duration to the last reason an issue scan rejected the entry.
+//! [`oov_stats::StallKind`]): the per-cycle front-end rows (ROB full,
+//! queue full, rename) are the run's own `SimStats` stall counters,
+//! copied in when the run ends, while issue-side waits charge the
+//! dispatch→issue duration to the last reason an issue scan rejected
+//! the entry.
 
 use std::collections::VecDeque;
 
-use oov_isa::Opcode;
-use oov_stats::{StallKind, StallTable};
+use oov_isa::{Opcode, RegClass};
+use oov_stats::{SimStats, StallKind, StallTable};
+
+use crate::probe::Probe;
 
 /// Per-instruction stage timestamps, indexed by ROB sequence number.
 /// A squashed record (precise-trap recovery) keeps the stamps it
@@ -66,7 +67,8 @@ pub struct TraceSink {
     /// Fetch stamps of instructions in the fetch buffer, dispatch
     /// (FIFO) order: `(trace_idx, cycle)`.
     pending_fetch: VecDeque<(usize, u64)>,
-    /// Per-cycle front-end stall attribution (exact vs `SimStats`).
+    /// The run's per-cycle front-end stall counters, copied from its
+    /// `SimStats` when it ends.
     cycle_stalls: StallTable,
 }
 
@@ -77,73 +79,15 @@ impl TraceSink {
         TraceSink::default()
     }
 
-    // ----- hooks (called by the stages; read-only on machine state) --
-
-    pub(crate) fn on_fetch(&mut self, trace_idx: usize, now: u64) {
-        self.pending_fetch.push_back((trace_idx, now));
-    }
-
-    pub(crate) fn on_dispatch(
-        &mut self,
-        seq: u64,
-        trace_idx: usize,
-        op: Opcode,
-        vl: u16,
-        now: u64,
-    ) {
-        let fetch = match self.pending_fetch.pop_front() {
-            Some((idx, cycle)) => {
-                debug_assert_eq!(idx, trace_idx, "fetch stamps out of order");
-                cycle
-            }
-            None => now,
-        };
-        debug_assert_eq!(self.records.len() as u64, seq, "non-contiguous seq");
-        self.records.push(TraceRecord {
-            trace_idx,
-            op,
-            vl,
-            fetch,
-            dispatch: now,
-            issue: 0,
-            complete: 0,
-            commit: 0,
-            wait: None,
-            committed: false,
-            squashed: false,
-        });
-    }
-
-    pub(crate) fn on_wait(&mut self, seq: u64, kind: StallKind) {
-        if let Some(r) = self.records.get_mut(seq as usize) {
-            r.wait = Some(kind);
-        }
-    }
-
-    pub(crate) fn on_cycle_stall(&mut self, kind: StallKind, cycles: u64) {
-        if cycles > 0 {
-            self.cycle_stalls.record(kind, cycles);
-        }
-    }
-
-    pub(crate) fn on_commit(&mut self, seq: u64, issue: u64, complete: u64, now: u64) {
-        if let Some(r) = self.records.get_mut(seq as usize) {
-            r.issue = issue;
-            r.complete = complete;
-            r.commit = now;
-            r.committed = true;
-        }
-    }
-
-    pub(crate) fn on_squash(&mut self, seq: u64, now: u64) {
-        if let Some(r) = self.records.get_mut(seq as usize) {
-            r.commit = now;
-            r.squashed = true;
-        }
-    }
-
-    pub(crate) fn on_squash_frontend(&mut self) {
-        self.pending_fetch.clear();
+    /// Takes the run's ROB, queue and rename stall rows from `stats`.
+    pub(crate) fn close(&mut self, stats: &SimStats) {
+        self.cycle_stalls = StallTable::new();
+        self.cycle_stalls
+            .record(StallKind::RobFull, stats.rob_stall_cycles);
+        self.cycle_stalls
+            .record(StallKind::QueueFull, stats.queue_stall_cycles);
+        self.cycle_stalls
+            .record(StallKind::RenameStall, stats.rename_stall_cycles);
     }
 
     // ----- accessors -------------------------------------------------
@@ -249,20 +193,84 @@ impl TraceSink {
     }
 }
 
+impl Probe for TraceSink {
+    fn fetch(&mut self, trace_idx: usize, now: u64) {
+        self.pending_fetch.push_back((trace_idx, now));
+    }
+
+    fn dispatch(
+        &mut self,
+        seq: u64,
+        trace_idx: usize,
+        op: Opcode,
+        vl: u16,
+        _dst: Option<(RegClass, u16)>,
+        now: u64,
+    ) {
+        let fetch = match self.pending_fetch.pop_front() {
+            Some((idx, cycle)) => {
+                debug_assert_eq!(idx, trace_idx, "fetch stamps out of order");
+                cycle
+            }
+            None => now,
+        };
+        debug_assert_eq!(self.records.len() as u64, seq, "non-contiguous seq");
+        self.records.push(TraceRecord {
+            trace_idx,
+            op,
+            vl,
+            fetch,
+            dispatch: now,
+            issue: 0,
+            complete: 0,
+            commit: 0,
+            wait: None,
+            committed: false,
+            squashed: false,
+        });
+    }
+
+    fn wait(&mut self, seq: u64, kind: StallKind) {
+        if let Some(r) = self.records.get_mut(seq as usize) {
+            r.wait = Some(kind);
+        }
+    }
+
+    fn commit(&mut self, seq: u64, _trace_idx: usize, issue: u64, complete: u64, now: u64) {
+        if let Some(r) = self.records.get_mut(seq as usize) {
+            r.issue = issue;
+            r.complete = complete;
+            r.commit = now;
+            r.committed = true;
+        }
+    }
+
+    fn squash(&mut self, seq: u64, now: u64) {
+        if let Some(r) = self.records.get_mut(seq as usize) {
+            r.commit = now;
+            r.squashed = true;
+        }
+    }
+
+    fn squash_frontend(&mut self) {
+        self.pending_fetch.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sink_with_one(commit: bool) -> TraceSink {
         let mut s = TraceSink::new();
-        s.on_fetch(0, 1);
-        s.on_dispatch(0, 0, Opcode::SAdd, 1, 2);
-        s.on_wait(0, StallKind::BusBusy);
+        s.fetch(0, 1);
+        s.dispatch(0, 0, Opcode::SAdd, 1, None, 2);
+        s.wait(0, StallKind::BusBusy);
         if commit {
-            s.on_commit(0, 5, 7, 9);
+            s.commit(0, 0, 5, 7, 9);
         } else {
-            s.on_squash(0, 9);
-            s.on_squash_frontend();
+            s.squash(0, 9);
+            s.squash_frontend();
         }
         s
     }
@@ -313,13 +321,19 @@ mod tests {
     }
 
     #[test]
-    fn cycle_stall_mirror_accumulates() {
-        let mut s = TraceSink::new();
-        s.on_cycle_stall(StallKind::RobFull, 3);
-        s.on_cycle_stall(StallKind::RobFull, 0); // no-op
-        s.on_cycle_stall(StallKind::QueueFull, 2);
+    fn close_copies_the_stall_counters() {
+        let mut s = sink_with_one(true);
+        let stats = SimStats {
+            rob_stall_cycles: 3,
+            queue_stall_cycles: 2,
+            rename_stall_cycles: 4,
+            ..SimStats::new()
+        };
+        s.close(&stats);
         let t = s.stall_table();
         assert_eq!(t.get(StallKind::RobFull), 3);
         assert_eq!(t.get(StallKind::QueueFull), 2);
+        assert_eq!(t.get(StallKind::RenameStall), 4);
+        assert_eq!(t.get(StallKind::BusBusy), 3, "issue waits stay");
     }
 }

@@ -8,21 +8,21 @@
 //! register, the values it holds. Every elimination is then checked
 //! against what the load would actually have read.
 //!
-//! Enabled via [`crate::OooSim::with_checker`]; intended for tests (it
-//! stores vector values per in-flight instruction).
+//! Attach it to a run as its probe,
+//! `OooSim::with_probe(Box::new(Checker::new(..)))`; intended for tests
+//! (it stores vector values per in-flight instruction). Every check is
+//! an assertion, so an incorrect elimination panics the run.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use oov_exec::{BaseImage, Machine};
-use oov_isa::{RegClass, Trace};
+use oov_core::Probe;
+use oov_isa::{Opcode, RegClass, Trace};
 
-use crate::rename::PhysReg;
-use crate::sim::class_ix;
+use crate::Machine;
 
-/// Lock-step architectural checker.
+/// Lock-step architectural checker of dynamic load elimination.
 #[derive(Debug)]
-pub(crate) struct Checker {
+pub struct Checker {
     machine: Machine,
     insts: Vec<oov_isa::Instruction>,
     executed: Vec<bool>,
@@ -33,16 +33,20 @@ pub(crate) struct Checker {
     /// executed, keyed by trace index (for silent-store verification).
     pre_store: HashMap<usize, Vec<u64>>,
     /// Values currently associated with each physical register.
-    phys_values: HashMap<(usize, PhysReg), Vec<u64>>,
+    phys_values: HashMap<(RegClass, u16), Vec<u64>>,
     /// Scratch buffer for element-address computation (reused so the
     /// per-dispatch path allocates only what it must retain).
     addr_buf: Vec<u64>,
 }
 
 impl Checker {
-    pub(crate) fn new(trace: &Trace) -> Self {
+    /// A checker for a run over `trace`, executing it on `machine`:
+    /// [`Machine::new`] for empty memory, or [`Machine::from_base`]
+    /// over a compiled program's seeded image.
+    #[must_use]
+    pub fn new(trace: &Trace, machine: Machine) -> Self {
         Checker {
-            machine: Machine::new(),
+            machine,
             insts: trace.instructions().to_vec(),
             executed: vec![false; trace.len()],
             recorded: HashMap::new(),
@@ -52,15 +56,9 @@ impl Checker {
         }
     }
 
-    /// Installs initial memory as a view over a compiled program's
-    /// shared base image — no seed work per run.
-    pub(crate) fn seed_base(&mut self, base: &Arc<BaseImage>) {
-        self.machine.reset_to_base(base);
-    }
-
-    /// Called at dispatch, in program order: execute architecturally and
-    /// record the instruction's result.
-    pub(crate) fn on_dispatch(&mut self, idx: usize) {
+    /// Executes instruction `idx` architecturally (once: a re-dispatch
+    /// after a precise trap is skipped) and records its result.
+    fn execute(&mut self, idx: usize) {
         if self.executed[idx] {
             return; // re-dispatch after a precise trap
         }
@@ -98,50 +96,57 @@ impl Checker {
             self.recorded.insert(idx, v);
         }
     }
+}
 
-    /// A destination was renamed to `phys`: that register will hold the
-    /// instruction's result.
-    pub(crate) fn on_dst_renamed(&mut self, idx: usize, class: RegClass, phys: PhysReg) {
-        if let Some(v) = self.recorded.get(&idx) {
-            self.phys_values.insert((class_ix(class), phys), v.clone());
+impl Probe for Checker {
+    fn dispatch(
+        &mut self,
+        _seq: u64,
+        trace_idx: usize,
+        _op: Opcode,
+        _vl: u16,
+        dst: Option<(RegClass, u16)>,
+        _now: u64,
+    ) {
+        self.execute(trace_idx);
+        if let Some((class, phys)) = dst {
+            self.holds(class, phys, trace_idx);
         }
     }
 
-    /// A load tagged its destination register: nothing to record beyond
-    /// what `on_dst_renamed` already did, but assert the mapping exists.
-    pub(crate) fn on_tag_set(&mut self, class: RegClass, phys: PhysReg, idx: usize) {
+    /// `phys` will hold instruction `idx`'s result.
+    fn holds(&mut self, class: RegClass, phys: u16, idx: usize) {
         if let Some(v) = self.recorded.get(&idx) {
-            self.phys_values.insert((class_ix(class), phys), v.clone());
+            self.phys_values.insert((class, phys), v.clone());
         }
     }
 
     /// A store tagged its data register: the register's known values must
     /// equal the data the store wrote.
-    pub(crate) fn on_store_tag(&mut self, class: RegClass, phys: PhysReg, idx: usize) {
+    fn store_tag(&mut self, class: RegClass, phys: u16, idx: usize) {
         let Some(stored) = self.recorded.get(&idx) else {
             return;
         };
-        if let Some(held) = self.phys_values.get(&(class_ix(class), phys)) {
+        if let Some(held) = self.phys_values.get(&(class, phys)) {
             assert_eq!(
                 held, stored,
                 "store at trace[{idx}]: {class} p{phys} holds different data than was stored"
             );
         } else {
-            self.phys_values
-                .insert((class_ix(class), phys), stored.clone());
+            self.phys_values.insert((class, phys), stored.clone());
         }
     }
 
     /// A vector load was eliminated: the provider register must hold
     /// exactly what the load would have fetched.
-    pub(crate) fn on_vector_elimination(&mut self, load_idx: usize, provider: PhysReg) {
+    fn vector_elim(&mut self, load_idx: usize, provider: u16) {
         let want = self
             .recorded
             .get(&load_idx)
             .expect("eliminated load was never executed architecturally");
         let held = self
             .phys_values
-            .get(&(class_ix(RegClass::V), provider))
+            .get(&(RegClass::V, provider))
             .unwrap_or_else(|| {
                 panic!("VLE matched V p{provider} whose contents were never recorded")
             });
@@ -152,22 +157,14 @@ impl Checker {
     }
 
     /// A scalar load was eliminated via a register copy.
-    pub(crate) fn on_scalar_elimination(
-        &mut self,
-        load_idx: usize,
-        class: RegClass,
-        provider: PhysReg,
-    ) {
+    fn scalar_elim(&mut self, load_idx: usize, class: RegClass, provider: u16) {
         let want = self
             .recorded
             .get(&load_idx)
             .expect("eliminated scalar load was never executed");
-        let held = self
-            .phys_values
-            .get(&(class_ix(class), provider))
-            .unwrap_or_else(|| {
-                panic!("SLE matched {class} p{provider} whose contents were never recorded")
-            });
+        let held = self.phys_values.get(&(class, provider)).unwrap_or_else(|| {
+            panic!("SLE matched {class} p{provider} whose contents were never recorded")
+        });
         assert_eq!(
             held, want,
             "SLE incorrect at trace[{load_idx}]: provider p{provider} holds stale data"
@@ -176,7 +173,7 @@ impl Checker {
 
     /// A store was elided as redundant: the bytes it would have written
     /// must equal what memory already held.
-    pub(crate) fn on_store_elimination(&mut self, idx: usize, class: RegClass, phys: PhysReg) {
+    fn store_elim(&mut self, idx: usize, class: RegClass, phys: u16) {
         let data = self
             .recorded
             .get(&idx)
@@ -189,19 +186,15 @@ impl Checker {
             pre, data,
             "silent-store elimination at trace[{idx}] was not silent"
         );
-        if let Some(held) = self.phys_values.get(&(class_ix(class), phys)) {
+        if let Some(held) = self.phys_values.get(&(class, phys)) {
             assert_eq!(held, data, "store data register holds unexpected values");
         }
     }
 
     /// Commit: the instruction's recorded result is no longer needed
     /// under that key (physical-register values persist).
-    pub(crate) fn on_commit(&mut self, idx: usize) {
+    fn commit(&mut self, _seq: u64, idx: usize, _issue: u64, _complete: u64, _now: u64) {
         self.recorded.remove(&idx);
         self.pre_store.remove(&idx);
     }
-
-    /// Precise-trap squash: in-flight records stay (the same instructions
-    /// will re-dispatch; architectural re-execution is skipped).
-    pub(crate) fn on_squash(&mut self) {}
 }

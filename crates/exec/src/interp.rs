@@ -2,11 +2,12 @@
 //!
 //! This executes a [`Kernel`] *before* register allocation, providing an
 //! independent golden model: the allocated, lowered trace executed by
-//! `oov-exec` must leave the same data-space memory image as the IR
-//! interpreted here. Any allocator or lowering bug (wrong spill slot,
-//! clobbered live value, misordered memory op) breaks the equivalence.
+//! [`crate::Machine`] must leave the same data-space memory image as the
+//! IR interpreted here ([`crate::golden_mismatch`]). Any allocator or
+//! lowering bug (wrong spill slot, clobbered live value, misordered
+//! memory op) breaks the equivalence.
 //!
-//! The operation semantics intentionally mirror `oov_exec::Machine` — the
+//! The operation semantics intentionally mirror [`crate::Machine`] — the
 //! two implementations are kept separate so that a bug in one cannot hide
 //! in the other. Like the machine, the interpreter is batched: vector
 //! memory traffic moves whole element groups through [`MemImage`] and vector
@@ -17,10 +18,10 @@
 
 use std::collections::HashMap;
 
-use oov_exec::MemImage;
 use oov_isa::Opcode;
+use oov_vcc::{KInst, Kernel, VirtReg};
 
-use crate::ir::{KInst, Kernel, VirtReg};
+use crate::MemImage;
 
 /// A virtual-register value.
 #[derive(Debug, Clone)]
@@ -125,7 +126,7 @@ impl IrInterp {
 
     /// Snapshots the second operand of a vector op into `out`: vector,
     /// scalar broadcast, or immediate — mirroring
-    /// `oov_exec::Machine::fill_vector_operand`.
+    /// `Machine::fill_vector_operand`.
     fn read_vec_operand_into(&self, inst: &KInst, n: usize, vl: usize, out: &mut Vec<u64>) {
         out.clear();
         match inst.srcs.get(n) {

@@ -1,23 +1,17 @@
-//! Architectural (functional) executor — the test oracle of the
-//! reproduction.
+//! The test oracle of the reproduction. The paper's simulators are
+//! *timing* models that never carry data values, so register allocation
+//! (`oov-vcc`), renaming and load elimination (`oov-core`) are checked
+//! in tests against this crate: the architectural executor
+//! ([`Machine`]), the IR interpreter ([`IrInterp`]), the golden check
+//! that compares the two ([`golden_mismatch`]) and the lock-step
+//! load-elimination [`Checker`], an `oov_core::Probe`. It depends on
+//! `oov-vcc` and `oov-core`, never the other way round, and no
+//! production path links it.
 //!
-//! The paper's simulators are *timing* models: they never carry data
-//! values. Correctness of register allocation (`oov-vcc`), register
-//! renaming and dynamic load elimination (`oov-core`) is instead checked
-//! in tests against this executor, which runs the same
-//! [`oov_isa::Trace`] with real 64-bit values. No production path links
-//! it: the simulation server, the sweeps and every exhibit simulate the
-//! trace alone.
-//!
-//! Memory is a sparse word map ([`MemImage`]) over an optional shared
-//! seed: [`BaseImage::seeded`] builds a program's initial memory once,
-//! behind an `Arc`, and [`MemImage::fork`] / [`Machine::from_base`] read
-//! through it while holding only the words they store. A warm replay
-//! ([`Machine::reset_to_base`]) clears those words in place, so it seeds
-//! nothing and allocates nothing (the debug-only [`page_allocations`]
-//! counter of word-table growths stays flat).
-//!
-//! All operations are defined over `u64` with wrapping arithmetic, which is
+//! Memory is a sparse word map ([`MemImage`]) over a compiled program's
+//! shared seed (`oov_vcc::BaseImage`); a warm replay
+//! ([`Machine::reset_to_base`]) seeds and allocates nothing
+//! ([`page_allocations`] stays flat). All operations are defined over `u64` with wrapping arithmetic, which is
 //! sufficient for dataflow-equivalence checking (the experiments never
 //! depend on floating-point rounding).
 //!
@@ -38,8 +32,33 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod checker;
+mod interp;
 mod machine;
 mod memory;
 
+pub use checker::Checker;
+pub use interp::IrInterp;
 pub use machine::Machine;
-pub use memory::{page_allocations, BaseImage, MemImage};
+pub use memory::{page_allocations, MemImage};
+
+use oov_vcc::{CompiledProgram, Kernel, SPILL_SPACE_BASE};
+
+/// The golden check: runs `prog`'s trace on a [`Machine`] over its
+/// seeded image and `kernel` on the [`IrInterp`], and returns the first
+/// data-space word (below [`SPILL_SPACE_BASE`]) where they disagree, as
+/// `(address, IR value, machine value)`. Both directions are checked: a
+/// word either side wrote must read the same in the other. `None`
+/// means the compiled program is correct.
+#[must_use]
+pub fn golden_mismatch(kernel: &Kernel, prog: &CompiledProgram) -> Option<(u64, u64, u64)> {
+    let want = IrInterp::run_kernel(kernel);
+    let mut m = Machine::from_base(prog.base_image());
+    m.run(&prog.trace);
+    let got = m.memory();
+    let mismatch = (want.iter().chain(got.iter()))
+        .filter(|&(addr, _)| addr < SPILL_SPACE_BASE)
+        .map(|(addr, _)| (addr, want.load(addr), got.load(addr)))
+        .find(|&(_, w, g)| w != g);
+    mismatch
+}

@@ -20,7 +20,9 @@ use std::sync::Arc;
 
 use oov_isa::{ArchReg, Instruction, MemKind, MemRef, Opcode, Trace, MAX_VL};
 
-use crate::{BaseImage, MemImage};
+use oov_vcc::BaseImage;
+
+use crate::MemImage;
 
 const VLEN: usize = MAX_VL as usize;
 

@@ -2,10 +2,10 @@
 //!
 //! A [`MemImage`] maps word addresses (`addr >> 3`) to values in a
 //! `HashMap`. It may sit over a shared, immutable [`BaseImage`] (a
-//! program's seeded `mem_init`): loads check the image's own map
-//! first and fall through to the base, stores always land in the own
-//! map, so the base is never written and sibling images never see
-//! each other's stores. [`MemImage::reset_to_base`] only clears the
+//! compiled program's seeded `mem_init`, built in `oov-vcc`): loads
+//! check the image's own map first and fall through to the base,
+//! stores always land in the own map, so the base is never written and
+//! sibling images never see each other's stores. [`MemImage::reset_to_base`] only clears the
 //! own map, which keeps its capacity, so a warm replay does no seeding
 //! and no allocation.
 //!
@@ -19,36 +19,11 @@
 //! per-element loops in element order with wrapping address
 //! arithmetic, so duplicate scatter addresses keep last-writer-wins.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Hashes a word address with one folded 64×64→128 multiply. The keys
-/// are addresses from compiled traces and tests, never untrusted input,
-/// so no DoS-resistant hasher is needed; folding the high half in keeps
-/// power-of-two strides from landing in one bucket.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("word maps hash only u64 keys")
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        let p = u128::from(word) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (p as u64) ^ ((p >> 64) as u64);
-    }
-}
-
-/// Word address → value.
-type WordMap = HashMap<u64, u64, BuildHasherDefault<WordHasher>>;
+use oov_vcc::{BaseImage, WordMap};
 
 static TABLE_GROWTHS: AtomicU64 = AtomicU64::new(0);
 
@@ -60,50 +35,6 @@ static TABLE_GROWTHS: AtomicU64 = AtomicU64::new(0);
 #[must_use]
 pub fn page_allocations() -> u64 {
     TABLE_GROWTHS.load(Ordering::Relaxed)
-}
-
-/// An immutable, `Arc`-shared seeded memory image that [`MemImage`]s
-/// read through. Build one with [`BaseImage::seeded`]; view it with
-/// [`MemImage::fork`].
-pub struct BaseImage {
-    words: WordMap,
-}
-
-impl fmt::Debug for BaseImage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BaseImage")
-            .field("words", &self.words.len())
-            .finish()
-    }
-}
-
-impl BaseImage {
-    /// The image `(address, value)` pairs (a compiled program's
-    /// `mem_init`) describe; a later pair for the same word wins.
-    #[must_use]
-    pub fn seeded(pairs: &[(u64, u64)]) -> Self {
-        let mut words = WordMap::with_capacity_and_hasher(pairs.len(), Default::default());
-        words.extend(pairs.iter().map(|&(a, v)| (a >> 3, v)));
-        BaseImage { words }
-    }
-
-    /// Number of words in the base.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// `true` if the base holds no words.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// Reads the word at byte address `addr` (rounded down to 8 bytes).
-    #[must_use]
-    pub fn load(&self, addr: u64) -> u64 {
-        self.words.get(&(addr >> 3)).copied().unwrap_or(0)
-    }
 }
 
 /// A sparse memory image of 64-bit words, optionally over a shared
@@ -163,7 +94,7 @@ impl MemImage {
     }
 
     fn base_word(&self, word: u64) -> Option<u64> {
-        self.base.as_deref()?.words.get(&word).copied()
+        self.base.as_deref()?.words().get(&word).copied()
     }
 
     fn base_len(&self) -> usize {
@@ -275,7 +206,7 @@ impl MemImage {
         let fall_through = self
             .base
             .iter()
-            .flat_map(|b| &b.words)
+            .flat_map(|b| b.words())
             .filter(|(w, _)| !self.own.contains_key(w));
         self.own
             .iter()
@@ -466,7 +397,7 @@ mod tests {
         assert_eq!(f.own.len(), 1, "exactly one word stored");
         // Base immutability: the base and a sibling fork still see the
         // original value.
-        assert_eq!(base.load(0x1000), 11);
+        assert_eq!(base.words()[&(0x1000 >> 3)], 11);
         let sibling = MemImage::fork(&base);
         assert_eq!(sibling.load(0x1000), 11);
         // Overwriting a base word does not change len; writing a fresh

@@ -5,10 +5,9 @@
 //! Two families share the table, both measured in cycles:
 //!
 //! * **Per-cycle front-end stalls** ([`StallKind::RobFull`],
-//!   [`StallKind::QueueFull`], [`StallKind::RenameStall`]) mirror the
-//!   simulator's per-cycle stall counters exactly — including the
-//!   spans the event engine replays arithmetically over skipped dead
-//!   cycles — so their totals match `SimStats` in either engine.
+//!   [`StallKind::QueueFull`], [`StallKind::RenameStall`]) are the
+//!   simulator's own per-cycle stall counters, copied from `SimStats`
+//!   when the run ends, so they match it in either engine.
 //! * **Issue-side waits** (everything else) are attributed when an
 //!   instruction finally issues: the dispatch→issue duration is
 //!   charged to the *last* reason an issue scan rejected it. The two

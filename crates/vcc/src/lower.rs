@@ -11,9 +11,9 @@
 
 use std::sync::{Arc, OnceLock};
 
-use oov_exec::{BaseImage, Machine};
 use oov_isa::{ArchReg, BranchInfo, Instruction, MemRef, Opcode, RegClass, Trace};
 
+use crate::image::BaseImage;
 use crate::ir::{AddrExpr, Kernel};
 use crate::regalloc::{allocate_segment, AllocatedSegment, SlotAllocator, SpillSummary, TInst};
 
@@ -261,19 +261,12 @@ pub struct CompiledProgram {
 impl CompiledProgram {
     /// The program's initial-memory image. `mem_init` is seeded
     /// exactly once per program (cached behind a `OnceLock`); every
-    /// machine reads through this shared base instead of re-seeding.
+    /// functional run (`oov_exec::Machine::from_base`) reads through
+    /// this shared base instead of re-seeding.
     #[must_use]
     pub fn base_image(&self) -> &Arc<BaseImage> {
         self.base
             .get_or_init(|| Arc::new(BaseImage::seeded(&self.mem_init)))
-    }
-
-    /// A machine with zeroed registers whose memory reads through
-    /// [`CompiledProgram::base_image`]: on warm calls this performs
-    /// zero seed work.
-    #[must_use]
-    pub fn fresh_machine(&self) -> Machine {
-        Machine::from_base(self.base_image())
     }
 }
 

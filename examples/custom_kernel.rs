@@ -6,8 +6,9 @@
 //! ```
 
 use oov::core::OooSim;
+use oov::exec::golden_mismatch;
 use oov::isa::{CommitMode, OooConfig};
-use oov::vcc::{compile, IrInterp, Kernel, SPILL_SPACE_BASE};
+use oov::vcc::{compile, Kernel};
 
 fn main() {
     // A 5-point stencil sweep: out[i] = (a[i-1] + a[i] + a[i+1]) * w + b[i].
@@ -41,13 +42,7 @@ fn main() {
     );
 
     // Golden check: IR semantics == lowered-trace semantics.
-    let want = IrInterp::run_kernel(&k);
-    let mut m = program.fresh_machine();
-    m.run(&program.trace);
-    let ok = want
-        .iter()
-        .filter(|(addr, _)| *addr < SPILL_SPACE_BASE)
-        .all(|(addr, v)| m.memory().load(addr) == v);
+    let ok = golden_mismatch(&k, &program).is_none();
     println!("  golden check: {}", if ok { "PASS" } else { "FAIL" });
 
     // Simulate with a precise trap injected mid-trace: the OOOVA squashes

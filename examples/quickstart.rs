@@ -6,10 +6,11 @@
 //! ```
 
 use oov::core::OooSim;
+use oov::exec::golden_mismatch;
 use oov::isa::{OooConfig, RefConfig};
 use oov::kernels::daxpy;
 use oov::refsim::RefSim;
-use oov::vcc::{compile, IrInterp, SPILL_SPACE_BASE};
+use oov::vcc::compile;
 
 fn main() {
     // 1. Build and compile a kernel: y = a*x + y over 32 strips of 128.
@@ -19,13 +20,7 @@ fn main() {
 
     // 2. Check it against the golden models (IR interpreter vs the
     //    architectural executor running the lowered trace).
-    let want = IrInterp::run_kernel(&kernel);
-    let mut machine = program.fresh_machine();
-    machine.run(&program.trace);
-    let clean = want
-        .iter()
-        .filter(|(a, _)| *a < SPILL_SPACE_BASE)
-        .all(|(a, v)| machine.memory().load(a) == v);
+    let clean = golden_mismatch(&kernel, &program).is_none();
     println!("golden check: {}", if clean { "PASS" } else { "FAIL" });
 
     // 3. Simulate both machines at the paper's default 50-cycle memory.

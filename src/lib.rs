@@ -7,7 +7,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`isa`] | `oov-isa` | registers, opcodes, traces, latencies, machine configs |
-//! | [`exec`] | `oov-exec` | architectural executor (golden model) |
+//! | [`exec`] | `oov-exec` | the test oracle: architectural executor, IR interpreter, load-elimination checker, golden check |
 //! | [`vcc`] | `oov-vcc` | kernel IR → scheduling → register allocation → trace |
 //! | [`kernels`] | `oov-kernels` | the ten benchmark models + random workloads |
 //! | [`mem`] | `oov-mem` | address bus, traffic accounting, scalar cache |

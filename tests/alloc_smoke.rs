@@ -25,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use oov::core::{arena_constructions, OooSim, SimArena};
-use oov::exec::page_allocations;
+use oov::exec::{page_allocations, Machine};
 use oov::isa::{CommitMode, LoadElimMode, OooConfig};
 use oov::kernels::{Program, Scale};
 
@@ -95,7 +95,7 @@ fn warm_replay_allocates_nothing() {
     // A cold functional run faults the machine's written pages; its
     // first reset then moves them into the page pool, which is what
     // later runs fault from.
-    let mut machine = prog.fresh_machine();
+    let mut machine = Machine::from_base(&base);
     machine.run(&prog.trace);
 
     // Warm-up iteration, the same steps as the replay below: builds

@@ -2,6 +2,7 @@
 //! simulate) invariants over the whole benchmark suite.
 
 use oov::core::OooSim;
+use oov::exec::{Checker, Machine};
 use oov::isa::{CommitMode, LoadElimMode, OooConfig, RefConfig};
 use oov::kernels::{Program, Scale};
 use oov::refsim::RefSim;
@@ -132,7 +133,10 @@ fn load_elimination_reduces_traffic_and_is_value_correct() {
         .stats;
         let vle_cfg = OooConfig::default().with_load_elim(LoadElimMode::SleVle);
         let vle = OooSim::new(vle_cfg, &prog.trace)
-            .with_checker_base(prog.base_image())
+            .with_probe(Box::new(Checker::new(
+                &prog.trace,
+                Machine::from_base(prog.base_image()),
+            )))
             .run()
             .stats;
         assert!(

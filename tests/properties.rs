@@ -8,11 +8,11 @@
 //! reproducer.
 
 use oov::core::OooSim;
-use oov::exec::Machine;
+use oov::exec::{golden_mismatch, Checker, Machine};
 use oov::isa::{CommitMode, LoadElimMode, OooConfig, RefConfig};
 use oov::kernels::random_kernel;
 use oov::refsim::RefSim;
-use oov::vcc::{compile, IrInterp, SPILL_SPACE_BASE};
+use oov::vcc::compile;
 
 /// Sixteen fixed seeds spread across the 0..10_000 space the old
 /// proptest setup sampled from — deterministic, but not clustered at
@@ -28,18 +28,7 @@ fn compilation_preserves_semantics() {
     for seed in SEEDS {
         let kernel = random_kernel(seed);
         let prog = compile(&kernel);
-        let want = IrInterp::run_kernel(&kernel);
-        let mut m = prog.fresh_machine();
-        m.run(&prog.trace);
-        for (addr, val) in want.iter() {
-            if addr < SPILL_SPACE_BASE {
-                assert_eq!(
-                    m.memory().load(addr),
-                    val,
-                    "seed {seed}: mismatch at {addr:#x}"
-                );
-            }
-        }
+        assert_eq!(golden_mismatch(&kernel, &prog), None, "seed {seed}");
     }
 }
 
@@ -81,7 +70,10 @@ fn load_elimination_is_sound() {
             OooConfig::default().with_load_elim(LoadElimMode::SleVle),
             &prog.trace,
         )
-        .with_checker_base(prog.base_image())
+        .with_probe(Box::new(Checker::new(
+            &prog.trace,
+            Machine::from_base(prog.base_image()),
+        )))
         .run()
         .stats;
         assert!(vle.mem_requests <= base.mem_requests, "seed {seed}");
