@@ -52,7 +52,6 @@
 mod btb;
 pub mod budget;
 mod probe;
-mod queue;
 mod rename;
 mod rob;
 mod sim;

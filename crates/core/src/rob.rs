@@ -239,12 +239,6 @@ impl Rob {
         self.entries.len() >= self.capacity
     }
 
-    /// `true` if empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Occupied slots.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -21,13 +21,14 @@
 //!
 //! [`Stepper::EventDriven`] (the default) is the stage-graph engine.
 //! It is **bit-for-bit identical** in every [`SimStats`] counter, via
-//! three mechanisms:
+//! three mechanisms (what removing each costs perfbench `grid` is in
+//! [`crate::stages`]):
 //!
-//! 1. **Active-stage masking.** A progress cycle runs only the stages
-//!    whose activity bit or wake time fires (see
-//!    [`crate::stages::Scheduler`]); the expensive issue scans sleep
-//!    whenever a failed scan proves nothing can issue before a known
-//!    time or a cross-stage edge.
+//! 1. **Active-stage masking** (−37% without it). The expensive issue scans
+//!    run only when their activity bit or wake time fires (see
+//!    [`crate::stages::Scheduler`]); they sleep whenever a failed scan
+//!    proves nothing can issue before a known time or a cross-stage
+//!    edge.
 //! 2. **Cycle skipping on cached per-stage wakes.** A cycle in which
 //!    no stage mutates state is *dead*: because every stage is a
 //!    deterministic function of (state, `now`) and every `now`
@@ -40,18 +41,20 @@
 //!    minimum over a handful of cached values — no event heap, no
 //!    queue rescan. Per-cycle stall counters (rename/queue/ROB) are
 //!    replayed arithmetically for the skipped span.
-//! 3. **Indexed wakeup.** Each queue entry counts its
-//!    not-yet-produced sources ([`RobEntry::waiting_srcs`]); a
-//!    per-`(RegClass, PhysReg)` waiter index decrements the count when
-//!    the producer's [`OooSim::set_avail`] fires, and the decrement to
-//!    zero re-arms exactly that entry's issue stage. Issue scans skip
-//!    entries with a non-zero count. (The naive oracle polls
-//!    `sources_ready` without the index, so the parity grid validates
-//!    the index itself rather than sharing its bugs.)
+//! 3. **Indexed wakeup** (−13% without it; −4 to −5% without its
+//!    timed edges). Each queue entry counts its not-yet-produced sources
+//!    ([`RobEntry::waiting_srcs`]); a per-`(RegClass, PhysReg)` waiter
+//!    index decrements the count when the producer's
+//!    [`OooSim::set_avail`] fires, and the decrement to zero lowers
+//!    exactly that entry's issue stage's wake to the entry's ready
+//!    time ([`OooSim::merge_entry_wake`]). Issue scans skip entries
+//!    with a non-zero count. (The naive oracle polls `sources_ready`
+//!    without the index, so the parity grid validates the index
+//!    itself rather than sharing its bugs.)
 //!
-//! Mid-queue removal uses tombstoned [`crate::queue::SlotQueue`]s, so
-//! program order is preserved for the positional disambiguation scans
-//! while removal stays O(1) amortised.
+//! The issue queues are plain program-ordered vectors. Every entry is
+//! also a ROB entry, so removing an issued one from the middle shifts
+//! at most `min(queue_slots, rob_entries)` sequence numbers.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -63,7 +66,6 @@ use oov_stats::{OccupancyTracker, SimStats, StallKind};
 use crate::btb::{Btb, ReturnStack};
 use crate::budget::{AbortReason, RunAborted, RunBudget};
 use crate::probe::Probe;
-use crate::queue::SlotQueue;
 use crate::rename::{PhysReg, RenameUnit};
 use crate::rob::{Rob, RobEntry};
 use crate::stages::{Scheduler, StageId};
@@ -254,7 +256,7 @@ pub fn arena_constructions() -> u64 {
 }
 
 /// The allocation footprint of one [`OooSim`]: ROB storage, the four
-/// issue `SlotQueue`s, the wakeup index, the memory-pipe FIFO,
+/// issue queues, the wakeup index, the memory-pipe FIFO,
 /// BTB/tag/rename/timing tables, occupancy intervals — everything a
 /// run heap-allocates. ROB entries hold their source lists inline, so
 /// once every container has grown to a run's peak, a replay of the
@@ -274,10 +276,13 @@ pub(crate) struct Storage {
     /// keeps its storage once emptied; a recycled arena may hold more
     /// lists than the register file has (the surplus stays empty).
     pub(crate) waiters: [Vec<Vec<u64>>; 4],
-    pub(crate) q_a: SlotQueue,
-    pub(crate) q_s: SlotQueue,
-    pub(crate) q_v: SlotQueue,
-    pub(crate) q_m: SlotQueue,
+    /// The four issue queues (paper §2.2): ROB sequence numbers in
+    /// program order, at most `queue_slots` each. A scan walks front
+    /// to back and an issue `remove`s its entry.
+    pub(crate) q_a: Vec<u64>,
+    pub(crate) q_s: Vec<u64>,
+    pub(crate) q_v: Vec<u64>,
+    pub(crate) q_m: Vec<u64>,
     /// Queue-M entries (sequence numbers, dispatch order) not yet
     /// pulled into the memory pipe. The pipe admits strictly in
     /// dispatch order, so the front of this FIFO *is* the oldest
@@ -503,12 +508,6 @@ impl<'t> OooSim<'t> {
         self
     }
 
-    /// Precise traps taken during the run.
-    #[must_use]
-    pub fn faults_taken(&self) -> u64 {
-        self.faults_taken
-    }
-
     /// Attaches a cooperative [`RunBudget`]. Runs with a budget should
     /// use [`OooSim::try_run`] / [`OooSim::try_run_into`]; the
     /// infallible `run` variants panic if a limit fires. An
@@ -628,11 +627,7 @@ impl<'t> OooSim<'t> {
                 self.stats.queue_stall_cycles,
                 self.stats.rob_stall_cycles,
             );
-            if masked {
-                self.walk_active();
-            } else {
-                self.walk_all();
-            }
+            self.walk(masked);
             self.close_cycle();
             if !masked || self.progressed {
                 self.now += 1;
@@ -721,55 +716,30 @@ impl<'t> OooSim<'t> {
 
     // ----- cycle drivers ----------------------------------------------
 
-    /// The full stage walk (downstream first): the naive oracle's
-    /// every-cycle behaviour.
-    fn walk_all(&mut self) {
+    /// One cycle's stage walk, downstream first. Every stage runs
+    /// except, when `masked` (the stage-graph engine), the issue scans
+    /// whose activity bit is clear and whose wake has not come.
+    fn walk(&mut self, masked: bool) {
         self.apply_btb_updates();
         self.resolve_pending_copies();
         self.commit();
         self.advance_mem_pipe();
-        self.issue_mem();
-        self.issue_vector();
-        self.issue_scalar_queue(true);
-        self.issue_scalar_queue(false);
+        self.run_issue_stage(StageId::IssueMem, masked);
+        self.run_issue_stage(StageId::IssueVector, masked);
+        self.run_issue_stage(StageId::IssueA, masked);
+        self.run_issue_stage(StageId::IssueS, masked);
         self.dispatch();
         self.fetch();
     }
 
-    /// The masked stage walk: same order as [`OooSim::walk_all`], but
-    /// each stage runs only when its exact predicate holds (cheap
-    /// stages) or its activity bit / wake time fires (issue stages).
-    fn walk_active(&mut self) {
-        if self.sched.btb_wake <= self.now {
-            self.apply_btb_updates();
-        }
-        if !self.st.pending_copies.is_empty() {
-            self.resolve_pending_copies();
-        }
-        if !self.st.rob.is_empty() {
-            self.commit();
-        }
-        if self.mem_pipe_active() {
-            self.advance_mem_pipe();
-        }
-        self.run_issue_stage(StageId::IssueMem);
-        self.run_issue_stage(StageId::IssueVector);
-        self.run_issue_stage(StageId::IssueA);
-        self.run_issue_stage(StageId::IssueS);
-        if !self.st.fetch_buf.is_empty() {
-            self.dispatch();
-        }
-        self.fetch();
-    }
-
-    /// Runs one masked issue stage if it fires, then records the
-    /// outcome: progress keeps it active; failure puts it to sleep
-    /// until the wake the scan accumulated on the way (each rejected
-    /// entry notes its exact ready time via
+    /// Runs one issue stage (unless `masked` and it does not fire),
+    /// then records the outcome: progress keeps it active; failure
+    /// puts it to sleep until the wake the scan accumulated on the way
+    /// (each rejected entry notes its exact ready time via
     /// [`OooSim::note_scan_wake`]), so a failed fire costs no second
     /// queue pass.
-    fn run_issue_stage(&mut self, stage: StageId) {
-        if !self.sched.fires(stage, self.now) {
+    fn run_issue_stage(&mut self, stage: StageId, masked: bool) {
+        if masked && !self.sched.fires(stage, self.now) {
             return;
         }
         self.scan_wake = u64::MAX;
@@ -1117,7 +1087,7 @@ impl<'t> OooSim<'t> {
         self.frontend_wake_scan(&mut add);
         let st = &self.st;
         for q in [&st.q_a, &st.q_s, &st.q_v, &st.q_m] {
-            for e in q.iter().filter_map(|seq| st.rob.get(seq)) {
+            for e in q.iter().filter_map(|&seq| st.rob.get(seq)) {
                 add(self.entry_ready_time(e));
             }
         }

@@ -2,9 +2,9 @@
 //! `commit_width` instructions per cycle, plus precise-trap recovery
 //! (paper §5).
 //!
-//! The stage's predicate is simply a non-empty ROB — checking a
-//! not-yet-ready head is O(1), and so is finding the time at which it
-//! can next become ready (the head's entry in the dead-cycle skip
+//! It runs on every walked cycle: checking an empty ROB or a
+//! not-yet-ready head is O(1), and so is finding the time at which the
+//! head can next become ready (its entry in the dead-cycle skip
 //! target).
 
 use oov_isa::CommitMode;

@@ -7,7 +7,6 @@
 
 use oov_isa::{ArchReg, Instruction, Opcode, RegClass};
 
-use crate::queue::SlotQueue;
 use crate::rob::{DstInfo, EntryState, MemStage, QueueKind, RobEntry, SrcList};
 use crate::sim::OooSim;
 use crate::stages::StageId;
@@ -27,7 +26,7 @@ impl OooSim<'_> {
         }
     }
 
-    pub(crate) fn queue_of(&mut self, kind: QueueKind) -> &mut SlotQueue {
+    pub(crate) fn queue_of(&mut self, kind: QueueKind) -> &mut Vec<u64> {
         match kind {
             QueueKind::A => &mut self.st.q_a,
             QueueKind::S => &mut self.st.q_s,
@@ -120,7 +119,7 @@ impl OooSim<'_> {
             let dst = dst.map(|d| (d.class, d.new));
             p.dispatch(seq, idx, inst.op, inst.vl, dst, self.now);
         }
-        self.queue_of(kind).push_back(seq);
+        self.queue_of(kind).push(seq);
         // M-queue entries are tracked by the memory pipe, not the
         // source-wakeup index (their readiness checks are per-operand at
         // issue); everything else registers its outstanding sources.

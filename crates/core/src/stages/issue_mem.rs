@@ -13,15 +13,11 @@
 //! failed scan saw or on one of the state edges the module docs of
 //! [`crate::stages`] enumerate.
 //!
-//! **The pipe frontier.** The three-stage memory pipe admits queue-M
-//! entries in queue order and they leave it in that order, so the
-//! `WaitDisamb` entries form a prefix of queue M: behind the first
-//! entry still in (or waiting for) the pipe, nothing is a candidate.
-//! The stage-graph engine stops its scan there, so the quadratic
-//! disambiguation walk covers only the post-pipe prefix. The naive
-//! oracle scans the whole queue, so the parity grid checks the
-//! frontier rule rather than sharing it, and debug builds assert it
-//! at every stop.
+//! Only `WaitDisamb` entries are candidates. The memory pipe admits
+//! queue-M entries in queue order, so the candidates form a prefix of
+//! the queue, but both engines walk the whole queue and skip the rest:
+//! stopping at the first non-candidate measured flat (see
+//! [`crate::stages`]).
 
 use oov_isa::{CommitMode, MemKind, Opcode, RegClass};
 use oov_stats::StallKind;
@@ -31,54 +27,33 @@ use crate::sim::OooSim;
 use crate::stages::StageId;
 
 impl OooSim<'_> {
-    /// The frontier invariant behind the stage-graph engine's early
-    /// stop: no queue-M entry after raw position `frontier` has
-    /// reached `WaitDisamb`. Checked by a debug assertion.
-    fn past_frontier_never_waits(&self, frontier: usize) -> bool {
-        (frontier + 1..self.st.q_m.raw_len())
-            .filter_map(|pos| self.st.q_m.raw_get(pos))
-            .filter_map(|seq| self.st.rob.get(seq))
-            .all(|e| e.mem_stage != MemStage::WaitDisamb)
-    }
-
     pub(crate) fn issue_mem(&mut self) {
-        'outer: for pos in 0..self.st.q_m.raw_len() {
-            let Some(seq) = self.st.q_m.raw_get(pos) else {
-                continue;
-            };
+        'outer: for pos in 0..self.st.q_m.len() {
+            let seq = self.st.q_m[pos];
             let Some(e) = self.st.rob.get(seq) else {
                 continue;
             };
             if e.mem_stage != MemStage::WaitDisamb {
                 // Entries before stage 3 (and vector computes in the VLE
-                // pipe) cannot issue. This is the pipe frontier: every
-                // entry behind it is still in or before the pipe too.
-                if self.stepper == crate::Stepper::EventDriven {
-                    debug_assert!(
-                        self.past_frontier_never_waits(pos),
-                        "a WaitDisamb entry follows the memory-pipe frontier at cycle {}",
-                        self.now
-                    );
-                    break;
-                }
+                // pipe) cannot issue.
                 continue;
             }
             // Wakeup index + fused wake accumulation (event engine
-            // only): a store/gather whose registered data/index source
-            // is unproduced is an edge wake; an entry whose index,
-            // data-chaining or bus time has not come notes that exact
-            // time and skips the disambiguation walk. The naive oracle
-            // performs the full checks so parity validates both.
+            // only): `entry_ready_time` is `u64::MAX` while a
+            // registered data/index source is unproduced (an edge
+            // wake), else the exact time the index, data-chaining and
+            // bus checks below pass. A time-blocked entry notes that
+            // time and skips the disambiguation walk; traced, it falls
+            // through instead, so the ordered checks name the reason.
+            // The naive oracle performs the full checks so parity
+            // validates both.
             if self.stepper == crate::Stepper::EventDriven {
-                if e.waiting_srcs > 0 {
-                    self.wait(seq, StallKind::SourcesPending);
-                    continue;
-                }
                 let t = self.entry_ready_time(e);
                 if t > self.now {
                     self.note_scan_wake(t);
-                    self.wait(seq, StallKind::SourcesPending);
-                    continue;
+                    if self.probe.is_none() {
+                        continue;
+                    }
                 }
             }
             let Some(e) = self.st.rob.get(seq) else {
@@ -88,10 +63,7 @@ impl OooSim<'_> {
             let is_store = e.is_store();
             // Disambiguation: check every earlier, unissued memory entry.
             for ppos in 0..pos {
-                let Some(prev) = self.st.q_m.raw_get(ppos) else {
-                    continue;
-                };
-                let Some(p) = self.st.rob.get(prev) else {
+                let Some(p) = self.st.rob.get(self.st.q_m[ppos]) else {
                     continue;
                 };
                 if p.mem_stage == MemStage::Done {
@@ -165,7 +137,7 @@ impl OooSim<'_> {
         }
     }
 
-    /// `q_pos` is the entry's raw position in `q_m` (for O(1) removal).
+    /// `q_pos` is the entry's position in `q_m`.
     fn do_issue_mem(&mut self, seq: u64, cache_hit: bool, q_pos: usize) {
         let e = self.st.rob.get(seq).expect("entry vanished");
         let vl = if e.op.is_vector() { e.vl } else { 1 };
@@ -204,7 +176,7 @@ impl OooSim<'_> {
                         entry.issue_time = self.now;
                         entry.complete_time = done;
                         entry.mem_stage = MemStage::Done;
-                        self.st.q_m.remove_at(q_pos);
+                        self.st.q_m.remove(q_pos);
                         self.progress(StageId::IssueMem);
                         return;
                     }
@@ -250,7 +222,7 @@ impl OooSim<'_> {
         entry.issue_time = grant.start;
         entry.complete_time = complete;
         entry.mem_stage = MemStage::Done;
-        self.st.q_m.remove_at(q_pos);
+        self.st.q_m.remove(q_pos);
         self.progress(StageId::IssueMem);
     }
 }

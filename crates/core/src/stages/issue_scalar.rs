@@ -16,17 +16,16 @@ use crate::stages::StageId;
 impl OooSim<'_> {
     pub(crate) fn issue_scalar_queue(&mut self, a_queue: bool) {
         let qlen = if a_queue {
-            self.st.q_a.raw_len()
+            self.st.q_a.len()
         } else {
-            self.st.q_s.raw_len()
+            self.st.q_s.len()
         };
         for pos in 0..qlen {
-            let got = if a_queue {
-                self.st.q_a.raw_get(pos)
+            let seq = if a_queue {
+                self.st.q_a[pos]
             } else {
-                self.st.q_s.raw_get(pos)
+                self.st.q_s[pos]
             };
-            let Some(seq) = got else { continue };
             let Some(e) = self.st.rob.get(seq) else {
                 continue;
             };
@@ -72,7 +71,6 @@ impl OooSim<'_> {
             if is_control {
                 if let Some(b) = branch {
                     self.st.btb_updates.push((complete, pc, b.taken, b.target));
-                    self.sched.btb_wake = self.sched.btb_wake.min(complete);
                 }
                 if mispredicted {
                     let resume = complete + u64::from(self.cfg.lat.mispredict_penalty);
@@ -80,10 +78,10 @@ impl OooSim<'_> {
                 }
             }
             if a_queue {
-                self.st.q_a.remove_at(pos);
+                self.st.q_a.remove(pos);
                 self.progress(StageId::IssueA);
             } else {
-                self.st.q_s.remove_at(pos);
+                self.st.q_s.remove(pos);
                 self.progress(StageId::IssueS);
             }
             return;

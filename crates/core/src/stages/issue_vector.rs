@@ -14,39 +14,42 @@ use crate::stages::StageId;
 impl OooSim<'_> {
     pub(crate) fn issue_vector(&mut self) {
         let lat = self.cfg.lat;
-        for pos in 0..self.st.q_v.raw_len() {
-            let Some(seq) = self.st.q_v.raw_get(pos) else {
-                continue;
-            };
+        for pos in 0..self.st.q_v.len() {
+            let seq = self.st.q_v[pos];
             let Some(e) = self.st.rob.get(seq) else {
                 continue;
             };
+            // The event engine proves most rejections with the wakeup
+            // index and `entry_ready_time` (chained sources, read
+            // ports and both FUs folded into one time, so `t <= now` is
+            // exactly "`sources_ready` and an FU is free"), noting a
+            // time-blocked entry's ready time into the stage's wake.
+            // Traced, a time-blocked entry falls through to the naive
+            // oracle's ordered checks so they name the reason. The
+            // naive oracle always polls, so the parity tests
+            // cross-check index and accumulator alike.
+            let mut known_ready = false;
             if self.stepper == crate::Stepper::EventDriven {
-                // Wakeup index + fused wake accumulation: a producer
-                // that has not issued is an edge wake; a time-blocked
-                // entry (chained sources, read ports or both FUs busy
-                // — `entry_ready_time` folds them all, so `t <= now`
-                // is exactly "`sources_ready` and an FU is free")
-                // notes its ready time into the stage's wake. The
-                // naive oracle runs the full polls so the parity tests
-                // cross-check index and accumulator alike.
                 if e.waiting_srcs > 0 {
                     self.wait(seq, StallKind::SourcesPending);
                     continue;
                 }
                 let t = self.entry_ready_time(e);
-                if t > self.now {
+                known_ready = t <= self.now;
+                if !known_ready {
                     self.note_scan_wake(t);
-                    self.wait(seq, StallKind::SourcesPending);
-                    continue;
+                    if self.probe.is_none() {
+                        continue;
+                    }
                 }
-            } else if !self.sources_ready(e, true) {
-                self.wait(seq, StallKind::SourcesPending);
-                continue;
             }
             let Some(e) = self.st.rob.get(seq) else {
                 continue;
             };
+            if !known_ready && !self.sources_ready(e, true) {
+                self.wait(seq, StallKind::SourcesPending);
+                continue;
+            }
             let fu2_only = e.op.fu_class() == FuClass::VecFu2Only;
             let use_fu2 = if fu2_only {
                 if self.fu2_free > self.now {
@@ -103,7 +106,7 @@ impl OooSim<'_> {
             entry.state = EntryState::Issued;
             entry.issue_time = now;
             entry.complete_time = complete;
-            self.st.q_v.remove_at(pos);
+            self.st.q_v.remove(pos);
             self.progress(StageId::IssueVector);
             return;
         }

@@ -36,13 +36,6 @@ enum Stage3Rename {
 }
 
 impl OooSim<'_> {
-    /// Exact activity predicate: the pipe can only move (or count a
-    /// stall) when a stage register is occupied or an un-piped entry
-    /// waits in queue M.
-    pub(crate) fn mem_pipe_active(&self) -> bool {
-        self.stage.iter().any(Option::is_some) || !self.st.pipe_pending.is_empty()
-    }
-
     pub(crate) fn advance_mem_pipe(&mut self) {
         // Stage 3 → out.
         if let Some(seq) = self.stage[2] {
@@ -91,6 +84,14 @@ impl OooSim<'_> {
         }
     }
 
+    /// Takes `seq`, which leaves the Dependence stage without issuing
+    /// from queue M, out of that queue.
+    fn leave_queue_m(&mut self, seq: u64) {
+        if let Some(pos) = self.st.q_m.iter().position(|&s| s == seq) {
+            self.st.q_m.remove(pos);
+        }
+    }
+
     /// Processes an entry leaving the Dependence stage. Returns `false`
     /// if it must stall in stage 3 this cycle.
     fn stage3_exit(&mut self, seq: u64) -> bool {
@@ -111,7 +112,7 @@ impl OooSim<'_> {
             if elim == Stage3Rename::Eliminated {
                 // Entry fully handled; leaves the M queue. Its removal
                 // can unblock younger disambiguation candidates.
-                self.st.q_m.remove(seq);
+                self.leave_queue_m(seq);
                 self.sched.arm(StageId::IssueMem);
                 return true;
             }
@@ -126,20 +127,20 @@ impl OooSim<'_> {
                 e.mem_stage = MemStage::Done;
                 e.qkind = QueueKind::V;
             }
-            self.st.q_m.remove(seq);
-            self.st.q_v.push_back(seq);
+            self.leave_queue_m(seq);
+            self.st.q_v.push(seq);
             self.register_waits(seq);
             return true;
         }
         // Memory instruction: tag bookkeeping in program order.
         if self.elim_on() {
             if self.try_scalar_eliminate(seq) {
-                self.st.q_m.remove(seq);
+                self.leave_queue_m(seq);
                 self.sched.arm(StageId::IssueMem);
                 return true;
             }
             if self.sse_on() && self.try_store_eliminate(seq) {
-                self.st.q_m.remove(seq);
+                self.leave_queue_m(seq);
                 self.sched.arm(StageId::IssueMem);
                 return true;
             }

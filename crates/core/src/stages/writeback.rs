@@ -5,21 +5,22 @@
 //!
 //! * **BTB updates** — a resolved control transfer updates the branch
 //!   target buffer at its completion time, not at issue
-//!   ([`crate::OooSim::apply_btb_updates`]). The scheduler tracks the
-//!   earliest pending time in `Scheduler::btb_wake`, so the sweep only
-//!   runs when an update is due.
+//!   ([`crate::OooSim::apply_btb_updates`]). The pending times also feed
+//!   the dead-cycle skip target (`OooSim::frontend_wake_scan`).
 //! * **Eliminated-load copies** — a scalar load eliminated against a
 //!   provider that had not yet produced its value waits here for the
 //!   provider, then completes as a register-to-register copy
 //!   ([`crate::OooSim::resolve_pending_copies`]). The pool is almost
-//!   always empty; the predicate is simply non-emptiness.
+//!   always empty.
+//!
+//! Both sweeps run on every walked cycle in both engines: an empty pool
+//! costs a length check, a pending one a walk over a few entries.
 
 use crate::sim::OooSim;
 use crate::stages::StageId;
 
 impl OooSim<'_> {
-    /// Applies every deferred BTB update whose time has come, and
-    /// recomputes the earliest remaining one for the scheduler.
+    /// Applies every deferred BTB update whose time has come.
     pub(crate) fn apply_btb_updates(&mut self) {
         let now = self.now;
         let mut i = 0;
@@ -32,13 +33,6 @@ impl OooSim<'_> {
                 i += 1;
             }
         }
-        self.sched.btb_wake = self
-            .st
-            .btb_updates
-            .iter()
-            .map(|u| u.0)
-            .min()
-            .unwrap_or(u64::MAX);
     }
 
     /// Completes eliminated scalar loads whose provider has produced.

@@ -67,6 +67,56 @@ fn tracing_is_a_pure_observation_in_both_engines() {
     }
 }
 
+/// The issue-side stall kinds: the reasons an issue scan rejects an
+/// entry (the rest are per-cycle front-end stalls).
+const ISSUE_SIDE: [StallKind; 7] = [
+    StallKind::SourcesPending,
+    StallKind::FuBusy,
+    StallKind::MemDisambiguation,
+    StallKind::IndexVectorWait,
+    StallKind::StoreDataWait,
+    StallKind::LateCommitHead,
+    StallKind::BusBusy,
+];
+
+#[test]
+fn event_engine_names_every_issue_stall_the_naive_engine_names() {
+    // The engines scan at different times, so the cycles per reason
+    // split differently, but a traced event-engine scan runs the same
+    // ordered checks as the naive one: every reason the oracle charges
+    // on this grid, the default engine charges too.
+    let mut charged = [[0u64; ISSUE_SIDE.len()]; 2];
+    for p in Program::ALL {
+        let prog = p.compile(Scale::Smoke);
+        for cfg in configs() {
+            for (row, stepper) in charged
+                .iter_mut()
+                .zip([Stepper::Naive, Stepper::EventDriven])
+            {
+                let table = OooSim::new(cfg, &prog.trace)
+                    .with_stepper(stepper)
+                    .with_trace(TraceSink::new())
+                    .run()
+                    .trace
+                    .expect("sink comes back in the result")
+                    .stall_table();
+                for (sum, kind) in row.iter_mut().zip(ISSUE_SIDE) {
+                    *sum += table.get(kind);
+                }
+            }
+        }
+    }
+    let [naive, event] = charged;
+    for (i, kind) in ISSUE_SIDE.iter().enumerate() {
+        assert!(
+            naive[i] == 0 || event[i] > 0,
+            "naive charges {kind} {} cycles, the event engine none \
+             (naive {naive:?}, event {event:?} in {ISSUE_SIDE:?} order)",
+            naive[i]
+        );
+    }
+}
+
 #[test]
 fn konata_export_is_well_formed_and_matches_stats() {
     let prog = Program::Swm256.compile(Scale::Smoke);
