@@ -11,11 +11,11 @@
 //!
 //! * `--program <name>`  one of the ten benchmark names, or `all`
 //! * `--machine <ref|ooo>`            default `ooo`
-//! * `--regs <n ≥ 9>`                 physical V registers, default 16
-//! * `--queues <n ≥ 1>`               issue-queue slots, default 16
+//! * `--regs <9..=65535>`             physical V registers, default 16
+//! * `--queues <1..=65535>`           issue-queue slots, default 16
 //! * `--latency <cycles>`             memory latency, default 50
 //! * `--commit <early|late>`          default `early`, or `late` when
-//!   `--elim` is set (load elimination requires late commit, so an
+//!   `--elim` is set (elimination needs precise state, so an
 //!   explicit `--commit early` with it is an error)
 //! * `--elim <off|sle|sle+vle|sle+vle+sse>`  default `off`
 //! * `--scale <smoke|paper>`          default `paper`

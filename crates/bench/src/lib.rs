@@ -118,9 +118,8 @@ pub struct RunOutcome {
 ///
 /// # Errors
 ///
-/// A usage message for a point [`OooConfig`]'s builders would panic on
-/// (`regs < 9`, `queues == 0`), or for an explicit early commit with
-/// load elimination, which requires late commit.
+/// [`OooConfig::validate`]'s message for a point the simulator would
+/// reject, an explicit early commit with load elimination included.
 pub fn ooo_config_from_flags(
     regs: usize,
     queues: usize,
@@ -128,23 +127,15 @@ pub fn ooo_config_from_flags(
     commit: Option<CommitMode>,
     elim: LoadElimMode,
 ) -> Result<OooConfig, String> {
-    if regs < 9 {
-        return Err(format!(
-            "--regs {regs}: need at least 9 physical vector registers"
-        ));
-    }
-    if queues == 0 {
-        return Err("--queues: issue queues need at least one slot".into());
-    }
-    if commit == Some(CommitMode::Early) && elim != LoadElimMode::Off {
-        return Err("load elimination requires late commit".into());
-    }
-    Ok(OooConfig::default()
+    let mut cfg = OooConfig::default()
         .with_phys_v_regs(regs)
         .with_queue_slots(queues)
         .with_memory_latency(latency)
-        .with_commit(commit.unwrap_or(CommitMode::Early))
-        .with_load_elim(elim))
+        .with_load_elim(elim);
+    if let Some(mode) = commit {
+        cfg = cfg.with_commit(mode);
+    }
+    cfg.validate().map(|()| cfg)
 }
 
 /// Runs the reference (in-order) machine over a compiled program.
@@ -293,5 +284,7 @@ mod tests {
         assert!(ooo_config_from_flags(8, 16, 50, None, LoadElimMode::Off).is_err());
         assert!(ooo_config_from_flags(9, 0, 50, None, LoadElimMode::Off).is_err());
         assert!(ooo_config_from_flags(9, 1, 50, None, LoadElimMode::Off).is_ok());
+        assert!(ooo_config_from_flags(65_535, 1, 50, None, LoadElimMode::Off).is_ok());
+        assert!(ooo_config_from_flags(65_545, 1, 50, None, LoadElimMode::Off).is_err());
     }
 }

@@ -28,12 +28,7 @@ impl Btb {
 
     /// Empties the BTB and sizes it to `n` entries (power of two
     /// recommended; paper uses 64), reusing its storage (arena reuse).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
     pub(crate) fn reset(&mut self, n: usize) {
-        assert!(n > 0, "BTB needs at least one entry");
         self.entries.clear();
         self.entries.resize(n, None);
     }

@@ -356,6 +356,44 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least 9")]
+    fn too_few_phys_regs_rejected() {
+        let t = trace(vec![vload(0, 0x1000, 8)]);
+        let _ = OooSim::new(OooConfig::default().with_phys_v_regs(8), &t);
+    }
+
+    #[test]
+    fn construction_panics_with_the_validate_message() {
+        // The first two used to simulate until the engine found no
+        // future event and panicked with a deadlock.
+        let t = trace(vec![vload(0, 0x1000, 8)]);
+        let d = OooConfig::default();
+        for cfg in [
+            OooConfig {
+                commit_width: 0,
+                ..d
+            },
+            OooConfig {
+                queue_slots: 0,
+                ..d
+            },
+            OooConfig {
+                rob_entries: 0,
+                ..d
+            },
+            OooConfig {
+                phys_v_regs: 4,
+                ..d
+            },
+        ] {
+            let expected = cfg.validate().unwrap_err();
+            let panic = std::panic::catch_unwind(|| OooSim::new(cfg, &t).run())
+                .expect_err("an invalid config must not build a simulator");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&expected));
+        }
+    }
+
+    #[test]
     fn conservation_holds_before_run() {
         let t = trace(vec![vload(0, 0x1000, 8)]);
         let sim = OooSim::new(OooConfig::default(), &t);

@@ -57,19 +57,10 @@ impl RenameTable {
     /// Reinitialises the table for `n_phys` physical registers: the
     /// architectural registers map to physicals `0..n_arch` and the
     /// rest are free. Reuses the table's storage (arena reuse: a size
-    /// this table has held before allocates nothing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_phys` is smaller than the architectural count + 1
-    /// (rename could never proceed).
+    /// this table has held before allocates nothing). `n_phys` is above
+    /// the architectural count (`OooConfig::validate` holds the bound).
     pub(crate) fn reinit(&mut self, n_phys: usize) {
         let n_arch = usize::from(self.class.arch_count());
-        assert!(
-            n_phys > n_arch,
-            "{}: need more than {n_arch} physical registers, got {n_phys}",
-            self.class
-        );
         self.n_phys = n_phys;
         self.map.clear();
         self.map.extend(0..n_arch as PhysReg);
@@ -221,7 +212,7 @@ impl RenameUnit {
     }
 
     /// Resets the unit to the start-of-run state for the given
-    /// physical counts (mask tables get at least 9, the minimum
+    /// physical counts (mask tables get 9 or more, the minimum
     /// workable size), reusing each table's storage.
     pub(crate) fn reset_to(&mut self, phys_a: usize, phys_s: usize, phys_v: usize, phys_m: usize) {
         for (t, n) in self

@@ -221,12 +221,7 @@ impl Rob {
     /// rewinds sequence numbering for a new run. The deque is sized
     /// for a full buffer up front, and keeps its storage across resets
     /// (arena reuse).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
     pub(crate) fn reset(&mut self, capacity: usize) {
-        assert!(capacity > 0, "ROB needs at least one slot");
         self.entries.clear();
         self.entries.reserve(capacity);
         self.capacity = capacity;

@@ -418,17 +418,30 @@ impl SimArena {
 
 impl<'t> OooSim<'t> {
     /// Builds a simulator for one run over `trace`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`OooConfig::validate`]'s message if `cfg` breaks a
+    /// bound.
     #[must_use]
     pub fn new(cfg: OooConfig, trace: &'t Trace) -> Self {
-        Self::assemble(cfg, trace, Storage::fresh(&cfg))
+        Self::new_in(cfg, trace, &mut SimArena::new())
     }
 
     /// As [`OooSim::new`], but reusing `arena`'s allocation footprint
     /// (building it on the arena's first use). Pair with
     /// [`OooSim::run_into`] to hand the storage back for the next
     /// iteration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`OooConfig::validate`]'s message if `cfg` breaks a
+    /// bound.
     #[must_use]
     pub fn new_in(cfg: OooConfig, trace: &'t Trace, arena: &mut SimArena) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let storage = arena.prepare(&cfg);
         Self::assemble(cfg, trace, storage)
     }

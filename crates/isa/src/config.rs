@@ -5,10 +5,16 @@
 //! carries a stable 64-bit [fingerprint](MachineConfig::fingerprint).
 //! The encoding feeds the `oov-serve` request fingerprint, which keys
 //! its result cache and shard routing.
+//!
+//! Each block's codec is one [`json_record!`] field list; defaults live
+//! in its `Default`. Every bound a machine needs is stated once, in
+//! [`OooConfig::validate`] and [`ScalarCacheCfg::validate`]
+//! ([`RefConfig::validate`] goes through the latter): decoding returns
+//! their error, and the simulators assert them on construction.
 
 use std::hash::Hasher as _;
 
-use oov_proto::{Fnv1a, Json};
+use oov_proto::{json_record, Fnv1a, Json, JsonField};
 
 use crate::LatencyModel;
 
@@ -102,6 +108,31 @@ impl LoadElimMode {
     }
 }
 
+/// The modes travel as their names.
+macro_rules! named_field {
+    ($($t:ty),*) => {$(
+        impl JsonField for $t {
+            fn to_field(&self) -> Json {
+                self.name().into()
+            }
+
+            fn from_value(v: &Json) -> Result<Self, Option<String>> {
+                v.as_str().and_then(Self::from_name).ok_or(None)
+            }
+        }
+    )*};
+}
+
+named_field!(CommitMode, LoadElimMode);
+
+/// The largest size of any machine structure: each physical register
+/// file, the issue-queue slots, the ROB, the commit width, the BTB, the
+/// return stack and the scalar cache's lines. Physical registers are
+/// named by `u16`, and the bound keeps every structure's allocation
+/// small, so no decodable configuration wraps a register name or
+/// exhausts memory.
+const MAX_SIZE: usize = u16::MAX as usize;
+
 /// Scalar data-cache parameters.
 ///
 /// Both machines cache *scalar* data only (the paper: data caches "have
@@ -171,6 +202,17 @@ impl RefConfig {
         self.lat.memory = cycles;
         self
     }
+
+    /// Checks the reference machine's bounds: its scalar cache's.
+    ///
+    /// # Errors
+    ///
+    /// Names the bound the configuration breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        self.scalar_cache
+            .as_ref()
+            .map_or(Ok(()), ScalarCacheCfg::validate)
+    }
 }
 
 /// Parameters of the out-of-order machine (paper §2.2 "Machine Parameters").
@@ -228,15 +270,8 @@ impl Default for OooConfig {
 
 impl OooConfig {
     /// Sets the number of physical vector registers (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 9`: with 8 architectural registers mapped at all
-    /// times, at least one extra physical register is needed for the
-    /// rename stage to make progress.
     #[must_use]
     pub fn with_phys_v_regs(mut self, n: usize) -> Self {
-        assert!(n >= 9, "need at least 9 physical vector registers, got {n}");
         self.phys_v_regs = n;
         self
     }
@@ -244,7 +279,6 @@ impl OooConfig {
     /// Sets the issue-queue depth (builder style).
     #[must_use]
     pub fn with_queue_slots(mut self, n: usize) -> Self {
-        assert!(n >= 1, "queues need at least one slot");
         self.queue_slots = n;
         self
     }
@@ -274,180 +308,107 @@ impl OooConfig {
         }
         self
     }
+
+    /// Checks every bound the OOOVA needs: 9 or more registers in each
+    /// of the A, S and V files (8 architectural mappings plus one in
+    /// flight, or rename never proceeds); at least one issue-queue slot,
+    /// ROB entry, commit slot and BTB entry; no structure above
+    /// `u16::MAX`; late commit under load elimination; and the scalar
+    /// cache's bounds.
+    ///
+    /// # Errors
+    ///
+    /// Names the first bound the configuration breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        let (a, s, v) = (self.phys_a_regs, self.phys_s_regs, self.phys_v_regs);
+        if a.min(s).min(v) < 9 {
+            return Err(format!(
+                "ooo config: each physical register file needs at least 9 registers \
+                 (8 architectural mappings plus one in flight), got a={a} s={s} v={v}"
+            ));
+        }
+        let slots = [
+            self.queue_slots,
+            self.rob_entries,
+            self.commit_width,
+            self.btb_entries,
+        ];
+        if slots.contains(&0) {
+            return Err(
+                "ooo config: issue queues, ROB, commit width and BTB need at least one slot".into(),
+            );
+        }
+        let sizes = [a, s, v, self.phys_mask_regs, self.ras_depth];
+        if let Some(n) = slots.into_iter().chain(sizes).find(|&n| n > MAX_SIZE) {
+            return Err(format!(
+                "ooo config: a structure size of {n} is above the limit of {MAX_SIZE}"
+            ));
+        }
+        if self.load_elim != LoadElimMode::Off && self.commit != CommitMode::Late {
+            return Err("ooo config: load elimination requires late commit".into());
+        }
+        self.scalar_cache
+            .as_ref()
+            .map_or(Ok(()), ScalarCacheCfg::validate)
+    }
 }
 
 impl ScalarCacheCfg {
-    /// Encodes the cache parameters as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("size_bytes", self.size_bytes.into()),
-            ("line_bytes", self.line_bytes.into()),
-            ("hit_latency", self.hit_latency.into()),
-        ])
-    }
-
-    /// Decodes the [`ScalarCacheCfg::to_json`] encoding, enforcing the
-    /// bounds `ScalarCache::new` asserts (both sizes powers of two, at
-    /// least one line) so a wire-supplied configuration can never
-    /// panic the simulator.
+    /// Checks the cache's bounds: both sizes powers of two, and from
+    /// one to `u16::MAX` lines.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing, malformed or out-of-range
-    /// field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("scalar cache: bad or missing field `{name}`"))
-        };
-        let cfg = ScalarCacheCfg {
-            size_bytes: field("size_bytes")?,
-            line_bytes: field("line_bytes")?,
-            hit_latency: u32::try_from(field("hit_latency")?)
-                .map_err(|_| "scalar cache: hit_latency out of range".to_string())?,
-        };
-        if !cfg.size_bytes.is_power_of_two() || !cfg.line_bytes.is_power_of_two() {
+    /// Names the bound the cache breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.size_bytes.is_power_of_two() || !self.line_bytes.is_power_of_two() {
             return Err("scalar cache: sizes must be powers of two".into());
         }
-        if cfg.size_bytes < cfg.line_bytes {
-            return Err("scalar cache: smaller than one line".into());
-        }
-        Ok(cfg)
-    }
-}
-
-fn cache_to_json(cache: &Option<ScalarCacheCfg>) -> Json {
-    cache.as_ref().map_or(Json::Null, ScalarCacheCfg::to_json)
-}
-
-fn cache_from_json(v: Option<&Json>) -> Result<Option<ScalarCacheCfg>, String> {
-    match v {
-        None | Some(Json::Null) => Ok(None),
-        Some(obj) => ScalarCacheCfg::from_json(obj).map(Some),
-    }
-}
-
-impl RefConfig {
-    /// Encodes the configuration as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("lat", self.lat.to_json()),
-            ("banked_ports", self.banked_ports.into()),
-            ("chain_fu", self.chain_fu.into()),
-            ("chain_loads", self.chain_loads.into()),
-            ("scalar_cache", cache_to_json(&self.scalar_cache)),
-        ])
-    }
-
-    /// Decodes the [`RefConfig::to_json`] encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or malformed field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let flag = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("ref config: bad or missing field `{name}`"))
-        };
-        Ok(RefConfig {
-            lat: LatencyModel::from_json(
-                v.get("lat")
-                    .ok_or_else(|| "ref config: missing `lat`".to_string())?,
-            )?,
-            banked_ports: flag("banked_ports")?,
-            chain_fu: flag("chain_fu")?,
-            chain_loads: flag("chain_loads")?,
-            scalar_cache: cache_from_json(v.get("scalar_cache"))?,
-        })
-    }
-}
-
-impl OooConfig {
-    /// Encodes the configuration as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("lat", self.lat.to_json()),
-            ("phys_v_regs", self.phys_v_regs.into()),
-            ("phys_a_regs", self.phys_a_regs.into()),
-            ("phys_s_regs", self.phys_s_regs.into()),
-            ("phys_mask_regs", self.phys_mask_regs.into()),
-            ("queue_slots", self.queue_slots.into()),
-            ("rob_entries", self.rob_entries.into()),
-            ("commit_width", self.commit_width.into()),
-            ("btb_entries", self.btb_entries.into()),
-            ("ras_depth", self.ras_depth.into()),
-            ("commit", self.commit.name().into()),
-            ("load_elim", self.load_elim.name().into()),
-            ("scalar_cache", cache_to_json(&self.scalar_cache)),
-        ])
-    }
-
-    /// Decodes the [`OooConfig::to_json`] encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or malformed field, or the
-    /// structural-parameter validation that failed (the same bounds the
-    /// builder methods assert).
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_usize)
-                .ok_or_else(|| format!("ooo config: bad or missing field `{name}`"))
-        };
-        let commit_name = v
-            .get("commit")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "ooo config: bad or missing field `commit`".to_string())?;
-        let elim_name = v
-            .get("load_elim")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "ooo config: bad or missing field `load_elim`".to_string())?;
-        let cfg = OooConfig {
-            lat: LatencyModel::from_json(
-                v.get("lat")
-                    .ok_or_else(|| "ooo config: missing `lat`".to_string())?,
-            )?,
-            phys_v_regs: field("phys_v_regs")?,
-            phys_a_regs: field("phys_a_regs")?,
-            phys_s_regs: field("phys_s_regs")?,
-            phys_mask_regs: field("phys_mask_regs")?,
-            queue_slots: field("queue_slots")?,
-            rob_entries: field("rob_entries")?,
-            commit_width: field("commit_width")?,
-            btb_entries: field("btb_entries")?,
-            ras_depth: field("ras_depth")?,
-            commit: CommitMode::from_name(commit_name)
-                .ok_or_else(|| format!("ooo config: unknown commit mode `{commit_name}`"))?,
-            load_elim: LoadElimMode::from_name(elim_name)
-                .ok_or_else(|| format!("ooo config: unknown load-elim mode `{elim_name}`"))?,
-            scalar_cache: cache_from_json(v.get("scalar_cache"))?,
-        };
-        if cfg.phys_v_regs < 9 || cfg.phys_a_regs < 9 || cfg.phys_s_regs < 9 {
+        let lines = self.size_bytes / self.line_bytes;
+        if lines == 0 || lines > MAX_SIZE as u64 {
             return Err(format!(
-                "ooo config: each physical register file needs at least 9 registers \
-                 (8 architectural mappings plus one in flight), got \
-                 a={} s={} v={}",
-                cfg.phys_a_regs, cfg.phys_s_regs, cfg.phys_v_regs
+                "scalar cache: {lines} lines of {} bytes, need 1 to {MAX_SIZE}",
+                self.line_bytes
             ));
         }
-        if cfg.queue_slots < 1 || cfg.rob_entries < 1 || cfg.commit_width < 1 {
-            return Err("ooo config: queues, ROB and commit width need at least one slot".into());
-        }
-        if cfg.btb_entries < 1 {
-            return Err("ooo config: the BTB needs at least one entry".into());
-        }
-        if cfg.load_elim != LoadElimMode::Off && cfg.commit != CommitMode::Late {
-            return Err("ooo config: load elimination requires late commit".into());
-        }
-        Ok(cfg)
+        Ok(())
     }
 }
+
+json_record!(
+    ScalarCacheCfg,
+    "scalar cache",
+    [size_bytes, line_bytes, hit_latency],
+    validate
+);
+
+json_record!(
+    RefConfig,
+    "ref config",
+    [lat, banked_ports, chain_fu, chain_loads, scalar_cache],
+    validate
+);
+
+json_record!(
+    OooConfig,
+    "ooo config",
+    [
+        lat,
+        phys_v_regs,
+        phys_a_regs,
+        phys_s_regs,
+        phys_mask_regs,
+        queue_slots,
+        rob_entries,
+        commit_width,
+        btb_entries,
+        ras_depth,
+        commit,
+        load_elim,
+        scalar_cache,
+    ],
+    validate
+);
 
 /// Configuration for either simulated machine — the unit the `oov-serve`
 /// wire protocol, shard router and result cache work in.
@@ -587,12 +548,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 9")]
-    fn too_few_phys_regs_rejected() {
-        let _ = OooConfig::default().with_phys_v_regs(8);
-    }
-
-    #[test]
     fn mode_names_round_trip() {
         for m in [CommitMode::Early, CommitMode::Late] {
             assert_eq!(CommitMode::from_name(m.name()), Some(m));
@@ -632,71 +587,164 @@ mod tests {
         }
     }
 
-    #[test]
-    fn from_json_validates_structural_bounds() {
+    /// The default OOOVA encoding with `field` set to `value` in place,
+    /// or removed for `None`.
+    fn ooo_with(field: &str, value: Option<Json>) -> Json {
         let mut v = OooConfig::default().to_json();
         if let Json::Obj(pairs) = &mut v {
-            for (k, val) in pairs.iter_mut() {
-                if k == "phys_v_regs" {
-                    *val = 4u64.into();
+            match value {
+                Some(value) => {
+                    for (_, val) in pairs.iter_mut().filter(|(k, _)| k == field) {
+                        *val = value.clone();
+                    }
                 }
+                None => pairs.retain(|(k, _)| k != field),
             }
         }
-        let err = OooConfig::from_json(&v).unwrap_err();
+        v
+    }
+
+    fn cache(size_bytes: u64, line_bytes: u64) -> Json {
+        ScalarCacheCfg {
+            size_bytes,
+            line_bytes,
+            ..ScalarCacheCfg::default()
+        }
+        .to_json()
+    }
+
+    #[test]
+    fn from_json_validates_structural_bounds() {
+        let err = OooConfig::from_json(&ooo_with("phys_v_regs", Some(4u64.into()))).unwrap_err();
         assert!(err.contains("at least 9"), "{err}");
     }
 
     #[test]
     fn from_json_rejects_wire_reachable_panic_values() {
-        // Each of these would assert/divide-by-zero inside the
-        // simulator if it got past decode.
-        let poison = |field: &str, value: Json| {
-            let mut v = OooConfig::default().to_json();
-            if let Json::Obj(pairs) = &mut v {
-                for (k, val) in pairs.iter_mut() {
-                    if k == field {
-                        *val = value.clone();
+        // Each of these would assert, divide by zero, wrap a `u16`
+        // register name or abort on allocation inside the simulator if
+        // it got past decode.
+        let rejected = |field: &str, value: Json| {
+            let v = ooo_with(field, Some(value.clone()));
+            assert!(OooConfig::from_json(&v).is_err(), "{field} = {value}");
+        };
+        rejected("btb_entries", 0u64.into());
+        rejected("phys_a_regs", 4u64.into());
+        rejected("phys_s_regs", 0u64.into());
+        for field in ["queue_slots", "rob_entries", "commit_width"] {
+            rejected(field, 0u64.into());
+        }
+        rejected("phys_v_regs", 65_536u64.into());
+        rejected("phys_v_regs", 65_545u64.into());
+        rejected("rob_entries", (1u64 << 50).into());
+        rejected("btb_entries", (1u64 << 50).into());
+        rejected("scalar_cache", cache(100, 32)); // not a power of two
+        rejected("scalar_cache", cache(16, 32)); // smaller than one line
+        rejected("scalar_cache", cache(1 << 52, 32));
+        rejected("scalar_cache", cache(1 << 21, 32)); // 65536 lines
+    }
+
+    #[test]
+    fn from_json_accepts_the_largest_structures() {
+        for field in [
+            "phys_v_regs",
+            "phys_a_regs",
+            "phys_s_regs",
+            "phys_mask_regs",
+            "queue_slots",
+            "rob_entries",
+            "commit_width",
+            "btb_entries",
+            "ras_depth",
+        ] {
+            let v = ooo_with(field, Some(65_535u64.into()));
+            let cfg = OooConfig::from_json(&v).unwrap_or_else(|e| panic!("{field}: {e}"));
+            assert_eq!(cfg.to_json(), v);
+        }
+        // Both sizes are powers of two, so the most lines is 2^15.
+        let v = ooo_with("scalar_cache", Some(cache(1 << 20, 32)));
+        assert_eq!(OooConfig::from_json(&v).map(|c| c.to_json()), Ok(v));
+    }
+
+    #[test]
+    fn from_json_accepts_every_point_the_callers_build() {
+        // The sweeps of the exhibits, the repo benchmark, the
+        // differential floor and the wire round-trip tests: registers
+        // from 9, queues from 1, ROB sizes 16–128, latencies 1–200,
+        // every commit × elimination pair the builders reach, with and
+        // without the scalar cache.
+        let mut points = Vec::new();
+        let commits = [CommitMode::Early, CommitMode::Late];
+        let elims = [
+            LoadElimMode::Off,
+            LoadElimMode::Sle,
+            LoadElimMode::SleVle,
+            LoadElimMode::SleVleSse,
+        ];
+        for regs in (9..=128).step_by(7).chain([12, 16, 32, 64, 128]) {
+            for slots in [1, 4, 8, 16, 127, 128, 256] {
+                for rob in [16, 64, 128] {
+                    for (i, lat) in [1, 20, 50, 70, 100, 150, 200].into_iter().enumerate() {
+                        let base = OooConfig {
+                            rob_entries: rob,
+                            scalar_cache: (i % 2 == 0).then(ScalarCacheCfg::default),
+                            ..OooConfig::default()
+                        }
+                        .with_phys_v_regs(regs)
+                        .with_queue_slots(slots)
+                        .with_memory_latency(lat);
+                        for commit in commits {
+                            for elim in elims {
+                                let cfg = base.with_commit(commit).with_load_elim(elim);
+                                points.push(MachineConfig::Ooo(cfg));
+                            }
+                        }
                     }
                 }
             }
-            OooConfig::from_json(&v)
-        };
-        assert!(poison("btb_entries", 0u64.into()).is_err());
-        assert!(poison("phys_a_regs", 4u64.into()).is_err());
-        assert!(poison("phys_s_regs", 0u64.into()).is_err());
-        assert!(poison(
-            "scalar_cache",
-            Json::obj(vec![
-                ("size_bytes", 100u64.into()), // not a power of two
-                ("line_bytes", 32u64.into()),
-                ("hit_latency", 2u64.into()),
-            ]),
-        )
-        .is_err());
-        assert!(poison(
-            "scalar_cache",
-            Json::obj(vec![
-                ("size_bytes", 16u64.into()), // smaller than one line
-                ("line_bytes", 32u64.into()),
-                ("hit_latency", 2u64.into()),
-            ]),
-        )
-        .is_err());
+        }
+        for lat in 1..=200 {
+            let base = RefConfig::default().with_memory_latency(lat);
+            for bits in 0..16u32 {
+                points.push(MachineConfig::Ref(RefConfig {
+                    banked_ports: bits & 1 == 0,
+                    chain_fu: bits & 2 == 0,
+                    chain_loads: bits & 4 == 0,
+                    scalar_cache: (bits & 8 == 0).then(ScalarCacheCfg::default),
+                    ..base
+                }));
+            }
+        }
+        for cfg in points {
+            assert_eq!(MachineConfig::from_json(&cfg.to_json()), Ok(cfg));
+        }
+    }
+
+    #[test]
+    fn a_missing_scalar_cache_is_an_error_and_null_is_off() {
+        let err = OooConfig::from_json(&ooo_with("scalar_cache", None)).unwrap_err();
+        assert_eq!(err, "ooo config: bad or missing field `scalar_cache`");
+        let off = OooConfig::from_json(&ooo_with("scalar_cache", Some(Json::Null))).unwrap();
+        assert_eq!(off.scalar_cache, None);
+        let mut v = RefConfig::default().to_json();
+        if let Json::Obj(pairs) = &mut v {
+            pairs.retain(|(k, _)| k != "scalar_cache");
+        }
+        assert!(RefConfig::from_json(&v).is_err());
     }
 
     #[test]
     fn from_json_rejects_elim_without_late_commit() {
-        let mut v = OooConfig::default()
-            .with_load_elim(LoadElimMode::Sle)
-            .to_json();
-        if let Json::Obj(pairs) = &mut v {
-            for (k, val) in pairs.iter_mut() {
-                if k == "commit" {
-                    *val = "early".into();
-                }
-            }
+        let v = OooConfig {
+            load_elim: LoadElimMode::Sle,
+            ..OooConfig::default()
         }
-        assert!(OooConfig::from_json(&v).is_err());
+        .to_json();
+        let err = OooConfig::from_json(&v).unwrap_err();
+        assert!(
+            err.contains("load elimination requires late commit"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -132,62 +132,24 @@ impl LatencyModel {
     pub fn occupancy(&self, vl: u16) -> u64 {
         u64::from(self.vstartup) + u64::from(vl)
     }
-
-    /// Field names and values in declaration order — the canonical
-    /// form shared by the JSON encoding and the config fingerprint.
-    #[must_use]
-    pub fn fields(&self) -> [(&'static str, u32); 10] {
-        [
-            ("read_xbar", self.read_xbar),
-            ("write_xbar", self.write_xbar),
-            ("vstartup", self.vstartup),
-            ("scalar_simple", self.scalar_simple),
-            ("vector_simple", self.vector_simple),
-            ("mul", self.mul),
-            ("div_sqrt", self.div_sqrt),
-            ("memory", self.memory),
-            ("branch", self.branch),
-            ("mispredict_penalty", self.mispredict_penalty),
-        ]
-    }
-
-    /// Encodes the model as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> oov_proto::Json {
-        oov_proto::Json::Obj(
-            self.fields()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v.into()))
-                .collect(),
-        )
-    }
-
-    /// Decodes a model from the [`LatencyModel::to_json`] encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or malformed field.
-    pub fn from_json(v: &oov_proto::Json) -> Result<Self, String> {
-        let field = |name: &str| -> Result<u32, String> {
-            v.get(name)
-                .and_then(oov_proto::Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| format!("latency model: bad or missing field `{name}`"))
-        };
-        Ok(LatencyModel {
-            read_xbar: field("read_xbar")?,
-            write_xbar: field("write_xbar")?,
-            vstartup: field("vstartup")?,
-            scalar_simple: field("scalar_simple")?,
-            vector_simple: field("vector_simple")?,
-            mul: field("mul")?,
-            div_sqrt: field("div_sqrt")?,
-            memory: field("memory")?,
-            branch: field("branch")?,
-            mispredict_penalty: field("mispredict_penalty")?,
-        })
-    }
 }
+
+oov_proto::json_record!(
+    LatencyModel,
+    "latency model",
+    [
+        read_xbar,
+        write_xbar,
+        vstartup,
+        scalar_simple,
+        vector_simple,
+        mul,
+        div_sqrt,
+        memory,
+        branch,
+        mispredict_penalty,
+    ]
+);
 
 #[cfg(test)]
 mod tests {

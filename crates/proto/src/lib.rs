@@ -12,6 +12,9 @@
 //!   the parser slices plain strings from its input. The output is
 //!   byte-identical by contract, because fingerprints and the journal
 //!   are built from it;
+//! * [`json_record!`] and [`JsonField`] — one field list per struct
+//!   writes its `to_json`/`from_json`, so a field's wire name is
+//!   written once;
 //! * [`Fnv1a`] — the 64-bit FNV-1a hash, used for stable config and
 //!   request fingerprints (stable across processes and platforms,
 //!   unlike `std::collections::hash_map::DefaultHasher`);
@@ -38,8 +41,10 @@ mod crc;
 mod fnv;
 mod frame;
 mod json;
+mod record;
 
 pub use crc::{crc32, Crc32};
 pub use fnv::{fingerprint_bytes, Fnv1a};
 pub use frame::{frame_record, FrameReader, FrameStop, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD};
 pub use json::{Json, ParseError, Sink};
+pub use record::JsonField;

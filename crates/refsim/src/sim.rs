@@ -74,8 +74,16 @@ pub struct RefSim {
 
 impl RefSim {
     /// Builds a simulator with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`RefConfig::validate`]'s message if `cfg` breaks a
+    /// bound.
     #[must_use]
     pub fn new(cfg: RefConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         RefSim {
             cfg,
             regs: [RegState::default(); 32],

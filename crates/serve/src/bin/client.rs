@@ -24,8 +24,8 @@
 //! Shared flags (both `sim` and `sweep`), checked before connecting:
 //!
 //! * `--machine <ref|ooo>`            default `ooo` (`sim` only)
-//! * `--regs <n ≥ 9[,n...]>`          physical V registers, default 16
-//! * `--queues <n ≥ 1>`               issue-queue slots, default 16
+//! * `--regs <9..=65535[,n...]>`      physical V registers, default 16
+//! * `--queues <1..=65535>`           issue-queue slots, default 16
 //! * `--latency <cycles>`             memory latency, default 50
 //! * `--commit <early|late>`          default `early`, or `late` when
 //!   `--elim` is set (an explicit `--commit early` with it is an error)

@@ -5,7 +5,9 @@
 //! [`Request::decode`] and [`Response::decode`], and two things must
 //! hold: no input panics, and whatever decodes is a fixed point of
 //! decode ∘ encode, so a value the server accepts is a value it can
-//! send back unchanged.
+//! send back unchanged. A field-level pass also puts boundary values
+//! into every numeric machine-config field, where every accepted
+//! request must also pass the config's `validate()`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -184,6 +186,124 @@ fn earlier_findings_stay_fixed() {
     .replace("\"size_bytes\": 16384", "\"size_bytes\": 1e384");
     assert!(sim.contains("1e384"), "{sim}");
     check(&sim);
+}
+
+/// One step of a path into a `Json` tree.
+#[derive(Clone)]
+enum Step {
+    Key(String),
+    Index(usize),
+}
+
+/// Appends to `out` the path of every number inside a `"cfg"` object
+/// (a machine configuration) of `v`.
+fn config_numbers(v: &Json, in_cfg: bool, path: &mut Vec<Step>, out: &mut Vec<Vec<Step>>) {
+    match v {
+        Json::Num(_) if in_cfg => out.push(path.clone()),
+        Json::Obj(pairs) => {
+            for (k, item) in pairs {
+                path.push(Step::Key(k.clone()));
+                config_numbers(item, in_cfg || k == "cfg", path, out);
+                path.pop();
+            }
+        }
+        Json::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                path.push(Step::Index(i));
+                config_numbers(item, in_cfg, path, out);
+                path.pop();
+            }
+        }
+        _ => {}
+    }
+}
+
+/// `v` with the value at `path` replaced by `value`, or its key
+/// removed for `None`.
+fn substituted(v: &Json, path: &[Step], value: Option<&Json>) -> Json {
+    let mut out = v.clone();
+    let mut at = &mut out;
+    for step in &path[..path.len() - 1] {
+        at = match (step, at) {
+            (Step::Key(k), Json::Obj(pairs)) => {
+                &mut pairs.iter_mut().find(|(key, _)| key == k).expect("path").1
+            }
+            (Step::Index(i), Json::Arr(items)) => &mut items[*i],
+            _ => unreachable!("paths come from the same tree"),
+        };
+    }
+    match (path.last(), at, value) {
+        (Some(Step::Key(k)), Json::Obj(pairs), Some(value)) => {
+            for (_, item) in pairs.iter_mut().filter(|(key, _)| key == k) {
+                *item = value.clone();
+            }
+        }
+        (Some(Step::Key(k)), Json::Obj(pairs), None) => pairs.retain(|(key, _)| key != k),
+        _ => unreachable!("config numbers are object fields"),
+    }
+    out
+}
+
+/// The machine configs a decoded request carries.
+fn machines(r: &Request) -> Vec<MachineConfig> {
+    match r {
+        Request::Sim { req, .. } => vec![req.machine],
+        Request::Sweep { points, .. } => points.iter().map(|p| p.machine).collect(),
+        _ => Vec::new(),
+    }
+}
+
+#[test]
+fn boundary_values_in_every_config_field_decode_to_valid_fixed_points() {
+    let values: Vec<Option<Json>> = [
+        Json::from(0u64),
+        8u64.into(),
+        9u64.into(),
+        65_535u64.into(),
+        65_536u64.into(),
+        (1u64 << 50).into(),
+        (-1.0).into(),
+        1.5.into(),
+        Json::Null,
+        "x".into(),
+    ]
+    .into_iter()
+    .map(Some)
+    .chain([None])
+    .collect();
+    let (mut accepted, mut rejected, mut fields) = (0, 0, 0);
+    for line in valid_lines() {
+        let v = Json::parse(&line).expect("valid line");
+        let mut paths = Vec::new();
+        config_numbers(&v, false, &mut Vec::new(), &mut paths);
+        fields += paths.len();
+        for path in &paths {
+            for value in &values {
+                let text = substituted(&v, path, value.as_ref()).encode();
+                check(&text);
+                match Request::decode(&text) {
+                    Ok(r) => {
+                        accepted += 1;
+                        for machine in machines(&r) {
+                            let valid = match machine {
+                                MachineConfig::Ooo(c) => c.validate(),
+                                MachineConfig::Ref(c) => c.validate(),
+                            };
+                            assert_eq!(valid, Ok(()), "{text}");
+                        }
+                    }
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+    }
+    // The request lines carry three OOOVA configs of 22 numbers each
+    // and one REF config of 13.
+    assert_eq!(fields, 3 * 22 + 13, "config fields found");
+    assert!(
+        accepted > 0 && rejected > 0,
+        "{accepted} accepted, {rejected} rejected"
+    );
 }
 
 #[test]

@@ -96,83 +96,34 @@ impl SimStats {
     }
 }
 
-/// The scalar `u64` counters of [`SimStats`] in declaration order —
-/// one table drives the JSON encoder, decoder and field count so the
-/// three cannot drift apart when a counter is added.
-macro_rules! for_each_counter {
-    ($m:ident) => {
-        $m!(
-            cycles,
-            committed,
-            addr_bus_busy_cycles,
-            mem_requests,
-            load_requests,
-            store_requests,
-            spill_requests,
-            eliminated_scalar_loads,
-            eliminated_vector_loads,
-            eliminated_vector_words,
-            eliminated_stores,
-            eliminated_store_words,
-            branches,
-            mispredicts,
-            rename_stall_cycles,
-            queue_stall_cycles,
-            rob_stall_cycles,
-            progress_cycles
-        );
-    };
-}
-
-impl SimStats {
-    /// Encodes every counter (and the state breakdown) as a JSON
-    /// object. The inverse of [`SimStats::from_json`]; the round trip
-    /// is exact, which the `oov-serve` parity guarantees rely on.
-    #[must_use]
-    pub fn to_json(&self) -> oov_proto::Json {
-        let mut pairs: Vec<(String, oov_proto::Json)> = Vec::new();
-        macro_rules! emit {
-            ($($field:ident),*) => {
-                $(pairs.push((stringify!($field).to_string(), self.$field.into()));)*
-            };
-        }
-        for_each_counter!(emit);
-        pairs.push(("breakdown".to_string(), self.breakdown.to_json()));
-        pairs.push(("stages".to_string(), self.stages.to_json()));
-        oov_proto::Json::Obj(pairs)
-    }
-
-    /// Decodes the [`SimStats::to_json`] encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or malformed field.
-    pub fn from_json(v: &oov_proto::Json) -> Result<Self, String> {
-        let mut s = SimStats::new();
-        macro_rules! read {
-            ($($field:ident),*) => {
-                $(
-                    s.$field = v
-                        .get(stringify!($field))
-                        .and_then(oov_proto::Json::as_u64)
-                        .ok_or_else(|| {
-                            format!("sim stats: bad or missing field `{}`", stringify!($field))
-                        })?;
-                )*
-            };
-        }
-        for_each_counter!(read);
-        s.breakdown = StateBreakdown::from_json(
-            v.get("breakdown")
-                .ok_or_else(|| "sim stats: missing field `breakdown`".to_string())?,
-        )?;
-        s.stages = StageCycles::from_json(
-            v.get("stages")
-                .ok_or_else(|| "sim stats: missing field `stages`".to_string())?,
-        )?;
-        Ok(s)
-    }
-}
+// Counters first, then the breakdown and the per-stage counts: the
+// wire order `oov-serve` results and the journal carry.
+oov_proto::json_record!(
+    SimStats,
+    "sim stats",
+    [
+        cycles,
+        committed,
+        addr_bus_busy_cycles,
+        mem_requests,
+        load_requests,
+        store_requests,
+        spill_requests,
+        eliminated_scalar_loads,
+        eliminated_vector_loads,
+        eliminated_vector_words,
+        eliminated_stores,
+        eliminated_store_words,
+        branches,
+        mispredicts,
+        rename_stall_cycles,
+        queue_stall_cycles,
+        rob_stall_cycles,
+        progress_cycles,
+        breakdown,
+        stages,
+    ]
+);
 
 impl fmt::Display for SimStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

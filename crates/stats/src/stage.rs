@@ -38,71 +38,28 @@ pub struct StageCycles {
     pub commit: u64,
 }
 
-/// The counters of [`StageCycles`] in declaration order — one table
-/// drives the JSON encoder, decoder and accessors so they cannot drift
-/// when a stage is added.
-macro_rules! for_each_stage {
-    ($m:ident) => {
-        $m!(fetch, dispatch, issue_a, issue_s, issue_v, issue_mem, mem_pipe, writeback, commit);
-    };
-}
-
 impl StageCycles {
-    /// Fresh, zeroed counters.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Total stage-progress events (a cycle in which three stages
     /// progressed contributes three).
     #[must_use]
     pub fn total(&self) -> u64 {
-        let mut sum = 0u64;
-        macro_rules! add {
-            ($($field:ident),*) => { $(sum += self.$field;)* };
-        }
-        for_each_stage!(add);
-        sum
-    }
-
-    /// Encodes every counter as a JSON object. The inverse of
-    /// [`StageCycles::from_json`]; the round trip is exact.
-    #[must_use]
-    pub fn to_json(&self) -> oov_proto::Json {
-        let mut pairs: Vec<(String, oov_proto::Json)> = Vec::new();
-        macro_rules! emit {
-            ($($field:ident),*) => {
-                $(pairs.push((stringify!($field).to_string(), self.$field.into()));)*
-            };
-        }
-        for_each_stage!(emit);
-        oov_proto::Json::Obj(pairs)
-    }
-
-    /// Decodes the [`StageCycles::to_json`] encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or malformed field.
-    pub fn from_json(v: &oov_proto::Json) -> Result<Self, String> {
-        let mut s = StageCycles::new();
-        macro_rules! read {
-            ($($field:ident),*) => {
-                $(
-                    s.$field = v
-                        .get(stringify!($field))
-                        .and_then(oov_proto::Json::as_u64)
-                        .ok_or_else(|| {
-                            format!("stage cycles: bad or missing field `{}`", stringify!($field))
-                        })?;
-                )*
-            };
-        }
-        for_each_stage!(read);
-        Ok(s)
+        self.fetch
+            + self.dispatch
+            + self.issue_a
+            + self.issue_s
+            + self.issue_v
+            + self.issue_mem
+            + self.mem_pipe
+            + self.writeback
+            + self.commit
     }
 }
+
+oov_proto::json_record!(
+    StageCycles,
+    "stage cycles",
+    [fetch, dispatch, issue_a, issue_s, issue_v, issue_mem, mem_pipe, writeback, commit]
+);
 
 #[cfg(test)]
 mod tests {
@@ -130,7 +87,7 @@ mod tests {
 
     #[test]
     fn from_json_rejects_missing_stage() {
-        let mut v = StageCycles::new().to_json();
+        let mut v = StageCycles::default().to_json();
         if let oov_proto::Json::Obj(pairs) = &mut v {
             pairs.retain(|(k, _)| k != "issue_mem");
         }

@@ -150,29 +150,24 @@ impl StateBreakdown {
     pub fn iter(&self) -> impl Iterator<Item = (UnitState, u64)> + '_ {
         UnitState::ALL.iter().map(move |s| (*s, self.get(*s)))
     }
+}
 
-    /// Encodes the breakdown as an 8-element JSON array in dense-index
-    /// order (see [`UnitState::index`]).
-    #[must_use]
-    pub fn to_json(&self) -> oov_proto::Json {
+/// An 8-element array of cycle counts in dense-index order (see
+/// [`UnitState::index`]).
+impl oov_proto::JsonField for StateBreakdown {
+    fn to_field(&self) -> oov_proto::Json {
         oov_proto::Json::Arr(self.cycles.iter().map(|&c| c.into()).collect())
     }
 
-    /// Decodes the [`StateBreakdown::to_json`] encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the value is not an array of exactly eight
-    /// non-negative integers.
-    pub fn from_json(v: &oov_proto::Json) -> Result<Self, String> {
+    fn from_value(v: &oov_proto::Json) -> Result<Self, Option<String>> {
         let items = v
             .as_arr()
             .ok_or_else(|| "state breakdown: expected an array".to_string())?;
         if items.len() != 8 {
-            return Err(format!(
+            return Err(Some(format!(
                 "state breakdown: expected 8 entries, got {}",
                 items.len()
-            ));
+            )));
         }
         let mut cycles = [0u64; 8];
         for (i, item) in items.iter().enumerate() {
