@@ -12,9 +12,12 @@
 //! ([`RefConfig::validate`] goes through the latter): decoding returns
 //! their error, and the simulators assert them on construction.
 
+use std::borrow::Cow;
 use std::hash::Hasher as _;
 
-use oov_proto::{json_record, Fnv1a, Json, JsonField};
+use oov_proto::{
+    json_record, write_str, Decoded, Fnv1a, Json, JsonField, ParseError, Parser, Sink,
+};
 
 use crate::LatencyModel;
 
@@ -116,8 +119,16 @@ macro_rules! named_field {
                 self.name().into()
             }
 
-            fn from_value(v: &Json) -> Result<Self, Option<String>> {
+            fn write_field<S: Sink>(&self, out: &mut S) {
+                write_str(out, self.name());
+            }
+
+            fn from_value(v: &Json) -> Decoded<Self> {
                 v.as_str().and_then(Self::from_name).ok_or(None)
+            }
+
+            fn read_field(p: &mut Parser<'_>) -> Result<Decoded<Self>, ParseError> {
+                Ok(p.str()?.and_then(|name| Self::from_name(&name)).ok_or(None))
             }
         }
     )*};
@@ -228,6 +239,14 @@ pub struct OooConfig {
     /// Physical S registers (paper: 64).
     pub phys_s_regs: usize,
     /// Physical mask registers (paper: 8).
+    ///
+    /// The OOOVA renames the mask file with at least 9 registers (8
+    /// architectural mappings plus one in flight), so every value from
+    /// 0 to 9, the default 8 included, simulates the same machine while
+    /// fingerprinting as a different request. `validate` sets no lower
+    /// bound here; dropping the field is left to the next change of the
+    /// cache's record format (ROADMAP item 4), since it changes the
+    /// fingerprint.
     pub phys_mask_regs: usize,
     /// Slots in each of the four issue queues (paper: 16, and 128 for the
     /// "OOOVA-128" configuration).
@@ -239,6 +258,11 @@ pub struct OooConfig {
     /// Branch target buffer entries, 2-bit counters (paper: 64).
     pub btb_entries: usize,
     /// Return-stack depth (paper: 8).
+    ///
+    /// The return stack holds at least one entry, so 0 and 1 simulate
+    /// the same machine while fingerprinting as different requests.
+    /// `validate` sets no lower bound here; a floor of 1 is left to the
+    /// next change of the cache's record format (ROADMAP item 4).
     pub ras_depth: usize,
     /// Commit strategy.
     pub commit: CommitMode,
@@ -430,6 +454,22 @@ impl MachineConfig {
         }
     }
 
+    /// Writes the configuration, tagged with the machine kind: the
+    /// bytes of [`MachineConfig::to_json`], with no tree.
+    pub fn write_json<S: Sink>(&self, out: &mut S) {
+        match self {
+            MachineConfig::Ref(c) => {
+                out.put(r#"{"machine": "ref", "cfg": "#);
+                c.write_json(out);
+            }
+            MachineConfig::Ooo(c) => {
+                out.put(r#"{"machine": "ooo", "cfg": "#);
+                c.write_json(out);
+            }
+        }
+        out.put("}");
+    }
+
     /// Encodes the configuration, tagged with the machine kind.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -449,18 +489,75 @@ impl MachineConfig {
     ///
     /// Returns a message naming the missing or malformed field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let kind = v
-            .get("machine")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "machine config: bad or missing field `machine`".to_string())?;
-        let cfg = v
-            .get("cfg")
-            .ok_or_else(|| "machine config: missing field `cfg`".to_string())?;
-        match kind {
-            "ref" => RefConfig::from_json(cfg).map(MachineConfig::Ref),
-            "ooo" => OooConfig::from_json(cfg).map(MachineConfig::Ooo),
-            other => Err(format!("machine config: unknown machine `{other}`")),
-        }
+        Self::decode_parts(
+            v.get("machine").and_then(Json::as_str),
+            v.get("cfg"),
+            |cfg, kind| match kind {
+                MachineKind::Reference => RefConfig::from_json(cfg).map(MachineConfig::Ref),
+                MachineKind::OutOfOrder => OooConfig::from_json(cfg).map(MachineConfig::Ooo),
+            },
+        )
+    }
+
+    /// Reads the configuration under the parser's cursor, deciding what
+    /// [`MachineConfig::from_json`] decides on the same value. A `cfg`
+    /// read before its `machine` tag is skipped and read again once
+    /// the tag is known.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error. The inner result is `from_json`'s.
+    pub fn read_json(p: &mut Parser<'_>) -> Result<Result<Self, String>, ParseError> {
+        let mut kind: Option<Option<Cow<'_, str>>> = None;
+        // The config read as the tag named it, or the parser at a
+        // config that came first.
+        let mut cfg: Option<Result<Result<Self, String>, Parser<'_>>> = None;
+        p.object(|p, key| match &*key {
+            "machine" => p.first(&mut kind, Parser::str),
+            "cfg" => p.first(&mut cfg, |p| {
+                match kind.as_ref().and_then(|k| machine_kind(k.as_deref()?)) {
+                    Some(kind) => Self::read_cfg(p, kind).map(Ok),
+                    None => {
+                        let at = p.clone();
+                        p.skip().map(|()| Err(at))
+                    }
+                }
+            }),
+            _ => p.skip(),
+        })?;
+        Ok(Self::decode_parts(
+            kind.flatten().as_deref(),
+            cfg,
+            |cfg, kind| match cfg {
+                Ok(read) => read,
+                // The bytes were skipped without error, so reading them
+                // again at the same depth cannot fail on syntax.
+                Err(mut at) => Self::read_cfg(&mut at, kind).unwrap_or_else(|e| Err(e.to_string())),
+            },
+        ))
+    }
+
+    fn read_cfg(p: &mut Parser<'_>, kind: MachineKind) -> Result<Result<Self, String>, ParseError> {
+        Ok(match kind {
+            MachineKind::Reference => RefConfig::read_json(p)?.map(MachineConfig::Ref),
+            MachineKind::OutOfOrder => OooConfig::read_json(p)?.map(MachineConfig::Ooo),
+        })
+    }
+
+    /// The validation sequence of both decoders: `kind` is the first
+    /// `machine` value if it is a string, and `decode` reads `cfg`, the
+    /// first `cfg` value, as the config of the machine it names.
+    fn decode_parts<C>(
+        kind: Option<&str>,
+        cfg: Option<C>,
+        decode: impl FnOnce(C, MachineKind) -> Result<Self, String>,
+    ) -> Result<Self, String> {
+        let name =
+            kind.ok_or_else(|| "machine config: bad or missing field `machine`".to_string())?;
+        let cfg = cfg.ok_or_else(|| "machine config: missing field `cfg`".to_string())?;
+        let kind = machine_kind(name)
+            .ok_or_else(|| format!("machine config: unknown machine `{name}`"))?;
+        decode(cfg, kind)
     }
 
     /// Stable 64-bit fingerprint of the configuration: FNV-1a over the
@@ -471,12 +568,21 @@ impl MachineConfig {
     /// cached result and journal record; routing and cache lookup use
     /// the full-request fingerprint, which hashes this same encoding.
     /// The encoding streams straight into the hash, never into a
-    /// `String`.
+    /// `String` or a tree.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
-        self.to_json().encode_into(&mut h);
+        self.write_json(&mut h);
         h.finish()
+    }
+}
+
+/// The machine a config's `machine` tag names.
+fn machine_kind(name: &str) -> Option<MachineKind> {
+    match name {
+        "ref" => Some(MachineKind::Reference),
+        "ooo" => Some(MachineKind::OutOfOrder),
+        _ => None,
     }
 }
 

@@ -1,25 +1,32 @@
-//! A minimal JSON value model: one compact writer plus a
-//! recursive-descent parser.
+//! A minimal JSON value model, one compact writer, and one parser that
+//! both builds trees and serves typed decoders as a pull reader.
 //!
 //! This is the codec of the bench artifacts, the bench-trend checker
 //! and the `oov-serve` wire protocol. On a served cache hit the codec
-//! is most of the server's work: it decodes the request and hashes
-//! the request's canonical encoding into the cache key. The reply
-//! itself is bytes the server encoded once, on the miss. Both halves
-//! are written to touch each byte once:
+//! is most of the work: the client encodes the request, the server
+//! decodes it and hashes its canonical encoding into the cache key,
+//! and the client decodes the reply. That path is typed end to end and
+//! builds no [`Json`] tree; the tree is kept for the artifacts and the
+//! journal, and as the oracle the typed path is tested against.
 //!
 //! * There is one writer, and it is generic over a [`Sink`]: the
 //!   place its bytes go, one `&str` piece at a time. A `String` sink
-//!   ([`Json::encode`], [`Json::encode_into`]) collects the encoding.
-//!   An [`Fnv1a`] sink hashes the same bytes as they pass, so a
-//!   fingerprint never materialises the encoding it hashes. The writer
-//!   allocates no temporary per key, string or number: integers go
-//!   through a digit loop, and a string's runs of bytes that need no
+//!   collects the encoding; an [`Fnv1a`] sink hashes the same bytes as
+//!   they pass, so a fingerprint never materialises the encoding it
+//!   hashes. [`Json::encode_into`] walks a tree into it, and the typed
+//!   encoders (`write_json` of each
+//!   [`json_record!`](crate::json_record) type) put the same bytes
+//!   with [`write_str`] and the integer rule of [`Json::Num`]. The
+//!   writer allocates no temporary per key, string or number: integers
+//!   go through a digit loop, and a string's runs of bytes that need no
 //!   escape are put whole. [`Display`](fmt::Display) and
 //!   [`Json::pretty`] share the same writer.
-//! * The parser slices strings without escapes from the input (one
-//!   exact-size allocation each) and accumulates short integer
-//!   literals without going through `str::parse::<f64>`.
+//! * There is one parser, [`Parser`]. [`Json::parse`] builds a tree
+//!   with it; a typed decoder pulls values out of it (a number, a
+//!   string borrowed from the input, an object walked key by key) and
+//!   skips what it does not read, through the same code, depth limit
+//!   and error offsets. The parser accumulates short integer literals
+//!   without going through `str::parse::<f64>`.
 //!
 //! The output is byte-identical by contract, whatever the sink:
 //! request fingerprints hash the encoding and the journal stores it,
@@ -32,6 +39,7 @@
 //! preserve insertion order (they are association vectors, not maps),
 //! so an encode is deterministic.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::hash::Hasher as _;
 
@@ -105,12 +113,7 @@ impl Json {
     /// The value as a `u64`, if it is a non-negative integral number.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(u64_of)
     }
 
     /// The value as a `usize`, if it is a non-negative integral number.
@@ -136,17 +139,9 @@ impl Json {
     /// Returns a [`ParseError`] with a byte offset on malformed input,
     /// including a number literal too large for an `f64`.
     pub fn parse(input: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            text: input,
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after value"));
-        }
+        let mut p = Parser::new(input);
+        let v = p.value()?;
+        p.end()?;
         Ok(v)
     }
 
@@ -183,7 +178,7 @@ impl Json {
             Json::Null => out.put("null"),
             Json::Bool(b) => out.put(if *b { "true" } else { "false" }),
             Json::Num(n) => write_num(out, *n),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.put("[");
                 for (i, item) in items.iter().enumerate() {
@@ -200,7 +195,7 @@ impl Json {
                     if i > 0 {
                         out.put(", ");
                     }
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.put(": ");
                     v.write_compact(out);
                 }
@@ -228,7 +223,7 @@ impl Json {
                 out.push_str("{\n");
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     indent(out, depth + 1);
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push_str(": ");
                     v.write_pretty(out, depth + 1);
                     if i + 1 < pairs.len() {
@@ -250,10 +245,11 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-/// Writes `s` as a quoted JSON string. Runs of bytes that need no
-/// escape are copied whole; every escaped byte is ASCII, so the run
-/// boundaries are always char boundaries.
-fn write_escaped<S: Sink>(out: &mut S, s: &str) {
+/// Writes `s` as a quoted JSON string, the bytes [`Json::Str`]
+/// encodes to. Runs of bytes that need no escape are copied whole;
+/// every escaped byte is ASCII, so the run boundaries are always char
+/// boundaries.
+pub fn write_str<S: Sink>(out: &mut S, s: &str) {
     const HEX: &str = "0123456789abcdef";
     out.put("\"");
     let mut run = 0;
@@ -281,11 +277,17 @@ fn write_escaped<S: Sink>(out: &mut S, s: &str) {
     out.put("\"");
 }
 
+/// `n` as a `u64` if it is a non-negative integer no larger than 2^53:
+/// the rule of [`Json::as_u64`] and [`Parser::u64`].
+fn u64_of(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= 9.007_199_254_740_992e15).then_some(n as u64)
+}
+
 /// Integers below 2^53 in magnitude print as integers (no `.0`, no
 /// exponent) through a digit loop; other finite numbers use the
 /// shortest round-trip `{}` form; JSON has no Inf/NaN, so those print
 /// as the conventional stand-in `null`.
-fn write_num<S: Sink>(out: &mut S, n: f64) {
+pub(crate) fn write_num<S: Sink>(out: &mut S, n: f64) {
     if !n.is_finite() {
         out.put("null");
     } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
@@ -421,13 +423,71 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser<'a> {
+/// The first byte of a value, which alone decides how it parses.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Null,
+    True,
+    False,
+    Str,
+    Arr,
+    Obj,
+    Num,
+}
+
+/// The one JSON parser: [`Json::parse`] builds a tree with it, and the
+/// typed decoders pull values straight out of it.
+///
+/// A pull read takes the value under the cursor as the kind it
+/// expects (a number, a string, an object walked key by key…) or, if
+/// the value is of another kind, skips it and reports that, the way a
+/// [`Json`] accessor returns `None`. Skipping parses exactly as
+/// building a tree does, with the same depth limit, so the syntax
+/// errors and their offsets are the same whatever is read. A decoder
+/// therefore agrees with [`Json::parse`] plus the tree accessors on
+/// every input, and allocates only for strings with escapes (and for
+/// any [`Parser::value`] it asks for).
+///
+/// After an error the parser is spent: the caller reports the error.
+#[derive(Debug, Clone)]
+pub struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Nesting depth of the value under the cursor: 0 for the
+    /// document, one more inside each array or object.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// A parser at the first value of `text` (leading whitespace
+    /// skipped).
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        p
+    }
+
+    /// Checks that nothing but whitespace follows the document.
+    ///
+    /// # Errors
+    ///
+    /// `trailing characters after value` otherwise.
+    pub fn end(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after value"))
+        }
+    }
+
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             message: message.to_string(),
@@ -454,77 +514,257 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, ParseError> {
+    fn literal(&mut self, lit: &str) -> Result<(), ParseError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(self.err(&format!("expected '{lit}'")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
+    /// The kind of the value under the cursor, or `None` past the
+    /// depth limit or where no value starts.
+    fn peek_kind(&self) -> Option<Kind> {
+        if self.depth > MAX_DEPTH {
+            return None;
         }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
+        Some(match self.peek()? {
+            b'n' => Kind::Null,
+            b't' => Kind::True,
+            b'f' => Kind::False,
+            b'"' => Kind::Str,
+            b'[' => Kind::Arr,
+            b'{' => Kind::Obj,
+            c if c == b'-' || c.is_ascii_digit() => Kind::Num,
+            _ => return None,
+        })
+    }
+
+    /// [`Parser::peek_kind`], with the reason a value cannot start here.
+    fn kind(&self) -> Result<Kind, ParseError> {
+        self.peek_kind().ok_or_else(|| {
+            self.err(if self.depth > MAX_DEPTH {
+                "nesting too deep"
+            } else if self.peek().is_some() {
+                "unexpected character"
+            } else {
+                "unexpected end of input"
+            })
+        })
+    }
+
+    /// Parses the value under the cursor into a tree.
+    ///
+    /// # Errors
+    ///
+    /// A [`ParseError`] with its byte offset.
+    pub fn value(&mut self) -> Result<Json, ParseError> {
+        Ok(match self.kind()? {
+            Kind::Null => self.literal("null").map(|()| Json::Null)?,
+            Kind::True => self.literal("true").map(|()| Json::Bool(true))?,
+            Kind::False => self.literal("false").map(|()| Json::Bool(false))?,
+            Kind::Str => Json::Str(self.string()?.into_owned()),
+            Kind::Num => Json::Num(self.number()?),
+            Kind::Arr => {
+                let mut items = Vec::new();
+                self.walk_array(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Json::Arr(items)
+            }
+            Kind::Obj => {
+                let mut pairs = Vec::new();
+                self.walk_object(|p, key| {
+                    pairs.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })?;
+                Json::Obj(pairs)
+            }
+        })
+    }
+
+    /// Parses the value under the cursor and drops it. It allocates
+    /// only for strings with escapes.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Parser::value`].
+    pub fn skip(&mut self) -> Result<(), ParseError> {
+        match self.kind()? {
+            Kind::Null => self.literal("null"),
+            Kind::True => self.literal("true"),
+            Kind::False => self.literal("false"),
+            Kind::Str => self.string().map(drop),
+            Kind::Num => self.number().map(drop),
+            Kind::Arr => self.walk_array(Self::skip),
+            Kind::Obj => self.walk_object(|p, _| p.skip()),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+    /// Walks an object, calling `each` with the parser at every value
+    /// and that value's (unescaped) key; `each` must read or skip
+    /// exactly one value. Returns `false`, having skipped the value,
+    /// when it is not an object.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error, or `each`'s.
+    pub fn object(
+        &mut self,
+        each: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ParseError>,
+    ) -> Result<bool, ParseError> {
+        if self.peek_kind() != Some(Kind::Obj) {
+            return self.skip().map(|()| false);
+        }
+        self.walk_object(each).map(|()| true)
+    }
+
+    /// Walks an array, calling `each` with the parser at every item;
+    /// `each` must read or skip exactly one value. Returns `false`,
+    /// having skipped the value, when it is not an array.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error, or `each`'s.
+    pub fn array(
+        &mut self,
+        each: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<bool, ParseError> {
+        if self.peek_kind() != Some(Kind::Arr) {
+            return self.skip().map(|()| false);
+        }
+        self.walk_array(each).map(|()| true)
+    }
+
+    /// Reads a string, or skips another value for `None`: the pull
+    /// form of [`Json::as_str`]. A string without escapes is borrowed
+    /// from the input.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    pub fn str(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if self.peek_kind() != Some(Kind::Str) {
+            return self.skip().map(|()| None);
+        }
+        self.string().map(Some)
+    }
+
+    /// Reads a non-negative integral number, or skips another value
+    /// for `None`: the pull form of [`Json::as_u64`], with the same
+    /// rule (`1.0`, `1e0` and `-0` are 1, 1 and 0; past 2^53 the
+    /// literal rounds to an `f64` first).
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    pub fn u64(&mut self) -> Result<Option<u64>, ParseError> {
+        if self.peek_kind() != Some(Kind::Num) {
+            return self.skip().map(|()| None);
+        }
+        self.number().map(u64_of)
+    }
+
+    /// Reads `true` or `false`, or skips another value for `None`: the
+    /// pull form of [`Json::as_bool`].
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    pub fn bool(&mut self) -> Result<Option<bool>, ParseError> {
+        match self.peek_kind() {
+            Some(Kind::True) => self.literal("true").map(|()| Some(true)),
+            Some(Kind::False) => self.literal("false").map(|()| Some(false)),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// Reads a `null` and returns `true`, or returns `false` and leaves
+    /// any other value under the cursor.
+    ///
+    /// # Errors
+    ///
+    /// A malformed `null` literal.
+    pub fn null(&mut self) -> Result<bool, ParseError> {
+        if self.peek_kind() != Some(Kind::Null) {
+            return Ok(false);
+        }
+        self.literal("null").map(|()| true)
+    }
+
+    /// Reads the value under the cursor into `slot` with `read` while
+    /// `slot` is empty, and skips it once `slot` is full: the first
+    /// value of a repeated key wins, as with [`Json::get`].
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    pub fn first<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        read: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<(), ParseError> {
+        if slot.is_some() {
+            return self.skip();
+        }
+        *slot = Some(read(self)?);
+        Ok(())
+    }
+
+    fn walk_array(
+        &mut self,
+        mut each: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
+        self.depth += 1;
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            each(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    self.depth -= 1;
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
+    fn walk_object(
+        &mut self,
+        mut each: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.expect(b'{')?;
-        let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(());
         }
+        self.depth += 1;
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
+            each(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    self.depth -= 1;
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -534,19 +774,17 @@ impl<'a> Parser<'a> {
     /// Parses a string. The plain runs between escapes are sliced from
     /// the input: they start and end at ASCII bytes (a quote, an escape
     /// sequence, a control byte) or at the input's ends, so every run is
-    /// valid UTF-8 by construction. A string with no escape becomes one
-    /// exact-size copy of its only run.
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// valid UTF-8 by construction. A string with no escape is its only
+    /// run, borrowed.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             let start = self.pos;
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' || c < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.bytes.len() - start);
             let run = &self.text[start..self.pos];
             match self.peek() {
                 Some(b'"') => {
@@ -554,10 +792,10 @@ impl<'a> Parser<'a> {
                     // Every escape pushes a char, so an empty `out`
                     // means `run` is the whole string.
                     if out.is_empty() {
-                        return Ok(run.to_owned());
+                        return Ok(Cow::Borrowed(run));
                     }
                     out.push_str(run);
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     out.push_str(run);
@@ -601,7 +839,7 @@ impl<'a> Parser<'a> {
     /// conversion is exact, so it equals what `str::parse::<f64>`
     /// returns, negative zero included. Every other literal goes to
     /// `str::parse::<f64>`.
-    fn number(&mut self) -> Result<Json, ParseError> {
+    fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -616,7 +854,7 @@ impl<'a> Parser<'a> {
         let digits = self.pos - digits_start;
         if (1..=15).contains(&digits) && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             let n = int as f64;
-            return Ok(Json::Num(if negative { -n } else { n }));
+            return Ok(if negative { -n } else { n });
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -638,7 +876,7 @@ impl<'a> Parser<'a> {
             // writer can only print as `null`; reject it so everything
             // the parser accepts re-encodes to the same value.
             Ok(n) if n.is_infinite() => Err(self.err("number out of range")),
-            Ok(n) => Ok(Json::Num(n)),
+            Ok(n) => Ok(n),
             Err(_) => Err(self.err("invalid number")),
         }
     }

@@ -6,14 +6,17 @@
 //!
 //! * [`Json`] — a JSON value model with one writer (compact
 //!   [`Json::encode`], which `Display` and [`Json::pretty`] share) and
-//!   a recursive-descent parser. The writer puts its bytes into a
-//!   [`Sink`]: a `String`, or an [`Fnv1a`] that hashes the encoding
-//!   without materialising it. It does no per-node allocation, and
-//!   the parser slices plain strings from its input. The output is
+//!   one recursive-descent [`Parser`]. The writer puts its bytes into
+//!   a [`Sink`]: a `String`, or an [`Fnv1a`] that hashes the encoding
+//!   without materialising it. It does no per-node allocation. The
+//!   parser builds trees for [`Json::parse`] and is the pull reader of
+//!   the typed decoders, which build no tree. The output is
 //!   byte-identical by contract, because fingerprints and the journal
 //!   are built from it;
 //! * [`json_record!`] and [`JsonField`] — one field list per struct
-//!   writes its `to_json`/`from_json`, so a field's wire name is
+//!   writes its typed codec (`write_json`/`read_json`, the request
+//!   path's) and its tree codec (`to_json`/`from_json`, the artifacts',
+//!   the journal's and the tests' oracle), so a field's wire name is
 //!   written once;
 //! * [`Fnv1a`] — the 64-bit FNV-1a hash, used for stable config and
 //!   request fingerprints (stable across processes and platforms,
@@ -46,5 +49,5 @@ mod record;
 pub use crc::{crc32, Crc32};
 pub use fnv::{fingerprint_bytes, Fnv1a};
 pub use frame::{frame_record, FrameReader, FrameStop, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD};
-pub use json::{Json, ParseError, Sink};
-pub use record::JsonField;
+pub use json::{write_str, Json, ParseError, Parser, Sink};
+pub use record::{Decoded, JsonField};

@@ -14,6 +14,10 @@
 //!
 //! A client keeps one request buffer and one response buffer for its
 //! connection's lifetime: a closed loop of requests allocates no line.
+//! Requests are written straight into the buffer (a sweep from the
+//! caller's borrowed points), and a `result` reply decodes without a
+//! `Json` tree, so a closed loop of cached `sim` requests allocates
+//! nothing at all once the buffers are warm.
 //!
 //! [`Client::stats`] is computed here, from a `metrics` reply: the
 //! server ships its counters in that one format only.
@@ -24,7 +28,7 @@ use std::time::Duration;
 
 use oov_proto::Json;
 
-use crate::proto::{Request, Response, SimRequest, SimResult, StatsSnapshot};
+use crate::proto::{write_sweep, Request, Response, SimRequest, SimResult, StatsSnapshot};
 use crate::server::MAX_LINE_BYTES;
 
 /// Default per-response read timeout. Generous: a cold `paper`-scale
@@ -197,12 +201,12 @@ impl Client {
         Ok(())
     }
 
-    /// Writes the request line with a single `write` — body and
-    /// newline together, so a request is one TCP segment under
-    /// `TCP_NODELAY`.
-    fn send(&mut self, req: &Request) -> Result<(), String> {
+    /// Writes the request line `write` puts in the reused buffer with a
+    /// single `write` — body and newline together, so a request is one
+    /// TCP segment under `TCP_NODELAY`.
+    fn send(&mut self, write: impl FnOnce(&mut String)) -> Result<(), String> {
         self.out.clear();
-        req.encode_into(&mut self.out);
+        write(&mut self.out);
         self.out.push('\n');
         self.writer
             .write_all(self.out.as_bytes())
@@ -249,7 +253,7 @@ impl Client {
     ///
     /// Transport failure or an unexpected reply.
     pub fn ping(&mut self) -> Result<(), String> {
-        self.send(&Request::Ping)?;
+        self.send(|out| Request::Ping.encode_into(out))?;
         match self.recv()? {
             Response::Pong => Ok(()),
             other => Err(format!("expected pong, got {other:?}")),
@@ -275,7 +279,7 @@ impl Client {
     ///
     /// Transport failure or an unexpected reply.
     pub fn metrics(&mut self) -> Result<Json, String> {
-        self.send(&Request::Metrics)?;
+        self.send(|out| Request::Metrics.encode_into(out))?;
         match self.recv()? {
             Response::Metrics { snapshot } => Ok(snapshot),
             Response::Error { message } => Err(message),
@@ -289,7 +293,7 @@ impl Client {
     ///
     /// Transport failure or an unexpected reply.
     pub fn shutdown(&mut self) -> Result<(), String> {
-        self.send(&Request::Shutdown)?;
+        self.send(|out| Request::Shutdown.encode_into(out))?;
         match self.recv()? {
             Response::ShuttingDown => Ok(()),
             other => Err(format!("expected shutting_down, got {other:?}")),
@@ -319,9 +323,12 @@ impl Client {
         req: &SimRequest,
         deadline_ms: Option<u64>,
     ) -> Result<SimResult, SimError> {
-        self.send(&Request::Sim {
-            req: *req,
-            deadline_ms,
+        self.send(|out| {
+            Request::Sim {
+                req: *req,
+                deadline_ms,
+            }
+            .encode_into(out);
         })
         .map_err(SimError::Transport)?;
         match self.recv().map_err(SimError::Transport)? {
@@ -390,10 +397,7 @@ impl Client {
         deadline_ms: Option<u64>,
         mut on_row: impl FnMut(usize, SimResult),
     ) -> Result<SweepOutcome, String> {
-        self.send(&Request::Sweep {
-            points: points.to_vec(),
-            deadline_ms,
-        })?;
+        self.send(|out| write_sweep(out, points, deadline_ms))?;
         let mut outcome = SweepOutcome::default();
         let mut aborted: Option<String> = None;
         loop {

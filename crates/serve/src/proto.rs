@@ -1,8 +1,8 @@
 //! The wire protocol: newline-delimited JSON messages.
 //!
-//! Every message is one [`Json`] object on one line, tagged by a
-//! `"type"` field. Requests flow client → server, responses server →
-//! client. The encodings are exact inverses ([`Request::decode`] ∘
+//! Every message is one JSON object on one line, tagged by a `"type"`
+//! field. Requests flow client → server, responses server → client.
+//! The encodings are exact inverses ([`Request::decode`] ∘
 //! [`Request::encode`] is the identity, same for [`Response`]), which
 //! the wire tests assert for every variant, and [`SimStats`] crosses
 //! the wire losslessly so served results can be compared bit-for-bit
@@ -22,6 +22,19 @@
 //! ← {"type": "sweep_done", "count": 2}
 //! ```
 //!
+//! The hit path is typed end to end: no [`Json`] tree is built between
+//! the socket and the cache key, or between a result line and the
+//! client's [`SimResult`]. Encoders walk their fields straight into the
+//! line (or, for [`SimRequest::fingerprint`], into the hash), and
+//! [`Request::decode`] and [`Response::decode`] pull each field out of
+//! the [`oov_proto::Parser`]; a `sim` request or a `result` line of
+//! default shape costs no allocation either way. The tree decoders
+//! ([`Request::decode_tree`], [`Response::decode_tree`]) stay as the
+//! oracle: each message's fields are gathered by either decoder and
+//! then checked by one validation sequence, so both accept the same
+//! lines with the same values and reject the rest with the same text,
+//! which `tests/decode_fuzz.rs` checks.
+//!
 //! A result reply is a short header plus a body. The header opens the
 //! object and names the reply (`{"type": "result", "cached": true,
 //! "shard": 2`); the body is everything after the shard field
@@ -29,12 +42,13 @@
 //! the result is simulated, and every later reply, cache entry and
 //! journal record reuses those bytes.
 
+use std::borrow::Cow;
 use std::hash::Hasher as _;
 
 use oov_core::Stepper;
 use oov_isa::{CommitMode, MachineConfig};
 use oov_kernels::{Program, Scale};
-use oov_proto::{Fnv1a, Json};
+use oov_proto::{write_str, Decoded, Fnv1a, Json, JsonField, ParseError, Parser, Sink};
 use oov_stats::SimStats;
 
 /// Hard cap on the number of points in one `sweep` request, enforced
@@ -55,6 +69,15 @@ fn stepper_from_name(name: &str) -> Option<Stepper> {
         "event" => Some(Stepper::EventDriven),
         _ => None,
     }
+}
+
+/// A string field's first value: `None` while its key is unseen, and
+/// `Some(None)` when the value is not a string.
+type StrSlot<'a> = Option<Option<Cow<'a, str>>>;
+
+/// The first value of `key` in `v`, as a [`StrSlot`].
+fn tree_str<'a>(v: &'a Json, key: &str) -> StrSlot<'a> {
+    v.get(key).map(|s| s.as_str().map(Cow::Borrowed))
 }
 
 /// One simulation request: which program, at which scale, on which
@@ -88,7 +111,30 @@ impl SimRequest {
         }
     }
 
-    /// Encodes the request body (without the `"type"` tag).
+    /// Writes the request body (without the `"type"` tag): the bytes of
+    /// [`SimRequest::to_json`], with no tree.
+    pub fn write_json<S: Sink>(&self, out: &mut S) {
+        out.put("{");
+        self.write_fields(out);
+        out.put("}");
+    }
+
+    /// The body's fields, without the braces, so a `sim` line can put
+    /// its tag in front.
+    fn write_fields<S: Sink>(&self, out: &mut S) {
+        out.put("\"program\": ");
+        write_str(out, self.program.name());
+        out.put(", \"scale\": ");
+        write_str(out, self.scale.name());
+        out.put(", \"machine\": ");
+        self.machine.write_json(out);
+        out.put(", \"stepper\": ");
+        write_str(out, stepper_name(self.stepper));
+        out.put(", \"fault_at\": ");
+        self.fault_at.write_field(out);
+    }
+
+    /// Encodes the request body (without the `"type"` tag) as a tree.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -111,35 +157,97 @@ impl SimRequest {
     /// rule a well-formed request violates (fault injection requires
     /// the OOOVA's late-commit model).
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let program_name = v
-            .get("program")
-            .and_then(Json::as_str)
+        SimFields::of_tree(v).finish()
+    }
+
+    /// Reads the request body under the parser's cursor, deciding what
+    /// [`SimRequest::from_json`] decides on the same value.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error. The inner result is `from_json`'s.
+    fn read_json(p: &mut Parser<'_>) -> Result<Result<Self, String>, ParseError> {
+        let mut fields = SimFields::default();
+        p.object(|p, key| fields.read(&key, p))?;
+        Ok(fields.finish())
+    }
+
+    /// Stable fingerprint of the *full* request — the result-cache
+    /// key. Two requests fingerprint equal iff every field that can
+    /// influence the simulation outcome is equal. FNV-1a over the raw
+    /// canonical-encoding bytes, for the same cross-toolchain
+    /// stability as [`MachineConfig::fingerprint`]. The encoding
+    /// streams into the hash; no `String` or tree of it is built.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        self.write_json(&mut h);
+        h.finish()
+    }
+}
+
+/// A sim request's fields as either decoder finds them: each key's
+/// first value, before [`SimFields::finish`] checks them.
+#[derive(Default)]
+struct SimFields<'a> {
+    program: StrSlot<'a>,
+    scale: StrSlot<'a>,
+    stepper: StrSlot<'a>,
+    fault_at: Option<Decoded<Option<usize>>>,
+    machine: Option<Result<MachineConfig, String>>,
+}
+
+impl<'a> SimFields<'a> {
+    fn of_tree(v: &'a Json) -> Self {
+        SimFields {
+            program: tree_str(v, "program"),
+            scale: tree_str(v, "scale"),
+            stepper: tree_str(v, "stepper"),
+            fault_at: v.get("fault_at").map(JsonField::from_value),
+            machine: v.get("machine").map(MachineConfig::from_json),
+        }
+    }
+
+    /// Reads the value of `key`, or skips it if no sim request field
+    /// has that name.
+    fn read(&mut self, key: &str, p: &mut Parser<'a>) -> Result<(), ParseError> {
+        match key {
+            "program" => p.first(&mut self.program, Parser::str),
+            "scale" => p.first(&mut self.scale, Parser::str),
+            "stepper" => p.first(&mut self.stepper, Parser::str),
+            "fault_at" => p.first(&mut self.fault_at, JsonField::read_field),
+            "machine" => p.first(&mut self.machine, MachineConfig::read_json),
+            _ => p.skip(),
+        }
+    }
+
+    /// The validation sequence of both decoders.
+    fn finish(self) -> Result<SimRequest, String> {
+        let program_name = self
+            .program
+            .flatten()
             .ok_or_else(|| "sim request: bad or missing field `program`".to_string())?;
-        let scale_name = v
-            .get("scale")
-            .and_then(Json::as_str)
+        let scale_name = self
+            .scale
+            .flatten()
             .ok_or_else(|| "sim request: bad or missing field `scale`".to_string())?;
-        let stepper_str = v
-            .get("stepper")
-            .and_then(Json::as_str)
+        let stepper_str = self
+            .stepper
+            .flatten()
             .ok_or_else(|| "sim request: bad or missing field `stepper`".to_string())?;
-        let fault_at = match v.get("fault_at") {
-            None | Some(Json::Null) => None,
-            Some(idx) => Some(
-                idx.as_usize()
-                    .ok_or_else(|| "sim request: `fault_at` is not an index".to_string())?,
-            ),
+        let fault_at = match self.fault_at {
+            None => None,
+            Some(idx) => idx.map_err(|_| "sim request: `fault_at` is not an index".to_string())?,
         };
         let req = SimRequest {
-            program: Program::from_name(program_name)
+            program: Program::from_name(&program_name)
                 .ok_or_else(|| format!("sim request: unknown program `{program_name}`"))?,
-            scale: Scale::from_name(scale_name)
+            scale: Scale::from_name(&scale_name)
                 .ok_or_else(|| format!("sim request: unknown scale `{scale_name}`"))?,
-            machine: MachineConfig::from_json(
-                v.get("machine")
-                    .ok_or_else(|| "sim request: missing field `machine`".to_string())?,
-            )?,
-            stepper: stepper_from_name(stepper_str)
+            machine: self
+                .machine
+                .ok_or_else(|| "sim request: missing field `machine`".to_string())??,
+            stepper: stepper_from_name(&stepper_str)
                 .ok_or_else(|| format!("sim request: unknown stepper `{stepper_str}`"))?,
             fault_at,
         };
@@ -157,19 +265,6 @@ impl SimRequest {
             }
         }
         Ok(req)
-    }
-
-    /// Stable fingerprint of the *full* request — the result-cache
-    /// key. Two requests fingerprint equal iff every field that can
-    /// influence the simulation outcome is equal. FNV-1a over the raw
-    /// canonical-encoding bytes, for the same cross-toolchain
-    /// stability as [`MachineConfig::fingerprint`]. The encoding
-    /// streams into the hash; no `String` of it is built.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        self.to_json().encode_into(&mut h);
-        h.finish()
     }
 }
 
@@ -205,6 +300,30 @@ pub enum Request {
     },
 }
 
+/// Writes `, "deadline_ms": …` if there is a deadline.
+fn write_deadline(out: &mut String, deadline_ms: Option<u64>) {
+    if let Some(ms) = deadline_ms {
+        out.push_str(", \"deadline_ms\": ");
+        ms.write_field(out);
+    }
+}
+
+/// Appends a `sweep` request line: [`Request::encode_into`]'s bytes
+/// for a [`Request::Sweep`] of `points`, written from a borrowed list
+/// so the client sends a sweep without copying it.
+pub(crate) fn write_sweep(out: &mut String, points: &[SimRequest], deadline_ms: Option<u64>) {
+    out.push_str("{\"type\": \"sweep\", \"points\": [");
+    for (i, point) in points.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        point.write_json(out);
+    }
+    out.push(']');
+    write_deadline(out, deadline_ms);
+    out.push('}');
+}
+
 impl Request {
     /// Encodes to one line of JSON (no trailing newline).
     #[must_use]
@@ -215,89 +334,178 @@ impl Request {
     }
 
     /// Appends [`Request::encode`]'s bytes to `out`, so a caller can
-    /// reuse one line buffer.
+    /// reuse one line buffer. The fields are written in place: no tree.
     pub fn encode_into(&self, out: &mut String) {
-        let doc = match self {
-            Request::Ping => Json::obj(vec![("type", "ping".into())]),
-            Request::Metrics => Json::obj(vec![("type", "metrics".into())]),
-            Request::Shutdown => Json::obj(vec![("type", "shutdown".into())]),
+        match self {
+            Request::Ping => out.push_str("{\"type\": \"ping\"}"),
+            Request::Metrics => out.push_str("{\"type\": \"metrics\"}"),
+            Request::Shutdown => out.push_str("{\"type\": \"shutdown\"}"),
             Request::Sim { req, deadline_ms } => {
-                let mut pairs = vec![("type".to_string(), Json::Str("sim".into()))];
-                if let Json::Obj(body) = req.to_json() {
-                    pairs.extend(body);
-                }
-                if let Some(ms) = deadline_ms {
-                    pairs.push(("deadline_ms".to_string(), (*ms).into()));
-                }
-                Json::Obj(pairs)
+                out.push_str("{\"type\": \"sim\", ");
+                req.write_fields(out);
+                write_deadline(out, *deadline_ms);
+                out.push('}');
             }
             Request::Sweep {
                 points,
                 deadline_ms,
-            } => {
-                let mut pairs = vec![
-                    ("type".to_string(), Json::Str("sweep".into())),
-                    (
-                        "points".to_string(),
-                        Json::Arr(points.iter().map(SimRequest::to_json).collect()),
-                    ),
-                ];
-                if let Some(ms) = deadline_ms {
-                    pairs.push(("deadline_ms".to_string(), (*ms).into()));
-                }
-                Json::Obj(pairs)
-            }
-        };
-        doc.encode_into(out);
+            } => write_sweep(out, points, *deadline_ms),
+        }
     }
 
-    /// Decodes one line.
+    /// Decodes one line, pulling each field straight from the parser.
     ///
     /// # Errors
     ///
     /// Returns a message for malformed JSON, an unknown `type`, or an
-    /// invalid request body.
+    /// invalid request body: the text [`Request::decode_tree`] returns.
     pub fn decode(line: &str) -> Result<Self, String> {
+        let mut p = Parser::new(line);
+        let mut fields = RequestFields::default();
+        p.object(|p, key| fields.read(&key, p))
+            .and_then(|_| p.end())
+            .map_err(|e| format!("malformed request: {e}"))?;
+        fields.finish()
+    }
+
+    /// Decodes one line through a [`Json`] tree: the oracle
+    /// [`Request::decode`] is tested against.
+    ///
+    /// # Errors
+    ///
+    /// As [`Request::decode`].
+    pub fn decode_tree(line: &str) -> Result<Self, String> {
         let v = Json::parse(line).map_err(|e| format!("malformed request: {e}"))?;
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
+        RequestFields::of_tree(&v).finish()
+    }
+}
+
+/// A request's fields as either decoder finds them.
+#[derive(Default)]
+struct RequestFields<'a> {
+    kind: StrSlot<'a>,
+    deadline_ms: Option<Decoded<Option<u64>>>,
+    /// A `sim` request's body fields sit beside its tag.
+    sim: SimFields<'a>,
+    /// `Some(None)` when `points` is not an array.
+    points: Option<Option<Points>>,
+}
+
+impl<'a> RequestFields<'a> {
+    fn of_tree(v: &'a Json) -> Self {
+        RequestFields {
+            kind: tree_str(v, "type"),
+            deadline_ms: v.get("deadline_ms").map(JsonField::from_value),
+            sim: SimFields::of_tree(v),
+            points: v.get("points").map(|points| {
+                points.as_arr().map(|items| {
+                    let mut list = Points::default();
+                    for item in items {
+                        list.push(list.wants_next().then(|| SimRequest::from_json(item)));
+                    }
+                    list
+                })
+            }),
+        }
+    }
+
+    /// Reads the value of `key`, or skips it if no request field has
+    /// that name.
+    fn read(&mut self, key: &str, p: &mut Parser<'a>) -> Result<(), ParseError> {
+        match key {
+            "type" => p.first(&mut self.kind, Parser::str),
+            "deadline_ms" => p.first(&mut self.deadline_ms, JsonField::read_field),
+            "points" => p.first(&mut self.points, |p| {
+                let mut list = Points::default();
+                let is_array = p.array(|p| {
+                    let point = if list.wants_next() {
+                        Some(SimRequest::read_json(p)?)
+                    } else {
+                        p.skip()?;
+                        None
+                    };
+                    list.push(point);
+                    Ok(())
+                })?;
+                Ok(is_array.then_some(list))
+            }),
+            _ => self.sim.read(key, p),
+        }
+    }
+
+    /// The validation sequence of both decoders.
+    fn finish(self) -> Result<Request, String> {
+        let kind = self
+            .kind
+            .flatten()
             .ok_or_else(|| "request: bad or missing field `type`".to_string())?;
-        let deadline_ms = match v.get("deadline_ms") {
-            None | Some(Json::Null) => None,
-            Some(ms) => Some(ms.as_u64().ok_or_else(|| {
-                "request: `deadline_ms` is not a non-negative integer".to_string()
-            })?),
+        let deadline_ms = match self.deadline_ms {
+            None => None,
+            Some(ms) => {
+                ms.map_err(|_| "request: `deadline_ms` is not a non-negative integer".to_string())?
+            }
         };
-        match kind {
+        match &*kind {
             "ping" => Ok(Request::Ping),
             "metrics" => Ok(Request::Metrics),
             "shutdown" => Ok(Request::Shutdown),
-            "sim" => SimRequest::from_json(&v).map(|req| Request::Sim { req, deadline_ms }),
+            "sim" => self
+                .sim
+                .finish()
+                .map(|req| Request::Sim { req, deadline_ms }),
             "sweep" => {
-                let points = v
-                    .get("points")
-                    .and_then(Json::as_arr)
+                let points = self
+                    .points
+                    .flatten()
                     .ok_or_else(|| "sweep request: bad or missing field `points`".to_string())?;
-                if points.is_empty() {
+                if points.len == 0 {
                     return Err("sweep request: empty point list".into());
                 }
-                if points.len() > MAX_SWEEP_POINTS {
+                if points.len > MAX_SWEEP_POINTS {
                     return Err(format!(
                         "sweep request: {} points exceeds the cap of {MAX_SWEEP_POINTS}",
-                        points.len()
+                        points.len
                     ));
                 }
-                points
-                    .iter()
-                    .map(SimRequest::from_json)
-                    .collect::<Result<Vec<_>, _>>()
-                    .map(|points| Request::Sweep {
-                        points,
+                match points.error {
+                    Some(e) => Err(e),
+                    None => Ok(Request::Sweep {
+                        points: points.decoded,
                         deadline_ms,
-                    })
+                    }),
+                }
             }
             other => Err(format!("request: unknown type `{other}`")),
+        }
+    }
+}
+
+/// A sweep's point list as either decoder counts it: how many points,
+/// and the decoded points up to the first that fails. Points past that
+/// one, or past the cap, are counted but not decoded.
+#[derive(Default)]
+struct Points {
+    len: usize,
+    decoded: Vec<SimRequest>,
+    error: Option<String>,
+}
+
+impl Points {
+    /// Whether the next point is to be decoded: every point so far
+    /// decoded, and the list is within the cap (past it, the cap is the
+    /// error).
+    fn wants_next(&self) -> bool {
+        self.error.is_none() && self.len < MAX_SWEEP_POINTS
+    }
+
+    /// Counts one point, with its decoding if [`Points::wants_next`]
+    /// asked for it.
+    fn push(&mut self, point: Option<Result<SimRequest, String>>) {
+        self.len += 1;
+        match point {
+            Some(Ok(point)) => self.decoded.push(point),
+            Some(Err(e)) => self.error = Some(e),
+            None => {}
         }
     }
 }
@@ -318,25 +526,17 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// The fields after `shard`, in wire order.
-    fn tail(&self) -> Vec<(String, Json)> {
+    /// Every field, as a `Json` object's pairs: the tree encoding the
+    /// spliced journal record and the typed body are pinned against.
+    #[cfg(test)]
+    pub(crate) fn fields(&self) -> Vec<(String, Json)> {
         vec![
+            ("cached".to_string(), self.cached.into()),
+            ("shard".to_string(), self.shard.into()),
             ("ideal_cycles".to_string(), self.ideal_cycles.into()),
             ("faults_taken".to_string(), self.faults_taken.into()),
             ("stats".to_string(), self.stats.to_json()),
         ]
-    }
-
-    /// Every field, as a `Json` object's pairs: the tree encoding the
-    /// spliced journal record is pinned against.
-    #[cfg(test)]
-    pub(crate) fn fields(&self) -> Vec<(String, Json)> {
-        let mut fields = vec![
-            ("cached".to_string(), self.cached.into()),
-            ("shard".to_string(), self.shard.into()),
-        ];
-        fields.extend(self.tail());
-        fields
     }
 
     /// The result's stored encoding: the bytes after the shard field,
@@ -347,31 +547,79 @@ impl SimResult {
     #[must_use]
     pub fn encode_body(&self) -> String {
         let mut out = String::with_capacity(768);
-        Json::Obj(self.tail()).encode_into(&mut out);
-        // `{"ideal_cycles": …}` continues a header instead of opening
-        // an object of its own.
-        out.replace_range(..1, ", ");
+        self.write_body(&mut out);
         out
     }
 
+    /// Writes [`SimResult::encode_body`]'s bytes.
+    fn write_body(&self, out: &mut String) {
+        out.push_str(", \"ideal_cycles\": ");
+        self.ideal_cycles.write_field(out);
+        out.push_str(", \"faults_taken\": ");
+        self.faults_taken.write_field(out);
+        out.push_str(", \"stats\": ");
+        self.stats.write_json(out);
+        out.push('}');
+    }
+
+    /// Decodes the result fields of a tree (a reply or a journal
+    /// record's `result`).
     pub(crate) fn from_json(v: &Json) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_u64)
+        ResultFields::of_tree(v).finish()
+    }
+}
+
+/// A result's fields as either decoder finds them.
+#[derive(Default)]
+struct ResultFields {
+    stats: Option<Result<SimStats, String>>,
+    ideal_cycles: Option<Option<u64>>,
+    faults_taken: Option<Option<u64>>,
+    cached: Option<Option<bool>>,
+    shard: Option<Option<u64>>,
+}
+
+impl ResultFields {
+    fn of_tree(v: &Json) -> Self {
+        ResultFields {
+            stats: v.get("stats").map(SimStats::from_json),
+            ideal_cycles: v.get("ideal_cycles").map(Json::as_u64),
+            faults_taken: v.get("faults_taken").map(Json::as_u64),
+            cached: v.get("cached").map(Json::as_bool),
+            shard: v.get("shard").map(Json::as_u64),
+        }
+    }
+
+    /// Reads the value of `key`, or skips it if no result field has
+    /// that name.
+    fn read(&mut self, key: &str, p: &mut Parser<'_>) -> Result<(), ParseError> {
+        match key {
+            "stats" => p.first(&mut self.stats, SimStats::read_json),
+            "ideal_cycles" => p.first(&mut self.ideal_cycles, Parser::u64),
+            "faults_taken" => p.first(&mut self.faults_taken, Parser::u64),
+            "cached" => p.first(&mut self.cached, Parser::bool),
+            "shard" => p.first(&mut self.shard, Parser::u64),
+            _ => p.skip(),
+        }
+    }
+
+    /// The validation sequence of both decoders.
+    fn finish(self) -> Result<SimResult, String> {
+        let count = |slot: Option<Option<u64>>, name: &str| {
+            slot.flatten()
                 .ok_or_else(|| format!("sim result: bad or missing field `{name}`"))
         };
         Ok(SimResult {
-            stats: SimStats::from_json(
-                v.get("stats")
-                    .ok_or_else(|| "sim result: missing field `stats`".to_string())?,
-            )?,
-            ideal_cycles: field("ideal_cycles")?,
-            faults_taken: field("faults_taken")?,
-            cached: v
-                .get("cached")
-                .and_then(Json::as_bool)
+            stats: self
+                .stats
+                .ok_or_else(|| "sim result: missing field `stats`".to_string())??,
+            ideal_cycles: count(self.ideal_cycles, "ideal_cycles")?,
+            faults_taken: count(self.faults_taken, "faults_taken")?,
+            cached: self
+                .cached
+                .flatten()
                 .ok_or_else(|| "sim result: bad or missing field `cached`".to_string())?,
-            shard: field("shard")? as usize,
+            shard: count(self.shard, "shard")? as usize,
         })
     }
 }
@@ -380,18 +628,37 @@ impl SimResult {
 /// result object, after whatever opened it (a reply header or a
 /// journal record's `"result": {`).
 pub(crate) fn write_result_fields(out: &mut String, cached: bool, shard: usize, body: &str) {
-    out.push_str("\"cached\": ");
-    Json::Bool(cached).encode_into(out);
-    out.push_str(", \"shard\": ");
-    Json::from(shard).encode_into(out);
+    write_result_head(out, cached, shard);
     out.push_str(body);
+}
+
+fn write_result_head(out: &mut String, cached: bool, shard: usize) {
+    out.push_str("\"cached\": ");
+    cached.write_field(out);
+    out.push_str(", \"shard\": ");
+    shard.write_field(out);
+}
+
+/// Opens a result reply: a [`Response::Result`] when `index` is
+/// `None`, else the [`Response::SweepRow`] at `index`, up to and with
+/// its shard field.
+fn write_reply_head(out: &mut String, index: Option<usize>, cached: bool, shard: usize) {
+    match index {
+        None => out.push_str("{\"type\": \"result\", "),
+        Some(index) => {
+            out.push_str("{\"type\": \"sweep_row\", \"index\": ");
+            index.write_field(out);
+            out.push_str(", ");
+        }
+    }
+    write_result_head(out, cached, shard);
 }
 
 /// Appends one result reply: a [`Response::Result`] when `index` is
 /// `None`, else the [`Response::SweepRow`] at `index`. `body` is the
-/// result's [`SimResult::encode_body`]. [`Response::encode`] goes
-/// through here too, so a reply the server splices from stored bytes
-/// and one encoded from a [`SimResult`] cannot differ.
+/// result's [`SimResult::encode_body`]. [`Response::encode`] writes the
+/// same header, so a reply the server splices from stored bytes and
+/// one encoded from a [`SimResult`] cannot differ.
 pub(crate) fn write_reply(
     out: &mut String,
     index: Option<usize>,
@@ -399,15 +666,8 @@ pub(crate) fn write_reply(
     shard: usize,
     body: &str,
 ) {
-    match index {
-        None => out.push_str("{\"type\": \"result\", "),
-        Some(index) => {
-            out.push_str("{\"type\": \"sweep_row\", \"index\": ");
-            Json::from(index).encode_into(out);
-            out.push_str(", ");
-        }
-    }
-    write_result_fields(out, cached, shard, body);
+    write_reply_head(out, index, cached, shard);
+    out.push_str(body);
 }
 
 /// A snapshot of the server's counters: a fixed view over the
@@ -590,113 +850,170 @@ impl Response {
     }
 
     /// Appends [`Response::encode`]'s bytes to `out`, so a caller can
-    /// reuse one line buffer. Results and sweep rows are a header plus
-    /// [`SimResult::encode_body`], through the one function the server
+    /// reuse one line buffer. The fields are written in place: no tree.
+    /// Results and sweep rows are a header plus
+    /// [`SimResult::encode_body`]'s bytes, behind the header the server
     /// also splices stored bodies with.
     pub fn encode_into(&self, out: &mut String) {
-        let tagged = |out: &mut String, tag: &str, body: Vec<(String, Json)>| {
-            let mut pairs = vec![("type".to_string(), Json::Str(tag.into()))];
-            pairs.extend(body);
-            Json::Obj(pairs).encode_into(out);
-        };
         match self {
-            Response::Pong => tagged(out, "pong", vec![]),
-            Response::Error { message } => tagged(
-                out,
-                "error",
-                vec![("message".to_string(), message.clone().into())],
-            ),
-            Response::Overloaded { retry_after_ms } => tagged(
-                out,
-                "overloaded",
-                vec![("retry_after_ms".to_string(), (*retry_after_ms).into())],
-            ),
-            Response::DeadlineExceeded => tagged(out, "deadline_exceeded", vec![]),
-            Response::SweepRowError { index, message } => tagged(
-                out,
-                "sweep_row_error",
-                vec![
-                    ("index".to_string(), (*index).into()),
-                    ("message".to_string(), message.clone().into()),
-                ],
-            ),
-            Response::ShuttingDown => tagged(out, "shutting_down", vec![]),
-            Response::Result(r) => write_reply(out, None, r.cached, r.shard, &r.encode_body()),
-            Response::SweepRow { index, result: r } => {
-                write_reply(out, Some(*index), r.cached, r.shard, &r.encode_body());
+            Response::Pong => out.push_str("{\"type\": \"pong\"}"),
+            Response::Error { message } => {
+                out.push_str("{\"type\": \"error\", \"message\": ");
+                write_str(out, message);
+                out.push('}');
             }
-            Response::SweepDone { count } => tagged(
-                out,
-                "sweep_done",
-                vec![("count".to_string(), (*count).into())],
-            ),
-            Response::Metrics { snapshot } => tagged(
-                out,
-                "metrics",
-                vec![("snapshot".to_string(), snapshot.clone())],
-            ),
+            Response::Overloaded { retry_after_ms } => {
+                out.push_str("{\"type\": \"overloaded\", \"retry_after_ms\": ");
+                retry_after_ms.write_field(out);
+                out.push('}');
+            }
+            Response::DeadlineExceeded => out.push_str("{\"type\": \"deadline_exceeded\"}"),
+            Response::SweepRowError { index, message } => {
+                out.push_str("{\"type\": \"sweep_row_error\", \"index\": ");
+                index.write_field(out);
+                out.push_str(", \"message\": ");
+                write_str(out, message);
+                out.push('}');
+            }
+            Response::ShuttingDown => out.push_str("{\"type\": \"shutting_down\"}"),
+            Response::Result(r) => {
+                write_reply_head(out, None, r.cached, r.shard);
+                r.write_body(out);
+            }
+            Response::SweepRow { index, result: r } => {
+                write_reply_head(out, Some(*index), r.cached, r.shard);
+                r.write_body(out);
+            }
+            Response::SweepDone { count } => {
+                out.push_str("{\"type\": \"sweep_done\", \"count\": ");
+                count.write_field(out);
+                out.push('}');
+            }
+            Response::Metrics { snapshot } => {
+                out.push_str("{\"type\": \"metrics\", \"snapshot\": ");
+                snapshot.encode_into(out);
+                out.push('}');
+            }
         }
     }
 
-    /// Decodes one line.
+    /// Decodes one line, pulling each field straight from the parser.
+    /// A `metrics` reply's snapshot is the one value read as a tree.
     ///
     /// # Errors
     ///
     /// Returns a message for malformed JSON, an unknown `type`, or an
-    /// invalid response body.
+    /// invalid response body: the text [`Response::decode_tree`]
+    /// returns.
     pub fn decode(line: &str) -> Result<Self, String> {
+        let mut p = Parser::new(line);
+        let mut fields = ResponseFields::default();
+        p.object(|p, key| fields.read(&key, p))
+            .and_then(|_| p.end())
+            .map_err(|e| format!("malformed response: {e}"))?;
+        fields.finish()
+    }
+
+    /// Decodes one line through a [`Json`] tree: the oracle
+    /// [`Response::decode`] is tested against.
+    ///
+    /// # Errors
+    ///
+    /// As [`Response::decode`].
+    pub fn decode_tree(line: &str) -> Result<Self, String> {
         let v = Json::parse(line).map_err(|e| format!("malformed response: {e}"))?;
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
+        ResponseFields::of_tree(&v).finish()
+    }
+}
+
+/// A response's fields as either decoder finds them.
+#[derive(Default)]
+struct ResponseFields<'a> {
+    kind: StrSlot<'a>,
+    message: StrSlot<'a>,
+    retry_after_ms: Option<Option<u64>>,
+    index: Option<Option<u64>>,
+    count: Option<Option<u64>>,
+    snapshot: Option<Json>,
+    /// A result's fields sit beside its tag.
+    result: ResultFields,
+}
+
+impl<'a> ResponseFields<'a> {
+    fn of_tree(v: &'a Json) -> Self {
+        ResponseFields {
+            kind: tree_str(v, "type"),
+            message: tree_str(v, "message"),
+            retry_after_ms: v.get("retry_after_ms").map(Json::as_u64),
+            index: v.get("index").map(Json::as_u64),
+            count: v.get("count").map(Json::as_u64),
+            snapshot: v.get("snapshot").cloned(),
+            result: ResultFields::of_tree(v),
+        }
+    }
+
+    /// Reads the value of `key`, or skips it if no response field has
+    /// that name.
+    fn read(&mut self, key: &str, p: &mut Parser<'a>) -> Result<(), ParseError> {
+        match key {
+            "type" => p.first(&mut self.kind, Parser::str),
+            "message" => p.first(&mut self.message, Parser::str),
+            "retry_after_ms" => p.first(&mut self.retry_after_ms, Parser::u64),
+            "index" => p.first(&mut self.index, Parser::u64),
+            "count" => p.first(&mut self.count, Parser::u64),
+            "snapshot" => p.first(&mut self.snapshot, Parser::value),
+            _ => self.result.read(key, p),
+        }
+    }
+
+    /// The validation sequence of both decoders.
+    fn finish(self) -> Result<Response, String> {
+        let kind = self
+            .kind
+            .flatten()
             .ok_or_else(|| "response: bad or missing field `type`".to_string())?;
-        match kind {
+        let message = || {
+            self.message
+                .flatten()
+                .map_or_else(|| "unknown error".to_string(), Cow::into_owned)
+        };
+        let index = |what: &str| {
+            self.index
+                .flatten()
+                .map(|n| n as usize)
+                .ok_or_else(|| format!("{what}: bad or missing field `index`"))
+        };
+        match &*kind {
             "pong" => Ok(Response::Pong),
             "shutting_down" => Ok(Response::ShuttingDown),
-            "error" => Ok(Response::Error {
-                message: v
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown error")
-                    .to_string(),
-            }),
+            "error" => Ok(Response::Error { message: message() }),
             "overloaded" => Ok(Response::Overloaded {
-                retry_after_ms: v
-                    .get("retry_after_ms")
-                    .and_then(Json::as_u64)
+                retry_after_ms: self
+                    .retry_after_ms
+                    .flatten()
                     .ok_or_else(|| "overloaded: bad or missing `retry_after_ms`".to_string())?,
             }),
             "deadline_exceeded" => Ok(Response::DeadlineExceeded),
             "sweep_row_error" => Ok(Response::SweepRowError {
-                index: v
-                    .get("index")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| "sweep row error: bad or missing field `index`".to_string())?,
-                message: v
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown error")
-                    .to_string(),
+                index: index("sweep row error")?,
+                message: message(),
             }),
-            "result" => SimResult::from_json(&v).map(Response::Result),
+            "result" => self.result.finish().map(Response::Result),
             "sweep_row" => Ok(Response::SweepRow {
-                index: v
-                    .get("index")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| "sweep row: bad or missing field `index`".to_string())?,
-                result: SimResult::from_json(&v)?,
+                index: index("sweep row")?,
+                result: self.result.finish()?,
             }),
             "sweep_done" => Ok(Response::SweepDone {
-                count: v
-                    .get("count")
-                    .and_then(Json::as_usize)
+                count: self
+                    .count
+                    .flatten()
+                    .map(|n| n as usize)
                     .ok_or_else(|| "sweep done: bad or missing field `count`".to_string())?,
             }),
             "metrics" => Ok(Response::Metrics {
-                snapshot: v
-                    .get("snapshot")
-                    .ok_or_else(|| "metrics response: missing field `snapshot`".to_string())?
-                    .clone(),
+                snapshot: self
+                    .snapshot
+                    .ok_or_else(|| "metrics response: missing field `snapshot`".to_string())?,
             }),
             other => Err(format!("response: unknown type `{other}`")),
         }

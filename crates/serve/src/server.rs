@@ -79,7 +79,9 @@
 //! sent on it by the connection thread itself). The connection thread
 //! writes a short header into one reused line buffer, appends the
 //! body and the newline, and sends the line with one `write_all`, so
-//! a hit builds no `Json` value and encodes no result. A sweep's
+//! a hit encodes no result. With the typed request decode and
+//! fingerprint ([`crate::proto`]), it builds no `Json` value either. A
+//! sweep's
 //! connection thread holds a reorder buffer so rows stream to the
 //! client in request order no matter how the workers interleave.
 

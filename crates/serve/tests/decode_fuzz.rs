@@ -1,13 +1,19 @@
 //! Seed-loop fuzz of the wire decoders, in the style of the histogram
 //! property suite: valid request and response lines are mutated (byte
 //! flips, truncations, insertions) and random byte strings are thrown
-//! in beside them. Every input goes through [`Json::parse`],
-//! [`Request::decode`] and [`Response::decode`], and two things must
-//! hold: no input panics, and whatever decodes is a fixed point of
-//! decode ∘ encode, so a value the server accepts is a value it can
-//! send back unchanged. A field-level pass also puts boundary values
-//! into every numeric machine-config field, where every accepted
-//! request must also pass the config's `validate()`.
+//! in beside them. Every input goes through [`Json::parse`] and
+//! through both the typed decoders ([`Request::decode`],
+//! [`Response::decode`]) and the tree decoders they are held to
+//! ([`Request::decode_tree`], [`Response::decode_tree`]), and three
+//! things must hold: no input panics; the typed and tree decoders
+//! return the same value or the same error text; and whatever decodes
+//! is a fixed point of decode ∘ encode, so a value the server accepts
+//! is a value it can send back unchanged. A field-level pass also puts
+//! boundary values into every numeric machine-config field, where
+//! every accepted request must also pass the config's `validate()`,
+//! and hand-written lines pin the cases a pull reader can get wrong:
+//! key order, repeated keys, deep unknown values, escapes, number
+//! spellings and a syntax error behind a semantic one.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -146,17 +152,22 @@ fn valid_lines() -> Vec<String> {
         .collect()
 }
 
-/// Runs all three decoders on `text` and checks the fixed-point
-/// property of whatever decodes.
+/// Runs every decoder on `text`, checks that the typed and tree
+/// decoders agree, and checks the fixed-point property of whatever
+/// decodes.
 fn check(text: &str) {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if let Ok(v) = Json::parse(text) {
             assert_eq!(Json::parse(&v.encode()), Ok(v), "json re-encode");
         }
-        if let Ok(r) = Request::decode(text) {
+        let request = Request::decode(text);
+        assert_eq!(request, Request::decode_tree(text), "request decoders");
+        if let Ok(r) = request {
             assert_eq!(Request::decode(&r.encode()), Ok(r), "request re-encode");
         }
-        if let Ok(r) = Response::decode(text) {
+        let response = Response::decode(text);
+        assert_eq!(response, Response::decode_tree(text), "response decoders");
+        if let Ok(r) = response {
             assert_eq!(Response::decode(&r.encode()), Ok(r), "response re-encode");
         }
     }));
@@ -262,6 +273,8 @@ fn boundary_values_in_every_config_field_decode_to_valid_fixed_points() {
         65_535u64.into(),
         65_536u64.into(),
         (1u64 << 50).into(),
+        // Past 2^53, where a number is no longer read as an integer.
+        (1u64 << 54).into(),
         (-1.0).into(),
         1.5.into(),
         Json::Null,
@@ -326,5 +339,252 @@ fn random_bytes_never_panic() {
         for _ in 0..RANDOM_LINES {
             check(&random_line(&mut state));
         }
+    }
+}
+
+/// The default `sim` line of `trfd` at smoke scale.
+fn default_sim_line() -> String {
+    Request::Sim {
+        req: SimRequest::ooo_default(Program::Trfd, Scale::Smoke),
+        deadline_ms: None,
+    }
+    .encode()
+}
+
+/// `line` with its first `from` replaced by `to`.
+fn edit(line: &str, from: &str, to: &str) -> String {
+    assert!(line.contains(from), "{from} not in {line}");
+    line.replacen(from, to, 1)
+}
+
+/// Both request decoders on `line`, checked equal, and their outcome.
+fn decode_both(line: &str) -> Result<Request, String> {
+    check(line);
+    Request::decode(line)
+}
+
+#[test]
+fn hand_written_edge_lines_decode_alike() {
+    let sim = default_sim_line();
+    let expected = Request::decode_tree(&sim).expect("default line");
+    let cfg = r#""cfg": {"lat": "#;
+    // Reordered keys, at the top and inside the machine: the config
+    // before its tag is read once the tag is known.
+    let machine = sim.find("\"machine\": {").expect("machine key");
+    // `line` with its machine's `cfg` moved before the `machine` tag.
+    let cfg_first = |line: &str, tag: &str| {
+        edit(
+            line,
+            &format!(r#""machine": {{"machine": "{tag}", "cfg": "#),
+            r#""machine": {"cfg": "#,
+        )
+        .replacen(
+            "}}, \"stepper\"",
+            &format!(r#"}}, "machine": "{tag}"}}, "stepper""#),
+            1,
+        )
+    };
+    let reordered = [
+        r#"{"fault_at": null, "stepper": "event", "scale": "smoke", "program": "trfd", "type": "sim", "#
+            .to_string()
+            + &sim[machine..sim.find(", \"stepper\"").expect("stepper")]
+            + "}",
+        cfg_first(&sim, "ooo"),
+        edit(&sim, r#""read_xbar": 1, "write_xbar": 2"#, r#""write_xbar": 2, "read_xbar": 1"#),
+    ];
+    for line in &reordered {
+        assert_eq!(decode_both(line).as_ref(), Ok(&expected), "{line}");
+    }
+    let reference = Request::Sim {
+        req: SimRequest {
+            machine: MachineConfig::Ref(RefConfig::default()),
+            ..SimRequest::ooo_default(Program::Trfd, Scale::Smoke)
+        },
+        deadline_ms: None,
+    };
+    let line = cfg_first(&reference.encode(), "ref");
+    assert_eq!(decode_both(&line), Ok(reference), "{line}");
+    // Repeated keys: the first value wins, good or bad.
+    let good_first = [
+        edit(
+            &sim,
+            r#""program": "trfd""#,
+            r#""program": "trfd", "program": "nope""#,
+        ),
+        edit(
+            &sim,
+            r#""phys_v_regs": 16"#,
+            r#""phys_v_regs": 16, "phys_v_regs": 4"#,
+        ),
+        edit(
+            &sim,
+            r#""machine": "ooo""#,
+            r#""machine": "ooo", "machine": 5"#,
+        ),
+        edit(&sim, r#""type": "sim""#, r#""type": "sim", "type": "ping""#),
+        edit(&sim, cfg, r#""cfg": {"lat": {}, "lat": "#),
+    ];
+    let first_bad = [
+        (
+            edit(
+                &sim,
+                r#""program": "trfd""#,
+                r#""program": "nope", "program": "trfd""#,
+            ),
+            "sim request: unknown program `nope`",
+        ),
+        (
+            edit(
+                &sim,
+                r#""phys_v_regs": 16"#,
+                r#""phys_v_regs": 4, "phys_v_regs": 16"#,
+            ),
+            "at least 9",
+        ),
+        (
+            edit(
+                &sim,
+                r#""machine": "ooo""#,
+                r#""machine": 5, "machine": "ooo""#,
+            ),
+            "machine config: bad or missing field `machine`",
+        ),
+        (
+            edit(&sim, cfg, r#""cfg": {"lat": null, "lat": "#),
+            "latency model: bad or missing field `read_xbar`",
+        ),
+    ];
+    for line in &good_first[..4] {
+        assert_eq!(decode_both(line).as_ref(), Ok(&expected), "{line}");
+    }
+    let err = decode_both(&good_first[4]).expect_err("an empty latency model");
+    assert!(err.contains("latency model"), "{err}");
+    for (line, text) in &first_bad {
+        let err = decode_both(line).expect_err(line);
+        assert!(err.contains(text), "{err} for {line}");
+    }
+    // An unknown key's value is skipped under the parser's depth limit:
+    // the request object is depth 0, so 64 brackets reach depth 64.
+    for (depth, ok) in [(64, true), (65, false)] {
+        let deep = "[".repeat(depth) + &"]".repeat(depth);
+        let line = edit(&sim, "{", &format!("{{\"extra\": {deep}, "));
+        match decode_both(&line) {
+            Ok(r) => assert!(ok && r == expected, "{depth} deep"),
+            Err(e) => assert!(!ok && e.contains("nesting too deep"), "{e}"),
+        }
+    }
+    // Escaped keys and values are compared unescaped.
+    let escaped = edit(
+        &sim,
+        r#""program": "trfd""#,
+        r#""\u0070rogram": "tr\u0066d""#,
+    );
+    assert_eq!(decode_both(&escaped).as_ref(), Ok(&expected));
+    // Number spellings go through the tree's f64 rule.
+    for (literal, value) in [
+        ("1.0", 1),
+        ("1e0", 1),
+        ("-0", 0),
+        ("9007199254740993", 1 << 53),
+    ] {
+        let line = edit(&sim, r#""branch": 1"#, &format!(r#""branch": {literal}"#));
+        match decode_both(&line) {
+            Ok(Request::Sim {
+                req:
+                    SimRequest {
+                        machine: MachineConfig::Ooo(c),
+                        ..
+                    },
+                ..
+            }) => assert_eq!(u64::from(c.lat.branch), value, "{literal}"),
+            // 2^53 does not fit the field's u32.
+            Err(e) => assert!(value > u64::from(u32::MAX), "{e}"),
+            Ok(other) => panic!("{other:?}"),
+        }
+        let line = edit(
+            &sim,
+            r#""btb_entries": 64"#,
+            &format!(r#""btb_entries": {literal}"#),
+        );
+        let decoded = decode_both(&line);
+        if value == 1 {
+            assert!(decoded.is_ok(), "{line}");
+        } else {
+            assert!(decoded.is_err(), "{line}");
+        }
+    }
+    // A syntax error anywhere wins over a semantic one before it.
+    let unknown = edit(&sim, r#""program": "trfd""#, r#""program": "nope""#);
+    assert_eq!(
+        decode_both(&unknown),
+        Err("sim request: unknown program `nope`".into())
+    );
+    let broken = edit(&unknown, r#""fault_at": null"#, r#""fault_at": nul"#);
+    let err = decode_both(&broken).expect_err("syntax error");
+    assert!(
+        err.starts_with("malformed request: expected 'null'"),
+        "{err}"
+    );
+    let trailing = unknown.clone() + " x";
+    let err = decode_both(&trailing).expect_err("trailing bytes");
+    assert!(err.contains("trailing characters"), "{err}");
+}
+
+#[test]
+fn hand_written_result_lines_decode_alike() {
+    let lines = valid_lines();
+    let result = lines
+        .iter()
+        .find(|l| l.starts_with(r#"{"type": "result""#))
+        .expect("a result line");
+    let expected = Response::decode_tree(result).expect("result line");
+    for line in [
+        // Reordered: the tag last.
+        edit(result, r#""type": "result", "#, "")
+            .strip_suffix('}')
+            .expect("a closing brace")
+            .to_string()
+            + r#", "type": "result"}"#,
+        // Repeated keys, good first.
+        edit(
+            result,
+            r#""cached": true"#,
+            r#""cached": true, "cached": 3"#,
+        ),
+        edit(
+            result,
+            r#""cycles": 123456"#,
+            r#""cycles": 123456, "cycles": -1"#,
+        ),
+        // An unknown key beside the result fields.
+        edit(
+            result,
+            r#""shard": 1"#,
+            r#""shard": 1, "extra": {"a": [1, {"b": null}]}"#,
+        ),
+    ] {
+        check(&line);
+        assert_eq!(Response::decode(&line).as_ref(), Ok(&expected), "{line}");
+    }
+    for (line, text) in [
+        (
+            edit(
+                result,
+                r#""cycles": 123456"#,
+                r#""cycles": -1, "cycles": 123456"#,
+            ),
+            "sim stats: bad or missing field `cycles`",
+        ),
+        (
+            edit(result, r#""stats": {"#, r#""stats": 1, "x": {"#),
+            "sim stats: bad or missing field `cycles`",
+        ),
+        (
+            edit(result, r#""breakdown": ["#, r#""breakdown": [1, "#),
+            "state breakdown: expected 8 entries, got 9",
+        ),
+    ] {
+        check(&line);
+        assert_eq!(Response::decode(&line), Err(text.to_string()), "{line}");
     }
 }

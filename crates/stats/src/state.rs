@@ -6,6 +6,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
+use oov_proto::{Decoded, Json, JsonField, ParseError, Parser, Sink};
+
 /// Occupancy of the three vector units `(FU2, FU1, MEM)` in one cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UnitState {
@@ -154,28 +156,80 @@ impl StateBreakdown {
 
 /// An 8-element array of cycle counts in dense-index order (see
 /// [`UnitState::index`]).
-impl oov_proto::JsonField for StateBreakdown {
-    fn to_field(&self) -> oov_proto::Json {
-        oov_proto::Json::Arr(self.cycles.iter().map(|&c| c.into()).collect())
+impl JsonField for StateBreakdown {
+    fn to_field(&self) -> Json {
+        Json::Arr(self.cycles.iter().map(|&c| c.into()).collect())
     }
 
-    fn from_value(v: &oov_proto::Json) -> Result<Self, Option<String>> {
-        let items = v
-            .as_arr()
-            .ok_or_else(|| "state breakdown: expected an array".to_string())?;
-        if items.len() != 8 {
+    fn write_field<S: Sink>(&self, out: &mut S) {
+        out.put("[");
+        for (i, c) in self.cycles.iter().enumerate() {
+            if i > 0 {
+                out.put(", ");
+            }
+            c.write_field(out);
+        }
+        out.put("]");
+    }
+
+    fn from_value(v: &Json) -> Decoded<Self> {
+        let Some(items) = v.as_arr() else {
+            return Self::checked(None);
+        };
+        let mut entries = Entries::default();
+        for item in items {
+            entries.push(item.as_u64());
+        }
+        Self::checked(Some(entries))
+    }
+
+    fn read_field(p: &mut Parser<'_>) -> Result<Decoded<Self>, ParseError> {
+        let mut entries = Entries::default();
+        let is_array = p.array(|p| {
+            entries.push(p.u64()?);
+            Ok(())
+        })?;
+        Ok(Self::checked(is_array.then_some(entries)))
+    }
+}
+
+/// An array's entries as either decoder counts them: how many, the
+/// first eight, and the index of the first that is not a count.
+#[derive(Default)]
+struct Entries {
+    len: usize,
+    cycles: [u64; 8],
+    first_bad: Option<usize>,
+}
+
+impl Entries {
+    fn push(&mut self, count: Option<u64>) {
+        match count {
+            Some(n) if self.len < 8 => self.cycles[self.len] = n,
+            None if self.first_bad.is_none() => self.first_bad = Some(self.len),
+            _ => {}
+        }
+        self.len += 1;
+    }
+}
+
+impl StateBreakdown {
+    /// The validation sequence of both decoders, over the entries of
+    /// the value if it is an array.
+    fn checked(entries: Option<Entries>) -> Decoded<Self> {
+        let entries = entries.ok_or_else(|| "state breakdown: expected an array".to_string())?;
+        if entries.len != 8 {
             return Err(Some(format!(
                 "state breakdown: expected 8 entries, got {}",
-                items.len()
+                entries.len
             )));
         }
-        let mut cycles = [0u64; 8];
-        for (i, item) in items.iter().enumerate() {
-            cycles[i] = item
-                .as_u64()
-                .ok_or_else(|| format!("state breakdown: entry {i} is not a count"))?;
+        if let Some(i) = entries.first_bad {
+            return Err(Some(format!("state breakdown: entry {i} is not a count")));
         }
-        Ok(StateBreakdown { cycles })
+        Ok(StateBreakdown {
+            cycles: entries.cycles,
+        })
     }
 }
 
