@@ -71,6 +71,7 @@ mod tests {
         ArchReg, BranchInfo, CommitMode, Instruction, LoadElimMode, MemRef, OooConfig, Opcode,
         Trace,
     };
+    use oov_stats::SimStats;
 
     fn vload(dst: u8, base: u64, vl: u16) -> Instruction {
         Instruction::load(
@@ -247,6 +248,96 @@ mod tests {
             late.stats.cycles,
             early.stats.cycles
         );
+    }
+
+    fn sload(dst: u8, addr: u64) -> Instruction {
+        Instruction::load(Opcode::SLoad, ArchReg::S(dst), &[], MemRef::scalar(addr), 1)
+    }
+
+    /// Runs `insts` on the untraced stage-graph engine and on the naive
+    /// oracle, asserts bit-identical stats, and returns them with the
+    /// oracle's lifecycle records in trace order (tracing never changes
+    /// the oracle's schedule).
+    fn both_engines(insts: Vec<Instruction>, cfg: OooConfig) -> (SimStats, Vec<TraceRecord>) {
+        let t = trace(insts);
+        let event = OooSim::new(cfg, &t).run().stats;
+        let naive = OooSim::new(cfg, &t)
+            .with_stepper(Stepper::Naive)
+            .with_trace(TraceSink::new())
+            .run();
+        assert_eq!(event, naive.stats, "engines diverge");
+        let records = naive.trace.expect("traced run").records().to_vec();
+        (event, records)
+    }
+
+    #[test]
+    fn late_commit_store_becomes_head_behind_a_long_vector_load() {
+        // Each store has ready data and a disjoint range, and the bus is
+        // long free when an older long-latency instruction commits and
+        // the store becomes the ROB head: only the head move lets it
+        // issue.
+        let insts = vec![
+            vload(1, 0x1000, 128),
+            vstore(5, 0x40000, 8),
+            Instruction::vector(Opcode::VDiv, ArchReg::V(7), &[ArchReg::V(1)], 128, 1),
+            vstore(6, 0x50000, 8),
+            vload(2, 0x80000, 8),
+        ];
+        let cfg = OooConfig::default().with_commit(CommitMode::Late);
+        let (stats, r) = both_engines(insts, cfg);
+        assert_eq!(stats.committed, 5);
+        assert!(
+            r[1].issue >= r[0].commit,
+            "store issued before the head moved"
+        );
+        assert!(
+            r[3].issue >= r[2].commit,
+            "store issued before the head moved"
+        );
+        assert!(
+            r[4].issue < r[1].issue,
+            "the disjoint load passes the stores"
+        );
+    }
+
+    #[test]
+    fn scalar_cache_hit_issues_while_a_vector_load_holds_the_bus() {
+        // The first load allocates the line; the third hits it while the
+        // long vector load still occupies the address bus.
+        let insts = vec![sload(1, 0x2000), vload(1, 0x10000, 128), sload(2, 0x2008)];
+        let cfg = OooConfig::default();
+        assert!(cfg.scalar_cache.is_some());
+        let (stats, r) = both_engines(insts, cfg);
+        assert_eq!(stats.load_requests, 1 + 128, "the hit bypasses the bus");
+        assert!(
+            r[2].issue > r[1].issue && r[2].issue < r[1].issue + 128,
+            "hit at {} outside the bus window {}..{}",
+            r[2].issue,
+            r[1].issue,
+            r[1].issue + 128
+        );
+    }
+
+    #[test]
+    fn memory_queue_without_scalar_loads_waits_for_the_bus() {
+        // Vector accesses only: while the bus is busy nothing can issue,
+        // and each waiting access takes the bus the cycle it frees.
+        let insts = vec![
+            vload(1, 0x1000, 128),
+            vload(2, 0x10000, 64),
+            vstore(3, 0x20000, 32),
+            vload(4, 0x30000, 16),
+        ];
+        for commit in [CommitMode::Early, CommitMode::Late] {
+            let cfg = OooConfig::default().with_commit(commit);
+            let (stats, r) = both_engines(insts.clone(), cfg);
+            assert_eq!(stats.committed, 4);
+            if commit == CommitMode::Early {
+                assert_eq!(r[1].issue, r[0].issue + 128);
+                assert_eq!(r[2].issue, r[1].issue + 64);
+                assert_eq!(r[3].issue, r[2].issue + 32);
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! reorder buffer only holds a few bits to identify instructions and
 //! register names; it never holds register values."*
 
-use std::collections::VecDeque;
 use std::ops::Deref;
 
 use oov_isa::{BranchInfo, MemRef, Opcode, RegClass, MAX_SRCS};
@@ -207,110 +206,12 @@ impl RobEntry {
     }
 }
 
-/// The reorder buffer: a bounded FIFO of in-flight instructions. Built
-/// empty by `Default`; [`Rob::reset`] gives it its capacity.
-#[derive(Debug, Default)]
-pub struct Rob {
-    entries: VecDeque<RobEntry>,
-    capacity: usize,
-    next_seq: u64,
-}
-
-impl Rob {
-    /// Empties the buffer, sets its capacity to `capacity` slots and
-    /// rewinds sequence numbering for a new run. The deque is sized
-    /// for a full buffer up front, and keeps its storage across resets
-    /// (arena reuse).
-    pub(crate) fn reset(&mut self, capacity: usize) {
-        self.entries.clear();
-        self.entries.reserve(capacity);
-        self.capacity = capacity;
-        self.next_seq = 0;
-    }
-
-    /// `true` if no slot is available.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
-    /// Occupied slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Allocates an entry at the tail, assigning its sequence number.
-    ///
-    /// # Panics
-    ///
-    /// Panics if full — callers must check [`Rob::is_full`] first.
-    pub fn push(&mut self, mut entry: RobEntry) -> u64 {
-        assert!(!self.is_full(), "ROB overflow");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        entry.seq = seq;
-        self.entries.push_back(entry);
-        seq
-    }
-
-    /// The head (oldest) entry.
-    #[must_use]
-    pub fn head(&self) -> Option<&RobEntry> {
-        self.entries.front()
-    }
-
-    /// Sequence number of the head entry.
-    #[must_use]
-    pub fn head_seq(&self) -> Option<u64> {
-        self.entries.front().map(|e| e.seq)
-    }
-
-    /// Removes and returns the head entry (commit).
-    pub fn pop(&mut self) -> Option<RobEntry> {
-        self.entries.pop_front()
-    }
-
-    /// Removes and returns the tail entry (squash walk).
-    pub fn pop_tail(&mut self) -> Option<RobEntry> {
-        self.entries.pop_back()
-    }
-
-    /// Looks up an entry by sequence number.
-    #[must_use]
-    pub fn get(&self, seq: u64) -> Option<&RobEntry> {
-        let head = self.head_seq()?;
-        let off = seq.checked_sub(head)? as usize;
-        self.entries.get(off)
-    }
-
-    /// Mutable lookup by sequence number.
-    pub fn get_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
-        let head = self.head_seq()?;
-        let off = seq.checked_sub(head)? as usize;
-        self.entries.get_mut(off)
-    }
-
-    /// Iterates entries in program order.
-    pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
-        self.entries.iter()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn rob(capacity: usize) -> Rob {
-        let mut r = Rob::default();
-        r.reset(capacity);
-        r
-    }
-
-    fn entry(trace_idx: usize) -> RobEntry {
+impl RobEntry {
+    /// The filler of a ring slot that holds no instruction.
+    fn vacant() -> RobEntry {
         RobEntry {
             seq: 0,
-            trace_idx,
+            trace_idx: 0,
             op: Opcode::SAdd,
             vl: 1,
             is_spill: false,
@@ -329,6 +230,156 @@ mod tests {
             mispredicted: false,
             waiting_srcs: 0,
             qkind: QueueKind::S,
+        }
+    }
+}
+
+/// The reorder buffer: a bounded FIFO of in-flight instructions, held
+/// in a power-of-two ring of slots indexed by sequence number, so a
+/// lookup is one range check and a mask. Built empty by `Default`;
+/// [`Rob::reset`] gives it its capacity.
+///
+/// The live entries are the sequence numbers `head..head + len`.
+/// Sequence numbers are never reused, not even after a squash:
+/// [`Rob::pop_tail`] leaves `next_seq` alone, and the recovery that
+/// calls it drains the buffer before the next [`Rob::push`], which
+/// then restarts `head` at `next_seq`.
+#[derive(Debug, Default)]
+pub struct Rob {
+    /// Entry `seq` lives in slot `seq & mask`. The slots only grow, so
+    /// a recycled buffer reuses them.
+    slots: Vec<RobEntry>,
+    mask: u64,
+    capacity: usize,
+    /// Sequence number of the oldest entry.
+    head: u64,
+    len: usize,
+    next_seq: u64,
+}
+
+impl Rob {
+    /// Empties the buffer, sets its capacity to `capacity` slots and
+    /// rewinds sequence numbering for a new run. The ring grows to the
+    /// next power of two at or above `capacity` and keeps its storage
+    /// across resets (arena reuse).
+    pub(crate) fn reset(&mut self, capacity: usize) {
+        let slots = capacity.next_power_of_two();
+        if self.slots.len() < slots {
+            self.slots.resize(slots, RobEntry::vacant());
+        }
+        self.mask = self.slots.len() as u64 - 1;
+        self.capacity = capacity;
+        self.head = 0;
+        self.len = 0;
+        self.next_seq = 0;
+    }
+
+    /// `true` if no slot is available.
+    #[must_use]
+    pub fn is_full(&self) -> bool {
+        self.len >= self.capacity
+    }
+
+    /// Occupied slots.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The slot of sequence number `seq`.
+    fn ix(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
+    }
+
+    /// `true` if `seq` is in flight: one wrapping compare, since a
+    /// number below `head` wraps past `len`.
+    fn live(&self, seq: u64) -> bool {
+        seq.wrapping_sub(self.head) < self.len as u64
+    }
+
+    /// Allocates an entry at the tail, assigning its sequence number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if full — callers must check [`Rob::is_full`] first — or
+    /// if a squash left entries behind a gap of dead numbers.
+    pub fn push(&mut self, mut entry: RobEntry) -> u64 {
+        assert!(!self.is_full(), "ROB overflow");
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.len == 0 {
+            self.head = seq;
+        }
+        assert!(
+            self.head + self.len as u64 == seq,
+            "push after a partial squash"
+        );
+        entry.seq = seq;
+        let ix = self.ix(seq);
+        self.slots[ix] = entry;
+        self.len += 1;
+        seq
+    }
+
+    /// The head (oldest) entry.
+    #[must_use]
+    pub fn head(&self) -> Option<&RobEntry> {
+        self.get(self.head)
+    }
+
+    /// Sequence number of the head entry.
+    #[must_use]
+    pub fn head_seq(&self) -> Option<u64> {
+        (self.len > 0).then_some(self.head)
+    }
+
+    /// Removes and returns the head entry (commit).
+    pub fn pop(&mut self) -> Option<RobEntry> {
+        let e = self.head()?.clone();
+        self.head += 1;
+        self.len -= 1;
+        Some(e)
+    }
+
+    /// Removes and returns the tail entry (squash walk). The tail's
+    /// sequence number is not handed out again.
+    pub fn pop_tail(&mut self) -> Option<RobEntry> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.slots[self.ix(self.head + self.len as u64)].clone())
+    }
+
+    /// Looks up an entry by sequence number.
+    #[must_use]
+    pub fn get(&self, seq: u64) -> Option<&RobEntry> {
+        self.live(seq).then(|| &self.slots[self.ix(seq)])
+    }
+
+    /// Mutable lookup by sequence number.
+    pub fn get_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
+        let ix = self.ix(seq);
+        self.live(seq).then(|| &mut self.slots[ix])
+    }
+
+    /// Iterates entries in program order.
+    pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
+        (self.head..self.head + self.len as u64).map(|seq| &self.slots[self.ix(seq)])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rob(capacity: usize) -> Rob {
+        let mut r = Rob::default();
+        r.reset(capacity);
+        r
+    }
+
+    fn entry(trace_idx: usize) -> RobEntry {
+        RobEntry {
+            trace_idx,
+            ..RobEntry::vacant()
         }
     }
 
@@ -450,8 +501,66 @@ mod tests {
         assert_eq!(r.pop_tail().unwrap().trace_idx, 3);
         assert_eq!(r.pop_tail().unwrap().trace_idx, 2);
         assert_eq!(r.len(), 2);
-        // Sequence numbers keep increasing even after a squash.
+        // A squash drains the buffer before the next push, and sequence
+        // numbers keep increasing across it.
+        while r.pop_tail().is_some() {}
         let s = r.push(entry(9));
         assert_eq!(s, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "push after a partial squash")]
+    fn push_after_partial_squash_panics() {
+        let mut r = rob(8);
+        r.push(entry(0));
+        r.push(entry(1));
+        r.pop_tail();
+        r.push(entry(2));
+    }
+
+    #[test]
+    fn ring_wraps_without_reusing_sequence_numbers() {
+        let mut r = rob(48);
+        assert_eq!(r.slots.len(), 64, "capacity 48 rounds up to a 64-slot ring");
+        assert!(r.get(0).is_none(), "nothing allocated yet");
+        // Keep 40 in flight while pushing past three wraps of the ring.
+        let mut committed = 0u64;
+        for i in 0..4 * 64 {
+            if r.len() == 40 {
+                let e = r.pop().unwrap();
+                assert_eq!(e.seq, committed);
+                assert_eq!(e.trace_idx, committed as usize);
+                committed += 1;
+            }
+            assert_eq!(r.push(entry(i)), i as u64);
+        }
+        let next = 4 * 64;
+        assert_eq!(r.head_seq(), Some(committed));
+        assert!(r.get(committed - 1).is_none(), "committed");
+        assert!(r.get(next).is_none(), "never allocated");
+        assert!(
+            r.get(next + 64).is_none(),
+            "never allocated, same slot as a live one"
+        );
+        for seq in committed..next {
+            assert_eq!(r.get(seq).unwrap().trace_idx, seq as usize);
+        }
+        r.get_mut(next - 1).unwrap().state = EntryState::Issued;
+        assert!(r.get(next - 1).unwrap().issued());
+        assert!(r.iter().map(|e| e.seq).eq(committed..next));
+        // Squash the tail after the wrap: the popped entries vanish.
+        assert_eq!(r.pop_tail().unwrap().seq, next - 1);
+        assert_eq!(r.pop_tail().unwrap().seq, next - 2);
+        assert_eq!(r.len(), 38);
+        assert!(r.get(next - 2).is_none());
+        assert_eq!(r.get(next - 3).unwrap().trace_idx, (next - 3) as usize);
+        // Drain as the recovery does; numbering continues past the
+        // squashed entries.
+        while r.pop_tail().is_some() {}
+        assert!(r.head().is_none() && r.get(committed).is_none());
+        assert_eq!(r.push(entry(7)), next);
+        assert_eq!(r.head_seq(), Some(next));
+        assert_eq!(r.get(next).unwrap().trace_idx, 7);
+        assert!(r.get(next - 1).is_none(), "a squashed number stays dead");
     }
 }

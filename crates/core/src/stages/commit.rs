@@ -9,6 +9,7 @@
 
 use oov_isa::CommitMode;
 
+use crate::rob::MemStage;
 use crate::sim::OooSim;
 use crate::stages::StageId;
 
@@ -56,9 +57,10 @@ impl OooSim<'_> {
     }
 
     pub(crate) fn commit(&mut self) {
+        let mut popped = false;
         for _ in 0..self.cfg.commit_width {
             let Some(head) = self.st.rob.head() else {
-                return;
+                break;
             };
             if let (Some(fault_idx), true) = (self.fault_at, head.issued()) {
                 if head.trace_idx == fault_idx && self.ready_to_commit(head) {
@@ -67,7 +69,7 @@ impl OooSim<'_> {
                 }
             }
             if !self.ready_to_commit(head) {
-                return;
+                break;
             }
             let e = self.st.rob.pop().expect("head vanished");
             if let Some(p) = self.probe.as_deref_mut() {
@@ -78,11 +80,19 @@ impl OooSim<'_> {
             }
             self.committed += 1;
             self.progress(StageId::Commit);
-            // Late commit gates stores on reaching the ROB head, a
-            // state condition memory issue cannot see coming — re-arm
-            // it whenever the head moves.
-            if self.cfg.commit == CommitMode::Late {
-                self.sched.arm(StageId::IssueMem);
+            popped = true;
+        }
+        // Late commit lets a store issue only from the ROB head, a state
+        // condition memory issue cannot see coming. The head rule gates
+        // nothing else, so when the head moves only a new head that is a
+        // store already in `WaitDisamb` can become issuable: lower memory
+        // issue's wake to its exact ready time. A store that reaches
+        // `WaitDisamb` later merges its own wake at stage-3 exit.
+        if popped && self.cfg.commit == CommitMode::Late {
+            if let Some(h) = self.st.rob.head() {
+                if h.is_store() && h.mem_stage == MemStage::WaitDisamb {
+                    self.merge_entry_wake(h.seq);
+                }
             }
         }
     }
@@ -122,6 +132,7 @@ impl OooSim<'_> {
         self.fetch_blocked = None;
         self.fetch_resume_at = None;
         self.st.pending_copies.clear();
+        self.sloads_waiting = 0;
         // Conservative: forget all register memory tags.
         self.st.tags.clear();
         self.fetch_idx = fault_idx;

@@ -17,7 +17,9 @@
 //! entry reaching `WaitDisamb` registers its issue-checked sources
 //! via `OooSim::register_mem_waits` — so a store's data or a gather's
 //! index being produced re-arms memory issue through the wakeup index
-//! — and merges its exact ready time into the stage's wake.
+//! — and merges its exact ready time into the stage's wake. A scalar
+//! load reaching `WaitDisamb` also raises `OooSim::sloads_waiting`,
+//! which keeps memory issue scanning while the bus is busy.
 
 use oov_isa::{MemKind, Opcode, RegClass};
 
@@ -148,6 +150,9 @@ impl OooSim<'_> {
         }
         if let Some(e) = self.st.rob.get_mut(seq) {
             e.mem_stage = MemStage::WaitDisamb;
+            if e.op == Opcode::SLoad {
+                self.sloads_waiting += 1;
+            }
         }
         // A new disambiguation candidate: register its issue-checked
         // sources (their production re-arms memory issue) and lower

@@ -173,11 +173,13 @@ impl MemImage {
         }
     }
 
-    /// Stores `(address, value)` pairs (a compiled program's
-    /// `mem_init`) in order.
-    pub fn seed(&mut self, pairs: &[(u64, u64)]) {
-        for &(a, v) in pairs {
-            self.store(a, v);
+    /// Stores `(base address, words)` runs (a compiled program's
+    /// `mem_init`) in order, word `i` of a run at `base + 8 * i`.
+    pub fn seed(&mut self, runs: &[(u64, Vec<u64>)]) {
+        for (base, run) in runs {
+            for (i, &v) in (0..).zip(run) {
+                self.store(base + 8 * i, v);
+            }
         }
     }
 
@@ -322,20 +324,24 @@ mod tests {
 
     #[test]
     fn seed_matches_per_pair_stores() {
-        let mut pairs: Vec<(u64, u64)> = (0..600u64).map(|i| (0x2000 + 8 * i, i * 3)).collect();
-        pairs.push((0x9_0000, 77));
-        pairs.push((0x2000, 88)); // a later pair for the same word wins
+        let runs = vec![
+            (0x2000, (0..600u64).map(|i| i * 3).collect()),
+            (0x9_0000, vec![77]),
+            (0x2000, vec![88]), // a later run's word at the same address wins
+        ];
         let mut m = MemImage::new();
-        m.seed(&pairs);
+        m.seed(&runs);
         let mut reference = MemImage::new();
-        for &(a, v) in &pairs {
-            reference.store(a, v);
+        for (base, words) in &runs {
+            for (i, &v) in (0..).zip(words) {
+                reference.store(base + 8 * i, v);
+            }
         }
         assert_eq!(m, reference);
         assert_eq!(m.len(), 601);
         assert_eq!(m.load(0x2000), 88);
         assert_eq!(m.load(0x2000 + 8 * 599), 599 * 3);
-        let base = BaseImage::seeded(&pairs);
+        let base = BaseImage::seeded(&runs);
         assert_eq!(MemImage::fork(&Arc::new(base)), reference);
     }
 
@@ -367,10 +373,9 @@ mod tests {
 
     fn seeded_base() -> Arc<BaseImage> {
         Arc::new(BaseImage::seeded(&[
-            (0x1000, 11),
-            (0x1008, 22),
-            (0xff8, 33),
-            (0x9_0000, 44),
+            (0x1000, vec![11, 22]),
+            (0xff8, vec![33]),
+            (0x9_0000, vec![44]),
         ]))
     }
 
@@ -422,11 +427,11 @@ mod tests {
 
     #[test]
     fn fork_matches_reseeded_image_observationally() {
-        let pairs: Vec<(u64, u64)> = (0..700u64).map(|i| (0x3000 + 8 * i, i * 7)).collect();
-        let base = Arc::new(BaseImage::seeded(&pairs));
+        let runs = [(0x3000, (0..700u64).map(|i| i * 7).collect())];
+        let base = Arc::new(BaseImage::seeded(&runs));
         let mut fork = MemImage::fork(&base);
         let mut flat = MemImage::new();
-        flat.seed(&pairs);
+        flat.seed(&runs);
         assert_eq!(fork, flat);
         assert!(fork.same_contents(&flat) && flat.same_contents(&fork));
         // Divergence breaks both, symmetrically.
@@ -438,7 +443,7 @@ mod tests {
         // A reset forgets the divergence.
         fork.reset_to_base(&base);
         assert_eq!(fork.load(0x3000), 0);
-        assert_eq!(fork.len(), pairs.len());
+        assert_eq!(fork.len(), 700);
     }
 
     /// Addresses cluster around a few small regions, sometimes
@@ -450,18 +455,18 @@ mod tests {
     }
 
     /// Random traffic builds a base; a fork then takes more random
-    /// traffic and must match a flat image seeded with the same pairs
+    /// traffic and must match a flat image seeded with the same runs
     /// that took the same stores, while the base stays unchanged.
     #[test]
     fn model_based_fork_against_reference() {
         for seed in 0..16u64 {
             let mut rng = 0xc0u64 << 56 | seed;
-            let pairs: Vec<(u64, u64)> = (0..120)
-                .map(|_| (rand_addr(&mut rng), splitmix(&mut rng) % 50))
+            let runs: Vec<(u64, Vec<u64>)> = (0..120)
+                .map(|_| (rand_addr(&mut rng), vec![splitmix(&mut rng) % 50]))
                 .collect();
-            let base = Arc::new(BaseImage::seeded(&pairs));
+            let base = Arc::new(BaseImage::seeded(&runs));
             let mut flat = MemImage::new();
-            flat.seed(&pairs);
+            flat.seed(&runs);
             let base_snapshot = flat.clone();
             let mut fork = MemImage::fork(&base);
             for step in 0..200 {

@@ -174,7 +174,13 @@ impl Program {
     /// Compiles the program to a dynamic trace.
     #[must_use]
     pub fn compile(self, scale: Scale) -> CompiledProgram {
-        compile(&self.kernel(scale))
+        // The initial memory is by far the kernel's largest part: move
+        // it into the compiled program instead of cloning it.
+        let mut kernel = self.kernel(scale);
+        let mem_init = std::mem::take(&mut kernel.mem_init);
+        let mut prog = compile(&kernel);
+        prog.mem_init = mem_init;
+        prog
     }
 
     /// Parses a program from its name.

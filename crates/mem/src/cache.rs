@@ -10,7 +10,10 @@
 /// (8-byte) accesses. Timing-only: it tracks tags, never data.
 #[derive(Debug, Clone)]
 pub struct ScalarCache {
-    line_bytes: u64,
+    /// `log2(line_bytes)`: an address's line number is `addr >> line_shift`.
+    line_shift: u32,
+    /// `lines - 1`: a line's index is `line & index_mask`.
+    index_mask: u64,
     tags: Vec<Option<u64>>,
     hits: u64,
     misses: u64,
@@ -36,7 +39,8 @@ impl ScalarCache {
         assert!(size_bytes >= line_bytes, "cache smaller than one line");
         let lines = (size_bytes / line_bytes) as usize;
         ScalarCache {
-            line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
+            index_mask: lines as u64 - 1,
             tags: vec![None; lines],
             hits: 0,
             misses: 0,
@@ -46,7 +50,8 @@ impl ScalarCache {
     /// `(size_bytes, line_bytes)` this cache was built with.
     #[must_use]
     pub fn geometry(&self) -> (u64, u64) {
-        (self.tags.len() as u64 * self.line_bytes, self.line_bytes)
+        let line_bytes = 1 << self.line_shift;
+        (self.tags.len() as u64 * line_bytes, line_bytes)
     }
 
     /// Empties the cache and zeroes its counters, keeping the tag
@@ -58,9 +63,8 @@ impl ScalarCache {
     }
 
     fn index_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.line_bytes;
-        let idx = (line as usize) % self.tags.len();
-        (idx, line)
+        let line = addr >> self.line_shift;
+        ((line & self.index_mask) as usize, line)
     }
 
     /// Performs a scalar load lookup: returns `true` on hit, allocating
@@ -107,8 +111,8 @@ impl ScalarCache {
     /// Invalidates every line overlapping the byte range `[lo, hi]` —
     /// used when vector stores write memory under the cache.
     pub fn invalidate_range(&mut self, lo: u64, hi: u64) {
-        let first = lo / self.line_bytes;
-        let last = hi / self.line_bytes;
+        let first = lo >> self.line_shift;
+        let last = hi >> self.line_shift;
         // A direct-mapped cache has at most `tags.len()` distinct lines;
         // wide ranges degenerate to a full flush.
         if last - first + 1 >= self.tags.len() as u64 {
@@ -116,7 +120,7 @@ impl ScalarCache {
             return;
         }
         for line in first..=last {
-            let idx = (line as usize) % self.tags.len();
+            let idx = (line & self.index_mask) as usize;
             if self.tags[idx] == Some(line) {
                 self.tags[idx] = None;
             }

@@ -37,7 +37,9 @@
 //! compacts: every record of the state, framed exactly as appends
 //! frame it and sorted by key, replaces `<journal>.snapshot` whole
 //! (temp file, fsync, rename, directory fsync), then the journal is
-//! truncated. The snapshot is therefore a compacted journal. Graceful
+//! truncated. The snapshot is therefore a compacted journal. The
+//! records stream into the temp file through one 64 KiB buffer, so a
+//! compaction's memory does not grow with the state. Graceful
 //! shutdown runs the same compaction once the last sender is gone,
 //! unless the journal is already empty. Startup replays the snapshot
 //! and then the journal tail through the same [`recover`], the tail
@@ -387,11 +389,18 @@ fn writer_loop(
     }
 }
 
+/// Bytes the snapshot writer frames before it flushes them to the
+/// temp file: compaction holds one such buffer, whatever the state's
+/// size.
+const SNAPSHOT_CHUNK: usize = 64 << 10;
+
 /// Snapshots the full state, then truncates the journal; returns
 /// whether both happened. A crash between the two leaves snapshot and
 /// journal overlapping, which replay handles (same keys, same values —
 /// later wins). Records are framed as appends frame them, in key
-/// order, so the same state always writes the same bytes.
+/// order, so the same state always writes the same bytes. They stream
+/// through one [`SNAPSHOT_CHUNK`] buffer, so a compaction never holds
+/// the whole snapshot in memory.
 fn compact(
     file: &std::fs::File,
     state: &HashMap<u64, Record>,
@@ -400,12 +409,19 @@ fn compact(
 ) -> bool {
     let mut records: Vec<&Record> = state.values().collect();
     records.sort_unstable_by_key(|r| r.key);
-    let mut buf = Vec::new();
-    let mut payload = String::with_capacity(1024);
-    for record in records {
-        frame_into(record, &mut payload, &mut buf);
-    }
-    if let Err(e) = write_atomic(&snapshot_path(&cfg.path), &buf) {
+    let saved = write_atomic(&snapshot_path(&cfg.path), |out| {
+        let mut buf = Vec::with_capacity(SNAPSHOT_CHUNK);
+        let mut payload = String::with_capacity(1024);
+        for record in records {
+            frame_into(record, &mut payload, &mut buf);
+            if buf.len() >= SNAPSHOT_CHUNK {
+                out.write_all(&buf)?;
+                buf.clear();
+            }
+        }
+        out.write_all(&buf)
+    });
+    if let Err(e) = saved {
         eprintln!(
             "oov-serve: journal {}: snapshot failed ({e}); journal keeps growing",
             cfg.path.display()
@@ -427,22 +443,25 @@ fn compact(
     }
 }
 
-/// Writes `bytes` to `path`, durably and atomically: temp file +
-/// `fsync` + rename + **fsync of the parent directory** (without the
-/// last step the rename itself can be lost to a crash, resurrecting
-/// the old snapshot — or nothing). The temp name carries the writer's
-/// pid (`<path>.tmp.<pid>`), so two servers sharing a path cannot
-/// clobber each other's in-flight temp file; the loser of the final
-/// rename race still leaves a complete, valid snapshot. A failed write
-/// removes its temp file, so a retried compaction leaves nothing
-/// behind.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
+/// Writes the bytes `fill` produces into `path`, durably and
+/// atomically: temp file + `fsync` + rename + **fsync of the parent
+/// directory** (without the last step the rename itself can be lost
+/// to a crash, resurrecting the old snapshot — or nothing). The temp
+/// name carries the writer's pid (`<path>.tmp.<pid>`), so two servers
+/// sharing a path cannot clobber each other's in-flight temp file; the
+/// loser of the final rename race still leaves a complete, valid
+/// snapshot. A failed write removes its temp file, so a retried
+/// compaction leaves nothing behind.
+fn write_atomic(
+    path: &Path,
+    fill: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> Result<(), String> {
     let mut tmp_name = path.as_os_str().to_os_string();
     tmp_name.push(format!(".tmp.{}", std::process::id()));
     let tmp = PathBuf::from(tmp_name);
     (|| -> std::io::Result<()> {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        fill(&mut f)?;
         f.sync_all()?;
         std::fs::rename(&tmp, path)?;
         // The rename lives in the directory's data.
@@ -719,7 +738,7 @@ mod tests {
         // temp file was written and synced.
         let path = tmp("snap_dir");
         std::fs::create_dir_all(&path).unwrap();
-        assert!(write_atomic(&path, b"bytes").is_err());
+        assert!(write_atomic(&path, |f| f.write_all(b"bytes")).is_err());
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(format!(".tmp.{}", std::process::id()));
         assert!(

@@ -223,7 +223,8 @@ struct Engine {
     /// picked up; doubles as the admission-control level.
     queue_depth: Vec<Arc<oov_obs::Gauge>>,
     /// `shard.<n>.service_ns` — stripe `n`'s service time in
-    /// nanoseconds: the lookup for a hit, the simulation for a miss.
+    /// nanoseconds: the stripe lookup for a hit (the request's
+    /// fingerprint is taken before it), the simulation for a miss.
     service_time: Vec<Arc<oov_obs::Histogram>>,
     /// `shard.<n>.panics` — caught job panics plus thread deaths of
     /// pool worker `n`.
@@ -1135,8 +1136,10 @@ fn dispatch(
     let (tx, rx) = mpsc::channel();
     let mut shed = Vec::new();
     for (tag, req) in points.iter().enumerate() {
-        let looked_up = Instant::now();
         let fp = req.fingerprint();
+        // Stamped after the fingerprint, so a hit's service time is the
+        // stripe lookup alone and the codec work stays out of it.
+        let looked_up = Instant::now();
         let n = (fp % engine.stripes.len() as u64) as usize;
         let to = ReplyTo {
             tag,

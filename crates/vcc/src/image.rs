@@ -46,12 +46,16 @@ impl fmt::Debug for BaseImage {
 }
 
 impl BaseImage {
-    /// The image `(address, value)` pairs (a compiled program's
-    /// `mem_init`) describe; a later pair for the same word wins.
+    /// The image `(base address, words)` runs (a compiled program's
+    /// `mem_init`) describe, word `i` of a run at `base + 8 * i`; a
+    /// later run's word at the same address wins.
     #[must_use]
-    pub fn seeded(pairs: &[(u64, u64)]) -> Self {
-        let mut words = WordMap::with_capacity_and_hasher(pairs.len(), Default::default());
-        words.extend(pairs.iter().map(|&(a, v)| (a >> 3, v)));
+    pub fn seeded(runs: &[(u64, Vec<u64>)]) -> Self {
+        let len = runs.iter().map(|(_, run)| run.len()).sum();
+        let mut words = WordMap::with_capacity_and_hasher(len, Default::default());
+        for (base, run) in runs {
+            words.extend((0..).zip(run).map(|(i, &v)| ((base + 8 * i) >> 3, v)));
+        }
         BaseImage { words }
     }
 

@@ -132,9 +132,10 @@ pub struct Kernel {
     segments: Vec<LoopSeg>,
     next_virt: u32,
     next_addr: u64,
-    /// Initial memory contents `(byte address, value)` the golden executor
-    /// should install before running.
-    pub mem_init: Vec<(u64, u64)>,
+    /// Initial memory contents the golden executor should install
+    /// before running: one `(base byte address, words)` run per
+    /// initialised array, word `i` at `base + 8 * i`.
+    pub mem_init: Vec<(u64, Vec<u64>)>,
 }
 
 /// Lowest address used for data arrays.
@@ -186,9 +187,7 @@ impl Kernel {
     /// Allocates a data array and fills it with `f(i)` for each word `i`.
     pub fn array_init(&mut self, words: u64, f: impl Fn(u64) -> u64) -> ArrayHandle {
         let h = self.array(words);
-        for i in 0..words {
-            self.mem_init.push((h.base + i * 8, f(i)));
-        }
+        self.mem_init.push((h.base, (0..words).map(f).collect()));
         h
     }
 
@@ -621,8 +620,7 @@ mod tests {
     fn array_init_records_contents() {
         let mut k = Kernel::new("t");
         let a = k.array_init(4, |i| i * 2);
-        assert_eq!(k.mem_init.len(), 4);
-        assert_eq!(k.mem_init[3], (a.base + 24, 6));
+        assert_eq!(k.mem_init, [(a.base, vec![0, 2, 4, 6])]);
     }
 
     #[test]

@@ -249,8 +249,10 @@ pub struct CompiledProgram {
     pub name: String,
     /// The dynamic instruction trace the simulators consume.
     pub trace: Trace,
-    /// Initial memory contents for functional execution.
-    pub mem_init: Vec<(u64, u64)>,
+    /// Initial memory contents for functional execution: one
+    /// `(base byte address, words)` run per initialised array, as
+    /// [`crate::Kernel::mem_init`].
+    pub mem_init: Vec<(u64, Vec<u64>)>,
     /// Spill code inserted by the register allocator.
     pub spill: SpillSummary,
     /// The seeded base image, built once on first use and shared by
@@ -289,7 +291,8 @@ impl Default for CompileOptions {
 pub fn compile_with(kernel: &Kernel, opts: &CompileOptions) -> CompiledProgram {
     // Only the segments are copied for scheduling — `mem_init` (by far
     // the largest part of a paper-scale kernel) is cloned exactly
-    // once, into the compiled program.
+    // once, into the compiled program. A caller that owns the kernel
+    // can move it there instead (`oov_kernels::Program::compile`).
     let mut segments: Vec<crate::ir::LoopSeg> = kernel.segments().to_vec();
     if opts.schedule {
         for seg in &mut segments {

@@ -107,9 +107,7 @@ fn execution_is_deterministic() {
         let prog = compile(&random_kernel(seed));
         let run = || {
             let mut m = Machine::new();
-            for &(a, v) in &prog.mem_init {
-                m.memory_mut().store(a, v);
-            }
+            m.memory_mut().seed(&prog.mem_init);
             m.run(&prog.trace);
             m
         };
@@ -127,9 +125,7 @@ fn ranges_cover_element_addresses() {
     for seed in SEEDS {
         let prog = compile(&random_kernel(seed));
         let mut m = Machine::new();
-        for &(a, v) in &prog.mem_init {
-            m.memory_mut().store(a, v);
-        }
+        m.memory_mut().seed(&prog.mem_init);
         let insts: Vec<_> = prog.trace.iter().cloned().collect();
         for inst in &insts {
             if let Some(mem) = inst.mem {
