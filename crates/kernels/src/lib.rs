@@ -328,6 +328,48 @@ mod tests {
         assert!(p > 2 * s);
     }
 
+    /// Pins every program's smoke-scale initial memory: its word count
+    /// and an FNV-1a digest of its `(word address, value)` pairs in
+    /// address order. A change to how `mem_init` is stored or seeded
+    /// must leave every word where it was.
+    #[test]
+    fn initial_images_are_pinned() {
+        const PINNED: [(&str, usize, u64); 10] = [
+            ("swm256", 57_344, 0x7d06_2b6a_c01a_07fa),
+            ("hydro2d", 98_304, 0x9ca6_da36_2686_1c64),
+            ("arc2d", 114_688, 0xecfe_4b0d_7f20_d408),
+            ("flo52", 49_152, 0x3aad_ff53_997b_7c1c),
+            ("nasa7", 98_880, 0x4ce8_aae4_95aa_950b),
+            ("su2cor", 82_000, 0xd754_954d_7b1d_ea35),
+            ("tomcatv", 98_560, 0x5f9e_7c8e_06a3_ff3f),
+            ("bdna", 131_072, 0xa2f1_2b39_1753_62dc),
+            ("trfd", 33_104, 0x4eb9_df1a_c881_7ae9),
+            ("dyfesm", 41_264, 0x7eac_4356_9367_c674),
+        ];
+        let got: Vec<(&str, usize, u64)> = Program::ALL
+            .iter()
+            .map(|p| {
+                let prog = p.compile(Scale::Smoke);
+                let mut words: Vec<(u64, u64)> = prog
+                    .base_image()
+                    .words()
+                    .iter()
+                    .map(|(&w, &v)| (w, v))
+                    .collect();
+                words.sort_unstable();
+                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                for b in words
+                    .iter()
+                    .flat_map(|&(w, v)| w.to_le_bytes().into_iter().chain(v.to_le_bytes()))
+                {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+                (p.name(), words.len(), h)
+            })
+            .collect();
+        assert_eq!(got, PINNED, "a program's initial memory moved");
+    }
+
     #[test]
     fn daxpy_compiles_and_runs() {
         let k = daxpy(4, 64);
