@@ -63,10 +63,9 @@
 //!    machine factor) is gated at `--max-compile-ratio` (default
 //!    8.0). The wide bound is structural: compiling a kernel is
 //!    dominated by per-kernel fixed work (scheduling the same segment
-//!    bodies and building the same-size `mem_init` — array sizes do
-//!    not scale with trip counts), so per-instruction normalisation
-//!    inflates the smoke ratio by roughly the trace-length scale
-//!    factor (~4–5×). The gate still catches an order-of-magnitude
+//!    bodies, whose size does not scale with trip counts), so
+//!    per-instruction normalisation inflates the smoke ratio by
+//!    roughly the trace-length scale factor (~4–5×). The gate still catches an order-of-magnitude
 //!    compile regression, which is what it is for.
 
 use std::process::ExitCode;

@@ -104,6 +104,8 @@ pub enum Stepper {
 }
 
 pub(crate) const FETCH_BUF_DEPTH: usize = 8;
+/// Pipeline stages ([`StageId`]), one bit each in a progress word.
+const STAGES: usize = 9;
 /// Commits per watchdog window before declaring deadlock.
 const WATCHDOG_CYCLES: u64 = 2_000_000;
 
@@ -208,8 +210,8 @@ pub struct OooSim<'t> {
     /// that ends with this still `false` is dead and skippable.
     pub(crate) progressed: bool,
     /// Per-cycle word of [`StageId`] bits, set by
-    /// [`OooSim::progress`]; folded into the per-stage counters at
-    /// cycle close.
+    /// [`OooSim::progress`]; tallied at cycle close
+    /// ([`Storage::progress_tally`]).
     pub(crate) progress_word: u16,
     /// Stage-activity scheduler (consulted by the event engine only;
     /// maintained cheaply in both).
@@ -219,12 +221,14 @@ pub struct OooSim<'t> {
     /// so a failed fire yields the stage's `next_wake` without a
     /// second queue pass.
     pub(crate) scan_wake: u64,
-    /// Per-stage progress-cycle counters, indexed by [`StageId`]
-    /// discriminant; folded into `stats.stages` when the run ends.
-    pub(crate) stage_cycle_counts: [u64; 9],
     /// The three memory-pipe stage registers (ROB sequence numbers).
     pub(crate) stage: [Option<u64>; 3],
+    /// Next trace index to fetch.
     pub(crate) fetch_idx: usize,
+    /// Instructions in the fetch buffer. Fetch and dispatch are both in
+    /// trace order, so the buffer holds exactly the trace indices
+    /// `fetch_idx - fetch_buffered .. fetch_idx`.
+    pub(crate) fetch_buffered: usize,
     /// Trace index of the unresolved mispredicted control transfer.
     pub(crate) fetch_blocked: Option<usize>,
     /// Cycle at which fetch resumes after the blocking branch resolves.
@@ -306,7 +310,10 @@ pub(crate) struct Storage {
     /// `MemStage::None` entry — an O(1) replacement for scanning
     /// queue M at every pull.
     pub(crate) pipe_pending: VecDeque<u64>,
-    pub(crate) fetch_buf: VecDeque<usize>,
+    /// Progress cycles per distinct progress word (indexed by the word
+    /// of [`StageId`] bits): one increment per cycle, folded into
+    /// `progress_cycles` and the per-stage counters when the run ends.
+    pub(crate) progress_tally: Vec<u64>,
     pub(crate) btb: Btb,
     pub(crate) ras: ReturnStack,
     /// Deferred BTB updates applied at branch resolution.
@@ -359,7 +366,8 @@ impl Storage {
         self.q_v.clear();
         self.q_m.clear();
         self.pipe_pending.clear();
-        self.fetch_buf.clear();
+        self.progress_tally.clear();
+        self.progress_tally.resize(1 << STAGES, 0);
         self.btb.reset(cfg.btb_entries);
         self.ras.reset(cfg.ras_depth);
         self.btb_updates.clear();
@@ -475,9 +483,9 @@ impl<'t> OooSim<'t> {
             progress_word: 0,
             sched: Scheduler::new(),
             scan_wake: u64::MAX,
-            stage_cycle_counts: [0; 9],
             stage: [None; 3],
             fetch_idx: 0,
+            fetch_buffered: 0,
             fetch_blocked: None,
             fetch_resume_at: None,
             fu1_free: 0,
@@ -711,8 +719,17 @@ impl<'t> OooSim<'t> {
             }
         }
         let cycles = self.now.max(self.max_complete + 1);
+        let mut counts = [0u64; STAGES];
+        for (word, &n) in self.st.progress_tally.iter().enumerate().skip(1) {
+            self.stats.progress_cycles += n;
+            for (bit, count) in counts.iter_mut().enumerate() {
+                if word >> bit & 1 != 0 {
+                    *count += n;
+                }
+            }
+        }
         let [writeback, commit, mem_pipe, issue_mem, issue_v, issue_a, issue_s, dispatch, fetch] =
-            self.stage_cycle_counts;
+            counts;
         self.stats.stages = oov_stats::StageCycles {
             fetch,
             dispatch,
@@ -810,19 +827,14 @@ impl<'t> OooSim<'t> {
         self.progress_word |= stage.bit();
     }
 
-    /// Folds the cycle's progress word into the per-stage counters
-    /// (an index-addressed array here; named [`oov_stats::StageCycles`]
-    /// fields at the end of the run).
+    /// Tallies the cycle's progress word: one count per distinct word,
+    /// folded into the named [`oov_stats::StageCycles`] fields at the
+    /// end of the run.
     fn close_cycle(&mut self) {
-        let mut w = self.progress_word;
-        if w == 0 {
-            return;
-        }
-        self.progress_word = 0;
-        self.stats.progress_cycles += 1;
-        while w != 0 {
-            self.stage_cycle_counts[w.trailing_zeros() as usize] += 1;
-            w &= w - 1;
+        let w = self.progress_word;
+        if w != 0 {
+            self.progress_word = 0;
+            self.st.progress_tally[usize::from(w)] += 1;
         }
     }
 

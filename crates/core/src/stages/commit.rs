@@ -125,7 +125,7 @@ impl OooSim<'_> {
         self.st.q_m.clear();
         self.stage = [None; 3];
         self.st.pipe_pending.clear();
-        self.st.fetch_buf.clear();
+        self.fetch_buffered = 0;
         if let Some(p) = self.probe.as_deref_mut() {
             p.squash_frontend();
         }

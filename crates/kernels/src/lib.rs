@@ -174,13 +174,7 @@ impl Program {
     /// Compiles the program to a dynamic trace.
     #[must_use]
     pub fn compile(self, scale: Scale) -> CompiledProgram {
-        // The initial memory is by far the kernel's largest part: move
-        // it into the compiled program instead of cloning it.
-        let mut kernel = self.kernel(scale);
-        let mem_init = std::mem::take(&mut kernel.mem_init);
-        let mut prog = compile(&kernel);
-        prog.mem_init = mem_init;
-        prog
+        compile(&self.kernel(scale))
     }
 
     /// Parses a program from its name.

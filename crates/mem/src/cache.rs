@@ -5,6 +5,12 @@
 //! machine configurations run without a cache — matching the paper's
 //! memory model — but the ablation benches use this component to quantify
 //! what a scalar cache would change.
+//!
+//! Every vector access invalidates the lines its range overlaps. The
+//! cache keeps the lowest and highest line number it has allocated
+//! since it was last emptied, and a range invalidation walks only the
+//! part of the range inside those bounds: a vector stream over arrays
+//! the scalar accesses never touch visits no line at all.
 
 /// A direct-mapped, write-through, no-write-allocate cache for scalar
 /// (8-byte) accesses. Timing-only: it tracks tags, never data.
@@ -15,6 +21,11 @@ pub struct ScalarCache {
     /// `lines - 1`: a line's index is `line & index_mask`.
     index_mask: u64,
     tags: Vec<Option<u64>>,
+    /// Lowest and highest line number allocated since the cache was
+    /// last emptied (`lo_line > hi_line` when none was): every valid
+    /// line lies between them.
+    lo_line: u64,
+    hi_line: u64,
     hits: u64,
     misses: u64,
 }
@@ -42,6 +53,8 @@ impl ScalarCache {
             line_shift: line_bytes.trailing_zeros(),
             index_mask: lines as u64 - 1,
             tags: vec![None; lines],
+            lo_line: u64::MAX,
+            hi_line: 0,
             hits: 0,
             misses: 0,
         }
@@ -57,9 +70,16 @@ impl ScalarCache {
     /// Empties the cache and zeroes its counters, keeping the tag
     /// storage (arena reuse).
     pub fn reset(&mut self) {
-        self.tags.fill(None);
+        self.flush();
         self.hits = 0;
         self.misses = 0;
+    }
+
+    /// Drops every line.
+    fn flush(&mut self) {
+        self.tags.fill(None);
+        self.lo_line = u64::MAX;
+        self.hi_line = 0;
     }
 
     fn index_and_tag(&self, addr: u64) -> (usize, u64) {
@@ -77,6 +97,8 @@ impl ScalarCache {
         } else {
             self.misses += 1;
             self.tags[idx] = Some(tag);
+            self.lo_line = self.lo_line.min(tag);
+            self.hi_line = self.hi_line.max(tag);
             false
         }
     }
@@ -114,12 +136,14 @@ impl ScalarCache {
         let first = lo >> self.line_shift;
         let last = hi >> self.line_shift;
         // A direct-mapped cache has at most `tags.len()` distinct lines;
-        // wide ranges degenerate to a full flush.
+        // wide ranges degenerate to a full flush. The flush also drops
+        // the valid lines outside the range, so it is decided on the
+        // whole range, before the walk is clamped to the allocated lines.
         if last - first + 1 >= self.tags.len() as u64 {
-            self.tags.fill(None);
+            self.flush();
             return;
         }
-        for line in first..=last {
+        for line in first.max(self.lo_line)..=last.min(self.hi_line) {
             let idx = (line & self.index_mask) as usize;
             if self.tags[idx] == Some(line) {
                 self.tags[idx] = None;
@@ -200,5 +224,96 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two() {
         let _ = ScalarCache::new(1000, 32);
+    }
+
+    #[test]
+    fn wide_invalidation_drops_lines_outside_the_range() {
+        let mut c = ScalarCache::new(1024, 32); // 32 lines
+        c.access_load(0x100);
+        c.access_load(0x1_0000);
+        // 32 lines from 0x2000: neither allocated line is in the range,
+        // but the range is as wide as the cache, so it flushes both.
+        c.invalidate_range(0x2000, 0x2000 + 32 * 32 - 1);
+        assert!(!c.peek_load(0x100));
+        assert!(!c.peek_load(0x1_0000));
+        // One line narrower: a plain walk that leaves both lines.
+        c.access_load(0x100);
+        c.access_load(0x1_0000);
+        c.invalidate_range(0x2000, 0x2000 + 31 * 32 - 1);
+        assert!(c.peek_load(0x100));
+        assert!(c.peek_load(0x1_0000));
+    }
+
+    /// The invalidation the allocated-line bounds replaced: every line
+    /// of the range is looked up. The oracle for the clamped walk.
+    fn linear_invalidate_range(c: &mut ScalarCache, lo: u64, hi: u64) {
+        let first = lo >> c.line_shift;
+        let last = hi >> c.line_shift;
+        if last - first + 1 >= c.tags.len() as u64 {
+            c.tags.fill(None);
+            return;
+        }
+        for line in first..=last {
+            let idx = (line & c.index_mask) as usize;
+            if c.tags[idx] == Some(line) {
+                c.tags[idx] = None;
+            }
+        }
+    }
+
+    /// SplitMix64 (same constants as the workspace harness).
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Seeded random loads, stores, range invalidations (narrow ones,
+    /// ones that straddle the allocated bounds, and ones wide enough to
+    /// flush) and resets drive the bounded cache and the linear oracle
+    /// side by side: every answer and, after every step, every line
+    /// and counter must agree.
+    #[test]
+    fn bounded_invalidation_matches_the_linear_oracle() {
+        for seed in 0..24u64 {
+            let mut rng = 0xcac4u64 << 48 | seed;
+            let lines = 1u64 << (1 + splitmix(&mut rng) % 6);
+            let line_bytes = 8u64 << (splitmix(&mut rng) % 3);
+            let mut c = ScalarCache::new(lines * line_bytes, line_bytes);
+            let mut oracle = c.clone();
+            // Two clusters far apart, so the bounds span a hole.
+            let addr = |rng: &mut u64| {
+                [0x1000u64, 0x40_0000][(splitmix(rng) % 2) as usize] + splitmix(rng) % 0x400
+            };
+            for step in 0..800 {
+                let a = addr(&mut rng);
+                let ctx = format!("seed {seed} step {step}");
+                match splitmix(&mut rng) % 10 {
+                    0..=3 => assert_eq!(c.access_load(a), oracle.access_load(a), "{ctx}: load"),
+                    4 | 5 => assert_eq!(c.access_store(a), oracle.access_store(a), "{ctx}: store"),
+                    6..=8 => {
+                        let span = match splitmix(&mut rng) % 3 {
+                            0 => splitmix(&mut rng) % (2 * line_bytes),
+                            1 => splitmix(&mut rng) % 0x40_0000,
+                            _ => lines * line_bytes - 1 + splitmix(&mut rng) % 64,
+                        };
+                        c.invalidate_range(a, a + span);
+                        linear_invalidate_range(&mut oracle, a, a + span);
+                    }
+                    _ => {
+                        c.reset();
+                        oracle.reset();
+                    }
+                }
+                assert_eq!(c.tags, oracle.tags, "{ctx}: lines");
+                assert_eq!(
+                    (c.hits(), c.misses()),
+                    (oracle.hits(), oracle.misses()),
+                    "{ctx}"
+                );
+            }
+        }
     }
 }

@@ -1,10 +1,15 @@
-//! A compiled program's seeded initial memory: its `mem_init` as a
-//! sparse word map, built once ([`crate::CompiledProgram::base_image`])
-//! and shared behind an `Arc` by every functional run over it.
+//! A compiled program's seeded initial memory: its `mem_init` runs
+//! evaluated into a sparse word map, built once, on the first
+//! functional check that asks for it
+//! ([`crate::CompiledProgram::base_image`]), and shared behind an `Arc`
+//! by every functional run over it. Compiling a program and timing it
+//! never build the map.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+
+use crate::ir::InitRun;
 
 /// Hashes a word address with one folded 64×64→128 multiply. The keys
 /// are addresses from compiled traces and tests, never untrusted input,
@@ -46,15 +51,15 @@ impl fmt::Debug for BaseImage {
 }
 
 impl BaseImage {
-    /// The image `(base address, words)` runs (a compiled program's
-    /// `mem_init`) describe, word `i` of a run at `base + 8 * i`; a
-    /// later run's word at the same address wins.
+    /// The image `runs` (a compiled program's `mem_init`) describe,
+    /// each run's generator evaluated once per word; a later run's word
+    /// at the same address wins.
     #[must_use]
-    pub fn seeded(runs: &[(u64, Vec<u64>)]) -> Self {
-        let len = runs.iter().map(|(_, run)| run.len()).sum();
-        let mut words = WordMap::with_capacity_and_hasher(len, Default::default());
-        for (base, run) in runs {
-            words.extend((0..).zip(run).map(|(i, &v)| ((base + 8 * i) >> 3, v)));
+    pub fn seeded(runs: &[InitRun]) -> Self {
+        let len: u64 = runs.iter().map(|run| run.words).sum();
+        let mut words = WordMap::with_capacity_and_hasher(len as usize, Default::default());
+        for run in runs {
+            words.extend(run.iter().map(|(addr, v)| (addr >> 3, v)));
         }
         BaseImage { words }
     }

@@ -7,6 +7,7 @@
 //! spill traffic (paper Table 3) instead of faking it.
 
 use std::fmt;
+use std::sync::Arc;
 
 use oov_isa::{Opcode, MAX_VL};
 
@@ -124,6 +125,45 @@ pub struct LoopSeg {
     pub carried: Vec<VirtReg>,
 }
 
+/// One initialised array: `words` 8-byte words from byte address
+/// `base`, word `i` holding `value(i)`. The values are not stored: a
+/// generator is pure, so [`crate::BaseImage::seeded`] and the executor's
+/// seeding evaluate it only when a functional check builds an image,
+/// and a timing run never pays for them.
+#[derive(Clone)]
+pub struct InitRun {
+    /// Byte address of word 0.
+    pub base: u64,
+    /// Number of words.
+    pub words: u64,
+    value: Arc<dyn Fn(u64) -> u64 + Send + Sync>,
+}
+
+impl InitRun {
+    /// The run of `words` words from `base` whose word `i` is `value(i)`.
+    pub fn new(base: u64, words: u64, value: impl Fn(u64) -> u64 + Send + Sync + 'static) -> Self {
+        InitRun {
+            base,
+            words,
+            value: Arc::new(value),
+        }
+    }
+
+    /// Every word as `(byte address, value)`, in word order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (0..self.words).map(|i| (self.base + 8 * i, (self.value)(i)))
+    }
+}
+
+impl fmt::Debug for InitRun {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("InitRun")
+            .field("base", &self.base)
+            .field("words", &self.words)
+            .finish_non_exhaustive()
+    }
+}
+
 /// A kernel: named program, address space, and a list of loop segments
 /// executed in order. Virtual registers do not flow between segments.
 #[derive(Debug, Clone, Default)]
@@ -133,9 +173,9 @@ pub struct Kernel {
     next_virt: u32,
     next_addr: u64,
     /// Initial memory contents the golden executor should install
-    /// before running: one `(base byte address, words)` run per
-    /// initialised array, word `i` at `base + 8 * i`.
-    pub mem_init: Vec<(u64, Vec<u64>)>,
+    /// before running: one run per initialised array, in allocation
+    /// order.
+    pub mem_init: Vec<InitRun>,
 }
 
 /// Lowest address used for data arrays.
@@ -184,10 +224,16 @@ impl Kernel {
         ArrayHandle { base, words }
     }
 
-    /// Allocates a data array and fills it with `f(i)` for each word `i`.
-    pub fn array_init(&mut self, words: u64, f: impl Fn(u64) -> u64) -> ArrayHandle {
+    /// Allocates a data array whose word `i` initially holds `f(i)`.
+    /// `f` must be pure: it is evaluated each time an initial image is
+    /// built, never when the kernel is compiled.
+    pub fn array_init(
+        &mut self,
+        words: u64,
+        f: impl Fn(u64) -> u64 + Send + Sync + 'static,
+    ) -> ArrayHandle {
         let h = self.array(words);
-        self.mem_init.push((h.base, (0..words).map(f).collect()));
+        self.mem_init.push(InitRun::new(h.base, words, f));
         h
     }
 
@@ -620,7 +666,20 @@ mod tests {
     fn array_init_records_contents() {
         let mut k = Kernel::new("t");
         let a = k.array_init(4, |i| i * 2);
-        assert_eq!(k.mem_init, [(a.base, vec![0, 2, 4, 6])]);
+        let [run] = &k.mem_init[..] else {
+            panic!("one array, one run: {:?}", k.mem_init);
+        };
+        assert_eq!((run.base, run.words), (a.base, 4));
+        let words: Vec<(u64, u64)> = run.iter().collect();
+        assert_eq!(
+            words,
+            [
+                (a.base, 0),
+                (a.base + 8, 2),
+                (a.base + 16, 4),
+                (a.base + 24, 6)
+            ]
+        );
     }
 
     #[test]

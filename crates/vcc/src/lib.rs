@@ -55,7 +55,7 @@ mod sched;
 
 pub use image::{BaseImage, WordHasher, WordMap};
 pub use ir::{
-    AddrExpr, ArrayHandle, KInst, Kernel, LoopBuilder, LoopSeg, VirtReg, ARRAY_SPACE_BASE,
+    AddrExpr, ArrayHandle, InitRun, KInst, Kernel, LoopBuilder, LoopSeg, VirtReg, ARRAY_SPACE_BASE,
     SPILL_SPACE_BASE,
 };
 pub use lower::{compile, compile_with, CompileOptions, CompiledProgram, LOOP_COUNTER, LOOP_LIMIT};

@@ -8,13 +8,19 @@
 //!
 //! Static PCs are stable across iterations so that the OOOVA's branch
 //! target buffer sees the same loop branch every time.
+//!
+//! The [`CompiledProgram`] carries the kernel's initial memory as its
+//! `InitRun`s, unevaluated: no word value exists until a functional
+//! check asks for [`CompiledProgram::base_image`]. A paper-scale suite
+//! holds about 804K initial words (6.4 MB as values) that no timing run
+//! reads.
 
 use std::sync::{Arc, OnceLock};
 
 use oov_isa::{ArchReg, BranchInfo, Instruction, MemRef, Opcode, RegClass, Trace};
 
 use crate::image::BaseImage;
-use crate::ir::{AddrExpr, Kernel};
+use crate::ir::{AddrExpr, InitRun, Kernel};
 use crate::regalloc::{allocate_segment, AllocatedSegment, SlotAllocator, SpillSummary, TInst};
 
 /// Loop counter register reserved by the lowerer.
@@ -249,10 +255,11 @@ pub struct CompiledProgram {
     pub name: String,
     /// The dynamic instruction trace the simulators consume.
     pub trace: Trace,
-    /// Initial memory contents for functional execution: one
-    /// `(base byte address, words)` run per initialised array, as
-    /// [`crate::Kernel::mem_init`].
-    pub mem_init: Vec<(u64, Vec<u64>)>,
+    /// Initial memory contents for functional execution: the
+    /// kernel's [`crate::Kernel::mem_init`] runs, whose generators are
+    /// evaluated only when [`CompiledProgram::base_image`] builds the
+    /// image.
+    pub mem_init: Vec<InitRun>,
     /// Spill code inserted by the register allocator.
     pub spill: SpillSummary,
     /// The seeded base image, built once on first use and shared by
@@ -261,10 +268,11 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// The program's initial-memory image. `mem_init` is seeded
-    /// exactly once per program (cached behind a `OnceLock`); every
-    /// functional run (`oov_exec::Machine::from_base`) reads through
-    /// this shared base instead of re-seeding.
+    /// The program's initial-memory image. `mem_init` is evaluated
+    /// on the first call and exactly once per program (cached behind a
+    /// `OnceLock`); every functional run (`oov_exec::Machine::from_base`)
+    /// reads through this shared base instead of re-seeding. Timing
+    /// runs never call it, so they never hold the image.
     #[must_use]
     pub fn base_image(&self) -> &Arc<BaseImage> {
         self.base
@@ -289,10 +297,6 @@ impl Default for CompileOptions {
 /// Compiles a kernel: schedule → allocate → lower.
 #[must_use]
 pub fn compile_with(kernel: &Kernel, opts: &CompileOptions) -> CompiledProgram {
-    // Only the segments are copied for scheduling — `mem_init` (by far
-    // the largest part of a paper-scale kernel) is cloned exactly
-    // once, into the compiled program. A caller that owns the kernel
-    // can move it there instead (`oov_kernels::Program::compile`).
     let mut segments: Vec<crate::ir::LoopSeg> = kernel.segments().to_vec();
     if opts.schedule {
         for seg in &mut segments {
