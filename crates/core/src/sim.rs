@@ -206,11 +206,9 @@ pub struct OooSim<'t> {
     /// recycled whole through a [`SimArena`].
     pub(crate) st: Storage,
     pub(crate) stepper: Stepper,
-    /// Set by any stage that mutates machine state this cycle; a cycle
-    /// that ends with this still `false` is dead and skippable.
-    pub(crate) progressed: bool,
-    /// Per-cycle word of [`StageId`] bits, set by
-    /// [`OooSim::progress`]; tallied at cycle close
+    /// Per-cycle word of [`StageId`] bits, set by any stage that
+    /// mutates machine state ([`OooSim::progress`]); a cycle that ends
+    /// with it still 0 is dead and skippable. Tallied at cycle close
     /// ([`Storage::progress_tally`]).
     pub(crate) progress_word: u16,
     /// Stage-activity scheduler (consulted by the event engine only;
@@ -310,9 +308,10 @@ pub(crate) struct Storage {
     /// `MemStage::None` entry — an O(1) replacement for scanning
     /// queue M at every pull.
     pub(crate) pipe_pending: VecDeque<u64>,
-    /// Progress cycles per distinct progress word (indexed by the word
-    /// of [`StageId`] bits): one increment per cycle, folded into
-    /// `progress_cycles` and the per-stage counters when the run ends.
+    /// Walked cycles per progress word (indexed by the word of
+    /// [`StageId`] bits, so 512 entries): one increment per walked
+    /// cycle, folded into `progress_cycles` and the per-stage counters
+    /// when the run ends.
     pub(crate) progress_tally: Vec<u64>,
     pub(crate) btb: Btb,
     pub(crate) ras: ReturnStack,
@@ -479,7 +478,6 @@ impl<'t> OooSim<'t> {
             now: 0,
             st,
             stepper: Stepper::default(),
-            progressed: false,
             progress_word: 0,
             sched: Scheduler::new(),
             scan_wake: u64::MAX,
@@ -660,15 +658,14 @@ impl<'t> OooSim<'t> {
                     return Err(self.aborted(reason));
                 }
             }
-            self.progressed = false;
             let stalls_before = (
                 self.stats.rename_stall_cycles,
                 self.stats.queue_stall_cycles,
                 self.stats.rob_stall_cycles,
             );
             self.walk(masked);
-            self.close_cycle();
-            if !masked || self.progressed {
+            let progressed = self.close_cycle();
+            if !masked || progressed {
                 self.now += 1;
             } else if let Some(t) = self.next_event_cached() {
                 // Dead cycle: no stage mutated state, so cycles
@@ -720,6 +717,7 @@ impl<'t> OooSim<'t> {
         }
         let cycles = self.now.max(self.max_complete + 1);
         let mut counts = [0u64; STAGES];
+        // Word 0 counts dead cycles, which no counter includes.
         for (word, &n) in self.st.progress_tally.iter().enumerate().skip(1) {
             self.stats.progress_cycles += n;
             for (bit, count) in counts.iter_mut().enumerate() {
@@ -823,19 +821,18 @@ impl<'t> OooSim<'t> {
 
     /// Marks `stage` as having mutated machine state this cycle.
     pub(crate) fn progress(&mut self, stage: StageId) {
-        self.progressed = true;
         self.progress_word |= stage.bit();
     }
 
-    /// Tallies the cycle's progress word: one count per distinct word,
-    /// folded into the named [`oov_stats::StageCycles`] fields at the
-    /// end of the run.
-    fn close_cycle(&mut self) {
-        let w = self.progress_word;
-        if w != 0 {
-            self.progress_word = 0;
-            self.st.progress_tally[usize::from(w)] += 1;
-        }
+    /// Tallies the cycle's progress word (one count per distinct word,
+    /// folded into `progress_cycles` and the named
+    /// [`oov_stats::StageCycles`] fields at the end of the run; word 0,
+    /// a dead cycle, is never folded) and returns whether any stage
+    /// progressed.
+    fn close_cycle(&mut self) -> bool {
+        let w = std::mem::take(&mut self.progress_word);
+        self.st.progress_tally[usize::from(w)] += 1;
+        w != 0
     }
 
     // ----- helpers ----------------------------------------------------
