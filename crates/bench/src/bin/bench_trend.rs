@@ -65,8 +65,9 @@
 //!    dominated by per-kernel fixed work (scheduling the same segment
 //!    bodies, whose size does not scale with trip counts), so
 //!    per-instruction normalisation inflates the smoke ratio by
-//!    roughly the trace-length scale factor (~4–5×). The gate still catches an order-of-magnitude
-//!    compile regression, which is what it is for.
+//!    roughly the trace-length scale factor (~4–5×). The gate still
+//!    catches an order-of-magnitude compile regression, which is what
+//!    it is for.
 
 use std::process::ExitCode;
 

@@ -331,9 +331,8 @@ mod tests {
         assert_eq!(t.find_match(&tag), Some(2));
     }
 
-    /// The register-indexed table the valid list replaced: one slot per
-    /// register, every probe and store walking all of them. The oracle
-    /// for the valid list.
+    /// A register-indexed table: one slot per register, every probe
+    /// and store walking all of them. The oracle for the valid lists.
     #[derive(Debug, Clone, Default)]
     struct LinearTagTable {
         tags: Vec<Option<Tag>>,

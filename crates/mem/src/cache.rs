@@ -230,22 +230,23 @@ mod tests {
     fn wide_invalidation_drops_lines_outside_the_range() {
         let mut c = ScalarCache::new(1024, 32); // 32 lines
         c.access_load(0x100);
-        c.access_load(0x1_0000);
-        // 32 lines from 0x2000: neither allocated line is in the range,
-        // but the range is as wide as the cache, so it flushes both.
+        c.access_load(0x120);
+        // 32 lines from 0x2000: the range lies wholly above both
+        // allocated lines, but it is as wide as the cache, so it
+        // flushes both.
         c.invalidate_range(0x2000, 0x2000 + 32 * 32 - 1);
         assert!(!c.peek_load(0x100));
-        assert!(!c.peek_load(0x1_0000));
+        assert!(!c.peek_load(0x120));
         // One line narrower: a plain walk that leaves both lines.
         c.access_load(0x100);
-        c.access_load(0x1_0000);
+        c.access_load(0x120);
         c.invalidate_range(0x2000, 0x2000 + 31 * 32 - 1);
         assert!(c.peek_load(0x100));
-        assert!(c.peek_load(0x1_0000));
+        assert!(c.peek_load(0x120));
     }
 
-    /// The invalidation the allocated-line bounds replaced: every line
-    /// of the range is looked up. The oracle for the clamped walk.
+    /// Range invalidation that looks up every line of the range. The
+    /// oracle for the walk clamped to the allocated lines.
     fn linear_invalidate_range(c: &mut ScalarCache, lo: u64, hi: u64) {
         let first = lo >> c.line_shift;
         let last = hi >> c.line_shift;
