@@ -364,6 +364,149 @@ mod tests {
         assert_eq!(got, PINNED, "a program's initial memory moved");
     }
 
+    /// One program's pinned trace: name, length, [`oov_vcc`]'s
+    /// `TraceStats` fields in declaration order, `ideal_cycles` and
+    /// the FNV-1a digest of every instruction.
+    type TracePin = (&'static str, usize, [u64; 12], u64, u64);
+
+    /// Pins every program's smoke-scale trace: its length, statistics,
+    /// IDEAL bound and an FNV-1a digest over each instruction's fields
+    /// (opcode mnemonic, registers, vector length, memory reference,
+    /// branch outcome, spill mark, pc and immediate). A change to how a
+    /// trace is stored must leave every instruction as it was.
+    #[test]
+    fn traces_are_pinned() {
+        const PINNED: [TracePin; 10] = [
+            (
+                "swm256",
+                470,
+                [86, 384, 48_896, 20_352, 1_024, 4_544, 0, 0, 0, 0, 0, 20],
+                24_896,
+                0x10c3_a98e_cc16_05f6,
+            ),
+            (
+                "hydro2d",
+                372,
+                [50, 322, 30_912, 11_520, 3_456, 3_264, 0, 0, 0, 4, 0, 10],
+                14_788,
+                0x8328_55fb_0f90_9f3c,
+            ),
+            (
+                "arc2d",
+                268,
+                [34, 234, 26_208, 10_640, 3_360, 2_352, 0, 0, 0, 0, 0, 7],
+                12_992,
+                0x5c8a_72bd_b60f_3bc8,
+            ),
+            (
+                "flo52",
+                427,
+                [90, 337, 10_784, 4_832, 320, 1_344, 0, 0, 0, 0, 0, 21],
+                6_176,
+                0xf463_134e_15b1_87cf,
+            ),
+            (
+                "nasa7",
+                333,
+                [109, 224, 17_472, 4_832, 1_056, 1_888, 384, 24, 0, 0, 0, 13],
+                6_744,
+                0x73ee_fee5_b267_79b5,
+            ),
+            (
+                "su2cor",
+                304,
+                [58, 246, 19_680, 7_440, 1_440, 3_280, 0, 0, 0, 8, 0, 11],
+                10_728,
+                0x3adb_5580_1e9d_2274,
+            ),
+            (
+                "tomcatv",
+                684,
+                [484, 200, 20_800, 5_824, 832, 5_824, 832, 80, 40, 8, 0, 8],
+                11_736,
+                0x3a9f_9867_22a0_edcd,
+            ),
+            (
+                "bdna",
+                384,
+                [28, 356, 22_784, 9_600, 7_552, 4_736, 3_712, 0, 0, 0, 0, 2],
+                14_336,
+                0xdb4b_b92e_94a4_8e9c,
+            ),
+            (
+                "trfd",
+                754,
+                [504, 250, 9_360, 2_800, 0, 1_600, 0, 200, 80, 20, 0, 10],
+                4_620,
+                0x12dc_e368_7f0a_96f6,
+            ),
+            (
+                "dyfesm",
+                890,
+                [566, 324, 8_592, 2_688, 0, 1_568, 0, 204, 72, 28, 0, 16],
+                4_488,
+                0x9fe7_6fab_b513_2800,
+            ),
+        ];
+        fn fnv(h: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let got: Vec<TracePin> = Program::ALL
+            .iter()
+            .map(|p| {
+                let prog = p.compile(Scale::Smoke);
+                let t = &prog.trace;
+                let s = t.stats();
+                let stats = [
+                    s.scalar_insts,
+                    s.vector_insts,
+                    s.vector_ops,
+                    s.vload_words,
+                    s.vload_spill_words,
+                    s.vstore_words,
+                    s.vstore_spill_words,
+                    s.sload_count,
+                    s.sload_spill_count,
+                    s.sstore_count,
+                    s.sstore_spill_count,
+                    s.branches,
+                ];
+                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                for i in t.iter() {
+                    fnv(&mut h, i.op.to_string().as_bytes());
+                    let regs = std::iter::once(i.dst).chain(i.srcs);
+                    for r in regs {
+                        fnv(&mut h, &[r.map_or(0xff, |r| r.dense_index() as u8)]);
+                    }
+                    fnv(&mut h, &i.vl.to_le_bytes());
+                    match i.mem {
+                        Some(m) => {
+                            fnv(&mut h, &[1, m.kind as u8, m.granularity]);
+                            for w in [m.base, m.stride as u64, m.range_lo, m.range_hi] {
+                                fnv(&mut h, &w.to_le_bytes());
+                            }
+                        }
+                        None => fnv(&mut h, &[0]),
+                    }
+                    match i.branch {
+                        Some(b) => {
+                            fnv(&mut h, &[1, u8::from(b.taken)]);
+                            fnv(&mut h, &b.target.to_le_bytes());
+                        }
+                        None => fnv(&mut h, &[0]),
+                    }
+                    fnv(&mut h, &[u8::from(i.is_spill)]);
+                    fnv(&mut h, &i.pc.to_le_bytes());
+                    fnv(&mut h, &i.imm.to_le_bytes());
+                }
+                (p.name(), t.len(), stats, t.ideal_cycles(), h)
+            })
+            .collect();
+        assert_eq!(got, PINNED, "a program's trace moved");
+    }
+
     #[test]
     fn daxpy_compiles_and_runs() {
         let k = daxpy(4, 64);
