@@ -176,7 +176,7 @@ fn main() {
             Row {
                 name: p.name(),
                 trace_len: prog.trace.len(),
-                elements: prog.trace.iter().map(oov_isa::Instruction::ops).sum(),
+                elements: prog.trace.iter().map(|i| i.ops()).sum(),
                 cycles: event.stats.cycles,
                 progress_cycles: event.stats.progress_cycles,
                 naive_ms,

@@ -39,7 +39,7 @@
 //! let mut t = Trace::new("tiny");
 //! let m = MemRef::strided(0x1000, 8, 64);
 //! t.push(Instruction::load(Opcode::VLoad, ArchReg::V(0), &[], m, 64));
-//! t.push(Instruction::vector(Opcode::VAdd, ArchReg::V(1), &[ArchReg::V(0)], 64, 1));
+//! t.push(Instruction::vector(Opcode::VAdd, ArchReg::V(1), &[ArchReg::V(0)], 64));
 //!
 //! let result = OooSim::new(OooConfig::default(), &t).run();
 //! assert!(result.stats.cycles > 0);
@@ -98,7 +98,6 @@ mod tests {
             ArchReg::V(dst),
             &[ArchReg::V(a), ArchReg::V(b)],
             vl,
-            1,
         )
     }
 
@@ -165,14 +164,12 @@ mod tests {
                     ArchReg::V(1),
                     &[ArchReg::V(0)],
                     128,
-                    1,
                 ));
                 v.push(Instruction::vector(
                     Opcode::VDiv,
                     ArchReg::V(2),
                     &[ArchReg::V(1)],
                     128,
-                    1,
                 ));
             }
             v
@@ -195,7 +192,7 @@ mod tests {
         let mk = |load3_base: u64| {
             vec![
                 vload(1, 0x1000, 8), // quick: bus free early
-                Instruction::vector(Opcode::VDiv, ArchReg::V(2), &[ArchReg::V(1)], 8, 1),
+                Instruction::vector(Opcode::VDiv, ArchReg::V(2), &[ArchReg::V(1)], 8),
                 vstore(2, 0x20000, 128), // waits on the divide's data
                 vload(3, load3_base, 128),
             ]
@@ -279,7 +276,7 @@ mod tests {
         let insts = vec![
             vload(1, 0x1000, 128),
             vstore(5, 0x40000, 8),
-            Instruction::vector(Opcode::VDiv, ArchReg::V(7), &[ArchReg::V(1)], 128, 1),
+            Instruction::vector(Opcode::VDiv, ArchReg::V(7), &[ArchReg::V(1)], 128),
             vstore(6, 0x50000, 8),
             vload(2, 0x80000, 8),
         ];

@@ -89,7 +89,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use oov_isa::{CommitMode, Instruction, LoadElimMode, OooConfig, RegClass, Trace};
+use oov_isa::{CommitMode, InstRecord, LoadElimMode, OooConfig, RegClass, Trace};
 use oov_mem::{AddressBus, ScalarCache, TrafficCounter};
 use oov_stats::{OccupancyTracker, SimStats, StallKind};
 
@@ -869,18 +869,18 @@ impl<'t> OooSim<'t> {
     }
 
     /// Does this instruction pass through the memory pipe?
-    pub(crate) fn uses_mem_pipe(&self, inst: &Instruction) -> bool {
-        if inst.op.is_mem() {
+    pub(crate) fn uses_mem_pipe(&self, rec: &InstRecord) -> bool {
+        if rec.op().is_mem() {
             return true;
         }
         // VLE pipeline: every instruction touching a vector register.
-        self.vle_on() && self.touches_vector(inst)
+        self.vle_on() && self.touches_vector(rec)
     }
 
-    fn touches_vector(&self, inst: &Instruction) -> bool {
-        inst.op.is_vector()
-            || inst.dst.map(|d| d.is_vector()).unwrap_or(false)
-            || inst.sources().any(|s| s.is_vector())
+    fn touches_vector(&self, rec: &InstRecord) -> bool {
+        rec.op().is_vector()
+            || rec.dst().is_some_and(|d| d.is_vector())
+            || rec.sources().any(|s| s.is_vector())
     }
 
     /// Earliest cycle a source operand can feed this consumer, or `None`

@@ -5,23 +5,23 @@
 //! per-cycle counters — happen here when the ROB, the target queue or
 //! the rename free list is exhausted.
 
-use oov_isa::{ArchReg, Instruction, Opcode, RegClass};
+use oov_isa::{ArchReg, InstRecord, Opcode, RegClass};
 
 use crate::rob::{DstInfo, EntryState, MemStage, QueueKind, RobEntry, SrcList};
 use crate::sim::OooSim;
 use crate::stages::StageId;
 
 impl OooSim<'_> {
-    pub(crate) fn route_queue(&self, inst: &Instruction) -> QueueKind {
-        if self.uses_mem_pipe(inst) {
+    pub(crate) fn route_queue(&self, rec: &InstRecord) -> QueueKind {
+        if self.uses_mem_pipe(rec) {
             return QueueKind::M;
         }
-        if inst.op.is_vector() {
+        if rec.op().is_vector() {
             return QueueKind::V;
         }
-        match inst.op {
+        match rec.op() {
             Opcode::SAddA | Opcode::SetVl | Opcode::SetVs => QueueKind::A,
-            Opcode::SLui if matches!(inst.dst, Some(ArchReg::A(_))) => QueueKind::A,
+            Opcode::SLui if matches!(rec.dst(), Some(ArchReg::A(_))) => QueueKind::A,
             _ => QueueKind::S,
         }
     }
@@ -40,12 +40,13 @@ impl OooSim<'_> {
             return;
         }
         let idx = self.fetch_idx - self.fetch_buffered;
-        let inst = &self.trace.instructions()[idx];
+        let trace = self.trace;
+        let rec = trace.record(idx);
         if self.st.rob.is_full() {
             self.stats.rob_stall_cycles += 1;
             return;
         }
-        let kind = self.route_queue(inst);
+        let kind = self.route_queue(rec);
         if self.queue_of(kind).len() >= self.cfg.queue_slots {
             self.stats.queue_stall_cycles += 1;
             return;
@@ -54,7 +55,7 @@ impl OooSim<'_> {
         // Rename sources.
         let mut srcs = SrcList::new();
         let mut deferred_srcs = SrcList::new();
-        for s in inst.sources() {
+        for s in rec.sources() {
             let class = s.class();
             if defer_vector && class == RegClass::V {
                 deferred_srcs.push(s.index());
@@ -65,7 +66,7 @@ impl OooSim<'_> {
         // Rename destination.
         let mut dst: Option<DstInfo> = None;
         let mut deferred_dst: Option<u8> = None;
-        if let Some(d) = inst.dst {
+        if let Some(d) = rec.dst() {
             let class = d.class();
             if defer_vector && class == RegClass::V {
                 deferred_dst = Some(d.index());
@@ -96,12 +97,12 @@ impl OooSim<'_> {
         let entry = RobEntry {
             seq: 0,
             trace_idx: idx,
-            op: inst.op,
-            vl: inst.vl,
-            is_spill: inst.is_spill,
-            mem: inst.mem,
-            branch: inst.branch,
-            pc: inst.pc,
+            op: rec.op(),
+            vl: rec.vl(),
+            is_spill: rec.is_spill(),
+            mem: trace.mem(rec),
+            branch: trace.branch(rec),
+            pc: rec.pc(),
             srcs,
             deferred_srcs,
             dst,
@@ -118,7 +119,7 @@ impl OooSim<'_> {
         let seq = self.st.rob.push(entry);
         if let Some(p) = self.probe.as_deref_mut() {
             let dst = dst.map(|d| (d.class, d.new));
-            p.dispatch(seq, idx, inst.op, inst.vl, dst, self.now);
+            p.dispatch(seq, idx, rec.op(), rec.vl(), dst, self.now);
         }
         self.queue_of(kind).push(seq);
         // M-queue entries are tracked by the memory pipe, not the
@@ -130,7 +131,7 @@ impl OooSim<'_> {
             self.register_waits(seq);
         }
         self.fetch_buffered -= 1;
-        if inst.op == Opcode::Branch {
+        if rec.op() == Opcode::Branch {
             self.stats.branches += 1;
         }
         self.progress(StageId::Dispatch);

@@ -35,21 +35,22 @@ impl OooSim<'_> {
             return;
         }
         let idx = self.fetch_idx;
-        let inst = &self.trace.instructions()[idx];
+        let trace = self.trace;
+        let rec = trace.record(idx);
         self.fetch_idx += 1;
-        if inst.op.is_control() {
-            let actual = inst.branch.expect("control without outcome");
-            let mispredict = match inst.op {
+        if rec.op().is_control() {
+            let actual = trace.branch(rec).expect("control without outcome");
+            let mispredict = match rec.op() {
                 Opcode::Branch => {
-                    let (pred_taken, pred_target) = self.st.btb.predict(inst.pc);
+                    let (pred_taken, pred_target) = self.st.btb.predict(rec.pc());
                     pred_taken != actual.taken
                         || (actual.taken && pred_target != Some(actual.target))
                 }
                 Opcode::Jump | Opcode::Call => {
-                    if inst.op == Opcode::Call {
-                        self.st.ras.push(inst.pc + 4);
+                    if rec.op() == Opcode::Call {
+                        self.st.ras.push(rec.pc() + 4);
                     }
-                    let (_, pred_target) = self.st.btb.predict(inst.pc);
+                    let (_, pred_target) = self.st.btb.predict(rec.pc());
                     pred_target != Some(actual.target)
                 }
                 Opcode::Ret => self.st.ras.pop() != Some(actual.target),

@@ -24,7 +24,9 @@ use crate::Machine;
 #[derive(Debug)]
 pub struct Checker {
     machine: Machine,
-    insts: Vec<oov_isa::Instruction>,
+    /// The run's trace (a probe outlives any borrow, so a copy of the
+    /// compact records), decoded one instruction at a time.
+    trace: Trace,
     executed: Vec<bool>,
     /// Result values of in-flight instructions (dst values, or data
     /// values for stores), keyed by trace index.
@@ -47,7 +49,7 @@ impl Checker {
     pub fn new(trace: &Trace, machine: Machine) -> Self {
         Checker {
             machine,
-            insts: trace.instructions().to_vec(),
+            trace: trace.clone(),
             executed: vec![false; trace.len()],
             recorded: HashMap::new(),
             pre_store: HashMap::new(),
@@ -62,7 +64,7 @@ impl Checker {
         if self.executed[idx] {
             return; // re-dispatch after a precise trap
         }
-        let inst = self.insts[idx];
+        let inst = self.trace.get(idx);
         if inst.op.is_store() {
             // Snapshot the target range before the store runs, so a
             // silent-store elision can be proven genuinely silent.

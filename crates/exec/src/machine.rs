@@ -432,7 +432,7 @@ impl Machine {
     /// Executes a whole trace in program order.
     pub fn run(&mut self, trace: &Trace) {
         for inst in trace {
-            self.execute(inst);
+            self.execute(&inst);
         }
     }
 
@@ -477,7 +477,6 @@ mod tests {
             ArchReg::V(dst),
             &[ArchReg::V(a), ArchReg::V(b)],
             vl,
-            1,
         )
     }
 
@@ -634,7 +633,6 @@ mod tests {
             ArchReg::Mask(0),
             &[ArchReg::V(0), ArchReg::V(1)],
             4,
-            1,
         ));
         assert_eq!(m.mask(ArchReg::Mask(0)), 0b1100);
         m.execute(&Instruction::vector(
@@ -642,7 +640,6 @@ mod tests {
             ArchReg::V(3),
             &[ArchReg::V(0), ArchReg::V(2), ArchReg::Mask(0)],
             4,
-            1,
         ));
         assert_eq!(m.vector(ArchReg::V(3))[0], 1000);
         assert_eq!(m.vector(ArchReg::V(3))[3], 30);
@@ -659,7 +656,6 @@ mod tests {
             ArchReg::S(3),
             &[ArchReg::V(0)],
             8,
-            1,
         ));
         assert_eq!(m.scalar(ArchReg::S(3)), 16);
     }
@@ -676,7 +672,6 @@ mod tests {
             ArchReg::V(1),
             &[ArchReg::V(0), ArchReg::S(0)],
             4,
-            1,
         ));
         assert_eq!(m.vector(ArchReg::V(1))[3], 300);
     }

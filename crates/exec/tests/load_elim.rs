@@ -33,7 +33,6 @@ fn vadd(dst: u8, a: u8, b: u8, vl: u16) -> Instruction {
         ArchReg::V(dst),
         &[ArchReg::V(a), ArchReg::V(b)],
         vl,
-        1,
     )
 }
 

@@ -1,4 +1,12 @@
 //! Dynamic (traced) instructions.
+//!
+//! [`Instruction`] is the value type of one traced instruction: the
+//! `oov-vcc` backend builds and pushes them, and the functional oracles
+//! read them back decoded with [`crate::Trace::get`]. A
+//! [`crate::Trace`] does not store `Instruction`s: it packs each into a
+//! 24-byte [`crate::InstRecord`] with its [`MemRef`], [`BranchInfo`]
+//! and nonzero immediate in side words (see the `trace` module), which
+//! is what the timing engines read.
 
 use std::fmt;
 
@@ -136,8 +144,6 @@ pub struct Instruction {
     pub srcs: [Option<ArchReg>; MAX_SRCS],
     /// Vector length in effect (1 for scalar instructions).
     pub vl: u16,
-    /// Vector stride in effect, in elements.
-    pub vs: i64,
     /// Memory reference for loads/stores.
     pub mem: Option<MemRef>,
     /// Branch outcome for control transfers.
@@ -157,57 +163,44 @@ impl Instruction {
     /// Builds a scalar computation instruction.
     #[must_use]
     pub fn scalar(op: Opcode, dst: ArchReg, srcs: &[ArchReg]) -> Self {
-        Self::build(op, Some(dst), srcs, 1, 1, None, None, false)
+        Self::build(op, Some(dst), srcs, 1, None, None)
     }
 
-    /// Builds a vector computation instruction with vector length `vl` and
-    /// stride `vs`.
+    /// Builds a vector computation instruction with vector length `vl`.
     #[must_use]
-    pub fn vector(op: Opcode, dst: ArchReg, srcs: &[ArchReg], vl: u16, vs: i64) -> Self {
+    pub fn vector(op: Opcode, dst: ArchReg, srcs: &[ArchReg], vl: u16) -> Self {
         assert!(op.is_vector(), "{op} is not a vector opcode");
-        Self::build(op, Some(dst), srcs, vl, vs, None, None, false)
+        Self::build(op, Some(dst), srcs, vl, None, None)
     }
 
     /// Builds a load instruction (scalar or vector based on `op`).
     #[must_use]
     pub fn load(op: Opcode, dst: ArchReg, addr_srcs: &[ArchReg], mem: MemRef, vl: u16) -> Self {
         assert!(op.is_load(), "{op} is not a load");
-        Self::build(
-            op,
-            Some(dst),
-            addr_srcs,
-            vl,
-            mem.stride / 8,
-            Some(mem),
-            None,
-            false,
-        )
+        Self::build(op, Some(dst), addr_srcs, vl, Some(mem), None)
     }
 
     /// Builds a store instruction. `srcs[0]` must be the data register.
     #[must_use]
     pub fn store(op: Opcode, srcs: &[ArchReg], mem: MemRef, vl: u16) -> Self {
         assert!(op.is_store(), "{op} is not a store");
-        Self::build(op, None, srcs, vl, mem.stride / 8, Some(mem), None, false)
+        Self::build(op, None, srcs, vl, Some(mem), None)
     }
 
     /// Builds a control-transfer instruction.
     #[must_use]
     pub fn control(op: Opcode, srcs: &[ArchReg], info: BranchInfo) -> Self {
         assert!(op.is_control(), "{op} is not a control transfer");
-        Self::build(op, None, srcs, 1, 1, None, Some(info), false)
+        Self::build(op, None, srcs, 1, None, Some(info))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn build(
         op: Opcode,
         dst: Option<ArchReg>,
         srcs: &[ArchReg],
         vl: u16,
-        vs: i64,
         mem: Option<MemRef>,
         branch: Option<BranchInfo>,
-        is_spill: bool,
     ) -> Self {
         assert!(srcs.len() <= MAX_SRCS, "too many sources for {op}");
         assert!(
@@ -223,10 +216,9 @@ impl Instruction {
             dst,
             srcs: s,
             vl,
-            vs,
             mem,
             branch,
-            is_spill,
+            is_spill: false,
             pc: 0,
             imm: 0,
         }
@@ -348,7 +340,6 @@ mod tests {
             ArchReg::V(2),
             &[ArchReg::V(0), ArchReg::V(1)],
             64,
-            1,
         );
         let s = i.to_string();
         assert!(s.contains("vadd"));
@@ -358,7 +349,7 @@ mod tests {
 
     #[test]
     fn ops_and_words() {
-        let v = Instruction::vector(Opcode::VMul, ArchReg::V(1), &[ArchReg::V(0)], 100, 1);
+        let v = Instruction::vector(Opcode::VMul, ArchReg::V(1), &[ArchReg::V(0)], 100);
         assert_eq!(v.ops(), 100);
         assert_eq!(v.words_moved(), 0);
         let m = MemRef::strided(0, 8, 100);
@@ -371,7 +362,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a vector opcode")]
     fn vector_ctor_rejects_scalar_op() {
-        let _ = Instruction::vector(Opcode::SAdd, ArchReg::V(0), &[], 8, 1);
+        let _ = Instruction::vector(Opcode::SAdd, ArchReg::V(0), &[], 8);
     }
 
     #[test]

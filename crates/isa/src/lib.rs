@@ -10,7 +10,9 @@
 //!   class ([`FuClass`]) and latency class ([`LatClass`]).
 //! * [`Instruction`] / [`MemRef`] — one dynamic (traced) instruction.
 //! * [`Trace`] — a dynamic instruction stream plus per-program statistics
-//!   (the raw material for Table 2 of the paper).
+//!   (the raw material for Table 2 of the paper), stored as one 24-byte
+//!   [`InstRecord`] per instruction with the sparse operands in side
+//!   words.
 //! * [`LatencyModel`] — the reconstruction of the paper's Table 1.
 //! * [`RefConfig`] / [`OooConfig`] — machine parameter blocks for the two
 //!   simulated implementations.
@@ -22,7 +24,7 @@
 //!
 //! let mut trace = Trace::new("example");
 //! trace.push(
-//!     Instruction::vector(Opcode::VAdd, ArchReg::V(2), &[ArchReg::V(0), ArchReg::V(1)], 128, 1)
+//!     Instruction::vector(Opcode::VAdd, ArchReg::V(2), &[ArchReg::V(0), ArchReg::V(1)], 128)
 //! );
 //! assert_eq!(trace.stats().vector_insts, 1);
 //! assert_eq!(trace.stats().vector_ops, 128);
@@ -45,4 +47,4 @@ pub use inst::{BranchInfo, Instruction, MemKind, MemRef, MAX_SRCS};
 pub use latency::LatencyModel;
 pub use opcode::{FuClass, LatClass, Opcode};
 pub use reg::{ArchReg, RegClass, MAX_VL, NUM_A_REGS, NUM_MASK_REGS, NUM_S_REGS, NUM_V_REGS};
-pub use trace::{Trace, TraceStats};
+pub use trace::{InstRecord, Instructions, Trace, TraceStats};

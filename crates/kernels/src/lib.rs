@@ -507,6 +507,24 @@ mod tests {
         assert_eq!(got, PINNED, "a program's trace moved");
     }
 
+    /// The paper suite's 40,768 instructions take at most 45 bytes each
+    /// as compact records and side words (38.95 when this was written;
+    /// a 96-byte `Instruction` each before that).
+    #[test]
+    fn paper_suite_traces_take_at_most_45_bytes_per_instruction() {
+        let (mut insts, mut bytes) = (0, 0);
+        for p in Program::ALL {
+            let trace = p.compile(Scale::Paper).trace;
+            insts += trace.len();
+            bytes += trace.stored_bytes();
+        }
+        assert_eq!(insts, 40_768);
+        assert!(
+            bytes <= 45 * insts,
+            "{bytes} bytes for {insts} instructions"
+        );
+    }
+
     #[test]
     fn daxpy_compiles_and_runs() {
         let k = daxpy(4, 64);

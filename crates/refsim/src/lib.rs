@@ -27,7 +27,7 @@
 //! let mut t = Trace::new("tiny");
 //! let m = MemRef::strided(0x1000, 8, 64);
 //! t.push(Instruction::load(Opcode::VLoad, ArchReg::V(0), &[], m, 64));
-//! t.push(Instruction::vector(Opcode::VAdd, ArchReg::V(1), &[ArchReg::V(0)], 64, 1));
+//! t.push(Instruction::vector(Opcode::VAdd, ArchReg::V(1), &[ArchReg::V(0)], 64));
 //!
 //! let stats = RefSim::new(RefConfig::default()).run(&t);
 //! assert!(stats.cycles > 64);

@@ -9,7 +9,7 @@
 //! instruction bookkeeping, which is kept allocation-free via
 //! [`VSrcs`].
 
-use oov_isa::{ArchReg, FuClass, Instruction, Opcode, RefConfig, Trace};
+use oov_isa::{ArchReg, FuClass, InstRecord, Opcode, RefConfig, Trace};
 use oov_mem::{AddressBus, ScalarCache, TrafficCounter};
 use oov_stats::{OccupancyTracker, SimStats, VectorUnit};
 
@@ -107,9 +107,9 @@ impl RefSim {
     #[must_use]
     pub fn run(mut self, trace: &Trace) -> SimStats {
         let mut branches = 0;
-        for inst in trace {
-            self.issue(inst);
-            if inst.op == Opcode::Branch {
+        for rec in trace.records() {
+            self.issue(trace, rec);
+            if rec.op() == Opcode::Branch {
                 branches += 1;
             }
         }
@@ -194,11 +194,14 @@ impl RefSim {
         }
     }
 
-    fn issue(&mut self, inst: &Instruction) {
-        match inst.op.fu_class() {
-            FuClass::Scalar => self.issue_scalar(inst),
-            FuClass::Mem => self.issue_mem(inst),
-            FuClass::VecAny | FuClass::VecFu2Only => self.issue_vector(inst),
+    fn issue(&mut self, trace: &Trace, rec: &InstRecord) {
+        match rec.op().fu_class() {
+            FuClass::Scalar => {
+                let taken = rec.op().is_control() && trace.branch(rec).is_some_and(|b| b.taken);
+                self.issue_scalar(rec, taken);
+            }
+            FuClass::Mem => self.issue_mem(trace, rec),
+            FuClass::VecAny | FuClass::VecFu2Only => self.issue_vector(rec),
         }
     }
 
@@ -208,45 +211,45 @@ impl RefSim {
         t0
     }
 
-    fn issue_scalar(&mut self, inst: &Instruction) {
+    /// Issues a scalar-unit instruction; `taken` is its traced branch
+    /// outcome (`false` for everything but a taken control transfer).
+    fn issue_scalar(&mut self, rec: &InstRecord, taken: bool) {
         let mut lower = 0;
-        for s in inst.sources() {
+        for s in rec.sources() {
             lower = lower.max(self.src_ready(s, true));
         }
         let t0 = self.in_order(lower);
-        let lat = u64::from(self.cfg.lat.exec(inst.op));
-        if let Some(d) = inst.dst {
+        let lat = u64::from(self.cfg.lat.exec(rec.op()));
+        if let Some(d) = rec.dst() {
             let st = self.reg_mut(d);
             st.first_avail = t0 + lat;
             st.last_avail = t0 + lat;
             st.from_load = false;
             st.readers_done = 0;
         }
-        if inst.op.is_control() {
-            // Taken branches refill the short in-order front end.
-            if inst.branch.map(|b| b.taken).unwrap_or(false) {
-                self.last_issue = t0 + 1;
-            }
+        // Taken branches refill the short in-order front end.
+        if taken {
+            self.last_issue = t0 + 1;
         }
         self.finish = self.finish.max(t0 + lat);
     }
 
-    fn issue_vector(&mut self, inst: &Instruction) {
-        let vl = inst.vl;
+    fn issue_vector(&mut self, rec: &InstRecord) {
+        let vl = rec.vl();
         let lat = &self.cfg.lat;
-        let leff = u64::from(lat.first_result(inst.op));
+        let leff = u64::from(lat.first_result(rec.op()));
         let occupancy = lat.occupancy(vl);
 
         let mut lower = 0;
         let mut vsrcs = VSrcs::new();
-        for s in inst.sources() {
+        for s in rec.sources() {
             lower = lower.max(self.src_ready(s, false));
             if s.is_vector() {
                 vsrcs.push(s);
             }
         }
         // Structural: choose a functional unit.
-        let use_fu2 = match inst.op.fu_class() {
+        let use_fu2 = match rec.op().fu_class() {
             FuClass::VecFu2Only => true,
             _ => self.fu2_free < self.fu1_free,
         };
@@ -257,7 +260,7 @@ impl RefSim {
         });
         // Register-file ports.
         lower = lower.max(self.read_port_bound(vsrcs.slice()));
-        if let Some(d) = inst.dst {
+        if let Some(d) = rec.dst() {
             // No renaming: drain readers and the previous writer.
             let st = self.reg(d);
             lower = lower.max(st.readers_done.max(st.last_avail) + 1);
@@ -281,7 +284,7 @@ impl RefSim {
             self.fu1_free = unit_free;
             self.occ.busy(VectorUnit::Fu1, t0, unit_free - 1);
         }
-        if let Some(d) = inst.dst {
+        if let Some(d) = rec.dst() {
             let scalar_dst = d.class().is_scalar();
             let (first, last) = if scalar_dst {
                 // Reductions deliver after draining the whole vector.
@@ -302,16 +305,16 @@ impl RefSim {
         self.finish = self.finish.max(t0 + leff + u64::from(vl));
     }
 
-    fn issue_mem(&mut self, inst: &Instruction) {
-        let vl = if inst.op.is_vector() { inst.vl } else { 1 };
+    fn issue_mem(&mut self, trace: &Trace, rec: &InstRecord) {
+        let vl = if rec.op().is_vector() { rec.vl() } else { 1 };
         let latency = u64::from(self.cfg.lat.memory);
-        let is_load = inst.op.is_load();
-        let is_vector = inst.op.is_vector();
+        let is_load = rec.op().is_load();
+        let is_vector = rec.op().is_vector();
 
         // Scalar-cache interaction: hits bypass the shared bus entirely;
         // scalar stores and vector accesses invalidate lines.
-        if let (Some(cache), Some(mem)) = (&mut self.cache, &inst.mem) {
-            match inst.op {
+        if let (Some(cache), Some(mem)) = (&mut self.cache, trace.mem(rec)) {
+            match rec.op() {
                 Opcode::SLoad => {
                     if cache.access_load(mem.base) {
                         let hit_lat = u64::from(
@@ -321,11 +324,11 @@ impl RefSim {
                                 .hit_latency,
                         );
                         let mut lower = 0;
-                        for s in inst.sources() {
+                        for s in rec.sources() {
                             lower = lower.max(self.src_ready(s, true));
                         }
                         let t0 = self.in_order(lower);
-                        if let Some(d) = inst.dst {
+                        if let Some(d) = rec.dst() {
                             let st = self.reg_mut(d);
                             st.first_avail = t0 + hit_lat;
                             st.last_avail = t0 + hit_lat;
@@ -347,7 +350,7 @@ impl RefSim {
 
         let mut lower = self.mem_free;
         let mut vsrcs = VSrcs::new();
-        for s in inst.sources() {
+        for s in rec.sources() {
             // Store data chains; address operands are scalar.
             lower = lower.max(self.src_ready(s, !s.is_vector()));
             if s.is_vector() {
@@ -355,7 +358,7 @@ impl RefSim {
             }
         }
         lower = lower.max(self.read_port_bound(vsrcs.slice()));
-        if let Some(d) = inst.dst {
+        if let Some(d) = rec.dst() {
             let st = self.reg(d);
             lower = lower.max(st.readers_done.max(st.last_avail) + 1);
         }
@@ -371,16 +374,16 @@ impl RefSim {
         self.occ.busy(VectorUnit::Mem, grant.start, grant.last);
         if is_load {
             self.traffic
-                .record_load(u64::from(vl), inst.is_spill, is_vector);
+                .record_load(u64::from(vl), rec.is_spill(), is_vector);
         } else {
             self.traffic
-                .record_store(u64::from(vl), inst.is_spill, is_vector);
+                .record_store(u64::from(vl), rec.is_spill(), is_vector);
         }
 
         if is_load {
             let first = grant.start + latency;
             let last = grant.last + latency;
-            if let Some(d) = inst.dst {
+            if let Some(d) = rec.dst() {
                 let st = self.reg_mut(d);
                 st.first_avail = first;
                 st.last_avail = last;
@@ -405,7 +408,7 @@ impl RefSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oov_isa::{BranchInfo, MemRef};
+    use oov_isa::{BranchInfo, Instruction, MemRef};
 
     fn vload(dst: u8, base: u64, vl: u16) -> Instruction {
         Instruction::load(
@@ -423,7 +426,6 @@ mod tests {
             ArchReg::V(dst),
             &[ArchReg::V(a), ArchReg::V(b)],
             vl,
-            1,
         )
     }
 
@@ -498,7 +500,6 @@ mod tests {
             ArchReg::V(2),
             &[ArchReg::V(0), ArchReg::V(1)],
             128,
-            1,
         ));
         let mut two = one.clone();
         two.push(Instruction::vector(
@@ -506,7 +507,6 @@ mod tests {
             ArchReg::V(3),
             &[ArchReg::V(0), ArchReg::V(1)],
             128,
-            1,
         ));
         let s1 = run(one);
         let s2 = run(two);
@@ -530,7 +530,6 @@ mod tests {
             ArchReg::V(4),
             &[ArchReg::V(0), ArchReg::V(2)],
             128,
-            1,
         ));
         both.push(vadd(6, 0, 2, 128));
         let mut only_mul = ld;
@@ -539,7 +538,6 @@ mod tests {
             ArchReg::V(4),
             &[ArchReg::V(0), ArchReg::V(2)],
             128,
-            1,
         ));
         let s_both = run(both);
         let s_mul = run(only_mul);

@@ -363,6 +363,21 @@ fn decode_both(line: &str) -> Result<Request, String> {
     Request::decode(line)
 }
 
+/// Number literals at the edges of the integer reader, with the
+/// unsigned value each decodes to (`None`: not a non-negative integer).
+const NUMBER_SPELLINGS: [(&str, Option<u64>); 10] = [
+    ("0", Some(0)),
+    ("-0", Some(0)),
+    ("-1", None),
+    ("007", Some(7)),
+    ("1.0", Some(1)),
+    ("1e0", Some(1)),
+    ("999999999999999", Some(999_999_999_999_999)),
+    ("1000000000000000", Some(1_000_000_000_000_000)),
+    ("9999999999999999", None),
+    ("9007199254740993", Some(1 << 53)),
+];
+
 #[test]
 fn hand_written_edge_lines_decode_alike() {
     let sim = default_sim_line();
@@ -480,38 +495,41 @@ fn hand_written_edge_lines_decode_alike() {
         r#""\u0070rogram": "tr\u0066d""#,
     );
     assert_eq!(decode_both(&escaped).as_ref(), Ok(&expected));
-    // Number spellings go through the tree's f64 rule.
-    for (literal, value) in [
-        ("1.0", 1),
-        ("1e0", 1),
-        ("-0", 0),
-        ("9007199254740993", 1 << 53),
-    ] {
+    // Number spellings go through the tree's f64 rule. A plain literal
+    // of up to 15 digits is read straight into an integer by the typed
+    // decoder and must land on the same value; 16 digits and past 2^53
+    // take the f64 path in both.
+    let ooo = |line: &str| match decode_both(line) {
+        Ok(Request::Sim {
+            req:
+                SimRequest {
+                    machine: MachineConfig::Ooo(c),
+                    ..
+                },
+            ..
+        }) => Some(c),
+        Err(_) => None,
+        Ok(other) => panic!("{other:?}"),
+    };
+    for (literal, value) in NUMBER_SPELLINGS {
         let line = edit(&sim, r#""branch": 1"#, &format!(r#""branch": {literal}"#));
-        match decode_both(&line) {
-            Ok(Request::Sim {
-                req:
-                    SimRequest {
-                        machine: MachineConfig::Ooo(c),
-                        ..
-                    },
-                ..
-            }) => assert_eq!(u64::from(c.lat.branch), value, "{literal}"),
-            // 2^53 does not fit the field's u32.
-            Err(e) => assert!(value > u64::from(u32::MAX), "{e}"),
-            Ok(other) => panic!("{other:?}"),
-        }
+        // Past `u32::MAX` the value does not fit the field.
+        assert_eq!(
+            ooo(&line).map(|c| u64::from(c.lat.branch)),
+            value.filter(|&v| v <= u64::from(u32::MAX)),
+            "{literal}"
+        );
         let line = edit(
             &sim,
             r#""btb_entries": 64"#,
             &format!(r#""btb_entries": {literal}"#),
         );
-        let decoded = decode_both(&line);
-        if value == 1 {
-            assert!(decoded.is_ok(), "{line}");
-        } else {
-            assert!(decoded.is_err(), "{line}");
-        }
+        // The BTB takes 1 to 65,535 entries.
+        assert_eq!(
+            ooo(&line).map(|c| c.btb_entries as u64),
+            value.filter(|v| (1..=65_535).contains(v)),
+            "{literal}"
+        );
     }
     // A syntax error anywhere wins over a semantic one before it.
     let unknown = edit(&sim, r#""program": "trfd""#, r#""program": "nope""#);
@@ -586,5 +604,20 @@ fn hand_written_result_lines_decode_alike() {
     ] {
         check(&line);
         assert_eq!(Response::decode(&line), Err(text.to_string()), "{line}");
+    }
+    // A `u64` field takes every spelling of a non-negative integer.
+    for (literal, value) in NUMBER_SPELLINGS {
+        let line = edit(
+            result,
+            r#""cycles": 123456"#,
+            &format!(r#""cycles": {literal}"#),
+        );
+        check(&line);
+        let cycles = match Response::decode(&line) {
+            Ok(Response::Result(r)) => Some(r.stats.cycles),
+            Err(_) => None,
+            Ok(other) => panic!("{other:?}"),
+        };
+        assert_eq!(cycles, value, "{literal}");
     }
 }

@@ -67,13 +67,7 @@ fn instantiate(t: &TInst, outer: u64, iter: u64, pc: u64) -> Instruction {
         }
         _ => {
             if t.op.is_vector() {
-                Instruction::vector(
-                    t.op,
-                    t.dst.expect("vector op without dst"),
-                    &t.srcs,
-                    t.vl,
-                    1,
-                )
+                Instruction::vector(t.op, t.dst.expect("vector op without dst"), &t.srcs, t.vl)
             } else {
                 match t.dst {
                     Some(d) => Instruction::scalar(t.op, d, &t.srcs),
@@ -82,7 +76,6 @@ fn instantiate(t: &TInst, outer: u64, iter: u64, pc: u64) -> Instruction {
                         dst: None,
                         srcs: [None; 4],
                         vl: 1,
-                        vs: 1,
                         mem: None,
                         branch: None,
                         is_spill: false,
@@ -137,8 +130,8 @@ fn iteration_steps(body: &[TInst]) -> Vec<Step> {
 fn zero_init(pinned: &[ArchReg], pc: &mut u64, trace: &mut Trace) {
     for &r in pinned {
         let inst = match r.class() {
-            RegClass::V => Instruction::vector(Opcode::VLogic, r, &[r, r], 128, 1),
-            RegClass::Mask => Instruction::vector(Opcode::VMaskOp, r, &[r, r], 128, 1),
+            RegClass::V => Instruction::vector(Opcode::VLogic, r, &[r, r], 128),
+            RegClass::Mask => Instruction::vector(Opcode::VMaskOp, r, &[r, r], 128),
             _ => Instruction::scalar(Opcode::SLui, r, &[]),
         };
         trace.push(inst.at(*pc));
@@ -187,7 +180,6 @@ pub(crate) fn lower_segments(
                                 dst: None,
                                 srcs: [None; 4],
                                 vl: 1,
-                                vs: 1,
                                 mem: None,
                                 branch: None,
                                 is_spill: false,
@@ -201,7 +193,6 @@ pub(crate) fn lower_segments(
                                 dst: None,
                                 srcs: [None; 4],
                                 vl: 1,
-                                vs: 1,
                                 mem: None,
                                 branch: None,
                                 is_spill: false,
@@ -433,6 +424,6 @@ mod tests {
             .iter()
             .position(|i| i.dst.map(|d| d.is_vector()).unwrap_or(false))
             .unwrap();
-        assert_eq!(prog.trace.instructions()[first_write].op, Opcode::VLogic);
+        assert_eq!(prog.trace.get(first_write).op, Opcode::VLogic);
     }
 }

@@ -126,7 +126,7 @@ fn ranges_cover_element_addresses() {
         let prog = compile(&random_kernel(seed));
         let mut m = Machine::new();
         m.memory_mut().seed(&prog.mem_init);
-        let insts: Vec<_> = prog.trace.iter().cloned().collect();
+        let insts: Vec<_> = prog.trace.iter().collect();
         for inst in &insts {
             if let Some(mem) = inst.mem {
                 for a in m.element_addresses(inst) {
