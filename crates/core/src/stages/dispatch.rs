@@ -41,7 +41,7 @@ impl OooSim<'_> {
         }
         let idx = self.fetch_idx - self.fetch_buffered;
         let trace = self.trace;
-        let rec = trace.record(idx);
+        let rec = &trace.records()[idx];
         if self.st.rob.is_full() {
             self.stats.rob_stall_cycles += 1;
             return;

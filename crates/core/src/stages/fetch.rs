@@ -36,7 +36,7 @@ impl OooSim<'_> {
         }
         let idx = self.fetch_idx;
         let trace = self.trace;
-        let rec = trace.record(idx);
+        let rec = &trace.records()[idx];
         self.fetch_idx += 1;
         if rec.op().is_control() {
             let actual = trace.branch(rec).expect("control without outcome");

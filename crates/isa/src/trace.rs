@@ -18,11 +18,11 @@
 //! 96-byte [`Instruction`] each took 3.73 MiB.
 //!
 //! The timing engines read records in place: `oov-core`'s fetch and
-//! dispatch and `oov-ref` call [`Trace::record`] /
-//! [`Trace::records`] and the side-word readers [`Trace::mem`],
-//! [`Trace::branch`] and [`Trace::imm`]. The functional oracles
-//! (`oov-exec`'s machine and load-elimination checker) and tests decode
-//! a whole [`Instruction`] with [`Trace::get`] or [`Trace::iter`].
+//! dispatch and `oov-ref` index [`Trace::records`] and call the
+//! side-word readers [`Trace::mem`] and [`Trace::branch`]. The
+//! functional oracles (`oov-exec`'s machine and load-elimination
+//! checker) and tests decode a whole [`Instruction`] with
+//! [`Trace::get`] or [`Trace::iter`].
 
 use std::fmt;
 
@@ -202,8 +202,8 @@ fn unpack_reg(b: u8) -> Option<ArchReg> {
 /// One instruction as a [`Trace`] stores it: a fixed-size record of
 /// the fields every instruction has, plus the position of its memory
 /// reference, branch target and immediate in the trace's side words.
-/// The side operands are read through [`Trace::mem`],
-/// [`Trace::branch`] and [`Trace::imm`].
+/// The engines read its memory reference and branch outcome through
+/// [`Trace::mem`] and [`Trace::branch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstRecord {
     pc: u64,
@@ -375,16 +375,6 @@ impl Trace {
         &self.stats
     }
 
-    /// The record of instruction `i`, read in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn record(&self, i: usize) -> &InstRecord {
-        &self.records[i]
-    }
-
     /// Every instruction's record, in trace order.
     #[must_use]
     pub fn records(&self) -> &[InstRecord] {
@@ -423,8 +413,7 @@ impl Trace {
     }
 
     /// The immediate operand of a record (zero when unused).
-    #[must_use]
-    pub fn imm(&self, r: &InstRecord) -> i64 {
+    fn imm(&self, r: &InstRecord) -> i64 {
         if r.flags & IMM == 0 {
             return 0;
         }
@@ -748,7 +737,7 @@ mod tests {
             assert_eq!(t.len(), insts.len());
             for (i, want) in insts.iter().enumerate() {
                 assert_eq!(&t.get(i), want, "seed {seed:#x}, instruction {i}");
-                let r = t.record(i);
+                let r = &t.records()[i];
                 assert_eq!(
                     (r.op(), r.vl(), r.pc(), r.is_spill(), r.dst()),
                     (want.op, want.vl, want.pc, want.is_spill, want.dst),

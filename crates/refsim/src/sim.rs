@@ -196,10 +196,7 @@ impl RefSim {
 
     fn issue(&mut self, trace: &Trace, rec: &InstRecord) {
         match rec.op().fu_class() {
-            FuClass::Scalar => {
-                let taken = rec.op().is_control() && trace.branch(rec).is_some_and(|b| b.taken);
-                self.issue_scalar(rec, taken);
-            }
+            FuClass::Scalar => self.issue_scalar(trace, rec),
             FuClass::Mem => self.issue_mem(trace, rec),
             FuClass::VecAny | FuClass::VecFu2Only => self.issue_vector(rec),
         }
@@ -211,9 +208,7 @@ impl RefSim {
         t0
     }
 
-    /// Issues a scalar-unit instruction; `taken` is its traced branch
-    /// outcome (`false` for everything but a taken control transfer).
-    fn issue_scalar(&mut self, rec: &InstRecord, taken: bool) {
+    fn issue_scalar(&mut self, trace: &Trace, rec: &InstRecord) {
         let mut lower = 0;
         for s in rec.sources() {
             lower = lower.max(self.src_ready(s, true));
@@ -227,9 +222,11 @@ impl RefSim {
             st.from_load = false;
             st.readers_done = 0;
         }
-        // Taken branches refill the short in-order front end.
-        if taken {
-            self.last_issue = t0 + 1;
+        if rec.op().is_control() {
+            // Taken branches refill the short in-order front end.
+            if trace.branch(rec).is_some_and(|b| b.taken) {
+                self.last_issue = t0 + 1;
+            }
         }
         self.finish = self.finish.max(t0 + lat);
     }
