@@ -5,8 +5,8 @@
 //! read them back decoded with [`crate::Trace::get`]. A
 //! [`crate::Trace`] does not store `Instruction`s: it packs each into a
 //! 24-byte [`crate::InstRecord`] with its [`MemRef`], [`BranchInfo`]
-//! and nonzero immediate in side words (see the `trace` module), which
-//! is what the timing engines read.
+//! and nonzero immediate in side words, which is what the timing
+//! engines read.
 
 use std::fmt;
 

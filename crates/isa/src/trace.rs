@@ -14,8 +14,8 @@
 //!
 //! In the paper suite, 43% of the 40,768 instructions carry a memory
 //! reference, 3% a branch and 11% a nonzero immediate, so the suite
-//! takes 1,588,104 bytes (1.51 MiB), 38.95 per instruction, where a
-//! 96-byte [`Instruction`] each took 3.73 MiB.
+//! takes 1,588,104 bytes (1.51 MiB), 38.95 per instruction, against
+//! 3.42 MiB as 88-byte [`Instruction`]s.
 //!
 //! The timing engines read records in place: `oov-core`'s fetch and
 //! dispatch and `oov-ref` index [`Trace::records`] and call the

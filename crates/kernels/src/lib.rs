@@ -508,8 +508,7 @@ mod tests {
     }
 
     /// The paper suite's 40,768 instructions take at most 45 bytes each
-    /// as compact records and side words (38.95 when this was written;
-    /// a 96-byte `Instruction` each before that).
+    /// as compact records and side words (a whole `Instruction` is 88).
     #[test]
     fn paper_suite_traces_take_at_most_45_bytes_per_instruction() {
         let (mut insts, mut bytes) = (0, 0);

@@ -495,8 +495,41 @@ fn hand_written_edge_lines_decode_alike() {
         r#""\u0070rogram": "tr\u0066d""#,
     );
     assert_eq!(decode_both(&escaped).as_ref(), Ok(&expected));
-    // Number spellings go through the tree's f64 rule. A plain literal
-    // of up to 15 digits is read straight into an integer by the typed
+    // Number spellings go through the tree's f64 rule.
+    for (literal, value) in [
+        ("1.0", 1),
+        ("1e0", 1),
+        ("-0", 0),
+        ("9007199254740993", 1 << 53),
+    ] {
+        let line = edit(&sim, r#""branch": 1"#, &format!(r#""branch": {literal}"#));
+        match decode_both(&line) {
+            Ok(Request::Sim {
+                req:
+                    SimRequest {
+                        machine: MachineConfig::Ooo(c),
+                        ..
+                    },
+                ..
+            }) => assert_eq!(u64::from(c.lat.branch), value, "{literal}"),
+            // 2^53 does not fit the field's u32.
+            Err(e) => assert!(value > u64::from(u32::MAX), "{e}"),
+            Ok(other) => panic!("{other:?}"),
+        }
+        let line = edit(
+            &sim,
+            r#""btb_entries": 64"#,
+            &format!(r#""btb_entries": {literal}"#),
+        );
+        let decoded = decode_both(&line);
+        if value == 1 {
+            assert!(decoded.is_ok(), "{line}");
+        } else {
+            assert!(decoded.is_err(), "{line}");
+        }
+    }
+    // The literal boundaries of the integer reader: a plain literal of
+    // up to 15 digits is read straight into an integer by the typed
     // decoder and must land on the same value; 16 digits and past 2^53
     // take the f64 path in both.
     let ooo = |line: &str| match decode_both(line) {
