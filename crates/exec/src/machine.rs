@@ -431,7 +431,7 @@ impl Machine {
 
     /// Executes a whole trace in program order.
     pub fn run(&mut self, trace: &Trace) {
-        for inst in trace {
+        for inst in trace.iter() {
             self.execute(&inst);
         }
     }

@@ -47,4 +47,4 @@ pub use inst::{BranchInfo, Instruction, MemKind, MemRef, MAX_SRCS};
 pub use latency::LatencyModel;
 pub use opcode::{FuClass, LatClass, Opcode};
 pub use reg::{ArchReg, RegClass, MAX_VL, NUM_A_REGS, NUM_MASK_REGS, NUM_S_REGS, NUM_V_REGS};
-pub use trace::{InstRecord, Instructions, Trace, TraceStats};
+pub use trace::{InstRecord, Trace, TraceStats};

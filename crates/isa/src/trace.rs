@@ -482,12 +482,8 @@ impl Trace {
     }
 
     /// Iterator over the decoded instructions.
-    #[must_use]
-    pub fn iter(&self) -> Instructions<'_> {
-        Instructions {
-            trace: self,
-            records: self.records.iter(),
-        }
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Instruction> + '_ {
+        self.records.iter().map(|r| self.decode(r))
     }
 
     /// Total busy cycles each vector unit class would need, ignoring all
@@ -514,27 +510,6 @@ impl Trace {
     }
 }
 
-/// Iterator over a [`Trace`]'s decoded instructions.
-#[derive(Debug, Clone)]
-pub struct Instructions<'a> {
-    trace: &'a Trace,
-    records: std::slice::Iter<'a, InstRecord>,
-}
-
-impl Iterator for Instructions<'_> {
-    type Item = Instruction;
-
-    fn next(&mut self) -> Option<Instruction> {
-        self.records.next().map(|r| self.trace.decode(r))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.records.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Instructions<'_> {}
-
 impl FromIterator<Instruction> for Trace {
     fn from_iter<T: IntoIterator<Item = Instruction>>(iter: T) -> Self {
         let mut t = Trace::new("anonymous");
@@ -548,15 +523,6 @@ impl Extend<Instruction> for Trace {
         for i in iter {
             self.push(i);
         }
-    }
-}
-
-impl<'a> IntoIterator for &'a Trace {
-    type Item = Instruction;
-    type IntoIter = Instructions<'a>;
-
-    fn into_iter(self) -> Instructions<'a> {
-        self.iter()
     }
 }
 
@@ -771,7 +737,7 @@ mod tests {
         let mut state = 7;
         let t: Trace = (0..500).map(|i| random_inst(&mut state, i)).collect();
         let (mut mem, mut fu2_only, mut fu_total) = (0, 0, 0);
-        for i in &t {
+        for i in t.iter() {
             match i.op.fu_class() {
                 FuClass::Mem => mem += i.ops(),
                 FuClass::VecFu2Only => {
