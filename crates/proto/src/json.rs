@@ -299,7 +299,7 @@ pub(crate) fn write_num<S: Sink>(out: &mut S, n: f64) {
 }
 
 /// Writes `n` in decimal, exactly as `n.to_string()` would.
-pub(crate) fn write_int<S: Sink>(out: &mut S, n: i64) {
+fn write_int<S: Sink>(out: &mut S, n: i64) {
     let mut v = n.unsigned_abs();
     // 19 digits for |i64::MIN|, plus the sign.
     let mut text = [0u8; 20];
@@ -655,9 +655,7 @@ impl<'a> Parser<'a> {
     /// Reads a non-negative integral number, or skips another value
     /// for `None`: the pull form of [`Json::as_u64`], with the same
     /// rule (`1.0`, `1e0` and `-0` are 1, 1 and 0; past 2^53 the
-    /// literal rounds to an `f64` first). A plain literal of 1–15
-    /// digits is read straight into the integer, which is what the
-    /// rule gives it; every other spelling goes through the `f64`.
+    /// literal rounds to an `f64` first).
     ///
     /// # Errors
     ///
@@ -666,12 +664,6 @@ impl<'a> Parser<'a> {
         if self.peek_kind() != Some(Kind::Num) {
             return self.skip().map(|()| None);
         }
-        let start = self.pos;
-        let (int, digits) = self.digits();
-        if self.plain_int(digits) {
-            return Ok(Some(int));
-        }
-        self.pos = start;
         self.number().map(u64_of)
     }
 
@@ -842,25 +834,6 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Reads the run of digits under the cursor into a `u64`
-    /// (wrapping past 19 digits) and returns it with the digit count.
-    fn digits(&mut self) -> (u64, usize) {
-        let start = self.pos;
-        let mut int: u64 = 0;
-        while let Some(c) = self.peek().filter(u8::is_ascii_digit) {
-            int = int.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
-            self.pos += 1;
-        }
-        (int, self.pos - start)
-    }
-
-    /// `true` when the `digits` just read are a whole integer literal
-    /// the digit loop holds exactly: 1–15 of them (below 10^15 < 2^53)
-    /// with no fraction or exponent after them.
-    fn plain_int(&self, digits: usize) -> bool {
-        (1..=15).contains(&digits) && !matches!(self.peek(), Some(b'.' | b'e' | b'E'))
-    }
-
     /// Parses a number. An integer literal of at most 15 digits (below
     /// 10^15 < 2^53) is accumulated as a `u64` and converted once: the
     /// conversion is exact, so it equals what `str::parse::<f64>`
@@ -872,8 +845,14 @@ impl<'a> Parser<'a> {
         if negative {
             self.pos += 1;
         }
-        let (int, digits) = self.digits();
-        if self.plain_int(digits) {
+        let digits_start = self.pos;
+        let mut int: u64 = 0;
+        while let Some(c) = self.peek().filter(u8::is_ascii_digit) {
+            int = int.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+            self.pos += 1;
+        }
+        let digits = self.pos - digits_start;
+        if (1..=15).contains(&digits) && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             let n = int as f64;
             return Ok(if negative { -n } else { n });
         }

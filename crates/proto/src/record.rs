@@ -19,7 +19,7 @@
 //! in list order, so the first bad field is reported whatever the
 //! input's key order. Defaults stay in the struct's `Default`.
 
-use crate::json::{write_int, write_num};
+use crate::json::write_num;
 use crate::{Json, ParseError, Parser, Sink};
 
 /// A decoded field value: `Err(None)` for one of the wrong type or
@@ -95,12 +95,9 @@ macro_rules! unsigned_field {
             }
 
             fn write_field<S: Sink>(&self, out: &mut S) {
-                // As `to_field`'s `Json::Num`: exact below 2^53 (the
-                // digits, written directly), rounded past it.
-                match i64::try_from(*self) {
-                    Ok(n) if n < 1 << 53 => write_int(out, n),
-                    _ => write_num(out, *self as f64),
-                }
+                // As `to_field`'s `Json::Num`: exact below 2^53, rounded
+                // past it.
+                write_num(out, *self as f64);
             }
 
             fn from_value(v: &Json) -> Decoded<Self> {

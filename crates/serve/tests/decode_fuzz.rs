@@ -528,10 +528,9 @@ fn hand_written_edge_lines_decode_alike() {
             assert!(decoded.is_err(), "{line}");
         }
     }
-    // The literal boundaries of the integer reader: a plain literal of
-    // up to 15 digits is read straight into an integer by the typed
-    // decoder and must land on the same value; 16 digits and past 2^53
-    // take the f64 path in both.
+    // The literal boundaries of the integer reader: up to 15 digits a
+    // plain literal converts to the f64 exactly, 16 digits and past
+    // 2^53 it rounds; both decoders must land on the same value.
     let ooo = |line: &str| match decode_both(line) {
         Ok(Request::Sim {
             req:
