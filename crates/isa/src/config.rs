@@ -11,12 +11,24 @@
 //! [`OooConfig::validate`] and [`ScalarCacheCfg::validate`]
 //! ([`RefConfig::validate`] goes through the latter): decoding returns
 //! their error, and the simulators assert them on construction.
+//!
+//! The blocks are *defaulting* records. A decoder takes a missing field
+//! from the enclosing default: an OOOVA `cfg` without `lat` gets
+//! [`LatencyModel::ooo`], a REF `cfg` without it
+//! [`LatencyModel::reference`], and `"cfg": {}` is the machine's
+//! `Default`. A key that names no field is an error, so a misspelt
+//! field cannot silently become its default, and `"scalar_cache":
+//! null` still turns the cache off. [`MachineConfig::write_compact`]
+//! writes only the fields that differ from the machine's `Default`;
+//! [`MachineConfig::write_json`] writes every field, and it alone
+//! feeds the fingerprint.
 
 use std::borrow::Cow;
 use std::hash::Hasher as _;
 
 use oov_proto::{
-    json_record, write_str, Decoded, Fnv1a, Json, JsonField, ParseError, Parser, Sink,
+    first_unknown_key, json_record, unknown_field, write_str, Decoded, Fnv1a, Json, JsonField,
+    ParseError, Parser, Sink,
 };
 
 use crate::LatencyModel;
@@ -402,6 +414,7 @@ impl ScalarCacheCfg {
 json_record!(
     ScalarCacheCfg,
     "scalar cache",
+    defaulting,
     [size_bytes, line_bytes, hit_latency],
     validate
 );
@@ -409,6 +422,7 @@ json_record!(
 json_record!(
     RefConfig,
     "ref config",
+    defaulting,
     [lat, banked_ports, chain_fu, chain_loads, scalar_cache],
     validate
 );
@@ -416,6 +430,7 @@ json_record!(
 json_record!(
     OooConfig,
     "ooo config",
+    defaulting,
     [
         lat,
         phys_v_regs,
@@ -455,7 +470,8 @@ impl MachineConfig {
     }
 
     /// Writes the configuration, tagged with the machine kind: the
-    /// bytes of [`MachineConfig::to_json`], with no tree.
+    /// canonical encoding, every field, the bytes of
+    /// [`MachineConfig::to_json`], with no tree.
     pub fn write_json<S: Sink>(&self, out: &mut S) {
         match self {
             MachineConfig::Ref(c) => {
@@ -465,6 +481,24 @@ impl MachineConfig {
             MachineConfig::Ooo(c) => {
                 out.put(r#"{"machine": "ooo", "cfg": "#);
                 c.write_json(out);
+            }
+        }
+        out.put("}");
+    }
+
+    /// Writes the configuration, tagged with the machine kind, with
+    /// only the fields that differ from the machine's `Default`: the
+    /// default OOOVA is `{"machine": "ooo", "cfg": {}}`. Both decoders
+    /// read it back to `self`.
+    pub fn write_compact<S: Sink>(&self, out: &mut S) {
+        match self {
+            MachineConfig::Ref(c) => {
+                out.put(r#"{"machine": "ref", "cfg": "#);
+                c.write_compact(&RefConfig::default(), out);
+            }
+            MachineConfig::Ooo(c) => {
+                out.put(r#"{"machine": "ooo", "cfg": "#);
+                c.write_compact(&OooConfig::default(), out);
             }
         }
         out.put("}");
@@ -483,13 +517,17 @@ impl MachineConfig {
         }
     }
 
-    /// Decodes the [`MachineConfig::to_json`] encoding.
+    /// Decodes the [`MachineConfig::to_json`] encoding, or a compact
+    /// one, whose missing `cfg` fields come from the machine's
+    /// `Default`.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing or malformed field.
+    /// Returns a message naming the first unknown key, or the missing
+    /// or malformed field.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         Self::decode_parts(
+            first_unknown_key(v, |key| matches!(key, "machine" | "cfg")),
             v.get("machine").and_then(Json::as_str),
             v.get("cfg"),
             |cfg, kind| match kind {
@@ -512,6 +550,7 @@ impl MachineConfig {
         // The config read as the tag named it, or the parser at a
         // config that came first.
         let mut cfg: Option<Result<Result<Self, String>, Parser<'_>>> = None;
+        let mut unknown = None;
         p.object(|p, key| match &*key {
             "machine" => p.first(&mut kind, Parser::str),
             "cfg" => p.first(&mut cfg, |p| {
@@ -523,9 +562,10 @@ impl MachineConfig {
                     }
                 }
             }),
-            _ => p.skip(),
+            _ => p.skip_unknown(&mut unknown, key),
         })?;
         Ok(Self::decode_parts(
+            unknown.as_deref(),
             kind.flatten().as_deref(),
             cfg,
             |cfg, kind| match cfg {
@@ -544,14 +584,19 @@ impl MachineConfig {
         })
     }
 
-    /// The validation sequence of both decoders: `kind` is the first
-    /// `machine` value if it is a string, and `decode` reads `cfg`, the
-    /// first `cfg` value, as the config of the machine it names.
+    /// The validation sequence of both decoders: `unknown` is the
+    /// first key that names no field, `kind` is the first `machine`
+    /// value if it is a string, and `decode` reads `cfg`, the first
+    /// `cfg` value, as the config of the machine it names.
     fn decode_parts<C>(
+        unknown: Option<&str>,
         kind: Option<&str>,
         cfg: Option<C>,
         decode: impl FnOnce(C, MachineKind) -> Result<Self, String>,
     ) -> Result<Self, String> {
+        if let Some(key) = unknown {
+            return Err(unknown_field("machine config", key));
+        }
         let name =
             kind.ok_or_else(|| "machine config: bad or missing field `machine`".to_string())?;
         let cfg = cfg.ok_or_else(|| "machine config: missing field `cfg`".to_string())?;
@@ -823,20 +868,123 @@ mod tests {
         }
         for cfg in points {
             assert_eq!(MachineConfig::from_json(&cfg.to_json()), Ok(cfg));
+            let mut compact = String::new();
+            cfg.write_compact(&mut compact);
+            assert_eq!(decode(&compact), Ok(cfg), "{compact}");
         }
     }
 
+    /// Both decoders of a machine config on one line, checked equal.
+    fn decode(line: &str) -> Result<MachineConfig, String> {
+        let mut p = Parser::new(line);
+        let typed = MachineConfig::read_json(&mut p)
+            .and_then(|r| p.end().map(|()| r))
+            .unwrap_or_else(|e| Err(e.to_string()));
+        let tree = Json::parse(line)
+            .map_err(|e| e.to_string())
+            .and_then(|v| MachineConfig::from_json(&v));
+        assert_eq!(typed, tree, "{line}");
+        typed
+    }
+
     #[test]
-    fn a_missing_scalar_cache_is_an_error_and_null_is_off() {
-        let err = OooConfig::from_json(&ooo_with("scalar_cache", None)).unwrap_err();
-        assert_eq!(err, "ooo config: bad or missing field `scalar_cache`");
+    fn a_missing_field_takes_the_machines_default() {
+        // `LatencyModel::default()` is the REF table: each machine's
+        // latencies come from its own `Default`, not the latency
+        // model's.
+        let ooo = |cfg: &str| decode(&format!(r#"{{"machine": "ooo", "cfg": {cfg}}}"#));
+        let rf = |cfg: &str| decode(&format!(r#"{{"machine": "ref", "cfg": {cfg}}}"#));
+        assert_eq!(ooo("{}"), Ok(MachineConfig::Ooo(OooConfig::default())));
+        assert_eq!(rf("{}"), Ok(MachineConfig::Ref(RefConfig::default())));
+        let Ok(MachineConfig::Ooo(c)) = ooo(r#"{"phys_v_regs": 32}"#) else {
+            panic!("an OOOVA config")
+        };
+        assert_eq!((c.lat, c.lat.vstartup), (LatencyModel::ooo(), 0));
+        assert_eq!(c, OooConfig::default().with_phys_v_regs(32));
+        let Ok(MachineConfig::Ref(c)) = rf(r#"{"chain_loads": true}"#) else {
+            panic!("a REF config")
+        };
+        assert_eq!((c.lat, c.lat.vstartup), (LatencyModel::reference(), 1));
+        // A partial latency table fills in from the machine's too.
+        assert_eq!(
+            ooo(r#"{"lat": {"memory": 100}}"#),
+            Ok(MachineConfig::Ooo(
+                OooConfig::default().with_memory_latency(100)
+            ))
+        );
+        assert_eq!(
+            rf(r#"{"lat": {"memory": 100}}"#),
+            Ok(MachineConfig::Ref(
+                RefConfig::default().with_memory_latency(100)
+            ))
+        );
+        // A partial scalar cache fills in from the machine's cache.
+        let Ok(MachineConfig::Ooo(c)) = ooo(r#"{"scalar_cache": {"hit_latency": 5}}"#) else {
+            panic!("an OOOVA config")
+        };
+        let cache = ScalarCacheCfg {
+            hit_latency: 5,
+            ..ScalarCacheCfg::default()
+        };
+        assert_eq!(c.scalar_cache, Some(cache));
+    }
+
+    #[test]
+    fn a_missing_scalar_cache_is_the_default_and_null_is_off() {
+        let on = OooConfig::from_json(&ooo_with("scalar_cache", None)).unwrap();
+        assert_eq!(on.scalar_cache, Some(ScalarCacheCfg::default()));
         let off = OooConfig::from_json(&ooo_with("scalar_cache", Some(Json::Null))).unwrap();
         assert_eq!(off.scalar_cache, None);
         let mut v = RefConfig::default().to_json();
         if let Json::Obj(pairs) = &mut v {
             pairs.retain(|(k, _)| k != "scalar_cache");
         }
-        assert!(RefConfig::from_json(&v).is_err());
+        assert_eq!(RefConfig::from_json(&v), Ok(RefConfig::default()));
+        let off = MachineConfig::Ref(RefConfig {
+            scalar_cache: None,
+            ..RefConfig::default()
+        });
+        let mut line = String::new();
+        off.write_compact(&mut line);
+        assert_eq!(line, r#"{"machine": "ref", "cfg": {"scalar_cache": null}}"#);
+        assert_eq!(decode(&line), Ok(off));
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_at_every_level() {
+        for (line, error) in [
+            (
+                r#"{"machine": "ooo", "cfg": {}, "cgf": {}}"#,
+                "machine config: unknown field `cgf`",
+            ),
+            (
+                r#"{"machine": "ooo", "cfg": {"phys_v_reg": 32}}"#,
+                "ooo config: unknown field `phys_v_reg`",
+            ),
+            (
+                r#"{"machine": "ref", "cfg": {"lat": {"mem": 1}}}"#,
+                "latency model: unknown field `mem`",
+            ),
+            (
+                r#"{"cfg": {"scalar_cache": {"ways": 2}}, "machine": "ooo"}"#,
+                "scalar cache: unknown field `ways`",
+            ),
+            // The machine's unknown key comes before its config's.
+            (
+                r#"{"machine": "ooo", "cfg": {"x": 1}, "y": 2}"#,
+                "machine config: unknown field `y`",
+            ),
+            (
+                r#"{"machine": "ooo", "cfg": {"lat": null}}"#,
+                "latency model: not an object",
+            ),
+            (
+                r#"{"machine": "ooo", "cfg": 7}"#,
+                "ooo config: not an object",
+            ),
+        ] {
+            assert_eq!(decode(line), Err(error.to_string()), "{line}");
+        }
     }
 
     #[test]

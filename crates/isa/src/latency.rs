@@ -134,9 +134,12 @@ impl LatencyModel {
     }
 }
 
+// A defaulting record: a request names only the latencies it changes,
+// and an absent one comes from the enclosing machine's table.
 oov_proto::json_record!(
     LatencyModel,
     "latency model",
+    defaulting,
     [
         read_xbar,
         write_xbar,

@@ -713,6 +713,23 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    /// Skips the value of `key`, a key that names no field of the
+    /// object being read, and keeps the first such key in `first`.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    pub fn skip_unknown(
+        &mut self,
+        first: &mut Option<Cow<'a, str>>,
+        key: Cow<'a, str>,
+    ) -> Result<(), ParseError> {
+        if first.is_none() {
+            *first = Some(key);
+        }
+        self.skip()
+    }
+
     fn walk_array(
         &mut self,
         mut each: impl FnMut(&mut Self) -> Result<(), ParseError>,
@@ -834,11 +851,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses a number. An integer literal of at most 15 digits (below
-    /// 10^15 < 2^53) is accumulated as a `u64` and converted once: the
-    /// conversion is exact, so it equals what `str::parse::<f64>`
-    /// returns, negative zero included. Every other literal goes to
-    /// `str::parse::<f64>`.
+    /// Parses a number, in the grammar of RFC 8259: an optional minus,
+    /// an integer part that is `0` or starts with a nonzero digit, an
+    /// optional fraction of one or more digits, and an optional
+    /// exponent of one or more digits. An integer literal of at most 15
+    /// digits (below 10^15 < 2^53) is accumulated as a `u64` and
+    /// converted once: the conversion is exact, so it equals what
+    /// `str::parse::<f64>` returns, negative zero included. Every other
+    /// literal goes to `str::parse::<f64>`.
     fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
@@ -852,24 +872,23 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let digits = self.pos - digits_start;
-        if (1..=15).contains(&digits) && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+        if digits == 0 || (digits > 1 && self.bytes[digits_start] == b'0') {
+            return Err(self.err("invalid number"));
+        }
+        if digits <= 15 && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             let n = int as f64;
             return Ok(if negative { -n } else { n });
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         match self.text[start..self.pos].parse::<f64>() {
             // A literal past f64's range parses as infinity, which the
@@ -879,6 +898,18 @@ impl<'a> Parser<'a> {
             Ok(n) => Ok(n),
             Err(_) => Err(self.err("invalid number")),
         }
+    }
+
+    /// Skips the one or more digits a fraction or an exponent needs.
+    fn digits(&mut self) -> Result<(), ParseError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("invalid number"));
+        }
+        Ok(())
     }
 }
 
@@ -952,6 +983,53 @@ mod tests {
     }
 
     #[test]
+    fn numbers_follow_the_json_grammar() {
+        // A leading zero before another digit, a point without a digit
+        // after it, and a sign or exponent without digits.
+        for (bad, offset) in [
+            ("007", 3),
+            ("-007", 4),
+            ("00", 2),
+            ("01.5", 2),
+            ("-01", 3),
+            ("1.", 2),
+            ("1.e3", 2),
+            ("-1.", 3),
+            ("0.", 2),
+            ("-", 1),
+            ("-x", 1),
+            ("1e", 2),
+            ("1e+", 3),
+            ("1.5E-", 5),
+            ("0123456789012345678", 19),
+        ] {
+            let err = Json::parse(bad).expect_err(bad);
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                ("invalid number", offset),
+                "{bad}"
+            );
+            // The pull reader shares the rule.
+            let err = Parser::new(bad).u64().expect_err(bad);
+            assert_eq!(err.offset, offset, "{bad}");
+        }
+        for (good, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("0.5", 0.5),
+            ("-0.5", -0.5),
+            ("0e0", 0.0),
+            ("0E+2", 0.0),
+            ("10", 10.0),
+            ("100.25", 100.25),
+            ("1e3", 1000.0),
+            ("1.5e-1", 0.15),
+        ] {
+            assert_eq!(Json::parse(good), Ok(Json::Num(value)), "{good}");
+        }
+    }
+
+    #[test]
     fn rejects_deep_nesting() {
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(Json::parse(&deep).is_err());
@@ -992,8 +1070,6 @@ mod tests {
         let mut literals: Vec<String> = [
             "0",
             "-0",
-            "007",
-            "-007",
             "123456789012345",
             "-999999999999999",
             "1234567890123456",

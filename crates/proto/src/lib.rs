@@ -17,7 +17,10 @@
 //!   writes its typed codec (`write_json`/`read_json`, the request
 //!   path's) and its tree codec (`to_json`/`from_json`, the artifacts',
 //!   the journal's and the tests' oracle), so a field's wire name is
-//!   written once;
+//!   written once. A `strict` record needs every field; a `defaulting`
+//!   one fills a missing field from its default, rejects unknown keys
+//!   and gets a compact writer that leaves out what equals the
+//!   default;
 //! * [`Fnv1a`] — the 64-bit FNV-1a hash, used for stable config and
 //!   request fingerprints (stable across processes and platforms,
 //!   unlike `std::collections::hash_map::DefaultHasher`);
@@ -50,4 +53,4 @@ pub use crc::{crc32, Crc32};
 pub use fnv::{fingerprint_bytes, Fnv1a};
 pub use frame::{frame_record, FrameReader, FrameStop, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD};
 pub use json::{write_str, Json, ParseError, Parser, Sink};
-pub use record::{Decoded, JsonField};
+pub use record::{first_unknown_key, unknown_field, Decoded, JsonField};

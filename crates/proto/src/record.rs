@@ -1,9 +1,9 @@
 //! Declared JSON records: one field list writes a struct's codecs.
 //!
-//! [`json_record!`](crate::json_record) takes a struct and the names of
-//! its fields in wire order and writes two codecs for an object with
-//! one key per field, each value handled by the field type's
-//! [`JsonField`] impl:
+//! [`json_record!`](crate::json_record) takes a struct, a decoding
+//! mode and the names of its fields in wire order, and writes the
+//! codecs of an object with one key per field, each value handled by
+//! the field type's [`JsonField`] impl:
 //!
 //! * the typed codec of the request path: `write_json` walks the
 //!   fields into any [`Sink`] (a line buffer, or a fingerprint hash),
@@ -12,12 +12,31 @@
 //! * the tree codec, `to_json` and `from_json`, which the artifacts
 //!   and the journal use and which the tests hold the typed codec to.
 //!
+//! `write_json` and `to_json` write the *canonical* encoding, every
+//! field in list order; fingerprints hash it and the journal stores
+//! it. The mode decides what the decoders accept:
+//!
+//! * a `strict` record (a result's counters) needs every field, and
+//!   skips a key that names no field;
+//! * a `defaulting` record (the machine configurations) takes a
+//!   missing field from a *base* value and rejects a key that names no
+//!   field, ``{what}: unknown field `{key}` ``, so a misspelt field cannot
+//!   silently become its default. Its base is the enclosing record's
+//!   value of the field, and the struct's `Default` at the top: an
+//!   OOOVA config without `lat` decodes to the OOOVA's latency table,
+//!   not to `LatencyModel`'s own `Default`. A defaulting record also
+//!   gets `write_compact`, which leaves out every field equal to the
+//!   base's, so a request line carries only what differs from the
+//!   default machine.
+//!
 //! The field list is the only place a field's wire name is written.
 //! Both decoders gather each field's first value and then run one
 //! validation sequence, written once in the macro: the struct is built
 //! with a literal (a field missing from the list is a compile error),
 //! in list order, so the first bad field is reported whatever the
-//! input's key order. Defaults stay in the struct's `Default`.
+//! input's key order. A defaulting record checks for an unknown key
+//! (the first in the object) before any field. Defaults stay in the
+//! struct's `Default`.
 
 use crate::json::write_num;
 use crate::{Json, ParseError, Parser, Sink};
@@ -26,10 +45,35 @@ use crate::{Json, ParseError, Parser, Sink};
 /// range, `Err(Some(message))` for a nested record's own error.
 pub type Decoded<T> = Result<T, Option<String>>;
 
+/// The error of a defaulting record, or of a request message, for a
+/// key that names none of its fields.
+#[must_use]
+pub fn unknown_field(what: &str, key: &str) -> String {
+    format!("{what}: unknown field `{key}`")
+}
+
+/// The first key of the object `v` that `is_field` does not name (none
+/// when `v` is not an object): the key a typed decoder keeps with
+/// [`Parser::skip_unknown`] as it walks the same object.
+pub fn first_unknown_key(v: &Json, is_field: impl Fn(&str) -> bool) -> Option<&str> {
+    match v {
+        Json::Obj(pairs) => pairs
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .find(|key| !is_field(key)),
+        _ => None,
+    }
+}
+
 /// A type a [`json_record!`](crate::json_record) field can hold. Each
 /// pair of methods (tree and typed) must agree: `write_field` writes
 /// the bytes `to_field` encodes to, and `read_field` decides what
 /// `from_value` decides on the same value.
+///
+/// The `_over` methods serve defaulting records, which decode a field
+/// over a base value and write it against one. Only a defaulting
+/// record (and an `Option` of one) overrides them; for any other type
+/// the base changes nothing.
 pub trait JsonField: Sized {
     /// The value's encoding, as a tree.
     fn to_field(&self) -> Json;
@@ -50,6 +94,35 @@ pub trait JsonField: Sized {
     ///
     /// A syntax error; the semantic outcome is the inner [`Decoded`].
     fn read_field(p: &mut Parser<'_>) -> Result<Decoded<Self>, ParseError>;
+
+    /// Writes the value for a reader that knows `base`: what
+    /// `read_field_over` with that base decodes back to `self`.
+    fn write_field_over<S: Sink>(&self, base: &Self, out: &mut S) {
+        let _ = base;
+        self.write_field(out);
+    }
+
+    /// Decodes a tree value whose absent nested fields come from
+    /// `base`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Decoded`].
+    fn from_value_over(v: &Json, base: &Self) -> Decoded<Self> {
+        let _ = base;
+        Self::from_value(v)
+    }
+
+    /// Reads the value under the parser's cursor, its absent nested
+    /// fields taken from `base`.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error; the semantic outcome is the inner [`Decoded`].
+    fn read_field_over(p: &mut Parser<'_>, base: &Self) -> Result<Decoded<Self>, ParseError> {
+        let _ = base;
+        Self::read_field(p)
+    }
 
     /// Field `name` of a `what` record, from the first value of its
     /// key (`None` when the key is absent): the validation step both
@@ -113,7 +186,11 @@ macro_rules! unsigned_field {
 
 unsigned_field!(u32, u64, usize);
 
-/// `null` is `None`; an absent key is still an error.
+/// `null` is `None`. In a strict record an absent key is still an
+/// error; in a defaulting record it takes the base's value, so only
+/// `null` turns an optional part off. A `Some` over a `Some` base is
+/// written and read over the base's value; over a `None` base it is
+/// written in full and read over its own type's default.
 impl<T: JsonField> JsonField for Option<T> {
     fn to_field(&self) -> Json {
         self.as_ref().map_or(Json::Null, T::to_field)
@@ -139,11 +216,38 @@ impl<T: JsonField> JsonField for Option<T> {
         }
         Ok(T::read_field(p)?.map(Some))
     }
+
+    fn write_field_over<S: Sink>(&self, base: &Self, out: &mut S) {
+        match (self, base) {
+            (Some(v), Some(base)) => v.write_field_over(base, out),
+            _ => self.write_field(out),
+        }
+    }
+
+    fn from_value_over(v: &Json, base: &Self) -> Decoded<Self> {
+        match (v, base) {
+            (Json::Null, _) => Ok(None),
+            (v, Some(base)) => T::from_value_over(v, base).map(Some),
+            (v, None) => T::from_value(v).map(Some),
+        }
+    }
+
+    fn read_field_over(p: &mut Parser<'_>, base: &Self) -> Result<Decoded<Self>, ParseError> {
+        if p.null()? {
+            return Ok(Ok(None));
+        }
+        Ok(match base {
+            Some(base) => T::read_field_over(p, base)?,
+            None => T::read_field(p)?,
+        }
+        .map(Some))
+    }
 }
 
 /// Writes the typed codec (`write_json`, `read_json`), the tree codec
 /// (`to_json`, `from_json`) and the [`JsonField`] impl of a struct from
-/// its field names in wire order:
+/// its decoding mode, `strict` or `defaulting`, and its field names in
+/// wire order:
 ///
 /// ```
 /// use oov_proto::{json_record, Json, Parser};
@@ -153,7 +257,7 @@ impl<T: JsonField> JsonField for Option<T> {
 ///     x: u32,
 ///     y: Option<u64>,
 /// }
-/// json_record!(Point, "point", [x, y]);
+/// json_record!(Point, "point", strict, [x, y]);
 ///
 /// let p = Point { x: 1, y: None };
 /// let mut line = String::new();
@@ -166,6 +270,33 @@ impl<T: JsonField> JsonField for Option<T> {
 /// assert_eq!(err, Err("point: bad or missing field `y`".to_string()));
 /// ```
 ///
+/// A `defaulting` record (which must be `Clone + Default + PartialEq`)
+/// also gets `write_compact`, `read_json_over` and `from_json_over`:
+///
+/// ```
+/// use oov_proto::{json_record, Json};
+///
+/// #[derive(Debug, Clone, PartialEq)]
+/// struct Size {
+///     w: u32,
+///     h: u32,
+/// }
+/// impl Default for Size {
+///     fn default() -> Self {
+///         Size { w: 4, h: 3 }
+///     }
+/// }
+/// json_record!(Size, "size", defaulting, [w, h]);
+///
+/// let s = Size { w: 4, h: 9 };
+/// let mut line = String::new();
+/// s.write_compact(&Size::default(), &mut line);
+/// assert_eq!(line, r#"{"h": 9}"#);
+/// assert_eq!(Size::from_json(&Json::parse(&line).unwrap()), Ok(s));
+/// let err = Size::from_json(&Json::parse(r#"{"width": 5}"#).unwrap());
+/// assert_eq!(err, Err("size: unknown field `width`".to_string()));
+/// ```
+///
 /// A trailing `validate` makes both decoders return the struct's
 /// `validate(&self) -> Result<(), String>` error for a well-formed
 /// value it rejects.
@@ -174,21 +305,13 @@ macro_rules! json_record {
     (
         $ty:ty,
         $what:literal,
+        strict,
         [$first:ident $(, $field:ident)* $(,)?]
         $(, $validate:ident)?
     ) => {
-        impl $ty {
-            #[doc = concat!("Writes the ", $what, " as a JSON object, one key per field: the bytes of `to_json`, with no tree.")]
-            pub fn write_json<S: $crate::Sink>(&self, out: &mut S) {
-                out.put(concat!("{\"", stringify!($first), "\": "));
-                $crate::JsonField::write_field(&self.$first, out);
-                $(
-                    out.put(concat!(", \"", stringify!($field), "\": "));
-                    $crate::JsonField::write_field(&self.$field, out);
-                )*
-                out.put("}");
-            }
+        $crate::json_record!(@common $ty, $what, [$first $(, $field)*]);
 
+        impl $ty {
             #[doc = concat!("Reads the ", $what, " under the parser's cursor, deciding what `from_json` decides on the same value.")]
             ///
             /// # Errors
@@ -208,15 +331,6 @@ macro_rules! json_record {
                 Ok($crate::json_record!(@build $what, [$first $(, $field)*] $(, $validate)?))
             }
 
-            #[doc = concat!("Encodes the ", $what, " as a JSON object tree, one key per field.")]
-            #[must_use]
-            pub fn to_json(&self) -> $crate::Json {
-                $crate::Json::Obj(vec![
-                    (stringify!($first).to_string(), $crate::JsonField::to_field(&self.$first)),
-                    $((stringify!($field).to_string(), $crate::JsonField::to_field(&self.$field)),)*
-                ])
-            }
-
             #[doc = concat!("Decodes the ", $what, " encoding `to_json` writes.")]
             ///
             /// # Errors
@@ -231,13 +345,7 @@ macro_rules! json_record {
         }
 
         impl $crate::JsonField for $ty {
-            fn to_field(&self) -> $crate::Json {
-                self.to_json()
-            }
-
-            fn write_field<S: $crate::Sink>(&self, out: &mut S) {
-                self.write_json(out);
-            }
+            $crate::json_record!(@field_common);
 
             fn from_value(v: &$crate::Json) -> $crate::Decoded<Self> {
                 Self::from_json(v).map_err(Some)
@@ -250,12 +358,184 @@ macro_rules! json_record {
             }
         }
     };
-    // The validation sequence both decoders run, over locals named
-    // after the fields that hold each key's first decoded value.
+    (
+        $ty:ty,
+        $what:literal,
+        defaulting,
+        [$($field:ident),+ $(,)?]
+        $(, $validate:ident)?
+    ) => {
+        $crate::json_record!(@common $ty, $what, [$($field),+]);
+
+        impl $ty {
+            #[doc = concat!("Writes the ", $what, " as a JSON object with only the fields that differ from `base`: what `read_json_over` with that base decodes back to `self`.")]
+            #[allow(unused_assignments)]
+            pub fn write_compact<S: $crate::Sink>(&self, base: &Self, out: &mut S) {
+                out.put("{");
+                let mut separator = "";
+                $(
+                    if self.$field != base.$field {
+                        out.put(separator);
+                        out.put(concat!("\"", stringify!($field), "\": "));
+                        $crate::JsonField::write_field_over(&self.$field, &base.$field, out);
+                        separator = ", ";
+                    }
+                )+
+                out.put("}");
+            }
+
+            #[doc = concat!("Reads the ", $what, " under the parser's cursor over `Self::default()`: `read_json_over`.")]
+            ///
+            /// # Errors
+            ///
+            /// As `read_json_over`.
+            pub fn read_json(
+                p: &mut $crate::Parser<'_>,
+            ) -> Result<Result<Self, String>, $crate::ParseError> {
+                Self::read_json_over(p, &Self::default())
+            }
+
+            #[doc = concat!("Reads the ", $what, " under the parser's cursor, a missing field taken from `base`, deciding what `from_json_over` decides on the same value.")]
+            ///
+            /// # Errors
+            ///
+            /// A syntax error. The inner result names a value that is
+            /// not an object, the first unknown key, the first
+            /// malformed field, or the bound the value breaks.
+            pub fn read_json_over(
+                p: &mut $crate::Parser<'_>,
+                base: &Self,
+            ) -> Result<Result<Self, String>, $crate::ParseError> {
+                $(let mut $field = None;)+
+                let mut unknown = None;
+                let is_object = p.object(|p, key| match &*key {
+                    $(stringify!($field) => p.first(&mut $field, |p| {
+                        $crate::JsonField::read_field_over(p, &base.$field)
+                    }),)+
+                    _ => p.skip_unknown(&mut unknown, key),
+                })?;
+                if !is_object {
+                    return Ok(Err(concat!($what, ": not an object").to_string()));
+                }
+                if let Some(key) = unknown {
+                    return Ok(Err($crate::unknown_field($what, &key)));
+                }
+                Ok($crate::json_record!(@build_over $what, base, [$($field),+] $(, $validate)?))
+            }
+
+            #[doc = concat!("Decodes a ", $what, " over `Self::default()`: `from_json_over`.")]
+            ///
+            /// # Errors
+            ///
+            /// As `from_json_over`.
+            pub fn from_json(v: &$crate::Json) -> Result<Self, String> {
+                Self::from_json_over(v, &Self::default())
+            }
+
+            #[doc = concat!("Decodes a ", $what, " object, a missing field taken from `base`.")]
+            ///
+            /// # Errors
+            ///
+            /// Names a value that is not an object, the first unknown
+            /// key, the first malformed field, or the bound the value
+            /// breaks.
+            pub fn from_json_over(v: &$crate::Json, base: &Self) -> Result<Self, String> {
+                if !matches!(v, $crate::Json::Obj(_)) {
+                    return Err(concat!($what, ": not an object").to_string());
+                }
+                let unknown =
+                    $crate::first_unknown_key(v, |key| matches!(key, $(stringify!($field))|+));
+                if let Some(key) = unknown {
+                    return Err($crate::unknown_field($what, key));
+                }
+                $(let $field = v
+                    .get(stringify!($field))
+                    .map(|v| $crate::JsonField::from_value_over(v, &base.$field));)+
+                $crate::json_record!(@build_over $what, base, [$($field),+] $(, $validate)?)
+            }
+        }
+
+        impl $crate::JsonField for $ty {
+            $crate::json_record!(@field_common);
+
+            fn from_value(v: &$crate::Json) -> $crate::Decoded<Self> {
+                Self::from_json(v).map_err(Some)
+            }
+
+            fn read_field(
+                p: &mut $crate::Parser<'_>,
+            ) -> Result<$crate::Decoded<Self>, $crate::ParseError> {
+                Ok(Self::read_json(p)?.map_err(Some))
+            }
+
+            fn write_field_over<S: $crate::Sink>(&self, base: &Self, out: &mut S) {
+                self.write_compact(base, out);
+            }
+
+            fn from_value_over(v: &$crate::Json, base: &Self) -> $crate::Decoded<Self> {
+                Self::from_json_over(v, base).map_err(Some)
+            }
+
+            fn read_field_over(
+                p: &mut $crate::Parser<'_>,
+                base: &Self,
+            ) -> Result<$crate::Decoded<Self>, $crate::ParseError> {
+                Ok(Self::read_json_over(p, base)?.map_err(Some))
+            }
+        }
+    };
+    // The canonical writers both modes share.
+    (@common $ty:ty, $what:literal, [$first:ident $(, $field:ident)*]) => {
+        impl $ty {
+            #[doc = concat!("Writes the ", $what, " as a JSON object, one key per field: the canonical encoding, the bytes of `to_json`, with no tree.")]
+            pub fn write_json<S: $crate::Sink>(&self, out: &mut S) {
+                out.put(concat!("{\"", stringify!($first), "\": "));
+                $crate::JsonField::write_field(&self.$first, out);
+                $(
+                    out.put(concat!(", \"", stringify!($field), "\": "));
+                    $crate::JsonField::write_field(&self.$field, out);
+                )*
+                out.put("}");
+            }
+
+            #[doc = concat!("Encodes the ", $what, " as a JSON object tree, one key per field: the canonical encoding.")]
+            #[must_use]
+            pub fn to_json(&self) -> $crate::Json {
+                $crate::Json::Obj(vec![
+                    (stringify!($first).to_string(), $crate::JsonField::to_field(&self.$first)),
+                    $((stringify!($field).to_string(), $crate::JsonField::to_field(&self.$field)),)*
+                ])
+            }
+        }
+    };
+    (@field_common) => {
+        fn to_field(&self) -> $crate::Json {
+            self.to_json()
+        }
+
+        fn write_field<S: $crate::Sink>(&self, out: &mut S) {
+            self.write_json(out);
+        }
+    };
+    // The validation sequence both strict decoders run, over locals
+    // named after the fields that hold each key's first decoded value.
     (@build $what:literal, [$($field:ident),+] $(, $validate:ident)?) => {
         (|| -> Result<Self, String> {
             let record = Self {
                 $($field: $crate::JsonField::from_field($field, $what, stringify!($field))?,)+
+            };
+            $(record.$validate()?;)?
+            Ok(record)
+        })()
+    };
+    // The defaulting decoders' sequence: an absent field is the base's.
+    (@build_over $what:literal, $base:ident, [$($field:ident),+] $(, $validate:ident)?) => {
+        (|| -> Result<Self, String> {
+            let record = Self {
+                $($field: match $field {
+                    None => ::core::clone::Clone::clone(&$base.$field),
+                    read => $crate::JsonField::from_field(read, $what, stringify!($field))?,
+                },)+
             };
             $(record.$validate()?;)?
             Ok(record)
@@ -271,7 +551,7 @@ mod tests {
     struct Inner {
         n: u32,
     }
-    json_record!(Inner, "inner", [n]);
+    json_record!(Inner, "inner", strict, [n]);
 
     #[derive(Debug, Clone, PartialEq)]
     struct Outer {
@@ -281,7 +561,13 @@ mod tests {
         inner: Inner,
         maybe: Option<Inner>,
     }
-    json_record!(Outer, "outer", [count, flag, size, inner, maybe], check);
+    json_record!(
+        Outer,
+        "outer",
+        strict,
+        [count, flag, size, inner, maybe],
+        check
+    );
 
     impl Outer {
         fn check(&self) -> Result<(), String> {
@@ -427,6 +713,217 @@ mod tests {
             let mut typed = String::new();
             o.write_json(&mut typed);
             assert_eq!(typed, o.to_json().encode());
+        }
+    }
+
+    /// A defaulting record whose nested parts have defaults of their
+    /// own that differ from the enclosing record's.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Part {
+        a: u32,
+        b: u32,
+    }
+    json_record!(Part, "part", defaulting, [a, b]);
+
+    impl Default for Part {
+        fn default() -> Self {
+            Part { a: 1, b: 2 }
+        }
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Cfg {
+        n: u32,
+        fixed: Part,
+        extra: Option<Part>,
+        on: bool,
+    }
+    json_record!(Cfg, "cfg", defaulting, [n, fixed, extra, on], check);
+
+    impl Default for Cfg {
+        fn default() -> Self {
+            Cfg {
+                n: 5,
+                fixed: Part { a: 10, b: 20 },
+                extra: Some(Part { a: 30, b: 40 }),
+                on: false,
+            }
+        }
+    }
+
+    impl Cfg {
+        fn check(&self) -> Result<(), String> {
+            if self.n == 0 {
+                return Err("cfg: n 0".into());
+            }
+            Ok(())
+        }
+    }
+
+    /// Both decoders of a defaulting record on one line.
+    fn both_cfg(line: &str) -> (Result<Cfg, String>, Result<Cfg, String>) {
+        let mut p = Parser::new(line);
+        let typed = Cfg::read_json(&mut p)
+            .and_then(|r| p.end().map(|()| r))
+            .unwrap_or_else(|e| Err(e.to_string()));
+        let tree = Json::parse(line)
+            .map_err(|e| e.to_string())
+            .and_then(|v| Cfg::from_json(&v));
+        (typed, tree)
+    }
+
+    fn decodes_to(line: &str, expected: &Cfg) {
+        let (typed, tree) = both_cfg(line);
+        assert_eq!(typed.as_ref(), Ok(expected), "{line}");
+        assert_eq!(tree.as_ref(), Ok(expected), "{line}");
+    }
+
+    #[test]
+    fn compact_writes_only_what_differs_from_the_base() {
+        let base = Cfg::default();
+        for (cfg, compact) in [
+            (base.clone(), "{}"),
+            (
+                Cfg {
+                    n: 6,
+                    on: true,
+                    ..base.clone()
+                },
+                r#"{"n": 6, "on": true}"#,
+            ),
+            (
+                Cfg {
+                    fixed: Part { a: 11, b: 20 },
+                    ..base.clone()
+                },
+                r#"{"fixed": {"a": 11}}"#,
+            ),
+            (
+                Cfg {
+                    extra: None,
+                    ..base.clone()
+                },
+                r#"{"extra": null}"#,
+            ),
+            (
+                Cfg {
+                    extra: Some(Part { a: 30, b: 2 }),
+                    ..base.clone()
+                },
+                r#"{"extra": {"b": 2}}"#,
+            ),
+        ] {
+            let mut line = String::new();
+            cfg.write_compact(&base, &mut line);
+            assert_eq!(line, compact);
+            decodes_to(&line, &cfg);
+            // The canonical encoding decodes to the same value.
+            let mut full = String::new();
+            cfg.write_json(&mut full);
+            assert_eq!(full, cfg.to_json().encode());
+            decodes_to(&full, &cfg);
+        }
+        // Over a `None` base a `Some` is written in full.
+        let none = Cfg {
+            extra: None,
+            ..base.clone()
+        };
+        let mut line = String::new();
+        base.write_compact(&none, &mut line);
+        assert_eq!(line, r#"{"extra": {"a": 30, "b": 40}}"#);
+        let v = Json::parse(&line).unwrap();
+        assert_eq!(Cfg::from_json_over(&v, &none), Ok(base.clone()));
+        let read = Cfg::read_json_over(&mut Parser::new(&line), &none);
+        assert_eq!(read, Ok(Ok(base)));
+    }
+
+    #[test]
+    fn a_missing_field_takes_the_enclosing_records_value() {
+        let base = Cfg::default();
+        // Not `Part::default()`: the enclosing default's parts.
+        decodes_to(r#"{"fixed": {}}"#, &base);
+        decodes_to(
+            r#"{"fixed": {"b": 0}, "extra": {"a": 0}}"#,
+            &Cfg {
+                fixed: Part { a: 10, b: 0 },
+                extra: Some(Part { a: 0, b: 40 }),
+                ..base.clone()
+            },
+        );
+        // `null` turns an optional part off; only a missing key
+        // defaults.
+        decodes_to(
+            r#"{"extra": null}"#,
+            &Cfg {
+                extra: None,
+                ..base.clone()
+            },
+        );
+        // An explicit base replaces `Default` at the top.
+        let other = Cfg {
+            n: 9,
+            fixed: Part { a: 0, b: 0 },
+            ..base
+        };
+        let v = Json::parse(r#"{"fixed": {"a": 7}}"#).unwrap();
+        let expected = Cfg {
+            fixed: Part { a: 7, b: 0 },
+            ..other.clone()
+        };
+        assert_eq!(Cfg::from_json_over(&v, &other).as_ref(), Ok(&expected));
+        let read = Cfg::read_json_over(&mut Parser::new(&v.encode()), &other);
+        assert_eq!(read, Ok(Ok(expected)));
+    }
+
+    #[test]
+    fn defaulting_decoders_reject_unknown_keys_alike() {
+        for (line, error) in [
+            (r#"{"m": 1}"#, "cfg: unknown field `m`"),
+            // The first unknown key wins, before any bad field.
+            (
+                r#"{"n": 0, "x": 1, "fixed": 7, "y": 2}"#,
+                "cfg: unknown field `x`",
+            ),
+            // Keys compare unescaped.
+            (
+                r#"{"n": 6, "\u006fn": true, "\u0078": 1}"#,
+                "cfg: unknown field `x`",
+            ),
+            // A nested record names its own.
+            (r#"{"fixed": {"c": 1}}"#, "part: unknown field `c`"),
+            (r#"{"extra": {"a": 1, "A": 1}}"#, "part: unknown field `A`"),
+            // Not an object, at the top or nested.
+            ("null", "cfg: not an object"),
+            ("[]", "cfg: not an object"),
+            (r#"{"fixed": null}"#, "part: not an object"),
+            (r#"{"extra": 3}"#, "part: not an object"),
+            // Field errors and the validate rule, in list order.
+            (r#"{"on": 1, "n": -1}"#, "cfg: bad or missing field `n`"),
+            (r#"{"n": 0}"#, "cfg: n 0"),
+        ] {
+            let (typed, tree) = both_cfg(line);
+            assert_eq!(typed, Err(error.to_string()), "{line}");
+            assert_eq!(tree, Err(error.to_string()), "{line}");
+        }
+        // The first value of a repeated key wins, unknown ones too:
+        // a later bad value is never read.
+        decodes_to(
+            r#"{"n": 6, "n": {"q": 1}}"#,
+            &Cfg {
+                n: 6,
+                ..Cfg::default()
+            },
+        );
+        // A syntax error anywhere still wins over an unknown key.
+        let (typed, tree) = both_cfg(r#"{"x": 1, "n": }"#);
+        assert_eq!(typed, tree);
+        assert!(typed.unwrap_err().contains("unexpected character"));
+        // Every prefix of a compact line is rejected alike.
+        let good = r#"{"n": 6, "fixed": {"a": 11}, "extra": null, "on": true}"#;
+        assert!(both_cfg(good).0.is_ok());
+        for end in 0..good.len() {
+            let (typed, tree) = both_cfg(&good[..end]);
+            assert_eq!(typed, tree, "{}", &good[..end]);
         }
     }
 }

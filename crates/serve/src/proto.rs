@@ -8,15 +8,41 @@
 //! the wire losslessly so served results can be compared bit-for-bit
 //! with in-process simulation.
 //!
+//! # Compact requests
+//!
+//! [`Request::encode`] writes every `sim` line and sweep point in
+//! compact form: a machine-config field equal to its value in the
+//! machine's `Default` is left out, and so are `stepper` when it is
+//! `event` and `fault_at` when it is null. `program`, `scale`,
+//! `machine` and the machine's `cfg` object stay required. A cached
+//! default-machine `sim` line is about 90 bytes instead of 590. Both
+//! request decoders accept the compact and the full form alike (an
+//! older client's lines decode as before) and fill a missing field
+//! from the *enclosing* default: an OOOVA `cfg` without `lat` gets the
+//! OOOVA's latency table, a REF one the reference table, and
+//! `"cfg": {}` is the machine's `Default` (see `oov_isa::config`).
+//! Only `"scalar_cache": null` turns the scalar cache off.
+//!
+//! A request key that names no field, at any level, is rejected with
+//! ``{what}: unknown field `{key}` ``, so a misspelt field cannot silently
+//! become its default. Responses, [`SimStats`] and journal records keep
+//! the strict rule: a missing field is an error, and an unknown key is
+//! skipped.
+//!
+//! [`SimRequest::fingerprint`] and [`SimRequest::to_json`] stay on the
+//! full canonical encoding, every field written, whichever form a
+//! request arrived in. So the result-cache keys, the journal and the
+//! fingerprint pins are the same bytes as before compact requests.
+//!
 //! Server counters leave the daemon in one format only: the `metrics`
 //! registry snapshot. There is no `stats` message; a [`StatsSnapshot`]
 //! is computed client-side from `metrics` by
 //! [`StatsSnapshot::from_metrics`].
 //!
 //! ```text
-//! → {"type": "sim", "program": "trfd", "scale": "smoke", "machine": {...}, "stepper": "event", "fault_at": null}
+//! → {"type": "sim", "program": "trfd", "scale": "smoke", "machine": {"machine": "ooo", "cfg": {"phys_v_regs": 32}}}
 //! ← {"type": "result", "cached": false, "shard": 2, "ideal_cycles": 9156, "faults_taken": 0, "stats": {...}}
-//! → {"type": "sweep", "points": [{...}, {...}]}
+//! → {"type": "sweep", "points": [{"program": …}, {"program": …}]}
 //! ← {"type": "sweep_row", "index": 0, ...}
 //! ← {"type": "sweep_row", "index": 1, ...}
 //! ← {"type": "sweep_done", "count": 2}
@@ -27,8 +53,8 @@
 //! client's [`SimResult`]. Encoders walk their fields straight into the
 //! line (or, for [`SimRequest::fingerprint`], into the hash), and
 //! [`Request::decode`] and [`Response::decode`] pull each field out of
-//! the [`oov_proto::Parser`]; a `sim` request or a `result` line of
-//! default shape costs no allocation either way. The tree decoders
+//! the [`oov_proto::Parser`]; a `sim` request or a `result` line costs
+//! no allocation either way. The tree decoders
 //! ([`Request::decode_tree`], [`Response::decode_tree`]) stay as the
 //! oracle: each message's fields are gathered by either decoder and
 //! then checked by one validation sequence, so both accept the same
@@ -48,7 +74,10 @@ use std::hash::Hasher as _;
 use oov_core::Stepper;
 use oov_isa::{CommitMode, MachineConfig};
 use oov_kernels::{Program, Scale};
-use oov_proto::{write_str, Decoded, Fnv1a, Json, JsonField, ParseError, Parser, Sink};
+use oov_proto::{
+    first_unknown_key, unknown_field, write_str, Decoded, Fnv1a, Json, JsonField, ParseError,
+    Parser, Sink,
+};
 use oov_stats::SimStats;
 
 /// Hard cap on the number of points in one `sweep` request, enforced
@@ -91,10 +120,10 @@ pub struct SimRequest {
     /// Machine configuration (either machine).
     pub machine: MachineConfig,
     /// Simulation engine (OOOVA only; ignored for the reference
-    /// machine).
+    /// machine). An absent `stepper` key is `event`, the default.
     pub stepper: Stepper,
     /// Inject a precise trap at this trace index (OOOVA late-commit
-    /// only).
+    /// only). An absent `fault_at` key is `None`.
     pub fault_at: Option<usize>,
 }
 
@@ -111,18 +140,11 @@ impl SimRequest {
         }
     }
 
-    /// Writes the request body (without the `"type"` tag): the bytes of
+    /// Writes the request body (without the `"type"` tag) in full: the
+    /// canonical encoding the fingerprint hashes, the bytes of
     /// [`SimRequest::to_json`], with no tree.
     pub fn write_json<S: Sink>(&self, out: &mut S) {
-        out.put("{");
-        self.write_fields(out);
-        out.put("}");
-    }
-
-    /// The body's fields, without the braces, so a `sim` line can put
-    /// its tag in front.
-    fn write_fields<S: Sink>(&self, out: &mut S) {
-        out.put("\"program\": ");
+        out.put("{\"program\": ");
         write_str(out, self.program.name());
         out.put(", \"scale\": ");
         write_str(out, self.scale.name());
@@ -132,6 +154,28 @@ impl SimRequest {
         write_str(out, stepper_name(self.stepper));
         out.put(", \"fault_at\": ");
         self.fault_at.write_field(out);
+        out.put("}");
+    }
+
+    /// Writes the request body's fields in compact form, without the
+    /// braces, so a `sim` line can put its tag in front: the machine
+    /// through [`MachineConfig::write_compact`], and `stepper` and
+    /// `fault_at` only when they are not the default.
+    fn write_compact_fields(&self, out: &mut String) {
+        out.push_str("\"program\": ");
+        write_str(out, self.program.name());
+        out.push_str(", \"scale\": ");
+        write_str(out, self.scale.name());
+        out.push_str(", \"machine\": ");
+        self.machine.write_compact(out);
+        if self.stepper != Stepper::default() {
+            out.push_str(", \"stepper\": ");
+            write_str(out, stepper_name(self.stepper));
+        }
+        if let Some(index) = self.fault_at {
+            out.push_str(", \"fault_at\": ");
+            index.write_field(out);
+        }
     }
 
     /// Encodes the request body (without the `"type"` tag) as a tree.
@@ -149,15 +193,15 @@ impl SimRequest {
         ])
     }
 
-    /// Decodes and validates a request body.
+    /// Decodes and validates a request body, full or compact.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the malformed field, or the semantic
-    /// rule a well-formed request violates (fault injection requires
-    /// the OOOVA's late-commit model).
+    /// Returns a message naming the first unknown key, the malformed
+    /// field, or the semantic rule a well-formed request violates
+    /// (fault injection requires the OOOVA's late-commit model).
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        SimFields::of_tree(v).finish()
+        SimFields::of_tree(v, SimFields::is_field).finish()
     }
 
     /// Reads the request body under the parser's cursor, deciding what
@@ -168,16 +212,18 @@ impl SimRequest {
     /// A syntax error. The inner result is `from_json`'s.
     fn read_json(p: &mut Parser<'_>) -> Result<Result<Self, String>, ParseError> {
         let mut fields = SimFields::default();
-        p.object(|p, key| fields.read(&key, p))?;
+        p.object(|p, key| fields.read(key, p))?;
         Ok(fields.finish())
     }
 
     /// Stable fingerprint of the *full* request — the result-cache
     /// key. Two requests fingerprint equal iff every field that can
     /// influence the simulation outcome is equal. FNV-1a over the raw
-    /// canonical-encoding bytes, for the same cross-toolchain
-    /// stability as [`MachineConfig::fingerprint`]. The encoding
-    /// streams into the hash; no `String` or tree of it is built.
+    /// canonical-encoding bytes ([`SimRequest::write_json`], every
+    /// field, never the compact form), for the same cross-toolchain
+    /// stability as [`MachineConfig::fingerprint`]; a request sent
+    /// compact or full keys the same entry. The encoding streams into
+    /// the hash; no `String` or tree of it is built.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
@@ -187,7 +233,8 @@ impl SimRequest {
 }
 
 /// A sim request's fields as either decoder finds them: each key's
-/// first value, before [`SimFields::finish`] checks them.
+/// first value, and the first key that names no field, before
+/// [`SimFields::finish`] checks them.
 #[derive(Default)]
 struct SimFields<'a> {
     program: StrSlot<'a>,
@@ -195,34 +242,50 @@ struct SimFields<'a> {
     stepper: StrSlot<'a>,
     fault_at: Option<Decoded<Option<usize>>>,
     machine: Option<Result<MachineConfig, String>>,
+    unknown: Option<Cow<'a, str>>,
 }
 
 impl<'a> SimFields<'a> {
-    fn of_tree(v: &'a Json) -> Self {
+    /// Whether `key` names a sim request field.
+    fn is_field(key: &str) -> bool {
+        matches!(
+            key,
+            "program" | "scale" | "stepper" | "fault_at" | "machine"
+        )
+    }
+
+    /// The fields of `v`, an object whose fields are the keys
+    /// `is_field` names.
+    fn of_tree(v: &'a Json, is_field: fn(&str) -> bool) -> Self {
         SimFields {
             program: tree_str(v, "program"),
             scale: tree_str(v, "scale"),
             stepper: tree_str(v, "stepper"),
             fault_at: v.get("fault_at").map(JsonField::from_value),
             machine: v.get("machine").map(MachineConfig::from_json),
+            unknown: first_unknown_key(v, is_field).map(Cow::Borrowed),
         }
     }
 
-    /// Reads the value of `key`, or skips it if no sim request field
-    /// has that name.
-    fn read(&mut self, key: &str, p: &mut Parser<'a>) -> Result<(), ParseError> {
-        match key {
+    /// Reads the value of `key`, or notes the key as unknown and skips
+    /// it if no sim request field has that name.
+    fn read(&mut self, key: Cow<'a, str>, p: &mut Parser<'a>) -> Result<(), ParseError> {
+        match &*key {
             "program" => p.first(&mut self.program, Parser::str),
             "scale" => p.first(&mut self.scale, Parser::str),
             "stepper" => p.first(&mut self.stepper, Parser::str),
             "fault_at" => p.first(&mut self.fault_at, JsonField::read_field),
             "machine" => p.first(&mut self.machine, MachineConfig::read_json),
-            _ => p.skip(),
+            _ => p.skip_unknown(&mut self.unknown, key),
         }
     }
 
-    /// The validation sequence of both decoders.
+    /// The validation sequence of both decoders. A missing `stepper`
+    /// is the default engine, and a missing `fault_at` is no fault.
     fn finish(self) -> Result<SimRequest, String> {
+        if let Some(key) = self.unknown {
+            return Err(unknown_field("sim request", &key));
+        }
         let program_name = self
             .program
             .flatten()
@@ -231,10 +294,12 @@ impl<'a> SimFields<'a> {
             .scale
             .flatten()
             .ok_or_else(|| "sim request: bad or missing field `scale`".to_string())?;
-        let stepper_str = self
-            .stepper
-            .flatten()
-            .ok_or_else(|| "sim request: bad or missing field `stepper`".to_string())?;
+        let stepper_str = match self.stepper {
+            None => Cow::Borrowed(stepper_name(Stepper::default())),
+            Some(name) => {
+                name.ok_or_else(|| "sim request: bad or missing field `stepper`".to_string())?
+            }
+        };
         let fault_at = match self.fault_at {
             None => None,
             Some(idx) => idx.map_err(|_| "sim request: `fault_at` is not an index".to_string())?,
@@ -310,14 +375,17 @@ fn write_deadline(out: &mut String, deadline_ms: Option<u64>) {
 
 /// Appends a `sweep` request line: [`Request::encode_into`]'s bytes
 /// for a [`Request::Sweep`] of `points`, written from a borrowed list
-/// so the client sends a sweep without copying it.
+/// so the client sends a sweep without copying it. Each point is
+/// written compact.
 pub(crate) fn write_sweep(out: &mut String, points: &[SimRequest], deadline_ms: Option<u64>) {
     out.push_str("{\"type\": \"sweep\", \"points\": [");
     for (i, point) in points.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        point.write_json(out);
+        out.push('{');
+        point.write_compact_fields(out);
+        out.push('}');
     }
     out.push(']');
     write_deadline(out, deadline_ms);
@@ -335,6 +403,7 @@ impl Request {
 
     /// Appends [`Request::encode`]'s bytes to `out`, so a caller can
     /// reuse one line buffer. The fields are written in place: no tree.
+    /// Simulation points are written compact (see the module docs).
     pub fn encode_into(&self, out: &mut String) {
         match self {
             Request::Ping => out.push_str("{\"type\": \"ping\"}"),
@@ -342,7 +411,7 @@ impl Request {
             Request::Shutdown => out.push_str("{\"type\": \"shutdown\"}"),
             Request::Sim { req, deadline_ms } => {
                 out.push_str("{\"type\": \"sim\", ");
-                req.write_fields(out);
+                req.write_compact_fields(out);
                 write_deadline(out, *deadline_ms);
                 out.push('}');
             }
@@ -362,7 +431,7 @@ impl Request {
     pub fn decode(line: &str) -> Result<Self, String> {
         let mut p = Parser::new(line);
         let mut fields = RequestFields::default();
-        p.object(|p, key| fields.read(&key, p))
+        p.object(|p, key| fields.read(key, p))
             .and_then(|_| p.end())
             .map_err(|e| format!("malformed request: {e}"))?;
         fields.finish()
@@ -385,18 +454,24 @@ impl Request {
 struct RequestFields<'a> {
     kind: StrSlot<'a>,
     deadline_ms: Option<Decoded<Option<u64>>>,
-    /// A `sim` request's body fields sit beside its tag.
+    /// A `sim` request's body fields sit beside its tag; its
+    /// `unknown` slot holds the line's first unknown key.
     sim: SimFields<'a>,
     /// `Some(None)` when `points` is not an array.
     points: Option<Option<Points>>,
 }
 
 impl<'a> RequestFields<'a> {
+    /// Whether `key` names a field of some request line.
+    fn is_field(key: &str) -> bool {
+        matches!(key, "type" | "deadline_ms" | "points") || SimFields::is_field(key)
+    }
+
     fn of_tree(v: &'a Json) -> Self {
         RequestFields {
             kind: tree_str(v, "type"),
             deadline_ms: v.get("deadline_ms").map(JsonField::from_value),
-            sim: SimFields::of_tree(v),
+            sim: SimFields::of_tree(v, Self::is_field),
             points: v.get("points").map(|points| {
                 points.as_arr().map(|items| {
                     let mut list = Points::default();
@@ -409,10 +484,10 @@ impl<'a> RequestFields<'a> {
         }
     }
 
-    /// Reads the value of `key`, or skips it if no request field has
-    /// that name.
-    fn read(&mut self, key: &str, p: &mut Parser<'a>) -> Result<(), ParseError> {
-        match key {
+    /// Reads the value of `key`, or notes the key as unknown and skips
+    /// it if no request field has that name.
+    fn read(&mut self, key: Cow<'a, str>, p: &mut Parser<'a>) -> Result<(), ParseError> {
+        match &*key {
             "type" => p.first(&mut self.kind, Parser::str),
             "deadline_ms" => p.first(&mut self.deadline_ms, JsonField::read_field),
             "points" => p.first(&mut self.points, |p| {
@@ -433,8 +508,12 @@ impl<'a> RequestFields<'a> {
         }
     }
 
-    /// The validation sequence of both decoders.
+    /// The validation sequence of both decoders. An unknown key is
+    /// rejected first, whatever the request's type.
     fn finish(self) -> Result<Request, String> {
+        if let Some(key) = &self.sim.unknown {
+            return Err(unknown_field("request", key));
+        }
         let kind = self
             .kind
             .flatten()

@@ -1,7 +1,9 @@
 //! Seed-loop fuzz of the wire decoders, in the style of the histogram
 //! property suite: valid request and response lines are mutated (byte
 //! flips, truncations, insertions) and random byte strings are thrown
-//! in beside them. Every input goes through [`Json::parse`] and
+//! in beside them. The request lines come in both forms the server
+//! accepts: compact, as the client writes them, and full, every config
+//! field spelt out, as older clients wrote them. Every input goes through [`Json::parse`] and
 //! through both the typed decoders ([`Request::decode`],
 //! [`Response::decode`]) and the tree decoders they are held to
 //! ([`Request::decode_tree`], [`Response::decode_tree`]), and three
@@ -12,12 +14,17 @@
 //! boundary values into every numeric machine-config field, where
 //! every accepted request must also pass the config's `validate()`,
 //! and hand-written lines pin the cases a pull reader can get wrong:
-//! key order, repeated keys, deep unknown values, escapes, number
-//! spellings and a syntax error behind a semantic one.
+//! key order, repeated keys, unknown keys, escapes, number spellings
+//! and a syntax error behind a semantic one. A seeded property holds
+//! the compact and full forms of random machines to one request and
+//! one fingerprint.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use oov_isa::{CommitMode, MachineConfig, OooConfig, RefConfig};
+use oov_core::Stepper;
+use oov_isa::{
+    CommitMode, LatencyModel, LoadElimMode, MachineConfig, OooConfig, RefConfig, ScalarCacheCfg,
+};
 use oov_kernels::{Program, Scale};
 use oov_proto::Json;
 use oov_serve::{Request, Response, SimRequest, SimResult};
@@ -86,8 +93,46 @@ fn random_line(state: &mut u64) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// The line an older client wrote for `r`: every config field spelt
+/// out, `stepper` and `fault_at` included. It is the canonical
+/// encoding the fingerprint hashes, behind the request's tag.
+fn full_line(r: &Request) -> String {
+    let (kind, mut pairs, deadline_ms) = match r {
+        Request::Sim { req, deadline_ms } => match req.to_json() {
+            Json::Obj(pairs) => ("sim", pairs, deadline_ms),
+            other => unreachable!("a request body is an object: {other}"),
+        },
+        Request::Sweep {
+            points,
+            deadline_ms,
+        } => (
+            "sweep",
+            vec![(
+                "points".to_string(),
+                Json::Arr(points.iter().map(SimRequest::to_json).collect()),
+            )],
+            deadline_ms,
+        ),
+        other => return other.encode(),
+    };
+    pairs.insert(0, ("type".to_string(), kind.into()));
+    if let Some(ms) = deadline_ms {
+        pairs.push(("deadline_ms".to_string(), (*ms).into()));
+    }
+    Json::Obj(pairs).encode()
+}
+
 fn valid_lines() -> Vec<String> {
     let trfd = SimRequest::ooo_default(Program::Trfd, Scale::Smoke);
+    let swept = SimRequest {
+        machine: MachineConfig::Ooo(
+            OooConfig::default()
+                .with_phys_v_regs(32)
+                .with_memory_latency(100),
+        ),
+        stepper: Stepper::Naive,
+        ..SimRequest::ooo_default(Program::Swm256, Scale::Paper)
+    };
     let late = SimRequest {
         machine: MachineConfig::Ooo(OooConfig::default().with_commit(CommitMode::Late)),
         fault_at: Some(17),
@@ -132,7 +177,7 @@ fn valid_lines() -> Vec<String> {
             deadline_ms: Some(250),
         },
         Request::Sweep {
-            points: vec![trfd, reference],
+            points: vec![trfd, swept, reference],
             deadline_ms: Some(1_000),
         },
     ];
@@ -147,7 +192,8 @@ fn valid_lines() -> Vec<String> {
     ];
     requests
         .iter()
-        .map(Request::encode)
+        .map(full_line)
+        .chain(requests.iter().map(Request::encode))
         .chain(responses.iter().map(Response::encode))
         .collect()
 }
@@ -183,18 +229,23 @@ fn valid_lines_are_fixed_points() {
             "{line}"
         );
     }
+    // The client writes the compact form, and both forms decode to
+    // the same request.
+    let lines = valid_lines();
+    let (sim, sweep) = (&lines[5], &lines[7]);
+    assert!(sim.starts_with(r#"{"type": "sim""#) && sim.contains(r#""cfg": {}"#));
+    assert!(sweep.starts_with(r#"{"type": "sweep""#), "{sweep}");
+    for (full, compact) in lines[..4].iter().zip(&lines[4..8]) {
+        assert!(compact.len() < full.len() || full == compact, "{compact}");
+        assert_eq!(Request::decode(full), Request::decode(compact), "{compact}");
+    }
 }
 
 /// An input a longer run of this fuzz found, kept as a fixed case: a
 /// number literal past `f64`'s range.
 #[test]
 fn earlier_findings_stay_fixed() {
-    let sim = Request::Sim {
-        req: SimRequest::ooo_default(Program::Trfd, Scale::Smoke),
-        deadline_ms: None,
-    }
-    .encode()
-    .replace("\"size_bytes\": 16384", "\"size_bytes\": 1e384");
+    let sim = default_sim_line().replace("\"size_bytes\": 16384", "\"size_bytes\": 1e384");
     assert!(sim.contains("1e384"), "{sim}");
     check(&sim);
 }
@@ -310,9 +361,10 @@ fn boundary_values_in_every_config_field_decode_to_valid_fixed_points() {
             }
         }
     }
-    // The request lines carry three OOOVA configs of 22 numbers each
-    // and one REF config of 13.
-    assert_eq!(fields, 3 * 22 + 13, "config fields found");
+    // The full request lines carry four OOOVA configs of 22 numbers
+    // each and one REF config of 13; the compact ones only the two
+    // numbers of the swept point that differ from the default.
+    assert_eq!(fields, 4 * 22 + 13 + 2, "config fields found");
     assert!(
         accepted > 0 && rejected > 0,
         "{accepted} accepted, {rejected} rejected"
@@ -342,13 +394,12 @@ fn random_bytes_never_panic() {
     }
 }
 
-/// The default `sim` line of `trfd` at smoke scale.
+/// The default `sim` line of `trfd` at smoke scale, in full.
 fn default_sim_line() -> String {
-    Request::Sim {
+    full_line(&Request::Sim {
         req: SimRequest::ooo_default(Program::Trfd, Scale::Smoke),
         deadline_ms: None,
-    }
-    .encode()
+    })
 }
 
 /// `line` with its first `from` replaced by `to`.
@@ -363,20 +414,57 @@ fn decode_both(line: &str) -> Result<Request, String> {
     Request::decode(line)
 }
 
-/// Number literals at the edges of the integer reader, with the
-/// unsigned value each decodes to (`None`: not a non-negative integer).
-const NUMBER_SPELLINGS: [(&str, Option<u64>); 10] = [
-    ("0", Some(0)),
-    ("-0", Some(0)),
-    ("-1", None),
-    ("007", Some(7)),
-    ("1.0", Some(1)),
-    ("1e0", Some(1)),
-    ("999999999999999", Some(999_999_999_999_999)),
-    ("1000000000000000", Some(1_000_000_000_000_000)),
-    ("9999999999999999", None),
-    ("9007199254740993", Some(1 << 53)),
+/// How a number literal reads as an unsigned field.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Spelling {
+    /// A non-negative integer of this value.
+    Int(u64),
+    /// A number, but not a non-negative integer.
+    NotUnsigned,
+    /// Not a JSON number: a syntax error at this byte of the literal.
+    Malformed(usize),
+}
+
+/// Number literals at the edges of the integer reader and of the JSON
+/// number grammar, with how each reads.
+const NUMBER_SPELLINGS: [(&str, Spelling); 15] = [
+    ("0", Spelling::Int(0)),
+    ("-0", Spelling::Int(0)),
+    ("-1", Spelling::NotUnsigned),
+    ("1.0", Spelling::Int(1)),
+    ("1e0", Spelling::Int(1)),
+    ("999999999999999", Spelling::Int(999_999_999_999_999)),
+    ("1000000000000000", Spelling::Int(1_000_000_000_000_000)),
+    ("9999999999999999", Spelling::NotUnsigned),
+    ("9007199254740993", Spelling::Int(1 << 53)),
+    // A leading zero before another digit, and a point with no digit
+    // after it, are not JSON.
+    ("007", Spelling::Malformed(3)),
+    ("-007", Spelling::Malformed(4)),
+    ("00", Spelling::Malformed(2)),
+    ("01.5", Spelling::Malformed(2)),
+    ("1.", Spelling::Malformed(2)),
+    ("1.e3", Spelling::Malformed(2)),
 ];
+
+/// What a line with `literal` at byte `at` must decode to: `Ok` of the
+/// field's value, or `Err` of the syntax error the spelling is, in
+/// the text `prefix` (`malformed request` or `malformed response`)
+/// gives it.
+fn expected_read(
+    spelling: Spelling,
+    at: usize,
+    prefix: &str,
+    fits: impl Fn(u64) -> bool,
+) -> Result<Option<u64>, String> {
+    match spelling {
+        Spelling::Int(v) => Ok(Some(v).filter(|&v| fits(v))),
+        Spelling::NotUnsigned => Ok(None),
+        Spelling::Malformed(offset) => {
+            Err(format!("{prefix}: invalid number at byte {}", at + offset))
+        }
+    }
+}
 
 #[test]
 fn hand_written_edge_lines_decode_alike() {
@@ -417,7 +505,7 @@ fn hand_written_edge_lines_decode_alike() {
         },
         deadline_ms: None,
     };
-    let line = cfg_first(&reference.encode(), "ref");
+    let line = cfg_first(&full_line(&reference), "ref");
     assert_eq!(decode_both(&line), Ok(reference), "{line}");
     // Repeated keys: the first value wins, good or bad.
     let good_first = [
@@ -466,27 +554,27 @@ fn hand_written_edge_lines_decode_alike() {
         ),
         (
             edit(&sim, cfg, r#""cfg": {"lat": null, "lat": "#),
-            "latency model: bad or missing field `read_xbar`",
+            "latency model: not an object",
         ),
     ];
-    for line in &good_first[..4] {
+    // The empty latency model of the last is the OOOVA's own table.
+    for line in &good_first {
         assert_eq!(decode_both(line).as_ref(), Ok(&expected), "{line}");
     }
-    let err = decode_both(&good_first[4]).expect_err("an empty latency model");
-    assert!(err.contains("latency model"), "{err}");
     for (line, text) in &first_bad {
         let err = decode_both(line).expect_err(line);
         assert!(err.contains(text), "{err} for {line}");
     }
-    // An unknown key's value is skipped under the parser's depth limit:
-    // the request object is depth 0, so 64 brackets reach depth 64.
-    for (depth, ok) in [(64, true), (65, false)] {
+    // An unknown key's value is parsed under the parser's depth limit
+    // before the key is rejected: the request object is depth 0, so 64
+    // brackets reach depth 64, and at 65 the syntax error comes first.
+    for (depth, error) in [
+        (64, "request: unknown field `extra`"),
+        (65, "malformed request: nesting too deep at byte 74"),
+    ] {
         let deep = "[".repeat(depth) + &"]".repeat(depth);
         let line = edit(&sim, "{", &format!("{{\"extra\": {deep}, "));
-        match decode_both(&line) {
-            Ok(r) => assert!(ok && r == expected, "{depth} deep"),
-            Err(e) => assert!(!ok && e.contains("nesting too deep"), "{e}"),
-        }
+        assert_eq!(decode_both(&line), Err(error.to_string()), "{depth} deep");
     }
     // Escaped keys and values are compared unescaped.
     let escaped = edit(
@@ -530,7 +618,8 @@ fn hand_written_edge_lines_decode_alike() {
     }
     // The literal boundaries of the integer reader: up to 15 digits a
     // plain literal converts to the f64 exactly, 16 digits and past
-    // 2^53 it rounds; both decoders must land on the same value.
+    // 2^53 it rounds; both decoders must land on the same value, and
+    // reject a spelling JSON forbids with the same syntax error.
     let ooo = |line: &str| match decode_both(line) {
         Ok(Request::Sim {
             req:
@@ -539,29 +628,34 @@ fn hand_written_edge_lines_decode_alike() {
                     ..
                 },
             ..
-        }) => Some(c),
-        Err(_) => None,
+        }) => Ok(Some(c)),
+        Err(e) if e.starts_with("malformed request") => Err(e),
+        Err(_) => Ok(None),
         Ok(other) => panic!("{other:?}"),
     };
-    for (literal, value) in NUMBER_SPELLINGS {
-        let line = edit(&sim, r#""branch": 1"#, &format!(r#""branch": {literal}"#));
-        // Past `u32::MAX` the value does not fit the field.
-        assert_eq!(
-            ooo(&line).map(|c| u64::from(c.lat.branch)),
-            value.filter(|&v| v <= u64::from(u32::MAX)),
-            "{literal}"
-        );
-        let line = edit(
-            &sim,
-            r#""btb_entries": 64"#,
-            &format!(r#""btb_entries": {literal}"#),
-        );
-        // The BTB takes 1 to 65,535 entries.
-        assert_eq!(
-            ooo(&line).map(|c| c.btb_entries as u64),
-            value.filter(|v| (1..=65_535).contains(v)),
-            "{literal}"
-        );
+    for (literal, spelling) in NUMBER_SPELLINGS {
+        for (field, fits) in [
+            // Past `u32::MAX` the value does not fit the field.
+            ("branch", (|v| v <= u64::from(u32::MAX)) as fn(u64) -> bool),
+            // The BTB takes 1 to 65,535 entries.
+            ("btb_entries", |v| (1..=65_535).contains(&v)),
+        ] {
+            let key = format!(r#""{field}": "#);
+            let line = sim.replacen(
+                &format!("{key}{}", if field == "branch" { 1 } else { 64 }),
+                &format!("{key}{literal}"),
+                1,
+            );
+            let at = line.find(&key).expect("field") + key.len();
+            let read = ooo(&line).map(|c| {
+                c.map(|c| match field {
+                    "branch" => u64::from(c.lat.branch),
+                    _ => c.btb_entries as u64,
+                })
+            });
+            let expected = expected_read(spelling, at, "malformed request", fits);
+            assert_eq!(read, expected, "{literal} in {field}");
+        }
     }
     // A syntax error anywhere wins over a semantic one before it.
     let unknown = edit(&sim, r#""program": "trfd""#, r#""program": "nope""#);
@@ -637,8 +731,9 @@ fn hand_written_result_lines_decode_alike() {
         check(&line);
         assert_eq!(Response::decode(&line), Err(text.to_string()), "{line}");
     }
-    // A `u64` field takes every spelling of a non-negative integer.
-    for (literal, value) in NUMBER_SPELLINGS {
+    // A `u64` field takes every spelling of a non-negative integer,
+    // and no spelling JSON forbids.
+    for (literal, spelling) in NUMBER_SPELLINGS {
         let line = edit(
             result,
             r#""cycles": 123456"#,
@@ -646,10 +741,208 @@ fn hand_written_result_lines_decode_alike() {
         );
         check(&line);
         let cycles = match Response::decode(&line) {
-            Ok(Response::Result(r)) => Some(r.stats.cycles),
-            Err(_) => None,
+            Ok(Response::Result(r)) => Ok(Some(r.stats.cycles)),
+            Err(e) if e.starts_with("malformed response") => Err(e),
+            Err(_) => Ok(None),
             Ok(other) => panic!("{other:?}"),
         };
-        assert_eq!(cycles, value, "{literal}");
+        let at = line.find(r#""cycles": "#).expect("cycles") + r#""cycles": "#.len();
+        let expected = expected_read(spelling, at, "malformed response", |_| true);
+        assert_eq!(cycles, expected, "{literal}");
     }
+}
+
+/// `Some(random)` half the time, else `None`: a field left at its
+/// default.
+fn sometimes<T>(state: &mut u64, random: impl FnOnce(&mut u64) -> T) -> Option<T> {
+    (splitmix(state) & 1 == 0).then(|| random(state))
+}
+
+/// A latency table with each entry sometimes off `base`'s.
+fn random_latencies(state: &mut u64, base: LatencyModel) -> LatencyModel {
+    let mut lat = base;
+    for entry in [
+        &mut lat.read_xbar,
+        &mut lat.write_xbar,
+        &mut lat.vstartup,
+        &mut lat.scalar_simple,
+        &mut lat.vector_simple,
+        &mut lat.mul,
+        &mut lat.div_sqrt,
+        &mut lat.memory,
+        &mut lat.branch,
+        &mut lat.mispredict_penalty,
+    ] {
+        if let Some(n) = sometimes(state, |s| below(s, 200) as u32) {
+            *entry = n;
+        }
+    }
+    lat
+}
+
+/// A valid scalar cache with each field sometimes off `base`'s, or
+/// none at all.
+fn random_cache(state: &mut u64, base: Option<ScalarCacheCfg>) -> Option<ScalarCacheCfg> {
+    if below(state, 4) == 0 {
+        return None;
+    }
+    let mut cache = base.unwrap_or_default();
+    if let Some(shift) = sometimes(state, |s| below(s, 4)) {
+        cache.line_bytes = 8 << shift;
+    }
+    if let Some(shift) = sometimes(state, |s| below(s, 12)) {
+        cache.size_bytes = cache.line_bytes << shift;
+    } else if cache.size_bytes < cache.line_bytes {
+        cache.size_bytes = cache.line_bytes;
+    }
+    if let Some(n) = sometimes(state, |s| 1 + below(s, 10) as u32) {
+        cache.hit_latency = n;
+    }
+    Some(cache)
+}
+
+/// A random valid machine with every field sometimes off its default.
+fn random_machine(state: &mut u64) -> MachineConfig {
+    if below(state, 3) == 0 {
+        let base = RefConfig::default();
+        let flag = |state: &mut u64, default: bool| {
+            sometimes(state, |s| below(s, 2) == 0).unwrap_or(default)
+        };
+        return MachineConfig::Ref(RefConfig {
+            lat: random_latencies(state, base.lat),
+            banked_ports: flag(state, base.banked_ports),
+            chain_fu: flag(state, base.chain_fu),
+            chain_loads: flag(state, base.chain_loads),
+            scalar_cache: random_cache(state, base.scalar_cache),
+        });
+    }
+    let base = OooConfig::default();
+    let size = |state: &mut u64, default: usize, low: usize, span: usize| {
+        sometimes(state, |s| low + below(s, span)).unwrap_or(default)
+    };
+    let mut cfg = OooConfig {
+        lat: random_latencies(state, base.lat),
+        phys_v_regs: size(state, base.phys_v_regs, 9, 120),
+        phys_a_regs: size(state, base.phys_a_regs, 9, 120),
+        phys_s_regs: size(state, base.phys_s_regs, 9, 120),
+        phys_mask_regs: size(state, base.phys_mask_regs, 0, 16),
+        queue_slots: size(state, base.queue_slots, 1, 256),
+        rob_entries: size(state, base.rob_entries, 1, 256),
+        commit_width: size(state, base.commit_width, 1, 8),
+        btb_entries: size(state, base.btb_entries, 1, 1024),
+        ras_depth: size(state, base.ras_depth, 0, 16),
+        scalar_cache: random_cache(state, base.scalar_cache),
+        ..base
+    };
+    if let Some(i) = sometimes(state, |s| below(s, 2)) {
+        cfg = cfg.with_commit([CommitMode::Early, CommitMode::Late][i]);
+    }
+    if let Some(i) = sometimes(state, |s| below(s, 4)) {
+        let modes = [
+            LoadElimMode::Off,
+            LoadElimMode::Sle,
+            LoadElimMode::SleVle,
+            LoadElimMode::SleVleSse,
+        ];
+        cfg = cfg.with_load_elim(modes[i]);
+    }
+    MachineConfig::Ooo(cfg)
+}
+
+/// A random valid request on a random machine.
+fn random_request(state: &mut u64) -> SimRequest {
+    let machine = random_machine(state);
+    let late = matches!(machine, MachineConfig::Ooo(c) if c.commit == CommitMode::Late);
+    SimRequest {
+        program: Program::ALL[below(state, Program::ALL.len())],
+        scale: [Scale::Smoke, Scale::Paper][below(state, 2)],
+        machine,
+        stepper: [Stepper::EventDriven, Stepper::Naive][below(state, 2)],
+        fault_at: if late {
+            sometimes(state, |s| below(s, 1 << 20))
+        } else {
+            None
+        },
+    }
+}
+
+#[test]
+fn compact_and_full_lines_decode_to_one_request_and_fingerprint() {
+    let (mut compact_bytes, mut full_bytes, mut points) = (0, 0, Vec::new());
+    for seed in SEEDS {
+        let mut state = seed;
+        for _ in 0..200 {
+            let req = random_request(&mut state);
+            let deadline_ms = sometimes(&mut state, |s| below(s, 10_000) as u64);
+            let sim = Request::Sim { req, deadline_ms };
+            let (compact, full) = (sim.encode(), full_line(&sim));
+            compact_bytes += compact.len();
+            full_bytes += full.len();
+            for line in [&compact, &full] {
+                assert_eq!(decode_both(line).as_ref(), Ok(&sim), "{line}");
+            }
+            let Ok(Request::Sim { req: decoded, .. }) = Request::decode(&compact) else {
+                unreachable!("decoded above")
+            };
+            assert_eq!(decoded.fingerprint(), req.fingerprint(), "{compact}");
+            assert_eq!(
+                req.fingerprint(),
+                oov_proto::fingerprint_bytes(req.to_json().encode().as_bytes())
+            );
+            points.push(req);
+        }
+    }
+    // A compact sweep of all of them (in chunks under the cap) decodes
+    // to the full sweep's points.
+    for chunk in points.chunks(500) {
+        let sweep = Request::Sweep {
+            points: chunk.to_vec(),
+            deadline_ms: None,
+        };
+        let compact = sweep.encode();
+        assert_eq!(decode_both(&compact).as_ref(), Ok(&sweep));
+        assert_eq!(decode_both(&full_line(&sweep)).as_ref(), Ok(&sweep));
+    }
+    assert!(
+        compact_bytes < full_bytes,
+        "compact {compact_bytes} B against full {full_bytes} B"
+    );
+}
+
+/// A key that names no field is rejected at every level of a request
+/// line (the config records' own levels are tested in `oov-isa`).
+#[test]
+fn unknown_request_keys_are_rejected_alike() {
+    let sweep_point =
+        r#"{"program": "trfd", "scale": "smoke", "machine": {"machine": "ooo", "cfg": {}}"#;
+    for (line, error) in [
+        (
+            format!(
+                r#"{{"type": "sim", {}, "steper": "naive"}}"#,
+                &sweep_point[1..]
+            ),
+            "request: unknown field `steper`",
+        ),
+        // Whatever the type, and before it is checked.
+        (
+            r#"{"type": "ping", "x": 1}"#.to_string(),
+            "request: unknown field `x`",
+        ),
+        (
+            r#"{"x": 1, "type": "nope"}"#.to_string(),
+            "request: unknown field `x`",
+        ),
+        (
+            format!(r#"{{"type": "sweep", "points": [{sweep_point}, "deadline_ms": 5}}]}}"#),
+            "sim request: unknown field `deadline_ms`",
+        ),
+    ] {
+        assert_eq!(decode_both(&line), Err(error.to_string()), "{line}");
+    }
+    // A config misspelling is rejected in a full line too.
+    let full = edit(&default_sim_line(), r#""btb_entries""#, r#""btb_entry""#);
+    assert_eq!(
+        decode_both(&full),
+        Err("ooo config: unknown field `btb_entry`".to_string())
+    );
 }

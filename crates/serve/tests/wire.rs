@@ -108,14 +108,37 @@ fn pinned_messages() -> (Response, Request, Response) {
     (result, sweep, error)
 }
 
+/// A sweep line in the full form: every point's canonical encoding
+/// ([`SimRequest::write_json`], the bytes its fingerprint hashes), as
+/// clients wrote sweeps before requests went compact.
+fn full_sweep_line(points: &[SimRequest], deadline_ms: u64) -> String {
+    let mut line = String::from(r#"{"type": "sweep", "points": ["#);
+    for (i, point) in points.iter().enumerate() {
+        if i > 0 {
+            line.push_str(", ");
+        }
+        point.write_json(&mut line);
+    }
+    line + &format!(r#"], "deadline_ms": {deadline_ms}}}"#)
+}
+
 /// Exact wire bytes, recorded before the JSON writer was rewritten:
 /// fingerprints hash these encodings and the journal stores them, so
-/// the writer must keep reproducing them byte for byte. The sweep pin
-/// covers every point of `sample_requests`.
+/// the writer must keep reproducing them byte for byte. The full sweep
+/// pin covers the canonical encoding of every point of
+/// `sample_requests`; the compact pin is what the client sends for the
+/// same sweep.
 #[test]
 fn wire_bytes_are_pinned() {
     let (result, sweep, error) = pinned_messages();
-    let pins: [(String, &str); 3] = [
+    let Request::Sweep {
+        points,
+        deadline_ms: Some(deadline_ms),
+    } = &sweep
+    else {
+        unreachable!("the pinned sweep has a deadline")
+    };
+    let pins: [(String, &str); 4] = [
         (
             result.encode(),
             concat!(
@@ -125,6 +148,16 @@ fn wire_bytes_are_pinned() {
         ),
         (
             sweep.encode(),
+            concat!(
+                r#"{"type": "sweep", "points": [{"program": "trfd", "scale": "smoke", "machine": {"machine": "ooo", "cfg": {}}}, "#,
+                r#"{"program": "swm256", "scale": "paper", "machine": {"machine": "ooo", "cfg": {"lat": {"memory": 100}, "phys_v_regs": 32, "queue_slots": 128}}, "stepper": "naive"}, "#,
+                r#"{"program": "bdna", "scale": "smoke", "machine": {"machine": "ooo", "cfg": {"commit": "late", "load_elim": "sle+vle+sse"}}}, "#,
+                r#"{"program": "flo52", "scale": "smoke", "machine": {"machine": "ooo", "cfg": {"commit": "late"}}, "fault_at": 17}, "#,
+                r#"{"program": "tomcatv", "scale": "smoke", "machine": {"machine": "ref", "cfg": {"scalar_cache": null}}}], "deadline_ms": 86400000}"#,
+            ),
+        ),
+        (
+            full_sweep_line(points, *deadline_ms),
             concat!(
                 r#"{"type": "sweep", "points": [{"program": "trfd", "scale": "smoke", "machine": {"machine": "ooo", "cfg": {"lat": {"read_xbar": 1, "write_xbar": 2, "vstartup": 0, "scalar_simple": 2, "vector_simple": 4, "mul": 9, "div_sqrt": 34, "memory": 50, "branch": 1, "mispredict_penalty": 4}, "phys_v_regs": 16, "phys_a_regs": 64, "phys_s_regs": 64, "phys_mask_regs": 8, "queue_slots": 16, "rob_entries": 64, "commit_width": 4, "btb_entries": 64, "ras_depth": 8, "commit": "early", "load_elim": "off", "scalar_cache": {"size_bytes": 16384, "line_bytes": 32, "hit_latency": 2}}}, "stepper": "event", "fault_at": null"#,
                 r#"}, {"program": "swm256", "scale": "paper", "machine": {"machine": "ooo", "cfg": {"lat": {"read_xbar": 1, "write_xbar": 2, "vstartup": 0, "scalar_simple": 2, "vector_simple": 4, "mul": 9, "div_sqrt": 34, "memory": 100, "branch": 1, "mispredict_penalty": 4}, "phys_v_regs": 32, "phys_a_regs": 64, "phys_s_regs": 64, "phys_mask_regs": 8, "queue_slots": 128, "rob_entries": 64, "commit_width": 4, "btb_entries": 64, "ras_depth": 8, "commit": "early", "load_elim": "off", "scalar_cache": {"size_bytes": 16384, "line_bytes": 32, "hit_latency": 2}}}, "stepper": "naive", "fault_at": null"#,
@@ -703,8 +736,12 @@ impl RawConn {
     }
 
     fn send(&mut self, req: &Request) {
+        self.send_line(&req.encode());
+    }
+
+    fn send_line(&mut self, line: &str) {
         use std::io::Write;
-        writeln!(self.writer, "{}", req.encode()).expect("send");
+        writeln!(self.writer, "{line}").expect("send");
     }
 
     /// The next response line, without its newline.
@@ -803,6 +840,86 @@ fn served_result_lines_are_canonical_bytes() {
     // The miss row was cached on its way out: a `sim` of it hits.
     canonical_result(&conn.sim(&y), None, true, sy);
 
+    server.stop();
+}
+
+/// Lines as an older client wrote them, every config field spelt out,
+/// and the compact lines the client writes now name the same cache
+/// entries: a compact `sim` after a full one, and a compact `sweep`
+/// after a full one, are answered from the cache with the same results.
+#[test]
+fn full_and_compact_lines_share_cache_entries() {
+    const FULL_SIM: &str = concat!(
+        r#"{"type": "sim", "program": "swm256", "scale": "smoke", "machine": {"machine": "ooo", "cfg": {"lat": {"read_xbar": 1, "write_xbar": 2, "#,
+        r#""vstartup": 0, "scalar_simple": 2, "vector_simple": 4, "mul": 9, "div_sqrt": 34, "memory": 50, "branch": 1, "mispredict_penalty": 4}, "#,
+        r#""phys_v_regs": 16, "phys_a_regs": 64, "phys_s_regs": 64, "phys_mask_regs": 8, "queue_slots": 16, "rob_entries": 64, "commit_width": 4, "#,
+        r#""btb_entries": 64, "ras_depth": 8, "commit": "early", "load_elim": "off", "#,
+        r#""scalar_cache": {"size_bytes": 16384, "line_bytes": 32, "hit_latency": 2}}}, "stepper": "event", "fault_at": null}"#,
+    );
+    assert_eq!(FULL_SIM.len(), 591);
+    let x = SimRequest::ooo_default(Program::Swm256, Scale::Smoke);
+    let compact = Request::Sim {
+        req: x,
+        deadline_ms: None,
+    }
+    .encode();
+    assert!(compact.len() < 100, "{compact}");
+    let server = Server::start("127.0.0.1:0", 2).expect("server start");
+    let mut conn = RawConn::connect(server.addr());
+    conn.send_line(FULL_SIM);
+    let cold = canonical_result(&conn.line(), None, false, stripe_of(&x, 2));
+    let warm = canonical_result(&conn.sim(&x), None, true, stripe_of(&x, 2));
+    assert_eq!(
+        warm,
+        SimResult {
+            cached: true,
+            ..cold
+        }
+    );
+
+    let points = [
+        SimRequest {
+            machine: MachineConfig::Ref(RefConfig::default().with_memory_latency(20)),
+            ..SimRequest::ooo_default(Program::Trfd, Scale::Smoke)
+        },
+        SimRequest {
+            machine: MachineConfig::Ooo(
+                OooConfig::default()
+                    .with_phys_v_regs(32)
+                    .with_load_elim(LoadElimMode::SleVle),
+            ),
+            ..SimRequest::ooo_default(Program::Dyfesm, Scale::Smoke)
+        },
+    ];
+    let mut sweep = |line: &str, cached: bool| -> Vec<SimResult> {
+        conn.send_line(line);
+        let rows = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| canonical_result(&conn.line(), Some(i), cached, stripe_of(p, 2)))
+            .collect();
+        assert_eq!(
+            Response::decode(&conn.line()),
+            Ok(Response::SweepDone { count: 2 })
+        );
+        rows
+    };
+    let cold = sweep(&full_sweep_line(&points, 60_000), false);
+    let compact = Request::Sweep {
+        points: points.to_vec(),
+        deadline_ms: Some(60_000),
+    }
+    .encode();
+    let warm = sweep(&compact, true);
+    for (cold, warm) in cold.into_iter().zip(warm) {
+        assert_eq!(
+            warm,
+            SimResult {
+                cached: true,
+                ..cold
+            }
+        );
+    }
     server.stop();
 }
 

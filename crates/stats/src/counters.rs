@@ -101,6 +101,7 @@ impl SimStats {
 oov_proto::json_record!(
     SimStats,
     "sim stats",
+    strict,
     [
         cycles,
         committed,
