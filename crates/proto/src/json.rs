@@ -6,8 +6,9 @@
 //! is most of the work: the client encodes the request, the server
 //! decodes it and hashes its canonical encoding into the cache key,
 //! and the client decodes the reply. That path is typed end to end and
-//! builds no [`Json`] tree; the tree is kept for the artifacts and the
-//! journal, and as the oracle the typed path is tested against.
+//! builds no [`Json`] tree, and neither does the serve journal's
+//! replay; the tree is kept for the artifacts, and as the oracle the
+//! typed path is tested against.
 //!
 //! * There is one writer, and it is generic over a [`Sink`]: the
 //!   place its bytes go, one `&str` piece at a time. A `String` sink

@@ -15,9 +15,9 @@
 //!   are built from it;
 //! * [`json_record!`] and [`JsonField`] — one field list per struct
 //!   writes its typed codec (`write_json`/`read_json`, the request
-//!   path's) and its tree codec (`to_json`/`from_json`, the artifacts',
-//!   the journal's and the tests' oracle), so a field's wire name is
-//!   written once. A `strict` record needs every field; a `defaulting`
+//!   path's and the journal replay's) and its tree codec
+//!   (`to_json` for tree-built documents, and `from_json`, the tests'
+//!   oracle), so a field's wire name is written once. A `strict` record needs every field; a `defaulting`
 //!   one fills a missing field from its default, rejects unknown keys
 //!   and gets a compact writer that leaves out what equals the
 //!   default;
@@ -26,8 +26,9 @@
 //!   unlike `std::collections::hash_map::DefaultHasher`);
 //! * [`crc32`] and [`FrameReader`] — CRC-32/IEEE and length-prefixed
 //!   checksummed record framing, the on-disk format of the serve
-//!   write-ahead journal (torn or corrupt tails truncate instead of
-//!   failing recovery).
+//!   write-ahead journal, read from any `io::Read` one record at a
+//!   time (torn or corrupt tails truncate instead of failing recovery;
+//!   a read error is reported apart from them).
 //!
 //! # Example
 //!

@@ -9,8 +9,9 @@
 //!   fields into any [`Sink`] (a line buffer, or a fingerprint hash),
 //!   and `read_json` pulls them out of a [`Parser`], with no [`Json`]
 //!   tree either way;
-//! * the tree codec, `to_json` and `from_json`, which the artifacts
-//!   and the journal use and which the tests hold the typed codec to.
+//! * the tree codec: `to_json` builds a [`Json`] value for documents
+//!   assembled as trees, and `from_json` is the oracle the tests hold
+//!   `read_json` to. No production decoder reads a tree.
 //!
 //! `write_json` and `to_json` write the *canonical* encoding, every
 //! field in list order; fingerprints hash it and the journal stores

@@ -18,12 +18,20 @@
 //! Fingerprints use the whole 64-bit range while JSON numbers are
 //! exact only to 2^53, so they travel as hex strings.
 //!
-//! Recovery ([`recover`]) replays a file from the start and **stops at
-//! the first torn or corrupt record** instead of failing — everything
-//! before the tear is durable, and a crash mid-append costs at most
-//! the final batch. A record whose frame is intact but whose JSON no
-//! longer decodes (say, a schema change) is skipped with a counted
-//! warning.
+//! Recovery ([`recover`]) replays a file from the start in one pass:
+//! it reads the file through one fixed buffer, one frame at a time,
+//! decodes each payload with the wire's typed decoder (no `Json` tree)
+//! and hands each [`CacheLine`] to the caller, which folds it straight
+//! into the cache. Replay holds one record at a time, never the file
+//! or a list of its entries. It **stops at the first torn or corrupt
+//! record** instead of failing — everything before the tear is
+//! durable, and a crash mid-append costs at most the final batch. A
+//! record whose frame is intact but whose JSON no longer decodes (say,
+//! a schema change) is skipped with a counted warning. A read error is
+//! not a tear: it is reported as [`FrameStop::ReadError`], with the
+//! records read before it, and the server serves those records but
+//! journals nothing for that run, so it never truncates, appends to or
+//! compacts over a file it could not read.
 //!
 //! # Snapshot + compaction
 //!
@@ -43,9 +51,10 @@
 //! shutdown runs the same compaction once the last sender is gone,
 //! unless the journal is already empty. Startup replays the snapshot
 //! and then the journal tail through the same [`recover`], the tail
-//! overriding the snapshot. Recovery never truncates the snapshot: a
-//! torn one yields its intact prefix and is replaced at the next
-//! compaction. A file in any other format at the snapshot path yields
+//! overriding the snapshot, and seeds the cache in that replay order,
+//! so under a cache cap the newest records are the ones kept.
+//! Recovery never truncates the snapshot: a torn one yields its intact
+//! prefix and is replaced at the next compaction. A file in any other format at the snapshot path yields
 //! no records and the server starts cold for them.
 //!
 //! `journal.appended_records` (`stats`: `journal_records`) is a
@@ -53,12 +62,12 @@
 //! returned, so once it reads N, N records survive a SIGKILL.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use oov_proto::{frame_record, FrameReader, Json};
+use oov_proto::{frame_record, FrameReader, FrameStop, Parser};
 
 use crate::proto::{write_result_fields, SimResult};
 
@@ -103,9 +112,8 @@ pub struct CacheLine {
 /// What [`recover`] salvaged from a journal file.
 #[derive(Debug, Default)]
 pub struct Recovery {
-    /// Replayed entries, in append order (later entries for the same
-    /// key should win).
-    pub entries: Vec<CacheLine>,
+    /// Records decoded and handed to the caller.
+    pub recovered: u64,
     /// Bytes of intact prefix — the length the journal must be
     /// truncated to before appending resumes.
     pub intact_bytes: u64,
@@ -115,6 +123,11 @@ pub struct Recovery {
     /// Frame-intact records whose payload no longer decoded, skipped
     /// with a warning.
     pub skipped: u64,
+    /// Why replay stopped. After a [`FrameStop::ReadError`] (the file
+    /// could be opened but not read, or not opened for reading) the
+    /// bytes past the intact prefix were never seen: the file must not
+    /// be truncated or written over.
+    pub stop: FrameStop,
 }
 
 /// One simulated result on its way to the journal, and the writer's
@@ -193,69 +206,83 @@ pub fn encode_record(entry: &CacheLine) -> Vec<u8> {
 }
 
 /// Decodes one record payload back into its cache line, validating
-/// every field.
+/// every field. It pulls the fields straight out of the wire's
+/// [`Parser`], with the result read by [`SimResult::read_json`], and
+/// builds no tree.
 fn decode_record(payload: &[u8]) -> Result<CacheLine, String> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("payload not UTF-8: {e}"))?;
-    let doc = Json::parse(text).map_err(|e| format!("{e}"))?;
-    let fp = |name: &str| {
-        let s = doc
-            .get(name)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("record without `{name}`"))?;
-        s.strip_prefix("0x")
-            .and_then(|digits| u64::from_str_radix(digits, 16).ok())
-            .ok_or_else(|| format!("record: bad fingerprint `{s}`"))
-    };
+    let mut p = Parser::new(text);
+    let (mut key, mut machine_fp, mut result) = (None, None, None);
+    p.object(|p, name| match &*name {
+        "key" => p.first(&mut key, Parser::str),
+        "machine_fp" => p.first(&mut machine_fp, Parser::str),
+        "result" => p.first(&mut result, SimResult::read_json),
+        _ => p.skip(),
+    })
+    .and_then(|_| p.end())
+    .map_err(|e| e.to_string())?;
     Ok(CacheLine {
-        key: fp("key")?,
-        machine_fp: fp("machine_fp")?,
-        result: SimResult::from_json(
-            doc.get("result")
-                .ok_or_else(|| "record without `result`".to_string())?,
-        )?,
+        key: fingerprint("key", key.flatten().as_deref())?,
+        machine_fp: fingerprint("machine_fp", machine_fp.flatten().as_deref())?,
+        result: result.ok_or_else(|| "record without `result`".to_string())??,
     })
 }
 
-/// Replays a journal or snapshot file, stopping at the first torn or
-/// corrupt record. A missing file is an empty journal, not an error —
-/// the first run of a `--journal` server starts that way.
+/// The fingerprint a record's field `name` spells as `0x` and hex
+/// digits; `s` is the field's string, if it has one.
+fn fingerprint(name: &str, s: Option<&str>) -> Result<u64, String> {
+    let s = s.ok_or_else(|| format!("record without `{name}`"))?;
+    s.strip_prefix("0x")
+        .and_then(|digits| u64::from_str_radix(digits, 16).ok())
+        .ok_or_else(|| format!("record: bad fingerprint `{s}`"))
+}
+
+/// Bytes of the buffer [`recover`] reads a file through.
+const REPLAY_BUFFER: usize = 64 << 10;
+
+/// Replays a journal or snapshot file, handing each decoded line to
+/// `each` in file order and stopping at the first torn or corrupt
+/// record, or at a read error. A missing file is an empty journal, not
+/// an error — the first run of a `--journal` server starts that way.
 #[must_use]
-pub fn recover(path: &Path) -> Recovery {
-    let buf = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Recovery::default(),
+pub fn recover(path: &Path, mut each: impl FnMut(CacheLine)) -> Recovery {
+    let mut rec = Recovery::default();
+    let file = match std::fs::File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return rec,
         Err(e) => {
-            eprintln!(
-                "oov-serve: journal {}: read failed ({e}); starting empty",
-                path.display()
-            );
-            return Recovery::default();
+            eprintln!("oov-serve: journal {}: open failed ({e})", path.display());
+            rec.stop = FrameStop::ReadError(e.kind());
+            return rec;
         }
     };
-    let mut rec = Recovery::default();
-    let mut reader = FrameReader::new(&buf);
+    let mut reader = FrameReader::new(BufReader::with_capacity(REPLAY_BUFFER, file));
     while let Some(payload) = reader.next_record() {
         match decode_record(payload) {
-            Ok(entry) => rec.entries.push(entry),
+            Ok(line) => {
+                rec.recovered += 1;
+                each(line);
+            }
             Err(why) => {
                 rec.skipped += 1;
                 eprintln!(
                     "oov-serve: journal {}: skipping undecodable record {}: {why}",
                     path.display(),
-                    rec.entries.len() as u64 + rec.skipped,
+                    rec.recovered + rec.skipped,
                 );
             }
         }
     }
     rec.intact_bytes = reader.consumed() as u64;
     rec.truncated_bytes = reader.truncated() as u64;
-    if rec.truncated_bytes > 0 {
+    rec.stop = reader.stop();
+    if rec.stop != FrameStop::Clean {
         eprintln!(
-            "oov-serve: journal {}: torn/corrupt tail ({:?}); keeping the {}-record intact \
-             prefix, dropping the {} bytes after it",
+            "oov-serve: journal {}: replay stopped ({:?}) after an intact prefix of {} \
+             records; {} bytes past it not replayed",
             path.display(),
-            reader.stop(),
-            rec.entries.len(),
+            rec.stop,
+            rec.recovered,
             rec.truncated_bytes
         );
     }
@@ -482,6 +509,7 @@ fn write_atomic(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oov_proto::Json;
     use oov_stats::SimStats;
 
     fn line(key: u64, cycles: u64) -> CacheLine {
@@ -568,8 +596,137 @@ mod tests {
         }
     }
 
+    /// The tree decoder of a record payload: the oracle
+    /// [`decode_record`] is held to.
+    fn decode_record_tree(payload: &[u8]) -> Result<CacheLine, String> {
+        let text = std::str::from_utf8(payload).map_err(|e| format!("payload not UTF-8: {e}"))?;
+        let doc = Json::parse(text).map_err(|e| format!("{e}"))?;
+        let fp = |name: &str| fingerprint(name, doc.get(name).and_then(Json::as_str));
+        Ok(CacheLine {
+            key: fp("key")?,
+            machine_fp: fp("machine_fp")?,
+            result: SimResult::from_json(
+                doc.get("result")
+                    .ok_or_else(|| "record without `result`".to_string())?,
+            )?,
+        })
+    }
+
+    /// Decodes `payload` with both decoders, asserting they agree, and
+    /// returns the outcome.
+    fn decode_alike(payload: &[u8]) -> Result<CacheLine, String> {
+        let typed = decode_record(payload);
+        assert_eq!(
+            typed,
+            decode_record_tree(payload),
+            "decoders disagree on {:?}",
+            String::from_utf8_lossy(payload)
+        );
+        typed
+    }
+
+    #[test]
+    fn typed_and_tree_record_decoders_agree() {
+        let lines = [
+            line(7, 10),
+            extreme_line(u64::MAX, 0, true, 3),
+            extreme_line(0xdead_beef_cafe_f00d, 1, false, usize::from(u16::MAX)),
+        ];
+        for line in &lines {
+            let payload = encode_record(line);
+            assert_eq!(decode_alike(&payload).as_ref(), Ok(line));
+            for cut in 0..payload.len() {
+                assert!(decode_alike(&payload[..cut]).is_err(), "cut at {cut}");
+            }
+            // Every byte replaced by every other value in the first
+            // payload; in the others, with each bit flipped and by each
+            // byte of the JSON grammar.
+            let mut bad = payload.clone();
+            for at in 0..payload.len() {
+                let flips = (0..8).map(|bit| payload[at] ^ (1 << bit));
+                let bytes: Vec<u8> = if line == &lines[0] {
+                    (0..=u8::MAX).collect()
+                } else {
+                    flips.chain(*b"\"{}[],:\\0x-").collect()
+                };
+                for byte in bytes {
+                    bad[at] = byte;
+                    let _ = decode_alike(&bad);
+                }
+                bad[at] = payload[at];
+            }
+        }
+
+        let payload = String::from_utf8(encode_record(&lines[0])).unwrap();
+        let edit = |from: &str, to: &str| {
+            assert!(payload.contains(from), "{from}");
+            payload.replacen(from, to, 1)
+        };
+        let key = "\"key\": \"0x0000000000000007\", ";
+        let result_at = payload.find("\"result\"").unwrap();
+        let cases = [
+            (edit(key, ""), "record without `key`"),
+            (
+                edit("\"0x0000000000000007\"", "7"),
+                "record without `key`",
+            ),
+            (
+                edit("0x0000000000000007", "0x00000000000000g7"),
+                "record: bad fingerprint `0x00000000000000g7`",
+            ),
+            (
+                edit("0x0000000000000007", "0000000000000007"),
+                "record: bad fingerprint `0000000000000007`",
+            ),
+            (
+                format!("{}\"result\": [1, 2]}}", &payload[..result_at]),
+                "sim result: missing field `stats`",
+            ),
+            (
+                format!("{}\"result\": null}}", &payload[..result_at]),
+                "sim result: missing field `stats`",
+            ),
+            (
+                edit("\"result\": {", "\"result\": {\"faults_taken\": \"x\", "),
+                "sim result: bad or missing field `faults_taken`",
+            ),
+            (format!("{payload} x"), "trailing characters after value at byte"),
+            ("[]".to_string(), "record without `key`"),
+            (String::new(), "unexpected end of input at byte 0"),
+        ];
+        for (text, want) in &cases {
+            let err = decode_alike(text.as_bytes()).unwrap_err();
+            assert!(err.starts_with(want), "{text}: got {err}, want {want}");
+        }
+        // A repeated key: the first value wins, in both decoders.
+        let repeated = edit(key, &format!("{key}\"key\": \"0x0000000000000009\", "));
+        assert_eq!(decode_alike(repeated.as_bytes()).map(|l| l.key), Ok(7));
+        let repeated = edit(key, "\"key\": \"bad\", ");
+        let repeated = repeated.replacen("{", &format!("{{{key}"), 1);
+        assert_eq!(decode_alike(repeated.as_bytes()).map(|l| l.key), Ok(7));
+        // An escaped key and an unknown field decode as plain ones.
+        let escaped = edit("\"key\"", "\"k\\u0065y\"");
+        assert_eq!(decode_alike(escaped.as_bytes()).map(|l| l.key), Ok(7));
+        let extra = edit(key, &format!("{key}\"extra\": [{{}}], "));
+        assert_eq!(decode_alike(extra.as_bytes()).as_ref(), Ok(&lines[0]));
+        // Invalid UTF-8, anywhere in the payload.
+        for at in [0, 3, payload.len() - 1] {
+            let mut bytes = payload.clone().into_bytes();
+            bytes[at] = 0xff;
+            let err = decode_alike(&bytes).unwrap_err();
+            assert!(err.starts_with("payload not UTF-8"), "{err}");
+        }
+    }
+
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("oov_journal_{}_{name}", std::process::id()))
+    }
+
+    /// Every line [`recover`] hands out for `path`, and its summary.
+    fn replay(path: &Path) -> (Vec<CacheLine>, Recovery) {
+        let mut lines = Vec::new();
+        let rec = recover(path, |line| lines.push(line));
+        (lines, rec)
     }
 
     fn write_journal(path: &Path, entries: &[CacheLine]) {
@@ -585,16 +742,28 @@ mod tests {
         let path = tmp("rt.wal");
         let entries = vec![line(u64::MAX, 10), line(7, 20), line(7, 30)];
         write_journal(&path, &entries);
-        let rec = recover(&path);
-        assert_eq!(rec.entries, entries);
+        let (lines, rec) = replay(&path);
+        assert_eq!(lines, entries);
         assert_eq!(rec.truncated_bytes, 0);
         assert_eq!(rec.skipped, 0);
         assert_eq!(rec.intact_bytes, std::fs::metadata(&path).unwrap().len());
         std::fs::remove_file(&path).ok();
 
-        let rec = recover(&tmp("nonexistent.wal"));
-        assert!(rec.entries.is_empty());
+        let (lines, rec) = replay(&tmp("nonexistent.wal"));
+        assert!(lines.is_empty());
         assert_eq!(rec.intact_bytes, 0);
+    }
+
+    #[test]
+    fn an_unreadable_file_is_a_read_error_not_a_tear() {
+        // Opening a directory succeeds; reading it fails.
+        let dir = tmp("unreadable.wal");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (lines, rec) = replay(&dir);
+        std::fs::remove_dir(&dir).ok();
+        assert!(lines.is_empty());
+        assert!(matches!(rec.stop, FrameStop::ReadError(_)), "{rec:?}");
+        assert_eq!((rec.intact_bytes, rec.truncated_bytes), (0, 0));
     }
 
     #[test]
@@ -606,8 +775,8 @@ mod tests {
         // Tear 5 bytes off the last record.
         let buf = std::fs::read(&path).unwrap();
         std::fs::write(&path, &buf[..buf.len() - 5]).unwrap();
-        let rec = recover(&path);
-        assert_eq!(rec.entries, entries[..2]);
+        let (lines, rec) = replay(&path);
+        assert_eq!(lines, entries[..2]);
         assert!(rec.truncated_bytes > 0);
         assert!(rec.intact_bytes < full);
         std::fs::remove_file(&path).ok();
@@ -622,8 +791,8 @@ mod tests {
         frame_record(b"{\"not\": \"an entry\"}", &mut buf).unwrap();
         frame_record(&encode_record(&line(2, 20)), &mut buf).unwrap();
         std::fs::write(&path, &buf).unwrap();
-        let rec = recover(&path);
-        assert_eq!(rec.entries, vec![line(1, 10), line(2, 20)]);
+        let (lines, rec) = replay(&path);
+        assert_eq!(lines, vec![line(1, 10), line(2, 20)]);
         assert_eq!(rec.skipped, 1);
         assert_eq!(rec.truncated_bytes, 0);
         std::fs::remove_file(&path).ok();
@@ -670,14 +839,14 @@ mod tests {
         drop(tx);
         // Both records are on disk once the watermark says so.
         await_counter(&metrics, "journal.appended_records", 2);
-        let rec = recover(&path);
-        assert_eq!(rec.entries, vec![line(9, 90), line(1, 10), line(2, 20)]);
+        let (lines, rec) = replay(&path);
+        assert_eq!(lines, vec![line(9, 90), line(1, 10), line(2, 20)]);
         assert_eq!(rec.truncated_bytes, 0);
         // Stopping compacts: an empty journal beside a full snapshot.
         w.finish();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-        let snap = recover(&snapshot_path(&path));
-        assert_eq!(snap.entries, vec![line(1, 10), line(2, 20), line(9, 90)]);
+        let (snap_lines, snap) = replay(&snapshot_path(&path));
+        assert_eq!(snap_lines, vec![line(1, 10), line(2, 20), line(9, 90)]);
         assert_eq!((snap.skipped, snap.truncated_bytes), (0, 0));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(snapshot_path(&path)).ok();
@@ -710,11 +879,10 @@ mod tests {
         // the journal before the snapshot is race-free against a
         // concurrent compaction, which saves before it truncates.
         await_counter(&metrics, "journal.appended_records", 32);
-        let tail = recover(&path).entries;
-        let snap_rec = recover(&snap);
+        let tail = replay(&path).0;
+        let (snap_lines, snap_rec) = replay(&snap);
         assert_eq!(snap_rec.skipped, 0);
-        let merged: HashMap<u64, CacheLine> = snap_rec
-            .entries
+        let merged: HashMap<u64, CacheLine> = snap_lines
             .into_iter()
             .chain(tail)
             .map(|e| (e.key, e))
@@ -726,8 +894,8 @@ mod tests {
         // Shutdown compacted the rest: the snapshot holds every record
         // and the journal is empty.
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-        let snap_rec = recover(&snap);
-        assert_eq!((snap_rec.entries, snap_rec.skipped), (all, 0));
+        let (snap_lines, snap_rec) = replay(&snap);
+        assert_eq!((snap_lines, snap_rec.skipped), (all, 0));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&snap).ok();
     }

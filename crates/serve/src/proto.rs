@@ -641,8 +641,23 @@ impl SimResult {
         out.push('}');
     }
 
-    /// Decodes the result fields of a tree (a reply or a journal
-    /// record's `result`).
+    /// Reads the result object under the parser's cursor (a journal
+    /// record's `result`), deciding what `from_json` decides on the
+    /// same value.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error. The inner result names the missing or
+    /// malformed field.
+    pub(crate) fn read_json(p: &mut Parser<'_>) -> Result<Result<Self, String>, ParseError> {
+        let mut fields = ResultFields::default();
+        p.object(|p, key| fields.read(&key, p))?;
+        Ok(fields.finish())
+    }
+
+    /// Decodes the result fields of a tree: the oracle
+    /// [`SimResult::read_json`] is tested against.
+    #[cfg(test)]
     pub(crate) fn from_json(v: &Json) -> Result<Self, String> {
         ResultFields::of_tree(v).finish()
     }

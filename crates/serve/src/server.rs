@@ -97,6 +97,7 @@ use std::time::{Duration, Instant};
 
 use oov_bench::machine_run_budgeted;
 use oov_core::{AbortReason, RunBudget, SimArena};
+use oov_proto::FrameStop;
 
 use crate::cache::SuiteCache;
 use crate::chaos::{ChaosConfig, JobFault};
@@ -463,43 +464,41 @@ impl Engine {
         }
     }
 
-    /// Replays journal `jpath`'s snapshot, then its tail on top (keyed
-    /// by request fingerprint, later records winning), encodes each
-    /// result's body once and seeds the stripes with it. Returns the
-    /// journal writer's state, which shares those bodies, and the
-    /// journal's intact length. A torn or unreadable snapshot yields
-    /// its intact prefix: losing a cache must never take the service
-    /// down.
-    fn recover(&self, jpath: &Path) -> (HashMap<u64, Record>, u64) {
-        let snap = journal::recover(&journal::snapshot_path(jpath));
-        let tail = journal::recover(jpath);
+    /// Replays journal `jpath`'s snapshot and then its tail in one
+    /// pass, folding each record, in replay order, into the stripe
+    /// `dispatch` looks its key up in and into the journal writer's
+    /// state, a later record for a key replacing the earlier. Seeding
+    /// in replay order keeps the newest records under a cache cap.
+    /// Returns that state, which shares the stored bodies, and the
+    /// journal's intact length. A torn snapshot yields its intact
+    /// prefix: losing a cache must never take the service down. A file
+    /// that could not be read yields the records before the failure
+    /// and `None`: the run must not truncate, append to or compact
+    /// over a file whose rest it never saw.
+    fn recover(&self, jpath: &Path) -> Option<(HashMap<u64, Record>, u64)> {
+        let mut state = HashMap::new();
+        let mut fold = |line: CacheLine| {
+            let record = Record::of(&line);
+            // The body holds no shard, so it is valid on any stripe and
+            // the shard count may change across restarts.
+            let n = (line.key % self.stripes.len() as u64) as usize;
+            // Seeding through the same entry point applies the cap to
+            // an oversized recovery state too.
+            if self.stripe(n).lru.insert(line.key, Arc::clone(&record.body)) {
+                self.result_evictions.inc();
+            }
+            state.insert(line.key, record);
+        };
+        let snap = journal::recover(&journal::snapshot_path(jpath), &mut fold);
+        let tail = journal::recover(jpath, &mut fold);
         self.metrics
             .counter("journal.recovered_records")
-            .add(tail.entries.len() as u64);
+            .add(tail.recovered);
         self.metrics
             .counter("cache.load_skipped")
             .add(snap.skipped + tail.skipped);
-        let state: HashMap<u64, CacheLine> = snap
-            .entries
-            .into_iter()
-            .chain(tail.entries)
-            .map(|e| (e.key, e))
-            .collect();
-        let mut records = HashMap::with_capacity(state.len());
-        for (key, line) in state {
-            let record = Record::of(&line);
-            // The stripe `dispatch` looks the key up in, so the shard
-            // count may change across restarts. The body holds no
-            // shard, so it is valid on any stripe.
-            let n = (key % self.stripes.len() as u64) as usize;
-            // Seeding through the same entry point applies the cap to
-            // an oversized recovery state too.
-            if self.stripe(n).lru.insert(key, Arc::clone(&record.body)) {
-                self.result_evictions.inc();
-            }
-            records.insert(key, record);
-        }
-        (records, tail.intact_bytes)
+        let unread = |r: &journal::Recovery| matches!(r.stop, FrameStop::ReadError(_));
+        (!unread(&snap) && !unread(&tail)).then_some((state, tail.intact_bytes))
     }
 }
 
@@ -736,7 +735,8 @@ impl Server {
     /// caps, drain budget and chaos injection.
     ///
     /// With a journal, the cache starts warm from its snapshot and
-    /// tail; a journal that cannot be opened only disables journaling.
+    /// tail; a journal or snapshot that cannot be opened or read only
+    /// disables journaling, and what was read of it still serves.
     ///
     /// # Errors
     ///
@@ -754,7 +754,13 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let engine = Arc::new(Engine::new(n_shards, &cfg));
         let journal_writer = cfg.persist.journal.as_ref().and_then(|jpath| {
-            let (state, intact_bytes) = engine.recover(jpath);
+            let Some((state, intact_bytes)) = engine.recover(jpath) else {
+                eprintln!(
+                    "oov-serve: journal {}: unreadable; journaling disabled",
+                    jpath.display()
+                );
+                return None;
+            };
             let jcfg = JournalConfig {
                 path: jpath.clone(),
                 max_bytes: cfg

@@ -2,7 +2,9 @@
 //! restarts warm from its write-ahead journal, arbitrary journal
 //! corruption recovers exactly the intact-record prefix without ever
 //! panicking or serving a corrupted result, a torn snapshot serves its
-//! intact prefix warm, and a `deadline_ms`
+//! intact prefix warm, a capped restart keeps the newest entries, an
+//! unreadable snapshot turns journaling off without touching either
+//! file, and a `deadline_ms`
 //! expiring *mid-simulation* aborts the run cooperatively instead of
 //! completing it. Durability is awaited on the journal's watermark
 //! (`journal_records`, counted after `sync_data`), never by sleeping.
@@ -131,6 +133,13 @@ fn framed(lines: &[CacheLine]) -> Vec<u8> {
     buf
 }
 
+/// Every line `journal::recover` hands out for `path`, and its summary.
+fn replay(path: &Path) -> (Vec<CacheLine>, journal::Recovery) {
+    let mut lines = Vec::new();
+    let rec = journal::recover(path, |line| lines.push(line));
+    (lines, rec)
+}
+
 /// Asserts `got` is `want`'s result, answered from the cache.
 fn assert_served_warm(got: &SimResult, want: &CacheLine, n_shards: u64) {
     assert!(got.cached, "a recovered point was simulated");
@@ -215,13 +224,13 @@ fn corrupted_journal_recovers_exactly_the_intact_prefix() {
     client.shutdown().expect("shutdown");
     server.join();
     std::fs::write(&jpath, &pristine).expect("restore the journal copy");
-    let baseline = journal::recover(&jpath);
-    assert_eq!(baseline.entries.len(), points.len());
+    let (baseline_entries, baseline) = replay(&jpath);
+    assert_eq!(baseline_entries.len(), points.len());
     assert_eq!(baseline.truncated_bytes, 0);
     // End offset of each record, from the frame layout itself.
     let mut ends = Vec::new();
     let mut off = 0usize;
-    for e in &baseline.entries {
+    for e in &baseline_entries {
         off += oov_proto::FRAME_HEADER_BYTES + journal::encode_record(e).len();
         ends.push(off);
     }
@@ -243,19 +252,19 @@ fn corrupted_journal_recovers_exactly_the_intact_prefix() {
         let byte = next(buf.len());
         buf[byte] ^= 1 << next(8);
         std::fs::write(&jpath, &buf).expect("write corrupted journal");
-        let rec = journal::recover(&jpath);
+        let (entries, rec) = replay(&jpath);
         let intact = ends.iter().filter(|&&e| e <= byte).count();
-        assert_eq!(rec.entries.len(), intact, "flip at byte {byte}");
-        assert_eq!(rec.entries[..], baseline.entries[..intact]);
+        assert_eq!(entries.len(), intact, "flip at byte {byte}");
+        assert_eq!(entries[..], baseline_entries[..intact]);
         assert_eq!(rec.skipped, 0, "a bit flip can never pass the CRC");
 
         // A truncated tail: exactly the fully-contained records.
         let cut = next(pristine.len() + 1);
         std::fs::write(&jpath, &pristine[..cut]).expect("write truncated journal");
-        let rec = journal::recover(&jpath);
+        let (entries, _) = replay(&jpath);
         let intact = ends.iter().filter(|&&e| e <= cut).count();
-        assert_eq!(rec.entries.len(), intact, "cut at byte {cut}");
-        assert_eq!(rec.entries[..], baseline.entries[..intact]);
+        assert_eq!(entries.len(), intact, "cut at byte {cut}");
+        assert_eq!(entries[..], baseline_entries[..intact]);
     }
     std::fs::remove_file(&jpath).ok();
     std::fs::remove_file(journal::snapshot_path(&jpath)).ok();
@@ -367,8 +376,8 @@ fn torn_snapshot_serves_its_intact_prefix() {
         entries.join(", ")
     );
     std::fs::write(&snap, legacy).expect("write legacy snapshot");
-    let rec = journal::recover(&snap);
-    assert!(rec.entries.is_empty(), "a legacy document yielded records");
+    let (legacy_lines, rec) = replay(&snap);
+    assert!(legacy_lines.is_empty(), "a legacy document yielded records");
     assert_eq!(rec.skipped, 0);
     std::fs::write(&jpath, framed(&tail)).expect("write journal");
     let server = start_journaled(&jpath, 2);
@@ -384,6 +393,85 @@ fn torn_snapshot_serves_its_intact_prefix() {
     server.join();
     std::fs::remove_file(&jpath).ok();
     std::fs::remove_file(&snap).ok();
+}
+
+/// Under `--cache-entries`, recovery seeds each stripe in replay order,
+/// so a restart keeps the last-journaled entries, not a random subset.
+#[test]
+fn capped_recovery_keeps_the_newest_entries() {
+    let jpath = tmp("capped.wal");
+    let snap = journal::snapshot_path(&jpath);
+    std::fs::remove_file(&snap).ok();
+    let points = distinct_points(12);
+    let lines: Vec<CacheLine> = (0..points.len())
+        .map(|i| made_up_line(&points[i], i, 1000 + i as u64))
+        .collect();
+    std::fs::write(&jpath, framed(&lines)).expect("write journal");
+
+    let cfg = ServeConfig {
+        persist: PersistOptions {
+            journal: Some(jpath.clone()),
+            max_entries: Some(4),
+            ..PersistOptions::default()
+        },
+        ..ServeConfig::default()
+    };
+    let server = Server::start_cfg("127.0.0.1:0", 1, cfg).expect("server start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // The newest four first: each older point is simulated and
+    // inserted, which evicts.
+    for i in 8..12 {
+        let got = client.sim(&points[i]).expect("served");
+        assert_served_warm(&got, &lines[i], 1);
+    }
+    for (i, p) in points.iter().enumerate().take(8) {
+        let got = client.sim(p).expect("served");
+        assert!(!got.cached, "point {i} was evicted at recovery, yet served warm");
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.result_hits, stats.result_misses), (4, 8));
+    assert_eq!(stats.journal_recovered, lines.len() as u64);
+    client.shutdown().expect("shutdown");
+    server.join();
+    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_file(&snap).ok();
+}
+
+/// A snapshot that opens but cannot be read is not a tear: the journal
+/// tail still serves warm, and the server journals nothing for the run,
+/// so neither file is truncated, appended to or compacted over.
+#[test]
+fn an_unreadable_snapshot_disables_journaling_and_leaves_the_files_alone() {
+    let jpath = tmp("unreadable.wal");
+    let snap = journal::snapshot_path(&jpath);
+    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_file(&snap).ok();
+    // Opening a directory succeeds and reading it fails, even as root.
+    std::fs::create_dir_all(&snap).expect("directory at the snapshot path");
+    let points = distinct_points(3);
+    let tail = [made_up_line(&points[0], 0, 100), made_up_line(&points[1], 1, 101)];
+    // A torn tail, which a journal the server writes to is cut back to.
+    let mut bytes = framed(&tail);
+    bytes.extend_from_slice(&[0xAB; 6]);
+    std::fs::write(&jpath, &bytes).expect("write journal");
+
+    let server = start_journaled(&jpath, 2);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for (p, want) in points.iter().zip(&tail) {
+        let got = client.sim(p).expect("served after recovery");
+        assert_served_warm(&got, want, 2);
+    }
+    assert!(!client.sim(&points[2]).expect("simulated").cached);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.journal_recovered, tail.len() as u64);
+    assert_eq!(stats.journal_records, 0, "a miss was journaled");
+    client.shutdown().expect("shutdown");
+    server.join();
+
+    assert_eq!(std::fs::read(&jpath).expect("journal"), bytes);
+    assert!(snap.is_dir(), "the snapshot path was written over");
+    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_dir(&snap).ok();
 }
 
 #[test]
