@@ -17,17 +17,26 @@
 //!   hashes. [`Json::encode_into`] walks a tree into it, and the typed
 //!   encoders (`write_json` of each
 //!   [`json_record!`](crate::json_record) type) put the same bytes
-//!   with [`write_str`] and the integer rule of [`Json::Num`]. The
-//!   writer allocates no temporary per key, string or number: integers
-//!   go through a digit loop, and a string's runs of bytes that need no
-//!   escape are put whole. [`Display`](fmt::Display) and
-//!   [`Json::pretty`] share the same writer.
+//!   with [`write_str`] and [`write_u64`]. The writer allocates no
+//!   temporary per key, string or number: integers go through one
+//!   digit writer, and a string's runs of bytes that need no escape are
+//!   put whole. [`Display`](fmt::Display) and [`Json::pretty`] share
+//!   the same writer.
 //! * There is one parser, [`Parser`]. [`Json::parse`] builds a tree
 //!   with it; a typed decoder pulls values out of it (a number, a
 //!   string borrowed from the input, an object walked key by key) and
 //!   skips what it does not read, through the same code, depth limit
-//!   and error offsets. The parser accumulates short integer literals
-//!   without going through `str::parse::<f64>`.
+//!   and error offsets.
+//!
+//! Unsigned integers are exact over the whole `u64` range. A plain
+//! integer literal (digits only: no sign, fraction or exponent) that
+//! fits a `u64` is read as that integer, never through an `f64`; the
+//! tree holds it as [`Json::Num`] up to 2^53, where an `f64` is still
+//! exact, and as [`Json::Int`] past it. Every other literal (`1.0`,
+//! `1e0`, `-0`) is read as the nearest `f64`, and reads as a `u64` only
+//! if that is a non-negative integer no larger than 2^53. The writer
+//! puts a `u64` as its exact digits, and an integral `f64` past 2^53
+//! in exponent form, so that no `f64` re-reads as an exact integer.
 //!
 //! The output is byte-identical by contract, whatever the sink:
 //! request fingerprints hash the encoding and the journal stores it,
@@ -57,9 +66,13 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number. Integers are exact up to 2^53, far beyond any
-    /// counter this workspace produces.
+    /// Any number, as an `f64`: exact for integers up to 2^53.
     Num(f64),
+    /// A non-negative integer past 2^53, held exactly: what the parser
+    /// reads from a plain integer literal there, and what
+    /// `Json::from(u64)` makes of such a value. Integers up to 2^53 are
+    /// [`Json::Num`], so each number has one form.
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -107,14 +120,21 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            Json::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integral number.
+    /// The value as a `u64`, if it is a non-negative integer: a
+    /// [`Json::Int`], or a [`Json::Num`] no larger than 2^53 (see the
+    /// module docs).
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().and_then(u64_of)
+        match self {
+            Json::Num(n) => u64_of(*n),
+            Json::Int(n) => Some(*n),
+            _ => None,
+        }
     }
 
     /// The value as a `usize`, if it is a non-negative integral number.
@@ -179,6 +199,7 @@ impl Json {
             Json::Null => out.put("null"),
             Json::Bool(b) => out.put(if *b { "true" } else { "false" }),
             Json::Num(n) => write_num(out, *n),
+            Json::Int(n) => write_u64(out, *n),
             Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.put("[");
@@ -278,46 +299,67 @@ pub fn write_str<S: Sink>(out: &mut S, s: &str) {
     out.put("\"");
 }
 
+/// 2^53: up to here an `f64` holds every integer exactly.
+const TWO_53: u64 = 1 << 53;
+
 /// `n` as a `u64` if it is a non-negative integer no larger than 2^53:
-/// the rule of [`Json::as_u64`] and [`Parser::u64`].
+/// the rule of [`Json::as_u64`] and [`Parser::u64`] for a number that
+/// is not a plain integer literal.
 fn u64_of(n: f64) -> Option<u64> {
-    (n >= 0.0 && n.fract() == 0.0 && n <= 9.007_199_254_740_992e15).then_some(n as u64)
+    (n >= 0.0 && n.fract() == 0.0 && n <= TWO_53 as f64).then_some(n as u64)
 }
 
-/// Integers below 2^53 in magnitude print as integers (no `.0`, no
-/// exponent) through a digit loop; other finite numbers use the
-/// shortest round-trip `{}` form; JSON has no Inf/NaN, so those print
-/// as the conventional stand-in `null`.
-pub(crate) fn write_num<S: Sink>(out: &mut S, n: f64) {
+/// Integers up to 2^53 in magnitude print as integers (no `.0`, no
+/// exponent) through [`write_u64`]; integral values past it print in
+/// the shortest round-trip exponent form (`1e300`), which re-reads as
+/// the same `f64` rather than as an exact [`Json::Int`]; other finite
+/// numbers use the shortest round-trip `{}` form. JSON has no Inf/NaN,
+/// so those print as the conventional stand-in `null`.
+fn write_num<S: Sink>(out: &mut S, n: f64) {
+    use fmt::Write as _;
     if !n.is_finite() {
         out.put("null");
-    } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-        write_int(out, n as i64);
-    } else {
-        use fmt::Write as _;
+    } else if n.fract() != 0.0 {
         let _ = write!(Fmt(out), "{n}");
+    } else if n.abs() <= TWO_53 as f64 {
+        if n < 0.0 {
+            out.put("-");
+        }
+        write_u64(out, n.abs() as u64);
+    } else {
+        let _ = write!(Fmt(out), "{n:e}");
     }
 }
 
-/// Writes `n` in decimal, exactly as `n.to_string()` would.
-fn write_int<S: Sink>(out: &mut S, n: i64) {
-    let mut v = n.unsigned_abs();
-    // 19 digits for |i64::MIN|, plus the sign.
+/// The two-digit strings `00` to `99`, back to back.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Writes `n` as its exact decimal digits, the bytes `n.to_string()`
+/// returns: the one integer writer, of every unsigned field and of
+/// every integral number.
+pub fn write_u64<S: Sink>(out: &mut S, mut n: u64) {
+    // 20 digits for `u64::MAX`, filled from the end two at a time.
     let mut text = [0u8; 20];
     let mut at = text.len();
-    loop {
-        at -= 1;
-        text[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        text[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    if n < 0 {
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        text[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         at -= 1;
-        text[at] = b'-';
+        text[at] = b'0' + n as u8;
     }
-    // Digits and a sign are ASCII, so this never fails.
+    // Digits are ASCII, so this never fails.
     out.put(std::str::from_utf8(&text[at..]).unwrap_or_default());
 }
 
@@ -365,9 +407,14 @@ impl From<bool> for Json {
     }
 }
 
+/// A [`Json::Num`] up to 2^53, a [`Json::Int`] past it.
 impl From<u64> for Json {
     fn from(n: u64) -> Json {
-        Json::Num(n as f64)
+        if n > TWO_53 {
+            Json::Int(n)
+        } else {
+            Json::Num(n as f64)
+        }
     }
 }
 
@@ -379,7 +426,7 @@ impl From<u32> for Json {
 
 impl From<usize> for Json {
     fn from(n: usize) -> Json {
-        Json::Num(n as f64)
+        Json::from(n as u64)
     }
 }
 
@@ -434,6 +481,16 @@ enum Kind {
     Arr,
     Obj,
     Num,
+}
+
+/// A number literal as the parser reads it.
+#[derive(Clone, Copy)]
+enum Number {
+    /// A plain integer literal (no sign, fraction or exponent) that
+    /// fits a `u64`: its exact value.
+    Unsigned(u64),
+    /// Any other literal, as the nearest `f64`.
+    Float(f64),
 }
 
 /// The one JSON parser: [`Json::parse`] builds a tree with it, and the
@@ -566,7 +623,10 @@ impl<'a> Parser<'a> {
             Kind::True => self.literal("true").map(|()| Json::Bool(true))?,
             Kind::False => self.literal("false").map(|()| Json::Bool(false))?,
             Kind::Str => Json::Str(self.string()?.into_owned()),
-            Kind::Num => Json::Num(self.number()?),
+            Kind::Num => match self.number()? {
+                Number::Unsigned(n) => Json::from(n),
+                Number::Float(n) => Json::Num(n),
+            },
             Kind::Arr => {
                 let mut items = Vec::new();
                 self.walk_array(|p| {
@@ -655,8 +715,9 @@ impl<'a> Parser<'a> {
 
     /// Reads a non-negative integral number, or skips another value
     /// for `None`: the pull form of [`Json::as_u64`], with the same
-    /// rule (`1.0`, `1e0` and `-0` are 1, 1 and 0; past 2^53 the
-    /// literal rounds to an `f64` first).
+    /// rule. A plain integer literal is exact up to `u64::MAX`; `1.0`,
+    /// `1e0` and `-0` are 1, 1 and 0, read through an `f64` and so
+    /// only up to 2^53.
     ///
     /// # Errors
     ///
@@ -665,7 +726,10 @@ impl<'a> Parser<'a> {
         if self.peek_kind() != Some(Kind::Num) {
             return self.skip().map(|()| None);
         }
-        self.number().map(u64_of)
+        Ok(match self.number()? {
+            Number::Unsigned(n) => Some(n),
+            Number::Float(n) => u64_of(n),
+        })
     }
 
     /// Reads `true` or `false`, or skips another value for `None`: the
@@ -855,30 +919,34 @@ impl<'a> Parser<'a> {
     /// Parses a number, in the grammar of RFC 8259: an optional minus,
     /// an integer part that is `0` or starts with a nonzero digit, an
     /// optional fraction of one or more digits, and an optional
-    /// exponent of one or more digits. An integer literal of at most 15
-    /// digits (below 10^15 < 2^53) is accumulated as a `u64` and
-    /// converted once: the conversion is exact, so it equals what
+    /// exponent of one or more digits. A plain integer literal that
+    /// fits a `u64` is accumulated exactly; a negative one up to 2^53
+    /// is converted once, exactly, so it equals what
     /// `str::parse::<f64>` returns, negative zero included. Every other
     /// literal goes to `str::parse::<f64>`.
-    fn number(&mut self) -> Result<f64, ParseError> {
+    fn number(&mut self) -> Result<Number, ParseError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
             self.pos += 1;
         }
         let digits_start = self.pos;
-        let mut int: u64 = 0;
+        // `None` once the literal outgrows a `u64`.
+        let mut int = Some(0u64);
         while let Some(c) = self.peek().filter(u8::is_ascii_digit) {
-            int = int.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+            int = int.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(c - b'0')));
             self.pos += 1;
         }
         let digits = self.pos - digits_start;
         if digits == 0 || (digits > 1 && self.bytes[digits_start] == b'0') {
             return Err(self.err("invalid number"));
         }
-        if digits <= 15 && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            let n = int as f64;
-            return Ok(if negative { -n } else { n });
+        if !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            match (negative, int) {
+                (false, Some(n)) => return Ok(Number::Unsigned(n)),
+                (true, Some(n)) if n <= TWO_53 => return Ok(Number::Float(-(n as f64))),
+                _ => {}
+            }
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -896,7 +964,7 @@ impl<'a> Parser<'a> {
             // writer can only print as `null`; reject it so everything
             // the parser accepts re-encodes to the same value.
             Ok(n) if n.is_infinite() => Err(self.err("number out of range")),
-            Ok(n) => Ok(n),
+            Ok(n) => Ok(Number::Float(n)),
             Err(_) => Err(self.err("invalid number")),
         }
     }
@@ -1086,17 +1154,64 @@ mod tests {
         .iter()
         .map(ToString::to_string)
         .collect();
-        for n in [TWO_53 - 1, TWO_53, TWO_53 + 1] {
+        for n in [TWO_53 - 1, TWO_53, TWO_53 + 1, TWO_53 + 2, u64::MAX] {
             literals.push(n.to_string());
             literals.push(format!("-{n}"));
         }
+        literals.push("18446744073709551616".to_string());
         for text in &literals {
-            let expected = text.parse::<f64>().unwrap();
-            match Json::parse(text).unwrap() {
-                Json::Num(n) => assert_eq!(n.to_bits(), expected.to_bits(), "{text}"),
-                other => panic!("{text} parsed as {other:?}"),
+            let parsed = Json::parse(text).unwrap();
+            // A plain literal past 2^53 that fits a `u64` is held
+            // exactly; every other one is the `f64` `str::parse` reads.
+            match text.parse::<u64>() {
+                Ok(n) if n > TWO_53 => assert_eq!(parsed, Json::Int(n), "{text}"),
+                _ => match parsed {
+                    Json::Num(n) => {
+                        let expected = text.parse::<f64>().unwrap();
+                        assert_eq!(n.to_bits(), expected.to_bits(), "{text}");
+                    }
+                    other => panic!("{text} parsed as {other:?}"),
+                },
             }
         }
+    }
+
+    #[test]
+    fn unsigned_integers_are_exact_over_the_whole_range() {
+        let mut state = 0x0bad_cafe_f00d_d00d;
+        let mut samples = vec![0, 9, 10, 99, 100, TWO_53, TWO_53 + 1, TWO_53 + 2, u64::MAX];
+        samples.extend((0..10_000).map(|_| splitmix(&mut state) >> (splitmix(&mut state) % 64)));
+        for n in samples {
+            let mut text = String::new();
+            write_u64(&mut text, n);
+            assert_eq!(text, n.to_string());
+            let v = Json::from(n);
+            assert_eq!(v.encode(), text);
+            assert_eq!(Json::parse(&text), Ok(v.clone()), "{text}");
+            assert_eq!(v.as_u64(), Some(n));
+            assert_eq!(Parser::new(&text).u64(), Ok(Some(n)), "{text}");
+        }
+        // The spellings that are not plain literals keep the f64 rule.
+        for (text, value) in [
+            ("1.0", Some(1)),
+            ("1e0", Some(1)),
+            ("-0", Some(0)),
+            ("9007199254740992.0", Some(TWO_53)),
+            ("9007199254740994.0", None),
+            ("18446744073709551616", None),
+            ("-1", None),
+        ] {
+            assert_eq!(Parser::new(text).u64(), Ok(value), "{text}");
+            assert_eq!(Json::parse(text).unwrap().as_u64(), value, "{text}");
+        }
+        // An integral f64 past 2^53 prints in exponent form, so it
+        // re-reads as the same `Num`, never as an exact `Int`.
+        for n in [TWO_53 as f64 * 2.0, 1e18, -1e18, 1e300, u64::MAX as f64] {
+            let text = Json::Num(n).encode();
+            assert!(text.contains('e'), "{text}");
+            assert_eq!(Json::parse(&text), Ok(Json::Num(n)), "{text}");
+        }
+        assert_eq!(Json::Num(TWO_53 as f64).encode(), TWO_53.to_string());
     }
 
     #[test]

@@ -53,5 +53,5 @@ mod record;
 pub use crc::{crc32, Crc32};
 pub use fnv::{fingerprint_bytes, Fnv1a};
 pub use frame::{frame_record, FrameReader, FrameStop, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD};
-pub use json::{write_str, Json, ParseError, Parser, Sink};
+pub use json::{write_str, write_u64, Json, ParseError, Parser, Sink};
 pub use record::{first_unknown_key, unknown_field, Decoded, JsonField};

@@ -39,8 +39,7 @@
 //! (the first in the object) before any field. Defaults stay in the
 //! struct's `Default`.
 
-use crate::json::write_num;
-use crate::{Json, ParseError, Parser, Sink};
+use crate::{write_u64, Json, ParseError, Parser, Sink};
 
 /// A decoded field value: `Err(None)` for one of the wrong type or
 /// range, `Err(Some(message))` for a nested record's own error.
@@ -160,7 +159,8 @@ impl JsonField for bool {
     }
 }
 
-/// Unsigned integers: a non-negative integral number that fits.
+/// Unsigned integers: a non-negative integral number that fits,
+/// written as its exact digits.
 macro_rules! unsigned_field {
     ($($t:ty),*) => {$(
         impl JsonField for $t {
@@ -169,9 +169,7 @@ macro_rules! unsigned_field {
             }
 
             fn write_field<S: Sink>(&self, out: &mut S) {
-                // As `to_field`'s `Json::Num`: exact below 2^53, rounded
-                // past it.
-                write_num(out, *self as f64);
+                write_u64(out, *self as u64);
             }
 
             fn from_value(v: &Json) -> Decoded<Self> {

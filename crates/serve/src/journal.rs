@@ -37,10 +37,14 @@
 //!
 //! The writer thread keeps the full persistent state in memory (it
 //! sees every insert, so this costs no coordination with the workers).
-//! Each entry is a `Record`: the result's stored body, shared with
-//! the cache stripe that serves it, so the state costs a few words per
-//! key on top of bytes the cache holds anyway. A record's payload is
-//! spliced around that body, never re-encoded from a `SimResult`.
+//! Each entry is a `Record`: the key, the machine fingerprint, the
+//! stripe and the result's counters, one `Arc` shared with the cache
+//! stripe that serves them, so the state costs a few words per key on
+//! top of counters the cache holds anyway. The state holds no encoded
+//! bytes: the writer encodes each record's payload when it frames it,
+//! with the result writer every reply goes through
+//! ([`crate::proto::write_reply`]'s). Recovery stores each decoded
+//! result as it is, without encoding it.
 //! When the journal grows past [`JournalConfig::max_bytes`], it
 //! compacts: every record of the state, framed exactly as appends
 //! frame it and sorted by key, replaces `<journal>.snapshot` whole
@@ -67,9 +71,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
+use oov_bench::RunOutcome;
 use oov_proto::{frame_record, FrameReader, FrameStop, Parser};
 
-use crate::proto::{write_result_fields, SimResult};
+use crate::proto::{write_result, SimResult};
 
 /// Default journal-rotation threshold (`--journal-max-bytes`).
 pub const DEFAULT_JOURNAL_MAX_BYTES: u64 = 8 << 20;
@@ -132,38 +137,32 @@ pub struct Recovery {
 
 /// One simulated result on its way to the journal, and the writer's
 /// in-memory copy of it: the cache key, the machine fingerprint, the
-/// stripe it was simulated for and its stored body
-/// ([`SimResult::encode_body`](crate::proto::SimResult::encode_body)),
-/// shared with the cache.
+/// stripe it was simulated for and the result's counters, shared with
+/// the cache. No encoded bytes are kept: the payload is written when
+/// the record is framed.
 pub(crate) struct Record {
     pub(crate) key: u64,
     pub(crate) machine_fp: u64,
     pub(crate) shard: usize,
-    pub(crate) body: Arc<str>,
+    pub(crate) run: Arc<RunOutcome>,
 }
 
 impl Record {
-    /// The record of a decoded cache line, with its body encoded.
-    pub(crate) fn of(line: &CacheLine) -> Record {
+    /// The record of a decoded cache line: its counters, moved, not
+    /// encoded.
+    pub(crate) fn of(line: CacheLine) -> Record {
         Record {
             key: line.key,
             machine_fp: line.machine_fp,
             shard: line.result.shard,
-            body: line.result.encode_body().into(),
+            run: Arc::new(line.result.outcome()),
         }
     }
 
     /// Appends the record's journal payload. The journal holds
     /// simulated results only, so `cached` is always `false`.
     fn encode_into(&self, out: &mut String) {
-        splice(
-            out,
-            self.key,
-            self.machine_fp,
-            false,
-            self.shard,
-            &self.body,
-        );
+        write_record(out, self.key, self.machine_fp, false, self.shard, &self.run);
     }
 }
 
@@ -176,31 +175,39 @@ fn frame_into(record: &Record, payload: &mut String, buf: &mut Vec<u8>) -> bool 
     frame_record(payload.as_bytes(), buf).is_some()
 }
 
-/// `{"key": …, "machine_fp": …, "result": {"cached": …, "shard": …` +
-/// `body` + `}`: the record payload of a [`CacheLine`].
-fn splice(out: &mut String, key: u64, machine_fp: u64, cached: bool, shard: usize, body: &str) {
+/// The one record encoder: `{"key": …, "machine_fp": …, "result":
+/// {…}}`, the payload of a [`CacheLine`], its result written by the
+/// result writer every reply goes through.
+fn write_record(
+    out: &mut String,
+    key: u64,
+    machine_fp: u64,
+    cached: bool,
+    shard: usize,
+    run: &RunOutcome,
+) {
     use std::fmt::Write as _;
     let _ = write!(
         out,
         "{{\"key\": \"{key:#018x}\", \"machine_fp\": \"{machine_fp:#018x}\", \"result\": {{"
     );
-    write_result_fields(out, cached, shard, body);
+    write_result(out, cached, shard, run);
     out.push('}');
 }
 
 /// Encodes one cache entry as a journal-record payload (compact JSON),
-/// through the same splice as the records the server appends.
+/// through the encoder of the records the server appends.
 #[must_use]
 pub fn encode_record(entry: &CacheLine) -> Vec<u8> {
     let mut out = String::new();
     let r = &entry.result;
-    splice(
+    write_record(
         &mut out,
         entry.key,
         entry.machine_fp,
         r.cached,
         r.shard,
-        &r.encode_body(),
+        &r.outcome(),
     );
     out.into_bytes()
 }
@@ -531,13 +538,14 @@ mod tests {
     }
 
     /// A cache line at the extremes the wire pins use: counters at and
-    /// past 2^32, 2^40 and 2^53 − 1, and full-range fingerprints.
+    /// past 2^32, 2^40, 2^53 − 1, 2^53 + 2 and `u64::MAX`, and
+    /// full-range fingerprints.
     fn extreme_line(key: u64, machine_fp: u64, cached: bool, shard: usize) -> CacheLine {
         let mut stats = SimStats {
             cycles: 9_007_199_254_740_991,
             committed: 4_294_967_296,
             addr_bus_busy_cycles: 1_099_511_627_776,
-            mem_requests: 123_456_789_012,
+            mem_requests: (1 << 53) + 2,
             branches: 999_999_999_999_999,
             progress_cycles: 2_251_799_813_685_248,
             ..SimStats::new()
@@ -556,7 +564,7 @@ mod tests {
             result: crate::proto::SimResult {
                 stats,
                 ideal_cycles: 4_503_599_627_370_496,
-                faults_taken: 17,
+                faults_taken: u64::MAX,
                 cached,
                 shard,
             },
@@ -564,7 +572,7 @@ mod tests {
     }
 
     /// The `Json`-tree encoding of a cache line — the oracle the
-    /// spliced record payload is pinned against.
+    /// record payload is pinned against.
     fn encode_entry(e: &CacheLine) -> Json {
         let hex = |fp: u64| Json::from(format!("{fp:#018x}"));
         Json::obj(vec![
@@ -575,16 +583,16 @@ mod tests {
     }
 
     #[test]
-    fn spliced_records_are_the_entry_encoding_byte_for_byte() {
+    fn records_are_the_entry_encoding_byte_for_byte() {
         for (key, machine_fp) in [(u64::MAX, 0), (0, u64::MAX), (0xdead_beef_cafe_f00d, 1)] {
             for shard in [0, 1, usize::from(u16::MAX)] {
                 let line = extreme_line(key, machine_fp, false, shard);
                 let tree = encode_entry(&line).encode().into_bytes();
                 assert_eq!(encode_record(&line), tree);
                 // What the writer appends from a worker's record.
-                let mut spliced = String::new();
-                Record::of(&line).encode_into(&mut spliced);
-                assert_eq!(spliced.into_bytes(), tree);
+                let mut appended = String::new();
+                Record::of(line.clone()).encode_into(&mut appended);
+                assert_eq!(appended.into_bytes(), tree);
                 assert_eq!(decode_record(&tree).unwrap(), line);
                 // `encode_record` keeps any line's `cached` flag.
                 let hit = extreme_line(key, machine_fp, true, shard);
@@ -666,10 +674,7 @@ mod tests {
         let result_at = payload.find("\"result\"").unwrap();
         let cases = [
             (edit(key, ""), "record without `key`"),
-            (
-                edit("\"0x0000000000000007\"", "7"),
-                "record without `key`",
-            ),
+            (edit("\"0x0000000000000007\"", "7"), "record without `key`"),
             (
                 edit("0x0000000000000007", "0x00000000000000g7"),
                 "record: bad fingerprint `0x00000000000000g7`",
@@ -690,7 +695,10 @@ mod tests {
                 edit("\"result\": {", "\"result\": {\"faults_taken\": \"x\", "),
                 "sim result: bad or missing field `faults_taken`",
             ),
-            (format!("{payload} x"), "trailing characters after value at byte"),
+            (
+                format!("{payload} x"),
+                "trailing characters after value at byte",
+            ),
             ("[]".to_string(), "record without `key`"),
             (String::new(), "unexpected end of input at byte 0"),
         ];
@@ -831,11 +839,11 @@ mod tests {
         std::fs::write(&path, &buf).unwrap();
 
         let metrics = oov_obs::Registry::new();
-        let state = HashMap::from([(9, Record::of(&line(9, 90)))]);
+        let state = HashMap::from([(9, Record::of(line(9, 90)))]);
         let w = JournalWriter::start(cfg(&path), state, keep, &metrics).unwrap();
         let tx = w.sender();
-        tx.send(Record::of(&line(1, 10))).unwrap();
-        tx.send(Record::of(&line(2, 20))).unwrap();
+        tx.send(Record::of(line(1, 10))).unwrap();
+        tx.send(Record::of(line(2, 20))).unwrap();
         drop(tx);
         // Both records are on disk once the watermark says so.
         await_counter(&metrics, "journal.appended_records", 2);
@@ -866,13 +874,13 @@ mod tests {
         let w = JournalWriter::start(cfg, HashMap::new(), 0, &metrics).unwrap();
         let tx = w.sender();
         for k in 0..16 {
-            tx.send(Record::of(&line(k, k * 10))).unwrap();
+            tx.send(Record::of(line(k, k * 10))).unwrap();
         }
         // The writer is still running, so this compaction is the size
         // threshold's, not shutdown's.
         await_counter(&metrics, "journal.rotations", 1);
         for k in 16..32 {
-            tx.send(Record::of(&line(k, k * 10))).unwrap();
+            tx.send(Record::of(line(k, k * 10))).unwrap();
         }
         // Crash-after-rotation state, with the writer still running:
         // snapshot + journal tail together hold every record. Reading
@@ -923,7 +931,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&snap).ok();
         let metrics = oov_obs::Registry::new();
-        let state = HashMap::from([(4, Record::of(&line(4, 40)))]);
+        let state = HashMap::from([(4, Record::of(line(4, 40)))]);
         let w = JournalWriter::start(cfg(&path), state, 0, &metrics).unwrap();
         w.finish();
         assert!(!snap.exists(), "an empty journal was compacted");

@@ -20,11 +20,11 @@
 //!                                   ▼
 //!            ┌──────────┬──────────┬──────────┐
 //!            │ stripe 0 │ stripe 1 │  ... N   │  shared result cache:
-//!            │ LRU      │ LRU      │ LRU      │  hit → header + stored
-//!            │ pending  │ pending  │ pending  │  body, written here;
+//!            │ LRU      │ LRU      │ LRU      │  hit → reply encoded
+//!            │ pending  │ pending  │ pending  │  from its counters here;
 //!            └──────────┴──────────┴──────────┘  pending → wait on it
 //!                   │ miss only          ▲
-//!                   ▼                    │ body, encoded once (Arc<str>),
+//!                   ▼                    │ counters (Arc<RunOutcome>),
 //!          one job queue (mpsc)          │ shared with the journal writer
 //!            ┌──────────┬──────────┬─────┴────┐
 //!            │ worker 0 │ worker 1 │  ... N   │  supervised pool
@@ -40,11 +40,11 @@
 //!   Identical requests always meet the same stripe (the stripe is the
 //!   full request fingerprint ([`SimRequest::fingerprint`]) modulo N),
 //!   so a stripe lock is the only coordination a lookup needs. An
-//!   entry is the result's encoded body
-//!   ([`SimResult::encode_body`]), made once by the worker that
-//!   simulated it and shared with the journal, so a hit writes a short
-//!   header plus the stored bytes: one request decode, one streamed
-//!   fingerprint, one lock and one copy.
+//!   entry is the result's counters ([`oov_bench::RunOutcome`], 296
+//!   bytes), never their encoding, shared with the journal writer. A
+//!   `sim` hit is one request decode, one streamed fingerprint, one
+//!   lock, and the reply encoded from the counters into the
+//!   connection's reused line buffer, with no reply channel.
 //! * **One queue, a pool of workers.** Misses go on one queue that N
 //!   supervised workers pull from, so an idle worker takes the next
 //!   miss whatever its stripe. A point already being simulated is not

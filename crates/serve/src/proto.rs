@@ -61,16 +61,18 @@
 //! lines with the same values and reject the rest with the same text,
 //! which `tests/decode_fuzz.rs` checks.
 //!
-//! A result reply is a short header plus a body. The header opens the
-//! object and names the reply (`{"type": "result", "cached": true,
-//! "shard": 2`); the body is everything after the shard field
-//! ([`SimResult::encode_body`]). The server encodes a body once, when
-//! the result is simulated, and every later reply, cache entry and
-//! journal record reuses those bytes.
+//! A result reply is a short header that opens the object and names
+//! the reply (`{"type": "result", ` or `{"type": "sweep_row", "index":
+//! 3, `), then the result's fields. The server keeps a result as its
+//! counters ([`RunOutcome`]), never as bytes, and encodes each reply
+//! from them on the connection thread with [`write_reply`]: the one
+//! result writer, which the journal's records and [`Response::encode`]
+//! go through too, so the bytes cannot differ.
 
 use std::borrow::Cow;
 use std::hash::Hasher as _;
 
+use oov_bench::RunOutcome;
 use oov_core::Stepper;
 use oov_isa::{CommitMode, MachineConfig};
 use oov_kernels::{Program, Scale};
@@ -606,7 +608,7 @@ pub struct SimResult {
 
 impl SimResult {
     /// Every field, as a `Json` object's pairs: the tree encoding the
-    /// spliced journal record and the typed body are pinned against.
+    /// journal's record bytes are pinned against.
     #[cfg(test)]
     pub(crate) fn fields(&self) -> Vec<(String, Json)> {
         vec![
@@ -618,27 +620,15 @@ impl SimResult {
         ]
     }
 
-    /// The result's stored encoding: the bytes after the shard field,
-    /// `, "ideal_cycles": …, "faults_taken": …, "stats": {…}}`. It
-    /// closes the object a reply header opened, and it holds neither
-    /// `cached` nor `shard`, so the same bytes serve a miss, every hit
-    /// on any stripe, and the journal record.
+    /// The result's counters, the part the server stores: everything
+    /// but `cached` and `shard`, which depend on how it was answered.
     #[must_use]
-    pub fn encode_body(&self) -> String {
-        let mut out = String::with_capacity(768);
-        self.write_body(&mut out);
-        out
-    }
-
-    /// Writes [`SimResult::encode_body`]'s bytes.
-    fn write_body(&self, out: &mut String) {
-        out.push_str(", \"ideal_cycles\": ");
-        self.ideal_cycles.write_field(out);
-        out.push_str(", \"faults_taken\": ");
-        self.faults_taken.write_field(out);
-        out.push_str(", \"stats\": ");
-        self.stats.write_json(out);
-        out.push('}');
+    pub fn outcome(&self) -> RunOutcome {
+        RunOutcome {
+            stats: self.stats,
+            ideal_cycles: self.ideal_cycles,
+            faults_taken: self.faults_taken,
+        }
     }
 
     /// Reads the result object under the parser's cursor (a journal
@@ -718,25 +708,28 @@ impl ResultFields {
     }
 }
 
-/// Writes `"cached": …, "shard": …` and then `body`: the fields of a
-/// result object, after whatever opened it (a reply header or a
-/// journal record's `"result": {`).
-pub(crate) fn write_result_fields(out: &mut String, cached: bool, shard: usize, body: &str) {
-    write_result_head(out, cached, shard);
-    out.push_str(body);
-}
-
-fn write_result_head(out: &mut String, cached: bool, shard: usize) {
+/// Writes a result object's fields after whatever opened it (a reply
+/// header or a journal record's `"result": {`) and closes the object:
+/// `"cached": …, "shard": …, "ideal_cycles": …, "faults_taken": …,
+/// "stats": {…}}`. Every counter is written as its exact digits, and
+/// the stats through their `json_record!` writer.
+pub(crate) fn write_result(out: &mut String, cached: bool, shard: usize, run: &RunOutcome) {
     out.push_str("\"cached\": ");
     cached.write_field(out);
     out.push_str(", \"shard\": ");
     shard.write_field(out);
+    out.push_str(", \"ideal_cycles\": ");
+    run.ideal_cycles.write_field(out);
+    out.push_str(", \"faults_taken\": ");
+    run.faults_taken.write_field(out);
+    out.push_str(", \"stats\": ");
+    run.stats.write_json(out);
+    out.push('}');
 }
 
 /// Opens a result reply: a [`Response::Result`] when `index` is
-/// `None`, else the [`Response::SweepRow`] at `index`, up to and with
-/// its shard field.
-fn write_reply_head(out: &mut String, index: Option<usize>, cached: bool, shard: usize) {
+/// `None`, else the [`Response::SweepRow`] at `index`.
+fn write_reply_head(out: &mut String, index: Option<usize>) {
     match index {
         None => out.push_str("{\"type\": \"result\", "),
         Some(index) => {
@@ -745,23 +738,22 @@ fn write_reply_head(out: &mut String, index: Option<usize>, cached: bool, shard:
             out.push_str(", ");
         }
     }
-    write_result_head(out, cached, shard);
 }
 
-/// Appends one result reply: a [`Response::Result`] when `index` is
-/// `None`, else the [`Response::SweepRow`] at `index`. `body` is the
-/// result's [`SimResult::encode_body`]. [`Response::encode`] writes the
-/// same header, so a reply the server splices from stored bytes and
-/// one encoded from a [`SimResult`] cannot differ.
-pub(crate) fn write_reply(
+/// Appends one result reply, encoded from the counters `run`: a
+/// [`Response::Result`] when `index` is `None`, else the
+/// [`Response::SweepRow`] at `index`. The server writes every result
+/// it answers through here, and [`Response::encode`] does too, so a
+/// served reply is the encoding of the [`SimResult`] it carries.
+pub fn write_reply(
     out: &mut String,
     index: Option<usize>,
     cached: bool,
     shard: usize,
-    body: &str,
+    run: &RunOutcome,
 ) {
-    write_reply_head(out, index, cached, shard);
-    out.push_str(body);
+    write_reply_head(out, index);
+    write_result(out, cached, shard, run);
 }
 
 /// A snapshot of the server's counters: a fixed view over the
@@ -945,9 +937,8 @@ impl Response {
 
     /// Appends [`Response::encode`]'s bytes to `out`, so a caller can
     /// reuse one line buffer. The fields are written in place: no tree.
-    /// Results and sweep rows are a header plus
-    /// [`SimResult::encode_body`]'s bytes, behind the header the server
-    /// also splices stored bodies with.
+    /// Results and sweep rows go through [`write_reply`], the server's
+    /// own result writer.
     pub fn encode_into(&self, out: &mut String) {
         match self {
             Response::Pong => out.push_str("{\"type\": \"pong\"}"),
@@ -970,13 +961,9 @@ impl Response {
                 out.push('}');
             }
             Response::ShuttingDown => out.push_str("{\"type\": \"shutting_down\"}"),
-            Response::Result(r) => {
-                write_reply_head(out, None, r.cached, r.shard);
-                r.write_body(out);
-            }
+            Response::Result(r) => write_reply(out, None, r.cached, r.shard, &r.outcome()),
             Response::SweepRow { index, result: r } => {
-                write_reply_head(out, Some(*index), r.cached, r.shard);
-                r.write_body(out);
+                write_reply(out, Some(*index), r.cached, r.shard, &r.outcome());
             }
             Response::SweepDone { count } => {
                 out.push_str("{\"type\": \"sweep_done\", \"count\": ");

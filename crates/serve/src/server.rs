@@ -11,8 +11,8 @@
 //!   the out-of-order lesson of the paper applied to the daemon. Only
 //!   misses go on to the workers;
 //! * the result cache is split into N **cache stripes** (stripe
-//!   `fp % N`), each a mutex over an O(1) LRU of encoded result bodies,
-//!   the set of fingerprints currently being simulated, and the
+//!   `fp % N`), each a mutex over an O(1) LRU of result counters, the
+//!   set of fingerprints currently being simulated, and the
 //!   `shard.<n>.{requests, service_ns, queue_depth, sheds}` metrics. A
 //!   lock is held for one lookup or one insert, never across a
 //!   simulation or an encode;
@@ -69,21 +69,25 @@
 //! budget-exhausted fallback. Connection reads use a short timeout so
 //! every idle thread observes the shutdown flag promptly.
 //!
-//! # Encode once
+//! # Results are counters
 //!
-//! A result is encoded once, by the worker that simulated it, into a
-//! shared body ([`SimResult::encode_body`]): every field after
-//! `shard`. The stripe's LRU entry, the journal writer's state and
-//! every reply share that `Arc<str>`. Replies travel back over a
-//! per-request `mpsc` channel as `(cached, shard, body)` (a hit is
-//! sent on it by the connection thread itself). The connection thread
-//! writes a short header into one reused line buffer, appends the
-//! body and the newline, and sends the line with one `write_all`, so
-//! a hit encodes no result. With the typed request decode and
-//! fingerprint ([`crate::proto`]), it builds no `Json` value either. A
-//! sweep's
-//! connection thread holds a reorder buffer so rows stream to the
-//! client in request order no matter how the workers interleave.
+//! A result is kept as its counters ([`RunOutcome`]: the stats, the
+//! ideal bound and the traps taken, 296 bytes), never as its encoding,
+//! the way the OOOVA's reorder buffer holds register names and never
+//! their values. The worker that simulated a miss puts them in one
+//! `Arc`, which the stripe's LRU entry and the journal writer's state
+//! share. The connection thread encodes each reply from them as it
+//! writes it ([`proto::write_reply`]), into one reused line buffer
+//! sent with one `write_all`; with the typed request decode and
+//! fingerprint ([`crate::proto`]), a warm hit builds no `Json` value
+//! and allocates nothing.
+//!
+//! A `sim` whose point is ready is answered straight from the lookup
+//! (`Engine::lookup`), with no reply channel. A `sim` that has to
+//! wait, and every point of a sweep, is answered over a per-request
+//! `mpsc` channel as `(tag, reply)`. A sweep's connection thread holds
+//! a reorder buffer so rows stream to the client in request order no
+//! matter how the workers interleave.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
@@ -91,18 +95,18 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use oov_bench::machine_run_budgeted;
+use oov_bench::{machine_run_budgeted, RunOutcome};
 use oov_core::{AbortReason, RunBudget, SimArena};
 use oov_proto::FrameStop;
 
 use crate::cache::SuiteCache;
 use crate::chaos::{ChaosConfig, JobFault};
 use crate::journal::{self, CacheLine, JournalConfig, JournalWriter, Record};
-use crate::proto::{self, Request, Response, SimRequest, SimResult, StatsSnapshot};
+use crate::proto::{self, Request, Response, SimRequest, StatsSnapshot};
 
 /// How often parked connection threads re-check the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(250);
@@ -145,6 +149,13 @@ struct ReplyTo {
     tx: mpsc::Sender<(usize, JobReply)>,
 }
 
+impl ReplyTo {
+    fn send(&self, reply: JobReply) {
+        // A dropped reply receiver just means the client went away.
+        let _ = self.tx.send((self.tag, reply));
+    }
+}
+
 /// One cache miss in flight to the worker pool: the *leader* for its
 /// fingerprint, which its stripe holds pending from dispatch until the
 /// job settles.
@@ -179,18 +190,18 @@ impl Drop for Job {
 /// Receiving end of a dispatched batch's reply channel.
 type ReplyRx = mpsc::Receiver<(usize, JobReply)>;
 
-/// A result ready to write: the reply header's `cached` and `shard`
-/// fields, and the result's stored body.
+/// A result ready to write: the reply's `cached` and `shard` fields,
+/// and the result's counters, shared with the cache.
 struct Answer {
     cached: bool,
     shard: usize,
-    body: Arc<str>,
+    run: Arc<RunOutcome>,
 }
 
-/// The answer to one job or hit, sent over the batch's reply channel.
-/// Hits, single-flight waiters and misses all arrive as `Done`, which
-/// carries the shared body rather than a `SimResult`: the connection
-/// thread only copies it out.
+/// The answer to one job, waiter or sweep hit, sent over the batch's
+/// reply channel. Results arrive as `Done`, which carries the shared
+/// counters rather than a `SimResult`: the connection thread encodes
+/// them as it writes the reply.
 enum JobReply {
     /// A result: `cached: false` for the job's own simulation, `true`
     /// for a hit or a waiter.
@@ -393,40 +404,63 @@ impl Engine {
     /// index moves and map inserts), so a poisoned lock still guards
     /// valid data and is taken over — and the job drop guard, which
     /// locks stripes while a worker unwinds, must not panic.
-    fn stripe(&self, n: usize) -> std::sync::MutexGuard<'_, Stripe> {
+    fn stripe(&self, n: usize) -> MutexGuard<'_, Stripe> {
         self.stripes[n].lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Answers `to` with a cached `body` from `stripe`, counting a hit
-    /// and the time since `since` as stripe service.
-    fn answer_hit(&self, stripe: usize, to: &ReplyTo, body: Arc<str>, since: Instant) {
+    /// Counts a hit on `stripe`: `cache.result_hits`, the stripe's
+    /// requests, and the time since `since` as stripe service.
+    fn count_hit(&self, stripe: usize, since: Instant) {
         self.result_hits.inc();
         self.per_shard[stripe].inc();
         self.service_time[stripe].record(elapsed_ns(since));
-        let hit = Answer {
-            cached: true,
-            shard: stripe,
-            body,
-        };
-        // A dropped reply receiver just means the client went away.
-        let _ = to.tx.send((to.tag, JobReply::Done(hit)));
     }
 
-    /// Lands a leader's result `body`: inserts it into the job's
+    /// Fingerprints `req` and looks it up in its stripe, locked once.
+    /// A ready result is counted as a hit and returned; otherwise the
+    /// stripe stays locked, so that the caller can wait on the point's
+    /// leader or queue it ([`Unready::wait_or_queue`]) with no other
+    /// request in between.
+    fn lookup(&self, req: &SimRequest) -> Result<Answer, Unready<'_>> {
+        let fp = req.fingerprint();
+        // Stamped after the fingerprint, so a hit's service time is the
+        // stripe lookup alone and the codec work stays out of it.
+        let looked_up = Instant::now();
+        let n = (fp % self.stripes.len() as u64) as usize;
+        let mut stripe = self.stripe(n);
+        if let Some(run) = stripe.lru.get(fp) {
+            let run = Arc::clone(run);
+            drop(stripe);
+            self.count_hit(n, looked_up);
+            return Ok(Answer {
+                cached: true,
+                shard: n,
+                run,
+            });
+        }
+        Err(Unready { fp, n, stripe })
+    }
+
+    /// Lands a leader's result `run`: inserts it into the job's
     /// stripe, clears the pending entry and answers every waiter as a
     /// hit.
-    fn settle(&self, job: &mut Job, body: &Arc<str>) {
+    fn settle(&self, job: &mut Job, run: &Arc<RunOutcome>) {
         let since = Instant::now();
         let mut stripe = self.stripe(job.stripe);
         let waiters = stripe.pending.remove(&job.fp).unwrap_or_default();
-        let evicted = stripe.lru.insert(job.fp, Arc::clone(body));
+        let evicted = stripe.lru.insert(job.fp, Arc::clone(run));
         drop(stripe);
         job.settled = true;
         if evicted {
             self.result_evictions.inc();
         }
         for to in &waiters {
-            self.answer_hit(job.stripe, to, Arc::clone(body), since);
+            self.count_hit(job.stripe, since);
+            to.send(JobReply::Done(Answer {
+                cached: true,
+                shard: job.stripe,
+                run: Arc::clone(run),
+            }));
         }
     }
 
@@ -466,11 +500,11 @@ impl Engine {
 
     /// Replays journal `jpath`'s snapshot and then its tail in one
     /// pass, folding each record, in replay order, into the stripe
-    /// `dispatch` looks its key up in and into the journal writer's
-    /// state, a later record for a key replacing the earlier. Seeding
-    /// in replay order keeps the newest records under a cache cap.
-    /// Returns that state, which shares the stored bodies, and the
-    /// journal's intact length. A torn snapshot yields its intact
+    /// [`Engine::lookup`] looks its key up in and into the journal
+    /// writer's state, a later record for a key replacing the earlier.
+    /// Seeding in replay order keeps the newest records under a cache
+    /// cap. Returns that state, which shares the stored counters, and
+    /// the journal's intact length. A torn snapshot yields its intact
     /// prefix: losing a cache must never take the service down. A file
     /// that could not be read yields the records before the failure
     /// and `None`: the run must not truncate, append to or compact
@@ -478,16 +512,20 @@ impl Engine {
     fn recover(&self, jpath: &Path) -> Option<(HashMap<u64, Record>, u64)> {
         let mut state = HashMap::new();
         let mut fold = |line: CacheLine| {
-            let record = Record::of(&line);
-            // The body holds no shard, so it is valid on any stripe and
-            // the shard count may change across restarts.
+            // The counters hold no shard, so they are valid on any
+            // stripe and the shard count may change across restarts.
             let n = (line.key % self.stripes.len() as u64) as usize;
+            let record = Record::of(line);
             // Seeding through the same entry point applies the cap to
             // an oversized recovery state too.
-            if self.stripe(n).lru.insert(line.key, Arc::clone(&record.body)) {
+            let evicted = self
+                .stripe(n)
+                .lru
+                .insert(record.key, Arc::clone(&record.run));
+            if evicted {
                 self.result_evictions.inc();
             }
-            state.insert(line.key, record);
+            state.insert(record.key, record);
         };
         let snap = journal::recover(&journal::snapshot_path(jpath), &mut fold);
         let tail = journal::recover(jpath, &mut fold);
@@ -571,7 +609,7 @@ impl Default for ServeConfig {
 const NO_SLOT: usize = usize::MAX;
 
 /// One stripe of the result cache: the ready results for fingerprints
-/// `≡ n (mod stripes)`, as stored bodies, and the fingerprints being
+/// `≡ n (mod stripes)`, as their counters, and the fingerprints being
 /// simulated right now.
 struct Stripe {
     lru: Lru,
@@ -590,8 +628,8 @@ impl Stripe {
 }
 
 /// A stripe's ready results, with an optional LRU cap. An entry holds
-/// the result's stored body ([`SimResult::encode_body`]), shared with
-/// the journal writer, so a hit copies bytes and encodes nothing.
+/// the result's counters, shared with the journal writer; a hit
+/// encodes its reply from them.
 ///
 /// Recency is an intrusive doubly-linked list threaded through a slot
 /// vector (`prev`/`next` indices), with a `HashMap` from request
@@ -614,7 +652,7 @@ struct Lru {
 
 struct LruEntry {
     key: u64,
-    body: Arc<str>,
+    run: Arc<RunOutcome>,
     prev: usize,
     next: usize,
 }
@@ -658,21 +696,21 @@ impl Lru {
     }
 
     /// Looks up `key`, moving it to the recency front on a hit.
-    fn get(&mut self, key: u64) -> Option<&Arc<str>> {
+    fn get(&mut self, key: u64) -> Option<&Arc<RunOutcome>> {
         let slot = *self.map.get(&key)?;
         if self.head != slot {
             self.unlink(slot);
             self.push_front(slot);
         }
-        Some(&self.slots[slot].body)
+        Some(&self.slots[slot].run)
     }
 
     /// Inserts `key`, evicting the least-recently-used entry when at
     /// the cap. Returns `true` if an entry was evicted.
-    fn insert(&mut self, key: u64, body: Arc<str>) -> bool {
+    fn insert(&mut self, key: u64, run: Arc<RunOutcome>) -> bool {
         if let Some(&slot) = self.map.get(&key) {
             // Overwrite in place and touch.
-            self.slots[slot].body = body;
+            self.slots[slot].run = run;
             if self.head != slot {
                 self.unlink(slot);
                 self.push_front(slot);
@@ -691,7 +729,7 @@ impl Lru {
         };
         let entry = LruEntry {
             key,
-            body,
+            run,
             prev: NO_SLOT,
             next: NO_SLOT,
         };
@@ -1007,8 +1045,7 @@ fn worker(w: usize, queue: &Mutex<mpsc::Receiver<Job>>, engine: &Engine) {
         let started = Instant::now();
         let reply = run_job(w, &mut job, fault, &mut arena, engine);
         engine.service_time[stripe].record(elapsed_ns(started));
-        // A dropped reply receiver just means the client went away.
-        let _ = job.to.tx.send((job.to.tag, reply));
+        job.to.send(reply);
     }
 }
 
@@ -1063,17 +1100,10 @@ fn run_job(
     }));
     match outcome {
         Ok(Ok(out)) => {
-            let r = SimResult {
-                stats: out.stats,
-                ideal_cycles: out.ideal_cycles,
-                faults_taken: out.faults_taken,
-                cached: false,
-                shard: job.stripe,
-            };
-            // The one encoding of this result: the cache, the journal
-            // and every reply share these bytes.
-            let body: Arc<str> = r.encode_body().into();
-            engine.settle(job, &body);
+            // The one copy of this result: the cache, the journal and
+            // every reply share these counters.
+            let run = Arc::new(out);
+            engine.settle(job, &run);
             // Write-ahead append: one non-blocking send to the journal
             // writer; durability happens off the job path.
             if let Some(tx) = engine.journal_tx.get() {
@@ -1081,13 +1111,13 @@ fn run_job(
                     key: job.fp,
                     machine_fp: req.machine.fingerprint(),
                     shard: job.stripe,
-                    body: Arc::clone(&body),
+                    run: Arc::clone(&run),
                 });
             }
             JobReply::Done(Answer {
                 cached: false,
                 shard: job.stripe,
-                body,
+                run,
             })
         }
         Ok(Err(aborted)) => {
@@ -1124,15 +1154,76 @@ enum Shed {
     Closed,
 }
 
-/// Answers or dispatches every point and returns the shared reply
-/// receiver plus the points that were **not** dispatched: shed by
-/// admission control (stripe queue over `max_queue_depth`) or refused
-/// because the queue closed under shutdown.
+/// A point whose result is not ready, with its fingerprint, its stripe
+/// index and that stripe's lock, held since [`Engine::lookup`].
+struct Unready<'a> {
+    fp: u64,
+    n: usize,
+    stripe: MutexGuard<'a, Stripe>,
+}
+
+impl Unready<'_> {
+    /// Has `to` answered by the leader if another request is already
+    /// simulating the point (single flight); otherwise marks it pending
+    /// and queues `req` as its leader. Returns why the point was not
+    /// dispatched: shed by admission control (stripe queue over
+    /// `max_queue_depth`), or refused because the queue closed under
+    /// shutdown.
+    fn wait_or_queue(
+        mut self,
+        req: &SimRequest,
+        to: ReplyTo,
+        queue: &mpsc::Sender<Job>,
+        engine: &Arc<Engine>,
+    ) -> Result<(), Shed> {
+        if let Some(waiters) = self.stripe.pending.get_mut(&self.fp) {
+            waiters.push(to);
+            return Ok(());
+        }
+        let n = self.n;
+        let depth = engine.queue_depth[n].get();
+        if depth >= engine.max_queue_depth {
+            drop(self.stripe);
+            engine.sheds[n].inc();
+            // Suggest a backoff proportional to the backlog: deeper
+            // queue, longer wait (bounded so clients retry within a
+            // human-scale window).
+            let retry_after_ms = (u64::try_from(depth).unwrap_or(0) / 4).clamp(5, 250);
+            return Err(Shed::Overloaded { retry_after_ms });
+        }
+        self.stripe.pending.insert(self.fp, Vec::new());
+        drop(self.stripe);
+        // Raise the depth before the send so the worker's matching
+        // `dec` can never observe the gauge below zero.
+        engine.queue_depth[n].inc();
+        let job = Job {
+            req: *req,
+            fp: self.fp,
+            stripe: n,
+            to,
+            settled: false,
+            engine: Arc::clone(engine),
+            queue: queue.clone(),
+        };
+        if let Err(mpsc::SendError(job)) = queue.send(job) {
+            engine.queue_depth[n].dec();
+            // Dropping the unsent job clears its pending entry.
+            drop(job);
+            return Err(Shed::Closed);
+        }
+        Ok(())
+    }
+}
+
+/// Answers or dispatches every point of a sweep and returns the shared
+/// reply receiver plus the points that were **not** dispatched, with
+/// why ([`Unready::wait_or_queue`]).
 ///
-/// Each point is fingerprinted once and its stripe locked once. A
-/// cached result is answered here, on the connection thread; a point
-/// another request is already simulating waits on that leader; only a
-/// point neither ready nor pending is marked pending and queued.
+/// Each point is fingerprinted once and its stripe locked once
+/// ([`Engine::lookup`]). A cached result is sent on the reply channel
+/// here, on the connection thread; a point another request is already
+/// simulating waits on that leader; only a point neither ready nor
+/// pending is marked pending and queued.
 fn dispatch(
     queue: &mpsc::Sender<Job>,
     engine: &Arc<Engine>,
@@ -1142,57 +1233,18 @@ fn dispatch(
     let (tx, rx) = mpsc::channel();
     let mut shed = Vec::new();
     for (tag, req) in points.iter().enumerate() {
-        let fp = req.fingerprint();
-        // Stamped after the fingerprint, so a hit's service time is the
-        // stripe lookup alone and the codec work stays out of it.
-        let looked_up = Instant::now();
-        let n = (fp % engine.stripes.len() as u64) as usize;
         let to = ReplyTo {
             tag,
             deadline,
             tx: tx.clone(),
         };
-        let mut stripe = engine.stripe(n);
-        if let Some(body) = stripe.lru.get(fp) {
-            let body = Arc::clone(body);
-            drop(stripe);
-            engine.answer_hit(n, &to, body, looked_up);
-            continue;
-        }
-        if let Some(waiters) = stripe.pending.get_mut(&fp) {
-            waiters.push(to);
-            continue;
-        }
-        let depth = engine.queue_depth[n].get();
-        if depth >= engine.max_queue_depth {
-            drop(stripe);
-            engine.sheds[n].inc();
-            // Suggest a backoff proportional to the backlog: deeper
-            // queue, longer wait (bounded so clients retry within a
-            // human-scale window).
-            let retry_after_ms = (u64::try_from(depth).unwrap_or(0) / 4).clamp(5, 250);
-            shed.push((tag, Shed::Overloaded { retry_after_ms }));
-            continue;
-        }
-        stripe.pending.insert(fp, Vec::new());
-        drop(stripe);
-        // Raise the depth before the send so the worker's matching
-        // `dec` can never observe the gauge below zero.
-        engine.queue_depth[n].inc();
-        let job = Job {
-            req: *req,
-            fp,
-            stripe: n,
-            to,
-            settled: false,
-            engine: Arc::clone(engine),
-            queue: queue.clone(),
-        };
-        if let Err(mpsc::SendError(job)) = queue.send(job) {
-            engine.queue_depth[n].dec();
-            shed.push((tag, Shed::Closed));
-            // Dropping the unsent job clears its pending entry.
-            drop(job);
+        match engine.lookup(req) {
+            Ok(hit) => to.send(JobReply::Done(hit)),
+            Err(unready) => {
+                if let Err(cause) = unready.wait_or_queue(req, to, queue, engine) {
+                    shed.push((tag, cause));
+                }
+            }
         }
     }
     (rx, shed)
@@ -1219,10 +1271,10 @@ impl Replies {
         self.send(|line| resp.encode_into(line))
     }
 
-    /// Writes a result reply (a sweep row when `index` is set): the
-    /// header, then the stored body, copied.
+    /// Writes a result reply (a sweep row when `index` is set),
+    /// encoded from the result's counters.
     fn answer(&mut self, index: Option<usize>, a: &Answer) -> io::Result<()> {
-        self.send(|line| proto::write_reply(line, index, a.cached, a.shard, &a.body))
+        self.send(|line| proto::write_reply(line, index, a.cached, a.shard, &a.run))
     }
 }
 
@@ -1350,6 +1402,40 @@ fn write_sim_reply(writer: &mut Replies, reply: JobReply) -> io::Result<()> {
     }
 }
 
+/// Answers one `sim`: a ready point straight from the lookup, with no
+/// reply channel; any other over a channel of its own, once its leader
+/// or its own job settles.
+fn answer_sim(
+    writer: &mut Replies,
+    queue: &mpsc::Sender<Job>,
+    engine: &Arc<Engine>,
+    req: &SimRequest,
+    deadline: Option<Instant>,
+) -> io::Result<()> {
+    let unready = match engine.lookup(req) {
+        Ok(hit) => return writer.answer(None, &hit),
+        Err(unready) => unready,
+    };
+    let (tx, rx) = mpsc::channel();
+    let to = ReplyTo {
+        tag: 0,
+        deadline,
+        tx,
+    };
+    if let Err(cause) = unready.wait_or_queue(req, to, queue, engine) {
+        return writer.response(&shed_response(&cause));
+    }
+    match rx.recv() {
+        Ok((_, reply)) => write_sim_reply(writer, reply),
+        // The worker died mid-job (its reply sender dropped
+        // unanswered). Retriable: the respawned worker will simulate it
+        // fresh.
+        Err(_) => writer.response(&Response::Error {
+            message: "job lost (worker died); retry".into(),
+        }),
+    }
+}
+
 /// Answers one decoded request. Returns `Ok(false)` when the
 /// connection should close (a `shutdown` request).
 fn answer(
@@ -1375,20 +1461,7 @@ fn answer(
         }
         Request::Sim { req, deadline_ms } => {
             let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-            let (rx, shed) = dispatch(queue, engine, std::slice::from_ref(&req), deadline);
-            if let Some((_, cause)) = shed.first() {
-                writer.response(&shed_response(cause))?;
-            } else {
-                match rx.recv() {
-                    Ok((_, reply)) => write_sim_reply(writer, reply)?,
-                    // The worker died mid-job (its reply sender
-                    // dropped unanswered). Retriable: the respawned
-                    // worker will simulate it fresh.
-                    Err(_) => writer.response(&Response::Error {
-                        message: "job lost (worker died); retry".into(),
-                    })?,
-                }
-            }
+            answer_sim(writer, queue, engine, &req, deadline)?;
         }
         Request::Sweep {
             points,
@@ -1480,9 +1553,20 @@ fn stream_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    /// A stand-in body that names its tag.
-    fn body(tag: u64) -> Arc<str> {
-        tag.to_string().into()
+    use oov_stats::SimStats;
+
+    /// Stand-in counters that name their tag.
+    fn run(tag: u64) -> Arc<RunOutcome> {
+        Arc::new(RunOutcome {
+            stats: SimStats::new(),
+            ideal_cycles: tag,
+            faults_taken: 0,
+        })
+    }
+
+    /// The tag of the counters under `key`, touching it.
+    fn tag(c: &mut Lru, key: u64) -> Option<u64> {
+        c.get(key).map(|run| run.ideal_cycles)
     }
 
     fn keys_mru_to_lru(c: &Lru) -> Vec<u64> {
@@ -1498,15 +1582,15 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_in_order() {
         let mut c = Lru::new(Some(2));
-        assert!(!c.insert(1, body(1)));
-        assert!(!c.insert(2, body(2)));
+        assert!(!c.insert(1, run(1)));
+        assert!(!c.insert(2, run(2)));
         // Touch 1 so 2 becomes the LRU victim.
-        assert_eq!(&**c.get(1).unwrap(), "1");
-        assert!(c.insert(3, body(3)), "must evict at the cap");
+        assert_eq!(tag(&mut c, 1), Some(1));
+        assert!(c.insert(3, run(3)), "must evict at the cap");
         assert!(c.get(2).is_none(), "2 was the LRU entry");
         assert_eq!(keys_mru_to_lru(&c), vec![3, 1]);
         // Evicted slot is recycled, list stays consistent.
-        assert!(c.insert(4, body(4)));
+        assert!(c.insert(4, run(4)));
         assert_eq!(keys_mru_to_lru(&c), vec![4, 3]);
         assert_eq!(c.slots.len(), 2, "slots are recycled, not grown");
     }
@@ -1514,10 +1598,10 @@ mod tests {
     #[test]
     fn lru_overwrite_touches_without_evicting() {
         let mut c = Lru::new(Some(2));
-        c.insert(1, body(1));
-        c.insert(2, body(2));
-        assert!(!c.insert(1, body(100)), "overwrite never evicts");
-        assert_eq!(&**c.get(1).unwrap(), "100");
+        c.insert(1, run(1));
+        c.insert(2, run(2));
+        assert!(!c.insert(1, run(100)), "overwrite never evicts");
+        assert_eq!(tag(&mut c, 1), Some(100));
         assert_eq!(keys_mru_to_lru(&c), vec![1, 2]);
     }
 
@@ -1525,15 +1609,15 @@ mod tests {
     fn lru_unbounded_and_single_entry_caps() {
         let mut c = Lru::new(None);
         for k in 0..64 {
-            assert!(!c.insert(k, body(k)));
+            assert!(!c.insert(k, run(k)));
         }
         assert_eq!(keys_mru_to_lru(&c).len(), 64);
         // A zero cap behaves as "cache one entry".
         let mut one = Lru::new(Some(0));
-        assert!(!one.insert(1, body(1)));
-        assert!(one.insert(2, body(2)));
+        assert!(!one.insert(1, run(1)));
+        assert!(one.insert(2, run(2)));
         assert!(one.get(1).is_none());
-        assert_eq!(&**one.get(2).unwrap(), "2");
+        assert_eq!(tag(&mut one, 2), Some(2));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! These are the steps a hit costs outside the cache itself: the
 //! client encodes its request into a reused line, the server decodes
-//! the line and fingerprints the request, and the client decodes the
-//! `result` reply. None of them may build a `Json` tree or any other
+//! the line, fingerprints the request and writes the `result` reply
+//! from the stored counters, and the client decodes the reply. None of
+//! them may build a `Json` tree or any other
 //! heap value, which a counting `#[global_allocator]` checks in debug
 //! and release builds alike. A count is deterministic, so unlike a
 //! timing gate this one cannot flake.
@@ -21,7 +22,7 @@ use std::hint::black_box;
 
 use oov_isa::{CommitMode, MachineConfig, OooConfig, RefConfig};
 use oov_kernels::{Program, Scale};
-use oov_serve::{Request, Response, SimRequest, SimResult};
+use oov_serve::{proto, Request, Response, SimRequest, SimResult};
 use oov_stats::{SimStats, UnitState};
 
 thread_local! {
@@ -106,13 +107,16 @@ fn a_warm_hit_round_trip_allocates_nothing() {
         .breakdown
         .record(UnitState::new(true, false, true), 41);
     stats.stages.commit = 77;
-    let result = Response::Result(SimResult {
+    let served = SimResult {
         stats,
         ideal_cycles: 100_000,
         faults_taken: 1,
         cached: true,
         shard: 1,
-    });
+    };
+    // What the server's cache holds for that result.
+    let stored = served.outcome();
+    let result = Response::Result(served);
     let result_line = result.encode();
 
     // Warm the reused buffers: a line buffer as the client keeps one.
@@ -152,6 +156,13 @@ fn a_warm_hit_round_trip_allocates_nothing() {
         result.encode_into(&mut line);
     });
     assert_eq!(n, 0, "result encode allocated {n} times");
+    assert_eq!(line, result_line);
+
+    let (n, ()) = allocations(|| {
+        line.clear();
+        proto::write_reply(&mut line, None, true, 1, black_box(&stored));
+    });
+    assert_eq!(n, 0, "server reply write allocated {n} times");
     assert_eq!(line, result_line);
 
     let (n, decoded) = allocations(|| Response::decode(black_box(&result_line)));

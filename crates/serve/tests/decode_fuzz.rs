@@ -324,7 +324,7 @@ fn boundary_values_in_every_config_field_decode_to_valid_fixed_points() {
         65_535u64.into(),
         65_536u64.into(),
         (1u64 << 50).into(),
-        // Past 2^53, where a number is no longer read as an integer.
+        // Past 2^53, where the tree holds an integer as a `Json::Int`.
         (1u64 << 54).into(),
         (-1.0).into(),
         1.5.into(),
@@ -427,7 +427,7 @@ enum Spelling {
 
 /// Number literals at the edges of the integer reader and of the JSON
 /// number grammar, with how each reads.
-const NUMBER_SPELLINGS: [(&str, Spelling); 15] = [
+const NUMBER_SPELLINGS: [(&str, Spelling); 19] = [
     ("0", Spelling::Int(0)),
     ("-0", Spelling::Int(0)),
     ("-1", Spelling::NotUnsigned),
@@ -435,8 +435,14 @@ const NUMBER_SPELLINGS: [(&str, Spelling); 15] = [
     ("1e0", Spelling::Int(1)),
     ("999999999999999", Spelling::Int(999_999_999_999_999)),
     ("1000000000000000", Spelling::Int(1_000_000_000_000_000)),
-    ("9999999999999999", Spelling::NotUnsigned),
-    ("9007199254740993", Spelling::Int(1 << 53)),
+    ("9999999999999999", Spelling::Int(9_999_999_999_999_999)),
+    // A plain literal is exact up to `u64::MAX`; any other spelling
+    // goes through an `f64`, and past 2^53 is not an integer.
+    ("9007199254740993", Spelling::Int((1 << 53) + 1)),
+    ("9007199254740994", Spelling::Int((1 << 53) + 2)),
+    ("18446744073709551615", Spelling::Int(u64::MAX)),
+    ("18446744073709551616", Spelling::NotUnsigned),
+    ("9007199254740994.0", Spelling::NotUnsigned),
     // A leading zero before another digit, and a point with no digit
     // after it, are not JSON.
     ("007", Spelling::Malformed(3)),
@@ -583,12 +589,12 @@ fn hand_written_edge_lines_decode_alike() {
         r#""\u0070rogram": "tr\u0066d""#,
     );
     assert_eq!(decode_both(&escaped).as_ref(), Ok(&expected));
-    // Number spellings go through the tree's f64 rule.
+    // Number spellings read alike in both decoders.
     for (literal, value) in [
         ("1.0", 1),
         ("1e0", 1),
         ("-0", 0),
-        ("9007199254740993", 1 << 53),
+        ("9007199254740993", (1 << 53) + 1),
     ] {
         let line = edit(&sim, r#""branch": 1"#, &format!(r#""branch": {literal}"#));
         match decode_both(&line) {
@@ -600,7 +606,7 @@ fn hand_written_edge_lines_decode_alike() {
                     },
                 ..
             }) => assert_eq!(u64::from(c.lat.branch), value, "{literal}"),
-            // 2^53 does not fit the field's u32.
+            // 2^53 + 1 does not fit the field's u32.
             Err(e) => assert!(value > u64::from(u32::MAX), "{e}"),
             Ok(other) => panic!("{other:?}"),
         }
@@ -616,10 +622,10 @@ fn hand_written_edge_lines_decode_alike() {
             assert!(decoded.is_err(), "{line}");
         }
     }
-    // The literal boundaries of the integer reader: up to 15 digits a
-    // plain literal converts to the f64 exactly, 16 digits and past
-    // 2^53 it rounds; both decoders must land on the same value, and
-    // reject a spelling JSON forbids with the same syntax error.
+    // The literal boundaries of the integer reader: a plain literal is
+    // exact up to `u64::MAX`, and any other spelling goes through an
+    // f64; both decoders must land on the same value, and reject a
+    // spelling JSON forbids with the same syntax error.
     let ooo = |line: &str| match decode_both(line) {
         Ok(Request::Sim {
             req:

@@ -272,9 +272,9 @@ fn corrupted_journal_recovers_exactly_the_intact_prefix() {
 
 /// State written in the on-disk format of earlier builds — snapshot
 /// and journal records alike through `journal::encode_record` — is
-/// recovered, re-encoded into stored bodies and served warm, and the
-/// shutdown compaction writes the recovered lines as framed records
-/// sorted by key.
+/// recovered into stored counters and served warm, and the shutdown
+/// compaction writes the recovered lines as framed records sorted by
+/// key.
 #[test]
 fn journal_and_snapshot_in_the_existing_format_serve_warm() {
     let jpath = tmp("format.wal");
@@ -303,14 +303,54 @@ fn journal_and_snapshot_in_the_existing_format_serve_warm() {
     client.shutdown().expect("shutdown");
     server.join();
 
-    // The compaction framed the stored records, sorted by key, with
-    // nothing decoded or re-encoded on the way.
+    // The compaction framed the stored records, sorted by key, each
+    // encoded from its recovered counters byte for byte.
     want.sort_by_key(|l| l.key);
     assert_eq!(
         std::fs::read(&snap).expect("compacted snapshot"),
         framed(&want)
     );
     assert_eq!(std::fs::metadata(&jpath).expect("journal").len(), 0);
+    for path in [&jpath, &snap] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// Counters past 2^53 are exact end to end: a journal record holding
+/// them is recovered and served warm with the exact values, written
+/// back byte for byte by the shutdown compaction, and served warm again
+/// from that snapshot.
+#[test]
+fn counters_past_2_53_are_journaled_recovered_and_served_exactly() {
+    let jpath = tmp("exact.wal");
+    let snap = journal::snapshot_path(&jpath);
+    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_file(&snap).ok();
+    let point = distinct_points(1)[0];
+    let mut line = made_up_line(&point, 0, (1 << 53) + 2);
+    line.result.stats.mem_requests = u64::MAX;
+    line.result.ideal_cycles = u64::MAX - 1;
+    std::fs::write(&jpath, framed(std::slice::from_ref(&line))).expect("write journal");
+    for start in ["from the journal", "from the snapshot"] {
+        let server = start_journaled(&jpath, 2);
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let got = client.sim(&point).expect("served after recovery");
+        assert_served_warm(&got, &line, 2);
+        assert_eq!(
+            (got.stats.cycles, got.stats.mem_requests, got.ideal_cycles),
+            ((1 << 53) + 2, u64::MAX, u64::MAX - 1),
+            "{start}"
+        );
+        let stats = client.stats().expect("stats");
+        assert_eq!((stats.result_misses, stats.cache_load_skipped), (0, 0));
+        client.shutdown().expect("shutdown");
+        server.join();
+        assert_eq!(
+            std::fs::read(&snap).expect("compacted snapshot"),
+            framed(std::slice::from_ref(&line)),
+            "{start}"
+        );
+    }
     for path in [&jpath, &snap] {
         std::fs::remove_file(path).ok();
     }
@@ -426,7 +466,10 @@ fn capped_recovery_keeps_the_newest_entries() {
     }
     for (i, p) in points.iter().enumerate().take(8) {
         let got = client.sim(p).expect("served");
-        assert!(!got.cached, "point {i} was evicted at recovery, yet served warm");
+        assert!(
+            !got.cached,
+            "point {i} was evicted at recovery, yet served warm"
+        );
     }
     let stats = client.stats().expect("stats");
     assert_eq!((stats.result_hits, stats.result_misses), (4, 8));
@@ -449,7 +492,10 @@ fn an_unreadable_snapshot_disables_journaling_and_leaves_the_files_alone() {
     // Opening a directory succeeds and reading it fails, even as root.
     std::fs::create_dir_all(&snap).expect("directory at the snapshot path");
     let points = distinct_points(3);
-    let tail = [made_up_line(&points[0], 0, 100), made_up_line(&points[1], 1, 101)];
+    let tail = [
+        made_up_line(&points[0], 0, 100),
+        made_up_line(&points[1], 1, 101),
+    ];
     // A torn tail, which a journal the server writes to is cut back to.
     let mut bytes = framed(&tail);
     bytes.extend_from_slice(&[0xAB; 6]);

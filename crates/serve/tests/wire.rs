@@ -770,7 +770,7 @@ impl RawConn {
 fn canonical_result(line: &str, index: Option<usize>, cached: bool, shard: usize) -> SimResult {
     let resp = Response::decode(line).unwrap_or_else(|e| panic!("{e}: {line}"));
     assert_eq!(resp.encode(), line, "served bytes are not canonical");
-    // The spliced header is the JSON writer's own layout too.
+    // The reply header is the JSON writer's own layout too.
     assert_eq!(Json::parse(line).expect("parse").encode(), line);
     let (got_index, result) = match resp {
         Response::Result(r) => (None, r),
@@ -784,7 +784,7 @@ fn canonical_result(line: &str, index: Option<usize>, cached: bool, shard: usize
 }
 
 /// The line a hit on `shard` must be: the miss's line with only its
-/// header changed, since both carry the one stored body.
+/// header changed, since both are encoded from the one stored result.
 fn as_hit(miss_line: &str, shard: usize) -> String {
     let miss = Response::decode(miss_line).expect("decode miss");
     let Response::Result(result) = miss else {
@@ -987,6 +987,44 @@ fn a_single_flight_waiter_gets_canonical_bytes() {
     assert_eq!(waited, as_hit(&miss, shard));
     let stats = probe.stats().expect("stats");
     assert_eq!((stats.result_misses, stats.result_hits), (1, 1));
+
+    // Once the point is ready, a `sim` for it is answered straight from
+    // the lookup, with no reply channel, and counts as the waiter's hit
+    // did: one hit and one request on the point's stripe, and one
+    // service sample, within the request's own round trip.
+    let before = probe.metrics().expect("metrics");
+    let sent = std::time::Instant::now();
+    waiter.send(&Request::Sim {
+        req: x,
+        deadline_ms: None,
+    });
+    assert_eq!(waiter.line(), waited);
+    let round_trip = sent.elapsed().as_nanos() as u64;
+    let after = probe.metrics().expect("metrics");
+    let moved = |name: &str| {
+        let counter = |m: &Json| {
+            m.get("counters")
+                .and_then(|c| c.get(name))
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("metrics lacks {name}"))
+        };
+        counter(&after) - counter(&before)
+    };
+    assert_eq!(moved("cache.result_hits"), 1);
+    assert_eq!(moved("cache.result_misses"), 0);
+    assert_eq!(moved(&format!("shard.{shard}.requests")), 1);
+    let service = |m: &Json| {
+        let j = m
+            .get("histograms")
+            .and_then(|h| h.get(&format!("shard.{shard}.service_ns")));
+        oov_obs::Histogram::from_json(j.expect("histogram")).expect("histogram decodes")
+    };
+    let (was, now) = (service(&before), service(&after));
+    assert_eq!(now.count() - was.count(), 1);
+    assert!(
+        now.sum() - was.sum() <= round_trip,
+        "a hit's service outlasted its request"
+    );
     server.stop();
 }
 
