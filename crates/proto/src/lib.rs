@@ -20,7 +20,9 @@
 //!   oracle), so a field's wire name is written once. A `strict` record needs every field; a `defaulting`
 //!   one fills a missing field from its default, rejects unknown keys
 //!   and gets a compact writer that leaves out what equals the
-//!   default;
+//!   default. A `packed` record is a strict one that also packs into
+//!   LEB128 varints ([`PackedField`]), the form a store of many results
+//!   keeps them in;
 //! * [`Fnv1a`] — the 64-bit FNV-1a hash, used for stable config and
 //!   request fingerprints (stable across processes and platforms,
 //!   unlike `std::collections::hash_map::DefaultHasher`);
@@ -48,10 +50,14 @@ mod crc;
 mod fnv;
 mod frame;
 mod json;
+mod packed;
 mod record;
 
 pub use crc::{crc32, Crc32};
 pub use fnv::{fingerprint_bytes, Fnv1a};
 pub use frame::{frame_record, FrameReader, FrameStop, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD};
 pub use json::{write_str, write_u64, Json, ParseError, Parser, Sink};
+#[doc(hidden)]
+pub use packed::max_packed_bytes;
+pub use packed::{PackError, PackedField, Packer, Unpacker, MAX_VARINT_BYTES};
 pub use record::{first_unknown_key, unknown_field, Decoded, JsonField};

@@ -19,6 +19,9 @@
 //!
 //! * a `strict` record (a result's counters) needs every field, and
 //!   skips a key that names no field;
+//! * a `packed` record is a `strict` one that also gets the
+//!   [`PackedField`](crate::PackedField) codec: its fields' varints in
+//!   list order, every field a `PackedField` too;
 //! * a `defaulting` record (the machine configurations) takes a
 //!   missing field from a *base* value and rejects a key that names no
 //!   field, ``{what}: unknown field `{key}` ``, so a misspelt field cannot
@@ -299,8 +302,57 @@ impl<T: JsonField> JsonField for Option<T> {
 /// A trailing `validate` makes both decoders return the struct's
 /// `validate(&self) -> Result<(), String>` error for a well-formed
 /// value it rejects.
+///
+/// A `packed` record is `strict` and also implements
+/// [`PackedField`](crate::PackedField), packing its fields in list
+/// order:
+///
+/// ```
+/// use oov_proto::{json_record, PackedField, Packer, Unpacker};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Tally {
+///     hits: u64,
+///     misses: u64,
+/// }
+/// json_record!(Tally, "tally", packed, [hits, misses]);
+///
+/// let t = Tally { hits: 300, misses: 0 };
+/// let mut buf = [0; Tally::MAX_BYTES];
+/// let mut out = Packer::new(&mut buf);
+/// t.pack(&mut out);
+/// assert_eq!(out.bytes(), [0xac, 0x02, 0x00]);
+/// let mut input = Unpacker::new(out.bytes());
+/// assert_eq!(Tally::unpack(&mut input), t);
+/// assert_eq!(input.end(), Ok(()));
+/// ```
 #[macro_export]
 macro_rules! json_record {
+    (
+        $ty:ty,
+        $what:literal,
+        packed,
+        [$($field:ident),+ $(,)?]
+    ) => {
+        $crate::json_record!($ty, $what, strict, [$($field),+]);
+
+        impl $crate::PackedField for $ty {
+            const MAX_BYTES: usize =
+                0 $(+ $crate::max_packed_bytes(|record: &Self| &record.$field))+;
+
+            fn pack(&self, out: &mut $crate::Packer<'_>) {
+                $($crate::PackedField::pack(&self.$field, out);)+
+            }
+
+            fn unpack(input: &mut $crate::Unpacker<'_>) -> Self {
+                // A struct literal evaluates its fields in the order
+                // written: the list order.
+                Self {
+                    $($field: $crate::PackedField::unpack(input),)+
+                }
+            }
+        }
+    };
     (
         $ty:ty,
         $what:literal,

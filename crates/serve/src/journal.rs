@@ -38,13 +38,15 @@
 //! The writer thread keeps the full persistent state in memory (it
 //! sees every insert, so this costs no coordination with the workers).
 //! Each entry is a `Record`: the key, the machine fingerprint, the
-//! stripe and the result's counters, one `Arc` shared with the cache
+//! stripe and the result's packed counters
+//! ([`crate::proto::PackedRun`]), one allocation shared with the cache
 //! stripe that serves them, so the state costs a few words per key on
-//! top of counters the cache holds anyway. The state holds no encoded
-//! bytes: the writer encodes each record's payload when it frames it,
-//! with the result writer every reply goes through
-//! ([`crate::proto::write_reply`]'s). Recovery stores each decoded
-//! result as it is, without encoding it.
+//! top of counters the cache holds anyway. The state is a set of
+//! records keyed by their own key, which it holds once. It holds no
+//! encoded bytes: the writer unpacks a record's counters on the stack
+//! and encodes its payload when it frames it, with the result writer
+//! every reply goes through ([`crate::proto::write_reply`]'s).
+//! Recovery packs each decoded result once, without encoding it.
 //! When the journal grows past [`JournalConfig::max_bytes`], it
 //! compacts: every record of the state, framed exactly as appends
 //! frame it and sorted by key, replaces `<journal>.snapshot` whole
@@ -65,16 +67,17 @@
 //! durable watermark: a batch is counted only after its `sync_data`
 //! returned, so once it reads N, N records survive a SIGKILL.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 
 use oov_bench::RunOutcome;
 use oov_proto::{frame_record, FrameReader, FrameStop, Parser};
 
-use crate::proto::{write_result, SimResult};
+use crate::proto::{write_result, PackedRun, SimResult};
 
 /// Default journal-rotation threshold (`--journal-max-bytes`).
 pub const DEFAULT_JOURNAL_MAX_BYTES: u64 = 8 << 20;
@@ -137,32 +140,50 @@ pub struct Recovery {
 
 /// One simulated result on its way to the journal, and the writer's
 /// in-memory copy of it: the cache key, the machine fingerprint, the
-/// stripe it was simulated for and the result's counters, shared with
-/// the cache. No encoded bytes are kept: the payload is written when
-/// the record is framed.
+/// stripe it was simulated for and the result's packed counters,
+/// shared with the cache. No encoded bytes are kept: the payload is
+/// written when the record is framed.
+///
+/// A record is identified by its key: the writer's state is a set of
+/// records, one per key, so the key is held once.
 pub(crate) struct Record {
     pub(crate) key: u64,
     pub(crate) machine_fp: u64,
     pub(crate) shard: usize,
-    pub(crate) run: Arc<RunOutcome>,
+    pub(crate) run: PackedRun,
+}
+
+impl PartialEq for Record {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Record {}
+
+impl Hash for Record {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key.hash(state);
+    }
 }
 
 impl Record {
-    /// The record of a decoded cache line: its counters, moved, not
-    /// encoded.
+    /// The record of a decoded cache line: its counters, packed once.
     pub(crate) fn of(line: CacheLine) -> Record {
         Record {
             key: line.key,
             machine_fp: line.machine_fp,
             shard: line.result.shard,
-            run: Arc::new(line.result.outcome()),
+            run: PackedRun::pack(&line.result.outcome()),
         }
     }
 
-    /// Appends the record's journal payload. The journal holds
-    /// simulated results only, so `cached` is always `false`.
+    /// Appends the record's journal payload, from its counters
+    /// unpacked on the stack. The journal holds simulated results
+    /// only, so `cached` is always `false`.
     fn encode_into(&self, out: &mut String) {
-        write_record(out, self.key, self.machine_fp, false, self.shard, &self.run);
+        let run = self.run.unpack();
+        write_record(out, self.key, self.machine_fp, false, self.shard, &run);
     }
 }
 
@@ -321,7 +342,7 @@ impl JournalWriter {
     /// `metrics`.
     pub(crate) fn start(
         cfg: JournalConfig,
-        state: HashMap<u64, Record>,
+        state: HashSet<Record>,
         intact_bytes: u64,
         metrics: &oov_obs::Registry,
     ) -> Result<JournalWriter, String> {
@@ -369,7 +390,7 @@ impl JournalWriter {
 fn writer_loop(
     rx: &mpsc::Receiver<Record>,
     mut file: std::fs::File,
-    mut state: HashMap<u64, Record>,
+    mut state: HashSet<Record>,
     cfg: &JournalConfig,
     counters: &JournalCounters,
 ) {
@@ -389,7 +410,7 @@ fn writer_loop(
             if frame_into(&record, &mut payload, &mut buf) {
                 records += 1;
             }
-            state.insert(record.key, record);
+            state.replace(record);
             next = if records < MAX_BATCH as u64 {
                 rx.try_recv().ok()
             } else {
@@ -437,11 +458,11 @@ const SNAPSHOT_CHUNK: usize = 64 << 10;
 /// the whole snapshot in memory.
 fn compact(
     file: &std::fs::File,
-    state: &HashMap<u64, Record>,
+    state: &HashSet<Record>,
     cfg: &JournalConfig,
     counters: &JournalCounters,
 ) -> bool {
-    let mut records: Vec<&Record> = state.values().collect();
+    let mut records: Vec<&Record> = state.iter().collect();
     records.sort_unstable_by_key(|r| r.key);
     let saved = write_atomic(&snapshot_path(&cfg.path), |out| {
         let mut buf = Vec::with_capacity(SNAPSHOT_CHUNK);
@@ -518,6 +539,7 @@ mod tests {
     use super::*;
     use oov_proto::Json;
     use oov_stats::SimStats;
+    use std::collections::HashMap;
 
     fn line(key: u64, cycles: u64) -> CacheLine {
         CacheLine {
@@ -839,7 +861,7 @@ mod tests {
         std::fs::write(&path, &buf).unwrap();
 
         let metrics = oov_obs::Registry::new();
-        let state = HashMap::from([(9, Record::of(line(9, 90)))]);
+        let state = HashSet::from([Record::of(line(9, 90))]);
         let w = JournalWriter::start(cfg(&path), state, keep, &metrics).unwrap();
         let tx = w.sender();
         tx.send(Record::of(line(1, 10))).unwrap();
@@ -871,7 +893,7 @@ mod tests {
             max_bytes: 256, // a couple of records
         };
         let metrics = oov_obs::Registry::new();
-        let w = JournalWriter::start(cfg, HashMap::new(), 0, &metrics).unwrap();
+        let w = JournalWriter::start(cfg, HashSet::new(), 0, &metrics).unwrap();
         let tx = w.sender();
         for k in 0..16 {
             tx.send(Record::of(line(k, k * 10))).unwrap();
@@ -931,7 +953,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&snap).ok();
         let metrics = oov_obs::Registry::new();
-        let state = HashMap::from([(4, Record::of(line(4, 40)))]);
+        let state = HashSet::from([Record::of(line(4, 40))]);
         let w = JournalWriter::start(cfg(&path), state, 0, &metrics).unwrap();
         w.finish();
         assert!(!snap.exists(), "an empty journal was compacted");

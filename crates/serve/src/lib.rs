@@ -24,7 +24,7 @@
 //!            │ pending  │ pending  │ pending  │  from its counters here;
 //!            └──────────┴──────────┴──────────┘  pending → wait on it
 //!                   │ miss only          ▲
-//!                   ▼                    │ counters (Arc<RunOutcome>),
+//!                   ▼                    │ packed counters (PackedRun),
 //!          one job queue (mpsc)          │ shared with the journal writer
 //!            ┌──────────┬──────────┬─────┴────┐
 //!            │ worker 0 │ worker 1 │  ... N   │  supervised pool
@@ -40,11 +40,13 @@
 //!   Identical requests always meet the same stripe (the stripe is the
 //!   full request fingerprint ([`SimRequest::fingerprint`]) modulo N),
 //!   so a stripe lock is the only coordination a lookup needs. An
-//!   entry is the result's counters ([`oov_bench::RunOutcome`], 296
-//!   bytes), never their encoding, shared with the journal writer. A
-//!   `sim` hit is one request decode, one streamed fingerprint, one
-//!   lock, and the reply encoded from the counters into the
-//!   connection's reused line buffer, with no reply channel.
+//!   entry is the result's counters packed into varints
+//!   ([`proto::PackedRun`], about 70 bytes against the 296 of an
+//!   [`oov_bench::RunOutcome`]), never their encoding, shared with the
+//!   journal writer. A `sim` hit is one request decode, one streamed
+//!   fingerprint, one lock, and the reply encoded from the counters,
+//!   unpacked on the stack, into the connection's reused line buffer,
+//!   with no reply channel.
 //! * **One queue, a pool of workers.** Misses go on one queue that N
 //!   supervised workers pull from, so an idle worker takes the next
 //!   miss whatever its stripe. A point already being simulated is not

@@ -64,21 +64,23 @@
 //! A result reply is a short header that opens the object and names
 //! the reply (`{"type": "result", ` or `{"type": "sweep_row", "index":
 //! 3, `), then the result's fields. The server keeps a result as its
-//! counters ([`RunOutcome`]), never as bytes, and encodes each reply
-//! from them on the connection thread with [`write_reply`]: the one
-//! result writer, which the journal's records and [`Response::encode`]
-//! go through too, so the bytes cannot differ.
+//! counters packed into varints ([`PackedRun`]), never as its encoding.
+//! It unpacks them into a [`RunOutcome`] on the stack and encodes each
+//! reply from that on the connection thread with [`write_reply`]: the
+//! one result writer, which the journal's records and
+//! [`Response::encode`] go through too, so the bytes cannot differ.
 
 use std::borrow::Cow;
 use std::hash::Hasher as _;
+use std::sync::Arc;
 
 use oov_bench::RunOutcome;
 use oov_core::Stepper;
 use oov_isa::{CommitMode, MachineConfig};
 use oov_kernels::{Program, Scale};
 use oov_proto::{
-    first_unknown_key, unknown_field, write_str, Decoded, Fnv1a, Json, JsonField, ParseError,
-    Parser, Sink,
+    first_unknown_key, unknown_field, write_str, Decoded, Fnv1a, Json, JsonField, PackError,
+    PackedField, Packer, ParseError, Parser, Sink, Unpacker,
 };
 use oov_stats::SimStats;
 
@@ -708,6 +710,55 @@ impl ResultFields {
     }
 }
 
+/// A result's counters as the server stores them: the [`RunOutcome`]
+/// packed into varints ([`PackedField`]), the stats in their
+/// `json_record!` field order and then `ideal_cycles` and
+/// `faults_taken`, in one shared allocation. A typical result packs
+/// into about 70 bytes, against the struct's 296.
+///
+/// The stripe's LRU entry and the journal writer's state share one
+/// allocation. Every reply and every journal record unpacks it into a
+/// `RunOutcome` on the stack and writes that with [`write_reply`]'s
+/// result writer, so no byte a client or the disk sees depends on this
+/// format.
+#[derive(Debug, Clone)]
+pub struct PackedRun(Arc<[u8]>);
+
+impl PackedRun {
+    /// The most bytes any result packs into.
+    const MAX_BYTES: usize = SimStats::MAX_BYTES + 2 * u64::MAX_BYTES;
+
+    /// Packs `run` through a stack buffer into one allocation.
+    #[must_use]
+    pub fn pack(run: &RunOutcome) -> Self {
+        let mut buf = [0; Self::MAX_BYTES];
+        let mut out = Packer::new(&mut buf);
+        run.stats.pack(&mut out);
+        run.ideal_cycles.pack(&mut out);
+        run.faults_taken.pack(&mut out);
+        PackedRun(Arc::from(out.bytes()))
+    }
+
+    /// The counters [`PackedRun::pack`] packed, read straight from the
+    /// bytes with no allocation.
+    #[must_use]
+    pub fn unpack(&self) -> RunOutcome {
+        Self::decode(&self.0).expect("bytes written by `PackedRun::pack` decode")
+    }
+
+    /// Decodes packed counters, rejecting input that ends early, holds
+    /// an overlong varint or runs past the last counter.
+    fn decode(bytes: &[u8]) -> Result<RunOutcome, PackError> {
+        let mut input = Unpacker::new(bytes);
+        let run = RunOutcome {
+            stats: SimStats::unpack(&mut input),
+            ideal_cycles: input.u64(),
+            faults_taken: input.u64(),
+        };
+        input.end().map(|()| run)
+    }
+}
+
 /// Writes a result object's fields after whatever opened it (a reply
 /// header or a journal record's `"result": {`) and closes the object:
 /// `"cached": …, "shard": …, "ideal_cycles": …, "faults_taken": …,
@@ -1105,6 +1156,99 @@ impl<'a> ResponseFields<'a> {
 mod tests {
     use super::*;
     use oov_isa::{LoadElimMode, OooConfig, RefConfig};
+
+    /// The leaves of an encoding: its numbers, in encoding order.
+    fn leaves(v: &Json) -> usize {
+        match v {
+            Json::Obj(pairs) => pairs.iter().map(|(_, v)| leaves(v)).sum(),
+            Json::Arr(items) => items.iter().map(leaves).sum(),
+            _ => 1,
+        }
+    }
+
+    /// Sets each leaf of `v`, in encoding order, to the next of
+    /// `values`.
+    fn fill(v: &mut Json, values: &mut impl Iterator<Item = u64>) {
+        match v {
+            Json::Obj(pairs) => pairs.iter_mut().for_each(|(_, v)| fill(v, values)),
+            Json::Arr(items) => items.iter_mut().for_each(|v| fill(v, values)),
+            leaf => *leaf = values.next().expect("a value per leaf").into(),
+        }
+    }
+
+    /// Counters a packed result holds: every leaf of `SimStats`'s
+    /// encoding, then `ideal_cycles` and `faults_taken`.
+    fn packed_counters() -> usize {
+        leaves(&SimStats::new().to_json()) + 2
+    }
+
+    /// The result whose counters, in that order, are `values`.
+    fn outcome_of(values: &[u64]) -> RunOutcome {
+        let mut tree = SimStats::new().to_json();
+        let mut values = values.iter().copied();
+        fill(&mut tree, &mut values);
+        let run = RunOutcome {
+            stats: SimStats::from_json(&tree).expect("every leaf a count"),
+            ideal_cycles: values.next().expect("ideal_cycles"),
+            faults_taken: values.next().expect("faults_taken"),
+        };
+        assert_eq!(values.next(), None, "a counter per value");
+        run
+    }
+
+    #[test]
+    fn packed_results_round_trip_every_counter_in_field_order() {
+        let n = packed_counters();
+        // Distinct values of one to three bytes, so a counter packed in
+        // another's place cannot go unseen.
+        let distinct: Vec<u64> = (0..n as u64).map(|i| 1 + i * 4093).collect();
+        for special in [0, 127, 128, (1 << 53) + 1, u64::MAX] {
+            for at in 0..n {
+                let mut values = distinct.clone();
+                values[at] = special;
+                let run = outcome_of(&values);
+                let packed = PackedRun::pack(&run);
+                assert_eq!(packed.unpack(), run, "{special} at counter {at}");
+                // The bytes are the counters' varints, in this order.
+                let mut input = Unpacker::new(&packed.0);
+                for &value in &values {
+                    assert_eq!(input.u64(), value, "{special} at counter {at}");
+                }
+                assert_eq!(input.end(), Ok(()));
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_packed_results_are_errors_not_panics() {
+        let n = packed_counters();
+        let full = PackedRun::pack(&outcome_of(&vec![u64::MAX; n])).0.to_vec();
+        assert_eq!(full.len(), n * oov_proto::MAX_VARINT_BYTES);
+        for cut in 0..full.len() {
+            assert_eq!(PackedRun::decode(&full[..cut]), Err(PackError::Truncated));
+        }
+        let small = PackedRun::pack(&outcome_of(&vec![5; n])).0.to_vec();
+        assert_eq!(small.len(), n);
+        let mut trailing = small.clone();
+        trailing.push(0);
+        assert_eq!(PackedRun::decode(&trailing), Err(PackError::Trailing));
+        // An eleven-byte varint in the first counter's place.
+        let mut eleven = vec![0x80; 10];
+        eleven.push(0);
+        eleven.extend_from_slice(&small[1..]);
+        assert_eq!(PackedRun::decode(&eleven), Err(PackError::Overlong));
+        // Any byte of either, set to any value, decodes or is an error.
+        for bytes in [&full, &small] {
+            let mut bad = bytes.clone();
+            for at in 0..bytes.len() {
+                for byte in 0..=u8::MAX {
+                    bad[at] = byte;
+                    let _ = PackedRun::decode(&bad);
+                }
+                bad[at] = bytes[at];
+            }
+        }
+    }
 
     #[test]
     fn default_paper_request_fingerprint_is_pinned() {

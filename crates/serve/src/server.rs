@@ -71,16 +71,18 @@
 //!
 //! # Results are counters
 //!
-//! A result is kept as its counters ([`RunOutcome`]: the stats, the
-//! ideal bound and the traps taken, 296 bytes), never as its encoding,
-//! the way the OOOVA's reorder buffer holds register names and never
-//! their values. The worker that simulated a miss puts them in one
-//! `Arc`, which the stripe's LRU entry and the journal writer's state
-//! share. The connection thread encodes each reply from them as it
-//! writes it ([`proto::write_reply`]), into one reused line buffer
-//! sent with one `write_all`; with the typed request decode and
-//! fingerprint ([`crate::proto`]), a warm hit builds no `Json` value
-//! and allocates nothing.
+//! A result is kept as its counters (the stats, the ideal bound and the
+//! traps taken), never as its encoding, the way the OOOVA's reorder
+//! buffer holds register names and never their values. The worker that
+//! simulated a miss packs them into varints once ([`PackedRun`], about
+//! 70 bytes where the `RunOutcome` struct takes 296), in one
+//! allocation, which the stripe's LRU entry and the journal writer's
+//! state share. The connection thread unpacks them on the stack and
+//! encodes each reply from them as it writes it
+//! ([`proto::write_reply`]), into one reused line buffer sent with one
+//! `write_all`; with the typed request decode and fingerprint
+//! ([`crate::proto`]), a warm hit builds no `Json` value and allocates
+//! nothing.
 //!
 //! A `sim` whose point is ready is answered straight from the lookup
 //! (`Engine::lookup`), with no reply channel. A `sim` that has to
@@ -89,7 +91,7 @@
 //! a reorder buffer so rows stream to the client in request order no
 //! matter how the workers interleave.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -99,14 +101,14 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use oov_bench::{machine_run_budgeted, RunOutcome};
+use oov_bench::machine_run_budgeted;
 use oov_core::{AbortReason, RunBudget, SimArena};
 use oov_proto::FrameStop;
 
 use crate::cache::SuiteCache;
 use crate::chaos::{ChaosConfig, JobFault};
 use crate::journal::{self, CacheLine, JournalConfig, JournalWriter, Record};
-use crate::proto::{self, Request, Response, SimRequest, StatsSnapshot};
+use crate::proto::{self, PackedRun, Request, Response, SimRequest, StatsSnapshot};
 
 /// How often parked connection threads re-check the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(250);
@@ -191,11 +193,11 @@ impl Drop for Job {
 type ReplyRx = mpsc::Receiver<(usize, JobReply)>;
 
 /// A result ready to write: the reply's `cached` and `shard` fields,
-/// and the result's counters, shared with the cache.
+/// and the result's packed counters, shared with the cache.
 struct Answer {
     cached: bool,
     shard: usize,
-    run: Arc<RunOutcome>,
+    run: PackedRun,
 }
 
 /// The answer to one job, waiter or sweep hit, sent over the batch's
@@ -429,7 +431,7 @@ impl Engine {
         let n = (fp % self.stripes.len() as u64) as usize;
         let mut stripe = self.stripe(n);
         if let Some(run) = stripe.lru.get(fp) {
-            let run = Arc::clone(run);
+            let run = run.clone();
             drop(stripe);
             self.count_hit(n, looked_up);
             return Ok(Answer {
@@ -444,11 +446,11 @@ impl Engine {
     /// Lands a leader's result `run`: inserts it into the job's
     /// stripe, clears the pending entry and answers every waiter as a
     /// hit.
-    fn settle(&self, job: &mut Job, run: &Arc<RunOutcome>) {
+    fn settle(&self, job: &mut Job, run: &PackedRun) {
         let since = Instant::now();
         let mut stripe = self.stripe(job.stripe);
         let waiters = stripe.pending.remove(&job.fp).unwrap_or_default();
-        let evicted = stripe.lru.insert(job.fp, Arc::clone(run));
+        let evicted = stripe.lru.insert(job.fp, run.clone());
         drop(stripe);
         job.settled = true;
         if evicted {
@@ -459,7 +461,7 @@ impl Engine {
             to.send(JobReply::Done(Answer {
                 cached: true,
                 shard: job.stripe,
-                run: Arc::clone(run),
+                run: run.clone(),
             }));
         }
     }
@@ -509,8 +511,8 @@ impl Engine {
     /// that could not be read yields the records before the failure
     /// and `None`: the run must not truncate, append to or compact
     /// over a file whose rest it never saw.
-    fn recover(&self, jpath: &Path) -> Option<(HashMap<u64, Record>, u64)> {
-        let mut state = HashMap::new();
+    fn recover(&self, jpath: &Path) -> Option<(HashSet<Record>, u64)> {
+        let mut state = HashSet::new();
         let mut fold = |line: CacheLine| {
             // The counters hold no shard, so they are valid on any
             // stripe and the shard count may change across restarts.
@@ -518,14 +520,11 @@ impl Engine {
             let record = Record::of(line);
             // Seeding through the same entry point applies the cap to
             // an oversized recovery state too.
-            let evicted = self
-                .stripe(n)
-                .lru
-                .insert(record.key, Arc::clone(&record.run));
+            let evicted = self.stripe(n).lru.insert(record.key, record.run.clone());
             if evicted {
                 self.result_evictions.inc();
             }
-            state.insert(record.key, record);
+            state.replace(record);
         };
         let snap = journal::recover(&journal::snapshot_path(jpath), &mut fold);
         let tail = journal::recover(jpath, &mut fold);
@@ -605,12 +604,16 @@ impl Default for ServeConfig {
     }
 }
 
+/// A slot of a stripe's LRU. `u32` keeps an entry's links, beside its
+/// key and its packed result's fat pointer, in 32 bytes.
+type Slot = u32;
+
 /// Sentinel slot index for "no neighbour".
-const NO_SLOT: usize = usize::MAX;
+const NO_SLOT: Slot = Slot::MAX;
 
 /// One stripe of the result cache: the ready results for fingerprints
-/// `≡ n (mod stripes)`, as their counters, and the fingerprints being
-/// simulated right now.
+/// `≡ n (mod stripes)`, as their packed counters, and the fingerprints
+/// being simulated right now.
 struct Stripe {
     lru: Lru,
     /// Fingerprints with a leader job in flight, each with the
@@ -628,8 +631,8 @@ impl Stripe {
 }
 
 /// A stripe's ready results, with an optional LRU cap. An entry holds
-/// the result's counters, shared with the journal writer; a hit
-/// encodes its reply from them.
+/// the result's packed counters, shared with the journal writer; a hit
+/// unpacks them and encodes its reply from them.
 ///
 /// Recency is an intrusive doubly-linked list threaded through a slot
 /// vector (`prev`/`next` indices), with a `HashMap` from request
@@ -637,24 +640,24 @@ impl Stripe {
 /// evict-the-tail are all O(1), so large `--cache-entries` caps do not
 /// tax every miss.
 struct Lru {
-    map: HashMap<u64, usize>,
+    map: HashMap<u64, Slot>,
     slots: Vec<LruEntry>,
     /// Recycled slot indices from evictions.
-    free: Vec<usize>,
+    free: Vec<Slot>,
     /// Most-recently-used slot (`NO_SLOT` when empty).
-    head: usize,
+    head: Slot,
     /// Least-recently-used slot (`NO_SLOT` when empty) — the eviction
     /// victim.
-    tail: usize,
+    tail: Slot,
     /// `usize::MAX` when unbounded.
     cap: usize,
 }
 
 struct LruEntry {
     key: u64,
-    run: Arc<RunOutcome>,
-    prev: usize,
-    next: usize,
+    run: PackedRun,
+    prev: Slot,
+    next: Slot,
 }
 
 impl Lru {
@@ -671,46 +674,57 @@ impl Lru {
         }
     }
 
+    fn entry(&mut self, slot: Slot) -> &mut LruEntry {
+        &mut self.slots[slot as usize]
+    }
+
     /// Unlinks `slot` from the recency list.
-    fn unlink(&mut self, slot: usize) {
-        let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
+    fn unlink(&mut self, slot: Slot) {
+        let LruEntry { prev, next, .. } = *self.entry(slot);
         match prev {
             NO_SLOT => self.head = next,
-            p => self.slots[p].next = next,
+            p => self.entry(p).next = next,
         }
         match next {
             NO_SLOT => self.tail = prev,
-            n => self.slots[n].prev = prev,
+            n => self.entry(n).prev = prev,
         }
     }
 
     /// Links `slot` at the most-recently-used end.
-    fn push_front(&mut self, slot: usize) {
-        self.slots[slot].prev = NO_SLOT;
-        self.slots[slot].next = self.head;
-        match self.head {
+    fn push_front(&mut self, slot: Slot) {
+        let head = self.head;
+        let entry = self.entry(slot);
+        entry.prev = NO_SLOT;
+        entry.next = head;
+        match head {
             NO_SLOT => self.tail = slot,
-            h => self.slots[h].prev = slot,
+            h => self.entry(h).prev = slot,
         }
         self.head = slot;
     }
 
     /// Looks up `key`, moving it to the recency front on a hit.
-    fn get(&mut self, key: u64) -> Option<&Arc<RunOutcome>> {
+    fn get(&mut self, key: u64) -> Option<&PackedRun> {
         let slot = *self.map.get(&key)?;
         if self.head != slot {
             self.unlink(slot);
             self.push_front(slot);
         }
-        Some(&self.slots[slot].run)
+        Some(&self.entry(slot).run)
     }
 
     /// Inserts `key`, evicting the least-recently-used entry when at
     /// the cap. Returns `true` if an entry was evicted.
-    fn insert(&mut self, key: u64, run: Arc<RunOutcome>) -> bool {
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX - 1` live entries, tens of GiB of
+    /// results.
+    fn insert(&mut self, key: u64, run: PackedRun) -> bool {
         if let Some(&slot) = self.map.get(&key) {
             // Overwrite in place and touch.
-            self.slots[slot].run = run;
+            self.entry(slot).run = run;
             if self.head != slot {
                 self.unlink(slot);
                 self.push_front(slot);
@@ -721,7 +735,8 @@ impl Lru {
             let victim = self.tail;
             debug_assert_ne!(victim, NO_SLOT, "cap >= 1 and map at cap");
             self.unlink(victim);
-            self.map.remove(&self.slots[victim].key);
+            let victim_key = self.entry(victim).key;
+            self.map.remove(&victim_key);
             self.free.push(victim);
             true
         } else {
@@ -735,12 +750,16 @@ impl Lru {
         };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot] = entry;
+                *self.entry(slot) = entry;
                 slot
             }
             None => {
+                let slot = Slot::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&slot| slot != NO_SLOT)
+                    .expect("a stripe holds fewer than u32::MAX results");
                 self.slots.push(entry);
-                self.slots.len() - 1
+                slot
             }
         };
         self.map.insert(key, slot);
@@ -1101,8 +1120,8 @@ fn run_job(
     match outcome {
         Ok(Ok(out)) => {
             // The one copy of this result: the cache, the journal and
-            // every reply share these counters.
-            let run = Arc::new(out);
+            // every reply share these packed counters.
+            let run = PackedRun::pack(&out);
             engine.settle(job, &run);
             // Write-ahead append: one non-blocking send to the journal
             // writer; durability happens off the job path.
@@ -1111,7 +1130,7 @@ fn run_job(
                     key: job.fp,
                     machine_fp: req.machine.fingerprint(),
                     shard: job.stripe,
-                    run: Arc::clone(&run),
+                    run: run.clone(),
                 });
             }
             JobReply::Done(Answer {
@@ -1272,9 +1291,9 @@ impl Replies {
     }
 
     /// Writes a result reply (a sweep row when `index` is set),
-    /// encoded from the result's counters.
+    /// encoded from the result's counters, unpacked on the stack.
     fn answer(&mut self, index: Option<usize>, a: &Answer) -> io::Result<()> {
-        self.send(|line| proto::write_reply(line, index, a.cached, a.shard, &a.run))
+        self.send(|line| proto::write_reply(line, index, a.cached, a.shard, &a.run.unpack()))
     }
 }
 
@@ -1553,11 +1572,12 @@ fn stream_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oov_bench::RunOutcome;
     use oov_stats::SimStats;
 
-    /// Stand-in counters that name their tag.
-    fn run(tag: u64) -> Arc<RunOutcome> {
-        Arc::new(RunOutcome {
+    /// Stand-in packed counters that name their tag.
+    fn run(tag: u64) -> PackedRun {
+        PackedRun::pack(&RunOutcome {
             stats: SimStats::new(),
             ideal_cycles: tag,
             faults_taken: 0,
@@ -1566,15 +1586,15 @@ mod tests {
 
     /// The tag of the counters under `key`, touching it.
     fn tag(c: &mut Lru, key: u64) -> Option<u64> {
-        c.get(key).map(|run| run.ideal_cycles)
+        c.get(key).map(|run| run.unpack().ideal_cycles)
     }
 
     fn keys_mru_to_lru(c: &Lru) -> Vec<u64> {
         let mut out = Vec::new();
         let mut slot = c.head;
         while slot != NO_SLOT {
-            out.push(c.slots[slot].key);
-            slot = c.slots[slot].next;
+            out.push(c.slots[slot as usize].key);
+            slot = c.slots[slot as usize].next;
         }
         out
     }
@@ -1603,6 +1623,15 @@ mod tests {
         assert!(!c.insert(1, run(100)), "overwrite never evicts");
         assert_eq!(tag(&mut c, 1), Some(100));
         assert_eq!(keys_mru_to_lru(&c), vec![1, 2]);
+    }
+
+    #[test]
+    fn an_lru_entry_is_its_key_result_and_links_unpadded() {
+        use std::mem::size_of;
+        assert_eq!(
+            size_of::<LruEntry>(),
+            size_of::<u64>() + size_of::<PackedRun>() + 2 * size_of::<Slot>()
+        );
     }
 
     #[test]

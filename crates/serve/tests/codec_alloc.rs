@@ -3,9 +3,9 @@
 //!
 //! These are the steps a hit costs outside the cache itself: the
 //! client encodes its request into a reused line, the server decodes
-//! the line, fingerprints the request and writes the `result` reply
-//! from the stored counters, and the client decodes the reply. None of
-//! them may build a `Json` tree or any other
+//! the line, fingerprints the request, unpacks the stored counters
+//! and writes the `result` reply from them, and the client decodes the
+//! reply. None of them may build a `Json` tree or any other
 //! heap value, which a counting `#[global_allocator]` checks in debug
 //! and release builds alike. A count is deterministic, so unlike a
 //! timing gate this one cannot flake.
@@ -114,8 +114,9 @@ fn a_warm_hit_round_trip_allocates_nothing() {
         cached: true,
         shard: 1,
     };
-    // What the server's cache holds for that result.
-    let stored = served.outcome();
+    // What the server's cache holds for that result: its packed
+    // counters.
+    let stored = proto::PackedRun::pack(&served.outcome());
     let result = Response::Result(served);
     let result_line = result.encode();
 
@@ -160,7 +161,7 @@ fn a_warm_hit_round_trip_allocates_nothing() {
 
     let (n, ()) = allocations(|| {
         line.clear();
-        proto::write_reply(&mut line, None, true, 1, black_box(&stored));
+        proto::write_reply(&mut line, None, true, 1, &black_box(&stored).unpack());
     });
     assert_eq!(n, 0, "server reply write allocated {n} times");
     assert_eq!(line, result_line);

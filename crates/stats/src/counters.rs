@@ -97,11 +97,12 @@ impl SimStats {
 }
 
 // Counters first, then the breakdown and the per-stage counts: the
-// wire order `oov-serve` results and the journal carry.
+// wire order `oov-serve` results and the journal carry, and the order
+// of the packed varints its result cache holds.
 oov_proto::json_record!(
     SimStats,
     "sim stats",
-    strict,
+    packed,
     [
         cycles,
         committed,
@@ -218,6 +219,37 @@ mod tests {
         // Textual round trip too (the wire carries it as one line).
         let reparsed = oov_proto::Json::parse(&v.to_string()).unwrap();
         assert_eq!(SimStats::from_json(&reparsed).unwrap(), s);
+    }
+
+    #[test]
+    fn packed_round_trip_is_exact_and_within_the_bound() {
+        use oov_proto::{PackedField, Packer, Unpacker, MAX_VARINT_BYTES};
+
+        let mut s = SimStats {
+            cycles: u64::MAX,
+            committed: 127,
+            mem_requests: 128,
+            progress_cycles: (1 << 53) + 1,
+            ..SimStats::new()
+        };
+        s.breakdown
+            .record(crate::UnitState::new(false, true, true), u64::MAX);
+        s.stages.commit = 300;
+        let mut buf = [0; SimStats::MAX_BYTES];
+        let mut out = Packer::new(&mut buf);
+        s.pack(&mut out);
+        let mut input = Unpacker::new(out.bytes());
+        assert_eq!(SimStats::unpack(&mut input), s);
+        assert_eq!(input.end(), Ok(()));
+        // The bound is a full varint per number of the JSON encoding.
+        fn leaves(v: &oov_proto::Json) -> usize {
+            match v {
+                oov_proto::Json::Obj(pairs) => pairs.iter().map(|(_, v)| leaves(v)).sum(),
+                oov_proto::Json::Arr(items) => items.iter().map(leaves).sum(),
+                _ => 1,
+            }
+        }
+        assert_eq!(SimStats::MAX_BYTES, leaves(&s.to_json()) * MAX_VARINT_BYTES);
     }
 
     #[test]

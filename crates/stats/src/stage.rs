@@ -58,7 +58,7 @@ impl StageCycles {
 oov_proto::json_record!(
     StageCycles,
     "stage cycles",
-    strict,
+    packed,
     [fetch, dispatch, issue_a, issue_s, issue_v, issue_mem, mem_pipe, writeback, commit]
 );
 

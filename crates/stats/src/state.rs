@@ -6,7 +6,9 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use oov_proto::{Decoded, Json, JsonField, ParseError, Parser, Sink};
+use oov_proto::{
+    Decoded, Json, JsonField, PackedField, Packer, ParseError, Parser, Sink, Unpacker,
+};
 
 /// Occupancy of the three vector units `(FU2, FU1, MEM)` in one cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -190,6 +192,25 @@ impl JsonField for StateBreakdown {
             Ok(())
         })?;
         Ok(Self::checked(is_array.then_some(entries)))
+    }
+}
+
+/// The eight counts in dense-index order.
+impl PackedField for StateBreakdown {
+    const MAX_BYTES: usize = 8 * u64::MAX_BYTES;
+
+    fn pack(&self, out: &mut Packer<'_>) {
+        for c in &self.cycles {
+            c.pack(out);
+        }
+    }
+
+    fn unpack(input: &mut Unpacker<'_>) -> Self {
+        let mut cycles = [0; 8];
+        for c in &mut cycles {
+            *c = input.u64();
+        }
+        StateBreakdown { cycles }
     }
 }
 
